@@ -3,10 +3,12 @@
 //! `mlm_exec::fuzz` injects faults into its *modeled* executor; this
 //! module is the bridge to the real one. With the `fuzz` feature enabled,
 //! a test can arm a kernel panic for a specific chunk and the host
-//! backends (implicit, lockstep, dataflow) will panic inside the kernel
-//! task exactly as a buggy user kernel would — exercising the real
-//! poison-drain machinery (`mlm_exec::ring::coordinate`, slot poisoning,
-//! panic propagation) on the schedule the fuzzer explored in model form.
+//! backend will panic inside the kernel task exactly as a buggy user
+//! kernel would — its compute tasks are built in one place, so the probe
+//! covers every schedule (implicit, lockstep, dataflow; map and stencil)
+//! and exercises the real drain machinery (the pool's scoped join,
+//! `mlm_exec::ring::coordinate`, slot poisoning, panic propagation) on the
+//! schedule the fuzzer explored in model form.
 //!
 //! The hook is a process-global: tests that arm it must run in their own
 //! integration-test binary (one process) and disarm on every exit path.
@@ -32,7 +34,7 @@ pub fn disarm() {
     ARMED_COMPUTE_PANIC.store(-1, Ordering::SeqCst);
 }
 
-/// Probe called by the host backends' compute paths just before the user
+/// Probe called by the host backend's compute tasks just before the user
 /// kernel runs. No-op unless the `fuzz` feature armed this chunk.
 #[inline]
 pub(crate) fn maybe_panic_compute(chunk: usize) {

@@ -1,51 +1,55 @@
-//! Host backends: executing the chunk schedule with real threads and
+//! The host backend: executing the chunk schedule with real threads and
 //! real buffers.
 //!
 //! This side validates the *software* half of the paper: the triple
-//! thread-pool, triple-buffer schedule must produce bit-correct results
+//! thread-pool, rotating-buffer schedule must produce bit-correct results
 //! under full overlap. Host memory has a single level, so wall-clock here
 //! is not the experiment (that is the simulator's job) — correctness and
 //! native benchmarking are.
 //!
 //! The schedule itself — which chunk each stage touches when, and which
 //! buffer slot it occupies — is owned by [`mlm_exec::drive`]. This module
-//! only adapts the issued [`ChunkAction`]s to three execution strategies,
-//! selected by [`PipelineSpec::lockstep`] and [`Placement::Implicit`]:
+//! holds the one [`Backend`] that executes it on the host: a ring of
+//! [`PipelineSpec::ring_slots`] chunk buffers (with a second, output
+//! buffer per slot when [`PipelineSpec::buffers_per_slot`] says so — a
+//! stencil computing in place would corrupt the halo bytes neighbouring
+//! computes still read), one kernel shape, and one record of the issued
+//! [`ChunkAction`]s. How that record is drained is read off the spec and
+//! the pools the entry point was handed, never off an option:
 //!
-//! * **Lockstep** ([`HostLockstepBackend`], `lockstep: true`): actions
-//!   accumulate per step and run as one task batch on a single shared
-//!   [`WorkPool`] when the orchestrator closes the step barrier. This is
-//!   the paper's schedule, whose makespan the model's
-//!   `max(T_copy, T_comp)` term describes.
-//! * **Dataflow** ([`HostDataflowBackend`], `lockstep: false`): actions
-//!   are recorded per stage and replayed at `finish` by three persistent
-//!   stage pools ([`HostStagePools`]) running decoupled coordinator
-//!   threads connected by a three-slot buffer ring. A stage advances as
-//!   soon as *its* buffer dependency is satisfied
-//!   (`Empty → Filled → Computed → Empty`), so a slow chunk in one stage
+//! * **Step batches** (`lockstep: true`, and [`Placement::Implicit`]):
+//!   at each step barrier the pending actions run as one task batch on
+//!   the shared [`WorkPool`] — copy-in of chunk `s`, compute on `s-1` and
+//!   copy-out of `s-2` genuinely overlap, and the pool's join is the
+//!   barrier. This is the paper's schedule, whose makespan the model's
+//!   `max(T_copy, T_comp)` term describes. Implicit mode is the same
+//!   batch with no ring: its one compute per step runs in place on `out`.
+//! * **Issue order** (stencil, `lockstep: false`): the actions run one at
+//!   a time at `finish`. Issue order is a topological order of the plan's
+//!   halo/data/recycle edges, so outputs are bit-identical across
+//!   schedules by construction (overlap timing is the simulator's
+//!   experiment, not the host's).
+//! * **Ring replay** (map, `lockstep: false`, [`HostStagePools`]): three
+//!   coordinator threads, one per stage, walk their actions decoupled,
+//!   synchronizing only through the [`mlm_exec::ring`] phase machine
+//!   (`Empty → Filled → Computed → Empty`). A stage advances as soon as
+//!   *its* buffer dependency is satisfied, so a slow chunk in one stage
 //!   no longer stalls unrelated work in the others — realising exactly
 //!   the dependency edges [`mlm_exec::drive`] issues (and
 //!   [`super::sim::SimBackend`] lowers) for non-lockstep runs.
-//! * **Implicit** ([`HostImplicitBackend`]): no copy stages; each compute
-//!   action runs in place as it is issued.
 //!
-//! The stencil family ([`run_host_stencil`]) interprets the same plan IR
-//! with a deeper ring and split in/out buffers per slot (computing in
-//! place would corrupt the halo bytes neighbouring computes still read):
-//! lockstep batches each plan step on the shared pool exactly like the
-//! map family, while dataflow runs actions eagerly at issue order —
-//! issue order is a topological order of the plan's dependency edges, so
-//! outputs are bit-identical across schedules by construction (overlap
-//! timing is the simulator's experiment, not the host's).
+//! A new workload family therefore costs a plan lowering in `mlm-exec`
+//! and an adapter onto the kernel shape, not another backend.
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mlm_exec::ring::{coordinate, is_poison_payload, BufSlot, Phase};
-use mlm_exec::{drive, Backend, Capabilities, ChunkAction, Stage, RING_SLOTS};
-use parsort::pool::{copy_split, split_range, StagePool, WorkPool};
+use mlm_exec::{drive, Backend, Capabilities, ChunkAction, Stage};
+use parsort::pool::{copy_split, split_mut, StagePool, WorkPool};
 
 use super::{PipelineSpec, Placement, Workload};
 
@@ -97,638 +101,6 @@ impl HostStagePools {
     }
 }
 
-/// Stream `data` through the chunked pipeline, applying `kernel` to each
-/// compute thread's slice of each chunk, writing results to `out`.
-///
-/// `kernel(slice, ctx)` must be a pure per-slice transformation — exactly
-/// the shape of the paper's merge benchmark and of MLM-sort's serial sort
-/// phase. Buffers are rotated so copy-in, compute, and copy-out of three
-/// consecutive chunks overlap; with `spec.placement == Implicit` the kernel
-/// runs in place on `out` (which is first filled from `data`).
-///
-/// `spec.lockstep` selects the schedule: `true` runs the paper's lockstep
-/// steps on the shared `pool`; `false` runs the dataflow schedule on three
-/// freshly spawned stage pools (`pool` is not used — callers that run
-/// dataflow repeatedly should call [`run_host_pipeline_dataflow`] with
-/// persistent [`HostStagePools`] instead). [`Placement::Implicit`] has no
-/// copy stages, so both settings execute identically there.
-///
-/// `spec` fields `compute_rate`/`copy_rate`/`data_addr` are ignored on the
-/// host; pool sizes and chunk geometry are honoured. Element counts are
-/// derived from `data.len()`, not `spec.total_bytes`.
-///
-/// # Panics
-/// Panics if `out.len() != data.len()`, the spec fails validation, or
-/// `spec.chunk_bytes` is not a positive multiple of `size_of::<T>()`
-/// (see [`PipelineSpec::validate_elem_size`]).
-pub fn run_host_pipeline<T, F>(
-    pool: &WorkPool,
-    spec: &PipelineSpec,
-    data: &[T],
-    out: &mut [T],
-    kernel: F,
-) -> HostRunStats
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    assert_eq!(out.len(), data.len(), "out must match data length");
-    let start = Instant::now();
-    if data.is_empty() {
-        return HostRunStats {
-            elapsed: start.elapsed(),
-            ..HostRunStats::empty()
-        };
-    }
-    spec.validate().expect("invalid pipeline spec");
-    spec.validate_elem_size(std::mem::size_of::<T>())
-        .expect("invalid chunk geometry");
-    assert_eq!(
-        spec.workload,
-        Workload::Map,
-        "stencil workloads carry halo reads the map kernel shape cannot \
-         express; use run_host_stencil"
-    );
-
-    if spec.placement == Placement::Implicit {
-        return run_implicit(pool, spec, data, out, &kernel, start);
-    }
-    if spec.lockstep {
-        return run_lockstep(pool, spec, data, out, &kernel, start);
-    }
-    let pools = HostStagePools::for_spec(spec);
-    run_host_pipeline_dataflow(&pools, spec, data, out, kernel)
-}
-
-/// Number of elements per chunk. Exact by construction:
-/// [`PipelineSpec::validate_elem_size`] has already rejected specs whose
-/// `chunk_bytes` is not a multiple of the element size, so host chunk
-/// boundaries coincide with the spec's (and the simulator's) byte
-/// boundaries.
-fn chunk_elems_for<T>(spec: &PipelineSpec) -> usize {
-    spec.chunk_bytes as usize / std::mem::size_of::<T>().max(1)
-}
-
-/// The spec the orchestrator is driven with: the caller's spec with
-/// `total_bytes` pinned to the slice actually being processed, so
-/// [`PipelineSpec::n_chunks`] agrees with the host-side element geometry.
-/// (Host runs size themselves from `data.len()`; `spec.total_bytes` is
-/// the *modeled* problem size and may legitimately differ.)
-fn host_spec<T>(spec: &PipelineSpec, len: usize) -> PipelineSpec {
-    PipelineSpec {
-        total_bytes: (len * std::mem::size_of::<T>()) as u64,
-        ..spec.clone()
-    }
-}
-
-/// Assemble a [`StageStats`] from a busy-nanosecond counter. Lockstep and
-/// implicit runs have no coordinator waits: blocking happens inside the
-/// shared pool's step barrier.
-fn stage_stats(threads: usize, busy: &AtomicU64) -> StageStats {
-    StageStats {
-        threads,
-        busy: Duration::from_nanos(busy.load(Ordering::Relaxed)),
-        wait: Duration::ZERO,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Implicit cache mode
-// ---------------------------------------------------------------------------
-
-/// Backend for implicit cache mode: the data already lives where it is
-/// computed on, so each issued compute action runs in place on `out`
-/// immediately; barriers are no-ops because execution is synchronous.
-struct HostImplicitBackend<'a, T, F> {
-    pool: &'a WorkPool,
-    out: &'a mut [T],
-    kernel: &'a F,
-    chunk_elems: usize,
-    busy_comp: AtomicU64,
-}
-
-impl<T, F> Backend for HostImplicitBackend<'_, T, F>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    // Host execution is synchronous: ordering is realised by running the
-    // actions in issue order, so tokens carry no information.
-    type Token = ();
-
-    fn capabilities(&self) -> Capabilities {
-        // Host memory has a single level, so every placement is *emulated*
-        // identically; capability checking against a machine's mode is the
-        // spec linter's job (mlm-verify V003/V010), not the host's.
-        Capabilities::all()
-    }
-
-    fn issue(&mut self, spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
-        debug_assert_eq!(action.stage, Stage::Compute, "implicit mode has no copies");
-        let c = action.chunk;
-        let lo = c * self.chunk_elems;
-        let hi = ((c + 1) * self.chunk_elems).min(self.out.len());
-        let chunk = &mut self.out[lo..hi];
-        let parts = spec.p_comp.min(chunk.len()).max(1);
-        let mut slices = Vec::with_capacity(parts);
-        let mut rest = chunk;
-        for t in 0..parts {
-            let (s, e) = split_range(hi - lo, parts, t);
-            let (head, tail) = rest.split_at_mut(e - s);
-            slices.push((t, s, head));
-            rest = tail;
-        }
-        let busy = &self.busy_comp;
-        let kernel = self.kernel;
-        self.pool.scoped(slices.into_iter().map(|(t, s, slice)| {
-            let ctx = KernelCtx {
-                chunk: c,
-                thread: t,
-                global_offset: lo + s,
-            };
-            move || {
-                let t0 = Instant::now();
-                super::fault::maybe_panic_compute(ctx.chunk);
-                kernel(slice, ctx);
-                busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        }));
-    }
-
-    fn step_barrier(&mut self, _spec: &PipelineSpec, _after: &[()]) {
-        // Chunks execute eagerly at issue; the per-chunk barrier is implied.
-    }
-}
-
-/// Implicit cache mode: one memcpy of the whole input (the data already
-/// lives where it is computed on), then all threads process chunks in
-/// place. There are no copy stages, so lockstep and dataflow coincide.
-fn run_implicit<T, F>(
-    pool: &WorkPool,
-    spec: &PipelineSpec,
-    data: &[T],
-    out: &mut [T],
-    kernel: &F,
-    start: Instant,
-) -> HostRunStats
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    let chunk_elems = chunk_elems_for::<T>(spec);
-    let n_chunks = data.len().div_ceil(chunk_elems).max(1);
-    out.copy_from_slice(data);
-
-    let espec = host_spec::<T>(spec, data.len());
-    let mut backend = HostImplicitBackend {
-        pool,
-        out,
-        kernel,
-        chunk_elems,
-        busy_comp: AtomicU64::new(0),
-    };
-    drive(&mut backend, &espec).expect("host implicit backend refused the schedule");
-
-    HostRunStats {
-        chunks: n_chunks,
-        steps: n_chunks,
-        elapsed: start.elapsed(),
-        copy_in: StageStats::default(),
-        compute: stage_stats(spec.p_comp, &backend.busy_comp),
-        copy_out: StageStats::default(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lockstep schedule
-// ---------------------------------------------------------------------------
-
-/// Backend for the paper's lockstep schedule: issued actions accumulate
-/// into the current step's batch, and the orchestrator's step barrier runs
-/// the whole batch as one `scoped` call on the shared pool (copy-in chunk
-/// `s`, compute chunk `s-1`, copy-out chunk `s-2` genuinely overlap; the
-/// pool's own join is the step barrier).
-struct HostLockstepBackend<'a, T, F> {
-    pool: &'a WorkPool,
-    data: &'a [T],
-    out: &'a mut [T],
-    kernel: &'a F,
-    chunk_elems: usize,
-    /// The rotating chunk buffers, indexed by [`ChunkAction::slot`].
-    buffers: Vec<Vec<T>>,
-    /// Actions issued since the last step barrier.
-    pending: Vec<ChunkAction>,
-    busy_in: AtomicU64,
-    busy_comp: AtomicU64,
-    busy_out: AtomicU64,
-}
-
-impl<T, F> Backend for HostLockstepBackend<'_, T, F>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    // Dependencies are realised by the step batching itself: everything in
-    // a batch starts after the previous barrier (the pool join), which is
-    // exactly the lockstep dep structure the orchestrator issues.
-    type Token = ();
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
-        self.pending.push(action);
-    }
-
-    fn step_barrier(&mut self, spec: &PipelineSpec, _after: &[()]) {
-        let actions = std::mem::take(&mut self.pending);
-
-        // Prepare copy-in destinations before fanning the batch out.
-        for a in &actions {
-            if a.stage == Stage::CopyIn {
-                let lo = a.chunk * self.chunk_elems;
-                let hi = ((a.chunk + 1) * self.chunk_elems).min(self.data.len());
-                let buf = &mut self.buffers[a.slot];
-                buf.clear();
-                buf.resize(hi - lo, self.data[0]);
-            }
-        }
-
-        // The copy-out destination window of `out`, carved out up front so
-        // the task loop below borrows each region exactly once.
-        let mut out_dst: Option<&mut [T]> = None;
-        if let Some(a) = actions.iter().find(|a| a.stage == Stage::CopyOut) {
-            let lo = a.chunk * self.chunk_elems;
-            let hi = (lo + self.chunk_elems).min(self.out.len());
-            out_dst = Some(&mut self.out[lo..hi]);
-        }
-
-        // At most one action per ring slot per step, so handing each slot's
-        // buffer to its action keeps the borrows disjoint.
-        let [b0, b1, b2] = &mut self.buffers[..] else {
-            unreachable!("the ring has exactly RING_SLOTS buffers");
-        };
-        let mut slot_bufs = [Some(b0), Some(b1), Some(b2)];
-
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for a in &actions {
-            let buf = slot_bufs[a.slot].take().expect("slot reused within a step");
-            match a.stage {
-                Stage::CopyIn => {
-                    let lo = a.chunk * self.chunk_elems;
-                    let hi = ((a.chunk + 1) * self.chunk_elems).min(self.data.len());
-                    push_timed_copy(
-                        &mut tasks,
-                        &self.busy_in,
-                        spec.p_in,
-                        &self.data[lo..hi],
-                        buf,
-                    );
-                }
-                Stage::Compute => {
-                    let lo = a.chunk * self.chunk_elems;
-                    let len = buf.len();
-                    let parts = spec.p_comp.min(len).max(1);
-                    let mut rest: &mut [T] = buf;
-                    for t in 0..parts {
-                        let (ss, se) = split_range(len, parts, t);
-                        let (head, tail) = rest.split_at_mut(se - ss);
-                        rest = tail;
-                        let ctx = KernelCtx {
-                            chunk: a.chunk,
-                            thread: t,
-                            global_offset: lo + ss,
-                        };
-                        let busy = &self.busy_comp;
-                        let kernel = self.kernel;
-                        tasks.push(Box::new(move || {
-                            let t0 = Instant::now();
-                            super::fault::maybe_panic_compute(ctx.chunk);
-                            kernel(head, ctx);
-                            busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }));
-                    }
-                }
-                Stage::CopyOut => {
-                    let dst = out_dst.take().expect("one copy-out per step");
-                    debug_assert_eq!(buf.len(), dst.len());
-                    push_timed_copy(&mut tasks, &self.busy_out, spec.p_out, buf, dst);
-                }
-            }
-        }
-
-        self.pool.scoped(tasks);
-    }
-}
-
-/// The paper's lockstep schedule: per step, one task batch on the shared
-/// pool, closed by the implicit barrier of `scoped`.
-fn run_lockstep<T, F>(
-    pool: &WorkPool,
-    spec: &PipelineSpec,
-    data: &[T],
-    out: &mut [T],
-    kernel: &F,
-    start: Instant,
-) -> HostRunStats
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    let chunk_elems = chunk_elems_for::<T>(spec);
-    let n_chunks = data.len().div_ceil(chunk_elems).max(1);
-
-    let espec = host_spec::<T>(spec, data.len());
-    let mut backend = HostLockstepBackend {
-        pool,
-        data,
-        out,
-        kernel,
-        chunk_elems,
-        buffers: (0..RING_SLOTS).map(|_| Vec::new()).collect(),
-        pending: Vec::new(),
-        busy_in: AtomicU64::new(0),
-        busy_comp: AtomicU64::new(0),
-        busy_out: AtomicU64::new(0),
-    };
-    drive(&mut backend, &espec).expect("host lockstep backend refused the schedule");
-
-    HostRunStats {
-        chunks: n_chunks,
-        steps: n_chunks + 2,
-        elapsed: start.elapsed(),
-        copy_in: stage_stats(spec.p_in, &backend.busy_in),
-        compute: stage_stats(spec.p_comp, &backend.busy_comp),
-        copy_out: stage_stats(spec.p_out, &backend.busy_out),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dataflow schedule
-// ---------------------------------------------------------------------------
-//
-// The three-slot phase machine (`BufSlot`, `Phase`) and the coordinator
-// panic harness (`coordinate`, poisoning) live in `mlm_exec::ring`; this
-// backend only supplies the stage bodies that interpret the schedule.
-
-/// Backend for the dataflow (non-lockstep) schedule: issued actions are
-/// recorded per stage, and `finish` replays the recorded schedule on
-/// three persistent stage pools with coordinator threads synchronizing
-/// only through the buffer ring — the execution-time realisation of the
-/// dataflow dependency edges the orchestrator issues (compute after its
-/// chunk's copy-in, copy-out after its compute, copy-in of chunk `c`
-/// after copy-out of `c - RING_SLOTS` recycles the slot).
-struct HostDataflowBackend<'a, T, F> {
-    pools: &'a HostStagePools,
-    data: &'a [T],
-    /// Taken (and fully written) by `finish`.
-    out: Option<&'a mut [T]>,
-    kernel: &'a F,
-    chunk_elems: usize,
-    /// Recorded actions per stage (copy-in, compute, copy-out), in issue
-    /// order.
-    schedule: [Vec<ChunkAction>; 3],
-    /// Per-coordinator blocked time, filled in by `finish`.
-    waits: [Duration; 3],
-}
-
-impl<T, F> Backend for HostDataflowBackend<'_, T, F>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    // Dependencies are realised structurally by the buffer ring at replay
-    // time, so tokens carry no information.
-    type Token = ();
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
-        let stage = match action.stage {
-            Stage::CopyIn => 0,
-            Stage::Compute => 1,
-            Stage::CopyOut => 2,
-        };
-        self.schedule[stage].push(action);
-    }
-
-    fn step_barrier(&mut self, _spec: &PipelineSpec, _after: &[()]) {
-        unreachable!("the orchestrator issues no step barriers without lockstep");
-    }
-
-    /// Replay the recorded schedule: three coordinator threads — one per
-    /// stage — walk their recorded action sequences independently,
-    /// synchronizing only through the three-slot buffer ring. Each
-    /// coordinator fans its chunk's work out to its own [`StagePool`], so
-    /// copy-in of chunk `c`, compute on `c - 1`, and copy-out of `c - 2`
-    /// genuinely overlap without any step barrier between them.
-    fn finish(&mut self, spec: &PipelineSpec) -> Result<(), String> {
-        let out = self.out.take().expect("finish runs once");
-        let data = self.data;
-        let kernel = self.kernel;
-        let pools = self.pools;
-        let chunk_elems = self.chunk_elems;
-        let [in_actions, comp_actions, out_actions] = &self.schedule;
-
-        let slots: Vec<BufSlot<T>> = (0..RING_SLOTS).map(BufSlot::new).collect();
-        let poisoned = AtomicBool::new(false);
-        let out_chunks: Vec<&mut [T]> = out.chunks_mut(chunk_elems).collect();
-        debug_assert_eq!(out_chunks.len(), out_actions.len());
-        let slots = &slots;
-        let poisoned = &poisoned;
-        let fill = data[0];
-
-        let copy_in_body = move || {
-            let mut waited = Duration::ZERO;
-            for a in in_actions {
-                let slot = &slots[a.slot];
-                waited += slot.await_phase(Phase::Empty, a.chunk, poisoned);
-                let lo = a.chunk * chunk_elems;
-                let hi = ((a.chunk + 1) * chunk_elems).min(data.len());
-                let src = &data[lo..hi];
-                // SAFETY: `Empty(c)` grants this coordinator exclusive
-                // ownership of the slot's buffer until it publishes `Filled`.
-                let buf = unsafe { slot.data_mut() };
-                buf.clear();
-                buf.resize(src.len(), fill);
-                copy_split(&pools.copy_in, spec.p_in, src, buf);
-                slot.publish(Phase::Filled, a.chunk);
-            }
-            waited
-        };
-
-        let compute_body = move || {
-            let mut waited = Duration::ZERO;
-            for a in comp_actions {
-                let slot = &slots[a.slot];
-                waited += slot.await_phase(Phase::Filled, a.chunk, poisoned);
-                // SAFETY: `Filled(c)` hands the buffer to the compute stage.
-                let buf = unsafe { slot.data_mut() };
-                let lo = a.chunk * chunk_elems;
-                let len = buf.len();
-                let parts = spec.p_comp.min(len).max(1);
-                let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(parts);
-                let mut rest: &mut [T] = buf;
-                for t in 0..parts {
-                    let (ss, se) = split_range(len, parts, t);
-                    let (head, tail) = rest.split_at_mut(se - ss);
-                    rest = tail;
-                    let ctx = KernelCtx {
-                        chunk: a.chunk,
-                        thread: t,
-                        global_offset: lo + ss,
-                    };
-                    tasks.push(Box::new(move || {
-                        super::fault::maybe_panic_compute(ctx.chunk);
-                        kernel(head, ctx)
-                    }));
-                }
-                pools.compute.scoped(tasks);
-                slot.publish(Phase::Computed, a.chunk);
-            }
-            waited
-        };
-
-        let copy_out_body = move || {
-            let mut waited = Duration::ZERO;
-            for (a, dst) in out_actions.iter().zip(out_chunks) {
-                let slot = &slots[a.slot];
-                waited += slot.await_phase(Phase::Computed, a.chunk, poisoned);
-                // SAFETY: `Computed(c)` hands the buffer to the copy-out
-                // stage; `dst` is this chunk's pre-split disjoint window of
-                // `out`, owned by this coordinator.
-                let buf = unsafe { slot.data_ref() };
-                debug_assert_eq!(buf.len(), dst.len());
-                copy_split(&pools.copy_out, spec.p_out, buf, dst);
-                // Recycle the slot for copy-in of chunk c + RING_SLOTS.
-                slot.publish(Phase::Empty, a.chunk + RING_SLOTS);
-            }
-            waited
-        };
-
-        let (r_in, r_comp, r_out) = std::thread::scope(|sc| {
-            let h_in = sc.spawn(move || coordinate(slots, poisoned, copy_in_body));
-            let h_comp = sc.spawn(move || coordinate(slots, poisoned, compute_body));
-            let h_out = sc.spawn(move || coordinate(slots, poisoned, copy_out_body));
-            (
-                h_in.join().expect("coordinator wrapper does not panic"),
-                h_comp.join().expect("coordinator wrapper does not panic"),
-                h_out.join().expect("coordinator wrapper does not panic"),
-            )
-        });
-
-        let mut first_payload: Option<Box<dyn Any + Send>> = None;
-        let mut poison_payload: Option<Box<dyn Any + Send>> = None;
-        for (i, r) in [r_in, r_comp, r_out].into_iter().enumerate() {
-            match r {
-                Ok(w) => self.waits[i] = w,
-                Err(p) => {
-                    // Prefer the original panic over secondary abort panics.
-                    if is_poison_payload(&*p) {
-                        poison_payload.get_or_insert(p);
-                    } else {
-                        first_payload.get_or_insert(p);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = first_payload.or(poison_payload) {
-            resume_unwind(payload);
-        }
-        Ok(())
-    }
-}
-
-/// Run the dataflow (non-lockstep) schedule on persistent stage pools.
-///
-/// The orchestrator's dataflow dependency edges — chunk `c` lives in slot
-/// `c % 3`, and copy-out of chunk `c` recycles its slot for copy-in of
-/// chunk `c + 3` — are realised by three coordinator threads walking the
-/// recorded schedule (see [`HostDataflowBackend`]).
-///
-/// Busy counters in `pools` are reset at the start of the run; the
-/// returned [`StageStats`] also report each coordinator's blocked time, so
-/// callers can see which stage was the bottleneck (the bottleneck stage
-/// waits least).
-///
-/// # Panics
-/// Panics on the same conditions as [`run_host_pipeline`], if
-/// `spec.placement == Implicit` (implicit mode has no copy stages — use
-/// [`run_host_pipeline`]), or if the kernel panics (the kernel's panic
-/// payload is rethrown once all stages have shut down).
-pub fn run_host_pipeline_dataflow<T, F>(
-    pools: &HostStagePools,
-    spec: &PipelineSpec,
-    data: &[T],
-    out: &mut [T],
-    kernel: F,
-) -> HostRunStats
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut [T], KernelCtx) + Send + Sync,
-{
-    assert_eq!(out.len(), data.len(), "out must match data length");
-    assert_ne!(
-        spec.placement,
-        Placement::Implicit,
-        "implicit placement has no copy stages; use run_host_pipeline"
-    );
-    assert_eq!(
-        spec.workload,
-        Workload::Map,
-        "stencil workloads carry halo reads the map kernel shape cannot \
-         express; use run_host_stencil"
-    );
-    let start = Instant::now();
-    if data.is_empty() {
-        return HostRunStats {
-            elapsed: start.elapsed(),
-            ..HostRunStats::empty()
-        };
-    }
-    spec.validate().expect("invalid pipeline spec");
-    spec.validate_elem_size(std::mem::size_of::<T>())
-        .expect("invalid chunk geometry");
-    pools.reset();
-
-    let chunk_elems = chunk_elems_for::<T>(spec);
-    let n_chunks = data.len().div_ceil(chunk_elems).max(1);
-
-    let mut espec = host_spec::<T>(spec, data.len());
-    espec.lockstep = false;
-    let mut backend = HostDataflowBackend {
-        pools,
-        data,
-        out: Some(out),
-        kernel: &kernel,
-        chunk_elems,
-        schedule: [Vec::new(), Vec::new(), Vec::new()],
-        waits: [Duration::ZERO; 3],
-    };
-    drive(&mut backend, &espec).expect("host dataflow backend refused the schedule");
-
-    let stage = |pool: &StagePool, wait: Duration| StageStats {
-        threads: pool.threads(),
-        busy: pool.busy(),
-        wait,
-    };
-    HostRunStats {
-        chunks: n_chunks,
-        steps: n_chunks + 2,
-        elapsed: start.elapsed(),
-        copy_in: stage(&pools.copy_in, backend.waits[0]),
-        compute: stage(&pools.compute, backend.waits[1]),
-        copy_out: stage(&pools.copy_out, backend.waits[2]),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stencil family
-// ---------------------------------------------------------------------------
-
 /// The staged neighbourhood a stencil kernel computes one chunk from.
 ///
 /// `mid` is the full input chunk; `left` and `right` are the staged halo
@@ -751,199 +123,98 @@ pub struct StencilView<'a, T> {
     pub right: &'a [T],
 }
 
-/// Backend for the stencil family: a four-slot ring of split in/out
-/// buffers. Lockstep accumulates each step's actions and runs them as one
-/// batch on the shared pool (the in-buffer being filled this step is
-/// never one of the three the step's compute reads — slot arithmetic on
-/// the four-slot ring keeps them disjoint). Dataflow executes each action
-/// eagerly at issue: the orchestrator issues in a topological order of
-/// the plan's halo/data/recycle edges, so every staged byte a compute
-/// reads has already landed.
-struct HostStencilBackend<'a, T, F> {
-    pool: &'a WorkPool,
-    data: &'a [T],
-    out: &'a mut [T],
-    kernel: &'a F,
-    chunk_elems: usize,
-    halo_elems: usize,
-    n_chunks: usize,
-    /// Staged input chunks, indexed by [`ChunkAction::slot`].
-    in_bufs: Vec<Vec<T>>,
-    /// Computed output chunks, same indexing.
-    out_bufs: Vec<Vec<T>>,
-    /// Actions issued since the last step barrier (lockstep only).
-    pending: Vec<ChunkAction>,
-    busy_in: AtomicU64,
-    busy_comp: AtomicU64,
-    busy_out: AtomicU64,
+impl<T> StencilView<'_, T> {
+    /// What a chunk-local kernel sees: no staged neighbourhood at all.
+    const NONE: Self = StencilView {
+        left: &[],
+        mid: &[],
+        right: &[],
+    };
 }
 
-impl<T, F> HostStencilBackend<'_, T, F>
+/// Stream `data` through the chunked pipeline, applying `kernel` to each
+/// compute thread's slice of each chunk, writing results to `out`.
+///
+/// `kernel(slice, ctx)` must be a pure per-slice transformation — exactly
+/// the shape of the paper's merge benchmark and of MLM-sort's serial sort
+/// phase. Buffers are rotated so copy-in, compute, and copy-out of three
+/// consecutive chunks overlap; with `spec.placement == Implicit` the kernel
+/// runs in place on `out` (which is first filled from `data`).
+///
+/// `spec.lockstep` selects the schedule: `true` runs the paper's lockstep
+/// steps on the shared `pool`; `false` runs the dataflow schedule on three
+/// freshly spawned stage pools (`pool` is not used — callers that run
+/// dataflow repeatedly should call [`run_host_pipeline_dataflow`] with
+/// persistent [`HostStagePools`] instead). [`Placement::Implicit`] has no
+/// copy stages, so both settings execute identically there.
+///
+/// `spec` fields `compute_rate`/`copy_rate`/`data_addr` are ignored on the
+/// host; pool sizes and chunk geometry are honoured. Element counts are
+/// derived from `data.len()`, not `spec.total_bytes`.
+///
+/// # Panics
+/// Panics if `out.len() != data.len()`, the spec fails validation, the
+/// workload is not [`Workload::Map`], or `spec.chunk_bytes` is not a
+/// positive multiple of `size_of::<T>()` (see
+/// [`PipelineSpec::validate_elem_size`]).
+pub fn run_host_pipeline<T, F>(
+    pool: &WorkPool,
+    spec: &PipelineSpec,
+    data: &[T],
+    out: &mut [T],
+    kernel: F,
+) -> HostRunStats
 where
     T: Copy + Send + Sync,
-    F: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
+    F: Fn(&mut [T], KernelCtx) + Send + Sync,
 {
-    /// Run one batch of actions (a lockstep step, or a single eagerly
-    /// executed dataflow action) as one `scoped` call on the shared pool.
-    ///
-    /// Mutably touched buffers (the copy-in destination, the compute
-    /// output, the copy-out source) are taken out of the rings for the
-    /// duration of the batch so the compute tasks can borrow the ring of
-    /// staged inputs shared. The plan guarantees the taken slots are
-    /// disjoint from the slots the same step reads: on the four-slot ring,
-    /// step `s` fills slot `s % 4` while compute on `s - 2` reads slots
-    /// `(s - 3) % 4`, `(s - 2) % 4`, and `(s - 1) % 4`.
-    fn run_batch(&mut self, spec: &PipelineSpec, actions: &[ChunkAction]) {
-        if actions.is_empty() {
-            return;
-        }
-        let fill = self.data[0];
-        let chunk_elems = self.chunk_elems;
-        let data_len = self.data.len();
-        let range = |c: usize| (c * chunk_elems, ((c + 1) * chunk_elems).min(data_len));
-
-        // Take the mutably-owned buffers out of their rings.
-        let mut in_dst: Option<Vec<T>> = None;
-        let mut comp_dst: Option<Vec<T>> = None;
-        let mut out_src: Option<Vec<T>> = None;
-        for a in actions {
-            match a.stage {
-                Stage::CopyIn => {
-                    let (lo, hi) = range(a.chunk);
-                    let mut buf = std::mem::take(&mut self.in_bufs[a.slot]);
-                    buf.clear();
-                    buf.resize(hi - lo, fill);
-                    assert!(in_dst.replace(buf).is_none(), "one copy-in per batch");
-                }
-                Stage::Compute => {
-                    let (lo, hi) = range(a.chunk);
-                    let mut buf = std::mem::take(&mut self.out_bufs[a.slot]);
-                    buf.clear();
-                    buf.resize(hi - lo, fill);
-                    assert!(comp_dst.replace(buf).is_none(), "one compute per batch");
-                }
-                Stage::CopyOut => {
-                    let buf = std::mem::take(&mut self.out_bufs[a.slot]);
-                    assert!(out_src.replace(buf).is_none(), "one copy-out per batch");
-                }
-            }
-        }
-
-        // The copy-out destination window of `out`, carved up front.
-        let mut out_dst: Option<&mut [T]> = None;
-        if let Some(a) = actions.iter().find(|a| a.stage == Stage::CopyOut) {
-            let (lo, hi) = range(a.chunk);
-            out_dst = Some(&mut self.out[lo..hi]);
-        }
-
-        let in_bufs = &self.in_bufs;
-        // Single-use mutable handles on the taken buffers, so the task
-        // loop below borrows each exactly once.
-        let mut in_dst_ref = in_dst.as_mut();
-        let mut comp_dst_ref = comp_dst.as_mut();
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for a in actions {
-            match a.stage {
-                Stage::CopyIn => {
-                    let (lo, hi) = range(a.chunk);
-                    let dst = in_dst_ref.take().expect("taken above");
-                    push_timed_copy(
-                        &mut tasks,
-                        &self.busy_in,
-                        spec.p_in,
-                        &self.data[lo..hi],
-                        dst,
-                    );
-                }
-                Stage::Compute => {
-                    let c = a.chunk;
-                    let (lo, hi) = range(c);
-                    let halo = self.halo_elems;
-                    let left: &[T] = if c > 0 {
-                        let prev = &in_bufs[(c - 1) % in_bufs.len()];
-                        &prev[prev.len() - halo.min(prev.len())..]
-                    } else {
-                        &[]
-                    };
-                    let mid: &[T] = &in_bufs[c % in_bufs.len()];
-                    let right: &[T] = if c + 1 < self.n_chunks {
-                        let next = &in_bufs[(c + 1) % in_bufs.len()];
-                        &next[..halo.min(next.len())]
-                    } else {
-                        &[]
-                    };
-                    debug_assert_eq!(mid.len(), hi - lo, "stale staged input for chunk {c}");
-
-                    let len = hi - lo;
-                    let parts = spec.p_comp.min(len).max(1);
-                    let mut rest: &mut [T] = comp_dst_ref.take().expect("taken above");
-                    for t in 0..parts {
-                        let (ss, se) = split_range(len, parts, t);
-                        let (head, tail) = rest.split_at_mut(se - ss);
-                        rest = tail;
-                        let ctx = KernelCtx {
-                            chunk: c,
-                            thread: t,
-                            global_offset: lo + ss,
-                        };
-                        let busy = &self.busy_comp;
-                        let kernel = self.kernel;
-                        tasks.push(Box::new(move || {
-                            let t0 = Instant::now();
-                            super::fault::maybe_panic_compute(ctx.chunk);
-                            kernel(StencilView { left, mid, right }, head, ctx);
-                            busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }));
-                    }
-                }
-                Stage::CopyOut => {
-                    let src = out_src.as_ref().expect("taken above");
-                    let dst = out_dst.take().expect("one copy-out per batch");
-                    debug_assert_eq!(src.len(), dst.len());
-                    push_timed_copy(&mut tasks, &self.busy_out, spec.p_out, src, dst);
-                }
-            }
-        }
-
-        self.pool.scoped(tasks);
-
-        // Return the taken buffers to their ring slots.
-        for a in actions {
-            match a.stage {
-                Stage::CopyIn => self.in_bufs[a.slot] = in_dst.take().expect("taken above"),
-                Stage::Compute => self.out_bufs[a.slot] = comp_dst.take().expect("taken above"),
-                Stage::CopyOut => self.out_bufs[a.slot] = out_src.take().expect("taken above"),
-            }
-        }
+    if spec.placement != Placement::Implicit && !spec.lockstep {
+        let pools = HostStagePools::for_spec(spec);
+        return run_host_pipeline_dataflow(&pools, spec, data, out, kernel);
     }
+    run_host(Pools::Shared(pool), spec, data, out, in_place(spec, kernel))
 }
 
-impl<T, F> Backend for HostStencilBackend<'_, T, F>
+/// Run the dataflow (non-lockstep) schedule on persistent stage pools.
+///
+/// The orchestrator's dataflow dependency edges — chunk `c` lives in slot
+/// `c % 3`, and copy-out of chunk `c` recycles its slot for copy-in of
+/// chunk `c + 3` — are realised by three coordinator threads walking the
+/// recorded schedule (the ring replay of the module docs).
+///
+/// Busy counters in `pools` are reset at the start of the run; the
+/// returned [`StageStats`] also report each coordinator's blocked time, so
+/// callers can see which stage was the bottleneck (the bottleneck stage
+/// waits least).
+///
+/// # Panics
+/// Panics on the same conditions as [`run_host_pipeline`], if
+/// `spec.placement == Implicit` (implicit mode has no copy stages — use
+/// [`run_host_pipeline`]), or if the kernel panics (the kernel's panic
+/// payload is rethrown once all stages have shut down).
+pub fn run_host_pipeline_dataflow<T, F>(
+    pools: &HostStagePools,
+    spec: &PipelineSpec,
+    data: &[T],
+    out: &mut [T],
+    kernel: F,
+) -> HostRunStats
 where
     T: Copy + Send + Sync,
-    F: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
+    F: Fn(&mut [T], KernelCtx) + Send + Sync,
 {
-    // Ordering is realised structurally: lockstep by step batching,
-    // dataflow by executing in issue order (a topological order of the
-    // plan's edges), so tokens carry no information.
-    type Token = ();
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn issue(&mut self, spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
-        if spec.lockstep {
-            self.pending.push(action);
-        } else {
-            self.run_batch(spec, &[action]);
-        }
-    }
-
-    fn step_barrier(&mut self, spec: &PipelineSpec, _after: &[()]) {
-        let actions = std::mem::take(&mut self.pending);
-        self.run_batch(spec, &actions);
-    }
+    assert_ne!(
+        spec.placement,
+        Placement::Implicit,
+        "implicit placement has no copy stages; use run_host_pipeline"
+    );
+    run_host(
+        Pools::Stages(pools),
+        spec,
+        data,
+        out,
+        in_place(spec, kernel),
+    )
 }
 
 /// Stream `data` through the out-of-core stencil pipeline, applying
@@ -975,10 +246,95 @@ where
     T: Copy + Send + Sync,
     F: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
 {
+    assert!(
+        matches!(spec.workload, Workload::Stencil { .. }),
+        "run_host_stencil needs a stencil workload; use run_host_pipeline for map kernels"
+    );
+    run_host(Pools::Shared(pool), spec, data, out, kernel)
+}
+
+/// The kernel adapter: a map kernel in the backend's one kernel shape.
+/// It ignores the view (empty for single-buffer slots) and transforms the
+/// target slice — which already holds the staged input — in place, which
+/// is only sound for chunk-local workloads: anything else is refused here.
+fn in_place<T, F>(
+    spec: &PipelineSpec,
+    kernel: F,
+) -> impl Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync
+where
+    F: Fn(&mut [T], KernelCtx) + Send + Sync,
+{
+    assert_eq!(
+        spec.workload,
+        Workload::Map,
+        "stencil workloads carry halo reads the map kernel shape cannot \
+         express; use run_host_stencil"
+    );
+    move |_view, slice, ctx| kernel(slice, ctx)
+}
+
+/// The threads a run executes on: besides the spec, the only thing that
+/// selects how [`HostBackend`] drains its actions.
+#[derive(Clone, Copy)]
+enum Pools<'a> {
+    /// One shared pool: actions run as task batches that time themselves.
+    Shared(&'a WorkPool),
+    /// Three dedicated stage pools (which account busy time themselves)
+    /// under decoupled coordinators: the ring replay.
+    Stages(&'a HostStagePools),
+}
+
+/// One pool task of a batch.
+type Task<'t> = Box<dyn FnOnce() + Send + 't>;
+
+/// Chunk geometry of one host run, in elements. `elems` is exact by
+/// construction: [`PipelineSpec::validate_elem_size`] has already
+/// rejected specs whose `chunk_bytes` is not a multiple of the element
+/// size, so host chunk boundaries coincide with the spec's (and the
+/// simulator's) byte boundaries. `total` is the slice actually being
+/// processed, not the spec's modeled `total_bytes`.
+#[derive(Clone, Copy)]
+struct Chunks {
+    elems: usize,
+    total: usize,
+}
+
+impl Chunks {
+    fn count(&self) -> usize {
+        self.total.div_ceil(self.elems)
+    }
+
+    /// Global element range of chunk `c` (short for a ragged tail).
+    fn range(&self, c: usize) -> Range<usize> {
+        let lo = c * self.elems;
+        lo..(lo + self.elems).min(self.total)
+    }
+}
+
+/// Index of `stage` in the per-stage arrays ([`HostBackend::busy`],
+/// [`HostBackend::waits`]).
+fn stage_index(stage: Stage) -> usize {
+    match stage {
+        Stage::CopyIn => 0,
+        Stage::Compute => 1,
+        Stage::CopyOut => 2,
+    }
+}
+
+/// The one driver behind the three entry points: validate, build the
+/// backend for the spec's ring layout, walk the schedule, report.
+fn run_host<T, K>(
+    pools: Pools<'_>,
+    spec: &PipelineSpec,
+    data: &[T],
+    out: &mut [T],
+    kernel: K,
+) -> HostRunStats
+where
+    T: Copy + Send + Sync,
+    K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
+{
     assert_eq!(out.len(), data.len(), "out must match data length");
-    let Workload::Stencil { halo_bytes } = spec.workload else {
-        panic!("run_host_stencil needs a stencil workload; use run_host_pipeline for map kernels");
-    };
     let start = Instant::now();
     if data.is_empty() {
         return HostRunStats {
@@ -987,71 +343,453 @@ where
         };
     }
     spec.validate().expect("invalid pipeline spec");
-    spec.validate_elem_size(std::mem::size_of::<T>())
+    let elem = std::mem::size_of::<T>().max(1);
+    spec.validate_elem_size(elem)
         .expect("invalid chunk geometry");
-    let elem = std::mem::size_of::<T>().max(1) as u64;
-    assert!(
-        halo_bytes.is_multiple_of(elem),
-        "halo_bytes = {halo_bytes} is not a whole number of {elem}-byte elements"
-    );
+    let halo = match spec.workload {
+        Workload::Map => 0,
+        Workload::Stencil { halo_bytes } => {
+            assert!(
+                halo_bytes.is_multiple_of(elem as u64),
+                "halo_bytes = {halo_bytes} is not a whole number of {elem}-byte elements"
+            );
+            halo_bytes as usize / elem
+        }
+    };
 
-    let chunk_elems = chunk_elems_for::<T>(spec);
-    let n_chunks = data.len().div_ceil(chunk_elems).max(1);
-    let ring = spec.ring_slots();
+    let implicit = spec.placement == Placement::Implicit;
+    if implicit {
+        // The data already lives where it is computed on: one memcpy of
+        // the whole input, then the kernel runs in place on `out`.
+        out.copy_from_slice(data);
+    }
+    if let Pools::Stages(stage_pools) = pools {
+        stage_pools.reset();
+    }
 
-    let espec = host_spec::<T>(spec, data.len());
-    let mut backend = HostStencilBackend {
-        pool,
+    // The spec the orchestrator is driven with: `total_bytes` pinned to
+    // the slice actually being processed, so `PipelineSpec::n_chunks`
+    // agrees with the host-side element geometry (`spec.total_bytes` is
+    // the *modeled* problem size and may legitimately differ), and no
+    // step barriers for stage pools, which only run the dataflow schedule.
+    let espec = PipelineSpec {
+        total_bytes: (data.len() * elem) as u64,
+        lockstep: spec.lockstep && matches!(pools, Pools::Shared(_)),
+        ..spec.clone()
+    };
+    // Implicit mode owns no buffers; single-buffer slots own no outputs.
+    let ring = if implicit { 0 } else { spec.ring_slots() };
+    let split = spec.buffers_per_slot() == 2;
+    let buffers = |n: usize| -> Vec<Vec<T>> { (0..n).map(|_| Vec::new()).collect() };
+    let mut backend = HostBackend {
+        pools,
         data,
         out,
-        kernel: &kernel,
-        chunk_elems,
-        halo_elems: (halo_bytes / elem) as usize,
-        n_chunks,
-        in_bufs: (0..ring).map(|_| Vec::new()).collect(),
-        out_bufs: (0..ring).map(|_| Vec::new()).collect(),
+        kernel,
+        chunks: Chunks {
+            elems: spec.chunk_bytes as usize / elem,
+            total: data.len(),
+        },
+        halo,
+        staged: buffers(ring),
+        computed: buffers(if split { ring } else { 0 }),
         pending: Vec::new(),
-        busy_in: AtomicU64::new(0),
-        busy_comp: AtomicU64::new(0),
-        busy_out: AtomicU64::new(0),
+        busy: Default::default(),
+        waits: [Duration::ZERO; 3],
     };
-    drive(&mut backend, &espec).expect("host stencil backend refused the schedule");
+    drive(&mut backend, &espec).expect("host backend refused the schedule");
+    backend.stats(spec, start)
+}
 
-    HostRunStats {
-        chunks: n_chunks,
-        steps: n_chunks + 3,
-        elapsed: start.elapsed(),
-        copy_in: stage_stats(spec.p_in, &backend.busy_in),
-        compute: stage_stats(spec.p_comp, &backend.busy_comp),
-        copy_out: stage_stats(spec.p_out, &backend.busy_out),
+/// The host [`Backend`]: `issue` only records; the recorded actions are
+/// drained as step batches, in issue order, or by the ring replay (see
+/// the module docs for which, and why each is correct).
+struct HostBackend<'a, T, K> {
+    pools: Pools<'a>,
+    data: &'a [T],
+    out: &'a mut [T],
+    /// `kernel(view, target, ctx)` fills its thread's part of a chunk.
+    /// Split slots hand it the staged neighbourhood and a separate output
+    /// buffer; single-buffer slots (and implicit mode) hand it an empty
+    /// view and the buffer that already holds the input.
+    kernel: K,
+    chunks: Chunks,
+    /// Halo width in elements (0 for chunk-local kernels).
+    halo: usize,
+    /// Staged input chunks, indexed by [`ChunkAction::slot`]. Unused by
+    /// the ring replay, whose [`BufSlot`]s own their buffers.
+    staged: Vec<Vec<T>>,
+    /// Computed output chunks, same indexing; empty unless the spec asks
+    /// for two buffers per slot.
+    computed: Vec<Vec<T>>,
+    /// Actions issued and not yet drained.
+    pending: Vec<ChunkAction>,
+    /// Self-timed task nanoseconds per stage (shared pool only).
+    busy: [AtomicU64; 3],
+    /// Per-coordinator blocked time, filled in by the ring replay.
+    waits: [Duration; 3],
+}
+
+/// Hand ring buffer `slot` to the one action that uses it this batch.
+/// The plan keeps a batch's slots disjoint — on the stencil's four-slot
+/// ring, step `s` fills slot `s % 4` while compute on `s - 2` reads slots
+/// `(s - 3) % 4`, `(s - 2) % 4` and `(s - 1) % 4` — so a second claim
+/// means the schedule broke the ring discipline.
+fn claim<'r, T>(ring: &mut [Option<&'r mut Vec<T>>], slot: usize) -> &'r mut Vec<T> {
+    ring[slot].take().expect("slot reused within a step")
+}
+
+impl<T, K> HostBackend<'_, T, K>
+where
+    T: Copy + Send + Sync,
+    K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
+{
+    /// Run one batch of actions (a lockstep or implicit step, or a single
+    /// issue-order action) as one `scoped` call on the shared pool; the
+    /// pool's join is the step barrier.
+    fn run_batch(&mut self, spec: &PipelineSpec, actions: &[ChunkAction]) {
+        let Pools::Shared(pool) = self.pools else {
+            unreachable!("the orchestrator issues no step barriers without lockstep");
+        };
+        let implicit = spec.placement == Placement::Implicit;
+        let (chunks, halo, fill) = (self.chunks, self.halo, self.data[0]);
+
+        // The one window of `out` a batch writes — the copy-out's
+        // destination or, in implicit mode, the chunk computed in place —
+        // carved out up front so the loop below borrows `out` once.
+        let mut out_window = actions
+            .iter()
+            .find(|a| implicit || a.stage == Stage::CopyOut)
+            .map(|a| &mut self.out[chunks.range(a.chunk)]);
+        let mut staged: Vec<_> = self.staged.iter_mut().map(Some).collect();
+        let mut computed: Vec<_> = self.computed.iter_mut().map(Some).collect();
+        let ring = staged.len();
+
+        let mut tasks: Vec<Task<'_>> = Vec::new();
+        for a in actions {
+            let range = chunks.range(a.chunk);
+            let busy = &self.busy[stage_index(a.stage)];
+            match a.stage {
+                Stage::CopyIn | Stage::CopyOut if implicit => panic!("implicit mode has no copies"),
+                Stage::CopyIn => {
+                    let dst = claim(&mut staged, a.slot);
+                    dst.resize(range.len(), fill);
+                    tasks.extend(copy_tasks(busy, spec.p_in, &self.data[range], dst));
+                }
+                Stage::Compute => {
+                    let c = a.chunk;
+                    let mut view = StencilView::NONE;
+                    let dst: &mut [T] = if implicit {
+                        out_window.take().expect("one compute per implicit step")
+                    } else if computed.is_empty() {
+                        claim(&mut staged, a.slot)
+                    } else {
+                        view.mid = claim(&mut staged, c % ring);
+                        assert_eq!(
+                            view.mid.len(),
+                            range.len(),
+                            "stale staged input for chunk {c}"
+                        );
+                        if c > 0 {
+                            let prev: &[T] = claim(&mut staged, (c - 1) % ring);
+                            view.left = &prev[prev.len() - halo.min(prev.len())..];
+                        }
+                        if c + 1 < chunks.count() {
+                            let next: &[T] = claim(&mut staged, (c + 1) % ring);
+                            view.right = &next[..halo.min(next.len())];
+                        }
+                        let dst = claim(&mut computed, a.slot);
+                        dst.resize(range.len(), fill);
+                        dst
+                    };
+                    tasks.extend(compute_tasks(
+                        &self.kernel,
+                        Some(busy),
+                        spec.p_comp,
+                        c,
+                        range.start,
+                        view,
+                        dst,
+                    ));
+                }
+                Stage::CopyOut => {
+                    let from = if computed.is_empty() {
+                        &mut staged
+                    } else {
+                        &mut computed
+                    };
+                    let src = claim(from, a.slot);
+                    let dst = out_window.take().expect("one copy-out per step");
+                    tasks.extend(copy_tasks(busy, spec.p_out, src, dst));
+                }
+            }
+        }
+        pool.scoped(tasks);
+    }
+
+    /// Replay the recorded dataflow schedule: three coordinator threads —
+    /// one per stage — walk their actions independently, synchronizing
+    /// only through the buffer ring (the phase machine and the panic
+    /// harness live in [`mlm_exec::ring`]). Each coordinator fans its
+    /// chunk's work out to its own [`StagePool`], so copy-in of chunk
+    /// `c`, compute on `c - 1`, and copy-out of `c - 2` genuinely overlap
+    /// without any step barrier between them — the execution-time
+    /// realisation of the dataflow edges the orchestrator issues (compute
+    /// after its chunk's copy-in, copy-out after its compute, copy-in of
+    /// chunk `c` after copy-out of `c - ring` recycles the slot).
+    fn replay(&mut self, spec: &PipelineSpec, pools: &HostStagePools, actions: &[ChunkAction]) {
+        let (data, chunks, kernel) = (self.data, self.chunks, &self.kernel);
+        let ring = spec.ring_slots();
+        let fill = data[0];
+        let of = move |stage: Stage| actions.iter().filter(move |a| a.stage == stage);
+        let (in_actions, comp_actions, out_actions) =
+            (of(Stage::CopyIn), of(Stage::Compute), of(Stage::CopyOut));
+
+        let slots: Vec<BufSlot<T>> = (0..ring).map(BufSlot::new).collect();
+        let poisoned = AtomicBool::new(false);
+        let (slots, poisoned) = (&slots, &poisoned);
+        let out_chunks: Vec<&mut [T]> = self.out.chunks_mut(chunks.elems).collect();
+        // The copy-out coordinator zips the two: a mismatch would
+        // silently never write the tail chunks of `out`.
+        assert_eq!(
+            out_chunks.len(),
+            of(Stage::CopyOut).count(),
+            "every chunk of `out` needs exactly one copy-out"
+        );
+
+        let copy_in_body = move || {
+            let mut waited = Duration::ZERO;
+            for a in in_actions {
+                let slot = &slots[a.slot];
+                waited += slot.await_phase(Phase::Empty, a.chunk, poisoned);
+                let src = &data[chunks.range(a.chunk)];
+                // SAFETY: `Empty(c)` grants this coordinator exclusive
+                // ownership of the slot's buffer until it publishes `Filled`.
+                let buf = unsafe { slot.data_mut() };
+                buf.resize(src.len(), fill);
+                copy_split(&pools.copy_in, spec.p_in, src, buf);
+                slot.publish(Phase::Filled, a.chunk);
+            }
+            waited
+        };
+
+        let compute_body = move || {
+            let mut waited = Duration::ZERO;
+            for a in comp_actions {
+                let slot = &slots[a.slot];
+                waited += slot.await_phase(Phase::Filled, a.chunk, poisoned);
+                // SAFETY: `Filled(c)` hands the buffer to the compute stage.
+                let buf = unsafe { slot.data_mut() };
+                pools.compute.scoped(compute_tasks(
+                    kernel,
+                    None,
+                    spec.p_comp,
+                    a.chunk,
+                    chunks.range(a.chunk).start,
+                    StencilView::NONE,
+                    buf,
+                ));
+                slot.publish(Phase::Computed, a.chunk);
+            }
+            waited
+        };
+
+        let copy_out_body = move || {
+            let mut waited = Duration::ZERO;
+            for (a, dst) in out_actions.zip(out_chunks) {
+                let slot = &slots[a.slot];
+                waited += slot.await_phase(Phase::Computed, a.chunk, poisoned);
+                // SAFETY: `Computed(c)` hands the buffer to the copy-out
+                // stage; `dst` is this chunk's pre-split disjoint window of
+                // `out`, owned by this coordinator.
+                let buf = unsafe { slot.data_ref() };
+                debug_assert_eq!(buf.len(), dst.len());
+                copy_split(&pools.copy_out, spec.p_out, buf, dst);
+                // Recycle the slot for copy-in of chunk c + ring.
+                slot.publish(Phase::Empty, a.chunk + ring);
+            }
+            waited
+        };
+
+        let results = std::thread::scope(|sc| {
+            let h_in = sc.spawn(move || coordinate(slots, poisoned, copy_in_body));
+            let h_comp = sc.spawn(move || coordinate(slots, poisoned, compute_body));
+            let h_out = sc.spawn(move || coordinate(slots, poisoned, copy_out_body));
+            [h_in, h_comp, h_out].map(|h| h.join().expect("coordinator wrapper does not panic"))
+        });
+
+        let mut first_payload: Option<Box<dyn Any + Send>> = None;
+        let mut poison_payload: Option<Box<dyn Any + Send>> = None;
+        for (i, r) in results.into_iter().enumerate() {
+            match r {
+                Ok(w) => self.waits[i] = w,
+                Err(p) => {
+                    // Prefer the original panic over secondary abort panics.
+                    if is_poison_payload(&*p) {
+                        poison_payload.get_or_insert(p);
+                    } else {
+                        first_payload.get_or_insert(p);
+                    }
+                }
+            }
+        }
+        if let Some(payload) = first_payload.or(poison_payload) {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Assemble the run's report. Shared-pool tasks time themselves and
+    /// block only inside the pool's step barrier, so their stages report
+    /// no coordinator waits; stage pools account busy time in the pool
+    /// and the ring replay measures each coordinator's blocked time.
+    fn stats(&self, spec: &PipelineSpec, start: Instant) -> HostRunStats {
+        let n = self.chunks.count();
+        // Implicit mode has no ring to fill and drain and no copy stages,
+        // whatever `p_in`/`p_out` say.
+        let (ramp, p_in, p_out) = match spec.placement {
+            Placement::Implicit => (0, 0, 0),
+            _ => (spec.ring_slots() - 1, spec.p_in, spec.p_out),
+        };
+        let stage = |stage: Stage, threads: usize| {
+            let i = stage_index(stage);
+            match self.pools {
+                Pools::Shared(_) => StageStats {
+                    threads,
+                    busy: Duration::from_nanos(self.busy[i].load(Ordering::Relaxed)),
+                    wait: Duration::ZERO,
+                },
+                Pools::Stages(p) => {
+                    let pool = [&p.copy_in, &p.compute, &p.copy_out][i];
+                    StageStats {
+                        threads: pool.threads(),
+                        busy: pool.busy(),
+                        wait: self.waits[i],
+                    }
+                }
+            }
+        };
+        HostRunStats {
+            chunks: n,
+            // One step per chunk plus the ring's fill/drain ramp
+            // (reported for dataflow runs too, for comparability).
+            steps: n + ramp,
+            elapsed: start.elapsed(),
+            copy_in: stage(Stage::CopyIn, p_in),
+            compute: stage(Stage::Compute, spec.p_comp),
+            copy_out: stage(Stage::CopyOut, p_out),
+        }
     }
 }
 
-/// Push `src → dst` copy tasks (split across up to `parts_max` workers)
-/// onto a lockstep step batch, crediting wall time to `busy`. The shared
-/// `WorkPool` is untimed, so the tasks time themselves — unlike the
-/// dataflow path, whose `StagePool`s account busy time in the pool.
-fn push_timed_copy<'t, T: Copy + Send + Sync>(
-    tasks: &mut Vec<Box<dyn FnOnce() + Send + 't>>,
+impl<T, K> Backend for HostBackend<'_, T, K>
+where
+    T: Copy + Send + Sync,
+    K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
+{
+    // Dependencies are realised structurally — by the step batching
+    // (everything in a batch starts after the previous pool join), by
+    // running in issue order, or by the buffer ring at replay time — so
+    // tokens carry no information.
+    type Token = ();
+
+    fn capabilities(&self) -> Capabilities {
+        // Host memory has a single level, so every placement is *emulated*
+        // identically; capability checking against a machine's mode is the
+        // spec linter's job (mlm-verify V003/V010), not the host's.
+        Capabilities::all()
+    }
+
+    fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
+        self.pending.push(action);
+    }
+
+    fn step_barrier(&mut self, spec: &PipelineSpec, _after: &[()]) {
+        let actions = std::mem::take(&mut self.pending);
+        self.run_batch(spec, &actions);
+    }
+
+    /// Whatever is still pending was issued without step barriers: the
+    /// dataflow schedule, drained by whichever pools the run was handed.
+    fn finish(&mut self, spec: &PipelineSpec) -> Result<(), String> {
+        let actions = std::mem::take(&mut self.pending);
+        match self.pools {
+            Pools::Shared(_) => {
+                for a in &actions {
+                    self.run_batch(spec, std::slice::from_ref(a));
+                }
+            }
+            Pools::Stages(pools) => self.replay(spec, pools, &actions),
+        }
+        Ok(())
+    }
+}
+
+/// The compute tasks of one chunk: `dst` (whose first element is global
+/// element `at`) split across up to `p_comp` workers, each running the
+/// kernel on its part with the [`KernelCtx`] that locates it. Tasks on
+/// the untimed shared pool credit their wall time to `busy`; stage pools
+/// time their tasks themselves and pass `None`.
+fn compute_tasks<'t, T, K>(
+    kernel: &'t K,
+    busy: Option<&'t AtomicU64>,
+    p_comp: usize,
+    chunk: usize,
+    at: usize,
+    view: StencilView<'t, T>,
+    dst: &'t mut [T],
+) -> Vec<Task<'t>>
+where
+    T: Copy + Send + Sync,
+    K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
+{
+    let StencilView { left, mid, right } = view;
+    let parts = p_comp.min(dst.len()).max(1);
+    let mut tasks: Vec<Task<'t>> = Vec::with_capacity(parts);
+    let mut global_offset = at;
+    for (thread, part) in split_mut(dst, parts).into_iter().enumerate() {
+        let ctx = KernelCtx {
+            chunk,
+            thread,
+            global_offset,
+        };
+        global_offset += part.len();
+        tasks.push(Box::new(move || {
+            let t0 = Instant::now();
+            super::fault::maybe_panic_compute(chunk);
+            kernel(StencilView { left, mid, right }, part, ctx);
+            if let Some(busy) = busy {
+                busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
+        }));
+    }
+    tasks
+}
+
+/// The `src → dst` copy tasks of one chunk (split across up to
+/// `parts_max` workers) for a shared-pool batch, crediting wall time to
+/// `busy`. The shared `WorkPool` is untimed, so the tasks time themselves
+/// — unlike the ring replay, whose `StagePool`s account busy time in the
+/// pool.
+fn copy_tasks<'t, T: Copy + Send + Sync>(
     busy: &'t AtomicU64,
     parts_max: usize,
     src: &'t [T],
     dst: &'t mut [T],
-) {
-    debug_assert_eq!(src.len(), dst.len());
+) -> Vec<Task<'t>> {
+    assert_eq!(src.len(), dst.len(), "staged chunk and its window differ");
     let parts = parts_max.min(src.len()).max(1);
-    let mut rest = dst;
-    for t in 0..parts {
-        let (ss, se) = split_range(src.len(), parts, t);
-        let (head, tail) = rest.split_at_mut(se - ss);
+    let mut tasks: Vec<Task<'t>> = Vec::with_capacity(parts);
+    let mut rest = src;
+    for head in split_mut(dst, parts) {
+        let (s_slice, tail) = rest.split_at(head.len());
         rest = tail;
-        let s_slice = &src[ss..se];
         tasks.push(Box::new(move || {
             let t0 = Instant::now();
             head.copy_from_slice(s_slice);
             busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }));
     }
+    tasks
 }
 
 #[cfg(test)]

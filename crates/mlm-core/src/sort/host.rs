@@ -170,28 +170,18 @@ pub fn mlm_sort<T: Ord + Copy + Send + Sync>(
     megachunk_elems: usize,
     explicit_copy: bool,
 ) -> HostSortStats {
-    let start = std::time::Instant::now();
-    let n = data.len();
-    assert!(megachunk_elems > 0, "megachunk must be positive");
-    if n < 2 {
-        return HostSortStats {
-            megachunks: n.min(1),
-            chunk_sorts: 0,
-            elapsed: start.elapsed(),
-        };
-    }
     let structure = if explicit_copy {
         SortStructure::Staged
     } else {
         SortStructure::InPlace
     };
-    let plan = plan_sort(
+    plan_and_run(
+        pool,
         structure,
         ChunkSortStyle::Serial,
-        n as u64,
-        megachunk_elems as u64,
-    );
-    run_sort_plan(pool, &plan, data)
+        data,
+        megachunk_elems,
+    )
 }
 
 /// The "basic algorithm" of §4: megachunks sorted with the *parallel*
@@ -201,23 +191,13 @@ pub fn basic_chunked_sort<T: Ord + Copy + Send + Sync>(
     data: &mut [T],
     megachunk_elems: usize,
 ) -> HostSortStats {
-    let start = std::time::Instant::now();
-    let n = data.len();
-    assert!(megachunk_elems > 0, "megachunk must be positive");
-    if n < 2 {
-        return HostSortStats {
-            megachunks: n.min(1),
-            chunk_sorts: 0,
-            elapsed: start.elapsed(),
-        };
-    }
-    let plan = plan_sort(
+    plan_and_run(
+        pool,
         SortStructure::Staged,
         ChunkSortStyle::Gnu,
-        n as u64,
-        megachunk_elems as u64,
-    );
-    run_sort_plan(pool, &plan, data)
+        data,
+        megachunk_elems,
+    )
 }
 
 /// MLM-sort with double-buffered megachunks (the paper's §6 future work):
@@ -229,23 +209,13 @@ pub fn mlm_sort_buffered<T: Ord + Copy + Send + Sync>(
     data: &mut [T],
     megachunk_elems: usize,
 ) -> HostSortStats {
-    let start = std::time::Instant::now();
-    let n = data.len();
-    assert!(megachunk_elems > 0, "megachunk must be positive");
-    if n < 2 {
-        return HostSortStats {
-            megachunks: n.min(1),
-            chunk_sorts: 0,
-            elapsed: start.elapsed(),
-        };
-    }
-    let plan = plan_sort(
+    plan_and_run(
+        pool,
         SortStructure::Buffered,
         ChunkSortStyle::Serial,
-        n as u64,
-        megachunk_elems as u64,
-    );
-    run_sort_plan(pool, &plan, data)
+        data,
+        megachunk_elems,
+    )
 }
 
 /// The overlapped ([`SortStructure::Buffered`]) interpretation: run each
@@ -421,30 +391,39 @@ pub fn run_host_sort<T: Ord + Copy + Send + Sync>(
     data: &mut [T],
     megachunk_elems: usize,
 ) -> HostSortStats {
+    plan_and_run(
+        pool,
+        alg.structure(),
+        alg.chunk_style(),
+        data,
+        megachunk_elems,
+    )
+}
+
+/// The shared front of every public sort entry point: check the
+/// megachunk, answer trivially sorted inputs without planning, else plan
+/// the variant and execute it.
+fn plan_and_run<T: Ord + Copy + Send + Sync>(
+    pool: &WorkPool,
+    structure: SortStructure,
+    style: ChunkSortStyle,
+    data: &mut [T],
+    megachunk_elems: usize,
+) -> HostSortStats {
     let start = std::time::Instant::now();
-    let structure = alg.structure();
-    if structure != SortStructure::Whole {
-        assert!(megachunk_elems > 0, "megachunk must be positive");
-    }
+    let whole = structure == SortStructure::Whole;
+    assert!(whole || megachunk_elems > 0, "megachunk must be positive");
     let n = data.len();
     if n < 2 {
         return HostSortStats {
-            megachunks: if structure == SortStructure::Whole {
-                1
-            } else {
-                n.min(1)
-            },
+            megachunks: if whole { 1 } else { n.min(1) },
             chunk_sorts: 0,
             elapsed: start.elapsed(),
         };
     }
     // Whole-array variants ignore the megachunk knob.
-    let mega = if structure == SortStructure::Whole {
-        n
-    } else {
-        megachunk_elems
-    };
-    let plan = plan_sort(structure, alg.chunk_style(), n as u64, mega as u64);
+    let mega = if whole { n } else { megachunk_elems };
+    let plan = plan_sort(structure, style, n as u64, mega as u64);
     run_sort_plan(pool, &plan, data)
 }
 

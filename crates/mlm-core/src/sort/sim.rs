@@ -4,7 +4,7 @@
 //! chunks, merge the runs out, final k-way merge — is planned once by
 //! [`mlm_exec::plan_sort`] and shared with the host executor
 //! ([`super::host::run_sort_plan`]). This module owns only the per-variant
-//! *lowering* of each [`SortPhase`]: where the bytes live
+//! *lowering* of each plan node: where the bytes live
 //! ([`DataPlace`]), which calibrated rate applies, and (for the buffered
 //! variant) which cross-megachunk dependencies overlap the phases.
 //! Compute rates come from [`Calibration`]; bandwidth contention, DDR
@@ -28,8 +28,8 @@
 use knl_sim::machine::MachineConfig;
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
 use mlm_exec::{
-    plan_sort, PlanKind, PlanNode, SortPhase, WorkloadPlan, SORT_KERNEL_FINAL_MERGE,
-    SORT_KERNEL_MERGE_RUNS, SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
+    plan_sort, PlanKind, PlanNode, WorkloadPlan, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
 };
 
 use super::SortAlgorithm;
@@ -348,15 +348,18 @@ impl Lowering {
     }
 }
 
-/// Lower one plan phase to ops: the phase *kind* comes from the shared
-/// [`SortPlan`]; where its bytes live and which calibrated rate applies is
-/// decided here per variant.
-fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
+/// Lower one node of the sort's [`WorkloadPlan`] to ops. *What* the node
+/// is comes from its `(kind, chunk, kernel)` triple as
+/// [`mlm_exec::SortPlan::to_workload_plan`] emits it — the same DAG the
+/// host executor and the graph verifier consume; where its bytes live and
+/// which calibrated rate applies is decided here per variant.
+fn lower_phase(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan, node: &PlanNode) {
     let p = b.threads as u64;
     let gnu = b.cal.gnu_efficiency;
-    match *phase {
+    let elems = node.len;
+    match (node.kind, node.chunk, node.kernel) {
         // Whole-array plans (the GNU baselines): per-thread block sorts...
-        SortPhase::ThreadSort { elems } => {
+        (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT)) => {
             let block = elems.div_ceil(p);
             match lx.alg {
                 SortAlgorithm::GnuFlat => {
@@ -370,7 +373,7 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
             }
         }
         // ...then one thread-count-way merge into scratch.
-        SortPhase::ThreadMerge { elems: _ } => match lx.alg {
+        (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_MERGE)) => match lx.alg {
             SortAlgorithm::GnuFlat => b.multiway_merge_phase(
                 lx.n_bytes,
                 b.threads,
@@ -394,7 +397,7 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
         },
         // Stage megachunk `m` into the working buffer (the MLM structure's
         // copy-in: MCDRAM in flat mode, or the DDR buffer for MLM-ddr).
-        SortPhase::StageIn { mega, elems } => {
+        (PlanKind::StageIn, Some(mega), _) => {
             let bytes = elems * lx.elem;
             match lx.alg {
                 SortAlgorithm::MlmDdr => b.copy_phase(bytes, DataPlace::Ddr, DataPlace::Ddr),
@@ -407,7 +410,7 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
             }
         }
         // Sort megachunk `m`'s chunks in the working buffer.
-        SortPhase::ChunkSort { mega, elems } => {
+        (PlanKind::Kernel, Some(mega), _) => {
             let chunk = elems.div_ceil(p);
             match lx.alg {
                 SortAlgorithm::MlmDdr => {
@@ -433,7 +436,7 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
             }
         }
         // Multiway-merge megachunk `m`'s sorted runs out of the buffer.
-        SortPhase::MergeRuns { mega, elems } => {
+        (PlanKind::StageOut, Some(mega), Some(SORT_KERNEL_MERGE_RUNS)) => {
             let bytes = elems * lx.elem;
             match lx.alg {
                 SortAlgorithm::MlmDdr => b.multiway_merge_phase(
@@ -479,7 +482,7 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
             }
         }
         // Copy megachunk `m` back from scratch (in-place plans only).
-        SortPhase::CopyBack { mega, elems } => {
+        (PlanKind::StageOut, Some(mega), None) => {
             let bytes = elems * lx.elem;
             debug_assert_eq!(lx.alg, SortAlgorithm::MlmImplicit);
             b.copy_phase(
@@ -489,10 +492,10 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
             );
         }
         // Final k-way merge across sorted megachunks into scratch.
-        SortPhase::FinalMerge { elems: _, k } => match lx.alg {
+        (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => match lx.alg {
             SortAlgorithm::MlmDdr => b.multiway_merge_phase(
                 lx.n_bytes,
-                k,
+                wplan.chunks,
                 lx.order,
                 DataPlace::Ddr,
                 DataPlace::Ddr,
@@ -501,7 +504,7 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
             ),
             SortAlgorithm::BasicChunked => b.multiway_merge_phase(
                 lx.n_bytes,
-                k,
+                wplan.chunks,
                 lx.order,
                 DataPlace::Cached(lx.data),
                 DataPlace::Cached(lx.scratch),
@@ -512,7 +515,7 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
             | SortAlgorithm::MlmImplicit
             | SortAlgorithm::MlmSortBuffered => b.multiway_merge_phase(
                 lx.n_bytes,
-                k,
+                wplan.chunks,
                 lx.order,
                 DataPlace::Cached(lx.data),
                 DataPlace::Cached(lx.scratch),
@@ -523,7 +526,7 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
         },
         // Copy the whole array back from scratch into the caller's array,
         // as the out-of-place merges require.
-        SortPhase::FinalCopyBack { elems: _ } => {
+        (PlanKind::StageOut, None, _) => {
             let (src, dst) = match lx.alg {
                 SortAlgorithm::GnuFlat | SortAlgorithm::GnuNumactl | SortAlgorithm::MlmDdr => {
                     (DataPlace::Ddr, DataPlace::Ddr)
@@ -532,44 +535,6 @@ fn lower_phase(b: &mut SortBuilder, lx: &Lowering, phase: &SortPhase) {
             };
             b.copy_phase(lx.n_bytes, src, dst);
         }
-    }
-}
-
-/// Recover the [`SortPhase`] a generic-IR node stands for, from its
-/// `(kind, chunk, kernel)` triple — the inverse of
-/// [`mlm_exec::SortPlan::to_workload_plan`]'s per-phase emission. This is
-/// what lets the sim walk the same [`WorkloadPlan`] the host executor and
-/// the graph verifier consume while keeping the per-variant phase
-/// emitters (and hence the emitted programs) byte-identical.
-fn node_phase(wplan: &WorkloadPlan, node: &PlanNode) -> SortPhase {
-    match (node.kind, node.chunk, node.kernel) {
-        (PlanKind::StageIn, Some(mega), _) => SortPhase::StageIn {
-            mega,
-            elems: node.len,
-        },
-        (PlanKind::Kernel, Some(mega), _) => SortPhase::ChunkSort {
-            mega,
-            elems: node.len,
-        },
-        (PlanKind::StageOut, Some(mega), Some(SORT_KERNEL_MERGE_RUNS)) => SortPhase::MergeRuns {
-            mega,
-            elems: node.len,
-        },
-        (PlanKind::StageOut, Some(mega), None) => SortPhase::CopyBack {
-            mega,
-            elems: node.len,
-        },
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT)) => {
-            SortPhase::ThreadSort { elems: node.len }
-        }
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_MERGE)) => {
-            SortPhase::ThreadMerge { elems: node.len }
-        }
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => SortPhase::FinalMerge {
-            elems: node.len,
-            k: wplan.chunks,
-        },
-        (PlanKind::StageOut, None, _) => SortPhase::FinalCopyBack { elems: node.len },
         (kind, chunk, kernel) => {
             unreachable!("sort plans never emit {kind:?}/{chunk:?}/{kernel:?}")
         }
@@ -710,11 +675,11 @@ fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
             .flat_map(|e| done[e.from].iter().copied())
             .collect();
         let mut ops: Vec<OpId> = Vec::new();
-        match node_phase(wplan, node) {
+        match (node.kind, node.chunk, node.kernel) {
             // Prefetch megachunk m; its Recycle edge says buffer (m % 2)
             // is free once megachunk m-2 has merged out.
-            SortPhase::StageIn { mega: m, elems } => {
-                let bytes = elems * lx.elem;
+            (PlanKind::StageIn, Some(m), _) => {
+                let bytes = node.len * lx.elem;
                 let base = lx.mega_base(m);
                 let pool = if m == 0 { threads } else { p_copy };
                 let mut offset = 0u64;
@@ -742,8 +707,8 @@ fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
 
             // Serial chunk sorts on the compute pool (in MCDRAM), behind
             // the Data edge from the megachunk's stage-in.
-            SortPhase::ChunkSort { mega: _, elems } => {
-                let chunk = elems.div_ceil(p_comp as u64);
+            (PlanKind::Kernel, Some(_), _) => {
+                let chunk = node.len.div_ceil(p_comp as u64);
                 let block_bytes = chunk * lx.elem;
                 let passes = b.cal.sort_passes(chunk as usize);
                 let incache = chunk as f64 * b.cal.incache_time(order);
@@ -772,8 +737,8 @@ fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
 
             // Multiway merge out to DDR on the compute pool, behind the
             // Data edge from the megachunk's chunk-sort.
-            SortPhase::MergeRuns { mega: m, elems } => {
-                let bytes = elems * lx.elem;
+            (PlanKind::StageOut, Some(m), Some(SORT_KERNEL_MERGE_RUNS)) => {
+                let bytes = node.len * lx.elem;
                 let base = lx.mega_base(m);
                 let rate = b.cal.multiway_rate_ordered(p_comp, order);
                 for t in 0..p_comp {
@@ -805,11 +770,11 @@ fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
             // Final multiway merge + copyback, joined on every megachunk's
             // merge-out (the plan's Data fan-in); from here the lockstep
             // lowering applies.
-            phase @ SortPhase::FinalMerge { .. } => {
+            (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => {
                 b.barrier = deps;
-                lower_phase(b, lx, &phase);
+                lower_phase(b, lx, wplan, node);
             }
-            phase @ SortPhase::FinalCopyBack { .. } => lower_phase(b, lx, &phase),
+            (PlanKind::StageOut, None, _) => lower_phase(b, lx, wplan, node),
 
             _ => unreachable!("Buffered plans are staged"),
         }
@@ -901,7 +866,7 @@ pub fn build_sort_program(
         // Sequential structures: one node per phase, Seq-chained — the
         // generic walk reproduces the barrier-per-phase emission exactly.
         for node in &wplan.nodes {
-            lower_phase(&mut b, &lx, &node_phase(&wplan, node));
+            lower_phase(&mut b, &lx, &wplan, node);
         }
     }
     Ok(b.prog)

@@ -1,8 +1,8 @@
 //! Event-trace production: wrap any backend and record the schedule it
 //! was driven with.
 //!
-//! [`RecordingBackend`] composes — `RecordingBackend<SimBackend>` and
-//! `RecordingBackend<HostLockstepBackend>` produce comparable traces of
+//! [`RecordingBackend`] composes — `RecordingBackend<SimBackend>` and a
+//! `RecordingBackend` around the host backend produce comparable traces of
 //! the *same* orchestrator walk, which turns "the host executes the
 //! schedule the simulator prices" from folklore into a property test
 //! (see `tests/tests/exec_equivalence.rs`). It is also the seam future

@@ -112,6 +112,20 @@ if [ -n "$producers" ]; then
   fail=1
 fi
 
+# Third discipline: the host side of the chunk pipeline is ONE Backend.
+# A schedule (implicit, lockstep, dataflow) or a workload family (map,
+# stencil) is a different *drain* or ring layout of that backend, read
+# off the spec; a second impl next to it would carry its own copy of the
+# chunk arithmetic, the kernel-task block and the fault hook, and the
+# copies drift.
+host_backend=crates/mlm-core/src/pipeline/host.rs
+impls=$(grep -cE '^\s*impl\b.*\bBackend for\b' "$host_backend" || true)
+if [ "$impls" -ne 1 ]; then
+  echo "error: ${host_backend} has ${impls} \`impl … Backend for\` blocks; exactly one host backend is allowed" >&2
+  echo "       express the new schedule as a drain / ring layout of HostBackend (see the module docs)" >&2
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo >&2
   echo "New host/sim pairs must adapt the shared execution layer, not re-implement the schedule." >&2
@@ -120,3 +134,4 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "check_no_dual_impl: every host/sim pair rides the mlm-exec execution layer"
 echo "check_no_dual_impl: every WorkloadPlan producer lives in the plan layer"
+echo "check_no_dual_impl: the host pipeline has exactly one Backend impl"

@@ -12,7 +12,8 @@ use std::sync::Mutex;
 
 use mlm_core::pipeline::fault::{arm_compute_panic, disarm};
 use mlm_core::pipeline::host::{
-    run_host_pipeline, run_host_pipeline_dataflow, HostStagePools, KernelCtx,
+    run_host_pipeline, run_host_pipeline_dataflow, run_host_stencil, HostStagePools, KernelCtx,
+    StencilView,
 };
 use mlm_core::pipeline::{PipelineSpec, Placement, Workload};
 use parsort::pool::WorkPool;
@@ -115,6 +116,88 @@ fn disarmed_pipeline_recovers_cleanly() {
     run_host_pipeline_dataflow(&pools, &s, &data, &mut out2, negate);
     let want: Vec<i64> = data.iter().map(|x| -x).collect();
     assert_eq!(out2, want, "pipeline must be fully usable after a poison");
+}
+
+/// The one host backend drains its actions five ways (implicit and
+/// lockstep step batches, the dataflow ring replay, and the stencil's
+/// lockstep and issue-order drains). Through every one of them the armed
+/// chunk's panic message reaches the caller, and the next run on the same
+/// pools is clean and bit-correct.
+#[test]
+fn armed_panic_reaches_the_caller_under_every_schedule_shape() {
+    let _guard = ARM_LOCK.lock().unwrap();
+    let pool = WorkPool::new(4);
+    let pools = HostStagePools::new(2, 3, 2);
+    let data: Vec<i64> = (0..600).collect();
+    let stencil = |lockstep| PipelineSpec {
+        workload: Workload::Stencil { halo_bytes: 8 * 4 },
+        ..spec(Placement::Hbw, lockstep)
+    };
+    // A stencil kernel that ignores its halos: out = -mid, like `negate`.
+    let negate_view = |view: StencilView<'_, i64>, out: &mut [i64], ctx: KernelCtx| {
+        let l0 = ctx.global_offset - ctx.chunk * 100;
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = -view.mid[l0 + i];
+        }
+    };
+    type Run<'a> = Box<dyn Fn(&mut [i64]) + 'a>;
+    let shapes: [(&str, Run<'_>); 5] = [
+        (
+            "implicit",
+            Box::new(|out| {
+                let s = PipelineSpec {
+                    p_in: 0,
+                    p_out: 0,
+                    ..spec(Placement::Implicit, true)
+                };
+                run_host_pipeline(&pool, &s, &data, out, negate);
+            }),
+        ),
+        (
+            "lockstep",
+            Box::new(|out| {
+                run_host_pipeline(&pool, &spec(Placement::Hbw, true), &data, out, negate);
+            }),
+        ),
+        (
+            "dataflow",
+            Box::new(|out| {
+                let s = spec(Placement::Hbw, false);
+                run_host_pipeline_dataflow(&pools, &s, &data, out, negate);
+            }),
+        ),
+        (
+            "stencil-lockstep",
+            Box::new(|out| {
+                run_host_stencil(&pool, &stencil(true), &data, out, negate_view);
+            }),
+        ),
+        (
+            "stencil-dataflow",
+            Box::new(|out| {
+                run_host_stencil(&pool, &stencil(false), &data, out, negate_view);
+            }),
+        ),
+    ];
+    let want: Vec<i64> = data.iter().map(|x| -x).collect();
+    for (name, run) in &shapes {
+        for chunk in [0usize, 3, 5] {
+            let mut out = vec![0i64; 600];
+            arm_compute_panic(chunk);
+            let result = catch_unwind(AssertUnwindSafe(|| run(&mut out)));
+            disarm();
+            let payload = result.expect_err("armed kernel panic must propagate");
+            assert_eq!(
+                panic_message(&*payload),
+                format!("fuzz fault injection: kernel panic on chunk {chunk}"),
+                "{name}, chunk {chunk}"
+            );
+
+            let mut out = vec![0i64; 600];
+            run(&mut out);
+            assert_eq!(out, want, "{name}: the run after chunk {chunk}'s panic");
+        }
+    }
 }
 
 /// A chunk index that never runs (beyond the schedule) leaves every mode
