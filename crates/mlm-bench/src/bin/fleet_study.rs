@@ -12,8 +12,11 @@
 //!   jobs/sec and the decision digests.
 //! * `--check` — re-run the benchmark and compare against the committed
 //!   `BENCH_fleet.json`: **hard failure** (`::error::`, nonzero exit)
-//!   when any placement decision digest drifts or when best-fit-hbw no
-//!   longer beats least-loaded on strict-HBW p99; **warning**
+//!   when any placement decision digest drifts, when best-fit-hbw no
+//!   longer beats least-loaded on strict-HBW p99, or when one of the
+//!   dispatcher's work counters (events, node re-tunes, profile searches,
+//!   steal attempts and probes) exceeds the committed one — they are
+//!   exact for a given trace, so that gate cannot flake; **warning**
 //!   (`::warning::`, exit 0) when jobs/sec falls more than 20% below the
 //!   baseline — wall-clock noise on shared runners is a signal, not a
 //!   gate. Check mode never rewrites the baseline.
@@ -23,8 +26,8 @@ use std::fs;
 use std::process::ExitCode;
 
 use mlm_bench::fleet::{
-    fleet_study, run_fleet_bench, FleetBenchReport, BENCH_JOBS_PER_NODE, CSV_JOBS_PER_NODE,
-    FLEET_SEED,
+    fleet_study, run_fleet_bench, FleetBenchCell, FleetBenchReport, BENCH_JOBS_PER_NODE,
+    CSV_JOBS_PER_NODE, FLEET_SEED,
 };
 use mlm_bench::report::{render_table, secs, write_csv};
 
@@ -101,6 +104,16 @@ fn print_bench(report: &FleetBenchReport) {
             c.digest
         );
     }
+    println!("\ndispatcher work per cell (exact counts)");
+    for c in &report.cells {
+        let work: Vec<String> = c
+            .work
+            .iter()
+            .flat_map(|w| w.named())
+            .map(|(k, n)| format!("{k} {n}"))
+            .collect();
+        println!("{:<14} {}", c.placement, work.join("  "));
+    }
 }
 
 /// The study's headline claim, at full scale: best-fit-hbw must beat
@@ -163,25 +176,39 @@ fn main() -> ExitCode {
     println!("claim holds: best-fit-hbw < least-loaded on strict-HBW p99");
 
     if let Some(base) = baseline {
-        let old: HashMap<&str, (&str, f64)> = base
+        let old: HashMap<&str, &FleetBenchCell> = base
             .cells
             .iter()
-            .map(|c| (c.placement.as_str(), (c.digest.as_str(), c.jobs_per_sec)))
+            .map(|c| (c.placement.as_str(), c))
             .collect();
         let mut drifted = false;
         for c in &report.cells {
-            let Some(&(digest, prev)) = old.get(c.placement.as_str()) else {
+            let Some(&committed) = old.get(c.placement.as_str()) else {
                 println!("::warning::no baseline cell for {}", c.placement);
                 continue;
             };
+            let prev = committed.jobs_per_sec;
             // Placement decisions are deterministic: any digest change is
             // a behaviour change, not noise.
-            if c.digest != digest {
+            if c.digest != committed.digest {
                 drifted = true;
                 println!(
                     "::error::placement decision drift at {}: digest {} vs committed {}",
-                    c.placement, c.digest, digest
+                    c.placement, c.digest, committed.digest
                 );
+            }
+            // So is the work: a counter that rose is a dispatcher that
+            // got more expensive per event, on any machine.
+            if let (Some(now), Some(was)) = (&c.work, &committed.work) {
+                for ((name, now), (_, was)) in now.named().into_iter().zip(was.named()) {
+                    if now > was {
+                        drifted = true;
+                        println!(
+                            "::error::dispatcher work regression at {}: {name} {now} vs committed {was}",
+                            c.placement
+                        );
+                    }
+                }
             }
             if prev > 0.0 && c.jobs_per_sec < REGRESSION_FLOOR * prev {
                 println!(

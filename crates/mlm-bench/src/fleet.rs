@@ -22,7 +22,8 @@
 //! Everything is seeded and virtual-time: the same sweep produces a
 //! byte-identical `results/fleet_study.csv` (including the per-cell
 //! decision digests), which is what lets CI hard-fail on placement
-//! decision drift while merely warning on wall-clock jobs/sec noise.
+//! decision drift — and on a rise in the dispatcher's exact work
+//! counters — while merely warning on wall-clock jobs/sec noise.
 
 use std::time::Instant;
 
@@ -57,13 +58,17 @@ pub const BENCH_JOBS_PER_NODE: usize = 62_500;
 /// the degradation slope.
 pub const NODE_ARRIVAL_RATE: f64 = 3.0;
 
-/// The two placement policies the timed benchmark compares. First-fit is
-/// deliberately absent: under sustained overload its pileups grow queues
-/// so long that steal scans go quadratic and a million-job cell takes
-/// hours — the CSV sweep documents its (terrible) tail at a scale where
-/// running it is cheap.
-pub const BENCH_PLACEMENTS: [PlacementPolicy; 2] =
-    [PlacementPolicy::BestFitHbw, PlacementPolicy::LeastLoaded];
+/// The placement policies the timed benchmark prices, one cell each.
+/// First-fit's pileups make it the dispatcher's worst case — 947k steals
+/// and 3.2M steal attempts on the million-job trace, against ~100k and
+/// ~110k — so its cell is the one that shows a steal path growing a term
+/// in queue length (when the steal step still walked the queues, this
+/// cell alone took hours and was left out).
+pub const BENCH_PLACEMENTS: [PlacementPolicy; 3] = [
+    PlacementPolicy::BestFitHbw,
+    PlacementPolicy::LeastLoaded,
+    PlacementPolicy::FirstFit,
+];
 
 /// The per-node trace template every fleet cell derives from: a
 /// strict-heavy mix (70% strict, 20% batch elephants) whose elephants pin
@@ -172,6 +177,39 @@ pub struct FleetBenchCell {
     pub steals: usize,
     /// Canonical decision digest, hex — CI hard-fails when this drifts.
     pub digest: String,
+    /// The dispatcher's work counters: exact for a given trace, so CI
+    /// hard-fails when one *rises* — a gate that cannot flake, unlike
+    /// jobs/sec. `None` in a report written before they existed.
+    #[serde(default)]
+    pub work: Option<FleetWork>,
+}
+
+/// [`mlm_fleet::FleetOutcome`]'s work counters, as recorded per cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FleetWork {
+    /// Event times the loop visited.
+    pub events: u64,
+    /// Node re-tunes that found a changed running set.
+    pub node_retunes: u64,
+    /// Eqs. 1–5 profile evaluations.
+    pub profile_searches: u64,
+    /// Idle nodes that had a donor queue to look into.
+    pub steal_attempts: u64,
+    /// Fit checks made by steal lookups.
+    pub steal_probes: u64,
+}
+
+impl FleetWork {
+    /// The counters by name, for tables and the `--check` gate.
+    pub fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("events", self.events),
+            ("node_retunes", self.node_retunes),
+            ("profile_searches", self.profile_searches),
+            ("steal_attempts", self.steal_attempts),
+            ("steal_probes", self.steal_probes),
+        ]
+    }
 }
 
 /// The whole benchmark report, serialized to `BENCH_fleet.json`.
@@ -212,6 +250,13 @@ pub fn run_fleet_bench(jobs_per_node: usize) -> Result<FleetBenchReport, String>
             strict_p99: out.strict_p99,
             steals: out.steals,
             digest: format!("{:#018x}", decision_digest(&out.decisions, nodes)),
+            work: Some(FleetWork {
+                events: out.events,
+                node_retunes: out.node_retunes,
+                profile_searches: out.profile_searches,
+                steal_attempts: out.steal_attempts,
+                steal_probes: out.steal_probes,
+            }),
         });
     }
     Ok(FleetBenchReport {
@@ -323,11 +368,86 @@ mod tests {
                 strict_p99: 42.5,
                 steals: 17,
                 digest: "0x0123456789abcdef".into(),
+                work: Some(FleetWork {
+                    events: 5,
+                    node_retunes: 4,
+                    profile_searches: 3,
+                    steal_attempts: 2,
+                    steal_probes: 1,
+                }),
             }],
         };
         let json = serde_json::to_string(&report).unwrap();
         let back: FleetBenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.nodes, 16);
         assert_eq!(back.cells[0].digest, "0x0123456789abcdef");
+        assert_eq!(back.cells[0].work, report.cells[0].work);
+    }
+
+    /// A `BENCH_fleet.json` from before the work counters still parses,
+    /// with nothing recorded for `--check` to gate on.
+    #[test]
+    fn bench_report_without_work_counters_still_parses() {
+        let old = r#"{"bench":"fleet","unit":"jobs/sec","nodes":16,"jobs_per_node":62500,
+            "total_jobs":1000000,"cells":[{"placement":"least-loaded","jobs":1000000,
+            "rejected":0,"wall_secs":65.4,"jobs_per_sec":15290.0,"strict_p99":42166.6,
+            "steals":113096,"digest":"0x76d90b2c97a24541"}]}"#;
+        let report: FleetBenchReport = serde_json::from_str(old).unwrap();
+        assert_eq!(report.cells[0].steals, 113_096);
+        assert_eq!(report.cells[0].work, None);
+    }
+
+    /// The dispatcher's per-event work follows what changed, not how big
+    /// the fleet or its queues are — pinned by count, not by stopwatch, on
+    /// the CSV sweep's 16-node FIFO overload cells.
+    #[test]
+    fn dispatch_work_is_proportional_to_events_not_to_queue_length() {
+        let nodes = 16;
+        let trace = study_trace(nodes, CSV_JOBS_PER_NODE);
+        // Distinct (strictness, placement, ring size) among the jobs.
+        let mut classes = Vec::new();
+        for j in &trace {
+            let ring = j.req.spec.buffer_footprint(mlm_serve::RING_SLOTS);
+            let class = (j.strict, j.req.spec.placement, ring);
+            if !classes.contains(&class) {
+                classes.push(class);
+            }
+        }
+        for placement in PlacementPolicy::ALL {
+            let cfg = fleet_config(nodes, placement, Policy::Fifo);
+            let out = fleet_serve(&cfg, &trace).unwrap();
+            let admissions = out
+                .decisions
+                .iter()
+                .filter(|d| matches!(d, mlm_fleet::Decision::Admitted { .. }))
+                .count();
+            // A node re-tunes only when an admission or a completion
+            // changed its running set (the parent: 16 per event).
+            let changes = (admissions + out.records.len() + nodes) as u64;
+            assert!(
+                out.node_retunes <= changes && out.node_retunes < out.events * nodes as u64 / 4,
+                "{placement:?}: {} retunes, {changes} changes, {} events",
+                out.node_retunes,
+                out.events
+            );
+            // A job is profiled once at admission and once per thread
+            // budget it meets, 272 / co-residents — a handful (the
+            // parent: once per event it was running for, ~370 each).
+            assert!(
+                out.profile_searches <= 8 * admissions as u64,
+                "{placement:?}: {} searches for {admissions} admissions",
+                out.profile_searches
+            );
+            // A steal lookup costs at most one probe per donor per fit
+            // class — no term in queue length (the parent's first-fit
+            // walked 1,444 queue slots per steal).
+            let bound = out.steal_attempts * (nodes as u64 - 1) * classes.len() as u64;
+            assert!(out.steals > 0 && out.steal_attempts >= out.steals as u64);
+            assert!(
+                out.steal_probes <= bound,
+                "{placement:?}: {} probes > {bound}",
+                out.steal_probes
+            );
+        }
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! [`NodeSim`]: mlm_serve::NodeSim
 
-use mlm_core::{PipelineSpec, Placement};
-use mlm_serve::RING_SLOTS;
+use mlm_core::PipelineSpec;
+pub use mlm_serve::ring_footprint;
 
 use crate::config::PlacementPolicy;
 
@@ -29,14 +29,6 @@ pub trait PlacementView {
     fn reserved_mcdram(&self) -> u64;
     /// The node's MCDRAM budget.
     fn budget(&self) -> u64;
-}
-
-/// MCDRAM bytes the job's ring would pin (zero for DDR/implicit jobs).
-pub fn ring_footprint(spec: &PipelineSpec) -> u64 {
-    match spec.placement {
-        Placement::Hbw => spec.buffer_footprint(RING_SLOTS),
-        Placement::Ddr | Placement::Implicit => 0,
-    }
 }
 
 /// MCDRAM pressure: reserved plus queued strict backlog, relative to
@@ -104,7 +96,7 @@ pub fn place<V: PlacementView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlm_core::Workload;
+    use mlm_core::{Placement, Workload};
 
     struct Fake {
         headroom: u64,

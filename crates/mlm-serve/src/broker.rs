@@ -23,6 +23,17 @@ use mlm_memkind::{Kind, MemKind, Reservation};
 /// footprint accounting agrees with every backend by construction.
 pub use mlm_exec::RING_SLOTS;
 
+/// MCDRAM bytes a job's buffer ring asks for: the whole ring for an HBW
+/// job, nothing for DDR and implicit jobs, which never wait on MCDRAM.
+/// The one statement of that rule — admission, `fits_now`, strict-backlog
+/// accounting and fleet placement all read it.
+pub fn ring_footprint(spec: &PipelineSpec) -> u64 {
+    match spec.placement {
+        Placement::Hbw => spec.buffer_footprint(RING_SLOTS),
+        Placement::Ddr | Placement::Implicit => 0,
+    }
+}
+
 /// Result of one admission attempt.
 #[derive(Debug)]
 pub enum AdmitOutcome {

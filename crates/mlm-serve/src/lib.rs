@@ -31,13 +31,14 @@ pub mod host;
 pub mod job;
 pub mod node;
 pub mod policy;
+mod queue;
 pub mod sched;
 pub mod simx;
 pub mod stats;
 pub mod trace;
 
 pub use admission::{charge_credit, select_candidate};
-pub use broker::{AdmitOutcome, CapacityBroker, RING_SLOTS};
+pub use broker::{ring_footprint, AdmitOutcome, CapacityBroker, RING_SLOTS};
 pub use host::{serve_host, HostJob, HostJobResult, HostServeConfig};
 pub use job::{DeadlineClass, JobId, JobRecord, JobRequest, Rejection, N_CLASSES};
 pub use node::{Admission, NodeSim, DONE_EPS};

@@ -15,7 +15,9 @@
 //! 2. [`NodeSim::complete_due`] finished jobs,
 //! 3. [`NodeSim::admit`] under the node's policy,
 //! 4. decide termination ([`NodeSim::is_drained`]),
-//! 5. [`NodeSim::retune_and_allocate`] for the new co-residency degree,
+//! 5. [`NodeSim::retune_and_allocate`] for the new co-residency degree —
+//!    a no-op unless steps 2–3 changed the running set: profiles and bus
+//!    rates are pure functions of that set in its current order,
 //! 6. pick the next event time (≥ [`NodeSim::next_completion`]),
 //! 7. [`NodeSim::advance`] to it.
 
@@ -25,9 +27,10 @@ use mlm_core::Placement;
 use mlm_memkind::Reservation;
 
 use crate::admission::{charge_credit, select_candidate};
-use crate::broker::{AdmitOutcome, CapacityBroker, RING_SLOTS};
+use crate::broker::{ring_footprint, AdmitOutcome, CapacityBroker, RING_SLOTS};
 use crate::job::{DeadlineClass, JobId, JobRecord, JobRequest, N_CLASSES};
-use crate::policy::{predicted_makespan, profile, JobProfile};
+use crate::policy::{predicted_makespan, profile, JobProfile, Policy};
+use crate::queue::{FitClass, ReadyQueue};
 use crate::sched::ServeConfig;
 
 /// Resource indices in the job-level bandwidth arbitration.
@@ -45,6 +48,10 @@ struct Running {
     effective: Placement,
     reservation: Option<Reservation>,
     profile: JobProfile,
+    /// Every profile this job has been given, by thread budget: a node
+    /// oscillating between k and k±1 co-resident jobs re-poses the same
+    /// few Eqs. 1–5 searches, and `profile()` is pure in the budget.
+    memo: Vec<(usize, JobProfile)>,
 }
 
 /// One admission decision: the job and where its buffers landed.
@@ -69,9 +76,14 @@ pub struct NodeSim {
     ids: Vec<JobId>,
     classes: Vec<DeadlineClass>,
     spill_ok: Vec<bool>,
-    ready: Vec<usize>, // placement order
+    footprint: Vec<u64>, // MCDRAM ring bytes, `ring_footprint` at submit
+    ready: ReadyQueue,   // placement order
     running: Vec<Running>,
     rates: Vec<f64>, // parallel to `running`, valid after retune_and_allocate
+    /// `running` changed since profiles and `rates` were last computed.
+    retune_due: bool,
+    retunes: u64,
+    profile_searches: u64,
     credit: [f64; N_CLASSES],
     records: Vec<JobRecord>,
 }
@@ -96,9 +108,13 @@ impl NodeSim {
             ids: Vec::new(),
             classes: Vec::new(),
             spill_ok: Vec::new(),
-            ready: Vec::new(),
+            footprint: Vec::new(),
+            ready: ReadyQueue::default(),
             running: Vec::new(),
             rates: Vec::new(),
+            retune_due: false,
+            retunes: 0,
+            profile_searches: 0,
             credit: [0.0; N_CLASSES],
             records: Vec::new(),
         })
@@ -122,11 +138,20 @@ impl NodeSim {
         self.ids.push(job.id);
         self.classes.push(job.class);
         self.spill_ok.push(spill_ok);
+        let footprint = ring_footprint(&job.spec);
+        self.footprint.push(footprint);
         if strict {
-            self.broker.note_strict_queued(strict_footprint(&job.spec));
+            self.broker.note_strict_queued(footprint);
         }
+        self.ready.push(
+            idx,
+            FitClass {
+                strict,
+                placement: job.spec.placement,
+                buffer_bytes: job.spec.buffer_footprint(RING_SLOTS),
+            },
+        );
         self.jobs.push(job);
-        self.ready.push(idx);
         true
     }
 
@@ -137,6 +162,7 @@ impl NodeSim {
         while i < self.running.len() {
             if self.running[i].frac_left <= DONE_EPS {
                 let r = self.running.swap_remove(i);
+                self.retune_due = true;
                 if let Some(res) = &r.reservation {
                     self.broker.release(res).map_err(|e| e.to_string())?;
                 }
@@ -172,9 +198,15 @@ impl NodeSim {
         // after the reservation must be predicted to finish before it.
         let mut backfill_horizon: Option<f64> = None;
         loop {
+            // FIFO reads only the head; SJF and fair-share scan the whole
+            // queue, so any holes steals left in it are closed first.
+            let ready = match self.cfg.policy {
+                Policy::Fifo => self.ready.head_slice(),
+                Policy::Sjf | Policy::FairShare => self.ready.as_slice(),
+            };
             let pos = select_candidate(
                 self.cfg.policy,
-                &self.ready,
+                ready,
                 &self.est,
                 &self.ids,
                 &self.classes,
@@ -182,12 +214,9 @@ impl NodeSim {
                 &blocked,
             );
             let Some(pos) = pos else { break };
-            let idx = self.ready[pos];
+            let idx = ready[pos];
             let job = &self.jobs[idx];
-            let footprint = match job.spec.placement {
-                Placement::Hbw => job.spec.buffer_footprint(RING_SLOTS),
-                Placement::Ddr | Placement::Implicit => 0,
-            };
+            let footprint = self.footprint[idx];
             // A backfill candidate that needs MCDRAM must be predicted to
             // finish before the reserved job's projected start.
             if let Some(horizon) = backfill_horizon {
@@ -201,25 +230,27 @@ impl NodeSim {
             }
             match self.broker.try_admit_job(&job.spec, self.spill_ok[idx])? {
                 AdmitOutcome::Admitted(reservation) => {
-                    self.ready.remove(pos);
+                    self.ready.remove_at(pos);
                     if !self.spill_ok[idx] {
-                        self.broker
-                            .note_strict_dequeued(strict_footprint(&job.spec));
+                        self.broker.note_strict_dequeued(footprint);
                     }
                     let effective = match &reservation {
                         Some(res) if res.level() == MemLevel::Ddr => Placement::Ddr,
                         _ => job.spec.placement,
                     };
-                    // Placeholder profile; the driver's retune step
-                    // recomputes it for the new co-residency degree
-                    // before any time passes.
+                    // The whole-machine profile: what `fit_time` reads
+                    // for jobs admitted earlier in this pass, and the
+                    // first memo entry. The driver's retune step picks
+                    // the profile for the new co-residency degree before
+                    // any time passes.
                     let prof = profile(
                         &job.spec,
                         effective,
                         &self.cfg.machine,
-                        self.cfg.machine.total_threads(),
+                        self.total_threads,
                         self.cfg.retune,
                     )?;
+                    self.profile_searches += 1;
                     admitted.push(Admission {
                         id: job.id,
                         level: match &reservation {
@@ -234,7 +265,9 @@ impl NodeSim {
                         effective,
                         reservation,
                         profile: prof,
+                        memo: vec![(self.total_threads, prof)],
                     });
+                    self.retune_due = true;
                     charge_credit(
                         self.cfg.policy,
                         &mut self.credit,
@@ -243,8 +276,8 @@ impl NodeSim {
                     );
                 }
                 AdmitOutcome::Busy => match self.cfg.policy {
-                    crate::policy::Policy::Fifo | crate::policy::Policy::Sjf => break,
-                    crate::policy::Policy::FairShare => {
+                    Policy::Fifo | Policy::Sjf => break,
+                    Policy::FairShare => {
                         // Starvation aging: the first job bypassed past
                         // the bound gets an EASY-backfill reservation at
                         // its projected fit time, so backfilling can no
@@ -303,37 +336,77 @@ impl NodeSim {
     /// Re-tune every running job for the current co-residency degree and
     /// recompute the max–min-fair bus rates. Must run after any change to
     /// the running set and before [`Self::next_completion`] /
-    /// [`Self::advance`].
+    /// [`Self::advance`]; returns at once when the set has not changed
+    /// since the last call, because both results are pure functions of it.
     pub fn retune_and_allocate(&mut self) -> Result<(), String> {
-        let budget = (self.total_threads / self.running.len().max(1)).max(3);
-        for r in &mut self.running {
-            r.profile = profile(
+        if self.retune_due {
+            self.retunes += 1;
+            let budget = self.thread_budget();
+            for r in &mut self.running {
+                r.profile = match r.memo.iter().find(|(b, _)| *b == budget) {
+                    Some(&(_, known)) => known,
+                    None => {
+                        let fresh = profile(
+                            &self.jobs[r.idx].spec,
+                            r.effective,
+                            &self.cfg.machine,
+                            budget,
+                            self.cfg.retune,
+                        )?;
+                        self.profile_searches += 1;
+                        r.memo.push((budget, fresh));
+                        fresh
+                    }
+                };
+            }
+            self.rates = allocate_rates(&self.caps, &bus_flows(&self.running));
+            self.retune_due = false;
+        }
+        #[cfg(debug_assertions)]
+        self.assert_tuning_is_current()?;
+        Ok(())
+    }
+
+    /// Redo the re-tune from scratch — every job re-profiled, the buses
+    /// re-filled — and demand the bits held match. Debug builds run it on
+    /// every call above, so each serve/fleet test is a differential test
+    /// of the skip and of the memo.
+    #[cfg(debug_assertions)]
+    fn assert_tuning_is_current(&self) -> Result<(), String> {
+        let budget = self.thread_budget();
+        for r in &self.running {
+            let fresh = profile(
                 &self.jobs[r.idx].spec,
                 r.effective,
                 &self.cfg.machine,
                 budget,
                 self.cfg.retune,
             )?;
+            let held = &r.profile;
+            assert!(
+                fresh.t0.to_bits() == held.t0.to_bits()
+                    && fresh.ddr_coeff.to_bits() == held.ddr_coeff.to_bits()
+                    && fresh.mcd_coeff.to_bits() == held.mcd_coeff.to_bits()
+                    && fresh.split == held.split,
+                "job {} holds a stale profile at budget {budget}: {held:?} vs {fresh:?}",
+                self.ids[r.idx]
+            );
         }
-        // Fair bus rates for the running set. Each job is a flow whose
-        // unit is "dedicated-seconds per second" (cap 1.0) and whose bus
-        // coefficients are bytes per dedicated-second.
-        let flows: Vec<FlowSpec> = self
-            .running
-            .iter()
-            .map(|r| {
-                let mut demand = Vec::with_capacity(2);
-                if r.profile.ddr_coeff > 0.0 {
-                    demand.push((DDR_BUS, r.profile.ddr_coeff));
-                }
-                if r.profile.mcd_coeff > 0.0 {
-                    demand.push((MCD_BUS, r.profile.mcd_coeff));
-                }
-                FlowSpec { demand, cap: 1.0 }
-            })
-            .collect();
-        self.rates = allocate_rates(&self.caps, &flows);
+        let fresh = allocate_rates(&self.caps, &bus_flows(&self.running));
+        assert!(
+            fresh
+                .iter()
+                .map(|r| r.to_bits())
+                .eq(self.rates.iter().map(|r| r.to_bits())),
+            "bus rates are stale: {:?} vs {fresh:?}",
+            self.rates
+        );
         Ok(())
+    }
+
+    /// Threads each running job gets at the current co-residency degree.
+    fn thread_budget(&self) -> usize {
+        (self.total_threads / self.running.len().max(1)).max(3)
     }
 
     /// Absolute time of this node's earliest completion (`INFINITY` when
@@ -367,25 +440,39 @@ impl NodeSim {
         self.ready.len()
     }
 
-    /// The queued job at queue position `pos` (with its strictness), for
-    /// steal scans.
-    pub fn queued_at(&self, pos: usize) -> (&JobRequest, bool) {
-        let idx = self.ready[pos];
-        (&self.jobs[idx], !self.spill_ok[idx])
+    /// The queue in order, for steal scans: each job with its strictness
+    /// and the ticket [`Self::steal`] takes.
+    pub fn queue(&self) -> impl Iterator<Item = (usize, &JobRequest, bool)> {
+        self.ready
+            .iter()
+            .map(|idx| (idx, &self.jobs[idx], !self.spill_ok[idx]))
     }
 
-    /// Remove the queued job at queue position `pos` (work stealing).
-    /// Strict-queue accounting is unwound; the job itself is returned so
-    /// the thief can [`Self::submit`] it.
-    pub fn steal_at(&mut self, pos: usize) -> (JobRequest, bool) {
-        let idx = self.ready.remove(pos);
-        let strict = !self.spill_ok[idx];
-        let job = self.jobs[idx].clone();
+    /// Ticket of the first job after the head (the head is next in line
+    /// here) that `accept`s, for steal lookups: the job a walk down
+    /// [`Self::queue`] from its second entry would stop at, found with at
+    /// most one `accept` call per distinct (strictness, placement, ring
+    /// size) among the queued jobs. `accept` must depend on nothing else
+    /// about the job — [`Self::can_ever_fit`] and [`Self::fits_now`] of
+    /// any node qualify.
+    pub fn first_stealable(
+        &self,
+        mut accept: impl FnMut(&JobRequest, bool) -> bool,
+    ) -> Option<usize> {
+        self.ready
+            .first_after_head(|idx| accept(&self.jobs[idx], !self.spill_ok[idx]))
+    }
+
+    /// Remove the queued job `ticket` names — any but the head — for work
+    /// stealing. Strict-queue accounting is unwound; the job itself is
+    /// returned so the thief can [`Self::submit`] it.
+    pub fn steal(&mut self, ticket: usize) -> (JobRequest, bool) {
+        self.ready.take(ticket);
+        let strict = !self.spill_ok[ticket];
         if strict {
-            self.broker
-                .note_strict_dequeued(strict_footprint(&job.spec));
+            self.broker.note_strict_dequeued(self.footprint[ticket]);
         }
-        (job, strict)
+        (self.jobs[ticket].clone(), strict)
     }
 
     /// The node's capacity broker (headroom / backlog signals for
@@ -403,19 +490,25 @@ impl NodeSim {
     /// MCDRAM headroom; preferred jobs on a spill node can always fall
     /// back to DDR.
     pub fn fits_now(&self, spec: &mlm_core::PipelineSpec, strict: bool) -> bool {
-        let footprint = match spec.placement {
-            Placement::Hbw => spec.buffer_footprint(RING_SLOTS),
-            Placement::Ddr | Placement::Implicit => 0,
-        };
-        if footprint == 0 {
-            return true;
-        }
-        footprint <= self.broker.hbw_headroom() || (!strict && self.cfg.spill)
+        let footprint = ring_footprint(spec);
+        footprint == 0 || footprint <= self.broker.hbw_headroom() || (!strict && self.cfg.spill)
     }
 
     /// The node's serving configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
+    }
+
+    /// Times [`Self::retune_and_allocate`] found the running set changed
+    /// and did the work (a deterministic count, not a timing).
+    pub fn retunes(&self) -> u64 {
+        self.retunes
+    }
+
+    /// Eqs. 1–5 profile evaluations made for this node's jobs: one per
+    /// admission plus one per (job, thread budget) first seen at a retune.
+    pub fn profile_searches(&self) -> u64 {
+        self.profile_searches
     }
 
     /// Consume the node, yielding its completion records (unsorted).
@@ -424,11 +517,21 @@ impl NodeSim {
     }
 }
 
-/// MCDRAM bytes a strict-HBW job's queued ring pins for backlog
-/// accounting (zero for DDR/implicit jobs, which never wait on MCDRAM).
-fn strict_footprint(spec: &mlm_core::PipelineSpec) -> u64 {
-    match spec.placement {
-        Placement::Hbw => spec.buffer_footprint(RING_SLOTS),
-        Placement::Ddr | Placement::Implicit => 0,
-    }
+/// The running set as bus flows. Each job is a flow whose unit is
+/// "dedicated-seconds per second" (cap 1.0) and whose bus coefficients
+/// are bytes per dedicated-second.
+fn bus_flows(running: &[Running]) -> Vec<FlowSpec> {
+    running
+        .iter()
+        .map(|r| {
+            let mut demand = Vec::with_capacity(2);
+            if r.profile.ddr_coeff > 0.0 {
+                demand.push((DDR_BUS, r.profile.ddr_coeff));
+            }
+            if r.profile.mcd_coeff > 0.0 {
+                demand.push((MCD_BUS, r.profile.mcd_coeff));
+            }
+            FlowSpec { demand, cap: 1.0 }
+        })
+        .collect()
 }

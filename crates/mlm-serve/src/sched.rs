@@ -14,9 +14,10 @@
 //!
 //! 1. completes finished jobs and releases their broker reservations,
 //! 2. runs the admission policy over the ready queue,
-//! 3. re-runs the Eqs. 1–5 tuner for every running job (the per-job thread
-//!    budget changes with the co-resident set), and
-//! 4. recomputes the fair bus rates.
+//! 3. if steps 1–2 changed the running set, re-tunes every running job
+//!    with the Eqs. 1–5 model (the per-job thread budget changes with the
+//!    co-resident set), and
+//! 4. recomputes the fair bus rates — likewise only then.
 //!
 //! Everything is pure arithmetic over the trace — no wall clock, no RNG —
 //! so a fixed trace always produces bit-identical results.
@@ -141,7 +142,8 @@ pub fn serve(cfg: &ServeConfig, jobs: &[JobRequest]) -> Result<ServeOutcome, Str
         }
 
         // 5. Re-tune every running job for the current co-residency degree
-        // and recompute the fair bus rates.
+        // and recompute the fair bus rates (a no-op when steps 2–3 left
+        // the running set alone).
         node.retune_and_allocate()?;
 
         // 6. Advance to the next event.
@@ -162,6 +164,14 @@ pub fn serve(cfg: &ServeConfig, jobs: &[JobRequest]) -> Result<ServeOutcome, Str
 
     let hwm = node.broker().high_water();
     let mut records: Vec<JobRecord> = node.into_records();
+    if records.len() + rejections.len() != jobs.len() {
+        return Err(format!(
+            "scheduler lost jobs: {} submitted, {} completed, {} rejected",
+            jobs.len(),
+            records.len(),
+            rejections.len()
+        ));
+    }
     records.sort_by_key(|r| r.id);
     let fleet = FleetStats::from_records(&records, rejections.len(), hwm);
     Ok(ServeOutcome {
