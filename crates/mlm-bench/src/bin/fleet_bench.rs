@@ -1,15 +1,12 @@
-//! Fleet placement study and throughput benchmark driver.
+//! Fleet dispatcher throughput benchmark driver (the placement study's
+//! CSV is the registry's: `study fleet`).
 //!
-//! Three modes, run from the repo root in release:
+//! Two modes, run from the repo root in release:
 //!
-//! * default — run the deterministic CSV sweep (nodes × placement ×
-//!   policy at [`CSV_JOBS_PER_NODE`] jobs per node-stream), print the
-//!   table, and write `results/fleet_study.csv`. Byte-reproducible, so
-//!   CI's results-drift job regenerates and diffs it.
-//! * `--bench` — additionally run the million-job throughput benchmark
-//!   (16 nodes × [`BENCH_JOBS_PER_NODE`] jobs, one cell per
-//!   `BENCH_PLACEMENTS` policy) and write `BENCH_fleet.json` with
-//!   jobs/sec and the decision digests.
+//! * `--bench` — run the million-job throughput benchmark (16 nodes ×
+//!   [`BENCH_JOBS_PER_NODE`] jobs, one cell per `BENCH_PLACEMENTS`
+//!   policy) and write `BENCH_fleet.json` with jobs/sec and the decision
+//!   digests.
 //! * `--check` — re-run the benchmark and compare against the committed
 //!   `BENCH_fleet.json`: **hard failure** (`::error::`, nonzero exit)
 //!   when any placement decision digest drifts, when best-fit-hbw no
@@ -25,63 +22,12 @@ use std::collections::HashMap;
 use std::fs;
 use std::process::ExitCode;
 
-use mlm_bench::fleet::{
-    fleet_study, run_fleet_bench, FleetBenchCell, FleetBenchReport, BENCH_JOBS_PER_NODE,
-    CSV_JOBS_PER_NODE, FLEET_SEED,
-};
-use mlm_bench::report::{render_table, secs, write_csv};
+use mlm_bench::fleet::{run_fleet_bench, FleetBenchCell, FleetBenchReport, BENCH_JOBS_PER_NODE};
+use mlm_bench::report::secs;
 
 const OUT: &str = "BENCH_fleet.json";
 /// Warn when a cell's jobs/sec falls below this fraction of the baseline.
 const REGRESSION_FLOOR: f64 = 0.80;
-
-fn write_study_csv() {
-    let rows = fleet_study(CSV_JOBS_PER_NODE).expect("fleet study failed");
-    let headers = [
-        "nodes",
-        "placement",
-        "policy",
-        "jobs",
-        "rejected",
-        "steals",
-        "makespan_s",
-        "mean_wait_s",
-        "mean_latency_s",
-        "p99_s",
-        "strict_p99_s",
-        "mcdram_hwm_gib",
-        "digest",
-    ];
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let s = &r.stats;
-            vec![
-                r.nodes.to_string(),
-                r.placement.label().to_string(),
-                r.policy.label().to_string(),
-                s.jobs.to_string(),
-                s.rejected.to_string(),
-                r.steals.to_string(),
-                secs(s.makespan),
-                secs(s.mean_queue_wait),
-                secs(s.mean_latency),
-                secs(s.p99_latency),
-                secs(r.strict_p99),
-                format!("{:.2}", s.mcdram_high_water as f64 / (1u64 << 30) as f64),
-                format!("{:#018x}", r.digest),
-            ]
-        })
-        .collect();
-    println!(
-        "Fleet study — {CSV_JOBS_PER_NODE} jobs per node-stream, seed {FLEET_SEED:#x}, \
-         mixed 8/16 GiB KNL 7250 fleet, steal on\n"
-    );
-    println!("{}", render_table(&headers, &body));
-    if let Ok(path) = write_csv("fleet_study", &headers, &body) {
-        println!("wrote {path}");
-    }
-}
 
 fn print_bench(report: &FleetBenchReport) {
     println!(
@@ -137,11 +83,9 @@ fn main() -> ExitCode {
     let check = args.iter().any(|a| a == "--check");
     let bench = args.iter().any(|a| a == "--bench");
 
-    if !check {
-        write_study_csv();
-        if !bench {
-            return ExitCode::SUCCESS;
-        }
+    if !check && !bench {
+        eprintln!("usage: fleet_bench --bench | --check");
+        return ExitCode::from(2);
     }
 
     let baseline: Option<FleetBenchReport> = if check {

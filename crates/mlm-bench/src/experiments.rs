@@ -727,9 +727,7 @@ pub struct HostAblationRow {
 /// occupancy approaches 1 while the others idle on the ring.
 ///
 /// `n_elems` int64 keys are streamed through 8 chunks; `reps` runs per
-/// cell, best wall-clock kept (host timing, so noise is real — the
-/// simulator's virtual-time ablation in `benches/ablations.rs` is the
-/// noise-free counterpart).
+/// cell, best wall-clock kept (host timing, so noise is real).
 pub fn host_pipeline_ablation(n_elems: usize, reps: usize) -> Vec<HostAblationRow> {
     let (p_in, p_out, p_comp) = (2usize, 2usize, 4usize);
     let shared = WorkPool::new(p_in + p_out + p_comp);

@@ -1,22 +1,16 @@
 //! # mlm-bench — the experiment harness
 //!
-//! One driver per table/figure of the paper's evaluation, shared between
-//! the `src/bin/*` binaries (which print tables and write CSVs under
-//! `results/`) and the integration tests (which assert the paper's
-//! qualitative claims hold).
+//! One driver per table/figure of the paper's evaluation ([`experiments`],
+//! [`serving`], [`fleet`]), shared between the [`studies`] registry — whose
+//! one binary, `study`, prints every table, writes the CSVs under
+//! `results/` and checks them against the committed files; `study list`
+//! and [`studies::STUDIES`] are the index of paper artefact → study →
+//! CSV — and the integration tests, which assert the paper's qualitative
+//! claims hold.
 //!
-//! | paper artifact | driver | binary |
-//! |---|---|---|
-//! | Table 1 | [`experiments::table1`] | `table1` |
-//! | Figure 6a/6b | [`experiments::fig6`] | `fig6` |
-//! | Figure 7 | [`experiments::fig7`] | `fig7` |
-//! | Table 2 | [`experiments::table2_sim`] | `table2` |
-//! | Figure 8a/8b | [`experiments::fig8`] | `fig8` |
-//! | Table 3 | [`experiments::table3`] | `table3` |
-//! | §2.3 / §4 Bender corroboration | [`experiments::bender_check`] | `bender_check` |
-//! | host lockstep-vs-dataflow ablation | [`experiments::host_pipeline_ablation`] | `host_ablation` |
-//! | multi-tenant serving study | [`serving::serve_study`] | `serve_study` |
-//! | fleet placement study | [`fleet::fleet_study`] | `fleet_study` |
+//! The other binaries measure rather than reproduce: `sim_bench` and
+//! `fleet_bench` (hard gates against `BENCH_*.json`), `calibrate` (host
+//! characterisation) and `fuzz_exec` (schedule fuzzing).
 
 pub mod calibrate;
 pub mod experiments;
@@ -25,6 +19,7 @@ pub mod paper;
 pub mod report;
 pub mod serving;
 pub mod sim_bench;
+pub mod studies;
 pub mod verify;
 
 /// Number of simulated hardware threads the paper's runs used.

@@ -1,4 +1,4 @@
-//! Plain-text table rendering and CSV output for the experiment binaries.
+//! Plain-text table rendering and CSV output for the study registry.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -36,13 +36,9 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Write rows as CSV under `results/<name>.csv` (creating the directory),
-/// returning the path written. Cells containing commas or quotes are
-/// quoted per RFC 4180.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<String> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
+/// Rows as CSV text: the header line, then one line per row. Cells
+/// containing commas or quotes are quoted per RFC 4180.
+pub fn csv_text(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut body = String::new();
     let escape = |cell: &str| -> String {
         if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
@@ -63,7 +59,20 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io:
         body.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
         body.push('\n');
     }
-    std::fs::write(&path, body)?;
+    body
+}
+
+/// Write [`csv_text`] to `<dir>/<name>.csv` (creating the directory),
+/// returning the path written.
+pub fn write_csv(
+    dir: &Path,
+    name: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> std::io::Result<String> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{name}.csv"));
+    std::fs::write(&path, csv_text(headers, rows))?;
     Ok(path.display().to_string())
 }
 
@@ -122,20 +131,11 @@ mod tests {
     #[test]
     fn csv_escapes_special_cells() {
         let dir = std::env::temp_dir().join(format!("mlmbench-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&dir).unwrap();
-        let path = write_csv(
-            "escape_test",
-            &["a", "b"],
-            &[vec!["x,y".into(), "he said \"hi\"".into()]],
-        )
-        .unwrap();
+        let rows = [vec!["x,y".into(), "he said \"hi\"".into()]];
+        let path = write_csv(&dir, "escape_test", &["a", "b"], &rows).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
-        std::env::set_current_dir(old).unwrap();
-        assert!(content.contains("\"x,y\""));
-        assert!(content.contains("\"he said \"\"hi\"\"\""));
         std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(content, "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n");
     }
 
     #[test]

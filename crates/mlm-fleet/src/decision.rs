@@ -88,7 +88,7 @@ fn fnv1a(h: &mut u64, word: u64) {
 /// sequence, then each node's admission sequence in node order. Two runs
 /// with equal digests made the same placements and the same per-node
 /// admissions (with the same memory levels) — the drift signal
-/// `fleet_study --check` hard-fails on.
+/// `fleet_bench --check` hard-fails on.
 pub fn decision_digest(decisions: &[Decision], nodes: usize) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for d in placement_sequence(decisions) {

@@ -23,7 +23,7 @@
 //!   jobs concurrently for real on the dataflow pipeline's stage pools.
 //!
 //! Trace generation ([`trace`]) and fleet statistics ([`stats`]) round out
-//! the loop that `mlm-bench --bin serve_study` sweeps.
+//! the loop that mlm-bench's `study serve` sweeps.
 
 pub mod admission;
 pub mod broker;

@@ -36,23 +36,6 @@ allow_dirs=(
   "crates/mlm-cluster/src"
 )
 
-# Individual files exempt from the pair heuristic, with the reason:
-#   sim_bench.rs — benchmarks the knl-sim event engine itself (optimized
-#                  vs reference loop → BENCH_sim_engine.json); it lowers
-#                  nothing from host code, and the host_*.rs next to it
-#                  is an unrelated experiment binary.
-allow_files=(
-  "crates/mlm-bench/src/bin/sim_bench.rs"
-)
-
-is_allowed_file() {
-  local f="$1"
-  for a in "${allow_files[@]}"; do
-    [ "$f" = "$a" ] && return 0
-  done
-  return 1
-}
-
 is_allowed() {
   local dir="$1"
   for a in "${allow_dirs[@]}"; do
@@ -68,16 +51,9 @@ dirs=$(find crates examples tests -name '*.rs' -not -path 'crates/knl-sim/*' \
   | xargs -r -n1 dirname | sort -u)
 
 for dir in $dirs; do
-  hosts=""
-  sims=""
-  # Exempt files do not count toward forming a pair.
-  for f in $(find "$dir" -maxdepth 1 -name 'host*.rs' | sort); do
-    is_allowed_file "$f" || hosts="$hosts $f"
-  done
-  for f in $(find "$dir" -maxdepth 1 -name 'sim*.rs' | sort); do
-    is_allowed_file "$f" || sims="$sims $f"
-  done
-  [ -n "${hosts// /}" ] && [ -n "${sims// /}" ] || continue
+  hosts=$(find "$dir" -maxdepth 1 -name 'host*.rs' | sort)
+  sims=$(find "$dir" -maxdepth 1 -name 'sim*.rs' | sort)
+  [ -n "$hosts" ] && [ -n "$sims" ] || continue
 
   if is_allowed "$dir"; then
     continue
