@@ -40,13 +40,14 @@
 //! identical — there is no randomness and no dependence on host timing.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use crate::bandwidth::{Arbiter, FlowSpec};
 use crate::cache::DirectMappedCache;
 use crate::error::{SimError, StuckOp};
 use crate::machine::{MachineConfig, MemLevel};
-use crate::ops::{Access, OpKind, Place, Program};
+use crate::ops::{Access, OpId, OpKind, Place, Program};
 use crate::report::{LevelTraffic, SimReport};
 use crate::slab::{Key, Slab};
 use crate::trace::{BusSegment, OpRecord, Trace};
@@ -84,6 +85,9 @@ pub struct EngineStats {
     pub stale_events: u64,
     /// High-water mark of the event heap.
     pub heap_peak: usize,
+    /// Dependency countdowns built at set-up: one per single-dep op plus
+    /// one per shared multi-dep list (see `Engine::new`).
+    pub join_groups: usize,
 }
 
 /// An active flow in the slab: a started `Copy`/`Stream` op draining its
@@ -380,8 +384,8 @@ impl Simulator {
     }
 }
 
-/// A shared dependency countdown for all ops whose dep lists are
-/// identical — one barrier wave, one counter (see `Engine::new`).
+/// A shared dependency countdown for all ops holding the same dep list
+/// — one barrier wave, one counter (see `Engine::new`).
 ///
 /// The first member is inline so the overwhelmingly common singleton
 /// group (chains, pipelines: unique dep lists) costs no allocation —
@@ -475,7 +479,7 @@ struct Engine<'p> {
     queues: Vec<VecDeque<usize>>,
     /// Per op, the join groups it feeds (one entry per dep-list occurrence).
     dependents: Vec<Vec<u32>>,
-    /// Shared countdowns, one per distinct dep list (see `Engine::new`).
+    /// Shared countdowns, one per stored dep list (see `Engine::new`).
     groups: Vec<JoinGroup>,
     /// Dense op → thread map; `Op` structs carry their dep vectors, so
     /// waking dependents through them costs a cache miss per edge.
@@ -499,6 +503,9 @@ struct Engine<'p> {
     seq: u64,
     /// Set when the active flow set changed since the last re-arbitration.
     rates_dirty: bool,
+    /// Consecutive drains rescheduled without any flow or the clock having
+    /// advanced (see `process`); past `stall_limit` the run is a livelock.
+    stalled: usize,
     arbiter: Arbiter,
     rates_scratch: Vec<f64>,
 
@@ -523,55 +530,50 @@ impl<'p> Engine<'p> {
             None
         };
         let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); prog.threads()];
-        // Join-group dependency tracking: ops sharing an identical dep
-        // list (every member of a barrier wave) share ONE countdown, so a
+        // Join-group dependency tracking: ops holding the same dep list
+        // (every member of a barrier wave) share ONE countdown, so a
         // B-wide barrier costs B decrements + B wakes instead of B×B edge
         // updates. The group counter reaches zero at exactly the event the
         // last per-op counter would have, so wake times — and therefore
-        // drain order — are bit-identical to per-op accounting.
+        // drain order — are bit-identical to per-op accounting, however
+        // finely or coarsely the ops are grouped. The program already
+        // stores a list once per run of ops pushed with it, so the group
+        // is found by pointer; no list is read more than once.
         let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n_ops];
         let mut groups: Vec<JoinGroup> = Vec::new();
         let mut dep_ready: Vec<bool> = vec![false; n_ops];
-        {
-            let mut by_deps: HashMap<&[crate::ops::OpId], u32> = HashMap::new();
-            for (i, op) in prog.ops().iter().enumerate() {
-                queues[op.thread.0].push_back(i);
-                match op.deps.as_slice() {
-                    [] => dep_ready[i] = true,
-                    // Single-dep ops (chains, pipelines) get their own
-                    // group without paying for hashing; sharing would only
-                    // save a counter, and the lookup costs more than it.
-                    [d] => {
-                        let id = groups.len() as u32;
-                        groups.push(JoinGroup {
-                            remaining: 1,
-                            first: i as u32,
-                            rest: Vec::new(),
-                        });
-                        dependents[d.0].push(id);
+        let mut wave: Option<(&Arc<[OpId]>, usize)> = None;
+        for (i, op) in prog.ops().iter().enumerate() {
+            queues[op.thread.0].push_back(i);
+            if op.deps.is_empty() {
+                dep_ready[i] = true;
+                continue;
+            }
+            // Single-dep ops (chains, pipelines) always get their own
+            // group: sharing would only save a counter.
+            if op.deps.len() > 1 {
+                match wave {
+                    Some((list, g)) if Arc::ptr_eq(list, &op.deps) => {
+                        groups[g].rest.push(i as u32);
+                        continue;
                     }
-                    deps => {
-                        let mut created = false;
-                        let g = *by_deps.entry(deps).or_insert_with(|| {
-                            created = true;
-                            let id = groups.len() as u32;
-                            groups.push(JoinGroup {
-                                remaining: deps.len(),
-                                first: i as u32,
-                                rest: Vec::new(),
-                            });
-                            for d in deps {
-                                dependents[d.0].push(id);
-                            }
-                            id
-                        });
-                        if !created {
-                            groups[g as usize].rest.push(i as u32);
-                        }
-                    }
+                    _ => wave = Some((&op.deps, groups.len())),
                 }
             }
+            let id = groups.len() as u32;
+            groups.push(JoinGroup {
+                remaining: op.deps.len(),
+                first: i as u32,
+                rest: Vec::new(),
+            });
+            for d in op.deps.iter() {
+                dependents[d.0].push(id);
+            }
         }
+        let stats = EngineStats {
+            join_groups: groups.len(),
+            ..EngineStats::default()
+        };
         Engine {
             sim,
             prog,
@@ -593,11 +595,12 @@ impl<'p> Engine<'p> {
             heap: BinaryHeap::with_capacity(prog.threads().min(1024) + 16),
             seq: 0,
             rates_dirty: false,
+            stalled: 0,
             arbiter: Arbiter::new(),
             rates_scratch: Vec::new(),
             report: SimReport::default(),
             trace,
-            stats: EngineStats::default(),
+            stats,
         }
     }
 
@@ -630,12 +633,11 @@ impl<'p> Engine<'p> {
                 self.now = ev.time;
             }
             self.stats.events += 1;
-            self.process(ev);
+            self.process(ev)?;
 
             // Coalesce every event at (numerically) the same timestamp so
-            // same-time completions trigger a single rate epoch. The
-            // tolerance matches the reference loop's delay-expiry rule.
-            let horizon = self.now * (1.0 + 1e-12) + 1e-15;
+            // same-time completions trigger a single rate epoch.
+            let horizon = horizon(self.now);
             while let Some(&Reverse(top)) = self.heap.peek() {
                 if top.time > horizon {
                     break;
@@ -643,7 +645,7 @@ impl<'p> Engine<'p> {
                 let Reverse(ev) = self.heap.pop().expect("peeked");
                 if self.is_valid(&ev) {
                     self.stats.events += 1;
-                    self.process(ev);
+                    self.process(ev)?;
                 } else {
                     self.stats.stale_events += 1;
                 }
@@ -820,7 +822,14 @@ impl<'p> Engine<'p> {
         }
     }
 
-    fn process(&mut self, ev: Event) {
+    /// No-progress reschedules tolerated in a row: at one timestamp an
+    /// epoch can re-time, and so reschedule, each live flow once, and a
+    /// thread runs one flow at a time.
+    fn stall_limit(&self) -> usize {
+        1024 + 4 * self.prog.threads()
+    }
+
+    fn process(&mut self, ev: Event) -> Result<(), SimError> {
         match ev.kind {
             EventKind::Expiry { op, started_at } => {
                 self.pending_delays -= 1;
@@ -830,21 +839,35 @@ impl<'p> Engine<'p> {
                 self.complete(op, started_at);
             }
             EventKind::Drain { key, .. } => {
-                self.materialize(key);
                 let f = self.flows.get(key).expect("valid drain implies live");
+                let advanced = f.last_sync < self.now;
+                self.materialize(key);
+                let f = self.flows.get_mut(key).expect("live");
                 if f.remaining > EPS_BYTES {
                     // The event was coalesced slightly ahead of this flow's
-                    // true drain; reschedule at the residual (matches the
-                    // reference loop, which only completes flows within
-                    // EPS_BYTES of done).
-                    let dt = f.remaining / f.rate;
-                    let f = self.flows.get_mut(key).expect("live");
-                    f.pred = f.pred.wrapping_add(1);
-                    let pred = f.pred;
-                    let time = self.now + dt;
-                    self.push_event(time, EventKind::Drain { key, pred });
-                    return;
+                    // true drain (the reference loop only completes flows
+                    // within EPS_BYTES of done).
+                    let time = self.now + f.remaining / f.rate;
+                    if time > horizon(self.now) {
+                        f.pred = f.pred.wrapping_add(1);
+                        let pred = f.pred;
+                        let op = f.op;
+                        self.push_event(time, EventKind::Drain { key, pred });
+                        self.stalled = if advanced { 0 } else { self.stalled + 1 };
+                        if self.stalled > self.stall_limit() {
+                            return Err(SimError::Livelock { op, time: self.now });
+                        }
+                        return Ok(());
+                    }
+                    // The residual is due inside the coalescing window: the
+                    // clock cannot reach it (a rescheduled drain would be
+                    // popped again at this same `now`, forever), so the flow
+                    // ends here and its last bytes are charged as served.
+                    for &(res, coeff) in &f.spec.demand {
+                        self.report.served_bytes[res] += f.remaining * coeff;
+                    }
                 }
+                self.stalled = 0;
                 let f = self.flows.remove(key).expect("live");
                 let pos = f.active_pos;
                 self.active.swap_remove(pos);
@@ -870,6 +893,7 @@ impl<'p> Engine<'p> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Mark an op done: bump counters, record the trace, release dependents
@@ -936,6 +960,13 @@ impl<'p> Engine<'p> {
             self.stats.heap_peak = self.heap.len();
         }
     }
+}
+
+/// Latest event time that counts as `now`: events up to here are
+/// processed without advancing the clock. The tolerance matches the
+/// reference loop's delay-expiry rule.
+fn horizon(now: f64) -> f64 {
+    now * (1.0 + 1e-12) + 1e-15
 }
 
 /// Diagnostics for a deadlock: the first few unfinished ops with their
@@ -1508,6 +1539,67 @@ mod tests {
             "saturated bus needs water-filling"
         );
     }
+
+    #[test]
+    fn barrier_rounds_cost_width_times_rounds_not_width_squared() {
+        // (stored lists, stored ids, join groups)
+        let cost = |width: usize, rounds: usize| {
+            let mut p = Program::new(width);
+            let mut deps = Vec::new();
+            for _ in 0..rounds {
+                deps = p.barrier(0..width, &deps);
+            }
+            assert_eq!(p.ops().len(), width * rounds);
+            let (_, stats) = Simulator::new(flat()).run_stats(&p).unwrap();
+            (p.dep_lists(), p.dep_ids(), stats.join_groups)
+        };
+        // Every round after the first waits on the whole previous round:
+        // `width` ids stored once and one countdown, however many ops wait.
+        assert_eq!(cost(8, 10), (9, 8 * 9, 9));
+        assert_eq!(cost(64, 10), (9, 64 * 9, 9));
+        assert_eq!(cost(64, 40), (39, 64 * 39, 39));
+        // Single-dep ops keep a countdown each.
+        let mut chain = Program::new(2);
+        let mut prev = chain.push(0, OpKind::Delay { seconds: 0.0 }, &[]);
+        for k in 1..10 {
+            prev = chain.push(k % 2, OpKind::Delay { seconds: 0.0 }, &[prev]);
+        }
+        let (_, stats) = Simulator::new(flat()).run_stats(&chain).unwrap();
+        assert_eq!(stats.join_groups, 9);
+    }
+
+    #[test]
+    fn drains_rescheduled_without_progress_are_a_livelock_error() {
+        // Hand the engine the same flow's drain over and over at a frozen
+        // clock, as a heap that keeps returning it would: the first pop
+        // integrates progress, every later one finds nothing to do.
+        let sim = Simulator::new(flat());
+        let mut p = Program::new(1);
+        p.push(
+            0,
+            OpKind::copy(Place::Ddr, Place::Mcdram, 1_000_000_000, 1.0 * GB),
+            &[],
+        );
+        let mut e = Engine::new(&sim, &p, None);
+        e.drain_ready().unwrap();
+        e.recompute_if_dirty();
+        e.now = 0.5;
+        let key = e.active[0];
+        let drain = Event {
+            time: e.now,
+            seq: 0,
+            kind: EventKind::Drain { key, pred: 0 },
+        };
+        let limit = e.stall_limit();
+        for _ in 0..=limit {
+            e.process(drain).unwrap();
+        }
+        assert_eq!(
+            e.process(drain),
+            Err(SimError::Livelock { op: 0, time: 0.5 })
+        );
+    }
+
     #[test]
     fn preflight_spec_proves_schedules_and_enforces_mcdram() {
         let sim = Simulator::new(flat());

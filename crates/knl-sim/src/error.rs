@@ -47,6 +47,11 @@ pub enum SimError {
     /// Carries per-op diagnostics for the stuck ops (truncated to a
     /// handful), each naming its thread and unmet dependencies.
     Deadlock(Vec<StuckOp>),
+    /// The engine kept rescheduling flow drains at one timestamp without
+    /// any flow or the clock advancing — an engine bug, reported instead
+    /// of spinning. `op` is the flow last rescheduled, `time` the stuck
+    /// virtual clock.
+    Livelock { op: usize, time: f64 },
     /// An allocation request exceeded the capacity of a memory level.
     OutOfMemory {
         level: crate::machine::MemLevel,
@@ -86,6 +91,10 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
+            SimError::Livelock { op, time } => write!(
+                f,
+                "simulation made no progress at t = {time} s: op {op}'s drain keeps being rescheduled"
+            ),
             SimError::OutOfMemory {
                 level,
                 requested,

@@ -9,12 +9,22 @@
 //! barriers) is expressed with explicit dependencies: an op starts only when
 //! it is at the front of its thread's queue *and* all of its dependencies
 //! have completed.
+//!
+//! A dependency list is stored once: a lockstep phase hands the same
+//! `threads`-entry list to every op of the phase, and those ops share one
+//! allocation ([`Op::deps`]), so a program costs memory and set-up time
+//! proportional to its ops, not to its dependency edges.
+
+use std::sync::Arc;
 
 use crate::error::SimError;
 
 /// Identifier of an op within a [`Program`] (dense, in push order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub usize);
+
+/// A stored dependency list, shared by every op pushed with it.
+type Deps = Arc<[OpId]>;
 
 /// Identifier of a simulated hardware thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -174,8 +184,10 @@ pub struct Op {
     /// The simulated thread executing this op.
     pub thread: ThreadId,
     /// Ops that must complete before this one can start (in addition to the
-    /// implicit program order on `thread`).
-    pub deps: Vec<OpId>,
+    /// implicit program order on `thread`). Ops pushed with the same list
+    /// share one allocation; consumers that see the same pointer twice
+    /// ([`Arc::ptr_eq`]) may treat the second as already handled.
+    pub deps: Arc<[OpId]>,
     /// Optional label for traces and error messages.
     pub label: Option<String>,
 }
@@ -185,6 +197,13 @@ pub struct Op {
 pub struct Program {
     threads: usize,
     ops: Vec<Op>,
+    /// The most recent dependency list of two or more ids, offered to the
+    /// next push with equal contents. Single-id lists never displace it:
+    /// lowerings interleave `&[prev]` and `&[]` pushes between the ops of
+    /// one phase, and a one-id list is not worth a comparison.
+    shared: Deps,
+    dep_lists: usize,
+    dep_ids: usize,
 }
 
 impl Program {
@@ -192,7 +211,7 @@ impl Program {
     pub fn new(threads: usize) -> Self {
         Program {
             threads,
-            ops: Vec::new(),
+            ..Program::default()
         }
     }
 
@@ -211,6 +230,18 @@ impl Program {
         self.push_labeled(thread, kind, deps, None)
     }
 
+    /// Distinct dependency lists stored (allocations; empty lists are free).
+    pub fn dep_lists(&self) -> usize {
+        self.dep_lists
+    }
+
+    /// Dependency ids stored, summed over [`Self::dep_lists`] — the
+    /// program's edge memory. Grows with ops, not with `threads²`, as long
+    /// as the ops of a phase are pushed with equal lists.
+    pub fn dep_ids(&self) -> usize {
+        self.dep_ids
+    }
+
     /// Append a labeled op (labels show up in deadlock diagnostics).
     pub fn push_labeled(
         &mut self,
@@ -219,11 +250,41 @@ impl Program {
         deps: &[OpId],
         label: Option<String>,
     ) -> OpId {
+        let deps = self.share(deps);
+        self.push_shared(thread, kind, deps, label)
+    }
+
+    /// The stored list holding `deps`: the remembered one when its
+    /// contents are equal (one slice compare, no allocation), else a new
+    /// allocation.
+    fn share(&mut self, deps: &[OpId]) -> Deps {
+        if deps.is_empty() {
+            return Arc::default();
+        }
+        if *self.shared == *deps {
+            return self.shared.clone();
+        }
+        self.dep_lists += 1;
+        self.dep_ids += deps.len();
+        let list: Deps = deps.into();
+        if deps.len() > 1 {
+            self.shared = list.clone();
+        }
+        list
+    }
+
+    fn push_shared(
+        &mut self,
+        thread: usize,
+        kind: OpKind,
+        deps: Deps,
+        label: Option<String>,
+    ) -> OpId {
         let id = OpId(self.ops.len());
         self.ops.push(Op {
             kind,
             thread: ThreadId(thread),
-            deps: deps.to_vec(),
+            deps,
             label,
         });
         id
@@ -239,9 +300,10 @@ impl Program {
         threads: impl IntoIterator<Item = usize>,
         after: &[OpId],
     ) -> Vec<OpId> {
+        let after = self.share(after);
         threads
             .into_iter()
-            .map(|t| self.push(t, OpKind::Delay { seconds: 0.0 }, after))
+            .map(|t| self.push_shared(t, OpKind::Delay { seconds: 0.0 }, after.clone(), None))
             .collect()
     }
 
@@ -268,12 +330,24 @@ impl Program {
         }
         let base = self.ops.len();
         let mut ids = Vec::with_capacity(other.ops.len());
+        // A list `other` shares is remapped once and stays shared here.
+        let mut remapped: Option<(&Deps, Deps)> = None;
         for (i, op) in other.ops.iter().enumerate() {
-            let deps: Vec<OpId> = op.deps.iter().map(|d| OpId(base + d.0)).collect();
-            let id = self.push_labeled(
+            let deps = match &remapped {
+                Some((theirs, ours)) if Arc::ptr_eq(theirs, &op.deps) => ours.clone(),
+                _ => {
+                    let shifted: Vec<OpId> = op.deps.iter().map(|d| OpId(base + d.0)).collect();
+                    let ours = self.share(&shifted);
+                    if shifted.len() > 1 {
+                        remapped = Some((&op.deps, ours.clone()));
+                    }
+                    ours
+                }
+            };
+            let id = self.push_shared(
                 op.thread.0 + thread_offset,
                 op.kind.clone(),
-                &deps,
+                deps,
                 op.label.clone(),
             );
             debug_assert_eq!(id.0, base + i);
@@ -285,6 +359,9 @@ impl Program {
     /// Validate thread indices, dependency ordering (deps must reference
     /// earlier ops), and op well-formedness.
     pub fn validate(&self) -> Result<(), SimError> {
+        // A shared list is checked against the first op using it — the
+        // lowest id, so the strictest bound — and skipped for the rest.
+        let mut checked: Option<&Deps> = None;
         for (i, op) in self.ops.iter().enumerate() {
             if op.thread.0 >= self.threads {
                 return Err(SimError::BadThread {
@@ -292,9 +369,12 @@ impl Program {
                     threads: self.threads,
                 });
             }
-            for d in &op.deps {
-                if d.0 >= i {
+            if !checked.is_some_and(|list| Arc::ptr_eq(list, &op.deps)) {
+                if let Some(d) = op.deps.iter().find(|d| d.0 >= i) {
                     return Err(SimError::BadDependency { op: i, dep: d.0 });
+                }
+                if op.deps.len() > 1 {
+                    checked = Some(&op.deps);
                 }
             }
             op.kind.validate()?;
@@ -426,7 +506,7 @@ mod tests {
         let spliced_b = &combined.ops()[ids[1].0];
         assert_eq!(spliced_a.thread, ThreadId(3));
         assert_eq!(spliced_b.thread, ThreadId(4));
-        assert_eq!(spliced_b.deps, vec![ids[0]]);
+        assert_eq!(*spliced_b.deps, [ids[0]]);
         assert_eq!(spliced_a.kind, job.ops()[a.0].kind);
         combined.validate().unwrap();
     }
@@ -448,6 +528,86 @@ mod tests {
         let ids = combined.splice(&Program::new(1), 1).unwrap();
         assert!(ids.is_empty());
         assert!(combined.ops().is_empty());
+    }
+
+    #[test]
+    fn equal_lists_are_stored_once_however_the_caller_passes_them() {
+        let instant = || OpKind::Delay { seconds: 0.0 };
+        let build = |fresh: bool| {
+            let mut p = Program::new(4);
+            let a = p.push(0, instant(), &[]);
+            let b = p.push(1, instant(), &[]);
+            let wave = [a, b];
+            for t in 0..4 {
+                // The shape of a cache-mode sort phase: the phase's list,
+                // then a one-id list and an empty one on the same thread.
+                let own = wave.to_vec();
+                let first = p.push(t, instant(), if fresh { &own } else { &wave });
+                p.push(t, instant(), &[first]);
+                p.push(t, instant(), &[]);
+            }
+            p
+        };
+        let (reused, fresh) = (build(false), build(true));
+        for p in [&reused, &fresh] {
+            p.validate().unwrap();
+            assert_eq!(p.dep_lists(), 1 + 4, "one wave list + four one-id lists");
+            assert_eq!(p.dep_ids(), 2 + 4);
+            let users: Vec<&Op> = p.ops().iter().filter(|op| op.deps.len() == 2).collect();
+            assert_eq!(users.len(), 4);
+            assert!(users.iter().all(|op| Arc::ptr_eq(&op.deps, &users[0].deps)));
+        }
+        let lists =
+            |p: &Program| -> Vec<Vec<OpId>> { p.ops().iter().map(|op| op.deps.to_vec()).collect() };
+        assert_eq!(lists(&reused), lists(&fresh));
+    }
+
+    #[test]
+    fn validate_names_the_first_op_using_a_bad_shared_list() {
+        for bad in [3, 2] {
+            // Ops 2, 3 and 4 share [0, bad]: a forward reference for op 2
+            // when `bad` is 3, a self-dependency when it is 2.
+            let mut p = Program::new(3);
+            let a = p.push(0, OpKind::Delay { seconds: 0.0 }, &[]);
+            p.push(1, OpKind::Delay { seconds: 0.0 }, &[]);
+            p.barrier(0..3, &[a, OpId(bad)]);
+            assert_eq!(p.dep_lists(), 1);
+            assert_eq!(
+                p.validate(),
+                Err(SimError::BadDependency { op: 2, dep: bad })
+            );
+        }
+    }
+
+    #[test]
+    fn splice_keeps_shared_lists_shared_and_remaps_every_id() {
+        let (width, rounds) = (16, 6);
+        let mut job = Program::new(width);
+        let mut deps = Vec::new();
+        for _ in 0..rounds {
+            deps = job.barrier(0..width, &deps);
+        }
+        let mut combined = Program::new(2 * width);
+        for t in 0..2 * width {
+            combined.push(t, OpKind::Delay { seconds: 1.0 }, &[]);
+        }
+        let base = combined.ops().len();
+        let ids = combined.splice(&job, width).unwrap();
+        assert_eq!(combined.dep_lists(), job.dep_lists());
+        assert_eq!(combined.dep_ids(), job.dep_ids());
+        for (theirs, &id) in job.ops().iter().zip(&ids) {
+            let ours = &combined.ops()[id.0];
+            assert_eq!(ours.thread.0, theirs.thread.0 + width);
+            let shifted: Vec<OpId> = theirs.deps.iter().map(|d| OpId(base + d.0)).collect();
+            assert_eq!(*ours.deps, *shifted);
+        }
+        combined.validate().unwrap();
+    }
+
+    #[test]
+    fn program_is_clone_and_send() {
+        fn assert_clone_send<T: Clone + Send>() {}
+        assert_clone_send::<Program>();
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Simulator {
         for (i, op) in prog.ops().iter().enumerate() {
             queues[op.thread.0].push_back(i);
             remaining_deps[i] = op.deps.len();
-            for d in &op.deps {
+            for d in op.deps.iter() {
                 dependents[d.0].push(i);
             }
         }
@@ -351,6 +351,66 @@ mod tests {
                     slow.served_bytes[r]
                 );
             }
+        }
+    }
+
+    /// How ops share their dependency lists is storage, not semantics:
+    /// the same program with every list shared, passed afresh per op, or
+    /// deliberately unshared (each op lists the same ids in its own
+    /// rotation, so no two lists compare equal) runs bit-identically on
+    /// both engines.
+    #[test]
+    fn list_sharing_is_invisible_to_both_engines() {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Lists {
+            Reused,
+            FreshPerOp,
+            RotatedPerOp,
+        }
+        let threads = 6usize;
+        let build = |lists: Lists| {
+            let mut p = Program::new(threads);
+            let mut prev: Vec<crate::ops::OpId> = Vec::new();
+            for round in 0u64..5 {
+                let mut ids = Vec::new();
+                for t in 0..threads {
+                    let deps = match lists {
+                        Lists::Reused => None,
+                        Lists::FreshPerOp => Some(prev.clone()),
+                        Lists::RotatedPerOp => {
+                            let mut own = prev.clone();
+                            own.rotate_left(t % prev.len().max(1));
+                            Some(own)
+                        }
+                    };
+                    let bytes = (48 << 20) * (1 + (t as u64 + round) % 3);
+                    let first = p.push(
+                        t,
+                        OpKind::copy(Place::Ddr, Place::Mcdram, bytes, 4.0 * GB),
+                        deps.as_deref().unwrap_or(&prev),
+                    );
+                    // One-id and empty lists between the shared ones.
+                    ids.push(p.push(
+                        t,
+                        OpKind::inplace_pass(Place::Mcdram, bytes, 2.0 * GB),
+                        &[first],
+                    ));
+                    ids.push(p.push(t, OpKind::Delay { seconds: 1e-3 }, &[]));
+                }
+                prev = ids;
+            }
+            p
+        };
+        let sim = Simulator::new(MachineConfig::tiny(MemMode::Flat));
+        let shared = build(Lists::Reused);
+        assert_eq!(shared.dep_lists(), build(Lists::FreshPerOp).dep_lists());
+        assert!(build(Lists::RotatedPerOp).dep_ids() > 3 * shared.dep_ids());
+        let fast = sim.run(&shared).unwrap();
+        let slow = sim.run_reference(&shared).unwrap();
+        for lists in [Lists::FreshPerOp, Lists::RotatedPerOp] {
+            let p = build(lists);
+            assert_eq!(sim.run(&p).unwrap(), fast);
+            assert_eq!(sim.run_reference(&p).unwrap(), slow);
         }
     }
 }

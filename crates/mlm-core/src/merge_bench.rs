@@ -205,6 +205,21 @@ mod tests {
         );
     }
 
+    /// The Table 3 program's size, counted: each lockstep step hands one
+    /// 256-id list to its 256 ops and one to its barrier, and each list is
+    /// stored once. Copying it per op would store 7,862,272 ids.
+    #[test]
+    fn table3_program_stores_each_step_list_once() {
+        let prog = merge_bench_program(&knl(), &cal(), &MergeBenchParams::paper(8, 8)).unwrap();
+        assert_eq!(prog.ops().len(), 31_232);
+        // 62 steps: a barrier list each, and a step list for all but the
+        // first (whose ops wait on nothing; the empty list is not stored).
+        assert_eq!(prog.dep_lists(), 62 + 61);
+        assert_eq!(prog.dep_ids(), 30_976);
+        let (_, stats) = knl_sim::Simulator::new(knl()).run_stats(&prog).unwrap();
+        assert_eq!(stats.join_groups, 123);
+    }
+
     #[test]
     fn more_repeats_take_longer() {
         let m = knl();

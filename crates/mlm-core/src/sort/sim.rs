@@ -146,7 +146,7 @@ impl<'a> SortBuilder<'a> {
                             ],
                             rate_cap: s_sort,
                         },
-                        &self.barrier.clone(),
+                        &self.barrier,
                     );
                     ops.push(id);
                 }
@@ -161,14 +161,13 @@ impl<'a> SortBuilder<'a> {
                             ],
                             rate_cap: s_sort * boost,
                         },
-                        &self.barrier.clone(),
+                        &self.barrier,
                     );
                     ops.push(id);
                 }
                 DataPlace::Cached(base) => {
                     let addr = base + t as u64 * block_bytes;
                     // Pass 0: cold, through the real cache model.
-                    let deps = self.barrier.clone();
                     let cold = self.prog.push(
                         t,
                         OpKind::Stream {
@@ -178,7 +177,7 @@ impl<'a> SortBuilder<'a> {
                             ],
                             rate_cap: s_sort,
                         },
-                        &deps,
+                        &self.barrier,
                     );
                     ops.push(cold);
 
@@ -291,7 +290,7 @@ impl<'a> SortBuilder<'a> {
                     ],
                     rate_cap: rate,
                 },
-                &self.barrier.clone(),
+                &self.barrier,
             );
             ops.push(id);
         }
@@ -316,7 +315,7 @@ impl<'a> SortBuilder<'a> {
                     bytes: len,
                     rate_cap: rate,
                 },
-                &self.barrier.clone(),
+                &self.barrier,
             );
             ops.push(id);
         }
@@ -607,7 +606,7 @@ fn numactl_merge_phase(b: &mut SortBuilder, lx: &Lowering) {
                 ],
                 rate_cap: rate,
             },
-            &b.barrier.clone(),
+            &b.barrier,
         );
         merge_ops.push(id);
     }

@@ -5,10 +5,20 @@
 //! relative, and cache statistics bit-for-bit (cache-mode results depend
 //! on op *start order*, so exact equality here proves the ready worklist
 //! replays the naive scan order).
+//!
+//! Some generated programs start behind a 1–100 s delay: past ≈ 1 s the
+//! optimized engine's relative same-timestamp window (`now × 1e-12`) is
+//! wider than its absolute completion tolerance (`EPS_BYTES`), the band in
+//! which `Simulator::run` used to livelock. The two deterministic tests at
+//! the bottom replay the schedules that found it.
 
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::ops::{Access, OpKind, Place, Program};
 use knl_sim::{Simulator, Trace, GB};
+use mlm_serve::{
+    co_schedule_program, heavy_tailed_trace, replay, serve, JobRequest, ScheduledJob, ServeConfig,
+    TraceConfig,
+};
 use proptest::prelude::*;
 
 /// One op's worth of generator decisions. Everything is quantized so
@@ -37,16 +47,27 @@ fn op_seed() -> impl Strategy<Value = OpSeed> {
     )
 }
 
+/// Seconds every thread waits before its first op: none for half the
+/// programs, 1–100 s for the rest.
+fn late_start() -> impl Strategy<Value = u32> {
+    (0..200u32).prop_map(|s| s.saturating_sub(99))
+}
+
 /// Deterministically expand seeds into a validated program: mixed
 /// copies, cached-DDR streams, delays (including zero-delay instants),
 /// sparse backward dependencies, and occasional all-thread barriers.
 ///
 /// `mode` picks the scratch target: flat/hybrid machines address MCDRAM
 /// directly, while in cache mode all of MCDRAM is cache, so scratch
-/// traffic goes through `CachedDdr` ranges instead.
-fn build(threads: usize, seeds: &[OpSeed], mode: MemMode) -> Program {
+/// traffic goes through `CachedDdr` ranges instead. With `start > 0` every
+/// thread first waits `start` seconds, so all the work happens late.
+fn build(threads: usize, seeds: &[OpSeed], mode: MemMode, start: u32) -> Program {
     let mut p = Program::new(threads);
     let mut all = Vec::new();
+    if start > 0 {
+        let seconds = f64::from(start);
+        all.extend((0..threads).map(|t| p.push(t, OpKind::Delay { seconds }, &[])));
+    }
     for s in seeds {
         let t = s.thread % threads;
         let bytes = 16_000_000 * (1 + s.size as u64);
@@ -168,8 +189,9 @@ proptest! {
     fn optimized_engine_equals_reference_flat(
         threads in 1usize..7,
         seeds in proptest::collection::vec(op_seed(), 1..40),
+        start in late_start(),
     ) {
-        let prog = build(threads, &seeds, MemMode::Flat);
+        let prog = build(threads, &seeds, MemMode::Flat, start);
         prog.validate().expect("generated programs are valid");
         assert_engines_agree(&prog, MemMode::Flat);
     }
@@ -178,8 +200,9 @@ proptest! {
     fn optimized_engine_equals_reference_cache(
         threads in 1usize..7,
         seeds in proptest::collection::vec(op_seed(), 1..40),
+        start in late_start(),
     ) {
-        let prog = build(threads, &seeds, MemMode::Cache);
+        let prog = build(threads, &seeds, MemMode::Cache, start);
         prog.validate().expect("generated programs are valid");
         assert_engines_agree(&prog, MemMode::Cache);
     }
@@ -188,10 +211,91 @@ proptest! {
     fn optimized_engine_equals_reference_hybrid(
         threads in 1usize..7,
         seeds in proptest::collection::vec(op_seed(), 1..24),
+        start in late_start(),
     ) {
         let mode = MemMode::Hybrid { cache_fraction: 0.5 };
-        let prog = build(threads, &seeds, mode);
+        let prog = build(threads, &seeds, mode, start);
         prog.validate().expect("generated programs are valid");
         assert_engines_agree(&prog, mode);
+    }
+}
+
+fn knl_flat() -> MachineConfig {
+    MachineConfig::knl_7250(MemMode::Flat)
+}
+
+/// The smallest schedule found to hang `Simulator::run` (benchmark/README
+/// "Findings"): one 272-thread job alone, gated behind its FIFO start
+/// time. A reintroduced hang surfaces as `SimError::Livelock`, so the
+/// test needs no stopwatch.
+#[test]
+fn delay_gated_job_returns_and_matches_reference() {
+    let trace = heavy_tailed_trace(&TraceConfig::new(knl_flat(), 100, 0.5, 3));
+    let job = ScheduledJob {
+        id: trace[4].id,
+        start: 6.3790156013008845,
+        spec: trace[4].spec.clone(),
+    };
+    assert_eq!(job.spec.threads(), 272);
+    let (prog, _) = co_schedule_program(&[job]).expect("schedule lowers");
+    let sim = Simulator::new(knl_flat());
+    let fast = sim.run(&prog).expect("optimized engine returns");
+    let slow = sim.run_reference(&prog).expect("reference engine");
+    assert!(
+        (fast.makespan - slow.makespan).abs() <= 1e-9 * slow.makespan,
+        "makespan: fast={} slow={}",
+        fast.makespan,
+        slow.makespan
+    );
+    for lvl in 0..2 {
+        let s = slow.served_bytes[lvl];
+        assert!(
+            (fast.served_bytes[lvl] - s).abs() <= 1e-9 * s.max(1.0),
+            "served_bytes[{lvl}]: fast={} slow={s}",
+            fast.served_bytes[lvl]
+        );
+    }
+}
+
+/// A realised 64-job FIFO schedule, replayed op by op: every job finishes
+/// when the reference loop says it does.
+#[test]
+fn replayed_fifo_schedule_matches_reference_per_job() {
+    let machine = knl_flat();
+    let batch: Vec<JobRequest> = heavy_tailed_trace(&TraceConfig::new(machine.clone(), 64, 0.5, 3))
+        .iter()
+        .map(|j| JobRequest::new(j.id, 0.0, j.class, j.spec.clone()))
+        .collect();
+    let outcome = serve(&ServeConfig::new(machine.clone()), &batch).expect("serve");
+    let schedule: Vec<ScheduledJob> = outcome
+        .records
+        .iter()
+        .map(|r| ScheduledJob {
+            id: r.id,
+            start: r.start,
+            spec: batch[r.id as usize].spec.clone(),
+        })
+        .collect();
+    assert_eq!(schedule.len(), 64);
+    assert!(schedule.iter().any(|j| j.start > 1.0), "no job starts late");
+
+    let (stats, _) = replay(&machine, &schedule).expect("replay returns");
+
+    let (prog, spans) = co_schedule_program(&schedule).expect("schedule lowers");
+    let (_, trace) = Simulator::new(machine)
+        .run_traced_reference(&prog)
+        .expect("reference engine");
+    for (job, &(lo, hi)) in stats.iter().zip(&spans) {
+        let finish = trace
+            .ops
+            .iter()
+            .filter(|r| (lo..hi).contains(&r.op))
+            .fold(0.0f64, |f, r| f.max(r.end));
+        assert!(
+            (job.finish - finish).abs() <= 1e-9 * finish,
+            "job {}: replay finishes at {}, reference at {finish}",
+            job.id,
+            job.finish
+        );
     }
 }
