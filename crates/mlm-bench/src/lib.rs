@@ -9,8 +9,8 @@
 //! claims hold.
 //!
 //! The other binaries measure rather than reproduce: `sim_bench` and
-//! `fleet_bench` (hard gates against `BENCH_*.json`), `calibrate` (host
-//! characterisation) and `fuzz_exec` (schedule fuzzing).
+//! `fleet_bench` (hard gates against `BENCH_*.json`) and `calibrate`
+//! (host characterisation); schedule fuzzing is `mlm-verify fuzz`.
 
 pub mod calibrate;
 pub mod experiments;

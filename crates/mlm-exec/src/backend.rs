@@ -7,7 +7,7 @@ use crate::placement::Capabilities;
 use crate::spec::PipelineSpec;
 
 /// One of the three pipeline stages of the §3 framework.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Stage a chunk from DDR into the chunk buffer.
     CopyIn,
@@ -15,6 +15,11 @@ pub enum Stage {
     Compute,
     /// Drain the computed chunk back to DDR.
     CopyOut,
+}
+
+impl Stage {
+    /// All stages in pipeline order.
+    pub const ALL: [Stage; 3] = [Stage::CopyIn, Stage::Compute, Stage::CopyOut];
 }
 
 /// One unit of schedule work: apply `stage` to `chunk` in ring slot

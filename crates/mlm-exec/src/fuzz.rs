@@ -28,12 +28,12 @@
 //!   entries are validated against the recorded graph: addressing a
 //!   `(stage, chunk)` the schedule never issues is a
 //!   [`DriveError::Spec`], not a silent no-op.
-//! * [`Construction`] selects deliberately-broken executor disciplines —
-//!   mirrors of mlm-verify's four must-fail regression models plus the
-//!   stencil family's dropped-halo class; each is a [`Discipline`]
-//!   weakening of the dependency edges, which is also how
-//!   [`crate::graph::analyze`] flags the same bugs statically. The fuzzer
-//!   must find each one's bug ([`Violation`]) within a committed seed.
+//! * [`Construction`] selects deliberately-broken executors — the five
+//!   buggy constructions of mlm-verify's must-fail catalogue. The
+//!   executor here and [`crate::graph::analyze`] both match on it (the
+//!   edge-dropping ones through [`DepGraph::effective_deps`]), so the
+//!   fuzzer finds each bug ([`Violation`]) within a committed seed and the
+//!   analyzer flags it statically.
 //! * On a failure, [`shrink`] minimizes the decision trace to a short
 //!   replayable `seed + decision list` regression ([`Finding`]).
 //!
@@ -48,7 +48,7 @@ use std::fmt;
 use crate::backend::{Backend, ChunkAction, Stage};
 use crate::drive::{drive, RING_SLOTS};
 use crate::error::DriveError;
-use crate::graph::{record_graph, DepGraph, Discipline, GraphNode, SlotError, SlotModel};
+use crate::graph::{record_graph, DepGraph, GraphNode, SlotError, SlotModel};
 use crate::placement::{Capabilities, Placement};
 use crate::spec::{PipelineSpec, Workload};
 
@@ -241,24 +241,18 @@ pub fn validate_faults(graph: &DepGraph, faults: &FaultPlan) -> Result<(), Strin
     Ok(())
 }
 
-/// Which dependency-tracking discipline the executor uses. `Correct` is
-/// the shipped semantics; the others are deliberately broken analogues of
-/// must-fail regression models (mlm-verify's four model-checker classes,
-/// plus the stencil family's dropped-halo class), re-expressed at the
-/// `drive()` schedule level, and exist so committed regression seeds can
-/// prove the fuzzer still catches each bug class.
-///
-/// Each maps to a [`Discipline`] edge weakening via
-/// [`Construction::discipline`], which is how the static analyzer flags
-/// the same bugs without running a single schedule.
+/// How the executor honours the recorded dependency edges. `Correct` is
+/// the shipped semantics; the other five are the deliberately broken
+/// executors of mlm-verify's must-fail catalogue, one per bug class. Both
+/// the fuzzer's executor and the static analyzer ([`crate::graph`]) match
+/// on this enum, so a bug is named once and caught at both layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Construction {
     /// Honour every dependency edge; poison cancels dependents.
     Correct,
-    /// Ignore the copy-out → copy-in buffer-recycling edges — the
-    /// schedule-level analogue of the pre-PR-2 PSRS race (running on a
-    /// peer's data before the protocol said it was ready). The fuzzer
-    /// finds a slot overwritten while still occupied.
+    /// Ignore the buffer-recycling edges (copy-out → copy-in for maps):
+    /// a later chunk's copy-in lands on a slot that still holds live
+    /// data. The fuzzer finds a slot overwritten while still occupied.
     DropRecycleDep,
     /// After a kernel panic, keep scheduling the panicked chunk's
     /// dependents as if the compute had completed — the `PoisonSkipLock`
@@ -281,6 +275,21 @@ pub enum Construction {
 }
 
 impl Construction {
+    /// Every construction, `Correct` first.
+    pub const ALL: [Construction; 6] = [
+        Construction::Correct,
+        Construction::DropRecycleDep,
+        Construction::PoisonSkipLock,
+        Construction::NotifyOne,
+        Construction::NoRecheck,
+        Construction::DropHaloDep,
+    ];
+
+    /// The construction whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<Construction> {
+        Construction::ALL.into_iter().find(|c| c.name() == name)
+    }
+
     /// Stable name for traces and CLI output.
     pub fn name(self) -> &'static str {
         match self {
@@ -290,35 +299,6 @@ impl Construction {
             Construction::NotifyOne => "notify-one",
             Construction::NoRecheck => "no-recheck",
             Construction::DropHaloDep => "drop-halo-dep",
-        }
-    }
-
-    /// The edge-weakening this construction applies to the recorded
-    /// dependency graph — the shared vocabulary between the adversarial
-    /// executor here and the static analyzer in [`crate::graph`].
-    pub fn discipline(self) -> Discipline {
-        match self {
-            Construction::Correct => Discipline::CORRECT,
-            Construction::DropRecycleDep => Discipline {
-                drop_recycle: true,
-                ..Discipline::CORRECT
-            },
-            Construction::PoisonSkipLock => Discipline {
-                poison_skip: true,
-                ..Discipline::CORRECT
-            },
-            Construction::NotifyOne => Discipline {
-                notify_one: true,
-                ..Discipline::CORRECT
-            },
-            Construction::NoRecheck => Discipline {
-                no_recheck: true,
-                ..Discipline::CORRECT
-            },
-            Construction::DropHaloDep => Discipline {
-                drop_halo: true,
-                ..Discipline::CORRECT
-            },
         }
     }
 }
@@ -451,15 +431,15 @@ impl Outcome {
 // The fuzzing backend
 // ---------------------------------------------------------------------------
 
-/// One case the fuzzer exercises: a spec plus the executor discipline and
-/// fault plan to run it under.
+/// One case the fuzzer exercises: a spec plus the executor construction
+/// and fault plan to run it under.
 #[derive(Debug, Clone)]
 pub struct FuzzCase {
     /// Display name (goes into findings).
     pub name: String,
     /// The schedule to fuzz.
     pub spec: PipelineSpec,
-    /// Executor discipline ([`Construction::Correct`] for real fuzzing;
+    /// Executor construction ([`Construction::Correct`] for real fuzzing;
     /// a buggy variant for regression seeds).
     pub construction: Construction,
     /// Injected backend misbehaviour.
@@ -601,7 +581,6 @@ struct Executor<'a> {
     graph: &'a DepGraph,
     spec: &'a PipelineSpec,
     case: &'a FuzzCase,
-    disc: Discipline,
     dependents: Vec<Vec<usize>>,
     remaining: Vec<usize>,
     completed: Vec<bool>,
@@ -618,21 +597,13 @@ struct Executor<'a> {
 impl<'a> Executor<'a> {
     fn new(graph: &'a DepGraph, spec: &'a PipelineSpec, case: &'a FuzzCase) -> Self {
         let n = graph.len();
-        let disc = case.construction.discipline();
-        // Build the effective edge set: the discipline's drop_recycle
-        // weakening erases exactly the buffer-recycling edges, drop_halo
-        // the inter-chunk halo edges.
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut remaining = vec![0usize; n];
-        for (i, rem) in remaining.iter_mut().enumerate() {
-            for &d in graph.deps(i) {
-                let dropped = (disc.drop_recycle && graph.is_recycle_edge(i, d))
-                    || (disc.drop_halo && graph.is_halo_edge(i, d));
-                if !dropped {
-                    dependents[d].push(i);
-                    *rem += 1;
-                }
+        for (i, deps) in graph.effective_deps(case.construction).iter().enumerate() {
+            for &d in deps {
+                dependents[d].push(i);
             }
+            remaining[i] = deps.len();
         }
         let ready: BTreeSet<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
         let stencil = matches!(spec.workload, Workload::Stencil { .. })
@@ -641,7 +612,6 @@ impl<'a> Executor<'a> {
             graph,
             spec,
             case,
-            disc,
             dependents,
             remaining,
             completed: vec![false; n],
@@ -686,10 +656,10 @@ impl<'a> Executor<'a> {
             }
 
             if panicked {
-                // The poison_skip discipline pretends the panicked compute
-                // completed normally; everything else cancels the
-                // transitive dependents (the poison-drain contract).
-                if self.disc.poison_skip {
+                // PoisonSkipLock pretends the panicked compute completed
+                // normally; everything else cancels the transitive
+                // dependents (the poison-drain contract).
+                if self.case.construction == Construction::PoisonSkipLock {
                     if let Err(v) = self.complete(node) {
                         return Outcome::Violation(v);
                     }
@@ -786,24 +756,25 @@ impl<'a> Executor<'a> {
         result.map_err(Violation::from_slot_error)
     }
 
-    /// Report `node` complete, waking dependents per the discipline.
+    /// Report `node` complete, waking dependents per the construction.
     fn complete(&mut self, node: usize) -> Result<(), Violation> {
         if self.completed[node] {
             return Err(Violation::DoubleCompletion { node });
         }
         self.completed[node] = true;
+        let construction = self.case.construction;
         for (k, &d) in self.dependents[node].iter().enumerate() {
             if self.cancelled[d] || self.executed[d] {
                 continue;
             }
-            // notify_one: only the first dependent hears the completion.
-            if self.disc.notify_one && k > 0 {
+            // NotifyOne: only the first dependent hears the completion.
+            if construction == Construction::NotifyOne && k > 0 {
                 continue;
             }
             self.remaining[d] -= 1;
-            // no_recheck: the first notification makes the node runnable,
+            // NoRecheck: the first notification makes the node runnable,
             // remaining dependencies unchecked.
-            let wake = if self.disc.no_recheck {
+            let wake = if construction == Construction::NoRecheck {
                 !self.notified[d]
             } else {
                 self.remaining[d] == 0

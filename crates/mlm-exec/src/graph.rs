@@ -28,13 +28,11 @@
 //! for the graphs `drive()` emits and conservative in general (it ignores
 //! slot identities, so it never under-reports occupancy).
 //!
-//! [`Discipline`] re-expresses the fuzzer's buggy [`Construction`]s
-//! (dropped recycle edges, notify-one wakeups, missing predicate rechecks,
-//! poison without cancellation) as *effective-edge weakenings*, which is
-//! how the analyzer flags each of the four seeded bugs statically — no
-//! fuzz seeds involved.
-//!
-//! [`Construction`]: crate::fuzz::Construction
+//! [`AnalysisConfig::construction`] analyses the graph as one of the
+//! fuzzer's buggy [`Construction`]s would execute it (dropped recycle or
+//! halo edges, notify-one wakeups, missing predicate rechecks, poison
+//! without cancellation), which is how the analyzer flags each of the
+//! five seeded bugs statically — no fuzz seeds involved.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,6 +40,7 @@ use std::fmt;
 use crate::backend::{Backend, ChunkAction, Stage};
 use crate::drive::{drive, RING_SLOTS};
 use crate::error::DriveError;
+use crate::fuzz::Construction;
 use crate::placement::{Capabilities, Placement};
 use crate::spec::{PipelineSpec, Workload};
 
@@ -151,8 +150,8 @@ impl DepGraph {
     /// occupant. For the map family that is a copy-in waiting on a
     /// copy-out; the stencil family adds copy-ins waiting on neighbour
     /// *computes* (the halo readers of the evicted chunk) and computes
-    /// waiting on the copy-out that frees their output buffer. The
-    /// [`Discipline::drop_recycle`] weakening erases exactly these.
+    /// waiting on the copy-out that frees their output buffer.
+    /// [`Construction::DropRecycleDep`] ignores exactly these.
     pub fn is_recycle_edge(&self, node: usize, dep: usize) -> bool {
         match (&self.nodes[node], &self.nodes[dep]) {
             (GraphNode::Action(a), GraphNode::Action(d)) => {
@@ -166,14 +165,38 @@ impl DepGraph {
 
     /// True when the edge `dep -> node` is an inter-chunk halo edge: a
     /// compute waiting on the copy-in of a *neighbouring* chunk whose
-    /// boundary bytes it reads. Only stencil-family plans emit these; the
-    /// [`Discipline::drop_halo`] weakening erases exactly these.
+    /// boundary bytes it reads. Only stencil-family plans emit these;
+    /// [`Construction::DropHaloDep`] ignores exactly these.
     pub fn is_halo_edge(&self, node: usize, dep: usize) -> bool {
         matches!(
             (&self.nodes[node], &self.nodes[dep]),
             (GraphNode::Action(a), GraphNode::Action(d))
                 if a.stage == Stage::Compute && d.stage == Stage::CopyIn && d.chunk != a.chunk
         )
+    }
+
+    /// The dependencies each node waits on when `construction` executes
+    /// the graph: [`Construction::DropRecycleDep`] ignores the recycling
+    /// edges, [`Construction::DropHaloDep`] the halo edges, and every other
+    /// construction keeps them all (its bug is in how completions are
+    /// delivered, not in which edges exist). Dangling and self
+    /// dependencies are skipped; [`analyze`] reports them as G006.
+    pub fn effective_deps(&self, construction: Construction) -> Vec<Vec<usize>> {
+        let n = self.len();
+        (0..n)
+            .map(|i| {
+                self.deps[i]
+                    .iter()
+                    .copied()
+                    .filter(|&d| d < n && d != i)
+                    .filter(|&d| match construction {
+                        Construction::DropRecycleDep => !self.is_recycle_edge(i, d),
+                        Construction::DropHaloDep => !self.is_halo_edge(i, d),
+                        _ => true,
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Human-readable one-line description of node `i`, for traces.
@@ -384,44 +407,8 @@ impl SlotModel {
 }
 
 // ---------------------------------------------------------------------------
-// Disciplines and analysis configuration
+// Analysis configuration
 // ---------------------------------------------------------------------------
-
-/// How an executor honours the recorded dependency edges. The default
-/// ([`Discipline::CORRECT`]) honours all of them; each flag is the
-/// effective-edge weakening of one of the fuzzer's buggy
-/// [`Construction`](crate::fuzz::Construction)s, so the analyzer can prove
-/// the same bug classes statically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Discipline {
-    /// Ignore buffer-recycling edges (copy-out → copy-in for maps, plus
-    /// the stencil's halo-reader → copy-in and copy-out → compute forms).
-    pub drop_recycle: bool,
-    /// Ignore inter-chunk halo edges (neighbour copy-in → compute): the
-    /// stencil kernel reads boundary bytes that may not have landed.
-    pub drop_halo: bool,
-    /// A completion wakes only the statically-first dependent; an edge to
-    /// any later dependent delivers no notification (the waiter starves).
-    pub notify_one: bool,
-    /// A node becomes runnable on its *first* dependency's completion; an
-    /// edge `d -> i` is only guaranteed when `d` happens-before every
-    /// other dependency of `i` (so no earlier notifier can exist).
-    pub no_recheck: bool,
-    /// After a kernel panic, dependents are scheduled as if the compute
-    /// completed normally (no cancellation).
-    pub poison_skip: bool,
-}
-
-impl Discipline {
-    /// Honour every edge; poison cancels dependents.
-    pub const CORRECT: Discipline = Discipline {
-        drop_recycle: false,
-        drop_halo: false,
-        notify_one: false,
-        no_recheck: false,
-        poison_skip: false,
-    };
-}
 
 /// What [`analyze`] checks a graph against.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -431,8 +418,9 @@ pub struct AnalysisConfig {
     /// Addressable MCDRAM bytes for HBW-placed buffers; `None` skips the
     /// G003 capacity check.
     pub hbw_budget: Option<u64>,
-    /// The executor discipline to analyse under.
-    pub discipline: Discipline,
+    /// The executor to analyse the graph under: [`Construction::Correct`]
+    /// for the shipped one, a buggy construction to prove its bug.
+    pub construction: Construction,
     /// Model a kernel panic while computing this chunk (the static form
     /// of the fuzzer's `kernel_panic` fault): prove that nothing outside
     /// the guaranteed-cancelled dependents touches the poisoned slot.
@@ -444,7 +432,7 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             ring_slots: RING_SLOTS,
             hbw_budget: None,
-            discipline: Discipline::CORRECT,
+            construction: Construction::Correct,
             kernel_panic: None,
         }
     }
@@ -849,7 +837,7 @@ pub fn action_footprint(spec: &PipelineSpec, a: ChunkAction) -> Vec<(BufferKey, 
 // ---------------------------------------------------------------------------
 
 /// Prove (or refute) race-, deadlock-, and capacity-safety of `graph` over
-/// every linearization, under the configured executor discipline.
+/// every linearization, under the configured executor construction.
 ///
 /// The proofs are exhaustive for the schedule level the graph models: a
 /// clean report means *no* interleaving a dependency-honouring executor
@@ -883,16 +871,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
     }
 
     // Work on the valid edge set from here on.
-    let valid_deps: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            graph
-                .deps(i)
-                .iter()
-                .copied()
-                .filter(|&d| d < n && d != i)
-                .collect()
-        })
-        .collect();
+    let valid_deps = graph.effective_deps(Construction::Correct);
 
     // G002 — cycle detection. A cyclic graph has no linearizations at
     // all; report the cycle and stop (closure analyses assume a DAG).
@@ -916,27 +895,18 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
         };
     };
 
-    let disc = cfg.discipline;
+    let construction = cfg.construction;
+    let no_recheck = construction == Construction::NoRecheck;
 
-    // Effective edges, step 1: drop_recycle erases the recycling edges
-    // and drop_halo the inter-chunk halo edges.
-    let kept: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            valid_deps[i]
-                .iter()
-                .copied()
-                .filter(|&d| !(disc.drop_recycle && graph.is_recycle_edge(i, d)))
-                .filter(|&d| !(disc.drop_halo && graph.is_halo_edge(i, d)))
-                .collect()
-        })
-        .collect();
+    // Effective edges, step 1: the edges the construction waits on at all.
+    let kept = graph.effective_deps(construction);
     let anc_kept = closure(n, &kept, &topo);
 
-    // Effective edges, step 2: no_recheck keeps an edge `d -> i` only when
+    // Effective edges, step 2: NoRecheck keeps an edge `d -> i` only when
     // the executor's run-on-first-notification shortcut cannot fire before
     // `d` completes — i.e. `d` happens-before every other dependency of
     // `i`, so whichever notification arrives first, `d` is already done.
-    let eff: Vec<Vec<usize>> = if disc.no_recheck {
+    let eff: Vec<Vec<usize>> = if no_recheck {
         (0..n)
             .map(|i| {
                 let dl = &kept[i];
@@ -949,7 +919,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
     } else {
         kept.clone()
     };
-    let anc = if disc.no_recheck {
+    let anc = if no_recheck {
         closure(n, &eff, &topo)
     } else {
         anc_kept
@@ -959,7 +929,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
     // G002 — notify-one starvation: a waiter that is not the statically
     // first dependent of one of its dependencies never hears that
     // completion; anything downstream of a starved node starves too.
-    if disc.notify_one {
+    if construction == Construction::NotifyOne {
         let dependents = {
             let mut out = vec![Vec::new(); n];
             for (i, dl) in kept.iter().enumerate() {
@@ -1074,7 +1044,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
                     if i == p || a.slot != slot {
                         continue;
                     }
-                    let cancelled = !disc.poison_skip && anc[i].get(p);
+                    let cancelled = construction != Construction::PoisonSkipLock && anc[i].get(p);
                     let before_panic = anc[p].get(i);
                     if !cancelled && !before_panic {
                         findings.push(GraphFinding {
@@ -1276,7 +1246,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
 }
 
 /// Record the graph `drive()` emits for `spec` and [`analyze`] it under
-/// the shipped (correct) discipline. `hbw_budget` is the addressable
+/// the shipped (correct) construction. `hbw_budget` is the addressable
 /// MCDRAM for the G003 capacity bound (`None` skips it).
 ///
 /// Returns the report — check [`GraphReport::is_safe`] for the verdict;
@@ -1345,10 +1315,7 @@ mod tests {
     fn dropped_recycle_edges_race_and_overflow_the_ring() {
         let g = record_graph(&spec(4, false, Placement::Hbw)).unwrap();
         let cfg = AnalysisConfig {
-            discipline: Discipline {
-                drop_recycle: true,
-                ..Discipline::CORRECT
-            },
+            construction: Construction::DropRecycleDep,
             ..AnalysisConfig::default()
         };
         let r = analyze(&g, &spec(4, false, Placement::Hbw), &cfg);
@@ -1363,10 +1330,7 @@ mod tests {
         let s = spec(4, true, Placement::Hbw);
         let g = record_graph(&s).unwrap();
         let cfg = AnalysisConfig {
-            discipline: Discipline {
-                notify_one: true,
-                ..Discipline::CORRECT
-            },
+            construction: Construction::NotifyOne,
             ..AnalysisConfig::default()
         };
         let r = analyze(&g, &s, &cfg);
@@ -1383,10 +1347,7 @@ mod tests {
         let s = spec(4, true, Placement::Hbw);
         let g = record_graph(&s).unwrap();
         let cfg = AnalysisConfig {
-            discipline: Discipline {
-                no_recheck: true,
-                ..Discipline::CORRECT
-            },
+            construction: Construction::NoRecheck,
             ..AnalysisConfig::default()
         };
         let r = analyze(&g, &s, &cfg);
@@ -1398,16 +1359,13 @@ mod tests {
         let s = spec(4, false, Placement::Hbw);
         let g = record_graph(&s).unwrap();
         let cfg = AnalysisConfig {
-            discipline: Discipline {
-                poison_skip: true,
-                ..Discipline::CORRECT
-            },
+            construction: Construction::PoisonSkipLock,
             kernel_panic: Some(1),
             ..AnalysisConfig::default()
         };
         let r = analyze(&g, &s, &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
-        // The correct discipline cancels the dependents: no leak.
+        // The correct construction cancels the dependents: no leak.
         let cfg = AnalysisConfig {
             kernel_panic: Some(1),
             ..AnalysisConfig::default()
@@ -1539,10 +1497,7 @@ mod tests {
         let g = record_graph(&s).unwrap();
         let cfg = AnalysisConfig {
             ring_slots: s.ring_slots(),
-            discipline: Discipline {
-                drop_halo: true,
-                ..Discipline::CORRECT
-            },
+            construction: Construction::DropHaloDep,
             ..AnalysisConfig::default()
         };
         let r = analyze(&g, &s, &cfg);
@@ -1582,10 +1537,7 @@ mod tests {
         // Dropping recycle edges must blow both race and ring-width.
         let cfg = AnalysisConfig {
             ring_slots: s.ring_slots(),
-            discipline: Discipline {
-                drop_recycle: true,
-                ..Discipline::CORRECT
-            },
+            construction: Construction::DropRecycleDep,
             ..AnalysisConfig::default()
         };
         let r = analyze(&g, &s, &cfg);

@@ -9,10 +9,10 @@
 //! machine: each of the [`RING_SLOTS`](crate::RING_SLOTS) slots cycles
 //! `Empty(c) → Filled(c) → Computed(c) → Empty(c + RING_SLOTS)`, and a
 //! coordinator blocks in [`BufSlot::await_phase`] until the phase that
-//! hands it the buffer arrives. The condvar discipline used here is
-//! machine-checked in `mlm-verify` (`models::ring` for the phase baton,
-//! `models::condvar` for the wakeup protocol); the audit notes on each
-//! method point at the checker variant that fails without it.
+//! hands it the buffer arrives. The phase baton and the condvar wakeup
+//! protocol are machine-checked in `mlm-verify` (`models::condvar`, which
+//! uses this module's [`Phase`]); the audit notes on each method point at
+//! the checker variant that fails without it.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 /// Lifecycle of one ring slot. A slot cycles
 /// `Empty(c) → Filled(c) → Computed(c) → Empty(c + RING_SLOTS)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Free for copy-in of chunk `chunk`.
     Empty,
@@ -68,9 +68,9 @@ pub struct BufSlot<T> {
 // `T: Send` licenses. Dropping to no bound would be unsound: e.g.
 // `BufSlot<Rc<u64>>` would let copy-in clone `Rc`s that compute then
 // drops on another thread, racing the non-atomic refcount. The protocol
-// itself is machine-checked in `mlm-verify` (`models::ring` for the phase
-// baton, `models::condvar` for the wakeup discipline); this impl is the
-// one line the checker cannot see, so the argument lives here.
+// itself is machine-checked in `mlm-verify` (`models::condvar`, the phase
+// baton and the wakeup discipline); this impl is the one line the checker
+// cannot see, so the argument lives here.
 //
 // Compile-fail check (rustdoc does not run doctests on private items, so
 // this is documentation, not an executed test — the claim it records is

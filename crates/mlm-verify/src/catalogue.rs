@@ -1,0 +1,184 @@
+//! The must-fail catalogue: one row per buggy executor construction.
+//!
+//! Each bug of the buffer-ring protocol is written down once, here, and
+//! every layer that must catch it reads its row:
+//!
+//! * the `graph` battery ([`crate::graph`]) analyses the row's spec as
+//!   the construction would execute it and must fire the row's G-codes,
+//!   each with a counterexample trace — no fuzz seeds involved;
+//! * the `fuzz` battery ([`crate::fuzzsuite`]) replays the row's shrunk
+//!   decision trace, which must reproduce the row's violation kind on the
+//!   buggy construction and run clean on [`Construction::Correct`];
+//! * the `models` battery ([`crate::suite`]) checks the condvar model the
+//!   row mirrors, if it has one, and that check must fail.
+//!
+//! Seeds and traces are data, not code: if a schedule change invalidates
+//! one, re-run `mlm-verify fuzz --construction <name>` and commit the
+//! first finding it prints.
+
+use mlm_exec::fuzz::{corpus_spec, corpus_stencil_spec, Construction, FaultPlan, FuzzCase};
+use mlm_exec::graph::{analyze, record_graph, AnalysisConfig, GraphReport};
+use mlm_exec::{DriveError, PipelineSpec, Placement, Stage};
+
+use crate::models::condvar::{CondvarModel, CvVariant};
+
+/// One buggy construction and what each layer must report about it.
+#[derive(Debug, Clone, Copy)]
+pub struct BugRow {
+    /// The buggy executor.
+    pub construction: Construction,
+    /// What goes wrong, in one line (the fuzz regression's name).
+    pub what: &'static str,
+    /// Lockstep schedule (`false`: dataflow).
+    pub lockstep: bool,
+    /// Stencil workload (`false`: map).
+    pub stencil: bool,
+    /// Chunk whose kernel panics, for bugs that live on the poison path.
+    pub kernel_panic: Option<usize>,
+    /// G-codes the static analyzer must fire.
+    pub g_codes: &'static [&'static str],
+    /// The violation kind ([`mlm_exec::fuzz::Violation::kind`]) the
+    /// committed trace reproduces.
+    pub fuzz_kind: &'static str,
+    /// Seed whose adversarial schedule first exposed the violation.
+    pub seed: u64,
+    /// Shrunk decision trace (at most 20 decisions) that replays it.
+    pub shrunk: &'static [u32],
+    /// The condvar regression model this row mirrors at mutex/condvar
+    /// granularity, if any; it must fail the model check.
+    pub condvar: Option<CondvarModel>,
+}
+
+impl BugRow {
+    /// The four-chunk corpus spec the row runs on.
+    pub fn spec(&self) -> PipelineSpec {
+        if self.stencil {
+            corpus_stencil_spec(256, self.lockstep)
+        } else {
+            corpus_spec(256, Placement::Hbw, self.lockstep)
+        }
+    }
+
+    /// The row's fuzz case, executed by `construction` — the row's own to
+    /// catch the bug, [`Construction::Correct`] to show the trace is clean.
+    pub fn fuzz_case(&self, construction: Construction) -> FuzzCase {
+        FuzzCase {
+            name: self.construction.name().into(),
+            spec: self.spec(),
+            construction,
+            faults: FaultPlan {
+                kernel_panic: self.kernel_panic,
+                ..FaultPlan::NONE
+            },
+        }
+    }
+
+    /// The static analyzer's verdict on the row's schedule as the buggy
+    /// construction executes it.
+    pub fn graph_report(&self) -> Result<GraphReport, DriveError> {
+        let spec = self.spec();
+        let cfg = AnalysisConfig {
+            ring_slots: spec.ring_slots(),
+            construction: self.construction,
+            kernel_panic: self.kernel_panic,
+            ..AnalysisConfig::default()
+        };
+        Ok(analyze(&record_graph(&spec)?, &spec, &cfg))
+    }
+}
+
+/// Every buggy construction, once.
+pub const CATALOGUE: [BugRow; 5] = [
+    // Drop the copy-out → copy-in buffer-recycling edges and a later
+    // chunk's copy-in lands on a slot still holding live data.
+    BugRow {
+        construction: Construction::DropRecycleDep,
+        what: "fuzz-regression: dropped recycling edge clobbers a live slot",
+        lockstep: false,
+        stencil: false,
+        kernel_panic: None,
+        g_codes: &["G001", "G004"],
+        fuzz_kind: "slot-clash",
+        seed: 0,
+        shrunk: &[3],
+        condvar: None,
+    },
+    // After a kernel panic the executor keeps scheduling the panicked
+    // chunk's dependents; the copy-out touches the poisoned slot instead
+    // of being cancelled.
+    BugRow {
+        construction: Construction::PoisonSkipLock,
+        what: "fuzz-regression: poison ignored, dependent touches poisoned slot",
+        lockstep: false,
+        stencil: false,
+        kernel_panic: Some(1),
+        g_codes: &["G001"],
+        fuzz_kind: "poison-touched",
+        seed: 0,
+        shrunk: &[],
+        condvar: Some(CondvarModel {
+            slots: 3,
+            chunks: 3,
+            variant: CvVariant::PoisonSkipLock,
+            panic_at: Some((Stage::Compute, 0)),
+            spurious_budget: 0,
+        }),
+    },
+    // A barrier completion wakes only its first waiter; the rest of the
+    // step starves.
+    BugRow {
+        construction: Construction::NotifyOne,
+        what: "fuzz-regression: notify-one wakeup starves later waiters",
+        lockstep: true,
+        stencil: false,
+        kernel_panic: None,
+        g_codes: &["G002"],
+        fuzz_kind: "deadlock",
+        seed: 0,
+        shrunk: &[],
+        condvar: Some(CondvarModel {
+            slots: 3,
+            chunks: 4,
+            variant: CvVariant::NotifyOne,
+            panic_at: None,
+            spurious_budget: 0,
+        }),
+    },
+    // A barrier becomes runnable on its first dependency's completion
+    // without rechecking the rest; the next step opens while the previous
+    // one is still in flight.
+    BugRow {
+        construction: Construction::NoRecheck,
+        what: "fuzz-regression: missing predicate recheck opens the step early",
+        lockstep: true,
+        stencil: false,
+        kernel_panic: None,
+        g_codes: &["G001"],
+        fuzz_kind: "slot-clash",
+        seed: 0,
+        shrunk: &[0, 0, 1, 1, 1, 2],
+        condvar: Some(CondvarModel {
+            slots: 3,
+            chunks: 4,
+            variant: CvVariant::NoRecheck,
+            panic_at: None,
+            spurious_budget: 0,
+        }),
+    },
+    // The stencil compute no longer waits for its right neighbour's
+    // stage-in; the kernel folds a missing halo into the output. Lockstep
+    // stencils are immune (barriers order every step), so the row is
+    // dataflow.
+    BugRow {
+        construction: Construction::DropHaloDep,
+        what: "fuzz-regression: dropped halo edge folds stale neighbour data",
+        lockstep: false,
+        stencil: true,
+        kernel_panic: None,
+        g_codes: &["G001"],
+        fuzz_kind: "wrong-output",
+        seed: 0,
+        shrunk: &[0, 0, 3],
+        condvar: None,
+    },
+];

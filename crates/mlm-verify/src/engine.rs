@@ -67,7 +67,7 @@ pub fn checked_program(target: &VerifyTarget<'_>) -> Result<(Program, LintReport
     // addressable MCDRAM. A spec the recorder cannot even drive is a
     // linter gap, same as a lowering failure.
     let graph_report = crate::graph::graph_report_for(target.spec, target.machine)
-        .map_err(VerifyError::Lowering)?;
+        .map_err(|e| VerifyError::Lowering(e.to_string()))?;
     report
         .diagnostics
         .extend(crate::graph::report_diagnostics(&graph_report));

@@ -1,270 +1,180 @@
-//! The schedule-fuzzing battery: clean corpus sweeps plus committed
-//! must-fail regression seeds.
+//! The schedule-fuzzing battery: clean corpus sweeps plus the committed
+//! must-fail regression traces.
 //!
 //! The model checker ([`crate::check`]) explores hand-built models of the
-//! ring/condvar/PSRS protocols; [`mlm_exec::fuzz`] adversarially executes
-//! the *actual* schedule `drive()` issues. This module ties the two
-//! together the same way [`crate::suite`] does for models:
+//! condvar/PSRS protocols; [`mlm_exec::fuzz`] adversarially executes the
+//! *actual* schedule `drive()` issues. This module ties the two together
+//! the same way [`crate::suite`] does for models:
 //!
 //! * [`run_fuzz_corpus`] sweeps the default corpus (every placement and
 //!   schedule mode, [`Construction::Correct`], no faults) over N seeds per
 //!   case — any finding is a real orchestrator bug and fails CI;
-//! * [`regression_seeds`] are the five committed must-fail seeds: one
-//!   per model-checker regression model mirrored at the `drive()` level,
-//!   plus the stencil family's dropped-halo-edge class. Each carries the
-//!   seed that found it and the shrunk decision trace
-//!   ([`FuzzRegression::shrunk`], all ≤ 20 decisions);
-//!   [`run_fuzz_regressions`] asserts that the buggy construction still
-//!   reproduces the violation *and* that the identical trace runs clean
-//!   under [`Construction::Correct`] — if either stops being true, the
-//!   fuzzer has lost the bug class.
+//! * [`run_fuzz_regressions`] replays the shrunk trace of every row of
+//!   the must-fail [`CATALOGUE`] and asserts that the buggy construction
+//!   still reproduces the row's violation *and* that the identical trace
+//!   runs clean under [`Construction::Correct`] — if either stops being
+//!   true, the fuzzer has lost the bug class.
 //!
-//! The traces were discovered with the `fuzz_exec` harness
-//! (`fuzz_exec --construction notify-one ...`) and shrunk automatically;
-//! see EXPERIMENTS.md for reproducing one from scratch.
+//! `mlm-verify fuzz --construction <name>` runs the corpus as a buggy
+//! construction and prints each case's first finding, shrunk: that is how
+//! the catalogue's traces were found (see EXPERIMENTS.md).
 
-use mlm_exec::fuzz::{
-    corpus_spec, corpus_stencil_spec, default_corpus, fuzz_case, replay, Construction, FaultPlan,
-    Finding, FuzzCase, Outcome, Violation,
-};
-use mlm_exec::{Placement, Stage};
+use mlm_exec::fuzz::{default_corpus, fuzz_case, replay, Construction, Finding, FuzzCase, Outcome};
+use mlm_exec::DriveError;
 
-/// A committed fuzz regression: a buggy executor construction, the seed
-/// that first exposed it, and the shrunk replay trace.
-#[derive(Debug, Clone)]
-pub struct FuzzRegression {
-    /// Stable name, mirroring the model-checker regression it shadows.
-    pub name: &'static str,
-    /// The model-checker regression this is the `drive()`-level analogue
-    /// of (for cross-referencing `mlm-verify models` output).
-    pub mirrors: &'static str,
-    /// The case (spec + buggy construction + faults) that must fail.
-    pub case: FuzzCase,
-    /// Seed whose adversarial schedule first exposed the violation.
-    pub seed: u64,
-    /// Shrunk decision trace; replaying it reproduces the violation.
-    pub shrunk: Vec<u32>,
-    /// Expected violation class ([`Violation::kind`]).
-    pub expect_kind: &'static str,
-}
+use crate::catalogue::CATALOGUE;
 
-/// Outcome of running one fuzz regression.
+/// Outcome of replaying one catalogue row's trace.
 #[derive(Debug, Clone)]
 pub struct FuzzRegressionRun {
-    /// The regression's stable name.
+    /// The row's one-line name.
     pub name: &'static str,
     /// What the buggy construction produced on the committed trace.
     pub buggy_violation: Option<String>,
-    /// Whether the violation matched the expected class.
+    /// Whether the violation matched the row's kind.
     pub caught: bool,
     /// Whether the same trace runs clean under the correct construction.
     pub clean_on_correct: bool,
     /// Trace length (must stay ≤ 20 to remain a useful regression).
     pub trace_len: usize,
+    /// Set when the row's case could not be driven at all.
+    pub error: Option<DriveError>,
 }
 
 impl FuzzRegressionRun {
     /// True when the regression still does its job.
     pub fn ok(&self) -> bool {
-        self.caught && self.clean_on_correct && self.trace_len <= 20
+        self.error.is_none() && self.caught && self.clean_on_correct && self.trace_len <= 20
     }
 }
 
-/// The five committed must-fail seeds: the model checker's regression
-/// battery mirrored at the `drive()` schedule level, plus the stencil
-/// family's dropped-halo-edge class (which has no model-checker
-/// counterpart — the halo edges exist only in the generic plan IR).
-/// Seeds and traces were found by `fuzz_exec` and shrunk; they are data,
-/// not code — if a schedule change invalidates one, re-run
-/// `fuzz_exec --construction <name>` and commit the new trace.
-pub fn regression_seeds() -> Vec<FuzzRegression> {
-    let dataflow = || corpus_spec(256, Placement::Hbw, false);
-    let lockstep = || corpus_spec(256, Placement::Hbw, true);
-    vec![
-        // Pre-PR-2 PSRS race analogue: drop the copy-out → copy-in
-        // buffer-recycling edges and a later chunk's copy-in lands on a
-        // slot still holding live data.
-        FuzzRegression {
-            name: "fuzz-regression: dropped recycling edge clobbers a live slot",
-            mirrors: "psrs exchange (strict receive order) — pre-PR-2 race",
-            case: FuzzCase {
-                name: "hbw-dataflow-4".into(),
-                spec: dataflow(),
-                construction: Construction::DropRecycleDep,
-                faults: FaultPlan::NONE,
-            },
-            seed: 0,
-            shrunk: vec![3],
-            expect_kind: "slot-clash",
-        },
-        // PoisonSkipLock: after a kernel panic the executor keeps
-        // scheduling the panicked chunk's dependents; the copy-out
-        // touches the poisoned slot instead of being cancelled.
-        FuzzRegression {
-            name: "fuzz-regression: poison ignored, dependent touches poisoned slot",
-            mirrors: "condvar regression PoisonSkipLock",
-            case: FuzzCase {
-                name: "hbw-dataflow-4".into(),
-                spec: dataflow(),
-                construction: Construction::PoisonSkipLock,
-                faults: FaultPlan {
-                    kernel_panic: Some(1),
-                    ..FaultPlan::NONE
-                },
-            },
-            seed: 0,
-            shrunk: vec![],
-            expect_kind: "poison-touched",
-        },
-        // NotifyOne: a barrier completion wakes only its first waiter;
-        // the rest of the step starves.
-        FuzzRegression {
-            name: "fuzz-regression: notify-one wakeup starves later waiters",
-            mirrors: "condvar regression NotifyOne",
-            case: FuzzCase {
-                name: "hbw-lockstep-4".into(),
-                spec: lockstep(),
-                construction: Construction::NotifyOne,
-                faults: FaultPlan::NONE,
-            },
-            seed: 0,
-            shrunk: vec![],
-            expect_kind: "deadlock",
-        },
-        // NoRecheck: a barrier becomes runnable on its first dependency's
-        // completion without rechecking the rest; the next step opens
-        // while the previous one is still in flight.
-        FuzzRegression {
-            name: "fuzz-regression: missing predicate recheck opens the step early",
-            mirrors: "condvar regression NoRecheck",
-            case: FuzzCase {
-                name: "hbw-lockstep-4".into(),
-                spec: lockstep(),
-                construction: Construction::NoRecheck,
-                faults: FaultPlan::NONE,
-            },
-            seed: 0,
-            shrunk: vec![0, 0, 1, 1, 1, 2],
-            expect_kind: "slot-clash",
-        },
-        // DropHaloDep: the stencil compute no longer waits for its right
-        // neighbour's stage-in; the adversarial schedule runs it first
-        // and the kernel folds a missing halo into the output. Lockstep
-        // stencils are immune (barriers order every step), so the
-        // committed case is dataflow.
-        FuzzRegression {
-            name: "fuzz-regression: dropped halo edge folds stale neighbour data",
-            mirrors: "stencil halo exchange — no model-checker counterpart",
-            case: FuzzCase {
-                name: "stencil-dataflow-4".into(),
-                spec: corpus_stencil_spec(256, false),
-                construction: Construction::DropHaloDep,
-                faults: FaultPlan::NONE,
-            },
-            seed: 0,
-            shrunk: vec![0, 0, 3],
-            expect_kind: "wrong-output",
-        },
-    ]
-}
-
-/// Run every committed regression seed: replay the shrunk trace on the
-/// buggy construction (must reproduce the expected violation class) and
-/// on [`Construction::Correct`] (must run clean).
+/// Replay every catalogue row's trace on its buggy construction (must
+/// reproduce the row's violation kind) and on [`Construction::Correct`]
+/// (must run clean). A row whose case cannot be driven comes back failed,
+/// carrying the error, rather than aborting the battery.
 pub fn run_fuzz_regressions() -> Vec<FuzzRegressionRun> {
-    regression_seeds()
-        .into_iter()
-        .map(|reg| {
-            let buggy = replay(&reg.case, &reg.shrunk)
-                .expect("committed regression case must be driveable");
-            let caught = buggy
-                .outcome
-                .violation()
-                .is_some_and(|v| v.kind() == reg.expect_kind);
-            let mut correct_case = reg.case.clone();
-            correct_case.construction = Construction::Correct;
-            let clean = replay(&correct_case, &reg.shrunk)
-                .expect("committed regression case must be driveable");
-            // With the poison fault still injected, "clean" means the
-            // correct construction drains the poison instead of touching
-            // the slot.
-            let clean_on_correct = !matches!(clean.outcome, Outcome::Violation(_));
-            FuzzRegressionRun {
-                name: reg.name,
-                buggy_violation: buggy.outcome.violation().map(Violation::to_string),
-                caught,
-                clean_on_correct,
-                trace_len: reg.shrunk.len(),
+    CATALOGUE
+        .iter()
+        .map(|row| {
+            let mut run = FuzzRegressionRun {
+                name: row.what,
+                buggy_violation: None,
+                caught: false,
+                clean_on_correct: false,
+                trace_len: row.shrunk.len(),
+                error: None,
+            };
+            let on = |construction| replay(&row.fuzz_case(construction), row.shrunk);
+            match (on(row.construction), on(Construction::Correct)) {
+                (Ok(buggy), Ok(clean)) => {
+                    let violation = buggy.outcome.violation();
+                    run.caught = violation.is_some_and(|v| v.kind() == row.fuzz_kind);
+                    run.buggy_violation = violation.map(ToString::to_string);
+                    // With the poison fault still injected, "clean" means
+                    // the correct construction drains the poison instead of
+                    // touching the slot.
+                    run.clean_on_correct = !matches!(clean.outcome, Outcome::Violation(_));
+                }
+                (Err(e), _) | (_, Err(e)) => run.error = Some(e),
             }
+            run
         })
         .collect()
 }
 
-/// Sweep the clean default corpus with `seeds` adversarial schedules per
-/// case. Returns every finding (shrunk); an empty vector is a pass.
-pub fn run_fuzz_corpus(seeds: u64) -> Vec<Finding> {
+/// The default corpus as `mlm-verify fuzz` narrows it: the cases whose
+/// name contains `filter`, executed by `construction`, with a kernel panic
+/// on chunk `panic_chunk`. A fault must address an action the schedule
+/// issues, so cases with too few chunks for the panic are dropped.
+pub fn fuzz_corpus(
+    filter: Option<&str>,
+    construction: Construction,
+    panic_chunk: Option<usize>,
+) -> Vec<FuzzCase> {
     default_corpus()
-        .iter()
-        .flat_map(|case| fuzz_case(case, 0, seeds).expect("corpus cases are driveable"))
+        .into_iter()
+        .filter(|c| filter.is_none_or(|f| c.name.contains(f)))
+        .filter(|c| panic_chunk.is_none_or(|k| c.spec.n_chunks() > k))
+        .map(|mut c| {
+            c.construction = construction;
+            c.faults.kernel_panic = panic_chunk;
+            c
+        })
         .collect()
 }
 
-/// The corpus the sweep covers, for `mlm-verify list`-style output:
-/// `(case name, nodes are correct-construction, faults injected)`.
-pub fn fuzz_catalog() -> Vec<String> {
-    default_corpus().into_iter().map(|c| c.name).collect()
-}
-
-/// Sanity anchor for the suite: the regression battery must reference
-/// all five construction classes, both schedule modes, and both workload
-/// families.
-pub fn regression_coverage_is_complete() -> bool {
-    let regs = regression_seeds();
-    let classes: std::collections::BTreeSet<&str> =
-        regs.iter().map(|r| r.case.construction.name()).collect();
-    let has_lockstep = regs.iter().any(|r| r.case.spec.lockstep);
-    let has_dataflow = regs.iter().any(|r| !r.case.spec.lockstep);
-    let has_fault = regs.iter().any(|r| r.case.faults.kernel_panic.is_some());
-    let has_stencil = regs
-        .iter()
-        .any(|r| matches!(r.case.spec.workload, mlm_exec::Workload::Stencil { .. }));
-    classes.len() == 5 && has_lockstep && has_dataflow && has_fault && has_stencil && {
-        // Keep the Stage type in the public signature space honest: the
-        // fault taxonomy addresses actions by (stage, chunk).
-        let _ = Stage::Compute;
-        true
+/// Sweep `corpus` over the seeds `base..base + seeds`; findings come back
+/// shrunk. A [`Construction::Correct`] case reports every finding (each
+/// is an orchestrator bug); a buggy construction stops at its first
+/// finding per case, which is all a must-fail run needs. `Err` means a
+/// case cannot be driven.
+pub fn run_fuzz_corpus(
+    corpus: &[FuzzCase],
+    base: u64,
+    seeds: u64,
+) -> Result<Vec<Finding>, DriveError> {
+    let mut findings = Vec::new();
+    for case in corpus {
+        if case.construction == Construction::Correct {
+            findings.extend(fuzz_case(case, base, seeds)?);
+            continue;
+        }
+        for seed in base..base + seeds {
+            if let Some(first) = fuzz_case(case, seed, 1)?.into_iter().next() {
+                findings.push(first);
+                break;
+            }
+        }
     }
+    Ok(findings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::BugRow;
 
     #[test]
     fn committed_regressions_still_bite_and_pass_on_main() {
         for run in run_fuzz_regressions() {
             assert!(
                 run.ok(),
-                "{}: caught={} clean_on_correct={} trace_len={} ({:?})",
+                "{}: caught={} clean_on_correct={} trace_len={} ({:?}, {:?})",
                 run.name,
                 run.caught,
                 run.clean_on_correct,
                 run.trace_len,
-                run.buggy_violation
+                run.buggy_violation,
+                run.error
             );
         }
     }
 
+    /// Every non-`Correct` construction has exactly one catalogue row,
+    /// and the rows together cover lockstep and dataflow, map and stencil,
+    /// and a fault.
     #[test]
     fn regression_battery_covers_all_five_classes() {
-        assert!(regression_coverage_is_complete());
+        for construction in Construction::ALL {
+            let rows = CATALOGUE
+                .iter()
+                .filter(|r| r.construction == construction)
+                .count();
+            let want = usize::from(construction != Construction::Correct);
+            assert_eq!(rows, want, "{}", construction.name());
+        }
+        let any = |p: fn(&BugRow) -> bool| CATALOGUE.iter().any(p);
+        assert!(any(|r| r.lockstep) && any(|r| !r.lockstep));
+        assert!(any(|r| r.stencil) && any(|r| !r.stencil));
+        assert!(any(|r| r.kernel_panic.is_some()));
     }
 
     #[test]
     fn small_corpus_sweep_is_clean() {
         // The full 1000-seed sweep is the CI `fuzz` job; keep the unit
         // test fast but real.
-        let findings = run_fuzz_corpus(25);
+        let corpus = fuzz_corpus(None, Construction::Correct, None);
+        let findings = run_fuzz_corpus(&corpus, 0, 25).unwrap();
         assert!(findings.is_empty(), "{findings:?}");
     }
 }

@@ -15,17 +15,18 @@
 //!   ablation shape, the largest serve-trace batch, the out-of-core
 //!   stencil) must prove the same against the paper machine's
 //!   addressable MCDRAM;
-//! * the five buggy [`Construction`]s the fuzzer finds dynamically must
-//!   each be flagged by a G-diagnostic with a counterexample trace, *no
-//!   fuzz seeds involved* — the analyzer subsumes the sampled findings.
+//! * the five buggy constructions of the must-fail [`CATALOGUE`], which
+//!   the fuzzer finds dynamically, must each be flagged by a G-diagnostic
+//!   with a counterexample trace, *no fuzz seeds involved* — the analyzer
+//!   subsumes the sampled findings.
 
 use knl_sim::machine::MachineConfig;
 use mlm_core::pipeline::{PipelineSpec, Placement, Workload};
-use mlm_exec::fuzz::{corpus_spec, corpus_stencil_spec, default_corpus, Construction};
-use mlm_exec::graph::{
-    analyze, record_graph, AnalysisConfig, GraphCheck, GraphFinding, GraphReport,
-};
+use mlm_exec::fuzz::default_corpus;
+use mlm_exec::graph::{GraphCheck, GraphFinding, GraphReport};
+use mlm_exec::DriveError;
 
+use crate::catalogue::CATALOGUE;
 use crate::diag::{Diagnostic, Severity};
 use crate::suite::{paper_machine, paper_spec};
 
@@ -84,9 +85,9 @@ pub fn report_diagnostics(report: &GraphReport) -> Vec<Diagnostic> {
 pub fn graph_report_for(
     spec: &PipelineSpec,
     machine: &MachineConfig,
-) -> Result<GraphReport, String> {
+) -> Result<GraphReport, DriveError> {
     let budget = (spec.placement == Placement::Hbw).then(|| machine.addressable_mcdram());
-    mlm_exec::graph::verify_spec(spec, budget).map_err(String::from)
+    mlm_exec::graph::verify_spec(spec, budget)
 }
 
 /// The committed experiment specs CI re-proves on every run: the paper's
@@ -155,7 +156,7 @@ pub struct GraphCase {
     /// trace); empty means the schedule must prove safe.
     pub expect: Vec<&'static str>,
     /// What the analyzer said (`Err`: the spec could not be driven).
-    pub report: Result<GraphReport, String>,
+    pub report: Result<GraphReport, DriveError>,
 }
 
 impl GraphCase {
@@ -185,8 +186,8 @@ impl GraphCase {
 /// 1. all 35 fuzz-corpus cases (both workload families), proven safe
 ///    against the paper machine;
 /// 2. every committed experiment spec, proven safe;
-/// 3. the five buggy constructions analysed under their discipline
-///    weakening — each must be flagged statically with a trace.
+/// 3. the five buggy constructions of the catalogue, each analysed as it
+///    would execute — each must be flagged statically with a trace.
 pub fn run_graph_suite() -> Vec<GraphCase> {
     let machine = paper_machine();
     let mut cases = Vec::new();
@@ -207,80 +208,15 @@ pub fn run_graph_suite() -> Vec<GraphCase> {
         });
     }
 
-    // The five must-fail constructions, mirrored from the fuzz
-    // regression battery ([`crate::fuzzsuite::regression_seeds`]) — but
-    // proven statically: the discipline weakening is applied to the
-    // recorded graph and the analyzer must produce the finding with no
+    // The five must-fail constructions of the catalogue, proven
+    // statically: the recorded graph is analysed as the buggy construction
+    // executes it, and the analyzer must produce the finding with no
     // schedule sampling at all.
-    struct MustFail {
-        name: &'static str,
-        lockstep: bool,
-        stencil: bool,
-        construction: Construction,
-        kernel_panic: Option<usize>,
-        expect: &'static [&'static str],
-    }
-    let must_fail = [
-        MustFail {
-            name: "drop-recycle-dep",
-            lockstep: false,
-            stencil: false,
-            construction: Construction::DropRecycleDep,
-            kernel_panic: None,
-            expect: &["G001", "G004"],
-        },
-        MustFail {
-            name: "poison-skip-lock",
-            lockstep: false,
-            stencil: false,
-            construction: Construction::PoisonSkipLock,
-            kernel_panic: Some(1),
-            expect: &["G001"],
-        },
-        MustFail {
-            name: "notify-one",
-            lockstep: true,
-            stencil: false,
-            construction: Construction::NotifyOne,
-            kernel_panic: None,
-            expect: &["G002"],
-        },
-        MustFail {
-            name: "no-recheck",
-            lockstep: true,
-            stencil: false,
-            construction: Construction::NoRecheck,
-            kernel_panic: None,
-            expect: &["G001"],
-        },
-        MustFail {
-            name: "drop-halo-dep",
-            lockstep: false,
-            stencil: true,
-            construction: Construction::DropHaloDep,
-            kernel_panic: None,
-            expect: &["G001"],
-        },
-    ];
-    for mf in must_fail {
-        let spec = if mf.stencil {
-            corpus_stencil_spec(256, mf.lockstep)
-        } else {
-            corpus_spec(256, Placement::Hbw, mf.lockstep)
-        };
-        let report = record_graph(&spec).map(|g| {
-            let cfg = AnalysisConfig {
-                ring_slots: spec.ring_slots(),
-                discipline: mf.construction.discipline(),
-                kernel_panic: mf.kernel_panic,
-                ..AnalysisConfig::default()
-            };
-            analyze(&g, &spec, &cfg)
-        });
+    for row in &CATALOGUE {
         cases.push(GraphCase {
-            name: format!("construction/{}", mf.name),
-            expect: mf.expect.to_vec(),
-            report: report.map_err(String::from),
+            name: format!("construction/{}", row.construction.name()),
+            expect: row.g_codes.to_vec(),
+            report: row.graph_report(),
         });
     }
 
@@ -303,7 +239,7 @@ mod tests {
                 case.report
                     .as_ref()
                     .map(|r| r.to_string())
-                    .unwrap_or_else(|e| e.clone())
+                    .unwrap_or_else(|e| e.to_string())
             );
         }
     }
@@ -344,13 +280,7 @@ mod tests {
 
     #[test]
     fn diagnostics_mirror_the_v_series_shape() {
-        let spec = corpus_spec(256, Placement::Hbw, false);
-        let g = record_graph(&spec).unwrap();
-        let cfg = AnalysisConfig {
-            discipline: Construction::DropRecycleDep.discipline(),
-            ..AnalysisConfig::default()
-        };
-        let report = analyze(&g, &spec, &cfg);
+        let report = CATALOGUE[0].graph_report().unwrap();
         let diags = report_diagnostics(&report);
         assert!(!diags.is_empty());
         for d in &diags {

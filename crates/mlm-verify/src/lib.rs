@@ -2,7 +2,7 @@
 //!
 //! The runtime crates (`mlm-core`, `mlm-cluster`, `knl-sim`) execute and
 //! simulate the paper's multi-level-memory pipelines; this crate checks
-//! them *before* anything runs, at four layers:
+//! them *before* anything runs, at five layers:
 //!
 //! 1. **Spec linting** ([`lint`], [`diag`]) — a registry of lints
 //!    validates a [`mlm_core::pipeline::PipelineSpec`] against the machine
@@ -15,14 +15,14 @@
 //!    simulator.
 //!
 //! 2. **Schedule model checking** ([`check`], [`models`]) — the host
-//!    pipeline's buffer-ring protocol and the cluster's PSRS message
+//!    buffer ring's condvar protocol and the cluster's PSRS message
 //!    protocol, expressed as explicit transition systems and explored
 //!    exhaustively (DFS, state hashing, partial-order reduction) for
 //!    deadlock-freedom, exclusive buffer ownership, poison drain, and
-//!    protocol-order invariants. Deliberately broken variants — the
-//!    seed's PSRS race, poison-without-locks, `notify_one`, missing
-//!    predicate re-checks — are kept as regression models that must keep
-//!    failing.
+//!    protocol-order invariants — what no dependency graph can see.
+//!    Deliberately broken variants — the seed's PSRS race,
+//!    poison-without-locks, `notify_one`, missing predicate re-checks —
+//!    are kept as regression models that must keep failing.
 //!
 //! 3. **Static graph verification** ([`graph`], over
 //!    [`mlm_exec::graph`]) — the analyzer consumes the exact dependency
@@ -36,8 +36,13 @@
 //! 4. **Schedule fuzzing** ([`fuzzsuite`], over [`mlm_exec::fuzz`]) — the
 //!    complement of the proofs: seed-controlled adversarial execution of
 //!    the *actual* schedule `drive()` issues, sweeping every placement
-//!    and schedule mode plus committed must-fail regression seeds that
-//!    mirror the model battery at the `drive()` level (`mlm-verify fuzz`).
+//!    and schedule mode plus committed must-fail regression traces
+//!    (`mlm-verify fuzz`).
+//!
+//!    Layers 2–4 share one list of must-fail cases, the [`catalogue`]:
+//!    one row per buggy executor construction, holding the G-codes the
+//!    analyzer must fire, the fuzz trace that must reproduce the bug, and
+//!    the condvar model it mirrors, so no layer restates another's bugs.
 //!
 //! 5. **Fleet battery** ([`fleetsuite`], over [`mlm_fleet`]) — dynamic
 //!    invariant checks on the multi-node dispatcher: job conservation,
@@ -48,13 +53,14 @@
 //!    reject at submission fails the plan before anything runs.
 //!
 //! What the checker proves is bounded: it verifies the *protocol* for
-//! concrete small geometries (3-slot ring, up to a handful of chunks and
-//! workers; 2–4 cluster nodes), not the Rust implementation itself, and
-//! state counts grow combinatorially with those parameters. The models
-//! are kept line-for-line close to `host.rs` so a protocol change there
-//! should be mirrored here — the [`suite`] ties the two together in CI
-//! via `cargo run -p mlm-verify -- check-all`.
+//! concrete small geometries (1–4 slot rings, up to a handful of chunks;
+//! 2–4 cluster nodes), not the Rust implementation itself, and state
+//! counts grow combinatorially with those parameters. The condvar model
+//! is kept line-for-line close to `mlm_exec::ring` (and uses its `Phase`)
+//! so a protocol change there should be mirrored here — the [`suite`]
+//! ties the two together in CI via `cargo run -p mlm-verify -- check-all`.
 
+pub mod catalogue;
 pub mod check;
 pub mod diag;
 pub mod engine;

@@ -1,8 +1,13 @@
 //! Mutex/condvar-granularity model of the buffer-ring synchronization.
 //!
-//! The phase-level [`super::ring`] model treats `await_phase`/`publish` as
-//! atomic. This model opens them up to the granularity where lost-wakeup
-//! bugs live, mirroring `mlm-core/src/pipeline/host.rs`:
+//! Three stage coordinators (copy-in, compute, copy-out) walk the chunk
+//! sequence, synchronizing only through a ring of `slots` buffers whose
+//! per-slot [`Phase`] cycles `Empty(c) → Filled(c) → Computed(c) →
+//! Empty(c + slots)`. Each coordinator's fan-out to its stage pool is not
+//! modelled: `StagePool::scoped` is a join, which cannot lose a wakeup, so
+//! a stage's work is one step. `await_phase` and `publish` are opened up
+//! to the granularity where lost-wakeup bugs live, mirroring
+//! `mlm-exec/src/ring.rs`:
 //!
 //! * `await_phase`: lock the slot mutex, check the poison flag, check the
 //!   predicate; if false, *park* — an atomic release-the-lock-and-wait, the
@@ -33,8 +38,10 @@
 //!   *other* waiter on the same condvar makes it work on a slot in the
 //!   wrong phase. Detected as an ownership-invariant violation.
 
+use mlm_exec::ring::Phase;
+use mlm_exec::Stage;
+
 use crate::check::Model;
-use crate::models::ring::{Phase, Stage};
 
 /// Which synchronization discipline to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,15 +97,15 @@ pub struct CvState {
 
 impl CvState {
     fn slot_of(&self, stage: Stage, slots: usize) -> usize {
-        self.chunk[stage_index(stage)] as usize % slots
+        self.chunk[stage as usize] as usize % slots
     }
 
     /// True iff some coordinator holds `slot`'s mutex persistently (i.e.
     /// sits in the check-to-park window).
     fn locked(&self, slot: usize, slots: usize) -> bool {
-        Stage::ALL.iter().any(|&s| {
-            self.coords[stage_index(s)] == CvCoord::Prepark && self.slot_of(s, slots) == slot
-        })
+        Stage::ALL
+            .iter()
+            .any(|&s| self.coords[s as usize] == CvCoord::Prepark && self.slot_of(s, slots) == slot)
     }
 
     /// Stages currently parked on `slot`'s condvar.
@@ -107,17 +114,9 @@ impl CvState {
             .iter()
             .copied()
             .filter(|&s| {
-                self.coords[stage_index(s)] == CvCoord::Parked && self.slot_of(s, slots) == slot
+                self.coords[s as usize] == CvCoord::Parked && self.slot_of(s, slots) == slot
             })
             .collect()
-    }
-}
-
-fn stage_index(s: Stage) -> usize {
-    match s {
-        Stage::CopyIn => 0,
-        Stage::Compute => 1,
-        Stage::CopyOut => 2,
     }
 }
 
@@ -182,7 +181,7 @@ impl CondvarModel {
     /// Wake every parked waiter of `slot` (they move to `Relock`).
     fn wake_all(&self, s: &mut CvState, slot: usize) {
         for st in s.parked_on(slot, self.slots) {
-            s.coords[stage_index(st)] = CvCoord::Relock;
+            s.coords[st as usize] = CvCoord::Relock;
         }
     }
 }
@@ -215,7 +214,7 @@ impl Model for CondvarModel {
     fn actions(&self, s: &CvState) -> Vec<(CvAction, CvState)> {
         let mut out = Vec::new();
         for stage in Stage::ALL {
-            let i = stage_index(stage);
+            let i = stage as usize;
             let c = s.chunk[i];
             let k = c as usize % self.slots;
             match s.coords[i] {
@@ -291,7 +290,7 @@ impl Model for CondvarModel {
                         } else {
                             for st in parked {
                                 let mut m = n.clone();
-                                m.coords[stage_index(st)] = CvCoord::Relock;
+                                m.coords[st as usize] = CvCoord::Relock;
                                 out.push((CvAction::Publish(stage, c), m));
                             }
                         }
@@ -329,7 +328,7 @@ impl Model for CondvarModel {
     fn invariant(&self, s: &CvState) -> Result<(), String> {
         let mut owner: Vec<Option<Stage>> = vec![None; self.slots];
         for stage in Stage::ALL {
-            let i = stage_index(stage);
+            let i = stage as usize;
             if s.coords[i] != CvCoord::Work {
                 continue;
             }
@@ -391,8 +390,51 @@ mod tests {
     }
 
     #[test]
+    fn zero_chunks_is_immediately_terminal() {
+        let r = check(&CondvarModel::correct(3, 0), opts());
+        assert!(r.ok());
+        assert_eq!(r.states, 1);
+    }
+
+    #[test]
+    fn broken_publish_order_is_caught() {
+        // Regression shape: a ring whose copy-out recycles the slot for
+        // the *same* chunk (forgetting the +slots advance) strands
+        // copy-in, which waits for Empty(c+3) forever.
+        struct Broken(CondvarModel);
+        impl Model for Broken {
+            type State = CvState;
+            type Action = CvAction;
+            fn name(&self) -> String {
+                "condvar-broken-recycle".into()
+            }
+            fn initial(&self) -> CvState {
+                self.0.initial()
+            }
+            fn actions(&self, s: &CvState) -> Vec<(CvAction, CvState)> {
+                let mut acts = self.0.actions(s);
+                for (a, n) in &mut acts {
+                    if let CvAction::Publish(Stage::CopyOut, c) = a {
+                        // Recycle for chunk c, not c + slots: stale chunk id.
+                        n.slots[*c as usize % self.0.slots] = (Phase::Empty, *c);
+                    }
+                }
+                acts
+            }
+            fn is_terminal(&self, s: &CvState) -> bool {
+                self.0.is_terminal(s)
+            }
+        }
+        let r = check(&Broken(CondvarModel::correct(3, 5)), opts());
+        assert!(
+            matches!(r.violation, Some(Violation::Deadlock { .. })),
+            "stale recycle must deadlock: {r}"
+        );
+    }
+
+    #[test]
     fn poison_without_slot_locks_loses_a_wakeup() {
-        // The exact window host.rs's poison() comment claims to close:
+        // The exact window ring.rs's poison() comment claims to close:
         // a coordinator between its flag check and its park misses the
         // only notify it will ever get.
         let m = CondvarModel {

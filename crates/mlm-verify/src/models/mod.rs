@@ -2,17 +2,15 @@
 //!
 //! Each module models one protocol at the granularity where its bugs live:
 //!
-//! * [`ring`] — the dataflow host pipeline's three-slot buffer ring at
-//!   *phase* granularity (`Empty → Filled → Computed`), including worker
-//!   fan-out and panic poisoning. Verifies deadlock-freedom, exclusive
-//!   buffer ownership, the in-flight bound, and that poisoning drains all
-//!   coordinators.
-//! * [`condvar`] — the same ring at *mutex/condvar* granularity, where
-//!   lost-wakeup bugs are expressible. The model of the code as written
-//!   verifies; three deliberately buggy variants (poison without taking
-//!   the slot locks, `notify_one` instead of `notify_all`, wait without
-//!   re-checking the predicate) fail, proving the checker can see the
-//!   whole bug class.
+//! * [`condvar`] — the host pipeline's buffer ring (`mlm_exec::ring`) at
+//!   *mutex/condvar* granularity, where lost-wakeup bugs are expressible.
+//!   The model of the code as written verifies deadlock-freedom,
+//!   exclusive buffer ownership and poison drain; three deliberately
+//!   buggy variants (poison without taking the slot locks, `notify_one`
+//!   instead of `notify_all`, wait without re-checking the predicate)
+//!   fail, proving the checker can see the whole bug class. The ring's
+//!   in-flight bound is not modelled here: G004 proves it over the graph
+//!   `drive()` really emits.
 //! * [`psrs`] — the `mlm-cluster` PSRS message protocol (splitter
 //!   broadcast / partition exchange / deferred-message drain). The
 //!   deferring protocol verifies; the pre-PR-2 strict variant (treat early
@@ -21,4 +19,3 @@
 
 pub mod condvar;
 pub mod psrs;
-pub mod ring;

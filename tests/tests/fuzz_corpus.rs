@@ -2,17 +2,17 @@
 //!
 //! Sweeps `mlm_exec::fuzz`'s default corpus — every placement and
 //! schedule mode `drive()` emits, at several chunk geometries — with
-//! adversarial seed-controlled schedules, and replays the committed
-//! must-fail regression seeds from `mlm_verify::fuzzsuite`. The default
-//! run covers well over 1000 distinct schedules; CI's `fuzz` job runs the
-//! same corpus wider (1000 seeds per case) via `mlm-verify fuzz`.
+//! adversarial seed-controlled schedules, and replays the must-fail
+//! catalogue's committed regression traces (`mlm_verify::catalogue`). The
+//! default run covers well over 1000 distinct schedules; CI's `fuzz` job
+//! runs the same corpus wider (1000 seeds per case) via `mlm-verify fuzz`.
 
 use mlm_exec::fuzz::{
     default_corpus, fuzz_seed, replay, shrink, Construction, FaultPlan, FuzzCase, Outcome,
-    TapeSource,
 };
 use mlm_exec::Placement;
-use mlm_verify::fuzzsuite::{regression_seeds, run_fuzz_regressions};
+use mlm_verify::catalogue::CATALOGUE;
+use mlm_verify::fuzzsuite::run_fuzz_regressions;
 use proptest::prelude::*;
 
 /// 100 seeds x 25 map-family cases plus 250 seeds x 10 stencil cases =
@@ -54,10 +54,11 @@ fn committed_regression_seeds_reproduce_and_pass_on_main() {
     let runs = run_fuzz_regressions();
     assert_eq!(
         runs.len(),
-        5,
-        "one regression per model-checker bug class, plus the stencil halo class"
+        CATALOGUE.len(),
+        "one regression per catalogue row"
     );
     for run in runs {
+        assert!(run.error.is_none(), "{}: {:?}", run.name, run.error);
         assert!(run.caught, "{}: violation no longer reproduces", run.name);
         assert!(
             run.clean_on_correct,
@@ -74,21 +75,19 @@ fn committed_regression_seeds_reproduce_and_pass_on_main() {
 /// i.e. the recorded decisions are load-bearing.
 #[test]
 fn nonempty_regression_traces_are_load_bearing() {
-    for reg in regression_seeds() {
-        if reg.shrunk.is_empty() {
-            continue;
-        }
-        let natural = replay(&reg.case, &[]).expect("regression cases are driveable");
-        let replayed = replay(&reg.case, &reg.shrunk).expect("regression cases are driveable");
+    for row in CATALOGUE.iter().filter(|r| !r.shrunk.is_empty()) {
+        let case = row.fuzz_case(row.construction);
+        let natural = replay(&case, &[]).expect("regression cases are driveable");
+        let replayed = replay(&case, row.shrunk).expect("regression cases are driveable");
         assert!(
             replayed.outcome.violation().is_some(),
             "{}: committed trace lost the bug",
-            reg.name
+            row.what
         );
         // Natural order may or may not fail for some constructions; what
         // matters is that the committed trace is not vacuously equal to it.
         if natural.outcome.violation().is_none() {
-            assert_ne!(natural.outcome, replayed.outcome, "{}", reg.name);
+            assert_ne!(natural.outcome, replayed.outcome, "{}", row.what);
         }
     }
 }
@@ -119,8 +118,6 @@ fn default_corpus_is_clean_by_construction() {
         assert_eq!(case.construction, Construction::Correct, "{}", case.name);
         assert_eq!(case.faults.kernel_panic, None, "{}", case.name);
     }
-    // TapeSource is part of the committed-regression vocabulary.
-    let _ = TapeSource::Replay(vec![0]);
 }
 
 proptest! {

@@ -3,17 +3,20 @@
 //! The analyzer (`mlm_exec::graph`) proves properties over *every*
 //! linearization of the dependency graph `drive()` emits; these tests tie
 //! it to the rest of the workspace: the fuzz corpus must prove safe, the
-//! four committed buggy constructions must be refuted with counterexample
-//! traces (no fuzz seeds involved), the simulator preflight must accept
-//! the paper spec, and the whole thing must be fast enough to sit in
-//! front of every run.
+//! five buggy constructions of the must-fail catalogue must be refuted
+//! with counterexample traces (no fuzz seeds involved) and caught by every
+//! other layer their row names, the simulator preflight must accept the
+//! paper spec, and the whole thing must be fast enough to sit in front of
+//! every run.
 
 use std::time::Instant;
 
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::Simulator;
-use mlm_exec::fuzz::{default_corpus, fuzz_seed, Construction, FuzzCase, Outcome};
-use mlm_exec::graph::{analyze, record_graph, AnalysisConfig, DepGraph, GraphNode};
+use mlm_exec::fuzz::{default_corpus, fuzz_case, replay, Construction};
+use mlm_exec::graph::{analyze, AnalysisConfig, DepGraph, GraphNode};
+use mlm_verify::catalogue::CATALOGUE;
+use mlm_verify::check::{check, CheckOptions};
 use mlm_verify::graph::{graph_report_for, largest_committed_spec, run_graph_suite};
 use mlm_verify::suite::{paper_machine, paper_spec};
 
@@ -53,56 +56,54 @@ fn graph_suite_expectations_hold() {
     }
     let must_fail = cases.iter().filter(|c| !c.expect.is_empty()).count();
     assert_eq!(
-        must_fail, 5,
-        "one static refutation per buggy construction, incl. the dropped-halo class"
+        must_fail,
+        CATALOGUE.len(),
+        "one static refutation per catalogue row"
     );
 }
 
-/// The static verdicts agree with the dynamic ones: for each buggy
-/// construction the fuzzer catches at runtime, the analyzer refutes the
-/// same (spec, construction) pair statically — and names the property
-/// class the fuzzer's violation belongs to.
+/// Every layer agrees on every bug: for each row of the must-fail
+/// catalogue the analyzer refutes the row's schedule statically, the
+/// committed fuzz trace reproduces the row's violation (and fuzzing from
+/// the committed seed re-derives that very trace), the trace runs clean
+/// on the correct construction, and the condvar model the row mirrors,
+/// if any, fails the model check.
 #[test]
 fn static_findings_subsume_the_fuzzed_violations() {
-    // (construction, violation kind the fuzzer reports, G-code family).
-    let pairs = [
-        (Construction::DropRecycleDep, "slot-clash", "G001"),
-        (Construction::NoRecheck, "slot-clash", "G001"),
-        (Construction::NotifyOne, "deadlock", "G002"),
-    ];
-    for (construction, kind, code) in pairs {
-        let lockstep = matches!(
-            construction,
-            Construction::NotifyOne | Construction::NoRecheck
-        );
-        let spec = mlm_exec::fuzz::corpus_spec(256, mlm_exec::Placement::Hbw, lockstep);
-        // Dynamic: some seed in a small window reproduces the violation.
-        let case = FuzzCase {
-            name: format!("subsume-{}", construction.name()),
-            spec: spec.clone(),
-            construction,
-            faults: mlm_exec::fuzz::FaultPlan::NONE,
-        };
-        let caught = (0..200).any(|seed| {
-            fuzz_seed(&case, seed)
-                .expect("corpus specs are driveable")
-                .outcome
-                .violation()
-                .is_some_and(|v| v.kind() == kind)
-        });
-        assert!(caught, "{}: fuzzer lost the bug", construction.name());
-        // Static: the analyzer refutes the same pair with no seeds.
-        let graph = record_graph(&spec).expect("corpus specs are driveable");
-        let cfg = AnalysisConfig {
-            discipline: construction.discipline(),
-            ..AnalysisConfig::default()
-        };
-        let report = analyze(&graph, &spec, &cfg);
+    for row in &CATALOGUE {
+        let name = row.construction.name();
+        // Static: every G-code fires, each finding with a trace.
+        let report = row.graph_report().expect("catalogue specs are driveable");
+        for code in row.g_codes {
+            assert!(
+                report.codes().contains(code),
+                "{name}: static analyzer missed {code}:\n{report}"
+            );
+        }
         assert!(
-            report.codes().contains(&code),
-            "{}: static analyzer missed {code}:\n{report}",
-            construction.name()
+            report.findings.iter().all(|f| !f.trace.is_empty()),
+            "{report}"
         );
+        // Dynamic: the trace reproduces the kind, and is clean on Correct.
+        let buggy = row.fuzz_case(row.construction);
+        let run = replay(&buggy, row.shrunk).expect("catalogue cases are driveable");
+        let kind = run.outcome.violation().map(|v| v.kind());
+        assert_eq!(kind, Some(row.fuzz_kind), "{name}: fuzzer lost the bug");
+        let correct = replay(&row.fuzz_case(Construction::Correct), row.shrunk)
+            .expect("catalogue cases are driveable");
+        assert!(correct.outcome.violation().is_none(), "{name}: {correct:?}");
+        let found = fuzz_case(&buggy, row.seed, 1).expect("catalogue cases are driveable");
+        assert_eq!(
+            found.first().map(|f| f.shrunk.as_slice()),
+            Some(row.shrunk),
+            "{name}: seed {} no longer shrinks to the committed trace",
+            row.seed
+        );
+        // Model: the mirrored condvar discipline fails the check.
+        if let Some(model) = &row.condvar {
+            let r = check(model, CheckOptions::default());
+            assert!(r.violation.is_some(), "{name}: condvar model verified: {r}");
+        }
     }
 }
 
@@ -169,5 +170,4 @@ fn verifier_latency_smoke() {
         best < 1.0,
         "{name}: static verification took {best:.3}s even in debug mode"
     );
-    let _ = Outcome::Ok;
 }
