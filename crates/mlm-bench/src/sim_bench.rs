@@ -338,7 +338,7 @@ pub fn measure(family: Family, threads: usize, ops_per_thread: usize) -> Measure
     }
 }
 
-/// Time the static schedule verifier end-to-end (record the graph +
+/// Time the static schedule verifier end-to-end (build the plan +
 /// full G001–G006 analysis) on the largest committed experiment spec,
 /// best of 5, against the paper machine's MCDRAM budget.
 pub fn measure_graph_verify() -> GraphVerifyMeasurement {

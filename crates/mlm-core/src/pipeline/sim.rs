@@ -276,8 +276,8 @@ fn buf_place(spec: &PipelineSpec) -> Place {
 /// through the shared orchestrator.
 ///
 /// The orchestrator runs behind the static schedule verifier
-/// ([`mlm_exec::graph`]): the emitted dependency graph is proven race-
-/// and deadlock-free before any ops are pushed. The MCDRAM capacity
+/// ([`mlm_exec::graph`]): the plan it interprets is proven race- and
+/// deadlock-free before any ops are pushed. The MCDRAM capacity
 /// bound is machine-dependent and is checked by the callers that know
 /// the machine ([`knl_sim::Simulator::preflight_spec`], the mlm-verify
 /// engine); here only the machine-independent properties gate.

@@ -12,7 +12,7 @@
 
 use crate::backend::Backend;
 use crate::error::DriveError;
-use crate::graph::{verify_spec, GraphReport};
+use crate::graph::{prove, GraphReport};
 use crate::plan::{interpret, plan_pipeline};
 use crate::spec::PipelineSpec;
 
@@ -57,40 +57,47 @@ pub const STENCIL_RING_SLOTS: usize = 4;
 /// [`DriveError::Backend`].
 pub fn drive<B: Backend>(backend: &mut B, spec: &PipelineSpec) -> Result<(), DriveError> {
     spec.validate().map_err(DriveError::Spec)?;
-    if !backend.capabilities().supports(spec.placement) {
-        return Err(DriveError::Capability {
-            placement: spec.placement,
-            capabilities: backend.capabilities(),
-        });
-    }
-    let plan = plan_pipeline(spec);
-    interpret(backend, spec, &plan)
+    check_capabilities(backend, spec)?;
+    interpret(backend, spec, &plan_pipeline(spec))
 }
 
 /// [`drive`] with the static schedule verifier as a preflight gate.
 ///
-/// Records the dependency graph the schedule would emit, proves it race-
-/// and deadlock-free over every linearization (and within the MCDRAM
-/// budget when `hbw_budget` is given), and only then drives `backend`.
+/// Builds the plan once, proves it race- and deadlock-free over every
+/// linearization (and within the MCDRAM budget when `hbw_budget` is
+/// given), and only then interprets that same plan over `backend`.
 /// A fatal finding comes back as [`DriveError::Verification`] carrying
 /// the rendered report with its counterexample trace; on success the
 /// [`GraphReport`] (with the proven peak-occupancy bound) is returned
 /// alongside the completed run.
 ///
-/// The preflight analyses the same graph the backend is about to
-/// receive, so a clean verdict covers the actual execution, not a model
-/// of it.
+/// The preflight analyses the plan the backend is about to receive, so a
+/// clean verdict covers the actual execution, not a model of it. Errors
+/// come in the order [`DriveError::Spec`], [`DriveError::Verification`],
+/// [`DriveError::Capability`].
 pub fn drive_verified<B: Backend>(
     backend: &mut B,
     spec: &PipelineSpec,
     hbw_budget: Option<u64>,
 ) -> Result<GraphReport, DriveError> {
-    let report = verify_spec(spec, hbw_budget)?;
+    let (plan, report) = prove(spec, hbw_budget)?;
     if !report.is_safe() {
         return Err(DriveError::Verification(report.to_string()));
     }
-    drive(backend, spec)?;
+    check_capabilities(backend, spec)?;
+    interpret(backend, spec, &plan)?;
     Ok(report)
+}
+
+/// Refuse a spec whose placement `backend` cannot execute.
+fn check_capabilities<B: Backend>(backend: &B, spec: &PipelineSpec) -> Result<(), DriveError> {
+    if backend.capabilities().supports(spec.placement) {
+        return Ok(());
+    }
+    Err(DriveError::Capability {
+        placement: spec.placement,
+        capabilities: backend.capabilities(),
+    })
 }
 
 #[cfg(test)]
@@ -106,6 +113,7 @@ mod tests {
         issued: Vec<ChunkAction>,
         barriers: usize,
         finished: bool,
+        fail_finish: bool,
     }
 
     impl Probe {
@@ -115,6 +123,7 @@ mod tests {
                 issued: Vec::new(),
                 barriers: 0,
                 finished: false,
+                fail_finish: false,
             }
         }
     }
@@ -141,6 +150,9 @@ mod tests {
 
         fn finish(&mut self, _spec: &PipelineSpec) -> Result<(), String> {
             self.finished = true;
+            if self.fail_finish {
+                return Err("probe refused to finish".into());
+            }
             Ok(())
         }
     }
@@ -289,6 +301,38 @@ mod tests {
         );
         assert!(b.issued.is_empty());
         assert!(!b.finished);
+    }
+
+    #[test]
+    fn failing_finish_surfaces_as_a_backend_error() {
+        let s = spec(4, false, Placement::Hbw);
+        let mut b = Probe::new(Capabilities::all());
+        b.fail_finish = true;
+        let err = drive(&mut b, &s).unwrap_err();
+        assert!(
+            matches!(&err, DriveError::Backend(msg) if msg == "probe refused to finish"),
+            "{err}"
+        );
+        // Every node was issued before finish refused.
+        assert_eq!(b.issued.len(), 12);
+    }
+
+    #[test]
+    fn drive_verified_reports_errors_in_spec_verification_capability_order() {
+        // An invalid spec is a Spec error even on an incapable backend
+        // with a budget nothing fits.
+        let mut bad = spec(4, true, Placement::Hbw);
+        bad.p_comp = 0;
+        let mut b = Probe::new(Capabilities::cache_mode());
+        let err = drive_verified(&mut b, &bad, Some(0)).unwrap_err();
+        assert!(matches!(err, DriveError::Spec(_)), "{err}");
+        // A valid spec over budget fails verification before capability.
+        let s = spec(4, true, Placement::Hbw);
+        let err = drive_verified(&mut b, &s, Some(0)).unwrap_err();
+        assert!(matches!(err, DriveError::Verification(_)), "{err}");
+        let err = drive_verified(&mut b, &s, None).unwrap_err();
+        assert!(matches!(err, DriveError::Capability { .. }), "{err}");
+        assert!(b.issued.is_empty());
     }
 
     #[test]

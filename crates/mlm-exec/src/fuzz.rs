@@ -1,55 +1,53 @@
-//! Schedule fuzzing: drive the orchestrator with seed-controlled
-//! adversarial execution orders and check the outcome against ground
-//! truth.
+//! Schedule fuzzing: execute the plan with seed-controlled adversarial
+//! execution orders and check the outcome against ground truth.
 //!
 //! `mlm-verify`'s model checker proves hand-built *models* of the ring and
 //! condvar protocols; this module closes the model-vs-code gap from the
-//! other side by executing the *actual* schedule [`crate::drive`] issues —
-//! every dependency token, barrier, and ring-slot assignment — under
-//! adversarial interleavings (see DESIGN.md S21):
+//! other side by executing the *actual* schedule — the [`WorkloadPlan`]
+//! [`plan_pipeline`] builds and [`crate::drive`] interprets, with every
+//! dependency edge, barrier, and ring-slot assignment — under adversarial
+//! interleavings (see DESIGN.md S21):
 //!
-//! * [`FuzzBackend`] implements [`Backend`], records the full dependency
-//!   graph the orchestrator issues (as a [`DepGraph`], the representation
-//!   shared with the static analyzer in [`crate::graph`]), and at `finish`
-//!   executes it with a deterministic PRNG choosing which ready node runs
-//!   next — reordering ready dependency tokens, delaying and batching
-//!   completions, and perturbing `step_barrier` interleavings. Seed in,
-//!   trace out: the same seed always replays the same schedule.
+//! * [`run_case`] builds the plan once and executes it with a
+//!   deterministic PRNG choosing which ready node runs next — reordering
+//!   ready dependencies, delaying and batching completions, and
+//!   perturbing barrier interleavings. Seed in, trace out: the same seed
+//!   always replays the same schedule.
 //! * The chunk-granular ring model is [`SlotModel`] (one value per chunk,
-//!   a [`RING_SLOTS`]-slot phase machine), also shared with the analyzer:
+//!   a phase machine over the plan's ring slots), shared with the analyzer:
 //!   copy-in requires a free slot, compute a loaded one, copy-out a
 //!   computed one, and final outputs must be bit-identical to the
 //!   lockstep/NullBackend ground truth (the natural-order walk of the
-//!   very same graph, which [`ground_truth`] computes in closed form).
+//!   very same plan, which [`ground_truth`] computes in closed form).
 //! * [`FaultPlan`] injects backend misbehaviour — a kernel panic
 //!   poisoning its slot mid-ring, a completion reported twice, a
 //!   completion never reported — and the checker must either drain
 //!   cleanly (poison) or call the violation ([`Violation`]). Fault
-//!   entries are validated against the recorded graph: addressing a
+//!   entries are validated against the plan: addressing a
 //!   `(stage, chunk)` the schedule never issues is a
 //!   [`DriveError::Spec`], not a silent no-op.
 //! * [`Construction`] selects deliberately-broken executors — the five
 //!   buggy constructions of mlm-verify's must-fail catalogue. The
 //!   executor here and [`crate::graph::analyze`] both match on it (the
-//!   edge-dropping ones through [`DepGraph::effective_deps`]), so the
-//!   fuzzer finds each bug ([`Violation`]) within a committed seed and the
-//!   analyzer flags it statically.
+//!   edge-dropping ones drop the [`EdgeKind`](crate::plan::EdgeKind) they name through one edge
+//!   filter), so the fuzzer finds each bug ([`Violation`]) within a
+//!   committed seed and the analyzer flags it statically.
 //! * On a failure, [`shrink`] minimizes the decision trace to a short
 //!   replayable `seed + decision list` regression ([`Finding`]).
 //!
 //! Nothing here runs real threads: the adversarial executor explores the
-//! *schedule space* the dependency tokens permit, so a clean fuzz run
-//! means the orchestrator's declared dependencies are sufficient — any
+//! *schedule space* the dependency edges permit, so a clean fuzz run
+//! means the plan's declared dependencies are sufficient — any
 //! backend that honours them is race-free at the schedule level.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::backend::{Backend, ChunkAction, Stage};
-use crate::drive::{drive, RING_SLOTS};
+use crate::backend::{ChunkAction, Stage};
 use crate::error::DriveError;
-use crate::graph::{record_graph, DepGraph, GraphNode, SlotError, SlotModel};
-use crate::placement::{Capabilities, Placement};
+use crate::graph::{effective_deps, node_action, SlotError, SlotModel};
+use crate::placement::Placement;
+use crate::plan::{plan_pipeline, WorkloadPlan};
 use crate::spec::{PipelineSpec, Workload};
 
 // ---------------------------------------------------------------------------
@@ -102,7 +100,7 @@ fn stencil_mix(left: u64, mid: u64, right: u64) -> u64 {
 }
 
 /// Ground truth for chunk `c` of `spec`: what any correct execution of
-/// the schedule must deliver. Identical to walking the graph in natural
+/// the schedule must deliver. Identical to walking the plan in natural
 /// (issue) order — the lockstep/NullBackend reference — because the
 /// kernel model is positional and pure. Stencil chunks fold in both
 /// neighbours' inputs (zero sentinels past the boundary) before the
@@ -215,13 +213,18 @@ impl FaultPlan {
     };
 }
 
-/// Check every fault entry against the recorded schedule graph: a fault
-/// addressing a `(stage, chunk)` the schedule never issues would silently
-/// never fire, so the run would "pass" without testing anything. The
-/// harness surfaces this as [`DriveError::Spec`].
-pub fn validate_faults(graph: &DepGraph, faults: &FaultPlan) -> Result<(), String> {
+/// Check every fault entry against the plan: a fault addressing a
+/// `(stage, chunk)` the schedule never issues would silently never fire,
+/// so the run would "pass" without testing anything. The harness surfaces
+/// this as [`DriveError::Spec`].
+pub fn validate_faults(plan: &WorkloadPlan, faults: &FaultPlan) -> Result<(), String> {
     let check = |what: &str, stage: Stage, chunk: usize| -> Result<(), String> {
-        if graph.find_action(stage, chunk).is_none() {
+        let issued = plan
+            .nodes
+            .iter()
+            .filter_map(node_action)
+            .any(|a| a.stage == stage && a.chunk == chunk);
+        if !issued {
             return Err(format!(
                 "{what} fault addresses {stage:?} of chunk {chunk}, \
                  which the schedule never issues"
@@ -241,7 +244,7 @@ pub fn validate_faults(graph: &DepGraph, faults: &FaultPlan) -> Result<(), Strin
     Ok(())
 }
 
-/// How the executor honours the recorded dependency edges. `Correct` is
+/// How the executor honours the plan's dependency edges. `Correct` is
 /// the shipped semantics; the other five are the deliberately broken
 /// executors of mlm-verify's must-fail catalogue, one per bug class. Both
 /// the fuzzer's executor and the static analyzer ([`crate::graph`]) match
@@ -428,7 +431,7 @@ impl Outcome {
 }
 
 // ---------------------------------------------------------------------------
-// The fuzzing backend
+// Fuzz cases and runs
 // ---------------------------------------------------------------------------
 
 /// One case the fuzzer exercises: a spec plus the executor construction
@@ -458,44 +461,6 @@ impl FuzzCase {
     }
 }
 
-/// The fuzzing [`Backend`]: records the dependency graph the orchestrator
-/// issues (as the shared [`DepGraph`]), then executes it adversarially at
-/// `finish`.
-///
-/// `drive(&mut FuzzBackend::new(..), &spec)` returns
-/// `Err(DriveError::Backend(..))` exactly when the adversarial execution
-/// found a violation; [`FuzzBackend::into_run`] yields the structured
-/// outcome and the recorded decision trace either way.
-pub struct FuzzBackend {
-    case: FuzzCase,
-    tape: DecisionTape,
-    graph: DepGraph,
-    outcome: Option<Outcome>,
-}
-
-impl FuzzBackend {
-    /// A backend for `case`, drawing schedule decisions from `source`.
-    pub fn new(case: FuzzCase, source: TapeSource) -> Self {
-        FuzzBackend {
-            case,
-            tape: DecisionTape::new(source),
-            graph: DepGraph::new(),
-            outcome: None,
-        }
-    }
-
-    /// The outcome and recorded decision trace of the finished run.
-    ///
-    /// # Panics
-    /// Panics if the backend was never driven to `finish`.
-    pub fn into_run(self) -> FuzzRun {
-        FuzzRun {
-            outcome: self.outcome.expect("drive() reached finish"),
-            decisions: self.tape.recorded,
-        }
-    }
-}
-
 /// The result of one fuzzed execution: the outcome plus the decision
 /// trace that reproduces it via [`TapeSource::Replay`].
 #[derive(Debug, Clone)]
@@ -504,32 +469,6 @@ pub struct FuzzRun {
     pub outcome: Outcome,
     /// Every free schedule decision taken, in order.
     pub decisions: Vec<u32>,
-}
-
-impl Backend for FuzzBackend {
-    type Token = usize;
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, deps: &[usize]) -> usize {
-        self.graph.push(GraphNode::Action(action), deps.to_vec())
-    }
-
-    fn step_barrier(&mut self, _spec: &PipelineSpec, after: &[usize]) -> usize {
-        self.graph.push(GraphNode::Barrier, after.to_vec())
-    }
-
-    fn finish(&mut self, spec: &PipelineSpec) -> Result<(), String> {
-        let outcome = Executor::new(&self.graph, spec, &self.case).run(&mut self.tape);
-        let result = match &outcome {
-            Outcome::Violation(v) => Err(format!("fuzz violation ({}): {v}", v.kind())),
-            _ => Ok(()),
-        };
-        self.outcome = Some(outcome);
-        result
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -578,7 +517,7 @@ impl StencilModel {
 }
 
 struct Executor<'a> {
-    graph: &'a DepGraph,
+    plan: &'a WorkloadPlan,
     spec: &'a PipelineSpec,
     case: &'a FuzzCase,
     dependents: Vec<Vec<usize>>,
@@ -595,11 +534,11 @@ struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    fn new(graph: &'a DepGraph, spec: &'a PipelineSpec, case: &'a FuzzCase) -> Self {
-        let n = graph.len();
+    fn new(plan: &'a WorkloadPlan, spec: &'a PipelineSpec, case: &'a FuzzCase) -> Self {
+        let n = plan.nodes.len();
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut remaining = vec![0usize; n];
-        for (i, deps) in graph.effective_deps(case.construction).iter().enumerate() {
+        for (i, deps) in effective_deps(plan, case.construction).iter().enumerate() {
             for &d in deps {
                 dependents[d].push(i);
             }
@@ -607,9 +546,9 @@ impl<'a> Executor<'a> {
         }
         let ready: BTreeSet<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
         let stencil = matches!(spec.workload, Workload::Stencil { .. })
-            .then(|| StencilModel::new(spec.ring_slots()));
+            .then(|| StencilModel::new(plan.ring_slots));
         Executor {
-            graph,
+            plan,
             spec,
             case,
             dependents,
@@ -619,7 +558,7 @@ impl<'a> Executor<'a> {
             cancelled: vec![false; n],
             notified: vec![false; n],
             ready,
-            ring: SlotModel::new(RING_SLOTS),
+            ring: SlotModel::new(plan.ring_slots),
             stencil,
             output: vec![None; spec.n_chunks()],
             poisoned_chunk: None,
@@ -629,7 +568,7 @@ impl<'a> Executor<'a> {
     fn run(mut self, tape: &mut DecisionTape) -> Outcome {
         loop {
             if self.ready.is_empty() {
-                let pending: Vec<usize> = (0..self.graph.len())
+                let pending: Vec<usize> = (0..self.plan.nodes.len())
                     .filter(|&i| !self.executed[i] && !self.cancelled[i])
                     .collect();
                 if pending.is_empty() {
@@ -637,7 +576,9 @@ impl<'a> Executor<'a> {
                 }
                 return Outcome::Violation(Violation::Deadlock {
                     pending: pending.len(),
-                    first: pending.iter().find_map(|&i| self.graph.action(i)),
+                    first: pending
+                        .iter()
+                        .find_map(|&i| node_action(&self.plan.nodes[i])),
                 });
             }
 
@@ -647,8 +588,9 @@ impl<'a> Executor<'a> {
             self.ready.remove(&node);
             self.executed[node] = true;
 
+            let action = node_action(&self.plan.nodes[node]);
             let mut panicked = false;
-            if let Some(a) = self.graph.action(node) {
+            if let Some(a) = action {
                 match self.apply(a) {
                     Ok(p) => panicked = p,
                     Err(v) => return Outcome::Violation(v),
@@ -671,7 +613,7 @@ impl<'a> Executor<'a> {
 
             let fault_here = |f: Option<(Stage, usize)>| {
                 matches!(
-                    (f, self.graph.action(node)),
+                    (f, action),
                     (Some((stage, chunk)), Some(a))
                         if a.stage == stage && a.chunk == chunk
                 )
@@ -839,22 +781,24 @@ impl<'a> Executor<'a> {
 // Harness: seeded runs, corpus sweeps, shrinking
 // ---------------------------------------------------------------------------
 
-/// Run `case` once with decisions from `source`.
+/// Run `case` once with decisions from `source`: validate the spec, build
+/// its plan once, check the fault plan against it, then execute the plan
+/// adversarially.
 ///
-/// Errors are real harness misuse: an undriveable spec or a [`FaultPlan`]
+/// Errors are real harness misuse: an invalid spec or a [`FaultPlan`]
 /// addressing an action the schedule never issues (both
 /// [`DriveError::Spec`]). Violations the adversarial execution finds are
 /// *not* errors here — they come back in [`FuzzRun::outcome`].
 pub fn run_case(case: &FuzzCase, source: TapeSource) -> Result<FuzzRun, DriveError> {
-    if case.faults != FaultPlan::NONE {
-        let graph = record_graph(&case.spec)?;
-        validate_faults(&graph, &case.faults).map_err(DriveError::Spec)?;
-    }
-    let mut backend = FuzzBackend::new(case.clone(), source);
-    match drive(&mut backend, &case.spec) {
-        Ok(()) | Err(DriveError::Backend(_)) => Ok(backend.into_run()),
-        Err(e) => Err(e),
-    }
+    case.spec.validate().map_err(DriveError::Spec)?;
+    let plan = plan_pipeline(&case.spec);
+    validate_faults(&plan, &case.faults).map_err(DriveError::Spec)?;
+    let mut tape = DecisionTape::new(source);
+    let outcome = Executor::new(&plan, &case.spec, case).run(&mut tape);
+    Ok(FuzzRun {
+        outcome,
+        decisions: tape.recorded,
+    })
 }
 
 /// Run `case` once with the seeded adversarial schedule.
@@ -1088,22 +1032,6 @@ mod tests {
                 assert_eq!(run.outcome, Outcome::Ok, "{} seed {seed}", case.name);
             }
         }
-    }
-
-    #[test]
-    fn drive_surfaces_violations_as_backend_errors() {
-        let mut case = dataflow_case();
-        case.construction = Construction::DropRecycleDep;
-        // Some seed in a small budget must expose the dropped edge.
-        let found = (0..200).find_map(|seed| {
-            let mut b = FuzzBackend::new(case.clone(), TapeSource::Seed(seed));
-            match drive(&mut b, &case.spec) {
-                Err(DriveError::Backend(msg)) => Some(msg),
-                _ => None,
-            }
-        });
-        let msg = found.expect("dropped recycling edge must be caught");
-        assert!(msg.contains("fuzz violation"), "{msg}");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The shared dependency-graph model and the static schedule verifier.
+//! The static schedule verifier, over the plan the schedule is built as.
 //!
-//! [`crate::drive`] emits one dependency DAG per spec: chunk-stage actions
-//! and barriers, ordered by tokens. Two consumers share the model defined
-//! here (DESIGN.md S22):
+//! [`plan_pipeline`] writes one dependency DAG per spec: a
+//! [`WorkloadPlan`] of chunk-stage nodes and barriers whose edges say why
+//! they exist ([`EdgeKind`]). Two consumers read that plan directly
+//! (DESIGN.md S22):
 //!
-//! * the **fuzzer** ([`crate::fuzz`]) records the DAG through
-//!   [`GraphRecorder`]-equivalent bookkeeping and *samples* adversarial
+//! * the **fuzzer** ([`crate::fuzz`]) *samples* adversarial
 //!   linearizations of it;
 //! * the **static analyzer** ([`analyze`]) proves properties over *every*
 //!   linearization without enumerating them, via reachability on the
@@ -25,10 +25,10 @@
 //! chunk `c` precedes chunk `d` when `c`'s copy-out happens-before `d`'s
 //! copy-in, so the maximum antichain is exactly the largest set of chunks
 //! the dependency edges allow to be resident at once. The bound is tight
-//! for the graphs `drive()` emits and conservative in general (it ignores
-//! slot identities, so it never under-reports occupancy).
+//! for the plans `plan_pipeline` builds and conservative in general (it
+//! ignores slot identities, so it never under-reports occupancy).
 //!
-//! [`AnalysisConfig::construction`] analyses the graph as one of the
+//! [`AnalysisConfig::construction`] analyses the plan as one of the
 //! fuzzer's buggy [`Construction`]s would execute it (dropped recycle or
 //! halo edges, notify-one wakeups, missing predicate rechecks, poison
 //! without cancellation), which is how the analyzer flags each of the
@@ -37,229 +37,62 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::backend::{Backend, ChunkAction, Stage};
-use crate::drive::{drive, RING_SLOTS};
+use crate::backend::{ChunkAction, Stage};
 use crate::error::DriveError;
 use crate::fuzz::Construction;
-use crate::placement::{Capabilities, Placement};
+use crate::placement::Placement;
+use crate::plan::{plan_pipeline, EdgeKind, PlanKind, PlanNode, WorkloadPlan};
 use crate::spec::{PipelineSpec, Workload};
 
 // ---------------------------------------------------------------------------
-// The recorded graph
+// Reading the plan
 // ---------------------------------------------------------------------------
 
-/// One node of a recorded schedule graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphNode {
-    /// A chunk-stage action ([`Backend::issue`]).
-    Action(ChunkAction),
-    /// A lockstep step barrier ([`Backend::step_barrier`]).
-    Barrier,
+/// The chunk-stage action `node` issues; `None` for a barrier.
+pub(crate) fn node_action(node: &PlanNode) -> Option<ChunkAction> {
+    Some(ChunkAction {
+        stage: node.kind.stage()?,
+        chunk: node.chunk?,
+        slot: node.slot,
+    })
 }
 
-impl GraphNode {
-    /// The action, if this node is one.
-    pub fn action(&self) -> Option<ChunkAction> {
-        match self {
-            GraphNode::Action(a) => Some(*a),
-            GraphNode::Barrier => None,
-        }
-    }
+/// The dependencies each node waits on when `construction` executes
+/// `plan`: [`Construction::DropRecycleDep`] ignores the
+/// [`EdgeKind::Recycle`] edges, [`Construction::DropHaloDep`] the
+/// [`EdgeKind::Halo`] edges, and every other construction keeps them all
+/// (its bug is in how completions are delivered, not in which edges
+/// exist). Dangling and self dependencies are skipped; [`analyze`]
+/// reports them as G006.
+pub(crate) fn effective_deps(plan: &WorkloadPlan, construction: Construction) -> Vec<Vec<usize>> {
+    let n = plan.nodes.len();
+    let dropped = match construction {
+        Construction::DropRecycleDep => Some(EdgeKind::Recycle),
+        Construction::DropHaloDep => Some(EdgeKind::Halo),
+        _ => None,
+    };
+    plan.nodes
+        .iter()
+        .enumerate()
+        .map(|(i, node)| {
+            node.deps
+                .iter()
+                .filter(|e| e.from < n && e.from != i && Some(e.kind) != dropped)
+                .map(|e| e.from)
+                .collect()
+        })
+        .collect()
 }
 
-/// The dependency DAG `drive()` emits: nodes in issue order, each with the
-/// indices of the nodes whose completion it waits for.
-///
-/// The graphs `drive()` records are acyclic with every dependency pointing
-/// at an earlier node; hand-built graphs may violate both, which is
-/// exactly what [`analyze`] diagnoses (G002/G006).
-#[derive(Debug, Clone, Default)]
-pub struct DepGraph {
-    nodes: Vec<GraphNode>,
-    deps: Vec<Vec<usize>>,
-}
-
-impl DepGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        DepGraph::default()
+/// Human-readable one-line description of node `i`, for traces.
+fn describe(plan: &WorkloadPlan, i: usize) -> String {
+    match node_action(&plan.nodes[i]) {
+        Some(a) => format!(
+            "{:?} of chunk {} (slot {}, node {i})",
+            a.stage, a.chunk, a.slot
+        ),
+        None => format!("step barrier (node {i})"),
     }
-
-    /// Append a node with its dependency list; returns the node's index.
-    pub fn push(&mut self, node: GraphNode, deps: Vec<usize>) -> usize {
-        self.nodes.push(node);
-        self.deps.push(deps);
-        self.nodes.len() - 1
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Total number of dependency edges.
-    pub fn edge_count(&self) -> usize {
-        self.deps.iter().map(Vec::len).sum()
-    }
-
-    /// The node at `i`.
-    pub fn node(&self, i: usize) -> &GraphNode {
-        &self.nodes[i]
-    }
-
-    /// The dependency list of node `i`.
-    pub fn deps(&self, i: usize) -> &[usize] {
-        &self.deps[i]
-    }
-
-    /// The action at node `i`, if it is one.
-    pub fn action(&self, i: usize) -> Option<ChunkAction> {
-        self.nodes[i].action()
-    }
-
-    /// The node index of the action `(stage, chunk)`, if the schedule
-    /// issues it.
-    pub fn find_action(&self, stage: Stage, chunk: usize) -> Option<usize> {
-        self.nodes
-            .iter()
-            .position(|n| matches!(n, GraphNode::Action(a) if a.stage == stage && a.chunk == chunk))
-    }
-
-    /// Dependents (reverse edges) of every node, in node order. Edges to
-    /// out-of-range or self targets are skipped.
-    pub fn dependents(&self) -> Vec<Vec<usize>> {
-        let n = self.len();
-        let mut out = vec![Vec::new(); n];
-        for (i, dl) in self.deps.iter().enumerate() {
-            for &d in dl {
-                if d < n && d != i {
-                    out[d].push(i);
-                }
-            }
-        }
-        out
-    }
-
-    /// True when the edge `dep -> node` is a buffer-recycling edge: a
-    /// writer waiting for the last consumer of its slot's previous
-    /// occupant. For the map family that is a copy-in waiting on a
-    /// copy-out; the stencil family adds copy-ins waiting on neighbour
-    /// *computes* (the halo readers of the evicted chunk) and computes
-    /// waiting on the copy-out that frees their output buffer.
-    /// [`Construction::DropRecycleDep`] ignores exactly these.
-    pub fn is_recycle_edge(&self, node: usize, dep: usize) -> bool {
-        match (&self.nodes[node], &self.nodes[dep]) {
-            (GraphNode::Action(a), GraphNode::Action(d)) => {
-                (a.stage == Stage::CopyIn && d.stage == Stage::CopyOut)
-                    || (a.stage == Stage::CopyIn && d.stage == Stage::Compute && d.chunk != a.chunk)
-                    || (a.stage == Stage::Compute && d.stage == Stage::CopyOut)
-            }
-            _ => false,
-        }
-    }
-
-    /// True when the edge `dep -> node` is an inter-chunk halo edge: a
-    /// compute waiting on the copy-in of a *neighbouring* chunk whose
-    /// boundary bytes it reads. Only stencil-family plans emit these;
-    /// [`Construction::DropHaloDep`] ignores exactly these.
-    pub fn is_halo_edge(&self, node: usize, dep: usize) -> bool {
-        matches!(
-            (&self.nodes[node], &self.nodes[dep]),
-            (GraphNode::Action(a), GraphNode::Action(d))
-                if a.stage == Stage::Compute && d.stage == Stage::CopyIn && d.chunk != a.chunk
-        )
-    }
-
-    /// The dependencies each node waits on when `construction` executes
-    /// the graph: [`Construction::DropRecycleDep`] ignores the recycling
-    /// edges, [`Construction::DropHaloDep`] the halo edges, and every other
-    /// construction keeps them all (its bug is in how completions are
-    /// delivered, not in which edges exist). Dangling and self
-    /// dependencies are skipped; [`analyze`] reports them as G006.
-    pub fn effective_deps(&self, construction: Construction) -> Vec<Vec<usize>> {
-        let n = self.len();
-        (0..n)
-            .map(|i| {
-                self.deps[i]
-                    .iter()
-                    .copied()
-                    .filter(|&d| d < n && d != i)
-                    .filter(|&d| match construction {
-                        Construction::DropRecycleDep => !self.is_recycle_edge(i, d),
-                        Construction::DropHaloDep => !self.is_halo_edge(i, d),
-                        _ => true,
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Human-readable one-line description of node `i`, for traces.
-    pub fn describe(&self, i: usize) -> String {
-        match self.nodes.get(i) {
-            Some(GraphNode::Action(a)) => format!(
-                "{:?} of chunk {} (slot {}, node {i})",
-                a.stage, a.chunk, a.slot
-            ),
-            Some(GraphNode::Barrier) => format!("step barrier (node {i})"),
-            None => format!("node {i} (out of range)"),
-        }
-    }
-}
-
-/// A [`Backend`] that records the dependency graph and performs no work.
-///
-/// Tokens are node indices, so the recorded [`DepGraph`] is exactly the
-/// DAG any other backend would receive.
-#[derive(Debug, Default)]
-pub struct GraphRecorder {
-    graph: DepGraph,
-}
-
-impl GraphRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        GraphRecorder::default()
-    }
-
-    /// The recorded graph.
-    pub fn into_graph(self) -> DepGraph {
-        self.graph
-    }
-}
-
-impl Backend for GraphRecorder {
-    type Token = usize;
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
-    fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, deps: &[usize]) -> usize {
-        self.graph.push(GraphNode::Action(action), deps.to_vec())
-    }
-
-    fn step_barrier(&mut self, _spec: &PipelineSpec, after: &[usize]) -> usize {
-        self.graph.push(GraphNode::Barrier, after.to_vec())
-    }
-
-    fn finish(&mut self, _spec: &PipelineSpec) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-/// Record the dependency graph `drive()` emits for `spec` without
-/// executing anything. Fails only when the spec itself cannot be driven
-/// ([`DriveError::Spec`]).
-pub fn record_graph(spec: &PipelineSpec) -> Result<DepGraph, DriveError> {
-    let mut recorder = GraphRecorder::new();
-    drive(&mut recorder, spec)?;
-    Ok(recorder.into_graph())
 }
 
 // ---------------------------------------------------------------------------
@@ -410,15 +243,14 @@ impl SlotModel {
 // Analysis configuration
 // ---------------------------------------------------------------------------
 
-/// What [`analyze`] checks a graph against.
+/// What [`analyze`] checks a plan against. The ring depth is the plan's
+/// own [`WorkloadPlan::ring_slots`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisConfig {
-    /// Buffer-ring depth the slot assignment rotates over.
-    pub ring_slots: usize,
     /// Addressable MCDRAM bytes for HBW-placed buffers; `None` skips the
     /// G003 capacity check.
     pub hbw_budget: Option<u64>,
-    /// The executor to analyse the graph under: [`Construction::Correct`]
+    /// The executor to analyse the plan under: [`Construction::Correct`]
     /// for the shipped one, a buggy construction to prove its bug.
     pub construction: Construction,
     /// Model a kernel panic while computing this chunk (the static form
@@ -430,7 +262,6 @@ pub struct AnalysisConfig {
 impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
-            ring_slots: RING_SLOTS,
             hbw_budget: None,
             construction: Construction::Correct,
             kernel_panic: None,
@@ -836,48 +667,49 @@ pub fn action_footprint(spec: &PipelineSpec, a: ChunkAction) -> Vec<(BufferKey, 
 // The analyzer
 // ---------------------------------------------------------------------------
 
-/// Prove (or refute) race-, deadlock-, and capacity-safety of `graph` over
+/// Prove (or refute) race-, deadlock-, and capacity-safety of `plan` over
 /// every linearization, under the configured executor construction.
 ///
-/// The proofs are exhaustive for the schedule level the graph models: a
+/// The proofs are exhaustive for the schedule level the plan models: a
 /// clean report means *no* interleaving a dependency-honouring executor
 /// can produce violates the checked property — the static counterpart of
 /// one fuzz seed per linearization.
-pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> GraphReport {
-    let n = graph.len();
+pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -> GraphReport {
+    let n = plan.nodes.len();
+    let edges = plan.nodes.iter().map(|node| node.deps.len()).sum();
     let mut findings = Vec::new();
 
     // G006 — structural validity: dangling and self dependencies, plus
     // everything downstream of one (it can never become runnable).
     let mut invalid = vec![false; n];
     for (i, inv) in invalid.iter_mut().enumerate() {
-        for &d in graph.deps(i) {
+        for d in plan.nodes[i].deps.iter().map(|e| e.from) {
             if d >= n || d == i {
                 *inv = true;
                 findings.push(GraphFinding {
                     check: GraphCheck::Unreachable,
                     message: if d == i {
-                        format!("{} depends on itself", graph.describe(i))
+                        format!("{} depends on itself", describe(plan, i))
                     } else {
                         format!(
                             "{} depends on nonexistent node {d} (graph has {n} nodes)",
-                            graph.describe(i)
+                            describe(plan, i)
                         )
                     },
-                    trace: vec![format!("{} can never become runnable", graph.describe(i))],
+                    trace: vec![format!("{} can never become runnable", describe(plan, i))],
                 });
             }
         }
     }
 
     // Work on the valid edge set from here on.
-    let valid_deps = graph.effective_deps(Construction::Correct);
+    let valid_deps = effective_deps(plan, Construction::Correct);
 
     // G002 — cycle detection. A cyclic graph has no linearizations at
     // all; report the cycle and stop (closure analyses assume a DAG).
     let Some(topo) = topo_order(n, &valid_deps) else {
         let cycle = find_cycle(n, &valid_deps);
-        let trace: Vec<String> = cycle.iter().map(|&i| graph.describe(i)).collect();
+        let trace: Vec<String> = cycle.iter().map(|&i| describe(plan, i)).collect();
         findings.push(GraphFinding {
             check: GraphCheck::Deadlock,
             message: format!(
@@ -888,7 +720,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
         });
         return GraphReport {
             nodes: n,
-            edges: graph.edge_count(),
+            edges,
             peak_live_chunks: 0,
             peak_hbw_bytes: 0,
             findings,
@@ -899,7 +731,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
     let no_recheck = construction == Construction::NoRecheck;
 
     // Effective edges, step 1: the edges the construction waits on at all.
-    let kept = graph.effective_deps(construction);
+    let kept = effective_deps(plan, construction);
     let anc_kept = closure(n, &kept, &topo);
 
     // Effective edges, step 2: NoRecheck keeps an edge `d -> i` only when
@@ -964,11 +796,11 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
                     "notify-one wakeups starve {stuck_count} nodes: lost notifications deadlock the schedule"
                 ),
                 trace: vec![
-                    format!("{} waits on {}", graph.describe(first), graph.describe(d)),
+                    format!("{} waits on {}", describe(plan, first), describe(plan, d)),
                     format!(
                         "completion of {} wakes only {} (notify-one)",
-                        graph.describe(d),
-                        graph.describe(favoured)
+                        describe(plan, d),
+                        describe(plan, favoured)
                     ),
                     format!("{stuck_count} of {n} nodes can never run"),
                 ],
@@ -977,7 +809,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
     }
 
     let actions: Vec<(usize, ChunkAction)> = (0..n)
-        .filter_map(|i| graph.action(i).map(|a| (i, a)))
+        .filter_map(|i| node_action(&plan.nodes[i]).map(|a| (i, a)))
         .collect();
     let explicit = spec.placement != Placement::Implicit;
 
@@ -1023,8 +855,8 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
                 trace: vec![
                     format!(
                         "{} and {} both touch {}",
-                        graph.describe(i),
-                        graph.describe(j),
+                        describe(plan, i),
+                        describe(plan, j),
                         key.describe()
                     ),
                     "no dependency path orders them under the analysed discipline".into(),
@@ -1038,8 +870,8 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
     // concurrently with or after it must not touch the poisoned slot.
     if explicit {
         if let Some(k) = cfg.kernel_panic {
-            if let Some(p) = graph.find_action(Stage::Compute, k) {
-                let slot = k % cfg.ring_slots;
+            if let Some(p) = plan.find(PlanKind::Kernel, k) {
+                let slot = plan.nodes[p].slot;
                 for &(i, a) in &actions {
                     if i == p || a.slot != slot {
                         continue;
@@ -1051,16 +883,16 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
                             check: GraphCheck::Race,
                             message: format!(
                                 "poison leak: {} can touch the slot poisoned by the kernel panic on chunk {k}",
-                                graph.describe(i)
+                                describe(plan, i)
                             ),
                             trace: vec![
                                 format!(
                                     "kernel panic poisons slot {slot} at {}",
-                                    graph.describe(p)
+                                    describe(plan, p)
                                 ),
                                 format!(
                                     "{} is not a guaranteed-cancelled dependent and is not ordered before the panic",
-                                    graph.describe(i)
+                                    describe(plan, i)
                                 ),
                             ],
                         });
@@ -1101,7 +933,7 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
         let mut lines: Vec<String> = antichain
             .iter()
             .take(8)
-            .map(|&c| format!("chunk {c}{what} live (slot {})", c % cfg.ring_slots))
+            .map(|&c| format!("chunk {c}{what} live (slot {})", c % plan.ring_slots))
             .collect();
         if antichain.len() > 8 {
             lines.push(format!("... and {} more", antichain.len() - 8));
@@ -1116,16 +948,16 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
                 .map(|c| {
                     let last_reader = (c + 1).min(n_chunks - 1);
                     (
-                        graph.find_action(Stage::CopyIn, c),
-                        graph.find_action(Stage::Compute, last_reader),
+                        plan.find(PlanKind::StageIn, c),
+                        plan.find(PlanKind::Kernel, last_reader),
                     )
                 })
                 .collect();
             let out_spans: Vec<(Option<usize>, Option<usize>)> = (0..n_chunks)
                 .map(|c| {
                     (
-                        graph.find_action(Stage::Compute, c),
-                        graph.find_action(Stage::CopyOut, c),
+                        plan.find(PlanKind::Kernel, c),
+                        plan.find(PlanKind::StageOut, c),
                     )
                 })
                 .collect();
@@ -1137,12 +969,12 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
                 (peak_in, &in_chain, " in-buffer"),
                 (peak_out, &out_chain, " out-buffer"),
             ] {
-                if peak > cfg.ring_slots {
+                if peak > plan.ring_slots {
                     ring_findings.push(GraphFinding {
                         check: GraphCheck::RingWidth,
                         message: format!(
                             "{peak} stencil{what}s can be in flight concurrently but the ring has {} slots",
-                            cfg.ring_slots
+                            plan.ring_slots
                         ),
                         trace: witness(chain, what),
                     });
@@ -1166,11 +998,11 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
                 .map(|c| {
                     if explicit {
                         (
-                            graph.find_action(Stage::CopyIn, c),
-                            graph.find_action(Stage::CopyOut, c),
+                            plan.find(PlanKind::StageIn, c),
+                            plan.find(PlanKind::StageOut, c),
                         )
                     } else {
-                        let comp = graph.find_action(Stage::Compute, c);
+                        let comp = plan.find(PlanKind::Kernel, c);
                         (comp, comp)
                     }
                 })
@@ -1178,12 +1010,12 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
             let antichain = antichain_of(&spans);
             let peak = antichain.len();
             let mut ring_findings = Vec::new();
-            if explicit && peak > cfg.ring_slots {
+            if explicit && peak > plan.ring_slots {
                 ring_findings.push(GraphFinding {
                     check: GraphCheck::RingWidth,
                     message: format!(
                         "{peak} chunks can be in flight concurrently but the ring has {} slots",
-                        cfg.ring_slots
+                        plan.ring_slots
                     ),
                     trace: witness(&antichain, ""),
                 });
@@ -1220,17 +1052,17 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
     // their chunk (their completion *is* the pipeline's output) and the
     // final node ends the schedule; anything else without a dependent is
     // issued work whose finish the graph never observes.
-    let dependents = graph.dependents();
+    let mut consumed = vec![false; n];
+    for &d in valid_deps.iter().flatten() {
+        consumed[d] = true;
+    }
     for i in 0..n {
-        if invalid[i] || !dependents[i].is_empty() || i == n - 1 {
-            continue;
-        }
-        if matches!(graph.action(i), Some(a) if a.stage == Stage::CopyOut) {
+        if invalid[i] || consumed[i] || i == n - 1 || plan.nodes[i].kind == PlanKind::StageOut {
             continue;
         }
         findings.push(GraphFinding {
             check: GraphCheck::DeadToken,
-            message: format!("completion of {} is never consumed", graph.describe(i)),
+            message: format!("completion of {} is never consumed", describe(plan, i)),
             trace: vec!["no later node depends on it; its chunk can never be drained".into()],
         });
     }
@@ -1238,35 +1070,49 @@ pub fn analyze(graph: &DepGraph, spec: &PipelineSpec, cfg: &AnalysisConfig) -> G
     findings.sort_by_key(|f| f.check.code());
     GraphReport {
         nodes: n,
-        edges: graph.edge_count(),
+        edges,
         peak_live_chunks,
         peak_hbw_bytes,
         findings,
     }
 }
 
-/// Record the graph `drive()` emits for `spec` and [`analyze`] it under
-/// the shipped (correct) construction. `hbw_budget` is the addressable
-/// MCDRAM for the G003 capacity bound (`None` skips it).
+/// Validate `spec`, build its plan once and [`analyze`] it under the
+/// shipped (correct) construction. [`crate::drive_verified`] interprets
+/// the plan returned here, so the proof covers the very plan it runs.
+pub(crate) fn prove(
+    spec: &PipelineSpec,
+    hbw_budget: Option<u64>,
+) -> Result<(WorkloadPlan, GraphReport), DriveError> {
+    spec.validate().map_err(DriveError::Spec)?;
+    let plan = plan_pipeline(spec);
+    let cfg = AnalysisConfig {
+        hbw_budget,
+        ..AnalysisConfig::default()
+    };
+    let report = analyze(&plan, spec, &cfg);
+    Ok((plan, report))
+}
+
+/// Build the plan of `spec` and [`analyze`] it under the shipped
+/// (correct) construction. `hbw_budget` is the addressable MCDRAM for the
+/// G003 capacity bound (`None` skips it).
 ///
 /// Returns the report — check [`GraphReport::is_safe`] for the verdict;
-/// `Err` only when the spec cannot be driven at all.
+/// `Err` only when the spec fails validation ([`DriveError::Spec`]).
 pub fn verify_spec(
     spec: &PipelineSpec,
     hbw_budget: Option<u64>,
 ) -> Result<GraphReport, DriveError> {
-    let graph = record_graph(spec)?;
-    let cfg = AnalysisConfig {
-        ring_slots: spec.ring_slots(),
-        hbw_budget,
-        ..AnalysisConfig::default()
-    };
-    Ok(analyze(&graph, spec, &cfg))
+    prove(spec, hbw_budget).map(|(_, report)| report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::{drive, RING_SLOTS};
+    use crate::plan::PlanEdge;
+    use crate::recording::{Event, NullBackend, RecordingBackend};
 
     fn spec(n_chunks: u64, lockstep: bool, placement: Placement) -> PipelineSpec {
         PipelineSpec {
@@ -1282,6 +1128,34 @@ mod tests {
             lockstep,
             data_addr: 0,
             workload: Workload::Map,
+        }
+    }
+
+    /// One node of a hand-built map plan: `kind` on chunk 0 (barriers
+    /// carry no chunk), waiting on `deps`.
+    fn node(kind: PlanKind, deps: &[usize]) -> PlanNode {
+        PlanNode {
+            kind,
+            chunk: (kind != PlanKind::Barrier).then_some(0),
+            slot: 0,
+            kernel: None,
+            len: 64,
+            deps: deps
+                .iter()
+                .map(|&d| PlanEdge::new(d, EdgeKind::Seq))
+                .collect(),
+        }
+    }
+
+    /// A one-chunk map plan over hand-built `nodes`, which may break the
+    /// invariants `plan_pipeline` guarantees.
+    fn hand_built(nodes: Vec<PlanNode>) -> WorkloadPlan {
+        WorkloadPlan {
+            family: "map",
+            ring_slots: RING_SLOTS,
+            chunks: 1,
+            kernels: Vec::new(),
+            nodes,
         }
     }
 
@@ -1313,12 +1187,12 @@ mod tests {
 
     #[test]
     fn dropped_recycle_edges_race_and_overflow_the_ring() {
-        let g = record_graph(&spec(4, false, Placement::Hbw)).unwrap();
+        let s = spec(4, false, Placement::Hbw);
         let cfg = AnalysisConfig {
             construction: Construction::DropRecycleDep,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&g, &spec(4, false, Placement::Hbw), &cfg);
+        let r = analyze(&plan_pipeline(&s), &s, &cfg);
         let codes = r.codes();
         assert!(codes.contains(&"G001"), "{r}");
         assert!(codes.contains(&"G004"), "{r}");
@@ -1328,64 +1202,57 @@ mod tests {
     #[test]
     fn notify_one_starves_lockstep_waiters() {
         let s = spec(4, true, Placement::Hbw);
-        let g = record_graph(&s).unwrap();
         let cfg = AnalysisConfig {
             construction: Construction::NotifyOne,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&g, &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &s, &cfg);
         assert_eq!(r.codes(), vec!["G002"], "{r}");
         // Dataflow chains have single dependents everywhere: immune.
         let s = spec(4, false, Placement::Hbw);
-        let g = record_graph(&s).unwrap();
-        let r = analyze(&g, &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &s, &cfg);
         assert!(r.is_safe(), "{r}");
     }
 
     #[test]
     fn no_recheck_races_the_lockstep_ring() {
         let s = spec(4, true, Placement::Hbw);
-        let g = record_graph(&s).unwrap();
         let cfg = AnalysisConfig {
             construction: Construction::NoRecheck,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&g, &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &s, &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
     }
 
     #[test]
     fn poison_skip_leaks_the_poisoned_slot() {
         let s = spec(4, false, Placement::Hbw);
-        let g = record_graph(&s).unwrap();
+        let p = plan_pipeline(&s);
         let cfg = AnalysisConfig {
             construction: Construction::PoisonSkipLock,
             kernel_panic: Some(1),
             ..AnalysisConfig::default()
         };
-        let r = analyze(&g, &s, &cfg);
+        let r = analyze(&p, &s, &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
         // The correct construction cancels the dependents: no leak.
         let cfg = AnalysisConfig {
             kernel_panic: Some(1),
             ..AnalysisConfig::default()
         };
-        let r = analyze(&g, &s, &cfg);
+        let r = analyze(&p, &s, &cfg);
         assert!(r.is_safe(), "{r}");
     }
 
     #[test]
     fn hand_built_cycle_is_a_deadlock() {
-        let mut g = DepGraph::new();
-        let a = ChunkAction {
-            stage: Stage::Compute,
-            chunk: 0,
-            slot: 0,
-        };
-        g.push(GraphNode::Action(a), vec![1]);
-        g.push(GraphNode::Barrier, vec![0]);
+        let p = hand_built(vec![
+            node(PlanKind::Kernel, &[1]),
+            node(PlanKind::Barrier, &[0]),
+        ]);
         let r = analyze(
-            &g,
+            &p,
             &spec(1, true, Placement::Hbw),
             &AnalysisConfig::default(),
         );
@@ -1395,16 +1262,12 @@ mod tests {
 
     #[test]
     fn dangling_and_self_deps_are_unreachable() {
-        let mut g = DepGraph::new();
-        let a = ChunkAction {
-            stage: Stage::Compute,
-            chunk: 0,
-            slot: 0,
-        };
-        g.push(GraphNode::Action(a), vec![7]);
-        g.push(GraphNode::Barrier, vec![1]);
+        let p = hand_built(vec![
+            node(PlanKind::Kernel, &[7]),
+            node(PlanKind::Barrier, &[1]),
+        ]);
         let r = analyze(
-            &g,
+            &p,
             &spec(1, true, Placement::Hbw),
             &AnalysisConfig::default(),
         );
@@ -1413,19 +1276,15 @@ mod tests {
 
     #[test]
     fn dead_token_is_advisory() {
-        let mut g = DepGraph::new();
-        let act = |stage, chunk: usize| ChunkAction {
-            stage,
-            chunk,
-            slot: chunk % RING_SLOTS,
-        };
         // Compute of chunk 0 is issued but nobody consumes its completion
         // and no copy-out drains it.
-        g.push(GraphNode::Action(act(Stage::CopyIn, 0)), vec![]);
-        g.push(GraphNode::Action(act(Stage::Compute, 0)), vec![0]);
-        g.push(GraphNode::Barrier, vec![0]);
+        let p = hand_built(vec![
+            node(PlanKind::StageIn, &[]),
+            node(PlanKind::Kernel, &[0]),
+            node(PlanKind::Barrier, &[0]),
+        ]);
         let r = analyze(
-            &g,
+            &p,
             &spec(1, true, Placement::Hbw),
             &AnalysisConfig::default(),
         );
@@ -1492,15 +1351,51 @@ mod tests {
     }
 
     #[test]
+    fn default_config_takes_the_ring_depth_from_the_plan() {
+        // With a ring depth of its own, the default config judged this
+        // correct stencil against 3 slots: two false G004s, and chunk 6
+        // labelled slot 0 when it sits in slot 2.
+        let s = stencil_spec(9, false);
+        let p = plan_pipeline(&s);
+        let r = analyze(&p, &s, &AnalysisConfig::default());
+        assert!(r.findings.is_empty(), "{r}");
+        assert_eq!(r.peak_live_chunks, 4, "{r}");
+        // A zero budget makes G003 print the live-chunk witness.
+        let cfg = AnalysisConfig {
+            hbw_budget: Some(0),
+            ..AnalysisConfig::default()
+        };
+        let r = analyze(&p, &s, &cfg);
+        assert_eq!(r.codes(), vec!["G003"], "{r}");
+        let witness: Vec<&String> = r.findings[0]
+            .trace
+            .iter()
+            .filter(|line| line.starts_with("chunk "))
+            .collect();
+        assert_eq!(witness.len(), 8, "{r}");
+        for line in witness {
+            let chunk: usize = line["chunk ".len()..]
+                .split(' ')
+                .next()
+                .and_then(|c| c.parse().ok())
+                .expect("chunk number");
+            let slot: usize = line
+                .rsplit("(slot ")
+                .next()
+                .and_then(|s| s.trim_end_matches(')').parse().ok())
+                .expect("slot number");
+            assert_eq!(slot, chunk % 4, "{line}");
+        }
+    }
+
+    #[test]
     fn dropped_halo_edges_race_the_in_buffers() {
         let s = stencil_spec(6, false);
-        let g = record_graph(&s).unwrap();
         let cfg = AnalysisConfig {
-            ring_slots: s.ring_slots(),
             construction: Construction::DropHaloDep,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&g, &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &s, &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
         assert!(
             r.findings
@@ -1508,39 +1403,32 @@ mod tests {
                 .any(|f| f.check == GraphCheck::Race && f.message.contains("in-buffer")),
             "{r}"
         );
-        // Map graphs carry no halo edges, so the weakening is a no-op.
+        // Map plans carry no halo edges, so the weakening is a no-op.
         let s = spec(6, false, Placement::Hbw);
-        let g = record_graph(&s).unwrap();
-        let r = analyze(&g, &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &s, &cfg);
         assert!(r.is_safe(), "{r}");
     }
 
     #[test]
     fn stencil_recycle_edges_are_classified_and_droppable() {
         let s = stencil_spec(7, false);
-        let g = record_graph(&s).unwrap();
-        // Stage-in of chunk 4 recycles slot 0: its deps are computes.
-        let in4 = g.find_action(Stage::CopyIn, 4).unwrap();
-        assert!(!g.deps(in4).is_empty());
-        for &d in g.deps(in4) {
-            assert!(g.is_recycle_edge(in4, d), "{}", g.describe(d));
-            assert!(!g.is_halo_edge(in4, d));
-        }
-        // Compute of chunk 2 has halo edges to both neighbour stage-ins.
-        let comp2 = g.find_action(Stage::Compute, 2).unwrap();
-        let halos = g
-            .deps(comp2)
-            .iter()
-            .filter(|&&d| g.is_halo_edge(comp2, d))
-            .count();
-        assert_eq!(halos, 2);
+        let p = plan_pipeline(&s);
+        // Stage-in of chunk 4 recycles slot 0: every dep is a Recycle
+        // edge, so DropRecycleDep leaves it waiting on nothing.
+        let in4 = p.find(PlanKind::StageIn, 4).unwrap();
+        assert!(!p.nodes[in4].deps.is_empty());
+        assert!(effective_deps(&p, Construction::DropRecycleDep)[in4].is_empty());
+        // Compute of chunk 2 loses exactly its two halo edges under
+        // DropHaloDep.
+        let comp2 = p.find(PlanKind::Kernel, 2).unwrap();
+        let kept = effective_deps(&p, Construction::DropHaloDep);
+        assert_eq!(p.nodes[comp2].deps.len() - kept[comp2].len(), 2);
         // Dropping recycle edges must blow both race and ring-width.
         let cfg = AnalysisConfig {
-            ring_slots: s.ring_slots(),
             construction: Construction::DropRecycleDep,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&g, &s, &cfg);
+        let r = analyze(&p, &s, &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
         assert!(r.codes().contains(&"G004"), "{r}");
     }
@@ -1597,11 +1485,17 @@ mod tests {
     #[test]
     fn recorder_matches_drive_shape() {
         let s = spec(5, true, Placement::Hbw);
-        let g = record_graph(&s).unwrap();
-        // 3 stages x 5 chunks + 7 barriers.
-        assert_eq!(g.len(), 22);
-        assert!(g.find_action(Stage::CopyOut, 4).is_some());
-        assert!(g.find_action(Stage::CopyOut, 5).is_none());
-        assert!(g.describe(g.len() - 1).contains("barrier"));
+        let p = plan_pipeline(&s);
+        // 3 stages x 5 chunks + 7 barriers, and the recorded drive walk is
+        // the same nodes plus its Finish.
+        assert_eq!(p.nodes.len(), 22);
+        let mut rec = RecordingBackend::new(NullBackend::new());
+        drive(&mut rec, &s).unwrap();
+        assert_eq!(rec.events().len(), p.nodes.len() + 1);
+        assert_eq!(rec.events().last(), Some(&Event::Finish));
+        assert!(p.find(PlanKind::StageOut, 4).is_some());
+        assert!(p.find(PlanKind::StageOut, 5).is_none());
+        assert_eq!(describe(&p, p.nodes.len() - 1), "step barrier (node 21)");
+        assert_eq!(describe(&p, 0), "CopyIn of chunk 0 (slot 0, node 0)");
     }
 }

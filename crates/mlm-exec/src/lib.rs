@@ -23,10 +23,10 @@
 //! * [`drive`] — the orchestrator that builds the plan for the spec's
 //!   workload (map or halo-exchanging stencil; lockstep, dataflow, and
 //!   implicit cache mode) and interprets it over the backend;
-//! * [`graph`] — the recorded dependency DAG ([`graph::DepGraph`]) shared
-//!   by the fuzzer and the static schedule verifier ([`graph::analyze`],
-//!   diagnostics G001–G006), plus [`drive_verified`], the preflight-gated
-//!   orchestrator entry point;
+//! * [`graph`] — the static schedule verifier ([`graph::analyze`],
+//!   diagnostics G001–G006), which reads the same [`WorkloadPlan`] the
+//!   fuzzer executes and [`drive`] interprets, plus [`drive_verified`],
+//!   the preflight-gated orchestrator entry point;
 //! * [`RunReport`]/[`StageReport`] — the unified stats every backend
 //!   returns;
 //! * [`RecordingBackend`] — a composable wrapper that turns any backend

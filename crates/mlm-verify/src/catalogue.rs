@@ -17,8 +17,8 @@
 //! first finding it prints.
 
 use mlm_exec::fuzz::{corpus_spec, corpus_stencil_spec, Construction, FaultPlan, FuzzCase};
-use mlm_exec::graph::{analyze, record_graph, AnalysisConfig, GraphReport};
-use mlm_exec::{DriveError, PipelineSpec, Placement, Stage};
+use mlm_exec::graph::{analyze, AnalysisConfig, GraphReport};
+use mlm_exec::{plan_pipeline, DriveError, PipelineSpec, Placement, Stage};
 
 use crate::models::condvar::{CondvarModel, CvVariant};
 
@@ -73,17 +73,17 @@ impl BugRow {
         }
     }
 
-    /// The static analyzer's verdict on the row's schedule as the buggy
+    /// The static analyzer's verdict on the row's plan as the buggy
     /// construction executes it.
     pub fn graph_report(&self) -> Result<GraphReport, DriveError> {
         let spec = self.spec();
+        spec.validate().map_err(DriveError::Spec)?;
         let cfg = AnalysisConfig {
-            ring_slots: spec.ring_slots(),
             construction: self.construction,
             kernel_panic: self.kernel_panic,
             ..AnalysisConfig::default()
         };
-        Ok(analyze(&record_graph(&spec)?, &spec, &cfg))
+        Ok(analyze(&plan_pipeline(&spec), &spec, &cfg))
     }
 }
 

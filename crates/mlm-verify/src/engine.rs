@@ -64,7 +64,7 @@ pub fn checked_program(target: &VerifyTarget<'_>) -> Result<(Program, LintReport
     }
     // Field-level lints passed; now prove the emitted schedule itself
     // (race/deadlock/occupancy, G001–G006) against this machine's
-    // addressable MCDRAM. A spec the recorder cannot even drive is a
+    // addressable MCDRAM. A spec the verifier cannot even plan is a
     // linter gap, same as a lowering failure.
     let graph_report = crate::graph::graph_report_for(target.spec, target.machine)
         .map_err(|e| VerifyError::Lowering(e.to_string()))?;

@@ -1,8 +1,8 @@
 //! The static schedule-verification battery: G-series diagnostics over
-//! the dependency graphs `drive()` emits.
+//! the plans `drive()` interprets.
 //!
-//! The analysis itself lives in [`mlm_exec::graph`] (shared with the
-//! fuzzer so both consume one graph model); this module wraps its
+//! The analysis itself lives in [`mlm_exec::graph`] (it reads the same
+//! `WorkloadPlan` the fuzzer executes); this module wraps its
 //! findings as [`Diagnostic`]s alongside the V-series lints, defines the
 //! committed experiment-spec catalog every CI run re-proves, and packages
 //! the whole thing as a suite (`mlm-verify graph`):
@@ -79,9 +79,9 @@ pub fn report_diagnostics(report: &GraphReport) -> Vec<Diagnostic> {
     report.findings.iter().map(finding_diagnostic).collect()
 }
 
-/// Record and statically verify the schedule `spec` emits, bounding HBW
+/// Statically verify the plan `spec` builds, bounding HBW
 /// occupancy against `machine`'s addressable MCDRAM. `Err` only when the
-/// spec cannot be driven at all.
+/// spec fails validation.
 pub fn graph_report_for(
     spec: &PipelineSpec,
     machine: &MachineConfig,
@@ -209,7 +209,7 @@ pub fn run_graph_suite() -> Vec<GraphCase> {
     }
 
     // The five must-fail constructions of the catalogue, proven
-    // statically: the recorded graph is analysed as the buggy construction
+    // statically: the plan is analysed as the buggy construction
     // executes it, and the analyzer must produce the finding with no
     // schedule sampling at all.
     for row in &CATALOGUE {

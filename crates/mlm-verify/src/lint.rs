@@ -2,9 +2,12 @@
 //! built-in lints.
 //!
 //! Lints validate a [`VerifyTarget`] — a [`PipelineSpec`] paired with the
-//! [`MachineConfig`] it is meant to run on, plus the host-side facts the
-//! spec alone does not carry (element size, buffer-ring depth, an optional
-//! [`ClusterConfig`]) — *before* anything executes. This is the static
+//! [`MachineConfig`] it is meant to run on, plus the facts the spec alone
+//! does not carry (host element size, an optional [`ClusterConfig`],
+//! co-scheduled jobs, the backend and the fleet) — *before* anything
+//! executes. The buffer-ring depth is the spec's own
+//! [`ring_slots`](PipelineSpec::ring_slots): every executor builds exactly
+//! that ring. This is the static
 //! counterpart of the paper's analytic model (§3.2, Eqs. 1–5): the model
 //! predicts pipeline behaviour from the spec, and the lints reject or flag
 //! the configurations for which that prediction is a panic, a deadlock, or
@@ -40,9 +43,6 @@ pub struct VerifyTarget<'a> {
     /// backend will stream). The simulator does not care, but the host
     /// backend panics on mis-aligned chunk geometry.
     pub elem_bytes: usize,
-    /// Buffer-ring depth of the executor. [`RING_SLOTS`] for both in-tree
-    /// schedulers.
-    pub buffer_slots: usize,
     /// Cluster configuration when the run is distributed.
     pub cluster: Option<&'a ClusterConfig>,
     /// Specs of jobs planned to run *concurrently* with `spec` on the same
@@ -73,16 +73,12 @@ pub struct FleetTarget<'a> {
 
 impl<'a> VerifyTarget<'a> {
     /// A target with the in-tree executors' defaults: 8-byte elements
-    /// (`i64`/`u64` keys, as every workload in this repo uses) and the
-    /// spec's own ring depth — [`RING_SLOTS`] for chunk-local workloads,
-    /// one deeper for stencils, matching what both in-tree schedulers
-    /// allocate.
+    /// (`i64`/`u64` keys, as every workload in this repo uses).
     pub fn new(spec: &'a PipelineSpec, machine: &'a MachineConfig) -> Self {
         VerifyTarget {
             spec,
             machine,
             elem_bytes: 8,
-            buffer_slots: spec.ring_slots(),
             cluster: None,
             co_scheduled: &[],
             backend: Capabilities::all(),
@@ -160,7 +156,6 @@ impl LintRegistry {
         r.register(Box::new(ChunkGeometry));
         r.register(Box::new(McdramFit));
         r.register(Box::new(ModePlacement));
-        r.register(Box::new(BufferDeadlock));
         r.register(Box::new(ThreadOversubscription));
         r.register(Box::new(BandwidthSanity));
         r.register(Box::new(ChunkCount));
@@ -309,9 +304,10 @@ impl Lint for McdramFit {
                 if addressable == 0 {
                     return; // V003's finding; don't double-report.
                 }
-                let resident = t.spec.buffer_footprint(t.buffer_slots);
+                let slots = t.spec.ring_slots();
+                let resident = t.spec.buffer_footprint(slots);
                 if resident > addressable {
-                    let bufs = (t.buffer_slots as u64).saturating_mul(t.spec.buffers_per_slot());
+                    let bufs = (slots as u64).saturating_mul(t.spec.buffers_per_slot());
                     let max_chunk = addressable / bufs.max(1);
                     out.push(
                         Diagnostic::new(
@@ -322,13 +318,13 @@ impl Lint for McdramFit {
                                 "{bufs} chunk buffers ({} slots x {} per slot) of {} bytes \
                                  need {resident} bytes of MCDRAM but only {addressable} are \
                                  addressable",
-                                t.buffer_slots,
+                                slots,
                                 t.spec.buffers_per_slot(),
                                 t.spec.chunk_bytes
                             ),
                         )
                         .with_context("spec.chunk_bytes", t.spec.chunk_bytes)
-                        .with_context("target.buffer_slots", t.buffer_slots)
+                        .with_context("spec.ring_slots", slots)
                         .with_context("machine.addressable_mcdram", addressable)
                         .with_suggestion(format!("shrink chunk_bytes to at most {max_chunk}")),
                     );
@@ -409,74 +405,6 @@ impl Lint for ModePlacement {
                 );
             }
             _ => {}
-        }
-    }
-}
-
-/// V004: stage count vs buffer-slot deadlock/serialization potential.
-///
-/// The lockstep schedule touches three distinct buffers per step (copy-in
-/// of chunk `s`, compute on `s-1`, copy-out of `s-2`); with fewer slots
-/// two stages would alias one buffer inside a single step — a data race on
-/// the host, wrong traffic in the simulator. The dataflow ring stays
-/// deadlock-free at any depth >= 1 (the phase-model checker proves this),
-/// but below three slots the three stages can never all be in flight, so
-/// the schedule silently degenerates toward serial execution.
-struct BufferDeadlock;
-
-impl Lint for BufferDeadlock {
-    fn id(&self) -> &'static str {
-        "V004"
-    }
-    fn name(&self) -> &'static str {
-        "buffer-deadlock"
-    }
-    fn description(&self) -> &'static str {
-        "buffer slots vs pipeline stages: lockstep needs 3 rotating buffers; fewer serializes dataflow"
-    }
-    fn check(&self, t: &VerifyTarget<'_>, out: &mut Vec<Diagnostic>) {
-        if t.spec.placement == Placement::Implicit {
-            return; // no copy stages, no ring
-        }
-        if t.buffer_slots == 0 {
-            out.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.name(),
-                    Severity::Error,
-                    "zero buffer slots: no stage can ever run".into(),
-                )
-                .with_context("target.buffer_slots", 0usize),
-            );
-            return;
-        }
-        if t.buffer_slots < RING_SLOTS {
-            let (severity, message) = if t.spec.lockstep {
-                (
-                    Severity::Error,
-                    format!(
-                        "lockstep steps touch {RING_SLOTS} distinct buffers (in s, comp s-1, \
-                         out s-2) but only {} slots exist: two stages would alias one \
-                         buffer within a step",
-                        t.buffer_slots
-                    ),
-                )
-            } else {
-                (
-                    Severity::Warning,
-                    format!(
-                        "dataflow ring with {} slot(s) cannot keep all {RING_SLOTS} stages \
-                         in flight; the pipeline degenerates toward serial execution",
-                        t.buffer_slots
-                    ),
-                )
-            };
-            out.push(
-                Diagnostic::new(self.id(), self.name(), severity, message)
-                    .with_context("target.buffer_slots", t.buffer_slots)
-                    .with_context("spec.lockstep", t.spec.lockstep)
-                    .with_suggestion(format!("use {RING_SLOTS} buffer slots")),
-            );
         }
     }
 }
@@ -779,7 +707,7 @@ impl Lint for ClusterSanity {
 ///
 /// Each job individually may pass V002, yet a serving-mode co-resident set
 /// can still oversubscribe MCDRAM: every flat-placement job pins its own
-/// ring of `buffer_slots` chunk buffers, and real memkind fails the
+/// ring of `ring_slots` chunk buffers, and real memkind fails the
 /// `hbw_malloc` of whichever tenant loses the race. A capacity broker
 /// (`mlm-serve`) enforces this dynamically; this lint catches it at plan
 /// time.
@@ -806,7 +734,7 @@ impl Lint for ConcurrentMcdramFit {
         // Only flat-MCDRAM placements pin MCDRAM; DDR and cache-mode jobs
         // contribute nothing to the budget.
         let footprint = |s: &PipelineSpec| match s.placement {
-            Placement::Hbw => s.buffer_footprint(t.buffer_slots),
+            Placement::Hbw => s.buffer_footprint(s.ring_slots()),
             Placement::Ddr | Placement::Implicit => 0,
         };
         let mine = footprint(t.spec);
@@ -818,7 +746,8 @@ impl Lint for ConcurrentMcdramFit {
         if total > addressable {
             let jobs = 1 + t.co_scheduled.len();
             let fair = addressable / jobs as u64;
-            let max_chunk = fair / t.buffer_slots.max(1) as u64;
+            let slots = t.spec.ring_slots();
+            let max_chunk = fair / slots as u64;
             out.push(
                 Diagnostic::new(
                     self.id(),
@@ -828,7 +757,7 @@ impl Lint for ConcurrentMcdramFit {
                         "{jobs} co-scheduled jobs pin {total} bytes of MCDRAM buffer rings \
                          ({} slots each) but only {addressable} are addressable: some \
                          tenant's hbw_malloc must fail",
-                        t.buffer_slots
+                        slots
                     ),
                 )
                 .with_context("co_scheduled.jobs", jobs)
@@ -936,7 +865,8 @@ impl Lint for FleetPlacementFeasibility {
         if t.spec.placement != Placement::Hbw {
             return; // only MCDRAM rings compete for node budgets
         }
-        let footprint = t.spec.buffer_footprint(t.buffer_slots);
+        let slots = t.spec.ring_slots();
+        let footprint = t.spec.buffer_footprint(slots);
         if footprint == 0 {
             return;
         }
@@ -953,7 +883,7 @@ impl Lint for FleetPlacementFeasibility {
             .map(|n| n.mcdram_budget.min(n.machine.addressable_mcdram()))
             .max()
             .unwrap_or(0);
-        let max_chunk = max_budget / t.buffer_slots.max(1) as u64;
+        let max_chunk = max_budget / slots as u64;
         let semantics = if fleet.strict { "strict-HBW" } else { "HBW" };
         out.push(
             Diagnostic::new(
@@ -964,7 +894,7 @@ impl Lint for FleetPlacementFeasibility {
                     "{semantics} buffer ring of {footprint} bytes ({} slots) fits no node \
                      of the {}-node fleet (largest usable MCDRAM budget: {max_budget} \
                      bytes): the dispatcher rejects this job at submission",
-                    t.buffer_slots,
+                    slots,
                     fleet.nodes.len()
                 ),
             )
@@ -980,23 +910,17 @@ impl Lint for FleetPlacementFeasibility {
     }
 }
 
-/// V012: stencil halo/dependency feasibility.
+/// V012: stencil halo feasibility.
 ///
-/// The stencil family adds two spec-level hazards no chunk-local lint
-/// sees. First, halo geometry: `PipelineSpec::validate` rejects a halo
-/// as wide as the chunk outright, but a halo that is merely *large* is
-/// legal and quietly inverts the traffic balance — every interior chunk
-/// re-reads both neighbours' boundary bytes, so past `2 x halo >= chunk`
-/// the pipeline moves more halo bytes than payload bytes and Eqs. 1–5
-/// stop favouring staging at all; a halo that is not a whole number of
-/// host elements panics the host backend's slice carving. Second,
-/// inter-chunk dependency edges vs the buffer ring: a stencil compute on
-/// chunk `c` reads the staged buffers of `c-1`, `c`, and `c+1` while
-/// stage-in fills a fourth slot, so a ring shallower than the spec's
-/// [`ring_slots`](PipelineSpec::ring_slots) lets the fill overwrite a
-/// halo some neighbour's compute still has to read — a data race the
-/// graph verifier (G001) would catch per-schedule, raised here from the
-/// spec alone.
+/// The stencil family adds a spec-level hazard no chunk-local lint sees:
+/// halo geometry. `PipelineSpec::validate` rejects a halo as wide as the
+/// chunk outright, but a halo that is merely *large* is legal and quietly
+/// inverts the traffic balance — every interior chunk re-reads both
+/// neighbours' boundary bytes, so past `2 x halo >= chunk` the pipeline
+/// moves more halo bytes than payload bytes and Eqs. 1–5 stop favouring
+/// staging at all; a halo that is not a whole number of host elements
+/// panics the host backend's slice carving. Whether the inter-chunk edges
+/// fit the buffer ring is the graph verifier's question (G001/G004).
 struct StencilHaloFeasibility;
 
 impl Lint for StencilHaloFeasibility {
@@ -1007,7 +931,7 @@ impl Lint for StencilHaloFeasibility {
         "stencil-halo-feasibility"
     }
     fn description(&self) -> &'static str {
-        "stencil halos must be whole elements, narrow relative to the chunk, and backed by enough buffer slots for the inter-chunk edges"
+        "stencil halos must be whole elements and narrow relative to the chunk"
     }
     fn check(&self, t: &VerifyTarget<'_>, out: &mut Vec<Diagnostic>) {
         let Workload::Stencil { halo_bytes } = t.spec.workload else {
@@ -1035,27 +959,6 @@ impl Lint for StencilHaloFeasibility {
                 .with_suggestion(format!(
                     "round halo_bytes to a multiple of the element size, e.g. {rounded}"
                 )),
-            );
-        }
-        let need = t.spec.ring_slots();
-        if t.buffer_slots < need {
-            out.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.name(),
-                    Severity::Error,
-                    format!(
-                        "stencil inter-chunk edges need {need} buffer slots (compute on \
-                         chunk c reads the staged buffers of c-1, c, and c+1 while \
-                         stage-in fills a fourth) but the executor ring has {}: the fill \
-                         would overwrite a halo a neighbour still reads (the per-schedule \
-                         G001 race, refuted from the spec alone)",
-                        t.buffer_slots
-                    ),
-                )
-                .with_context("target.buffer_slots", t.buffer_slots)
-                .with_context("spec.ring_slots", need)
-                .with_suggestion(format!("use {need} buffer slots for stencil workloads")),
             );
         }
         if 2 * halo_bytes >= t.spec.chunk_bytes {
@@ -1173,28 +1076,6 @@ mod tests {
         assert!(report.error_ids().contains(&"V003"));
         // V002 must stay quiet: no addressable MCDRAM is V003's finding.
         assert!(!ids(&report).contains(&"V002"));
-    }
-
-    #[test]
-    fn v004_lockstep_with_two_slots() {
-        let machine = knl();
-        let spec = good_spec();
-        let mut t = VerifyTarget::new(&spec, &machine);
-        t.buffer_slots = 2;
-        let report = lint_target(&t);
-        assert!(report.error_ids().contains(&"V004"));
-    }
-
-    #[test]
-    fn v004_dataflow_with_two_slots_is_warning() {
-        let machine = knl();
-        let mut spec = good_spec();
-        spec.lockstep = false;
-        let mut t = VerifyTarget::new(&spec, &machine);
-        t.buffer_slots = 2;
-        let report = lint_target(&t);
-        assert!(!report.has_errors());
-        assert!(ids(&report).contains(&"V004"));
     }
 
     #[test]
@@ -1362,21 +1243,6 @@ mod tests {
     }
 
     #[test]
-    fn v012_shallow_ring_is_an_error() {
-        let machine = knl();
-        let spec = stencil_spec(1 << 20);
-        let mut t = VerifyTarget::new(&spec, &machine);
-        t.buffer_slots = 3; // the map family's ring: one slot short
-        let report = lint_target(&t);
-        assert!(report.error_ids().contains(&"V012"), "{report}");
-        let d = report
-            .errors()
-            .find(|d| d.id == "V012")
-            .expect("V012 diagnostic");
-        assert!(d.suggestion.is_some());
-    }
-
-    #[test]
     fn v012_misaligned_halo_is_an_error() {
         let machine = knl();
         let spec = stencil_spec((1 << 20) + 4); // not a whole 8-byte element
@@ -1426,8 +1292,8 @@ mod tests {
         assert_eq!(
             ids,
             vec![
-                "V000", "V001", "V002", "V003", "V004", "V005", "V006", "V007", "V008", "V009",
-                "V010", "V011", "V012"
+                "V000", "V001", "V002", "V003", "V005", "V006", "V007", "V008", "V009", "V010",
+                "V011", "V012"
             ]
         );
         // Ids are unique and every lint has a description.

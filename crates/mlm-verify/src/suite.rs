@@ -171,22 +171,6 @@ pub fn run_lint_suite() -> Vec<LintCase> {
         report: lint_target(&VerifyTarget::new(&s, &machine).with_fleet(&small_fleet, true)),
     });
 
-    // A stencil whose executor ring is the map family's three slots:
-    // stage-in would overwrite a halo a neighbour's compute still reads.
-    // The geometry is otherwise flawless, so only the halo/dependency
-    // lint can catch it.
-    let mut s = paper_spec();
-    s.workload = Workload::Stencil {
-        halo_bytes: 1 << 20,
-    };
-    let mut shallow = VerifyTarget::new(&s, &machine);
-    shallow.buffer_slots = 3;
-    out.push(LintCase {
-        name: "stencil on a three-slot ring",
-        expect_error: Some("V012"),
-        report: lint_target(&shallow),
-    });
-
     // The paper spec's 3 GiB ring is feasible on the mixed 8/16 GiB
     // fleet the fleet study sweeps.
     let s = paper_spec();

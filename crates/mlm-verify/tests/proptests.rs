@@ -132,7 +132,7 @@ proptest! {
     /// The ring protocol (at condvar granularity) is deadlock-free and
     /// keeps exclusive slot ownership for every small geometry, not just
     /// the shipped 3-slot one; 1 and 2 slots serialize the pipeline but
-    /// never deadlock, which is why V004 is a warning.
+    /// never deadlock.
     #[test]
     fn ring_protocol_verifies_for_all_small_geometries(
         slots in 1usize..5,

@@ -102,6 +102,23 @@ if [ "$impls" -ne 1 ]; then
   fail=1
 fi
 
+# Fourth discipline: the plan is the schedule graph. The verifier and the
+# fuzzer read the WorkloadPlan plan_pipeline builds; a Backend whose job is
+# to re-capture that plan into a graph type of its own is a second copy
+# of the schedule that can drift from it. In crates/mlm-exec/src a
+# top-level `impl … Backend for` may live only in recording.rs (the trace
+# recorder and the null backend). Matching at column 0 leaves the
+# indented #[cfg(test)] probes alone.
+recorders=$(grep -lE '^impl\b.*\bBackend for\b' crates/mlm-exec/src/*.rs \
+  | grep -v '^crates/mlm-exec/src/recording.rs$' || true)
+if [ -n "$recorders" ]; then
+  for f in $recorders; do
+    echo "error: ${f} implements Backend inside mlm-exec outside recording.rs" >&2
+    echo "       read the WorkloadPlan from plan_pipeline instead of recording the drive walk" >&2
+  done
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo >&2
   echo "New host/sim pairs must adapt the shared execution layer, not re-implement the schedule." >&2
@@ -111,3 +128,4 @@ fi
 echo "check_no_dual_impl: every host/sim pair rides the mlm-exec execution layer"
 echo "check_no_dual_impl: every WorkloadPlan producer lives in the plan layer"
 echo "check_no_dual_impl: the host pipeline has exactly one Backend impl"
+echo "check_no_dual_impl: mlm-exec implements Backend only in recording.rs"

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use mlm_core::pipeline::host::{run_host_pipeline, run_host_stencil, StencilView};
 use mlm_core::pipeline::sim::SimBackend;
 use mlm_exec::{
-    drive, Event, NullBackend, PipelineSpec, Placement, RecordingBackend, Stage, Workload,
-    RING_SLOTS,
+    drive, plan_pipeline, ChunkAction, Event, NullBackend, PipelineSpec, Placement, PlanKind,
+    RecordingBackend, Stage, Workload, RING_SLOTS,
 };
 use parsort::pool::WorkPool;
 
@@ -135,6 +135,35 @@ fn null_trace(spec: &PipelineSpec) -> Vec<Event> {
     events
 }
 
+/// The plan `plan_pipeline` builds for `spec`, as the trace a faithful
+/// walk of it records: event `i` is plan node `i` (same stage, chunk and
+/// slot, or a barrier), its deps are the node's edge `from`s in order,
+/// and `Finish` closes the run. The verifier and fuzzer read this plan
+/// instead of a recording, so the drive walk must equal it.
+fn plan_trace(spec: &PipelineSpec) -> Vec<Event> {
+    let plan = plan_pipeline(spec);
+    let mut events: Vec<Event> = plan
+        .nodes
+        .iter()
+        .map(|node| {
+            let deps = node.deps.iter().map(|e| e.from).collect();
+            match node.kind {
+                PlanKind::Barrier => Event::Barrier { after: deps },
+                kind => Event::Action {
+                    action: ChunkAction {
+                        stage: kind.stage().expect("non-barrier nodes are stages"),
+                        chunk: node.chunk.expect("pipeline nodes are chunk-scoped"),
+                        slot: node.slot,
+                    },
+                    deps,
+                },
+            }
+        })
+        .collect();
+    events.push(Event::Finish);
+    events
+}
+
 /// The drive walk of `spec`, recorded while the sim lowering runs
 /// underneath — the exact schedule `build_program` lowers to ops.
 fn sim_trace(spec: &PipelineSpec) -> Vec<Event> {
@@ -200,6 +229,7 @@ proptest! {
         let null = null_trace(&spec);
         let sim = sim_trace(&spec);
         prop_assert_eq!(&null, &sim, "sim must be lowered from the identical schedule");
+        prop_assert_eq!(&null, &plan_trace(&spec), "the drive walk is the plan, node for node");
 
         // Per-chunk action accounting: each chunk is copied in, computed
         // on, and copied out exactly once, in that per-chunk order.
@@ -347,6 +377,7 @@ proptest! {
         let null = null_trace(&spec);
         let sim = sim_trace(&spec);
         prop_assert_eq!(&null, &sim, "sim must be lowered from the identical schedule");
+        prop_assert_eq!(&null, &plan_trace(&spec), "the drive walk is the plan, node for node");
 
         let n = spec.n_chunks();
         for stage in [Stage::CopyIn, Stage::Compute, Stage::CopyOut] {

@@ -1,7 +1,7 @@
 //! Cross-crate assertions for the static schedule verifier.
 //!
 //! The analyzer (`mlm_exec::graph`) proves properties over *every*
-//! linearization of the dependency graph `drive()` emits; these tests tie
+//! linearization of the plan `drive()` interprets; these tests tie
 //! it to the rest of the workspace: the fuzz corpus must prove safe, the
 //! five buggy constructions of the must-fail catalogue must be refuted
 //! with counterexample traces (no fuzz seeds involved) and caught by every
@@ -14,7 +14,6 @@ use std::time::Instant;
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::Simulator;
 use mlm_exec::fuzz::{default_corpus, fuzz_case, replay, Construction};
-use mlm_exec::graph::{analyze, AnalysisConfig, DepGraph, GraphNode};
 use mlm_verify::catalogue::CATALOGUE;
 use mlm_verify::check::{check, CheckOptions};
 use mlm_verify::graph::{graph_report_for, largest_committed_spec, run_graph_suite};
@@ -133,21 +132,6 @@ fn simulator_preflight_proves_the_paper_spec() {
         .preflight_spec(&fat)
         .expect_err("96 MiB ring in 64 MiB MCDRAM");
     assert!(err.to_string().contains("G003"), "{err}");
-}
-
-/// A hand-built cyclic graph is refuted as a deadlock with a readable
-/// cycle trace — the analyzer does not require `drive()`-shaped input.
-#[test]
-fn hand_built_cycle_is_refuted() {
-    let mut g = DepGraph::new();
-    let a = g.push(GraphNode::Barrier, vec![2]);
-    let b = g.push(GraphNode::Barrier, vec![a]);
-    let _c = g.push(GraphNode::Barrier, vec![b]);
-    let spec = paper_spec();
-    let report = analyze(&g, &spec, &AnalysisConfig::default());
-    assert_eq!(report.codes(), vec!["G002"]);
-    let finding = &report.findings[0];
-    assert!(!finding.trace.is_empty(), "cycle trace must name the nodes");
 }
 
 /// Lenient wall-clock smoke for the acceptance budget: the release-mode
