@@ -54,9 +54,10 @@ impl FlowSpec {
 /// Flows with an empty demand vector are limited only by their cap. A flow
 /// with cap `0` gets rate `0` (it will never complete; callers avoid this).
 ///
-/// This is a convenience wrapper over [`Arbiter`], which hot loops (the
-/// engine's rate epochs) use directly to avoid re-allocating scratch state
-/// on every invocation.
+/// This is [`Arbiter::allocate`] with every flow its own class of one;
+/// hot loops (the engine's rate epochs) use the [`Arbiter`] directly, to
+/// reuse its scratch state and to arbitrate whole classes of identical
+/// flows as one entry.
 ///
 /// # Panics
 /// Panics if a flow references a resource index out of range or has a
@@ -84,22 +85,31 @@ pub fn allocate_rates(capacities: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
     }
 
     let mut out = Vec::new();
-    Arbiter::new().allocate(capacities, flows.iter(), &mut out);
+    Arbiter::new().allocate(capacities, flows.iter().map(|f| (f, 1)), &mut out);
     out
 }
 
-/// Reusable max–min-fair ("water-filling") rate allocator.
+/// Reusable max–min-fair ("water-filling") rate allocator over flow
+/// *classes*.
 ///
-/// Functionally identical to [`allocate_rates`] but designed for callers
-/// that re-arbitrate on every rate epoch: scratch vectors are kept between
-/// calls (no per-call heap allocation once warm) and flow specs are
-/// *borrowed* through a re-iterable iterator, so callers holding flows in
-/// an arena never clone a [`FlowSpec`] to arbitrate over them.
+/// Each item the caller hands in is a `(spec, count)` pair: `count ≥ 1`
+/// identical flows sharing one [`FlowSpec`], charged `count × coeff` on
+/// every resource they use. Max–min fairness gives identical flows
+/// identical rates (they freeze in the same filling round, by the same
+/// test), so one rate per class is the whole answer, and a saturated
+/// epoch costs O(classes) instead of O(flows). [`allocate_rates`] is the
+/// case where every count is 1; since `1.0 × coeff == coeff` exactly, it
+/// computes what a per-flow loop would, bit for bit.
+///
+/// Scratch vectors are kept between calls (no per-call heap allocation
+/// once warm), and specs are *borrowed*, so callers holding them in an
+/// arena never clone a [`FlowSpec`] to arbitrate over them.
 #[derive(Debug, Default)]
 pub struct Arbiter {
     frozen: Vec<bool>,
     agg: Vec<f64>,
     remaining: Vec<f64>,
+    saturated: Vec<bool>,
 }
 
 impl Arbiter {
@@ -108,19 +118,22 @@ impl Arbiter {
         Arbiter::default()
     }
 
-    /// Compute the max–min-fair allocation for the flows yielded by
-    /// `flows` (the iterator is re-walked once per filling round, hence
-    /// `Clone`), writing one rate per flow into `out` (cleared first).
+    /// Compute the max–min-fair allocation for the flow classes yielded by
+    /// `classes`, writing one rate per class — the rate of each of its
+    /// members — into `out` (cleared first).
+    ///
+    /// The iterator is walked once to size `out`, then twice per filling
+    /// round (sum the unfrozen demand, then freeze), hence `Clone`.
     ///
     /// Inputs are validated with debug assertions only; the public
     /// [`allocate_rates`] wrapper performs the hard-panicking validation
     /// documented there.
-    pub fn allocate<'a, I>(&mut self, capacities: &[f64], flows: I, out: &mut Vec<f64>)
+    pub fn allocate<'a, I>(&mut self, capacities: &[f64], classes: I, out: &mut Vec<f64>)
     where
-        I: Iterator<Item = &'a FlowSpec> + Clone,
+        I: Iterator<Item = (&'a FlowSpec, usize)> + Clone,
     {
         out.clear();
-        out.extend(flows.clone().map(|_| 0.0f64));
+        out.extend(classes.clone().map(|_| 0.0f64));
         let n = out.len();
         if n == 0 {
             return;
@@ -137,39 +150,35 @@ impl Arbiter {
 
         loop {
             // Aggregate demand coefficient of unfrozen flows on each
-            // resource.
+            // resource, and how far the level can rise before some
+            // unfrozen flow hits its cap.
             self.agg.clear();
             self.agg.resize(capacities.len(), 0.0);
             let agg = &mut self.agg;
-            let mut unfrozen_count = 0usize;
-            for (i, f) in flows.clone().enumerate() {
+            let mut unfrozen = 0usize;
+            let mut dl_cap = f64::INFINITY;
+            for (i, (f, count)) in classes.clone().enumerate() {
                 if frozen[i] {
                     continue;
                 }
-                unfrozen_count += 1;
+                unfrozen += 1;
+                let count = count as f64;
                 for &(r, coeff) in &f.demand {
                     debug_assert!(r < capacities.len(), "flow {i} uses unknown resource {r}");
                     debug_assert!(coeff > 0.0 && coeff.is_finite());
-                    agg[r] += coeff;
+                    agg[r] += count * coeff;
                 }
+                dl_cap = dl_cap.min(f.cap - level);
             }
-            if unfrozen_count == 0 {
+            if unfrozen == 0 {
                 break;
             }
 
-            // How much further can the common level rise before a resource
-            // saturates?
+            // ... and before a resource saturates?
             let mut dl_resource = f64::INFINITY;
             for (r, &a) in agg.iter().enumerate() {
                 if a > 0.0 {
                     dl_resource = dl_resource.min(remaining[r] / a);
-                }
-            }
-            // ... or before some unfrozen flow hits its cap?
-            let mut dl_cap = f64::INFINITY;
-            for (i, f) in flows.clone().enumerate() {
-                if !frozen[i] {
-                    dl_cap = dl_cap.min(f.cap - level);
                 }
             }
 
@@ -178,7 +187,7 @@ impl Arbiter {
                 // Unfrozen flows exist with no resource usage and infinite
                 // caps; they are unconstrained. Give them an arbitrary huge
                 // rate.
-                for (i, f) in flows.clone().enumerate() {
+                for (i, (f, _)) in classes.clone().enumerate() {
                     if !frozen[i] {
                         out[i] = f.cap.min(f64::MAX);
                         frozen[i] = true;
@@ -189,31 +198,31 @@ impl Arbiter {
 
             level += dl.max(0.0);
 
-            // Charge the capacity consumed by this rise.
+            // Charge the capacity consumed by this rise, and note which
+            // resources it saturated.
+            self.saturated.clear();
             for (r, &a) in agg.iter().enumerate() {
                 remaining[r] -= a * dl;
+                self.saturated
+                    .push(a > 0.0 && remaining[r] <= 1e-9 * capacities[r]);
             }
 
-            // Freeze flows that hit their cap at the new level.
+            // Freeze flows that hit their cap at the new level, then flows
+            // on any saturated resource (a flow that is both gets its cap).
             let mut any_frozen = false;
-            for (i, f) in flows.clone().enumerate() {
-                if !frozen[i] && level >= f.cap - 1e-12 * f.cap.max(1.0) {
+            for (i, (f, _)) in classes.clone().enumerate() {
+                if frozen[i] {
+                    continue;
+                }
+                if level >= f.cap - 1e-12 * f.cap.max(1.0) {
                     out[i] = f.cap;
-                    frozen[i] = true;
-                    any_frozen = true;
+                } else if f.demand.iter().any(|&(r, _)| self.saturated[r]) {
+                    out[i] = level;
+                } else {
+                    continue;
                 }
-            }
-            // Freeze flows on any saturated resource.
-            for (r, rem) in remaining.iter().enumerate() {
-                if agg[r] > 0.0 && *rem <= 1e-9 * capacities[r] {
-                    for (i, f) in flows.clone().enumerate() {
-                        if !frozen[i] && f.demand.iter().any(|&(fr, _)| fr == r) {
-                            out[i] = level;
-                            frozen[i] = true;
-                            any_frozen = true;
-                        }
-                    }
-                }
+                frozen[i] = true;
+                any_frozen = true;
             }
             if !any_frozen {
                 // Defensive: should be impossible since dl froze something,
@@ -416,7 +425,7 @@ mod tests {
             (0..40).map(|_| FlowSpec::single(DDR, 1.0, 4.8e9)).collect(),
         ];
         for flows in &sets {
-            arb.allocate(&caps(), flows.iter(), &mut out);
+            arb.allocate(&caps(), flows.iter().map(|f| (f, 1)), &mut out);
             let fresh = allocate_rates(&caps(), flows);
             assert_eq!(out, fresh);
         }

@@ -29,6 +29,13 @@
 //!   starts coalesce into one re-arbitration. Flow progress integrates
 //!   lazily: `remaining` is materialized only when the flow's own rate
 //!   changes or it completes.
+//! * **Flow classes** — active flows whose demand coefficients and cap are
+//!   bit-identical form one class, and an epoch arbitrates classes, not
+//!   flows. Invariant: between epochs every member's rate equals its
+//!   class's. Grouping cannot change a rate — identical specs pass the
+//!   same freeze test in the same filling round — so an epoch re-times
+//!   only the members of classes whose rate moved, plus flows started
+//!   since the last epoch.
 //! * **Slab storage** — active flows live in a generation-tagged
 //!   [`crate::slab::Slab`]; no per-flow allocation once the slab is warm.
 //!
@@ -81,6 +88,9 @@ pub struct EngineStats {
     /// Epochs that needed the full water-filling (demand exceeded some
     /// capacity); the rest took the everyone-at-cap fast path.
     pub full_recomputes: u64,
+    /// Entries handed to the water-filling, summed over full recomputes:
+    /// one per flow class, however many flows it holds.
+    pub arbitrated: u64,
     /// Lazily-invalidated heap entries skipped on pop.
     pub stale_events: u64,
     /// High-water mark of the event heap.
@@ -102,12 +112,58 @@ struct FlowSlot {
     last_sync: f64,
     /// Prediction generation; drain events for older generations are stale.
     pred: u32,
-    /// Position in the dense `active` key list (for O(1) swap-removal).
-    active_pos: usize,
+    /// Index of the flow's class in `Engine::classes`.
+    class: usize,
+    /// Position in its class's `members` (for O(1) swap-removal).
+    class_pos: usize,
     /// Extra serial latency charged after the flow drains (miss penalty).
     penalty_after: f64,
     started_at: f64,
+}
+
+/// A resolved flow: demand coefficients per logical byte on
+/// `[DDR, MCDRAM]` (0 where unused) and the rate cap — a [`FlowSpec`]
+/// without the allocation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Demand {
+    pub coeff: [f64; 2],
+    pub cap: f64,
+}
+
+impl Demand {
+    /// Class key: flows are interchangeable iff these bits are equal.
+    fn bits(&self) -> [u64; 3] {
+        [
+            self.coeff[DDR].to_bits(),
+            self.coeff[MCD].to_bits(),
+            self.cap.to_bits(),
+        ]
+    }
+
+    /// The arbiter's form: one `(resource, coefficient)` pair per used bus.
+    pub(crate) fn spec(&self) -> FlowSpec {
+        FlowSpec {
+            demand: [DDR, MCD]
+                .into_iter()
+                .filter(|&r| self.coeff[r] > 0.0)
+                .map(|r| (r, self.coeff[r]))
+                .collect(),
+            cap: self.cap,
+        }
+    }
+}
+
+/// The active flows sharing one bit-identical [`FlowSpec`]: one entry of
+/// the water-filling, however many members it holds.
+struct FlowClass {
     spec: FlowSpec,
+    /// The spec's [`Demand::bits`]: what a joining flow must match.
+    bits: [u64; 3],
+    /// Every member's rate as of the last epoch, except members started
+    /// since, which run at 0 until the next epoch times them.
+    rate: f64,
+    /// Live flow keys; empty when the slot is free for reuse.
+    members: Vec<Key>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -298,7 +354,7 @@ impl Simulator {
         kind: &OpKind,
         mut cache: Option<&mut DirectMappedCache>,
         report: &mut SimReport,
-    ) -> Result<(FlowSpec, f64), SimError> {
+    ) -> Result<(Demand, f64), SimError> {
         let mut ddr_bytes = 0u64;
         let mut mcd_bytes = 0u64;
         let mut misses = 0u64;
@@ -372,15 +428,14 @@ impl Simulator {
             OpKind::Delay { .. } => unreachable!("delays never reach resolve()"),
         };
 
-        let mut demand = Vec::with_capacity(2);
-        if ddr_bytes > 0 {
-            demand.push((DDR, ddr_bytes as f64 / logical));
-        }
-        if mcd_bytes > 0 {
-            demand.push((MCD, mcd_bytes as f64 / logical));
+        let mut coeff = [0.0; 2];
+        for (res, bytes) in [(DDR, ddr_bytes), (MCD, mcd_bytes)] {
+            if bytes > 0 {
+                coeff[res] = bytes as f64 / logical;
+            }
         }
         let penalty = misses as f64 * self.cfg.cache_miss_penalty;
-        Ok((FlowSpec { demand, cap }, penalty))
+        Ok((Demand { coeff, cap }, penalty))
     }
 }
 
@@ -494,8 +549,11 @@ struct Engine<'p> {
     // Event core.
     now: f64,
     flows: Slab<FlowSlot>,
-    /// Dense list of live flow keys, for O(active) epoch application.
-    active: Vec<Key>,
+    /// Flow classes by slot; a slot whose `members` is empty is free.
+    classes: Vec<FlowClass>,
+    /// Flows started since the last epoch: the only ones that may not yet
+    /// run at their class's rate.
+    started: Vec<Key>,
     /// Expiry events in flight (delays are never cancelled, so a counter
     /// suffices to distinguish "idle" from "waiting on a delay").
     pending_delays: usize,
@@ -590,7 +648,8 @@ impl<'p> Engine<'p> {
             runnable: ThreadSet::full(prog.threads()),
             now: 0.0,
             flows: Slab::with_capacity(prog.threads().min(1024)),
-            active: Vec::with_capacity(prog.threads().min(1024)),
+            classes: Vec::new(),
+            started: Vec::new(),
             pending_delays: 0,
             heap: BinaryHeap::with_capacity(prog.threads().min(1024) + 16),
             seq: 0,
@@ -611,7 +670,7 @@ impl<'p> Engine<'p> {
             if self.completed == n_ops {
                 break;
             }
-            if self.active.is_empty() && self.pending_delays == 0 {
+            if self.flows.is_empty() && self.pending_delays == 0 {
                 return Err(SimError::Deadlock(stuck_ops(self.prog, &self.done)));
             }
             self.recompute_if_dirty();
@@ -710,21 +769,23 @@ impl<'p> Engine<'p> {
                         self.busy[t] = true;
                     }
                     kind => {
-                        let (spec, penalty) =
+                        let (demand, penalty) =
                             sim.resolve(kind, self.cache.as_mut(), &mut self.report)?;
+                        let class = self.class_for(demand);
                         let slot = FlowSlot {
                             op: front,
                             remaining: spec_len(kind),
                             rate: 0.0,
                             last_sync: self.now,
                             pred: 0,
-                            active_pos: self.active.len(),
+                            class,
+                            class_pos: self.classes[class].members.len(),
                             penalty_after: penalty,
                             started_at: self.now,
-                            spec,
                         };
                         let key = self.flows.insert(slot);
-                        self.active.push(key);
+                        self.classes[class].members.push(key);
+                        self.started.push(key);
                         self.rates_dirty = true;
                         self.busy[t] = true;
                     }
@@ -734,57 +795,114 @@ impl<'p> Engine<'p> {
         Ok(())
     }
 
+    /// The class a flow with `demand` joins: the slot holding the same
+    /// bits, live or free (no two slots hold the same bits), else the
+    /// first free slot, else a new one. The spec is built only then. A
+    /// linear scan: classes are few, and every epoch walks them anyway.
+    fn class_for(&mut self, demand: Demand) -> usize {
+        let bits = demand.bits();
+        let mut free = None;
+        for (c, class) in self.classes.iter().enumerate() {
+            if class.bits == bits {
+                return c;
+            }
+            if free.is_none() && class.members.is_empty() {
+                free = Some(c);
+            }
+        }
+        let class = FlowClass {
+            spec: demand.spec(),
+            bits,
+            rate: 0.0,
+            members: Vec::new(),
+        };
+        match free {
+            Some(c) => {
+                // The slot keeps its member list's allocation.
+                let members = std::mem::take(&mut self.classes[c].members);
+                self.classes[c] = FlowClass { members, ..class };
+                c
+            }
+            None => {
+                self.classes.push(class);
+                self.classes.len() - 1
+            }
+        }
+    }
+
     /// Re-run bandwidth arbitration if the active flow set changed.
     ///
     /// Fast path: when the summed cap-weighted demand fits every resource,
-    /// water-filling provably assigns each flow exactly its cap, so only
-    /// flows *not already at cap* are touched (no heap churn for the rest).
-    /// Slow path: full water-filling via the reusable [`Arbiter`], borrowing
-    /// specs from the slab — no `FlowSpec` clones.
+    /// water-filling provably assigns each flow exactly its cap. Slow
+    /// path: full water-filling over the live classes via the reusable
+    /// [`Arbiter`]. Either way a class whose rate is unchanged costs no
+    /// heap churn; only its members started since the last epoch are
+    /// timed.
     fn recompute_if_dirty(&mut self) {
         if !self.rates_dirty {
             return;
         }
         self.rates_dirty = false;
-        if self.active.is_empty() {
+        if self.flows.is_empty() {
             return;
         }
         self.stats.rate_recomputes += 1;
 
         let mut cap_demand = [0.0f64; 2];
-        for &key in &self.active {
-            let f = self.flows.get(key).expect("active keys are live");
-            for &(res, coeff) in &f.spec.demand {
-                cap_demand[res] += f.spec.cap * coeff;
+        for c in live(&self.classes) {
+            let n = c.members.len() as f64;
+            for &(res, coeff) in &c.spec.demand {
+                cap_demand[res] += c.spec.cap * coeff * n;
             }
         }
-
-        if cap_demand[DDR] <= self.capacities[DDR] && cap_demand[MCD] <= self.capacities[MCD] {
-            for i in 0..self.active.len() {
-                let key = self.active[i];
-                let cap = self.flows.get(key).expect("live").spec.cap;
-                if self.flows.get(key).expect("live").rate != cap {
-                    self.retime(key, cap);
-                }
-            }
-        } else {
+        let fits =
+            cap_demand[DDR] <= self.capacities[DDR] && cap_demand[MCD] <= self.capacities[MCD];
+        if !fits {
             self.stats.full_recomputes += 1;
-            let flows = &self.flows;
             self.arbiter.allocate(
                 &self.capacities,
-                self.active
-                    .iter()
-                    .map(|&k| &flows.get(k).expect("live").spec),
+                live(&self.classes).map(|c| (&c.spec, c.members.len())),
                 &mut self.rates_scratch,
             );
-            for i in 0..self.active.len() {
-                let key = self.active[i];
-                let r = self.rates_scratch[i];
-                if self.flows.get(key).expect("live").rate != r {
-                    self.retime(key, r);
-                }
+            self.stats.arbitrated += self.rates_scratch.len() as u64;
+        }
+
+        let mut entry = 0;
+        for c in 0..self.classes.len() {
+            let class = &mut self.classes[c];
+            if class.members.is_empty() {
+                continue;
+            }
+            let rate = if fits {
+                class.spec.cap
+            } else {
+                self.rates_scratch[entry]
+            };
+            entry += 1;
+            if class.rate == rate {
+                continue;
+            }
+            class.rate = rate;
+            // Re-timing never changes membership; take the list out to
+            // walk it borrow-free.
+            let members = std::mem::take(&mut class.members);
+            for &key in &members {
+                self.retime(key, rate);
+            }
+            self.classes[c].members = members;
+        }
+        // New flows joined at rate 0; those whose class kept its rate are
+        // the only members not re-timed above.
+        let mut started = std::mem::take(&mut self.started);
+        for &key in &started {
+            let f = self.flows.get(key).expect("started flows are live");
+            let rate = self.classes[f.class].rate;
+            if f.rate != rate {
+                self.retime(key, rate);
             }
         }
+        started.clear();
+        self.started = started;
     }
 
     /// Give a flow a new rate: integrate progress under the old rate, then
@@ -808,7 +926,7 @@ impl<'p> Engine<'p> {
         let dt = self.now - f.last_sync;
         if dt > 0.0 && f.rate > 0.0 {
             f.remaining -= f.rate * dt;
-            for &(res, coeff) in &f.spec.demand {
+            for &(res, coeff) in &self.classes[f.class].spec.demand {
                 self.report.served_bytes[res] += f.rate * coeff * dt;
             }
         }
@@ -863,17 +981,13 @@ impl<'p> Engine<'p> {
                     // clock cannot reach it (a rescheduled drain would be
                     // popped again at this same `now`, forever), so the flow
                     // ends here and its last bytes are charged as served.
-                    for &(res, coeff) in &f.spec.demand {
+                    for &(res, coeff) in &self.classes[f.class].spec.demand {
                         self.report.served_bytes[res] += f.remaining * coeff;
                     }
                 }
                 self.stalled = 0;
                 let f = self.flows.remove(key).expect("live");
-                let pos = f.active_pos;
-                self.active.swap_remove(pos);
-                if let Some(&moved) = self.active.get(pos) {
-                    self.flows.get_mut(moved).expect("live").active_pos = pos;
-                }
+                self.leave_class(&f);
                 self.rates_dirty = true;
                 if f.penalty_after > 0.0 {
                     // Thread stays busy through the serial penalty tail.
@@ -894,6 +1008,16 @@ impl<'p> Engine<'p> {
             }
         }
         Ok(())
+    }
+
+    /// Drop a removed flow from its class; the class's slot is free once
+    /// its last member leaves.
+    fn leave_class(&mut self, f: &FlowSlot) {
+        let members = &mut self.classes[f.class].members;
+        members.swap_remove(f.class_pos);
+        if let Some(&moved) = members.get(f.class_pos) {
+            self.flows.get_mut(moved).expect("live").class_pos = f.class_pos;
+        }
     }
 
     /// Mark an op done: bump counters, record the trace, release dependents
@@ -937,10 +1061,10 @@ impl<'p> Engine<'p> {
             return;
         }
         let mut used = [0.0f64; 2];
-        for &key in &self.active {
-            let f = self.flows.get(key).expect("live");
-            for &(res, coeff) in &f.spec.demand {
-                used[res] += f.rate * coeff;
+        for c in live(&self.classes) {
+            let n = c.members.len() as f64;
+            for &(res, coeff) in &c.spec.demand {
+                used[res] += c.rate * coeff * n;
             }
         }
         let seg = BusSegment {
@@ -960,6 +1084,11 @@ impl<'p> Engine<'p> {
             self.stats.heap_peak = self.heap.len();
         }
     }
+}
+
+/// The classes with members, in slot order: the arbiter's entries.
+fn live(classes: &[FlowClass]) -> impl Iterator<Item = &FlowClass> + Clone {
+    classes.iter().filter(|c| !c.members.is_empty())
 }
 
 /// Latest event time that counts as `now`: events up to here are
@@ -1541,6 +1670,32 @@ mod tests {
     }
 
     #[test]
+    fn identical_flows_are_arbitrated_as_one_class() {
+        // 64 threads x 4 identical copies: 307 GB/s of cap demand on a
+        // 90 GB/s DDR bus, so every epoch water-fills — over one class,
+        // not 64 flows.
+        let cfg = MachineConfig::knl_7250(MemMode::Flat);
+        let mut p = Program::new(64);
+        for t in 0..64 {
+            for _ in 0..4 {
+                p.push(
+                    t,
+                    OpKind::copy(Place::Ddr, Place::Mcdram, 100_000_000, 4.8 * GB),
+                    &[],
+                );
+            }
+        }
+        let (r, stats) = Simulator::new(cfg).run_stats(&p).unwrap();
+        assert!(
+            (r.makespan - 256.0 * 0.1 / 90.0).abs() < 1e-9,
+            "{}",
+            r.makespan
+        );
+        assert!(stats.full_recomputes > 0, "{stats:?}");
+        assert_eq!(stats.arbitrated, stats.full_recomputes, "{stats:?}");
+    }
+
+    #[test]
     fn barrier_rounds_cost_width_times_rounds_not_width_squared() {
         // (stored lists, stored ids, join groups)
         let cost = |width: usize, rounds: usize| {
@@ -1584,7 +1739,7 @@ mod tests {
         e.drain_ready().unwrap();
         e.recompute_if_dirty();
         e.now = 0.5;
-        let key = e.active[0];
+        let key = e.classes[0].members[0];
         let drain = Event {
             time: e.now,
             seq: 0,

@@ -141,13 +141,13 @@ impl Simulator {
                                 busy[t] = true;
                             }
                             kind => {
-                                let (spec, penalty) =
+                                let (demand, penalty) =
                                     self.resolve(kind, cache.as_mut(), &mut report)?;
                                 let remaining = spec_len(kind);
                                 flows.push(ActiveFlow {
                                     op: front,
                                     remaining,
-                                    spec,
+                                    spec: demand.spec(),
                                     penalty_after: penalty,
                                     started_at: now,
                                 });

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulator substrate.
 
-use knl_sim::bandwidth::{allocate_rates, FlowSpec};
+use knl_sim::bandwidth::{allocate_rates, Arbiter, FlowSpec};
 use knl_sim::cache::DirectMappedCache;
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::ops::{OpKind, Place, Program};
@@ -19,7 +19,81 @@ fn arb_flow(resources: usize) -> impl Strategy<Value = FlowSpec> {
     (demand, cap).prop_map(|(demand, cap)| FlowSpec { demand, cap })
 }
 
+/// Up to six distinct two-resource specs drawn from `coeffs` and four
+/// caps, each with a member count in 1..=64.
+fn arb_classes(coeffs: &'static [f64]) -> impl Strategy<Value = Vec<(FlowSpec, usize)>> {
+    let spec = (0..coeffs.len(), 0..coeffs.len(), 0..3usize, 0..4usize).prop_map(
+        move |(a, b, used, cap)| {
+            let demand = match used {
+                0 => vec![(0, coeffs[a])],
+                1 => vec![(1, coeffs[b])],
+                _ => vec![(0, coeffs[a]), (1, coeffs[b])],
+            };
+            let cap = [0.5, 1.0, 4.8, f64::INFINITY][cap];
+            FlowSpec { demand, cap }
+        },
+    );
+    proptest::collection::vec((spec, 1usize..=64), 1..=6).prop_map(|drawn| {
+        let mut distinct: Vec<(FlowSpec, usize)> = Vec::new();
+        for c in drawn {
+            if distinct.iter().all(|d| d.0 != c.0) {
+                distinct.push(c);
+            }
+        }
+        distinct
+    })
+}
+
+/// Arbitrate `classes` as weighted entries and as the expanded per-flow
+/// list; return `(class rate, member rates)` per class.
+fn class_vs_flow_rates(caps: &[f64], classes: &[(FlowSpec, usize)]) -> Vec<(f64, Vec<f64>)> {
+    let mut class_rates = Vec::new();
+    Arbiter::new().allocate(caps, classes.iter().map(|(f, n)| (f, *n)), &mut class_rates);
+    let flows: Vec<FlowSpec> = classes
+        .iter()
+        .flat_map(|(f, n)| std::iter::repeat_n(f.clone(), *n))
+        .collect();
+    let mut flow_rates = allocate_rates(caps, &flows).into_iter();
+    classes
+        .iter()
+        .zip(class_rates)
+        .map(|((_, n), r)| (r, flow_rates.by_ref().take(*n).collect()))
+        .collect()
+}
+
 proptest! {
+    /// Arbitrating a class of `n` identical flows as one entry weighted
+    /// `n` gives each member exactly the rate the per-flow arbitration
+    /// does, when the coefficients are dyadic (every partial sum exact).
+    #[test]
+    fn class_weighted_allocation_is_bit_equal_on_dyadic_coefficients(
+        caps in proptest::collection::vec(1.0f64..200.0, 2),
+        classes in arb_classes(&[0.25, 0.5, 1.0, 2.0]),
+    ) {
+        for (class_rate, members) in class_vs_flow_rates(&caps, &classes) {
+            for r in members {
+                prop_assert_eq!(r.to_bits(), class_rate.to_bits(), "{} vs {}", r, class_rate);
+            }
+        }
+    }
+
+    /// With non-dyadic coefficients `n × coeff` and an `n`-term sum may
+    /// round differently; the rates still agree to 1e-12 relative.
+    #[test]
+    fn class_weighted_allocation_matches_on_other_coefficients(
+        caps in proptest::collection::vec(1.0f64..200.0, 2),
+        classes in arb_classes(&[1.0 / 3.0, 2.0 / 3.0, 0.1, 1.0]),
+    ) {
+        for (class_rate, members) in class_vs_flow_rates(&caps, &classes) {
+            for r in members {
+                prop_assert!(
+                    (r - class_rate).abs() <= 1e-12 * r.abs(),
+                    "{} vs {}", r, class_rate
+                );
+            }
+        }
+    }
+
     /// Feasibility: the allocation never oversubscribes a resource and
     /// never exceeds a flow's cap.
     #[test]

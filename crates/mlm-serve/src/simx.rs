@@ -103,10 +103,9 @@ pub fn replay(
     let (report, trace) = sim.run_traced(&prog).map_err(|e| e.to_string())?;
     let mut finish = vec![0.0f64; jobs.len()];
     for rec in &trace.ops {
-        if let Some(k) = spans
-            .iter()
-            .position(|&(lo, hi)| rec.op >= lo && rec.op < hi)
-        {
+        // Spans are sorted; the gaps between them hold start-gate delays.
+        let k = spans.partition_point(|&(_, hi)| hi <= rec.op);
+        if spans.get(k).is_some_and(|&(lo, _)| lo <= rec.op) {
             finish[k] = finish[k].max(rec.end);
         }
     }

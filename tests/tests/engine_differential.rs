@@ -224,6 +224,41 @@ fn knl_flat() -> MachineConfig {
     MachineConfig::knl_7250(MemMode::Flat)
 }
 
+/// Streams reading 2·b from DDR and writing b to MCDRAM demand 2/3 and
+/// 1/3 per logical byte, so the optimized engine sums `n × coeff` where
+/// the reference loop adds `coeff` n times — different roundings. Sizes
+/// vary per op, so completions stagger, yet the 48 threads form only two
+/// classes (two caps) on a saturated DDR bus.
+#[test]
+fn merged_classes_with_non_dyadic_coefficients_match_reference() {
+    let threads = 48;
+    let mut p = Program::new(threads);
+    for t in 0..threads {
+        let cap = if t % 3 == 0 { 2.4 * GB } else { 4.8 * GB };
+        for k in 0..6u64 {
+            let b = 8_000_000 * (1 + (t as u64 * 7 + k * 13) % 11);
+            p.push(
+                t,
+                OpKind::Stream {
+                    accesses: vec![
+                        Access::read(Place::Ddr, 2 * b),
+                        Access::write(Place::Mcdram, b),
+                    ],
+                    rate_cap: cap,
+                },
+                &[],
+            );
+        }
+    }
+    assert_engines_agree(&p, MemMode::Flat);
+    let (_, stats) = Simulator::new(knl_flat()).run_stats(&p).unwrap();
+    assert!(stats.full_recomputes > 0, "{stats:?}");
+    assert!(
+        stats.arbitrated <= 2 * stats.full_recomputes,
+        "one entry per cap, not per thread: {stats:?}"
+    );
+}
+
 /// The smallest schedule found to hang `Simulator::run` (benchmark/README
 /// "Findings"): one 272-thread job alone, gated behind its FIFO start
 /// time. A reintroduced hang surfaces as `SimError::Livelock`, so the
