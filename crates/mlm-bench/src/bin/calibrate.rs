@@ -14,15 +14,15 @@ fn main() {
     let headers = ["Quantity", "Value"];
     let body = vec![
         vec![
-            "introsort rate, random keys".into(),
+            "host sort_unstable rate, random keys".into(),
             gbps(m.sort_rate_random),
         ],
         vec![
-            "introsort rate, reverse keys".into(),
+            "host sort_unstable rate, reverse keys (O(n) run reversal)".into(),
             gbps(m.sort_rate_reverse),
         ],
         vec![
-            "reverse / random ratio".into(),
+            "host reverse / random ratio (not the model's; see incache_reverse)".into(),
             format!("{:.2}", m.reverse_ratio),
         ],
         vec!["STREAM Triad".into(), gbps(m.triad_bandwidth)],

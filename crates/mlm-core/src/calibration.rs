@@ -84,8 +84,10 @@ pub struct Calibration {
     /// Elements below which introsort recursion stays in the core's private
     /// caches and generates no memory traffic (KNL: 1 MiB L2 per tile).
     pub cache_resident_elems: usize,
-    /// Smallest subproblem counted as a full memory pass, in elements
-    /// (introsort's insertion-sort threshold).
+    /// Smallest subproblem counted as a full memory pass, in elements:
+    /// the insertion-sort cut-off of the libstdc++ introsort the model
+    /// describes. A model constant; no sort in this repo has this
+    /// threshold.
     pub base_case_elems: usize,
 }
 

@@ -17,7 +17,7 @@
 //! of the true funnel data structure are not.
 
 use crate::multiway::multiway_merge_into;
-use crate::serial::{insertion_sort, introsort};
+use crate::serial::introsort;
 
 /// Below this size, fall back to introsort (the base case).
 const FUNNEL_BASE: usize = 4096;
@@ -34,10 +34,6 @@ pub fn funnelsort<T: Ord + Copy>(data: &mut [T]) {
 
 fn funnelsort_rec<T: Ord + Copy>(data: &mut [T], scratch: &mut [T]) {
     let n = data.len();
-    if n <= 32 {
-        insertion_sort(data);
-        return;
-    }
     if n <= FUNNEL_BASE {
         introsort(data);
         return;

@@ -8,12 +8,12 @@
 //! * **`std::sort`** (serial introsort), used for MLM-sort's per-thread
 //!   chunk sorts.
 //!
-//! Neither is available to a pure-Rust reproduction, so this crate
-//! implements both from scratch with the same algorithmic structure:
+//! Neither is available to a pure-Rust reproduction. The serial sort is
+//! Rust's own `sort_unstable`; the parallel structure is built from
+//! scratch the way MCSTL builds it:
 //!
-//! * [`serial::introsort`] — median-of-three quicksort, heapsort fallback,
-//!   insertion-sort base case;
-//! * [`merge`] — serial and co-rank-splitting parallel two-way merges;
+//! * [`serial::introsort`] — `<[T]>::sort_unstable`, Rust's `std::sort`;
+//! * [`merge`] — branch-free serial and co-rank parallel two-way merges;
 //! * [`multiway`] — loser-tree k-way merge, multisequence selection, and
 //!   the parallel multiway merge built from them;
 //! * [`parallel::parallel_mergesort`] — block sort + parallel multiway
@@ -34,6 +34,8 @@
 //! assert!(is_sorted(&data));
 //! ```
 
+#[cfg(test)]
+mod counted;
 pub mod funnel;
 pub mod merge;
 pub mod multiway;
@@ -44,7 +46,7 @@ pub mod serial;
 
 pub use funnel::funnelsort;
 pub use merge::{merge_into, parallel_merge_into};
-pub use multiway::{multiway_merge_into, parallel_multiway_merge_into, LoserTree};
+pub use multiway::{multiway_merge_into, parallel_multiway_merge_into};
 pub use parallel::parallel_mergesort;
 pub use pool::WorkPool;
 pub use radix::{parallel_radix_sort, radix_sort};

@@ -7,23 +7,28 @@
 
 use crate::pool::{split_range, WorkPool};
 
-/// Merge sorted `a` and `b` into `out`.
+/// Merge sorted `a` and `b` into `out`, taking from `a` on ties.
+///
+/// Branch-free: while both sides have elements, each step loads both
+/// heads, selects one, and advances `i` or `j` by the comparison's
+/// outcome, so random keys cost no branch mispredictions. The side left
+/// over is copied in one block.
 ///
 /// # Panics
 /// Panics if `out.len() != a.len() + b.len()`.
 pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
     assert_eq!(out.len(), a.len() + b.len(), "output size mismatch");
     let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        // Take from `a` on ties for stability with respect to input order.
-        if i < a.len() && (j >= b.len() || a[i] <= b[j]) {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
-        }
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let take_a = x <= y;
+        out[i + j] = if take_a { x } else { y };
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
     }
+    let (a_tail, b_tail) = out[i + j..].split_at_mut(a.len() - i);
+    a_tail.copy_from_slice(&a[i..]);
+    b_tail.copy_from_slice(&b[j..]);
 }
 
 /// Find the *co-rank*: the pair `(i, j)` with `i + j == k`, `i <= a.len()`,
@@ -99,6 +104,7 @@ pub fn parallel_merge_into<T: Ord + Copy + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counted::{comparisons, keyed, payload, runs_of, seeded_runs, Keyed};
     use crate::serial::is_sorted;
 
     #[test]
@@ -123,27 +129,30 @@ mod tests {
 
     #[test]
     fn merge_prefers_a_on_ties() {
-        // With i64 we can't observe stability directly; use pairs ordered by key.
-        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-        struct Tagged(i64, u8);
-        impl PartialOrd for Tagged {
-            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Tagged {
-            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                self.0.cmp(&o.0) // compare keys only
-            }
-        }
-        let a = [Tagged(1, 0), Tagged(2, 0)];
-        let b = [Tagged(1, 1), Tagged(2, 1)];
-        let mut out = [Tagged(0, 9); 4];
-        merge_into(&a, &b, &mut out);
-        assert_eq!(
-            out,
-            [Tagged(1, 0), Tagged(1, 1), Tagged(2, 0), Tagged(2, 1)]
-        );
+        let tagged = |tag| [1, 2].map(|key| Keyed { key, tag });
+        let mut out = [Keyed::default(); 4];
+        merge_into(&tagged(0), &tagged(1), &mut out);
+        assert_eq!(payload(&out), [(1, 0), (1, 1), (2, 0), (2, 1)]);
+    }
+
+    #[test]
+    fn merge_into_comparison_counts_are_pinned() {
+        let count = |runs: &[Vec<Keyed>], first: usize| {
+            let mut out = vec![Keyed::default(); runs[0].len() + runs[1].len()];
+            comparisons(|| merge_into(&runs[first], &runs[1 - first], &mut out))
+        };
+        // Disjoint ranges: one comparison per element of the lower run,
+        // whichever side it is on, and none for the tail.
+        let runs = runs_of(vec![keyed(0..100), keyed(100..150)]);
+        assert_eq!((count(&runs, 0), count(&runs, 1)), (100, 100));
+        // Perfect interleaving: every element but the last is compared out.
+        let runs = runs_of(vec![
+            keyed((0..50).map(|i| 2 * i)),
+            keyed((0..50).map(|i| 2 * i + 1)),
+        ]);
+        assert_eq!(count(&runs, 0), 99);
+        assert_eq!(count(&seeded_runs(&[1000, 700], 1 << 20, 3), 0), 1695);
+        assert_eq!(count(&seeded_runs(&[1000, 700], 4, 3), 0), 1522);
     }
 
     #[test]

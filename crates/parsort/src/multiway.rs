@@ -6,133 +6,119 @@
 //! exact global ranks found by multisequence selection, and each thread
 //! merges its slice of every run with a tournament (loser) tree.
 
+use crate::merge::merge_into;
 use crate::pool::{split_range, WorkPool};
 
-/// Tournament tree over `k` sorted runs yielding the global minimum on each
-/// [`LoserTree::pop`]. Uses the classic implicit layout: internal nodes
-/// `1..k` hold losers, leaves are the run heads, the overall winner is
-/// tracked separately.
-pub struct LoserTree<'a, T> {
-    runs: Vec<&'a [T]>,
-    /// Cursor into each run.
-    pos: Vec<usize>,
-    /// `tree[j]` = run index of the loser parked at internal node `j`.
-    tree: Vec<usize>,
-    winner: usize,
-    remaining: usize,
+/// A run's current head, and which run it heads.
+#[derive(Clone, Copy)]
+struct Entry<T> {
+    head: T,
+    run: usize,
 }
 
-impl<'a, T: Ord> LoserTree<'a, T> {
-    /// Build a tree over the given sorted runs (empty runs are fine).
-    ///
-    /// # Panics
-    /// Panics if `runs` is empty.
-    pub fn new(runs: Vec<&'a [T]>) -> Self {
-        assert!(!runs.is_empty(), "need at least one run");
-        let k = runs.len();
-        let remaining = runs.iter().map(|r| r.len()).sum();
-        let mut lt = LoserTree {
-            pos: vec![0; k],
-            tree: vec![usize::MAX; k],
-            winner: usize::MAX,
-            remaining,
-            runs,
-        };
-        lt.winner = lt.build(1);
-        lt
-    }
-
-    /// Current element of run `r`, `None` when exhausted (= +infinity).
+impl<T: Ord> Entry<T> {
+    /// True if `self` goes out before `other`: the smaller head, or on
+    /// equal heads the lower run. One comparison of two `T`s.
     #[inline]
-    fn head(&self, r: usize) -> Option<&T> {
-        self.runs[r].get(self.pos[r])
+    fn beats(&self, other: &Self) -> bool {
+        let order = self.head.cmp(&other.head);
+        order.is_lt() | (order.is_eq() & (self.run < other.run))
     }
+}
 
-    /// True if run `a`'s head sorts before run `b`'s head (exhausted runs
-    /// sort last; ties break toward the lower run index for determinism).
-    #[inline]
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (self.head(a), self.head(b)) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => a < b,
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
-        }
-    }
-
-    /// Recursively play the tournament below internal node `node`,
-    /// returning the winning run and parking losers.
-    fn build(&mut self, node: usize) -> usize {
-        let k = self.runs.len();
-        if node >= k {
-            return node - k; // leaf: run index
-        }
-        let left = self.build(2 * node);
-        let right = self.build(2 * node + 1);
-        let (win, lose) = if self.beats(left, right) {
-            (left, right)
-        } else {
-            (right, left)
+/// Merge the non-empty sorted `runs` into the front of `out` with a
+/// tournament (loser) tree until one of them runs dry. Returns the number
+/// of elements written and the runs still live, in their original order.
+///
+/// The tree has the classic implicit layout: leaf `k + r` is run `r`,
+/// internal node `j` in `1..k` parks the loser of the match played there,
+/// and the overall winner is kept aside. Nodes hold their run's head by
+/// value, so a replay reads one node per level and selects without
+/// branching.
+///
+/// # Panics
+/// Panics if `runs` is empty, or if `out` fills before a run runs dry.
+fn loser_tree_merge<'a, T: Ord + Copy>(
+    mut runs: Vec<&'a [T]>,
+    out: &mut [T],
+) -> (usize, Vec<&'a [T]>) {
+    assert!(!runs.is_empty(), "need at least one run");
+    let k = runs.len();
+    let leaves: Vec<Entry<T>> = runs
+        .iter()
+        .enumerate()
+        .map(|(run, r)| Entry { head: r[0], run })
+        .collect();
+    // `play` overwrites nodes `1..k`; node 0 is unused.
+    let mut tree = leaves.clone();
+    let mut winner = play(&mut tree, &leaves, 1);
+    for (written, slot) in out.iter_mut().enumerate() {
+        let w = winner.run;
+        *slot = winner.head;
+        let run = &mut runs[w];
+        *run = &run[1..];
+        let Some(&head) = run.first() else {
+            runs.remove(w);
+            return (written + 1, runs);
         };
-        self.tree[node] = lose;
-        win
-    }
-
-    /// Total elements left across all runs.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Remove and return (a reference to) the smallest remaining element.
-    pub fn pop(&mut self) -> Option<&'a T> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let w = self.winner;
-        let item = &self.runs[w][self.pos[w]];
-        self.pos[w] += 1;
-        self.remaining -= 1;
-
         // Replay from the winner's leaf to the root.
-        let k = self.runs.len();
-        let mut winner = w;
+        winner = Entry { head, run: w };
         let mut node = (k + w) / 2;
         while node >= 1 {
-            let challenger = self.tree[node];
-            if challenger != usize::MAX && self.beats(challenger, winner) {
-                self.tree[node] = winner;
-                winner = challenger;
-            }
+            let challenger = tree[node];
+            let swap = challenger.beats(&winner);
+            tree[node] = if swap { winner } else { challenger };
+            winner = if swap { challenger } else { winner };
             node /= 2;
         }
-        self.winner = winner;
-        Some(item)
     }
+    panic!("output filled before a run ran dry");
 }
 
-/// Merge `runs` (each sorted) into `out` with a loser tree.
+/// Play the tournament below internal node `node`, parking each match's
+/// loser in `tree` and returning the winner.
+fn play<T: Ord + Copy>(tree: &mut [Entry<T>], leaves: &[Entry<T>], node: usize) -> Entry<T> {
+    let k = leaves.len();
+    if node >= k {
+        return leaves[node - k];
+    }
+    let left = play(tree, leaves, 2 * node);
+    let right = play(tree, leaves, 2 * node + 1);
+    let (win, lose) = if left.beats(&right) {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    tree[node] = lose;
+    win
+}
+
+/// Merge `runs` (each sorted) into `out`, taking from the lower-indexed
+/// run on ties.
+///
+/// Empty runs are dropped, the rest go through a loser tree until one
+/// runs dry, and the tree is rebuilt over the survivors, so a merge
+/// rebuilds at most `k` times. The last two runs go to [`merge_into`]
+/// and a last single run is copied. That bounds the comparisons at
+/// `n·⌈log2 k⌉ + k²` for `n` elements.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the total input length.
 pub fn multiway_merge_into<T: Ord + Copy>(runs: &[&[T]], out: &mut [T]) {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     assert_eq!(out.len(), total, "output size mismatch");
-    if total == 0 {
-        return;
+    let mut live: Vec<&[T]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
+    let mut out = out;
+    while live.len() > 2 {
+        let (written, rest) = loser_tree_merge(live, out);
+        live = rest;
+        out = &mut std::mem::take(&mut out)[written..];
     }
-    if runs.len() == 1 {
-        out.copy_from_slice(runs[0]);
-        return;
+    match live[..] {
+        [a, b] => merge_into(a, b, out),
+        [a] => out.copy_from_slice(a),
+        _ => {}
     }
-    let mut lt = LoserTree::new(runs.to_vec());
-    for slot in out.iter_mut() {
-        *slot = *lt.pop().expect("tree drained early");
-    }
-    debug_assert!(lt.pop().is_none());
 }
 
 /// Multisequence selection: given sorted `seqs` and a global rank `r`,
@@ -173,27 +159,26 @@ pub fn multiseq_select<T: Ord + Copy>(seqs: &[&[T]], r: usize) -> Vec<usize> {
         let mid = lo[widest] + width / 2;
         let pivot = seqs[widest][mid];
 
-        // Global ranks of the pivot value.
-        let less: usize = seqs.iter().map(|s| s.partition_point(|x| *x < pivot)).sum();
-        let less_eq: usize = seqs
+        // Per sequence, the elements `< pivot` and `<= pivot`; their sums
+        // are the pivot value's global ranks.
+        let lt: Vec<usize> = seqs
+            .iter()
+            .map(|s| s.partition_point(|x| *x < pivot))
+            .collect();
+        let le: Vec<usize> = seqs
             .iter()
             .map(|s| s.partition_point(|x| *x <= pivot))
-            .sum();
+            .collect();
+        let (less, less_eq) = (lt.iter().sum::<usize>(), le.iter().sum::<usize>());
 
         if less <= r && r <= less_eq {
-            // Take everything < pivot, then pad with ties up to r.
-            let mut split: Vec<usize> = seqs
-                .iter()
-                .map(|s| s.partition_point(|x| *x < pivot))
-                .collect();
+            // Take everything < pivot, then pad with ties up to r, lower
+            // sequences first.
+            let mut split = lt;
             let mut need = r - less;
-            for (i, s) in seqs.iter().enumerate() {
-                if need == 0 {
-                    break;
-                }
-                let ties = s.partition_point(|x| *x <= pivot) - split[i];
-                let take = ties.min(need);
-                split[i] += take;
+            for (s, &ties_end) in split.iter_mut().zip(&le) {
+                let take = (ties_end - *s).min(need);
+                *s += take;
                 need -= take;
             }
             debug_assert_eq!(need, 0);
@@ -201,18 +186,14 @@ pub fn multiseq_select<T: Ord + Copy>(seqs: &[&[T]], r: usize) -> Vec<usize> {
         } else if less_eq < r {
             // Pivot too small: splits lie at or beyond each seq's `<= pivot`
             // boundary. This at least halves the widest range because
-            // pp(seqs[widest], <= pivot) > mid.
+            // le[widest] > mid.
             for i in 0..k {
-                lo[i] = lo[i]
-                    .max(seqs[i].partition_point(|x| *x <= pivot))
-                    .min(hi[i]);
+                lo[i] = lo[i].max(le[i]).min(hi[i]);
             }
         } else {
             // less > r: pivot too large.
             for i in 0..k {
-                hi[i] = hi[i]
-                    .min(seqs[i].partition_point(|x| *x < pivot))
-                    .max(lo[i]);
+                hi[i] = hi[i].min(lt[i]).max(lo[i]);
             }
         }
     }
@@ -270,7 +251,9 @@ pub fn parallel_multiway_merge_into<T: Ord + Copy + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counted::{comparisons, payload, runs_of, seeded_runs, tie_order, Keyed};
     use crate::serial::is_sorted;
+    use proptest::prelude::*;
 
     fn reference_merge(runs: &[&[i64]]) -> Vec<i64> {
         let mut all: Vec<i64> = runs.iter().flat_map(|r| r.iter().copied()).collect();
@@ -294,42 +277,33 @@ mod tests {
 
     #[test]
     fn loser_tree_merges_three_runs() {
-        let a = [1i64, 4, 7];
-        let b = [2i64, 5, 8];
-        let c = [3i64, 6, 9];
-        let mut lt = LoserTree::new(vec![&a[..], &b[..], &c[..]]);
-        let mut got = Vec::new();
-        while let Some(x) = lt.pop() {
-            got.push(*x);
-        }
-        assert_eq!(got, (1..=9).collect::<Vec<i64>>());
+        let (a, b, c) = ([1i64, 4, 7], [2i64, 5, 8], [3i64, 6, 9]);
+        let mut out = [0i64; 9];
+        // The tree stops when run `a` runs dry, after 7.
+        let (written, rest) = loser_tree_merge(vec![&a[..], &b, &c], &mut out);
+        assert_eq!(&out[..written], [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(rest, [&b[2..], &c[2..]]);
     }
 
     #[test]
     fn loser_tree_single_run() {
-        let a = [1i64, 2, 3];
-        let mut lt = LoserTree::new(vec![&a[..]]);
-        assert_eq!(lt.remaining(), 3);
-        assert_eq!(*lt.pop().unwrap(), 1);
-        assert_eq!(*lt.pop().unwrap(), 2);
-        assert_eq!(*lt.pop().unwrap(), 3);
-        assert!(lt.pop().is_none());
+        let mut out = [0i64; 3];
+        assert_eq!(loser_tree_merge(vec![&[1, 2, 3]], &mut out), (3, vec![]));
+        assert_eq!(out, [1, 2, 3]);
     }
 
     #[test]
     fn loser_tree_handles_empty_runs() {
-        let a: [i64; 0] = [];
-        let b = [5i64];
-        let c: [i64; 0] = [];
-        let mut lt = LoserTree::new(vec![&a[..], &b[..], &c[..]]);
-        assert_eq!(*lt.pop().unwrap(), 5);
-        assert!(lt.pop().is_none());
+        // Empty runs never reach the tree: the merge drops them first.
+        let mut out = [0i64; 5];
+        multiway_merge_into(&[&[], &[5, 9], &[], &[1, 6], &[7]], &mut out);
+        assert_eq!(out, [1, 5, 6, 7, 9]);
     }
 
     #[test]
     #[should_panic(expected = "at least one run")]
     fn loser_tree_rejects_no_runs() {
-        let _ = LoserTree::<i64>::new(vec![]);
+        let _ = loser_tree_merge::<i64>(vec![], &mut []);
     }
 
     #[test]
@@ -437,5 +411,103 @@ mod tests {
         let mut out = vec![0i64; expect.len()];
         parallel_multiway_merge_into(&pool, &runs, &mut out);
         assert_eq!(out, expect);
+    }
+
+    fn slices(runs: &[Vec<Keyed>]) -> Vec<&[Keyed]> {
+        runs.iter().map(Vec::as_slice).collect()
+    }
+
+    /// `multiway_merge_into` over `runs`: its output and comparison count.
+    fn merged(runs: &[Vec<Keyed>]) -> (Vec<Keyed>, u64) {
+        let mut out = vec![Keyed::default(); runs.iter().map(Vec::len).sum()];
+        let count = comparisons(|| multiway_merge_into(&slices(runs), &mut out));
+        (out, count)
+    }
+
+    /// The most comparisons a `k`-way merge of `n` elements may make.
+    fn bound(n: usize, k: usize) -> u64 {
+        (n * k.next_power_of_two().trailing_zeros() as usize + k * k) as u64
+    }
+
+    /// `k` run lengths around `len`; every third run, the first included,
+    /// is empty.
+    fn with_empty_runs(k: usize, len: usize) -> Vec<usize> {
+        (0..k)
+            .map(|r| if r % 3 == 0 { 0 } else { len + r })
+            .collect()
+    }
+
+    /// k = 2 pins `merge_into`, to which the merge hands its last two runs.
+    #[test]
+    fn multiway_merge_takes_from_the_lower_run_on_ties() {
+        for k in [1, 2, 3, 5, 16] {
+            for lens in [vec![200; k], with_empty_runs(k, 150)] {
+                let runs = seeded_runs(&lens, 6, k as u64);
+                let (out, _) = merged(&runs);
+                assert_eq!(payload(&out), tie_order(&runs), "lens={lens:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_multiway_merge_matches_the_serial_payload_order() {
+        for threads in [2, 3, 4] {
+            let pool = WorkPool::new(threads);
+            for k in [2, 3, 5, 16] {
+                let runs = seeded_runs(&with_empty_runs(k, 300), 5, 31 + k as u64);
+                let (serial, _) = merged(&runs);
+                let mut out = vec![Keyed::default(); serial.len()];
+                parallel_multiway_merge_into(&pool, &slices(&runs), &mut out);
+                assert_eq!(payload(&out), payload(&serial), "k={k} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn multiway_merge_comparison_counts_are_pinned() {
+        // One run is a copy; two runs are `merge_into`'s count.
+        assert_eq!(merged(&seeded_runs(&[500], 1 << 20, 5)).1, 0);
+        assert_eq!(merged(&seeded_runs(&[1000, 700], 1 << 20, 3)).1, 1695);
+        for (lens, distinct, expect) in [
+            (vec![1000; 4], 1 << 20, 7994),
+            (vec![256; 16], 1 << 20, 16429),
+            (with_empty_runs(16, 200), 1 << 20, 7082),
+            (vec![1000, 1, 0, 500, 20], 100, 2769),
+        ] {
+            let count = merged(&seeded_runs(&lens, distinct, 11)).1;
+            assert_eq!(count, expect, "lens={lens:?}");
+            assert!(count <= bound(lens.iter().sum(), lens.len()));
+        }
+    }
+
+    /// A tournament that scans every run head, `k - 1` comparisons per
+    /// element, breaks the bound the loser tree keeps.
+    #[test]
+    fn linear_scan_tournament_exceeds_the_bound() {
+        let runs = seeded_runs(&[256; 16], 1 << 20, 13);
+        let (mut heads, n) = (vec![0; runs.len()], 16 * 256);
+        let scan = comparisons(|| {
+            for _ in 0..n {
+                let live = (0..runs.len()).filter(|&r| heads[r] < runs[r].len());
+                let best = live.min_by(|&a, &b| runs[a][heads[a]].cmp(&runs[b][heads[b]]));
+                heads[best.expect("runs outlast the output")] += 1;
+            }
+        });
+        assert!(scan > bound(n, 16), "{scan} <= {}", bound(n, 16));
+    }
+
+    proptest! {
+        #[test]
+        fn multiway_merge_comparisons_within_the_bound(
+            key_lists in proptest::collection::vec(
+                proptest::collection::vec(0i64..1000, 0..64), 1..=128),
+        ) {
+            let k = key_lists.len();
+            let runs = runs_of(key_lists.into_iter().map(crate::counted::keyed).collect());
+            let (out, count) = merged(&runs);
+            prop_assert_eq!(payload(&out), tie_order(&runs));
+            let n = out.len();
+            prop_assert!(count <= bound(n, k), "k={} n={}: {}", k, n, count);
+        }
     }
 }

@@ -5,32 +5,28 @@ use parsort::merge::{co_rank, merge_into, parallel_merge_into};
 use parsort::multiway::{multiseq_select, multiway_merge_into, parallel_multiway_merge_into};
 use parsort::pool::{split_range, WorkPool};
 use parsort::radix::{parallel_radix_sort, radix_sort};
-use parsort::serial::{heapsort, insertion_sort, introsort, is_sorted};
+use parsort::serial::{introsort, is_sorted};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// How often each key occurs.
+fn counts(v: &[i64]) -> BTreeMap<i64, usize> {
+    let mut counts = BTreeMap::new();
+    for &x in v {
+        *counts.entry(x).or_insert(0) += 1;
+    }
+    counts
+}
 
 proptest! {
+    /// `introsort` is the platform's `sort_unstable`, so the oracle must
+    /// not be: the output is sorted and holds the input's multiset.
     #[test]
     fn introsort_equals_std(mut v in proptest::collection::vec(any::<i64>(), 0..3000)) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
+        let expect = counts(&v);
         introsort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn heapsort_equals_std(mut v in proptest::collection::vec(any::<i32>(), 0..1500)) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        heapsort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn insertion_sort_equals_std(mut v in proptest::collection::vec(any::<i16>(), 0..300)) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        insertion_sort(&mut v);
-        prop_assert_eq!(v, expect);
+        prop_assert!(is_sorted(&v));
+        prop_assert_eq!(counts(&v), expect);
     }
 
     #[test]
