@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mlm_exec::ring::{coordinate, is_poison_payload, BufSlot, Phase};
-use mlm_exec::{drive, Backend, Capabilities, ChunkAction, Stage};
+use mlm_exec::{drive, Backend, Capabilities, ChunkAction, PlanNode, Stage};
 use parsort::pool::{copy_split, split_mut, StagePool, WorkPool};
 
 use super::{PipelineSpec, Placement, Workload};
@@ -690,6 +690,7 @@ where
     // (everything in a batch starts after the previous pool join), by
     // running in issue order, or by the buffer ring at replay time — so
     // tokens carry no information.
+    type Ctx = PipelineSpec;
     type Token = ();
 
     fn capabilities(&self) -> Capabilities {
@@ -699,7 +700,10 @@ where
         Capabilities::all()
     }
 
-    fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, _deps: &[()]) {
+    fn issue(&mut self, _spec: &PipelineSpec, node: &PlanNode, _deps: &[()]) {
+        let action = node
+            .action()
+            .expect("pipeline plans issue chunk-scoped nodes");
         self.pending.push(action);
     }
 

@@ -3,11 +3,11 @@
 //! This file is the *simulator adapter* of the execution layer: the
 //! schedule itself — which chunk each stage touches at each step, the
 //! three-slot buffer-ring discipline, lockstep barriers vs dataflow
-//! edges — lives in [`mlm_exec::drive`]. [`SimBackend`] only expands each
-//! issued [`ChunkAction`] into per-thread ops: copies at `S_copy`,
-//! compute streams at `S_comp`, and (for implicit cache mode) cold
-//! passes through the address-exact cache model plus analytic warm
-//! re-touches.
+//! edges — lives in [`mlm_exec::drive`]. [`SimBackend`] only expands
+//! each issued node's [`mlm_exec::ChunkAction`] into per-thread ops:
+//! copies at `S_copy`, compute streams at `S_comp`, and (for implicit
+//! cache mode) cold passes through the address-exact cache model plus
+//! analytic warm re-touches.
 //!
 //! Thread layout: copy-in threads first, then copy-out, then compute
 //! (irrelevant to timing, but stable for traces). With `spec.lockstep`
@@ -18,7 +18,7 @@
 //! of chunk `c` waits for copy-out of chunk `c-3`).
 
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
-use mlm_exec::{drive_verified, Backend, Capabilities, ChunkAction, Stage};
+use mlm_exec::{drive_verified, Backend, Capabilities, PlanNode, Stage};
 
 use super::{PipelineSpec, Placement, Workload};
 
@@ -235,6 +235,7 @@ impl SimBackend {
 }
 
 impl Backend for SimBackend {
+    type Ctx = PipelineSpec;
     type Token = Vec<OpId>;
 
     fn capabilities(&self) -> Capabilities {
@@ -244,7 +245,10 @@ impl Backend for SimBackend {
         Capabilities::all()
     }
 
-    fn issue(&mut self, spec: &PipelineSpec, action: ChunkAction, deps: &[Vec<OpId>]) -> Vec<OpId> {
+    fn issue(&mut self, spec: &PipelineSpec, node: &PlanNode, deps: &[Vec<OpId>]) -> Vec<OpId> {
+        let action = node
+            .action()
+            .expect("pipeline plans issue chunk-scoped nodes");
         let deps: Vec<OpId> = deps.iter().flatten().copied().collect();
         match (spec.placement, action.stage) {
             (Placement::Implicit, Stage::Compute) => {

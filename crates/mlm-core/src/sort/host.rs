@@ -1,21 +1,24 @@
 //! Real, correctness-checked implementations of the sort variants.
 //!
 //! The phase sequence of every variant comes from the shared
-//! [`mlm_exec::plan_sort`] (the same plan the sim lowering interprets);
-//! [`run_sort_plan`] executes it on real threads and buffers. Host memory
-//! has one level, so the explicit "copy to MCDRAM" steps degenerate to
-//! buffer copies — but every algorithmic step (megachunk split, per-thread
-//! serial sorts, multiway merges, final merge) runs for real, which is
-//! what validates the sim lowering's schedules and feeds the native
-//! Criterion benchmarks.
+//! [`mlm_exec::plan_sort`], lowered onto the generic IR
+//! ([`SortPlan::to_workload_plan`]) and executed by
+//! [`mlm_exec::interpret`] — the same executor and the same DAG the
+//! simulated sort ([`super::sim`]) and every chunk pipeline run.
+//! [`HostSortBackend`] realises each node on one-level host memory, so the
+//! explicit "copy to MCDRAM" steps degenerate to buffer copies — but every
+//! algorithmic step (megachunk split, per-thread serial sorts, multiway
+//! merges, final merge) runs for real, which is what validates the sim
+//! lowering's schedules and feeds the native benchmarks.
 
 use mlm_exec::{
-    plan_sort, waves, ChunkSortStyle, PlanKind, PlanNode, SortPlan, SortStructure, WorkloadPlan,
-    SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    interpret, plan_sort, Backend, Capabilities, ChunkSortStyle, PlanKind, PlanNode, SortPlan,
+    SortStructure, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    SORT_KERNEL_THREAD_SORT,
 };
 use parsort::multiway::{multiway_merge_into, parallel_multiway_merge_into};
 use parsort::parallel::{parallel_mergesort, sort_chunks_serial, split_borrows};
-use parsort::pool::{parallel_copy, split_mut, split_range, WorkPool};
+use parsort::pool::{parallel_copy, split_mut, WorkPool};
 
 use super::SortAlgorithm;
 
@@ -30,130 +33,270 @@ pub struct HostSortStats {
     pub elapsed: std::time::Duration,
 }
 
-/// Execute a [`SortPlan`] on the host.
-///
-/// The plan is first lowered into the workload-generic IR
-/// ([`SortPlan::to_workload_plan`]) and the interpreter walks
-/// [`mlm_exec::waves`] of that plan — the same node/edge DAG the sim
-/// lowering and the graph verifier consume — realising each node on
-/// one-level host memory: the working buffer and the merge scratch are
-/// the same `data`-sized allocation, staged copies are real `memcpy`s over
-/// the pool, and [`SortStructure::Whole`] plans collapse into the
-/// library's parallel mergesort (one call realises `ThreadSort` +
-/// `ThreadMerge` + `FinalCopyBack`, with its own internal scratch).
-/// Sequential structures produce one node per wave (the barrier-per-phase
-/// execution this module always had); the overlapped structure's
-/// multi-node waves each run as one scoped task batch
-/// ([`run_buffered_plan`]).
+/// Execute a [`SortPlan`] on the host: [`interpret`] its
+/// [`WorkloadPlan`](mlm_exec::WorkloadPlan) over a [`HostSortBackend`].
 pub fn run_sort_plan<T: Ord + Copy + Send + Sync>(
     pool: &WorkPool,
     plan: &SortPlan,
     data: &mut [T],
 ) -> HostSortStats {
     let start = std::time::Instant::now();
-    let n = data.len();
-    assert_eq!(n as u64, plan.n_elems, "plan must be for this data length");
-    if n < 2 {
-        return HostSortStats {
-            megachunks: n.min(1),
-            chunk_sorts: 0,
-            elapsed: start.elapsed(),
-        };
+    assert_eq!(
+        data.len() as u64,
+        plan.n_elems,
+        "plan must be for this data length"
+    );
+    let mut chunk_sorts = 0;
+    if data.len() >= 2 {
+        let mut backend = HostSortBackend::new(pool, data);
+        interpret(&mut backend, plan, &plan.to_workload_plan())
+            .expect("sort plans are well-formed");
+        chunk_sorts = backend.chunk_sorts;
     }
-    let wplan = plan.to_workload_plan();
-    if plan.overlapped {
-        return run_buffered_plan(pool, plan, &wplan, data, start);
-    }
-    if plan.structure == SortStructure::Whole {
-        parallel_mergesort(pool, data);
-        return HostSortStats {
-            megachunks: plan.megachunks,
-            chunk_sorts: 0,
-            elapsed: start.elapsed(),
-        };
-    }
-
-    let p = pool.threads();
-    let mega_elems = plan.mega_elems as usize;
-    let bounds = |m: usize| -> (usize, usize) { (m * mega_elems, ((m + 1) * mega_elems).min(n)) };
-    let mut chunk_sorts = 0usize;
-    let mut scratch = data.to_vec();
-
-    for wave in waves(&wplan) {
-        for i in wave {
-            let node = &wplan.nodes[i];
-            match (node.kind, node.chunk) {
-                // "Copy-in": stage the megachunk in the working buffer
-                // (MCDRAM -> the scratch allocation on the host).
-                (PlanKind::StageIn, Some(mega)) => {
-                    let (lo, hi) = bounds(mega);
-                    parallel_copy(pool, &data[lo..hi], &mut scratch[lo..hi]);
-                }
-                // Sort the megachunk's chunks where the plan staged them:
-                // the working buffer for staged plans, in place otherwise.
-                (PlanKind::Kernel, Some(mega)) => {
-                    let (lo, hi) = bounds(mega);
-                    let block = if plan.structure == SortStructure::InPlace {
-                        &mut data[lo..hi]
-                    } else {
-                        &mut scratch[lo..hi]
-                    };
-                    match plan.chunk_style {
-                        ChunkSortStyle::Serial => {
-                            let parts = p.min(node.len as usize);
-                            chunk_sorts += parts;
-                            sort_chunks_serial(pool, split_mut(block, parts));
-                        }
-                        ChunkSortStyle::Gnu => parallel_mergesort(pool, block),
-                    }
-                }
-                // A kernel-carrying stage-out is the run merge: multiway-
-                // merge the sorted runs out of the working buffer (staged:
-                // back to `data`; in-place: out to scratch). A plain one is
-                // the in-place copy-back from scratch.
-                (PlanKind::StageOut, Some(mega)) => {
-                    let (lo, hi) = bounds(mega);
-                    if node.kernel == Some(SORT_KERNEL_MERGE_RUNS) {
-                        let parts = match plan.chunk_style {
-                            ChunkSortStyle::Serial => p.min(node.len as usize),
-                            // The GNU-style chunk sort left one fully sorted
-                            // run, so the merge-out degenerates to moving it.
-                            ChunkSortStyle::Gnu => 1,
-                        };
-                        if plan.structure == SortStructure::InPlace {
-                            let runs = split_borrows(&data[lo..hi], parts);
-                            parallel_multiway_merge_into(pool, &runs, &mut scratch[lo..hi]);
-                        } else {
-                            let runs = split_borrows(&scratch[lo..hi], parts);
-                            parallel_multiway_merge_into(pool, &runs, &mut data[lo..hi]);
-                        }
-                    } else {
-                        parallel_copy(pool, &scratch[lo..hi], &mut data[lo..hi]);
-                    }
-                }
-                // Final multiway merge of the sorted megachunk runs.
-                (PlanKind::Kernel, None) if node.kernel == Some(SORT_KERNEL_FINAL_MERGE) => {
-                    let runs: Vec<&[T]> = (0..wplan.chunks)
-                        .map(|m| {
-                            let (lo, hi) = bounds(m);
-                            &data[lo..hi]
-                        })
-                        .collect();
-                    parallel_multiway_merge_into(pool, &runs, &mut scratch);
-                }
-                (PlanKind::StageOut, None) => parallel_copy(pool, &scratch, data),
-                (kind, chunk) => {
-                    unreachable!("no host realisation for {kind:?}/{chunk:?} in this structure")
-                }
-            }
-        }
-    }
-
     HostSortStats {
         megachunks: plan.megachunks,
         chunk_sorts,
         elapsed: start.elapsed(),
     }
+}
+
+/// The host sort [`Backend`], with the [`SortPlan`] as its context.
+///
+/// `issue` batches mutually independent nodes; a node that depends on a
+/// pending one first runs the pending batch, whose pool join realises
+/// every edge into it. A sequential plan (each node Seq-chained to its
+/// predecessor) therefore runs one node at a time, with the pool-wide
+/// primitives; the buffered plan's prefetch of megachunk `m + 1` shares a
+/// batch with the sort of `m`. Tokens are issue indices.
+///
+/// Host memory has one level, so the working buffer and the merge scratch
+/// are the same `data`-sized allocation, made at first use: megachunk
+/// `m` is staged into its own window of it, which honours any ring.
+/// [`SortStructure::Whole`] plans collapse into the library's parallel
+/// mergesort: its one call realises `ThreadSort`, `ThreadMerge` and
+/// `FinalCopyBack`, with its own internal scratch.
+pub struct HostSortBackend<'a, T> {
+    pool: &'a WorkPool,
+    data: &'a mut [T],
+    /// Working buffer and merge scratch, `data`-sized once allocated.
+    scratch: Vec<T>,
+    /// Issued nodes not yet run, mutually independent.
+    batch: Vec<PlanNode>,
+    /// Token of `batch[0]`.
+    batch_start: usize,
+    /// Nodes issued so far (the next node's token).
+    issued: usize,
+    /// Serial chunk sorts performed.
+    chunk_sorts: usize,
+    /// The size of every batch run, in order.
+    batch_sizes: Vec<usize>,
+}
+
+impl<'a, T: Ord + Copy + Send + Sync> HostSortBackend<'a, T> {
+    /// A backend sorting `data` on `pool`; `data` must hold at least two
+    /// elements and match the plan it is driven with.
+    pub fn new(pool: &'a WorkPool, data: &'a mut [T]) -> Self {
+        assert!(data.len() >= 2, "nothing to sort");
+        HostSortBackend {
+            pool,
+            data,
+            scratch: Vec::new(),
+            batch: Vec::new(),
+            batch_start: 0,
+            issued: 0,
+            chunk_sorts: 0,
+            batch_sizes: Vec::new(),
+        }
+    }
+
+    /// Run the pending batch.
+    fn flush(&mut self, plan: &SortPlan) {
+        let batch = std::mem::take(&mut self.batch);
+        self.batch_start = self.issued;
+        match &batch[..] {
+            [] => return,
+            [node] => self.run_node(plan, node),
+            nodes => self.run_overlapped(plan, nodes),
+        }
+        self.batch_sizes.push(batch.len());
+    }
+
+    /// Run one node alone, with every pool thread.
+    fn run_node(&mut self, plan: &SortPlan, node: &PlanNode) {
+        let (pool, p) = (self.pool, self.pool.threads());
+        let data = &mut *self.data;
+        if plan.structure == SortStructure::Whole {
+            if node.kernel == Some(SORT_KERNEL_THREAD_SORT) {
+                parallel_mergesort(pool, data);
+            }
+            return;
+        }
+        let scratch = full(&mut self.scratch, data);
+        let (lo, hi) = node.chunk.map_or((0, data.len()), |m| bounds(plan, m));
+        let in_place = plan.structure == SortStructure::InPlace;
+        match (node.kind, node.chunk, node.kernel) {
+            // "Copy-in": stage the megachunk in its working window.
+            (PlanKind::StageIn, Some(_), None) => {
+                parallel_copy(pool, &data[lo..hi], &mut scratch[lo..hi])
+            }
+            // Sort the megachunk's chunks where the plan staged them: the
+            // working window for staged plans, in place otherwise.
+            (PlanKind::Kernel, Some(_), Some(SORT_KERNEL_CHUNK_SORT)) => {
+                let block = if in_place {
+                    &mut data[lo..hi]
+                } else {
+                    &mut scratch[lo..hi]
+                };
+                match plan.chunk_style {
+                    ChunkSortStyle::Serial => {
+                        let parts = p.min(hi - lo);
+                        self.chunk_sorts += parts;
+                        sort_chunks_serial(pool, split_mut(block, parts));
+                    }
+                    ChunkSortStyle::Gnu => parallel_mergesort(pool, block),
+                }
+            }
+            // The run merge: multiway-merge the sorted runs out of the
+            // working window (staged: back to `data`; in-place: out to
+            // scratch).
+            (PlanKind::StageOut, Some(_), Some(SORT_KERNEL_MERGE_RUNS)) => {
+                let parts = match plan.chunk_style {
+                    ChunkSortStyle::Serial => p.min(hi - lo),
+                    // The GNU-style chunk sort left one fully sorted run,
+                    // so the merge-out degenerates to moving it.
+                    ChunkSortStyle::Gnu => 1,
+                };
+                let (src, dst): (&[T], &mut [T]) = if in_place {
+                    (&data[lo..hi], &mut scratch[lo..hi])
+                } else {
+                    (&scratch[lo..hi], &mut data[lo..hi])
+                };
+                parallel_multiway_merge_into(pool, &split_borrows(src, parts), dst);
+            }
+            // Final multiway merge of the sorted megachunk runs.
+            (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => {
+                let runs: Vec<&[T]> = (0..plan.megachunks)
+                    .map(|m| {
+                        let (lo, hi) = bounds(plan, m);
+                        &data[lo..hi]
+                    })
+                    .collect();
+                parallel_multiway_merge_into(pool, &runs, scratch);
+            }
+            // Copy back from scratch: one megachunk (the in-place
+            // structure's) or the whole array.
+            (PlanKind::StageOut, _, None) => {
+                parallel_copy(pool, &scratch[lo..hi], &mut data[lo..hi])
+            }
+            (kind, chunk, kernel) => {
+                unreachable!("no host realisation for {kind:?}/{chunk:?}/{kernel:?}")
+            }
+        }
+    }
+
+    /// Run a batch of mutually independent nodes — in the buffered plan,
+    /// at most one stage-in, one chunk-sort and one merge-out, each on its
+    /// own megachunk — as one scoped task batch.
+    fn run_overlapped(&mut self, plan: &SortPlan, nodes: &[PlanNode]) {
+        let p = self.pool.threads();
+        let data = &mut *self.data;
+        let scratch = full(&mut self.scratch, data);
+
+        // Carve each node's megachunk window out of `data` and `scratch`;
+        // the windows of a batch never overlap.
+        let mut nodes: Vec<&PlanNode> = nodes.iter().collect();
+        nodes.sort_by_key(|nd| nd.chunk);
+        let (mut data, mut scratch, mut at) = (data, &mut scratch[..], 0);
+        let mut work = Vec::with_capacity(nodes.len());
+        for nd in nodes {
+            let (lo, hi) = bounds(plan, nd.chunk.expect("batched nodes are megachunk-scoped"));
+            assert!(lo >= at, "batched nodes share a megachunk");
+            let (d, d_rest) = data.split_at_mut(hi - at);
+            let (s, s_rest) = scratch.split_at_mut(hi - at);
+            work.push((nd, &mut d[lo - at..], &mut s[lo - at..]));
+            (data, scratch, at) = (d_rest, s_rest, hi);
+        }
+
+        // Tasks in stage order: the short prefetch copies first, the one
+        // long merge-out last.
+        work.sort_by_key(|(nd, ..)| nd.kind as usize);
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+        for (nd, d, s) in work {
+            match (nd.kind, nd.kernel) {
+                // Prefetch: split the staging copy a few ways so it shares
+                // the pool with the sorts without monopolising it.
+                (PlanKind::StageIn, None) => {
+                    let copy_parts = 4.min(d.len());
+                    let mut src: &[T] = d;
+                    for dst in split_mut(s, copy_parts) {
+                        let (head, tail) = src.split_at(dst.len());
+                        src = tail;
+                        tasks.push(Box::new(move || dst.copy_from_slice(head)));
+                    }
+                }
+                // One introsort task per chunk of the sorting megachunk.
+                (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => {
+                    let parts = p.min(s.len());
+                    self.chunk_sorts += parts;
+                    for chunk in split_mut(s, parts) {
+                        tasks.push(Box::new(move || parsort::serial::introsort(chunk)));
+                    }
+                }
+                // The merge-out runs as one dedicated task: serial against
+                // its batch-mates, overlapped with them on the pool.
+                (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) => {
+                    let runs = split_borrows(s, p.min(s.len()));
+                    tasks.push(Box::new(move || multiway_merge_into(&runs, d)));
+                }
+                (kind, kernel) => {
+                    unreachable!("no overlapped host realisation for {kind:?}/{kernel:?}")
+                }
+            }
+        }
+        self.pool.scoped(tasks);
+    }
+}
+
+impl<T: Ord + Copy + Send + Sync> Backend for HostSortBackend<'_, T> {
+    type Ctx = SortPlan;
+    type Token = usize;
+
+    fn capabilities(&self) -> Capabilities {
+        // One memory level: every placement is emulated identically.
+        Capabilities::all()
+    }
+
+    fn issue(&mut self, plan: &SortPlan, node: &PlanNode, deps: &[usize]) -> usize {
+        if deps.iter().any(|&d| d >= self.batch_start) {
+            self.flush(plan);
+        }
+        self.batch.push(node.clone());
+        self.issued += 1;
+        self.issued - 1
+    }
+
+    fn step_barrier(&mut self, _plan: &SortPlan, _after: &[usize]) -> usize {
+        unreachable!("sort plans carry no barriers")
+    }
+
+    fn finish(&mut self, plan: &SortPlan) -> Result<(), String> {
+        self.flush(plan);
+        Ok(())
+    }
+}
+
+/// Element range `[lo, hi)` of megachunk `m` (the last may be ragged).
+fn bounds(plan: &SortPlan, m: usize) -> (usize, usize) {
+    let (n, mega) = (plan.n_elems as usize, plan.mega_elems as usize);
+    (m * mega, ((m + 1) * mega).min(n))
+}
+
+/// The `data`-sized scratch, allocated on first use.
+fn full<'b, T: Copy>(scratch: &'b mut Vec<T>, data: &[T]) -> &'b mut [T] {
+    if scratch.is_empty() {
+        scratch.resize(data.len(), data[0]);
+    }
+    scratch
 }
 
 /// Sort `data` with the MLM-sort structure (paper §4): split into
@@ -216,169 +359,6 @@ pub fn mlm_sort_buffered<T: Ord + Copy + Send + Sync>(
         data,
         megachunk_elems,
     )
-}
-
-/// The overlapped ([`SortStructure::Buffered`]) interpretation: run each
-/// wave of the lowered [`WorkloadPlan`] as one scoped task batch over the
-/// two staging buffers ("the two halves of MCDRAM"). The plan's Recycle
-/// edges guarantee a wave never touches one buffer twice, so megachunk
-/// `m + 1`'s prefetch copy shares a batch with `m`'s chunk sorts (and a
-/// merge-out shares with its wave-mates as a single dedicated task). A
-/// wave that degenerates to one pool-wide node — the tail merge-out, the
-/// final k-way merge, the final copy-back — runs with every thread
-/// instead.
-fn run_buffered_plan<T: Ord + Copy + Send + Sync>(
-    pool: &WorkPool,
-    plan: &SortPlan,
-    wplan: &WorkloadPlan,
-    data: &mut [T],
-    start: std::time::Instant,
-) -> HostSortStats {
-    let n = data.len();
-    let k = plan.megachunks;
-    let p = pool.threads();
-    let mega_elems = plan.mega_elems as usize;
-    let mut chunk_sorts = 0usize;
-
-    let bounds = |m: usize| -> (usize, usize) { (m * mega_elems, ((m + 1) * mega_elems).min(n)) };
-    let parts_of = |len: u64| -> usize { p.min(len as usize) };
-
-    // The two staging buffers the plan's 2-slot ring indexes.
-    let mut bufs: [Vec<T>; 2] = [Vec::new(), Vec::new()];
-    // Scratch for the final merge, allocated when its wave arrives.
-    let mut scratch: Vec<T> = Vec::new();
-
-    for wave in waves(wplan) {
-        // A single-node wave has the pool to itself: realise it with the
-        // pool-wide primitives instead of a one-task batch.
-        if let [i] = wave[..] {
-            let node = &wplan.nodes[i];
-            match (node.kind, node.chunk) {
-                (PlanKind::StageIn, Some(m)) => {
-                    let (lo, hi) = bounds(m);
-                    let buf = &mut bufs[node.slot];
-                    buf.clear();
-                    buf.resize(hi - lo, data[lo]);
-                    parallel_copy(pool, &data[lo..hi], buf);
-                }
-                (PlanKind::Kernel, Some(_)) => {
-                    let parts = parts_of(node.len);
-                    chunk_sorts += parts;
-                    sort_chunks_serial(pool, split_mut(&mut bufs[node.slot], parts));
-                }
-                (PlanKind::StageOut, Some(m)) => {
-                    let (lo, hi) = bounds(m);
-                    let runs = split_borrows(&bufs[node.slot], parts_of(node.len));
-                    parallel_multiway_merge_into(pool, &runs, &mut data[lo..hi]);
-                }
-                (PlanKind::Kernel, None) => {
-                    scratch.clear();
-                    scratch.resize(n, data[0]);
-                    let runs: Vec<&[T]> = (0..k)
-                        .map(|m| {
-                            let (lo, hi) = bounds(m);
-                            &data[lo..hi]
-                        })
-                        .collect();
-                    parallel_multiway_merge_into(pool, &runs, &mut scratch);
-                }
-                (PlanKind::StageOut, None) => parallel_copy(pool, &scratch, data),
-                (kind, chunk) => {
-                    unreachable!("no host realisation for {kind:?}/{chunk:?} in a buffered plan")
-                }
-            }
-            continue;
-        }
-
-        // A multi-node wave: at most one stage-in, one chunk-sort, and one
-        // merge-out (the 2-slot ring admits no more), all mutually
-        // independent. Carve the buffers and `data` into the disjoint
-        // regions each node owns, then run everything as one batch.
-        let mut si: Option<&PlanNode> = None;
-        let mut sort: Option<&PlanNode> = None;
-        let mut merge: Option<&PlanNode> = None;
-        for &i in &wave {
-            let node = &wplan.nodes[i];
-            let slot = match node.kind {
-                PlanKind::StageIn => &mut si,
-                PlanKind::Kernel => &mut sort,
-                PlanKind::StageOut => &mut merge,
-                PlanKind::Barrier => unreachable!("sort plans carry no barriers"),
-            };
-            assert!(slot.replace(node).is_none(), "wave reuses a node kind");
-        }
-
-        // Hand each role its staging buffer; a double `take` means the
-        // plan broke the ring discipline.
-        let (buf0, buf1) = {
-            let (a, b) = bufs.split_at_mut(1);
-            (&mut a[0], &mut b[0])
-        };
-        let mut by_slot = [Some(buf0), Some(buf1)];
-        let si_buf = si.map(|nd| by_slot[nd.slot].take().expect("stage-in buffer free"));
-        let sort_buf = sort.map(|nd| by_slot[nd.slot].take().expect("sort buffer free"));
-        let merge_buf = merge.map(|nd| by_slot[nd.slot].take().expect("merge buffer free"));
-
-        // Carve `data`: the merge-out writes its megachunk, the stage-in
-        // reads a later one (its Recycle edge points two megachunks back,
-        // so the ranges never overlap).
-        let (merge_dst, si_src): (Option<&mut [T]>, Option<&[T]>) =
-            match (merge.map(|nd| nd.chunk), si.map(|nd| nd.chunk)) {
-                (Some(Some(mm)), Some(Some(sm))) => {
-                    let ((mlo, mhi), (slo, shi)) = (bounds(mm), bounds(sm));
-                    assert!(mhi <= slo, "merge-out must precede the prefetch in `data`");
-                    let (left, right) = data.split_at_mut(slo);
-                    (Some(&mut left[mlo..mhi]), Some(&right[..shi - slo]))
-                }
-                (Some(Some(mm)), None) => {
-                    let (mlo, mhi) = bounds(mm);
-                    (Some(&mut data[mlo..mhi]), None)
-                }
-                (None, Some(Some(sm))) => {
-                    let (slo, shi) = bounds(sm);
-                    (None, Some(&data[slo..shi]))
-                }
-                _ => (None, None),
-            };
-
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        // Prefetch: split the staging copy a few ways so it shares the
-        // pool with the sorts without monopolising it.
-        if let (Some(buf), Some(src)) = (si_buf, si_src) {
-            buf.clear();
-            buf.resize(src.len(), src[0]);
-            let copy_parts = 4.min(src.len()).max(1);
-            let mut rest: &mut [T] = buf;
-            for t in 0..copy_parts {
-                let (s, e) = split_range(src.len(), copy_parts, t);
-                let (head, tail) = rest.split_at_mut(e - s);
-                rest = tail;
-                let sr = &src[s..e];
-                tasks.push(Box::new(move || head.copy_from_slice(sr)));
-            }
-        }
-        // One introsort task per chunk of the sorting megachunk.
-        if let (Some(nd), Some(buf)) = (sort, sort_buf) {
-            let parts = parts_of(nd.len);
-            chunk_sorts += parts;
-            for chunk in split_mut(buf, parts) {
-                tasks.push(Box::new(move || parsort::serial::introsort(chunk)));
-            }
-        }
-        // The merge-out runs as one dedicated task: serial against its
-        // wave-mates, overlapped with them on the pool.
-        if let (Some(nd), Some(buf), Some(dst)) = (merge, merge_buf, merge_dst) {
-            let runs = split_borrows(buf, parts_of(nd.len));
-            tasks.push(Box::new(move || multiway_merge_into(&runs, dst)));
-        }
-        pool.scoped(tasks);
-    }
-
-    HostSortStats {
-        megachunks: k,
-        chunk_sorts,
-        elapsed: start.elapsed(),
-    }
 }
 
 /// Dispatch a host-scale run of any Table-1 variant via its shared plan.
@@ -586,6 +566,32 @@ mod tests {
             let stats = run_sort_plan(&pool, &plan, &mut v);
             assert_eq!(v, expect, "{structure:?}/{style:?}");
             assert_eq!(stats.megachunks, plan.megachunks);
+        }
+    }
+
+    /// The buffered plan's batches, pinned to the runs of mutually
+    /// independent nodes its dependency edges allow: after the prime
+    /// stage-in, every batch pairs two megachunks' phases — megachunk
+    /// `m + 1`'s prefetch runs next to `m`'s chunk sort — until the tail
+    /// merge-out and the final pair.
+    #[test]
+    fn buffered_batches_overlap_prefetch_with_sort() {
+        let pool = WorkPool::new(4);
+        for n in [5_000, 4_993] {
+            let mut v = generate_keys(n, InputOrder::Random, 5);
+            let mut expect = v.clone();
+            expect.sort_unstable();
+            let plan = plan_sort(
+                SortStructure::Buffered,
+                ChunkSortStyle::Serial,
+                n as u64,
+                1_000,
+            );
+            assert_eq!(plan.megachunks, 5);
+            let mut backend = HostSortBackend::new(&pool, &mut v);
+            interpret(&mut backend, &plan, &plan.to_workload_plan()).unwrap();
+            assert_eq!(backend.batch_sizes, [1, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1]);
+            assert_eq!(v, expect);
         }
     }
 }

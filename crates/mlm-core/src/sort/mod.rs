@@ -12,7 +12,8 @@
 //!
 //! [`host`] executes real, correctness-checked implementations at host
 //! scale; [`sim`] lowers the same algorithms to op graphs for paper-scale
-//! virtual-time runs.
+//! virtual-time runs. Both are [`mlm_exec::Backend`]s that
+//! [`mlm_exec::interpret`] drives over one plan.
 
 pub mod host;
 pub mod sim;
@@ -90,10 +91,10 @@ impl SortAlgorithm {
     }
 
     /// The megachunk-level shape of this variant, as planned by
-    /// [`mlm_exec::plan_sort`]. Both executors — the host implementations
-    /// in [`host`] and the op-graph lowering in [`sim`] — interpret the
-    /// same plan; where the bytes live during each phase is the per-variant
-    /// lowering's concern.
+    /// [`mlm_exec::plan_sort`]. [`mlm_exec::interpret`] drives the same
+    /// plan over both backends — the host one in [`host`] and the
+    /// op-graph lowering in [`sim`]; where the bytes live during each
+    /// phase is the per-variant lowering's concern.
     pub fn structure(&self) -> SortStructure {
         match self {
             // The GNU baselines and numactl-preferred placement are

@@ -2,14 +2,17 @@
 //!
 //! The phase *sequence* of every variant — stage a megachunk, sort its
 //! chunks, merge the runs out, final k-way merge — is planned once by
-//! [`mlm_exec::plan_sort`] and shared with the host executor
-//! ([`super::host::run_sort_plan`]). This module owns only the per-variant
-//! *lowering* of each plan node: where the bytes live
-//! ([`DataPlace`]), which calibrated rate applies, and (for the buffered
-//! variant) which cross-megachunk dependencies overlap the phases.
-//! Compute rates come from [`Calibration`]; bandwidth contention, DDR
-//! saturation, and MCDRAM-cache behaviour then emerge from the
-//! [`knl_sim`] engine.
+//! [`mlm_exec::plan_sort`], lowered onto the generic IR and executed by
+//! [`mlm_exec::interpret`], exactly as on the host
+//! ([`super::host::HostSortBackend`]). This module owns only
+//! [`SimSortBackend`], the per-variant lowering of each plan node: where
+//! the bytes live ([`DataPlace`]), which calibrated rate applies, and
+//! which threads run it. A node's token is the ops realising it — for a
+//! phase of a sequential plan, the phase's join — so the plan's edges
+//! become op dependencies, and the buffered variant's cross-megachunk
+//! overlap is the plan's, not this module's. Compute rates come from
+//! [`Calibration`]; bandwidth contention, DDR saturation, and
+//! MCDRAM-cache behaviour then emerge from the [`knl_sim`] engine.
 //!
 //! ## Cache-mode sort residency
 //!
@@ -28,13 +31,14 @@
 use knl_sim::machine::MachineConfig;
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
 use mlm_exec::{
-    plan_sort, PlanKind, PlanNode, WorkloadPlan, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    interpret, plan_sort, Backend, Capabilities, PlanKind, PlanNode, SortPlan,
+    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
     SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
 };
 
 use super::SortAlgorithm;
 use crate::calibration::Calibration;
-use crate::workload::{InputOrder, SortWorkload};
+use crate::workload::SortWorkload;
 
 /// Copy-pool size for [`SortAlgorithm::MlmSortBuffered`]: small, because
 /// prefetching a megachunk is brief and every copy thread is a compute
@@ -64,67 +68,160 @@ impl DataPlace {
     }
 }
 
-/// Builder state shared by all phase emitters.
-struct SortBuilder<'a> {
+/// The simulated sort [`Backend`], with the [`SortPlan`] as its context:
+/// lowers each issued node of one Table-1 sort run to ops on a
+/// [`Program`].
+///
+/// Address layout: the key array occupies DDR `[0, n_bytes)`; the merge
+/// scratch occupies `[n_bytes, 2 n_bytes)`.
+pub struct SimSortBackend<'a> {
     prog: Program,
     threads: usize,
     cal: &'a Calibration,
     machine: &'a MachineConfig,
-    barrier: Vec<OpId>,
+    alg: SortAlgorithm,
+    w: SortWorkload,
+    megachunk_elems: u64,
+    /// Bytes per key.
+    elem: u64,
+    /// Bytes of the key array (and the scratch's base address).
+    n_bytes: u64,
+    /// Bytes of a full megachunk.
+    mega_bytes: u64,
 }
 
-impl<'a> SortBuilder<'a> {
-    fn new(threads: usize, cal: &'a Calibration, machine: &'a MachineConfig) -> Self {
-        SortBuilder {
+impl<'a> SimSortBackend<'a> {
+    /// A backend lowering `alg` over `w` with `megachunk_elems`-element
+    /// megachunks on `threads` threads (the paper's 256).
+    ///
+    /// Returns an error if the variant is incompatible with the machine's
+    /// memory mode (e.g. `MLM-sort` on a cache-mode machine), if the
+    /// megachunk cannot fit the addressable MCDRAM where it must, or if
+    /// the buffered variant has fewer than its one copy and one compute
+    /// thread.
+    pub fn new(
+        machine: &'a MachineConfig,
+        cal: &'a Calibration,
+        w: SortWorkload,
+        alg: SortAlgorithm,
+        megachunk_elems: u64,
+        threads: usize,
+    ) -> Result<Self, String> {
+        cal.validate()?;
+        machine.validate().map_err(|e| e.to_string())?;
+        if w.n == 0 {
+            return Err("empty workload".into());
+        }
+        if megachunk_elems == 0 {
+            return Err("megachunk must be positive".into());
+        }
+        if threads == 0 {
+            return Err("need at least one thread".into());
+        }
+        if alg == SortAlgorithm::MlmSortBuffered && threads < 2 {
+            return Err("buffered MLM-sort needs one copy and one compute thread".into());
+        }
+        if alg.needs_cache_mode() && !machine.mode.has_cache() {
+            return Err(format!("{} requires a cache-mode machine", alg.label()));
+        }
+        if alg.needs_flat_mcdram() && machine.addressable_mcdram() == 0 {
+            return Err(format!("{} requires flat-addressable MCDRAM", alg.label()));
+        }
+
+        let elem = u64::from(w.elem_bytes);
+        let mega_bytes = megachunk_elems.min(w.n) * elem;
+
+        // GNU-numactl is unchunked: its data spills past MCDRAM by design, so
+        // the megachunk feasibility check does not apply to it.
+        if alg.needs_flat_mcdram()
+            && alg != SortAlgorithm::GnuNumactl
+            && mega_bytes > machine.addressable_mcdram()
+        {
+            return Err(format!(
+                "megachunk of {mega_bytes} bytes exceeds addressable MCDRAM ({})",
+                machine.addressable_mcdram()
+            ));
+        }
+        // Double-buffered variants keep two megachunks resident (the §6
+        // prefetch buffer, or basic-chunked's in-MCDRAM merge temp), so each
+        // may only use half the scratchpad.
+        let double_buffered = matches!(
+            alg,
+            SortAlgorithm::MlmSortBuffered | SortAlgorithm::BasicChunked
+        );
+        if double_buffered && 2 * mega_bytes > machine.addressable_mcdram() {
+            return Err(format!("{} needs megachunk <= MCDRAM/2", alg.label()));
+        }
+
+        Ok(SimSortBackend {
             prog: Program::new(threads),
             threads,
             cal,
             machine,
-            barrier: Vec::new(),
-        }
+            alg,
+            w,
+            megachunk_elems,
+            elem,
+            n_bytes: w.bytes(),
+            mega_bytes,
+        })
     }
 
-    /// Close a phase: every thread joins (paying the fork/join overhead),
-    /// and subsequent phases depend on the join.
-    fn join_phase(&mut self, phase_ops: &[OpId]) {
+    /// The phase plan of this run, to [`interpret`] over this backend.
+    pub fn plan(&self) -> SortPlan {
+        plan_sort(
+            self.alg.structure(),
+            self.alg.chunk_style(),
+            self.w.n,
+            self.megachunk_elems,
+        )
+    }
+
+    /// The lowered program.
+    pub fn into_program(self) -> Program {
+        self.prog
+    }
+
+    /// DDR base address of megachunk `m` in the key array.
+    fn mega_base(&self, m: usize) -> u64 {
+        m as u64 * self.mega_bytes
+    }
+
+    /// DDR base address of megachunk `m`'s window of the scratch array.
+    fn scratch_base(&self, m: usize) -> u64 {
+        self.n_bytes + m as u64 * self.mega_bytes
+    }
+
+    /// Close a phase: every thread joins (paying the fork/join overhead);
+    /// the join is the phase's token.
+    fn join_phase(&mut self, phase_ops: &[OpId]) -> Vec<OpId> {
         let overhead = self.cal.phase_overhead;
-        self.barrier = (0..self.threads)
+        (0..self.threads)
             .map(|t| {
                 self.prog
                     .push(t, OpKind::Delay { seconds: overhead }, phase_ops)
             })
-            .collect();
+            .collect()
     }
 
-    /// Contiguous byte share `(offset, len)` of thread `t` out of `total`.
-    fn share(&self, total: u64, t: usize) -> (u64, u64) {
-        let p = self.threads as u64;
-        let base = total / p;
-        let extra = total % p;
-        let t64 = t as u64;
-        let offset = t64 * base + t64.min(extra);
-        let len = base + u64::from(t64 < extra);
-        (offset, len)
-    }
-
-    /// Emit one serial-sort phase: every thread introsorts a `block_elems`
-    /// chunk residing at `place` (for [`DataPlace::Cached`], thread `t`'s
-    /// block starts at `base + t * block_bytes`).
+    /// Emit one serial-sort phase after `deps`: every thread introsorts a
+    /// `block_elems` chunk residing at `place` (for [`DataPlace::Cached`],
+    /// thread `t`'s block starts at `base + t * block_bytes`).
     ///
     /// `rate_mult` applies the GNU efficiency penalty when modeling the
     /// baseline.
     fn serial_sort_phase(
         &mut self,
+        deps: &[OpId],
         block_elems: u64,
-        elem_bytes: u64,
-        order: InputOrder,
         place: DataPlace,
         rate_mult: f64,
-    ) {
+    ) -> Vec<OpId> {
         if block_elems == 0 {
-            return;
+            return deps.to_vec();
         }
-        let block_bytes = block_elems * elem_bytes;
+        let order = self.w.order;
+        let block_bytes = block_elems * self.elem;
         let passes = self.cal.sort_passes(block_elems as usize);
         let s_sort = self.cal.sort_rate(order) * rate_mult;
         // Cache-resident recursion levels: pure compute, no bus traffic,
@@ -146,7 +243,7 @@ impl<'a> SortBuilder<'a> {
                             ],
                             rate_cap: s_sort,
                         },
-                        &self.barrier,
+                        deps,
                     );
                     ops.push(id);
                 }
@@ -161,7 +258,7 @@ impl<'a> SortBuilder<'a> {
                             ],
                             rate_cap: s_sort * boost,
                         },
-                        &self.barrier,
+                        deps,
                     );
                     ops.push(id);
                 }
@@ -177,7 +274,7 @@ impl<'a> SortBuilder<'a> {
                             ],
                             rate_cap: s_sort,
                         },
-                        &self.barrier,
+                        deps,
                     );
                     ops.push(cold);
 
@@ -249,11 +346,12 @@ impl<'a> SortBuilder<'a> {
                 ops.push(id);
             }
         }
-        self.join_phase(&ops);
+        self.join_phase(&ops)
     }
 
-    /// Emit one parallel multiway-merge phase over `total_bytes` of data in
-    /// `k` runs: each thread streams its share from `src` to `dst`.
+    /// Emit one parallel multiway-merge phase after `deps` over
+    /// `total_bytes` of data in `k` runs: each thread streams its share
+    /// from `src` to `dst`.
     /// `order_boost` controls whether the merge rate benefits from
     /// structured input: MLM's plain loser-tree merges do (disjoint runs
     /// from reverse-sorted input keep the tournament winner stable), but
@@ -262,22 +360,22 @@ impl<'a> SortBuilder<'a> {
     #[allow(clippy::too_many_arguments)]
     fn multiway_merge_phase(
         &mut self,
+        deps: &[OpId],
         total_bytes: u64,
         k: usize,
-        order: InputOrder,
         src: DataPlace,
         dst: DataPlace,
         rate_mult: f64,
         order_boost: bool,
-    ) {
+    ) -> Vec<OpId> {
         let rate = if order_boost {
-            self.cal.multiway_rate_ordered(k, order)
+            self.cal.multiway_rate_ordered(k, self.w.order)
         } else {
             self.cal.multiway_rate(k)
         } * rate_mult;
         let mut ops = Vec::with_capacity(self.threads);
         for t in 0..self.threads {
-            let (offset, len) = self.share(total_bytes, t);
+            let (offset, len) = share(total_bytes, self.threads, t);
             if len == 0 {
                 continue;
             }
@@ -290,20 +388,26 @@ impl<'a> SortBuilder<'a> {
                     ],
                     rate_cap: rate,
                 },
-                &self.barrier,
+                deps,
             );
             ops.push(id);
         }
-        self.join_phase(&ops);
+        self.join_phase(&ops)
     }
 
-    /// Emit one bulk-copy phase: all threads cooperatively move
-    /// `total_bytes` from `src` to `dst` at the machine's `S_copy`.
-    fn copy_phase(&mut self, total_bytes: u64, src: DataPlace, dst: DataPlace) {
+    /// Emit one bulk-copy phase after `deps`: all threads cooperatively
+    /// move `total_bytes` from `src` to `dst` at the machine's `S_copy`.
+    fn copy_phase(
+        &mut self,
+        deps: &[OpId],
+        total_bytes: u64,
+        src: DataPlace,
+        dst: DataPlace,
+    ) -> Vec<OpId> {
         let rate = self.machine.per_thread_copy_bw;
         let mut ops = Vec::with_capacity(self.threads);
         for t in 0..self.threads {
-            let (offset, len) = self.share(total_bytes, t);
+            let (offset, len) = share(total_bytes, self.threads, t);
             if len == 0 {
                 continue;
             }
@@ -315,438 +419,310 @@ impl<'a> SortBuilder<'a> {
                     bytes: len,
                     rate_cap: rate,
                 },
-                &self.barrier,
+                deps,
             );
             ops.push(id);
         }
-        self.join_phase(&ops);
-    }
-}
-
-/// Per-run constants the phase lowering needs alongside the builder:
-/// which variant is being lowered and the byte-address layout.
-struct Lowering {
-    alg: SortAlgorithm,
-    elem: u64,
-    n_bytes: u64,
-    data: u64,
-    scratch: u64,
-    order: InputOrder,
-    mega_bytes: u64,
-}
-
-impl Lowering {
-    /// DDR base address of megachunk `m` in the key array.
-    fn mega_base(&self, m: usize) -> u64 {
-        self.data + m as u64 * self.mega_bytes
+        self.join_phase(&ops)
     }
 
-    /// DDR base address of megachunk `m`'s window of the scratch array.
-    fn scratch_base(&self, m: usize) -> u64 {
-        self.scratch + m as u64 * self.mega_bytes
-    }
-}
-
-/// Lower one node of the sort's [`WorkloadPlan`] to ops. *What* the node
-/// is comes from its `(kind, chunk, kernel)` triple as
-/// [`mlm_exec::SortPlan::to_workload_plan`] emits it — the same DAG the
-/// host executor and the graph verifier consume; where its bytes live and
-/// which calibrated rate applies is decided here per variant.
-fn lower_phase(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan, node: &PlanNode) {
-    let p = b.threads as u64;
-    let gnu = b.cal.gnu_efficiency;
-    let elems = node.len;
-    match (node.kind, node.chunk, node.kernel) {
-        // Whole-array plans (the GNU baselines): per-thread block sorts...
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT)) => {
-            let block = elems.div_ceil(p);
-            match lx.alg {
-                SortAlgorithm::GnuFlat => {
-                    b.serial_sort_phase(block, lx.elem, lx.order, DataPlace::Ddr, gnu)
-                }
-                SortAlgorithm::GnuCache => {
-                    b.serial_sort_phase(block, lx.elem, lx.order, DataPlace::Cached(lx.data), gnu)
-                }
-                SortAlgorithm::GnuNumactl => numactl_sort_phase(b, lx, block),
-                _ => unreachable!("ThreadSort only appears in Whole plans"),
-            }
-        }
-        // ...then one thread-count-way merge into scratch.
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_MERGE)) => match lx.alg {
-            SortAlgorithm::GnuFlat => b.multiway_merge_phase(
-                lx.n_bytes,
-                b.threads,
-                lx.order,
-                DataPlace::Ddr,
-                DataPlace::Ddr,
-                gnu,
-                false,
-            ),
-            SortAlgorithm::GnuCache => b.multiway_merge_phase(
-                lx.n_bytes,
-                b.threads,
-                lx.order,
-                DataPlace::Cached(lx.data),
-                DataPlace::Cached(lx.scratch),
-                gnu,
-                false,
-            ),
-            SortAlgorithm::GnuNumactl => numactl_merge_phase(b, lx),
-            _ => unreachable!("ThreadMerge only appears in Whole plans"),
-        },
-        // Stage megachunk `m` into the working buffer (the MLM structure's
-        // copy-in: MCDRAM in flat mode, or the DDR buffer for MLM-ddr).
-        (PlanKind::StageIn, Some(mega), _) => {
-            let bytes = elems * lx.elem;
-            match lx.alg {
-                SortAlgorithm::MlmDdr => b.copy_phase(bytes, DataPlace::Ddr, DataPlace::Ddr),
-                SortAlgorithm::MlmSort | SortAlgorithm::BasicChunked => b.copy_phase(
-                    bytes,
-                    DataPlace::Cached(lx.mega_base(mega)),
-                    DataPlace::Mcdram,
-                ),
-                _ => unreachable!("StageIn appears in Staged plans only"),
-            }
-        }
-        // Sort megachunk `m`'s chunks in the working buffer.
-        (PlanKind::Kernel, Some(mega), _) => {
-            let chunk = elems.div_ceil(p);
-            match lx.alg {
-                SortAlgorithm::MlmDdr => {
-                    b.serial_sort_phase(chunk, lx.elem, lx.order, DataPlace::Ddr, 1.0)
-                }
-                SortAlgorithm::MlmSort => {
-                    b.serial_sort_phase(chunk, lx.elem, lx.order, DataPlace::Mcdram, 1.0)
-                }
-                SortAlgorithm::MlmImplicit => b.serial_sort_phase(
-                    chunk,
-                    lx.elem,
-                    lx.order,
-                    DataPlace::Cached(lx.mega_base(mega)),
-                    1.0,
-                ),
-                // Bender et al.'s scheme sorts the megachunk with the
-                // *parallel* mergesort: the same block sorts, but at GNU
-                // efficiency (its merge is the MergeRuns phase below).
-                SortAlgorithm::BasicChunked => {
-                    b.serial_sort_phase(chunk, lx.elem, lx.order, DataPlace::Mcdram, gnu)
-                }
-                _ => unreachable!("ChunkSort lowered per-variant"),
-            }
-        }
-        // Multiway-merge megachunk `m`'s sorted runs out of the buffer.
-        (PlanKind::StageOut, Some(mega), Some(SORT_KERNEL_MERGE_RUNS)) => {
-            let bytes = elems * lx.elem;
-            match lx.alg {
-                SortAlgorithm::MlmDdr => b.multiway_merge_phase(
-                    bytes,
-                    b.threads,
-                    lx.order,
-                    DataPlace::Ddr,
-                    DataPlace::Ddr,
-                    1.0,
-                    true,
-                ),
-                SortAlgorithm::MlmSort => b.multiway_merge_phase(
-                    bytes,
-                    b.threads,
-                    lx.order,
-                    DataPlace::Mcdram,
-                    DataPlace::Cached(lx.mega_base(mega)),
-                    1.0,
-                    true,
-                ),
-                SortAlgorithm::MlmImplicit => b.multiway_merge_phase(
-                    bytes,
-                    b.threads,
-                    lx.order,
-                    DataPlace::Cached(lx.mega_base(mega)),
-                    DataPlace::Cached(lx.scratch_base(mega)),
-                    1.0,
-                    true,
-                ),
-                // The parallel sort's own multiway merge writes straight
-                // back out to DDR (it needs a distinct output buffer anyway,
-                // which is why the megachunk is capped at MCDRAM/2).
-                SortAlgorithm::BasicChunked => b.multiway_merge_phase(
-                    bytes,
-                    b.threads,
-                    lx.order,
-                    DataPlace::Mcdram,
-                    DataPlace::Cached(lx.mega_base(mega)),
-                    gnu,
-                    false,
-                ),
-                _ => unreachable!("MergeRuns lowered per-variant"),
-            }
-        }
-        // Copy megachunk `m` back from scratch (in-place plans only).
-        (PlanKind::StageOut, Some(mega), None) => {
-            let bytes = elems * lx.elem;
-            debug_assert_eq!(lx.alg, SortAlgorithm::MlmImplicit);
-            b.copy_phase(
-                bytes,
-                DataPlace::Cached(lx.scratch_base(mega)),
-                DataPlace::Cached(lx.mega_base(mega)),
-            );
-        }
-        // Final k-way merge across sorted megachunks into scratch.
-        (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => match lx.alg {
-            SortAlgorithm::MlmDdr => b.multiway_merge_phase(
-                lx.n_bytes,
-                wplan.chunks,
-                lx.order,
-                DataPlace::Ddr,
-                DataPlace::Ddr,
-                1.0,
-                true,
-            ),
-            SortAlgorithm::BasicChunked => b.multiway_merge_phase(
-                lx.n_bytes,
-                wplan.chunks,
-                lx.order,
-                DataPlace::Cached(lx.data),
-                DataPlace::Cached(lx.scratch),
-                1.0,
-                false,
-            ),
-            SortAlgorithm::MlmSort
-            | SortAlgorithm::MlmImplicit
-            | SortAlgorithm::MlmSortBuffered => b.multiway_merge_phase(
-                lx.n_bytes,
-                wplan.chunks,
-                lx.order,
-                DataPlace::Cached(lx.data),
-                DataPlace::Cached(lx.scratch),
-                1.0,
-                true,
-            ),
-            _ => unreachable!("Whole plans have no FinalMerge"),
-        },
-        // Copy the whole array back from scratch into the caller's array,
-        // as the out-of-place merges require.
-        (PlanKind::StageOut, None, _) => {
-            let (src, dst) = match lx.alg {
-                SortAlgorithm::GnuFlat | SortAlgorithm::GnuNumactl | SortAlgorithm::MlmDdr => {
-                    (DataPlace::Ddr, DataPlace::Ddr)
-                }
-                _ => (DataPlace::Cached(lx.scratch), DataPlace::Cached(lx.data)),
-            };
-            b.copy_phase(lx.n_bytes, src, dst);
-        }
-        (kind, chunk, kernel) => {
-            unreachable!("sort plans never emit {kind:?}/{chunk:?}/{kernel:?}")
-        }
-    }
-}
-
-/// §2.4 (Li et al.): flat mode with `numactl --preferred` — the first
-/// `addressable_mcdram` bytes of the array live in MCDRAM, the spill in
-/// DDR; the unchunked GNU sort runs over the mix. Per-thread blocks are
-/// contiguous, so a `fit` fraction of the threads work MCDRAM-resident
-/// blocks and the rest DDR blocks.
-fn numactl_sort_phase(b: &mut SortBuilder, lx: &Lowering, block: u64) {
-    let gnu = b.cal.gnu_efficiency;
-    let threads = b.threads;
-    let mcdram_threads = numactl_mcdram_threads(b, lx);
-    let passes = b.cal.sort_passes(block as usize);
-    let incache = block as f64 * b.cal.incache_time(lx.order) / gnu;
-    let mut phase_ops = Vec::with_capacity(2 * threads);
-    for t in 0..threads {
-        let place = if t < mcdram_threads {
-            Place::Mcdram
-        } else {
-            Place::Ddr
-        };
-        let traffic = block * lx.elem * u64::from(passes);
-        let rate = if t < mcdram_threads {
-            b.cal.sort_rate(lx.order) * b.cal.mcdram_boost * gnu
-        } else {
-            b.cal.sort_rate(lx.order) * gnu
-        };
-        let id = b.prog.push(
-            t,
-            OpKind::Stream {
-                accesses: vec![Access::read(place, traffic), Access::write(place, traffic)],
-                rate_cap: rate,
-            },
-            &[],
-        );
-        phase_ops.push(id);
-        phase_ops.push(b.prog.push(t, OpKind::Delay { seconds: incache }, &[]));
-    }
-    b.join_phase(&phase_ops);
-}
-
-/// GNU-numactl's unchunked multiway merge: reads the mixed-placement
-/// array, writes the scratch (DDR — the spill means scratch cannot be
-/// MCDRAM-resident). The read side is modeled by the same fit fraction.
-fn numactl_merge_phase(b: &mut SortBuilder, lx: &Lowering) {
-    let gnu = b.cal.gnu_efficiency;
-    let threads = b.threads;
-    let mcdram_threads = numactl_mcdram_threads(b, lx);
-    let rate = b.cal.multiway_rate(threads) * gnu;
-    let mut merge_ops = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let (_, len) = b.share(lx.n_bytes, t);
-        if len == 0 {
-            continue;
-        }
-        let read_place = if t < mcdram_threads {
-            Place::Mcdram
-        } else {
-            Place::Ddr
-        };
-        let id = b.prog.push(
-            t,
-            OpKind::Stream {
-                accesses: vec![
-                    Access::read(read_place, len),
-                    Access::write(Place::Ddr, len),
-                ],
-                rate_cap: rate,
-            },
-            &b.barrier,
-        );
-        merge_ops.push(id);
-    }
-    b.join_phase(&merge_ops);
-}
-
-/// How many threads' contiguous blocks are MCDRAM-resident under
-/// numactl-preferred placement.
-fn numactl_mcdram_threads(b: &SortBuilder, lx: &Lowering) -> usize {
-    let fit = (b.machine.addressable_mcdram() as f64 / lx.n_bytes as f64).min(1.0);
-    (b.threads as f64 * fit).round() as usize
-}
-
-/// Lower an overlapped ([`SortStructure::Buffered`]) plan: the §6
-/// future-work variant, where a small dedicated copy pool prefetches
-/// megachunk `m+1` while the compute pool sorts and merges megachunk `m`.
-/// The node set and every dependency come from the generic-IR lowering
-/// ([`mlm_exec::SortPlan::to_workload_plan`]): StageIn of megachunk `m`
-/// waits on MergeRuns of `m-2` (the Recycle edge of the 2-slot ring),
-/// ChunkSort on StageIn of its own megachunk, MergeRuns on ChunkSort (Data
-/// edges), and the final merge on every merge-out. Ops are emitted in
-/// per-megachunk phase order so each thread's program order — and hence
-/// the whole emitted program — is unchanged from the pre-IR lowering.
-///
-/// [`SortStructure::Buffered`]: mlm_exec::SortStructure::Buffered
-fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
-    // A small dedicated pool prefetches megachunk m+1 while the rest
-    // compute on m (the §5 lesson: copy threads are compute threads
-    // forgone, so keep the pool small). The *prime* copy of megachunk 0
-    // has nothing to overlap with, so, as the paper's §3.2 notes about
-    // unoccupied pools, every thread helps with it.
-    let threads = b.threads;
-    let p_copy = BUFFERED_COPY_THREADS.min(threads.saturating_sub(1)).max(1);
-    let p_comp = threads - p_copy;
-    let comp0 = p_copy;
-    let k_megas = wplan.chunks;
-    let order = lx.order;
-
-    // Ops realising each plan node, so edges resolve to op dependencies.
-    let mut done: Vec<Vec<OpId>> = vec![Vec::new(); wplan.nodes.len()];
-    let emit_order: Vec<usize> = (0..k_megas)
-        .flat_map(|m| {
-            [
-                wplan.find(PlanKind::StageIn, m),
-                wplan.find(PlanKind::Kernel, m),
-                wplan.find(PlanKind::StageOut, m),
-            ]
-        })
-        .flatten()
-        .chain(
-            wplan
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| n.chunk.is_none())
-                .map(|(i, _)| i),
-        )
-        .collect();
-
-    for i in emit_order {
-        let node = &wplan.nodes[i];
-        let deps: Vec<OpId> = node
-            .deps
-            .iter()
-            .flat_map(|e| done[e.from].iter().copied())
-            .collect();
-        let mut ops: Vec<OpId> = Vec::new();
+    /// Lower one phase of the plan after `deps`, returning its join. *What*
+    /// the node is comes from its `(kind, chunk, kernel)` triple as
+    /// [`SortPlan::to_workload_plan`] emits it — the same DAG the host
+    /// backend and the graph verifier consume; where its bytes live and
+    /// which calibrated rate applies is decided here per variant.
+    fn lower_phase(&mut self, plan: &SortPlan, node: &PlanNode, deps: &[OpId]) -> Vec<OpId> {
+        let p = self.threads as u64;
+        let gnu = self.cal.gnu_efficiency;
+        let (alg, n_bytes, scratch) = (self.alg, self.n_bytes, self.n_bytes);
+        let elems = node.len;
         match (node.kind, node.chunk, node.kernel) {
-            // Prefetch megachunk m; its Recycle edge says buffer (m % 2)
-            // is free once megachunk m-2 has merged out.
-            (PlanKind::StageIn, Some(m), _) => {
-                let bytes = node.len * lx.elem;
-                let base = lx.mega_base(m);
+            // Whole-array plans (the GNU baselines): per-thread block sorts...
+            (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT)) => {
+                let block = elems.div_ceil(p);
+                let place = match alg {
+                    SortAlgorithm::GnuFlat => DataPlace::Ddr,
+                    SortAlgorithm::GnuCache => DataPlace::Cached(0),
+                    SortAlgorithm::GnuNumactl => return self.numactl_sort_phase(deps, block),
+                    _ => unreachable!("ThreadSort only appears in Whole plans"),
+                };
+                self.serial_sort_phase(deps, block, place, gnu)
+            }
+            // ...then one thread-count-way merge into scratch.
+            (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_MERGE)) => {
+                let (src, dst) = match alg {
+                    SortAlgorithm::GnuFlat => (DataPlace::Ddr, DataPlace::Ddr),
+                    SortAlgorithm::GnuCache => (DataPlace::Cached(0), DataPlace::Cached(scratch)),
+                    SortAlgorithm::GnuNumactl => return self.numactl_merge_phase(deps),
+                    _ => unreachable!("ThreadMerge only appears in Whole plans"),
+                };
+                let k = self.threads;
+                self.multiway_merge_phase(deps, n_bytes, k, src, dst, gnu, false)
+            }
+            // Stage megachunk `m` into the working buffer (the MLM structure's
+            // copy-in: MCDRAM in flat mode, or the DDR buffer for MLM-ddr).
+            (PlanKind::StageIn, Some(mega), None) => {
+                let (src, dst) = match alg {
+                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr),
+                    SortAlgorithm::MlmSort | SortAlgorithm::BasicChunked => {
+                        (DataPlace::Cached(self.mega_base(mega)), DataPlace::Mcdram)
+                    }
+                    _ => unreachable!("StageIn appears in Staged plans only"),
+                };
+                self.copy_phase(deps, elems * self.elem, src, dst)
+            }
+            // Sort megachunk `m`'s chunks in the working buffer.
+            (PlanKind::Kernel, Some(mega), Some(SORT_KERNEL_CHUNK_SORT)) => {
+                let chunk = elems.div_ceil(p);
+                let (place, rate_mult) = match alg {
+                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, 1.0),
+                    SortAlgorithm::MlmSort => (DataPlace::Mcdram, 1.0),
+                    SortAlgorithm::MlmImplicit => (DataPlace::Cached(self.mega_base(mega)), 1.0),
+                    // Bender et al.'s scheme sorts the megachunk with the
+                    // *parallel* mergesort: the same block sorts, but at GNU
+                    // efficiency (its merge is the MergeRuns phase below).
+                    SortAlgorithm::BasicChunked => (DataPlace::Mcdram, gnu),
+                    _ => unreachable!("ChunkSort lowered per-variant"),
+                };
+                self.serial_sort_phase(deps, chunk, place, rate_mult)
+            }
+            // Multiway-merge megachunk `m`'s sorted runs out of the buffer.
+            (PlanKind::StageOut, Some(mega), Some(SORT_KERNEL_MERGE_RUNS)) => {
+                let bytes = elems * self.elem;
+                let (src, dst, rate_mult, order_boost) = match alg {
+                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr, 1.0, true),
+                    SortAlgorithm::MlmSort => (
+                        DataPlace::Mcdram,
+                        DataPlace::Cached(self.mega_base(mega)),
+                        1.0,
+                        true,
+                    ),
+                    SortAlgorithm::MlmImplicit => (
+                        DataPlace::Cached(self.mega_base(mega)),
+                        DataPlace::Cached(self.scratch_base(mega)),
+                        1.0,
+                        true,
+                    ),
+                    // The parallel sort's own multiway merge writes straight
+                    // back out to DDR (it needs a distinct output buffer
+                    // anyway, which is why the megachunk is capped at
+                    // MCDRAM/2).
+                    SortAlgorithm::BasicChunked => (
+                        DataPlace::Mcdram,
+                        DataPlace::Cached(self.mega_base(mega)),
+                        gnu,
+                        false,
+                    ),
+                    _ => unreachable!("MergeRuns lowered per-variant"),
+                };
+                let k = self.threads;
+                self.multiway_merge_phase(deps, bytes, k, src, dst, rate_mult, order_boost)
+            }
+            // Copy megachunk `m` back from scratch (in-place plans only).
+            (PlanKind::StageOut, Some(mega), None) => {
+                debug_assert_eq!(alg, SortAlgorithm::MlmImplicit);
+                self.copy_phase(
+                    deps,
+                    elems * self.elem,
+                    DataPlace::Cached(self.scratch_base(mega)),
+                    DataPlace::Cached(self.mega_base(mega)),
+                )
+            }
+            // Final k-way merge across sorted megachunks into scratch.
+            (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => {
+                let (src, dst, order_boost) = match alg {
+                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr, true),
+                    SortAlgorithm::BasicChunked => {
+                        (DataPlace::Cached(0), DataPlace::Cached(scratch), false)
+                    }
+                    SortAlgorithm::MlmSort
+                    | SortAlgorithm::MlmImplicit
+                    | SortAlgorithm::MlmSortBuffered => {
+                        (DataPlace::Cached(0), DataPlace::Cached(scratch), true)
+                    }
+                    _ => unreachable!("Whole plans have no FinalMerge"),
+                };
+                let k = plan.megachunks;
+                self.multiway_merge_phase(deps, n_bytes, k, src, dst, 1.0, order_boost)
+            }
+            // Copy the whole array back from scratch into the caller's array,
+            // as the out-of-place merges require.
+            (PlanKind::StageOut, None, None) => {
+                let (src, dst) = match alg {
+                    SortAlgorithm::GnuFlat | SortAlgorithm::GnuNumactl | SortAlgorithm::MlmDdr => {
+                        (DataPlace::Ddr, DataPlace::Ddr)
+                    }
+                    _ => (DataPlace::Cached(scratch), DataPlace::Cached(0)),
+                };
+                self.copy_phase(deps, n_bytes, src, dst)
+            }
+            (kind, chunk, kernel) => {
+                unreachable!("sort plans never emit {kind:?}/{chunk:?}/{kernel:?}")
+            }
+        }
+    }
+
+    /// §2.4 (Li et al.): flat mode with `numactl --preferred` — the first
+    /// `addressable_mcdram` bytes of the array live in MCDRAM, the spill in
+    /// DDR; the unchunked GNU sort runs over the mix. Per-thread blocks are
+    /// contiguous, so a `fit` fraction of the threads work MCDRAM-resident
+    /// blocks and the rest DDR blocks.
+    fn numactl_sort_phase(&mut self, deps: &[OpId], block: u64) -> Vec<OpId> {
+        let gnu = self.cal.gnu_efficiency;
+        let order = self.w.order;
+        let mcdram_threads = self.numactl_mcdram_threads();
+        let passes = self.cal.sort_passes(block as usize);
+        let incache = block as f64 * self.cal.incache_time(order) / gnu;
+        let mut phase_ops = Vec::with_capacity(2 * self.threads);
+        for t in 0..self.threads {
+            let place = if t < mcdram_threads {
+                Place::Mcdram
+            } else {
+                Place::Ddr
+            };
+            let traffic = block * self.elem * u64::from(passes);
+            let rate = if t < mcdram_threads {
+                self.cal.sort_rate(order) * self.cal.mcdram_boost * gnu
+            } else {
+                self.cal.sort_rate(order) * gnu
+            };
+            let id = self.prog.push(
+                t,
+                OpKind::Stream {
+                    accesses: vec![Access::read(place, traffic), Access::write(place, traffic)],
+                    rate_cap: rate,
+                },
+                deps,
+            );
+            phase_ops.push(id);
+            phase_ops.push(self.prog.push(t, OpKind::Delay { seconds: incache }, &[]));
+        }
+        self.join_phase(&phase_ops)
+    }
+
+    /// GNU-numactl's unchunked multiway merge: reads the mixed-placement
+    /// array, writes the scratch (DDR — the spill means scratch cannot be
+    /// MCDRAM-resident). The read side is modeled by the same fit fraction.
+    fn numactl_merge_phase(&mut self, deps: &[OpId]) -> Vec<OpId> {
+        let mcdram_threads = self.numactl_mcdram_threads();
+        let rate = self.cal.multiway_rate(self.threads) * self.cal.gnu_efficiency;
+        let mut merge_ops = Vec::with_capacity(self.threads);
+        for t in 0..self.threads {
+            let (_, len) = share(self.n_bytes, self.threads, t);
+            if len == 0 {
+                continue;
+            }
+            let read_place = if t < mcdram_threads {
+                Place::Mcdram
+            } else {
+                Place::Ddr
+            };
+            let id = self.prog.push(
+                t,
+                OpKind::Stream {
+                    accesses: vec![
+                        Access::read(read_place, len),
+                        Access::write(Place::Ddr, len),
+                    ],
+                    rate_cap: rate,
+                },
+                deps,
+            );
+            merge_ops.push(id);
+        }
+        self.join_phase(&merge_ops)
+    }
+
+    /// How many threads' contiguous blocks are MCDRAM-resident under
+    /// numactl-preferred placement.
+    fn numactl_mcdram_threads(&self) -> usize {
+        let fit = (self.machine.addressable_mcdram() as f64 / self.n_bytes as f64).min(1.0);
+        (self.threads as f64 * fit).round() as usize
+    }
+
+    /// Lower one megachunk node of the buffered plan (the §6 future-work
+    /// variant) after `deps`, returning its ops. A small dedicated copy
+    /// pool prefetches megachunk `m+1` while the compute pool sorts and
+    /// merges megachunk `m` (the §5 lesson: copy threads are compute
+    /// threads forgone, so keep the pool small); the plan's Recycle and
+    /// Data edges, arriving as `deps`, order the two pools.
+    fn lower_buffered(&mut self, node: &PlanNode, m: usize, deps: &[OpId]) -> Vec<OpId> {
+        let threads = self.threads;
+        let p_copy = BUFFERED_COPY_THREADS.min(threads - 1);
+        let p_comp = threads - p_copy;
+        let comp0 = p_copy;
+        let order = self.w.order;
+        let mut ops: Vec<OpId> = Vec::new();
+        match (node.kind, node.kernel) {
+            // Prefetch megachunk m. The *prime* copy of megachunk 0 has
+            // nothing to overlap with, so, as the paper's §3.2 notes about
+            // unoccupied pools, every thread helps with it.
+            (PlanKind::StageIn, None) => {
+                let bytes = node.len * self.elem;
+                let base = self.mega_base(m);
                 let pool = if m == 0 { threads } else { p_copy };
-                let mut offset = 0u64;
                 for t in 0..pool {
-                    let share = bytes / pool as u64 + u64::from((t as u64) < bytes % pool as u64);
-                    if share == 0 {
+                    let (offset, len) = share(bytes, pool, t);
+                    if len == 0 {
                         continue;
                     }
-                    let id = b.prog.push(
+                    let id = self.prog.push(
                         t,
                         OpKind::Copy {
                             src: Place::CachedDdr {
                                 addr: base + offset,
                             },
                             dst: Place::Mcdram,
-                            bytes: share,
-                            rate_cap: b.machine.per_thread_copy_bw,
+                            bytes: len,
+                            rate_cap: self.machine.per_thread_copy_bw,
                         },
-                        &deps,
+                        deps,
                     );
-                    offset += share;
                     ops.push(id);
                 }
             }
 
-            // Serial chunk sorts on the compute pool (in MCDRAM), behind
-            // the Data edge from the megachunk's stage-in.
-            (PlanKind::Kernel, Some(_), _) => {
+            // Serial chunk sorts on the compute pool (in MCDRAM).
+            (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => {
                 let chunk = node.len.div_ceil(p_comp as u64);
-                let block_bytes = chunk * lx.elem;
-                let passes = b.cal.sort_passes(chunk as usize);
-                let incache = chunk as f64 * b.cal.incache_time(order);
+                let block_bytes = chunk * self.elem;
+                let passes = self.cal.sort_passes(chunk as usize);
+                let incache = chunk as f64 * self.cal.incache_time(order);
                 for t in 0..p_comp {
                     let traffic = block_bytes * u64::from(passes);
-                    let mem = b.prog.push(
+                    let mem = self.prog.push(
                         comp0 + t,
                         OpKind::Stream {
                             accesses: vec![
                                 Access::read(Place::Mcdram, traffic),
                                 Access::write(Place::Mcdram, traffic),
                             ],
-                            rate_cap: b.cal.sort_rate(order) * b.cal.mcdram_boost,
+                            rate_cap: self.cal.sort_rate(order) * self.cal.mcdram_boost,
                         },
-                        &deps,
+                        deps,
                     );
                     ops.push(mem);
                     if incache > 0.0 {
-                        ops.push(
-                            b.prog
-                                .push(comp0 + t, OpKind::Delay { seconds: incache }, &[]),
-                        );
+                        ops.push(self.prog.push(
+                            comp0 + t,
+                            OpKind::Delay { seconds: incache },
+                            &[],
+                        ));
                     }
                 }
             }
 
-            // Multiway merge out to DDR on the compute pool, behind the
-            // Data edge from the megachunk's chunk-sort.
-            (PlanKind::StageOut, Some(m), Some(SORT_KERNEL_MERGE_RUNS)) => {
-                let bytes = node.len * lx.elem;
-                let base = lx.mega_base(m);
-                let rate = b.cal.multiway_rate_ordered(p_comp, order);
+            // Multiway merge out to DDR on the compute pool.
+            (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) => {
+                let bytes = node.len * self.elem;
+                let base = self.mega_base(m);
+                let rate = self.cal.multiway_rate_ordered(p_comp, order);
                 for t in 0..p_comp {
-                    let share =
-                        bytes / p_comp as u64 + u64::from((t as u64) < bytes % p_comp as u64);
+                    let (_, share) = share(bytes, p_comp, t);
                     if share == 0 {
                         continue;
                     }
-                    let id = b.prog.push(
+                    let id = self.prog.push(
                         comp0 + t,
                         OpKind::Stream {
                             accesses: vec![
@@ -760,39 +736,52 @@ fn lower_buffered(b: &mut SortBuilder, lx: &Lowering, wplan: &WorkloadPlan) {
                             ],
                             rate_cap: rate,
                         },
-                        &deps,
+                        deps,
                     );
                     ops.push(id);
                 }
             }
 
-            // Final multiway merge + copyback, joined on every megachunk's
-            // merge-out (the plan's Data fan-in); from here the lockstep
-            // lowering applies.
-            (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => {
-                b.barrier = deps;
-                lower_phase(b, lx, wplan, node);
-            }
-            (PlanKind::StageOut, None, _) => lower_phase(b, lx, wplan, node),
-
-            _ => unreachable!("Buffered plans are staged"),
+            (kind, kernel) => unreachable!("Buffered plans are staged, not {kind:?}/{kernel:?}"),
         }
-        done[i] = ops;
+        ops
     }
 }
 
-/// Build the simulated program for one Table-1 sort run.
-///
-/// The phase sequence comes from [`mlm_exec::plan_sort`] (shared with the
-/// host executor); this function validates the (machine, variant,
-/// megachunk) combination and lowers each phase per variant.
-///
-/// Address layout: the key array occupies DDR `[0, n_bytes)`; the merge
-/// scratch occupies `[n_bytes, 2 n_bytes)`. `threads` is the paper's 256.
-///
-/// Returns an error if the variant is incompatible with the machine's
-/// memory mode (e.g. `MLM-sort` on a cache-mode machine) or if the
-/// megachunk cannot fit the addressable MCDRAM where it must.
+impl Backend for SimSortBackend<'_> {
+    type Ctx = SortPlan;
+    type Token = Vec<OpId>;
+
+    fn capabilities(&self) -> Capabilities {
+        // Which variants a machine can run is checked in `new`.
+        Capabilities::all()
+    }
+
+    fn issue(&mut self, plan: &SortPlan, node: &PlanNode, deps: &[Vec<OpId>]) -> Vec<OpId> {
+        let deps = deps.concat();
+        match node.chunk {
+            Some(m) if plan.overlapped => self.lower_buffered(node, m, &deps),
+            _ => self.lower_phase(plan, node, &deps),
+        }
+    }
+
+    fn step_barrier(&mut self, _plan: &SortPlan, _after: &[Vec<OpId>]) -> Vec<OpId> {
+        unreachable!("sort plans carry no barriers")
+    }
+}
+
+/// Contiguous byte share `(offset, len)` of part `t` when `total` bytes
+/// are split `parts` ways.
+fn share(total: u64, parts: usize, t: usize) -> (u64, u64) {
+    let (p, t) = (parts as u64, t as u64);
+    let (base, extra) = (total / p, total % p);
+    (t * base + t.min(extra), base + u64::from(t < extra))
+}
+
+/// Build the simulated program for one Table-1 sort run: validate the
+/// (machine, variant, megachunk) combination ([`SimSortBackend::new`]),
+/// plan the run with [`mlm_exec::plan_sort`] (shared with the host), and
+/// [`interpret`] the plan over the backend. `threads` is the paper's 256.
 pub fn build_sort_program(
     machine: &MachineConfig,
     cal: &Calibration,
@@ -801,79 +790,16 @@ pub fn build_sort_program(
     megachunk_elems: u64,
     threads: usize,
 ) -> Result<Program, String> {
-    cal.validate()?;
-    machine.validate().map_err(|e| e.to_string())?;
-    if w.n == 0 {
-        return Err("empty workload".into());
-    }
-    if megachunk_elems == 0 {
-        return Err("megachunk must be positive".into());
-    }
-    if threads == 0 {
-        return Err("need at least one thread".into());
-    }
-    if alg.needs_cache_mode() && !machine.mode.has_cache() {
-        return Err(format!("{} requires a cache-mode machine", alg.label()));
-    }
-    if alg.needs_flat_mcdram() && machine.addressable_mcdram() == 0 {
-        return Err(format!("{} requires flat-addressable MCDRAM", alg.label()));
-    }
-
-    let elem = u64::from(w.elem_bytes);
-    let n_bytes = w.bytes();
-
-    let mega_elems = megachunk_elems.min(w.n);
-    let mega_bytes = mega_elems * elem;
-
-    // GNU-numactl is unchunked: its data spills past MCDRAM by design, so
-    // the megachunk feasibility check does not apply to it.
-    if alg.needs_flat_mcdram()
-        && alg != SortAlgorithm::GnuNumactl
-        && mega_bytes > machine.addressable_mcdram()
-    {
-        return Err(format!(
-            "megachunk of {mega_bytes} bytes exceeds addressable MCDRAM ({})",
-            machine.addressable_mcdram()
-        ));
-    }
-    // Double-buffered variants keep two megachunks resident (the §6
-    // prefetch buffer, or basic-chunked's in-MCDRAM merge temp), so each
-    // may only use half the scratchpad.
-    if alg == SortAlgorithm::MlmSortBuffered && 2 * mega_bytes > machine.addressable_mcdram() {
-        return Err("buffered MLM-sort needs megachunk <= MCDRAM/2".into());
-    }
-    if alg == SortAlgorithm::BasicChunked && 2 * mega_bytes > machine.addressable_mcdram() {
-        return Err("basic-chunked needs megachunk <= MCDRAM/2".into());
-    }
-
-    let plan = plan_sort(alg.structure(), alg.chunk_style(), w.n, megachunk_elems);
-    let wplan = plan.to_workload_plan();
-    let lx = Lowering {
-        alg,
-        elem,
-        n_bytes,
-        data: 0,
-        scratch: n_bytes,
-        order: w.order,
-        mega_bytes,
-    };
-
-    let mut b = SortBuilder::new(threads, cal, machine);
-    if plan.overlapped {
-        lower_buffered(&mut b, &lx, &wplan);
-    } else {
-        // Sequential structures: one node per phase, Seq-chained — the
-        // generic walk reproduces the barrier-per-phase emission exactly.
-        for node in &wplan.nodes {
-            lower_phase(&mut b, &lx, &wplan, node);
-        }
-    }
-    Ok(b.prog)
+    let mut backend = SimSortBackend::new(machine, cal, w, alg, megachunk_elems, threads)?;
+    let plan = backend.plan();
+    interpret(&mut backend, &plan, &plan.to_workload_plan()).map_err(String::from)?;
+    Ok(backend.into_program())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::InputOrder;
     use knl_sim::machine::MemMode;
     use knl_sim::Simulator;
     use mlm_exec::mega_size;
@@ -925,6 +851,13 @@ mod tests {
         let w = SortWorkload::int64(100, InputOrder::Random);
         assert!(build_sort_program(&machine, &cal, w, SortAlgorithm::GnuFlat, 0, 256).is_err());
         assert!(build_sort_program(&machine, &cal, w, SortAlgorithm::GnuFlat, 10, 0).is_err());
+        // The buffered variant needs one copy and one compute thread.
+        assert!(
+            build_sort_program(&machine, &cal, w, SortAlgorithm::MlmSortBuffered, 10, 1).is_err()
+        );
+        assert!(
+            build_sort_program(&machine, &cal, w, SortAlgorithm::MlmSortBuffered, 10, 2).is_ok()
+        );
     }
 
     /// The paper's headline (Fig. 6a, 2B random): MLM-sort and MLM-implicit
@@ -1124,6 +1057,22 @@ mod tests {
             (buffered_r / plain_r - 1.0).abs() < 0.01,
             "{buffered_r} vs {plain_r}"
         );
+    }
+
+    /// The buffered makespan, pinned bit for bit (2 B reverse keys, 4
+    /// megachunks, flat mode): no committed CSV covers the variant, and
+    /// the engine breaks ties by op id, so a change in the order nodes
+    /// are lowered in would move it.
+    #[test]
+    fn buffered_makespan_is_pinned() {
+        let t = run(
+            SortAlgorithm::MlmSortBuffered,
+            MemMode::Flat,
+            2 * BILLION,
+            InputOrder::Reverse,
+            BILLION / 2,
+        );
+        assert_eq!(t.to_bits(), 0x400d_b80a_d4c3_0738, "{t}");
     }
 
     #[test]

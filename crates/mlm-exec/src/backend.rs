@@ -1,10 +1,10 @@
 //! The [`Backend`] trait: what a memory system must offer so the shared
-//! orchestrator can run the paper's chunk schedule on it.
+//! plan interpreter can run the paper's schedules on it.
 
 use std::time::Duration;
 
 use crate::placement::Capabilities;
-use crate::spec::PipelineSpec;
+use crate::plan::PlanNode;
 
 /// One of the three pipeline stages of the §3 framework.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,42 +53,48 @@ pub struct KernelCtx {
     pub global_offset: usize,
 }
 
-/// A memory system the chunk orchestrator can drive.
+/// A memory system [`interpret`](crate::plan::interpret) can drive a
+/// [`WorkloadPlan`](crate::plan::WorkloadPlan) on.
 ///
-/// The orchestrator ([`crate::drive`]) expresses the whole schedule —
-/// lockstep, dataflow, and implicit cache mode — through three
-/// primitives: *issue* one chunk-stage action with explicit dependencies,
-/// close a lockstep *step barrier*, and *finish*. A backend may execute
-/// eagerly (the simulator pushes ops as they are issued), at each barrier
-/// (the lockstep host runs one task batch per step), or all at the end
-/// (the dataflow host replays the recorded schedule on its stage pools) —
-/// the dependency tokens carry enough structure for any of these.
+/// Every plan — the §3 chunk schedule (lockstep, dataflow, implicit cache
+/// mode) and the §4 sort phases alike — reaches a backend through three
+/// primitives: *issue* one plan node with explicit dependencies, close a
+/// lockstep *step barrier*, and *finish*. A backend may execute eagerly
+/// (the simulators push ops as nodes are issued), in batches (the
+/// lockstep host runs one task batch per step, the host sort one batch
+/// per run of mutually independent nodes), or all at the end (the
+/// dataflow host replays the recorded schedule on its stage pools) — the
+/// dependency tokens carry enough structure for any of these.
 pub trait Backend {
-    /// Handle to issued work, used to express dependencies. The simulator
-    /// uses op-id lists; host adapters, which realise dependencies through
-    /// barriers or the buffer ring, use `()`.
+    /// The per-run context every call receives: the
+    /// [`PipelineSpec`](crate::spec::PipelineSpec) for
+    /// chunk-pipeline backends, the
+    /// [`SortPlan`](crate::sortplan::SortPlan) for sort backends.
+    type Ctx;
+
+    /// Handle to issued work, used to express dependencies. The simulators
+    /// use op-id lists, the host sort a node's issue index; the host
+    /// pipeline, which realises dependencies through barriers or the
+    /// buffer ring, uses `()`.
     type Token: Clone;
 
     /// The placements this backend can execute. [`crate::drive`] refuses
     /// specs outside this set before issuing any work.
     fn capabilities(&self) -> Capabilities;
 
-    /// Issue one chunk-stage action that must run after every token in
-    /// `deps`.
-    fn issue(
-        &mut self,
-        spec: &PipelineSpec,
-        action: ChunkAction,
-        deps: &[Self::Token],
-    ) -> Self::Token;
+    /// Issue one plan node that must run after every token in `deps`.
+    /// Chunk-scoped nodes name their [`ChunkAction`] through
+    /// [`PlanNode::action`]; global nodes and the node's kernel index
+    /// reach the backend as they stand in the plan.
+    fn issue(&mut self, ctx: &Self::Ctx, node: &PlanNode, deps: &[Self::Token]) -> Self::Token;
 
     /// Close a lockstep step: everything issued later and depending on the
     /// returned token runs after every token in `after`.
-    fn step_barrier(&mut self, spec: &PipelineSpec, after: &[Self::Token]) -> Self::Token;
+    fn step_barrier(&mut self, ctx: &Self::Ctx, after: &[Self::Token]) -> Self::Token;
 
     /// Complete the run, executing any deferred work.
-    fn finish(&mut self, spec: &PipelineSpec) -> Result<(), String> {
-        let _ = spec;
+    fn finish(&mut self, ctx: &Self::Ctx) -> Result<(), String> {
+        let _ = ctx;
         Ok(())
     }
 

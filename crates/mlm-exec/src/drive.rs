@@ -55,7 +55,10 @@ pub const STENCIL_RING_SLOTS: usize = 4;
 /// ([`DriveError::Capability`]); mid-walk dependency bookkeeping failures
 /// surface as [`DriveError::Protocol`] and a failing backend `finish` as
 /// [`DriveError::Backend`].
-pub fn drive<B: Backend>(backend: &mut B, spec: &PipelineSpec) -> Result<(), DriveError> {
+pub fn drive<B: Backend<Ctx = PipelineSpec>>(
+    backend: &mut B,
+    spec: &PipelineSpec,
+) -> Result<(), DriveError> {
     spec.validate().map_err(DriveError::Spec)?;
     check_capabilities(backend, spec)?;
     interpret(backend, spec, &plan_pipeline(spec))
@@ -75,7 +78,7 @@ pub fn drive<B: Backend>(backend: &mut B, spec: &PipelineSpec) -> Result<(), Dri
 /// clean verdict covers the actual execution, not a model of it. Errors
 /// come in the order [`DriveError::Spec`], [`DriveError::Verification`],
 /// [`DriveError::Capability`].
-pub fn drive_verified<B: Backend>(
+pub fn drive_verified<B: Backend<Ctx = PipelineSpec>>(
     backend: &mut B,
     spec: &PipelineSpec,
     hbw_budget: Option<u64>,
@@ -105,6 +108,7 @@ mod tests {
     use super::*;
     use crate::backend::{ChunkAction, Stage};
     use crate::placement::{Capabilities, Placement};
+    use crate::plan::PlanNode;
     use crate::spec::Workload;
 
     /// A backend that records issue order and checks dependency sanity.
@@ -129,17 +133,19 @@ mod tests {
     }
 
     impl Backend for Probe {
+        type Ctx = PipelineSpec;
         type Token = usize;
 
         fn capabilities(&self) -> Capabilities {
             self.caps
         }
 
-        fn issue(&mut self, _spec: &PipelineSpec, action: ChunkAction, deps: &[usize]) -> usize {
+        fn issue(&mut self, _spec: &PipelineSpec, node: &PlanNode, deps: &[usize]) -> usize {
             for &d in deps {
                 assert!(d < self.issued.len() + self.barriers, "dep from the future");
             }
-            self.issued.push(action);
+            self.issued
+                .push(node.action().expect("pipeline nodes are chunk-scoped"));
             self.issued.len() + self.barriers - 1
         }
 

@@ -45,9 +45,9 @@ use std::fmt;
 
 use crate::backend::{ChunkAction, Stage};
 use crate::error::DriveError;
-use crate::graph::{effective_deps, node_action, SlotError, SlotModel};
+use crate::graph::{effective_deps, SlotError, SlotModel};
 use crate::placement::Placement;
-use crate::plan::{plan_pipeline, WorkloadPlan};
+use crate::plan::{plan_pipeline, PlanNode, WorkloadPlan};
 use crate::spec::{PipelineSpec, Workload};
 
 // ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ pub fn validate_faults(plan: &WorkloadPlan, faults: &FaultPlan) -> Result<(), St
         let issued = plan
             .nodes
             .iter()
-            .filter_map(node_action)
+            .filter_map(PlanNode::action)
             .any(|a| a.stage == stage && a.chunk == chunk);
         if !issued {
             return Err(format!(
@@ -576,9 +576,7 @@ impl<'a> Executor<'a> {
                 }
                 return Outcome::Violation(Violation::Deadlock {
                     pending: pending.len(),
-                    first: pending
-                        .iter()
-                        .find_map(|&i| node_action(&self.plan.nodes[i])),
+                    first: pending.iter().find_map(|&i| self.plan.nodes[i].action()),
                 });
             }
 
@@ -588,7 +586,7 @@ impl<'a> Executor<'a> {
             self.ready.remove(&node);
             self.executed[node] = true;
 
-            let action = node_action(&self.plan.nodes[node]);
+            let action = self.plan.nodes[node].action();
             let mut panicked = false;
             if let Some(a) = action {
                 match self.apply(a) {

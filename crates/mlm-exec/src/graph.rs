@@ -41,21 +41,12 @@ use crate::backend::{ChunkAction, Stage};
 use crate::error::DriveError;
 use crate::fuzz::Construction;
 use crate::placement::Placement;
-use crate::plan::{plan_pipeline, EdgeKind, PlanKind, PlanNode, WorkloadPlan};
+use crate::plan::{plan_pipeline, EdgeKind, PlanKind, WorkloadPlan};
 use crate::spec::{PipelineSpec, Workload};
 
 // ---------------------------------------------------------------------------
 // Reading the plan
 // ---------------------------------------------------------------------------
-
-/// The chunk-stage action `node` issues; `None` for a barrier.
-pub(crate) fn node_action(node: &PlanNode) -> Option<ChunkAction> {
-    Some(ChunkAction {
-        stage: node.kind.stage()?,
-        chunk: node.chunk?,
-        slot: node.slot,
-    })
-}
 
 /// The dependencies each node waits on when `construction` executes
 /// `plan`: [`Construction::DropRecycleDep`] ignores the
@@ -86,7 +77,7 @@ pub(crate) fn effective_deps(plan: &WorkloadPlan, construction: Construction) ->
 
 /// Human-readable one-line description of node `i`, for traces.
 fn describe(plan: &WorkloadPlan, i: usize) -> String {
-    match node_action(&plan.nodes[i]) {
+    match plan.nodes[i].action() {
         Some(a) => format!(
             "{:?} of chunk {} (slot {}, node {i})",
             a.stage, a.chunk, a.slot
@@ -809,7 +800,7 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
     }
 
     let actions: Vec<(usize, ChunkAction)> = (0..n)
-        .filter_map(|i| node_action(&plan.nodes[i]).map(|a| (i, a)))
+        .filter_map(|i| plan.nodes[i].action().map(|a| (i, a)))
         .collect();
     let explicit = spec.placement != Placement::Implicit;
 
@@ -1111,7 +1102,7 @@ pub fn verify_spec(
 mod tests {
     use super::*;
     use crate::drive::{drive, RING_SLOTS};
-    use crate::plan::PlanEdge;
+    use crate::plan::{PlanEdge, PlanNode};
     use crate::recording::{Event, NullBackend, RecordingBackend};
 
     fn spec(n_chunks: u64, lockstep: bool, placement: Placement) -> PipelineSpec {

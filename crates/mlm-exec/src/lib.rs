@@ -14,7 +14,7 @@
 //!   execution (moved here from `mlm-core::pipeline`, which re-exports
 //!   them);
 //! * [`Backend`] — the primitive surface a memory system must offer:
-//!   issue one chunk-stage action, close a lockstep step, tell the time;
+//!   issue one plan node, close a lockstep step, tell the time;
 //! * [`plan`] — the workload-generic plan IR ([`WorkloadPlan`]): a DAG of
 //!   stage-in / compute-kernel / stage-out nodes with tagged dependency
 //!   edges (sequencing, dataflow, buffer recycling, inter-chunk halo)
@@ -34,11 +34,12 @@
 //!   property test instead of folklore;
 //! * [`SortPlan`] — the megachunk-level phase sequence of the §4 sort
 //!   algorithms, which [`SortPlan::to_workload_plan`] lowers onto the
-//!   generic IR for the sort host executor and sim lowering.
+//!   generic IR so [`interpret`] drives sorts like every other plan.
 //!
 //! Concrete backends live next to the machinery they adapt: the host
-//! adapters over `parsort::pool` in `mlm-core::pipeline::host`, the
-//! simulator adapter over `knl-sim` in `mlm-core::pipeline::sim`. This
+//! adapters over `parsort::pool` in `mlm-core::pipeline::host` and
+//! `mlm-core::sort::host`, the simulator adapters over `knl-sim` in
+//! `mlm-core::pipeline::sim` and `mlm-core::sort::sim`. This
 //! crate deliberately depends on nothing but `serde`, so every layer of
 //! the workspace (including `knl-sim` and `mlm-memkind`) can share its
 //! vocabulary without dependency cycles.
@@ -65,8 +66,7 @@ pub use drive::{drive, drive_verified, RING_SLOTS, STENCIL_RING_SLOTS};
 pub use error::DriveError;
 pub use placement::{Capabilities, MemTier, Placement};
 pub use plan::{
-    interpret, plan_pipeline, waves, EdgeKind, KernelDesc, PlanEdge, PlanKind, PlanNode,
-    WorkloadPlan,
+    interpret, plan_pipeline, EdgeKind, KernelDesc, PlanEdge, PlanKind, PlanNode, WorkloadPlan,
 };
 pub use recording::{Event, NullBackend, RecordingBackend};
 pub use report::{RunReport, StageReport};

@@ -21,12 +21,9 @@
 //! schedule for any [`Workload`] (the drive orchestrator is now "build the
 //! plan, interpret it over a [`Backend`]"), and
 //! [`SortPlan::to_workload_plan`](crate::sortplan::SortPlan::to_workload_plan)
-//! lowers the megachunk-level sort phases. Two generic interpreters
-//! consume it: [`interpret`] walks a chunk-level plan over any backend
-//! (host pools, simulator, recorders, the fuzzer), and [`waves`] groups a
-//! megachunk-level plan into maximal runs of mutually-independent nodes so
-//! host-style executors can run each wave as one task batch — which is
-//! exactly how the buffered sort overlaps its prefetch with compute.
+//! lowers the megachunk-level sort phases. One executor consumes both:
+//! [`interpret`] walks any plan over any backend (host pools, the
+//! simulator, the host and simulated sorts, recorders).
 
 use crate::backend::{Backend, ChunkAction, Stage};
 use crate::error::DriveError;
@@ -95,7 +92,7 @@ impl PlanEdge {
 }
 
 /// One node of a workload plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNode {
     /// What the node does.
     pub kind: PlanKind,
@@ -111,6 +108,18 @@ pub struct PlanNode {
     pub len: u64,
     /// Dependency edges, in issue order.
     pub deps: Vec<PlanEdge>,
+}
+
+impl PlanNode {
+    /// The chunk-stage action this node issues; `None` for a barrier or
+    /// a global node.
+    pub fn action(&self) -> Option<ChunkAction> {
+        Some(ChunkAction {
+            stage: self.kind.stage()?,
+            chunk: self.chunk?,
+            slot: self.slot,
+        })
+    }
 }
 
 /// A compute kernel a plan references, with the footprint parameters the
@@ -373,14 +382,15 @@ pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
     plan
 }
 
-/// Interpret a chunk-level plan over a [`Backend`]: issue every node in
-/// plan order, mapping edges to the tokens the backend handed back, and
-/// close lockstep steps at barrier nodes. This is the *only* executor the
-/// chunk pipeline has — every backend (host pools, the simulator,
-/// recorders, the fuzzer) sees the identical action/dependency stream.
+/// Interpret a plan over a [`Backend`]: issue every node in plan order,
+/// mapping edges to the tokens the backend handed back, and close
+/// lockstep steps at barrier nodes. This is the *only* executor plans
+/// have — every backend (host pools, the simulator, the host and
+/// simulated sorts, recorders) sees the identical node/dependency
+/// stream, whether the plan is a chunk pipeline or a sort.
 pub fn interpret<B: Backend>(
     backend: &mut B,
-    spec: &PipelineSpec,
+    ctx: &B::Ctx,
     plan: &WorkloadPlan,
 ) -> Result<(), DriveError> {
     let mut tokens: Vec<B::Token> = Vec::with_capacity(plan.nodes.len());
@@ -397,48 +407,12 @@ pub fn interpret<B: Backend>(
             deps.push(tokens[e.from].clone());
         }
         let token = match node.kind {
-            PlanKind::Barrier => backend.step_barrier(spec, &deps),
-            kind => {
-                let stage = kind.stage().expect("non-barrier kinds map to stages");
-                let chunk = node.chunk.ok_or(DriveError::Protocol {
-                    op: stage,
-                    chunk: 0,
-                    detail: "chunk-level plans cannot contain global nodes".into(),
-                })?;
-                let action = ChunkAction {
-                    stage,
-                    chunk,
-                    slot: node.slot,
-                };
-                backend.issue(spec, action, &deps)
-            }
+            PlanKind::Barrier => backend.step_barrier(ctx, &deps),
+            _ => backend.issue(ctx, node, &deps),
         };
         tokens.push(token);
     }
-    backend.finish(spec).map_err(DriveError::Backend)
-}
-
-/// Group a plan's nodes into *waves*: maximal runs of consecutive nodes
-/// with no dependency edges between them. Every node's dependencies land
-/// in an earlier wave, so an executor may run each wave as one parallel
-/// task batch with a join in between — the generic form of the buffered
-/// sort's "prefetch megachunk `m + 1` while sorting `m`" overlap, while a
-/// strictly sequential plan (every node depending on its predecessor)
-/// degenerates to one node per wave.
-pub fn waves(plan: &WorkloadPlan) -> Vec<Vec<usize>> {
-    let mut out: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
-    for (i, node) in plan.nodes.iter().enumerate() {
-        let depends_on_current = node.deps.iter().any(|e| current.contains(&e.from));
-        if depends_on_current && !current.is_empty() {
-            out.push(std::mem::take(&mut current));
-        }
-        current.push(i);
-    }
-    if !current.is_empty() {
-        out.push(current);
-    }
-    out
+    backend.finish(ctx).map_err(DriveError::Backend)
 }
 
 #[cfg(test)]
@@ -583,39 +557,5 @@ mod tests {
         let p = plan_pipeline(&s);
         let in3 = p.find(PlanKind::StageIn, 3).unwrap();
         assert_eq!(p.nodes[in3].len, 40);
-    }
-
-    #[test]
-    fn waves_sequence_sequential_plans_and_batch_independent_nodes() {
-        // A sequential chain (implicit mode's compute/barrier alternation):
-        // one node per wave.
-        let mut s = spec(3, true, Workload::Map);
-        s.placement = Placement::Implicit;
-        let w = waves(&plan_pipeline(&s));
-        assert!(w.iter().all(|wave| wave.len() == 1), "{w:?}");
-
-        // Lockstep: a step's actions all hang off the previous barrier, so
-        // each step forms one wave with the barrier alone in the next.
-        let p = plan_pipeline(&spec(3, true, Workload::Map));
-        let w = waves(&p);
-        for wave in &w {
-            let kinds: Vec<PlanKind> = wave.iter().map(|&i| p.nodes[i].kind).collect();
-            assert!(
-                kinds.iter().all(|k| *k != PlanKind::Barrier) || kinds.len() == 1,
-                "{kinds:?}"
-            );
-        }
-
-        // Dataflow: step-mates are mutually independent and share waves.
-        let p = plan_pipeline(&spec(5, false, Workload::Map));
-        let w = waves(&p);
-        assert_eq!(w.iter().map(Vec::len).sum::<usize>(), p.nodes.len());
-        assert!(w.iter().any(|wave| wave.len() > 1), "{w:?}");
-        // No wave contains an internal dependency.
-        for wave in &w {
-            for &i in wave {
-                assert!(p.nodes[i].deps.iter().all(|e| !wave.contains(&e.from)));
-            }
-        }
     }
 }

@@ -8,10 +8,12 @@
 //! (see `tests/tests/exec_equivalence.rs`). It is also the seam future
 //! tracing/observability hangs off without touching any backend.
 
+use std::marker::PhantomData;
 use std::time::Duration;
 
-use crate::backend::{Backend, ChunkAction};
+use crate::backend::Backend;
 use crate::placement::Capabilities;
+use crate::plan::PlanNode;
 use crate::report::RunReport;
 use crate::spec::PipelineSpec;
 
@@ -21,10 +23,10 @@ use crate::spec::PipelineSpec;
 /// different backends (whose native tokens differ) compare directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// A chunk-stage action was issued.
+    /// A plan node was issued.
     Action {
-        /// The action as the orchestrator specified it.
-        action: ChunkAction,
+        /// The node as the interpreter issued it.
+        node: PlanNode,
         /// Indices of the events this action depends on.
         deps: Vec<usize>,
     },
@@ -80,23 +82,19 @@ impl<B> RecordingBackend<B> {
 }
 
 impl<B: Backend> Backend for RecordingBackend<B> {
+    type Ctx = B::Ctx;
     type Token = Traced<B::Token>;
 
     fn capabilities(&self) -> Capabilities {
         self.inner.capabilities()
     }
 
-    fn issue(
-        &mut self,
-        spec: &PipelineSpec,
-        action: ChunkAction,
-        deps: &[Self::Token],
-    ) -> Self::Token {
+    fn issue(&mut self, ctx: &B::Ctx, node: &PlanNode, deps: &[Self::Token]) -> Self::Token {
         let dep_events: Vec<usize> = deps.iter().map(|t| t.event).collect();
         let dep_tokens: Vec<B::Token> = deps.iter().map(|t| t.inner.clone()).collect();
-        let inner = self.inner.issue(spec, action, &dep_tokens);
+        let inner = self.inner.issue(ctx, node, &dep_tokens);
         self.events.push(Event::Action {
-            action,
+            node: node.clone(),
             deps: dep_events,
         });
         Traced {
@@ -105,10 +103,10 @@ impl<B: Backend> Backend for RecordingBackend<B> {
         }
     }
 
-    fn step_barrier(&mut self, spec: &PipelineSpec, after: &[Self::Token]) -> Self::Token {
+    fn step_barrier(&mut self, ctx: &B::Ctx, after: &[Self::Token]) -> Self::Token {
         let after_events: Vec<usize> = after.iter().map(|t| t.event).collect();
         let after_tokens: Vec<B::Token> = after.iter().map(|t| t.inner.clone()).collect();
-        let inner = self.inner.step_barrier(spec, &after_tokens);
+        let inner = self.inner.step_barrier(ctx, &after_tokens);
         self.events.push(Event::Barrier {
             after: after_events,
         });
@@ -118,9 +116,9 @@ impl<B: Backend> Backend for RecordingBackend<B> {
         }
     }
 
-    fn finish(&mut self, spec: &PipelineSpec) -> Result<(), String> {
+    fn finish(&mut self, ctx: &B::Ctx) -> Result<(), String> {
         self.events.push(Event::Finish);
-        self.inner.finish(spec)
+        self.inner.finish(ctx)
     }
 
     fn now(&self) -> Duration {
@@ -129,21 +127,34 @@ impl<B: Backend> Backend for RecordingBackend<B> {
 }
 
 /// A backend that executes nothing: every placement is supported, tokens
-/// are `()`, actions disappear. Useful for extracting a pure schedule
-/// trace (`RecordingBackend<NullBackend>`) or counting work.
-#[derive(Debug, Default)]
-pub struct NullBackend {
+/// are `()`, nodes disappear. Useful for extracting a pure schedule
+/// trace (`RecordingBackend<NullBackend>`) or counting work. The context
+/// type `C` is whatever the plan is run with — a [`PipelineSpec`] by
+/// default, a [`SortPlan`](crate::sortplan::SortPlan) for sorts.
+#[derive(Debug)]
+pub struct NullBackend<C = PipelineSpec> {
     issued: usize,
     barriers: usize,
+    ctx: PhantomData<fn(&C)>,
 }
 
-impl NullBackend {
+impl<C> Default for NullBackend<C> {
+    fn default() -> Self {
+        NullBackend {
+            issued: 0,
+            barriers: 0,
+            ctx: PhantomData,
+        }
+    }
+}
+
+impl<C> NullBackend<C> {
     /// A fresh null backend.
     pub fn new() -> Self {
         NullBackend::default()
     }
 
-    /// Number of actions issued so far.
+    /// Number of nodes issued so far.
     pub fn issued(&self) -> usize {
         self.issued
     }
@@ -159,18 +170,19 @@ impl NullBackend {
     }
 }
 
-impl Backend for NullBackend {
+impl<C> Backend for NullBackend<C> {
+    type Ctx = C;
     type Token = ();
 
     fn capabilities(&self) -> Capabilities {
         Capabilities::all()
     }
 
-    fn issue(&mut self, _spec: &PipelineSpec, _action: ChunkAction, _deps: &[()]) {
+    fn issue(&mut self, _ctx: &C, _node: &PlanNode, _deps: &[()]) {
         self.issued += 1;
     }
 
-    fn step_barrier(&mut self, _spec: &PipelineSpec, _after: &[()]) {
+    fn step_barrier(&mut self, _ctx: &C, _after: &[()]) {
         self.barriers += 1;
     }
 }
@@ -178,9 +190,9 @@ impl Backend for NullBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Stage;
     use crate::drive::drive;
     use crate::placement::Placement;
+    use crate::plan::PlanKind;
     use crate::spec::Workload;
 
     fn spec(lockstep: bool) -> PipelineSpec {
@@ -226,8 +238,8 @@ mod tests {
         let dep_of_copyin3 = events
             .iter()
             .find_map(|e| match e {
-                Event::Action { action, deps }
-                    if action.stage == Stage::CopyIn && action.chunk == 3 =>
+                Event::Action { node, deps }
+                    if node.kind == PlanKind::StageIn && node.chunk == Some(3) =>
                 {
                     Some(deps.clone())
                 }
@@ -236,9 +248,9 @@ mod tests {
             .unwrap();
         assert_eq!(dep_of_copyin3.len(), 1);
         match &events[dep_of_copyin3[0]] {
-            Event::Action { action, .. } => {
-                assert_eq!(action.stage, Stage::CopyOut);
-                assert_eq!(action.chunk, 0);
+            Event::Action { node, .. } => {
+                assert_eq!(node.kind, PlanKind::StageOut);
+                assert_eq!(node.chunk, Some(0));
             }
             other => panic!("expected copy-out action, got {other:?}"),
         }

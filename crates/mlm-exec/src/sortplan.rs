@@ -3,11 +3,12 @@
 //! Every Table-1 sort variant is a sequence of *phases* — stage a
 //! megachunk in, sort its chunks, merge the sorted runs out, and finally
 //! merge across megachunks — differing only in where the bytes live and
-//! which phases a variant needs. That sequence used to be spelled twice
-//! (once in `mlm-core::sort::host`, once in `sort::sim`); it is now
-//! planned here once, and the two executors interpret the same
-//! [`SortPlan`]: the host runs each phase on real threads and buffers,
-//! the sim lowers each phase to `knl-sim` ops with per-tier rates.
+//! which phases a variant needs. That sequence is planned here once and
+//! lowered onto the generic IR ([`SortPlan::to_workload_plan`]);
+//! [`interpret`](crate::plan::interpret) then drives it over a sort
+//! backend with the [`SortPlan`] as the run's context: the host backend
+//! runs each node on real threads and buffers, the sim backend lowers
+//! each node to `knl-sim` ops with per-tier rates.
 
 use serde::{Deserialize, Serialize};
 
@@ -151,15 +152,13 @@ impl SortPlan {
     /// nodes with `chunk: None`. Node `len` is in *elements*.
     ///
     /// Sequential structures chain every node to its predecessor with
-    /// [`EdgeKind::Seq`] — [`crate::plan::waves`] degenerates to one node
-    /// per wave, which is exactly the barrier-per-phase execution the
-    /// host and sim always had. The [`SortStructure::Buffered`] structure
-    /// instead emits the double-buffered dependency shape: megachunk `m`'s
-    /// stage-in waits only for the merge-out of `m - 2`
-    /// ([`EdgeKind::Recycle`] — its buffer's previous occupant), computes
-    /// wait on their own stage-in ([`EdgeKind::Data`]), merges wait on
-    /// their compute, so `waves` overlaps megachunk `m + 1`'s prefetch
-    /// with `m`'s sort.
+    /// [`EdgeKind::Seq`], so every phase runs alone behind the previous
+    /// one's join. The [`SortStructure::Buffered`] structure instead emits
+    /// the double-buffered dependency shape: megachunk `m`'s stage-in
+    /// waits only for the merge-out of `m - 2` ([`EdgeKind::Recycle`] —
+    /// its buffer's previous occupant), computes wait on their own
+    /// stage-in ([`EdgeKind::Data`]), merges wait on their compute, so a
+    /// backend may overlap megachunk `m + 1`'s prefetch with `m`'s sort.
     pub fn to_workload_plan(&self) -> WorkloadPlan {
         let kernels = [
             "chunk-sort",
@@ -243,7 +242,9 @@ impl SortPlan {
     }
 
     /// Double-buffered lowering ([`SortStructure::Buffered`]): nodes in
-    /// pipeline-step order, `waves`-ready.
+    /// pipeline-step order, so the nodes a backend may overlap — one
+    /// step's merge-out, chunk-sort and prefetch — are issued next to
+    /// each other.
     fn lower_overlapped(&self, plan: &mut WorkloadPlan) {
         let n = self.megachunks;
         let push = |plan: &mut WorkloadPlan,
@@ -501,12 +502,14 @@ mod tests {
             w.validate().unwrap();
             assert_eq!(w.family, "sort");
             assert_eq!(w.nodes.len(), p.phases.len(), "{structure:?}");
-            // Strictly sequential: every node Seq-chains its predecessor,
-            // so waves degenerate to one node each.
-            assert!(
-                crate::plan::waves(&w).iter().all(|wave| wave.len() == 1),
-                "{structure:?}"
-            );
+            // Strictly sequential: every node Seq-chains its predecessor.
+            for (i, node) in w.nodes.iter().enumerate().skip(1) {
+                assert_eq!(
+                    node.deps,
+                    [PlanEdge::new(i - 1, EdgeKind::Seq)],
+                    "{structure:?}"
+                );
+            }
             for (node, phase) in w.nodes.iter().zip(&p.phases) {
                 let expect = match phase {
                     SortPhase::StageIn { .. } => (PlanKind::StageIn, None),
@@ -585,17 +588,12 @@ mod tests {
             .collect();
         assert_eq!(dep_chunks, vec![Some(0), Some(1), Some(2), Some(3)]);
 
-        // And waves genuinely overlap: megachunk 1's prefetch shares a
-        // wave with megachunk 0's sort.
-        let waves = crate::plan::waves(&w);
+        // And the prefetch genuinely overlaps: megachunk 1's stage-in
+        // waits on nothing and is issued right after megachunk 0's sort.
         let k0 = w.find(PlanKind::Kernel, 0).unwrap();
         let si1 = w.find(PlanKind::StageIn, 1).unwrap();
-        assert!(
-            waves
-                .iter()
-                .any(|wave| wave.contains(&k0) && wave.contains(&si1)),
-            "{waves:?}"
-        );
+        assert_eq!(si1, k0 + 1);
+        assert!(w.nodes[si1].deps.is_empty());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 # Fail if a new parallel host/sim orchestration pair appears outside the
 # mlm-exec adapter discipline.
 #
-# The execution layer (crates/mlm-exec) owns the chunk schedule; host and
-# sim code are thin backend adapters driven by `mlm_exec::drive` (or, for
-# sorting, interpreters of one `mlm_exec::SortPlan`). Before the layer
+# The execution layer (crates/mlm-exec) owns every schedule; host and
+# sim code are thin Backend adapters that `mlm_exec::interpret` drives
+# over one WorkloadPlan (a chunk pipeline's, or a sort's). Before the layer
 # existed, each subsystem grew a hand-rolled host implementation and a
 # parallel sim lowering, and the two drifted. This check keeps that split
 # from coming back:
@@ -29,7 +29,8 @@ cd "$(dirname "$0")/.."
 #   mlm-serve   — rides the layer transitively: host jobs call
 #                 mlm_core::pipeline::host, replay calls sim::build_program
 #   mlm-cluster — rides the layer transitively: both sides call
-#                 mlm_core::sort, which interprets one mlm_exec SortPlan
+#                 mlm_core::sort, whose host and sim backends
+#                 mlm_exec::interpret drives over one sort plan
 allow_dirs=(
   "crates/mlm-stream/src"
   "crates/mlm-serve/src"
@@ -101,6 +102,18 @@ if [ "$impls" -ne 1 ]; then
   echo "       express the new schedule as a drain / ring layout of HostBackend (see the module docs)" >&2
   fail=1
 fi
+# The same for sorting: every sort variant's plan reaches the host and the
+# simulator through mlm_exec::interpret, so each side is ONE Backend that
+# realises plan nodes. A second impl (or none — a private walker over the
+# plan's nodes) would be a sort executor the shared one does not drive.
+for sort_backend in crates/mlm-core/src/sort/host.rs crates/mlm-core/src/sort/sim.rs; do
+  impls=$(grep -cE '^\s*impl\b.*\bBackend for\b' "$sort_backend" || true)
+  if [ "$impls" -ne 1 ]; then
+    echo "error: ${sort_backend} has ${impls} \`impl … Backend for\` blocks; exactly one sort backend is allowed" >&2
+    echo "       realise the new sort shape as plan nodes that mlm_exec::interpret issues to it" >&2
+    fail=1
+  fi
+done
 
 # Fourth discipline: the plan is the schedule graph. The verifier and the
 # fuzzer read the WorkloadPlan plan_pipeline builds; a Backend whose job is
@@ -127,5 +140,5 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "check_no_dual_impl: every host/sim pair rides the mlm-exec execution layer"
 echo "check_no_dual_impl: every WorkloadPlan producer lives in the plan layer"
-echo "check_no_dual_impl: the host pipeline has exactly one Backend impl"
+echo "check_no_dual_impl: the host pipeline and the host and sim sorts have exactly one Backend impl each"
 echo "check_no_dual_impl: mlm-exec implements Backend only in recording.rs"

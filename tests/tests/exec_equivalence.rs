@@ -9,16 +9,24 @@
 //! 2. A [`RecordingBackend`] trace of the drive walk is identical whether
 //!    it wraps the null backend or the sim lowering of the same
 //!    [`PipelineSpec`] — i.e. the sim executes exactly the schedule the
-//!    host adapters interpret.
+//!    host adapters interpret. The same holds for every sort variant:
+//!    [`interpret`] drives its plan identically over the null, host-sort
+//!    and sim-sort backends.
 //! 3. Under lockstep, chunks complete (copy-out) in order 0, 1, 2, …
 
 use proptest::prelude::*;
 
+use knl_sim::machine::{MachineConfig, MemMode};
+use mlm_core::calibration::Calibration;
 use mlm_core::pipeline::host::{run_host_pipeline, run_host_stencil, StencilView};
 use mlm_core::pipeline::sim::SimBackend;
+use mlm_core::sort::host::HostSortBackend;
+use mlm_core::sort::sim::SimSortBackend;
+use mlm_core::sort::SortAlgorithm;
+use mlm_core::workload::{InputOrder, SortWorkload};
 use mlm_exec::{
-    drive, plan_pipeline, ChunkAction, Event, NullBackend, PipelineSpec, Placement, PlanKind,
-    RecordingBackend, Stage, Workload, RING_SLOTS,
+    drive, interpret, plan_pipeline, plan_sort, Backend, Event, NullBackend, PipelineSpec,
+    Placement, PlanKind, RecordingBackend, Stage, Workload, WorkloadPlan, RING_SLOTS,
 };
 use parsort::pool::WorkPool;
 
@@ -121,9 +129,10 @@ fn stage_order(events: &[Event], stage: Stage) -> Vec<usize> {
     events
         .iter()
         .filter_map(|e| match e {
-            Event::Action { action, .. } if action.stage == stage => Some(action.chunk),
+            Event::Action { node, .. } => node.action().filter(|a| a.stage == stage),
             _ => None,
         })
+        .map(|a| a.chunk)
         .collect()
 }
 
@@ -135,13 +144,11 @@ fn null_trace(spec: &PipelineSpec) -> Vec<Event> {
     events
 }
 
-/// The plan `plan_pipeline` builds for `spec`, as the trace a faithful
-/// walk of it records: event `i` is plan node `i` (same stage, chunk and
-/// slot, or a barrier), its deps are the node's edge `from`s in order,
-/// and `Finish` closes the run. The verifier and fuzzer read this plan
-/// instead of a recording, so the drive walk must equal it.
-fn plan_trace(spec: &PipelineSpec) -> Vec<Event> {
-    let plan = plan_pipeline(spec);
+/// `plan` as the trace a faithful walk of it records: event `i` is plan
+/// node `i` (or a barrier), its deps are the node's edge `from`s in
+/// order, and `Finish` closes the run. The verifier and fuzzer read the
+/// plan instead of a recording, so every walk must equal it.
+fn plan_trace(plan: &WorkloadPlan) -> Vec<Event> {
     let mut events: Vec<Event> = plan
         .nodes
         .iter()
@@ -149,12 +156,8 @@ fn plan_trace(spec: &PipelineSpec) -> Vec<Event> {
             let deps = node.deps.iter().map(|e| e.from).collect();
             match node.kind {
                 PlanKind::Barrier => Event::Barrier { after: deps },
-                kind => Event::Action {
-                    action: ChunkAction {
-                        stage: kind.stage().expect("non-barrier nodes are stages"),
-                        chunk: node.chunk.expect("pipeline nodes are chunk-scoped"),
-                        slot: node.slot,
-                    },
+                _ => Event::Action {
+                    node: node.clone(),
                     deps,
                 },
             }
@@ -163,6 +166,26 @@ fn plan_trace(spec: &PipelineSpec) -> Vec<Event> {
     events.push(Event::Finish);
     events
 }
+
+/// The [`interpret`] walk of `plan` with context `ctx`, recorded over
+/// `backend`.
+fn record<B: Backend>(backend: B, ctx: &B::Ctx, plan: &WorkloadPlan) -> Vec<Event> {
+    let mut rec = RecordingBackend::new(backend);
+    interpret(&mut rec, ctx, plan).expect("the backend executes the plan");
+    rec.into_parts().1
+}
+
+/// Every sort variant of the evaluation.
+const SORTS: [SortAlgorithm; 8] = [
+    SortAlgorithm::GnuFlat,
+    SortAlgorithm::GnuCache,
+    SortAlgorithm::MlmDdr,
+    SortAlgorithm::MlmSort,
+    SortAlgorithm::MlmImplicit,
+    SortAlgorithm::BasicChunked,
+    SortAlgorithm::GnuNumactl,
+    SortAlgorithm::MlmSortBuffered,
+];
 
 /// The drive walk of `spec`, recorded while the sim lowering runs
 /// underneath — the exact schedule `build_program` lowers to ops.
@@ -229,7 +252,7 @@ proptest! {
         let null = null_trace(&spec);
         let sim = sim_trace(&spec);
         prop_assert_eq!(&null, &sim, "sim must be lowered from the identical schedule");
-        prop_assert_eq!(&null, &plan_trace(&spec), "the drive walk is the plan, node for node");
+        prop_assert_eq!(&null, &plan_trace(&plan_pipeline(&spec)), "the drive walk is the plan, node for node");
 
         // Per-chunk action accounting: each chunk is copied in, computed
         // on, and copied out exactly once, in that per-chunk order.
@@ -238,6 +261,47 @@ proptest! {
             let mut chunks = stage_order(&null, stage);
             chunks.sort_unstable();
             prop_assert_eq!(chunks, (0..n).collect::<Vec<_>>());
+        }
+    }
+
+    /// (2, sorts) Every sort variant runs through the one executor: the
+    /// trace of [`interpret`] over its plan is identical whether it wraps
+    /// the null backend, the host sort (which also sorts correctly) or
+    /// the sim lowering, and equals the plan node for node.
+    #[test]
+    fn sort_trace_matches_host_and_sim_backends(
+        n in 2usize..4000,
+        megachunks in 1usize..7,
+        seed in any::<u64>(),
+    ) {
+        let mega = n.div_ceil(megachunks);
+        let data: Vec<i64> = (0..n)
+            .map(|i| (seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) as i64)
+            .collect();
+        let mut expect = data.clone();
+        expect.sort_unstable();
+        let pool = WorkPool::new(3);
+        let cal = Calibration::default();
+        let w = SortWorkload::int64(n as u64, InputOrder::Random);
+
+        for alg in SORTS {
+            let plan = plan_sort(alg.structure(), alg.chunk_style(), n as u64, mega as u64);
+            let wplan = plan.to_workload_plan();
+            let null = record(NullBackend::new(), &plan, &wplan);
+
+            let mut sorted = data.clone();
+            let host = record(HostSortBackend::new(&pool, &mut sorted), &plan, &wplan);
+            prop_assert_eq!(&sorted, &expect, "{:?} sorts", alg);
+
+            let mode = if alg.needs_cache_mode() { MemMode::Cache } else { MemMode::Flat };
+            let machine = MachineConfig::knl_7250(mode);
+            let sim = SimSortBackend::new(&machine, &cal, w, alg, mega as u64, 8).unwrap();
+            prop_assert_eq!(&sim.plan(), &plan);
+            let sim = record(sim, &plan, &wplan);
+
+            prop_assert_eq!(&null, &host, "{:?}: host sort", alg);
+            prop_assert_eq!(&null, &sim, "{:?}: sim sort", alg);
+            prop_assert_eq!(&null, &plan_trace(&wplan), "{:?}: the walk is the plan", alg);
         }
     }
 
@@ -298,13 +362,14 @@ proptest! {
                 .iter()
                 .position(|e| matches!(
                     e,
-                    Event::Action { action, .. }
-                        if action.stage == stage && action.chunk == chunk
+                    Event::Action { node, .. }
+                        if node.action().is_some_and(|a| a.stage == stage && a.chunk == chunk)
                 ))
                 .expect("every chunk action is recorded")
         };
         for (idx, event) in events.iter().enumerate() {
-            if let Event::Action { action, deps } = event {
+            if let Event::Action { node, deps } = event {
+                let action = node.action().expect("pipeline nodes are chunk-scoped");
                 let expect: Vec<usize> = match action.stage {
                     Stage::CopyIn if action.chunk >= RING_SLOTS => {
                         vec![at(Stage::CopyOut, action.chunk - RING_SLOTS)]
@@ -377,7 +442,7 @@ proptest! {
         let null = null_trace(&spec);
         let sim = sim_trace(&spec);
         prop_assert_eq!(&null, &sim, "sim must be lowered from the identical schedule");
-        prop_assert_eq!(&null, &plan_trace(&spec), "the drive walk is the plan, node for node");
+        prop_assert_eq!(&null, &plan_trace(&plan_pipeline(&spec)), "the drive walk is the plan, node for node");
 
         let n = spec.n_chunks();
         for stage in [Stage::CopyIn, Stage::Compute, Stage::CopyOut] {
