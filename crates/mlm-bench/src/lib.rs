@@ -10,7 +10,7 @@
 //!
 //! The other binaries measure rather than reproduce: `sim_bench` and
 //! `fleet_bench` (hard gates against `BENCH_*.json`) and `calibrate`
-//! (host characterisation); schedule fuzzing is `mlm-verify fuzz`.
+//! (host characterisation); schedule verification is `mlm-verify`.
 
 pub mod calibrate;
 pub mod experiments;

@@ -1,14 +1,15 @@
 //! Fault-injection hooks for the host pipeline (the `fuzz` feature).
 //!
-//! `mlm_exec::fuzz` injects faults into its *modeled* executor; this
-//! module is the bridge to the real one. With the `fuzz` feature enabled,
+//! `mlm_exec::graph::analyze` proves the poison drain over every
+//! linearization of the plan; this module makes the real executor run
+//! it. With the `fuzz` feature enabled,
 //! a test can arm a kernel panic for a specific chunk and the host
 //! backend will panic inside the kernel task exactly as a buggy user
 //! kernel would — its compute tasks are built in one place, so the probe
 //! covers every schedule (implicit, lockstep, dataflow; map and stencil)
 //! and exercises the real drain machinery (the pool's scoped join,
 //! `mlm_exec::ring::coordinate`, slot poisoning, panic propagation) on the
-//! schedule the fuzzer explored in model form.
+//! schedule the analyzer proves.
 //!
 //! The hook is a process-global: tests that arm it must run in their own
 //! integration-test binary (one process) and disarm on every exit path.

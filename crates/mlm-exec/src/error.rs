@@ -2,10 +2,9 @@
 //!
 //! [`drive`](crate::drive) used to signal every failure as a bare `String`
 //! and to `panic!` (via `.expect`) when its own bookkeeping looked
-//! inconsistent mid-walk. Panics are the wrong surface for a fuzzing
-//! backend: a seed that provokes a protocol violation should come back as
-//! a value the harness can attach to the seed and shrink, not abort the
-//! process. [`DriveError`] is that value.
+//! inconsistent mid-walk. Panics are the wrong surface for a misbehaving
+//! backend: a protocol violation should come back as a value the caller
+//! can report, not abort the process. [`DriveError`] is that value.
 //!
 //! What stays a panic (deliberately): violations of *spec-validated*
 //! invariants inside backends — e.g. the lockstep host's "at most one
@@ -34,8 +33,8 @@ pub enum DriveError {
     },
     /// The orchestrator's dependency bookkeeping was violated mid-walk: an
     /// action needed a token that was never produced. With a conforming
-    /// backend this is unreachable; a fuzzing or otherwise misbehaving
-    /// backend surfaces here instead of panicking.
+    /// backend this is unreachable; a misbehaving backend surfaces here
+    /// instead of panicking.
     Protocol {
         /// The stage whose dependency was missing.
         op: Stage,
@@ -45,7 +44,7 @@ pub enum DriveError {
         detail: String,
     },
     /// The backend's own `finish` failed (e.g. a simulated deadlock, a
-    /// poisoned buffer ring, or a fuzzing backend reporting a finding).
+    /// poisoned buffer ring).
     Backend(String),
     /// The static schedule verifier ([`crate::graph`]) refused the
     /// emitted graph before any work ran: a race, deadlock, or capacity

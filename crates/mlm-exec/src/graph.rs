@@ -5,8 +5,8 @@
 //! they exist ([`EdgeKind`]). Two consumers read that plan directly
 //! (DESIGN.md S22):
 //!
-//! * the **fuzzer** ([`crate::fuzz`]) *samples* adversarial
-//!   linearizations of it;
+//! * the **executor** ([`interpret`](crate::plan::interpret)) walks one
+//!   linearization of it over a backend;
 //! * the **static analyzer** ([`analyze`]) proves properties over *every*
 //!   linearization without enumerating them, via reachability on the
 //!   transitive closure:
@@ -18,7 +18,7 @@
 //!   | [`GraphCheck::Capacity`]    | G003 | peak HBW-resident bytes fit the MCDRAM budget |
 //!   | [`GraphCheck::RingWidth`]   | G004 | no antichain of live chunks exceeds the buffer ring |
 //!   | [`GraphCheck::DeadToken`]   | G005 | every completion is consumed (advisory) |
-//!   | [`GraphCheck::Unreachable`] | G006 | no dangling/self dependencies, no unrunnable ops |
+//!   | [`GraphCheck::Unreachable`] | G006 | no dangling/self dependencies, no unrunnable ops, no panic on an absent chunk |
 //!
 //! The capacity and ring-width bounds come from a weighted-antichain
 //! (Dilworth / minimum chain cover) analysis of the chunk liveness order:
@@ -29,17 +29,16 @@
 //! ignores slot identities, so it never under-reports occupancy).
 //!
 //! [`AnalysisConfig::construction`] analyses the plan as one of the
-//! fuzzer's buggy [`Construction`]s would execute it (dropped recycle or
-//! halo edges, notify-one wakeups, missing predicate rechecks, poison
-//! without cancellation), which is how the analyzer flags each of the
-//! five seeded bugs statically — no fuzz seeds involved.
+//! deliberately broken executors ([`Construction`]) would execute it
+//! (dropped recycle or halo edges, notify-one wakeups, missing predicate
+//! rechecks, poison without cancellation), which is how the analyzer
+//! flags each of the five catalogued bugs statically.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::backend::{ChunkAction, Stage};
 use crate::error::DriveError;
-use crate::fuzz::Construction;
 use crate::placement::Placement;
 use crate::plan::{plan_pipeline, EdgeKind, PlanKind, WorkloadPlan};
 use crate::spec::{PipelineSpec, Workload};
@@ -87,152 +86,53 @@ fn describe(plan: &WorkloadPlan, i: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// The slot phase model (shared with the fuzzer's executor)
-// ---------------------------------------------------------------------------
-
-/// Phase state of one modeled ring slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotState {
-    /// No chunk resident.
-    Free,
-    /// Chunk loaded with its input value, not yet computed.
-    Loaded(usize, u64),
-    /// Chunk computed, ready to drain.
-    Computed(usize, u64),
-    /// A kernel panicked mid-compute; nothing may touch the slot.
-    Poisoned(usize),
-}
-
-impl SlotState {
-    /// Human-readable state name, for violation messages.
-    pub fn describe(self) -> String {
-        match self {
-            SlotState::Free => "Free".into(),
-            SlotState::Loaded(c, _) => format!("Loaded(chunk {c})"),
-            SlotState::Computed(c, _) => format!("Computed(chunk {c})"),
-            SlotState::Poisoned(c) => format!("Poisoned(chunk {c})"),
-        }
-    }
-}
-
-/// A phase-machine transition the ring refused.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SlotError {
-    /// The action hit its slot in the wrong phase (overwrite of a live
-    /// slot, compute on an unloaded slot, copy-out of stale data).
-    Clash {
-        /// The offending action.
-        action: ChunkAction,
-        /// The slot state at the time, rendered.
-        state: String,
-    },
-    /// The action touched a slot poisoned by a kernel panic.
-    Poisoned {
-        /// The offending action.
-        action: ChunkAction,
-    },
-}
-
-/// The chunk-granular buffer-ring phase machine: copy-in requires a free
-/// slot, compute a loaded one, copy-out a computed one; a poisoned slot
-/// refuses everything. One value per chunk tracks data integrity.
-///
-/// This is the single ring model both the fuzzer's adversarial executor
-/// and the analyzer's poison reasoning are defined against.
-#[derive(Debug, Clone)]
-pub struct SlotModel {
-    slots: Vec<SlotState>,
-}
-
-impl SlotModel {
-    /// A ring of `slots` free slots.
-    pub fn new(slots: usize) -> Self {
-        SlotModel {
-            slots: vec![SlotState::Free; slots],
-        }
-    }
-
-    /// The state of slot `s`.
-    pub fn state(&self, s: usize) -> SlotState {
-        self.slots[s]
-    }
-
-    fn entry(&mut self, a: ChunkAction) -> Result<&mut SlotState, SlotError> {
-        let slot = &mut self.slots[a.slot];
-        if matches!(*slot, SlotState::Poisoned(_)) {
-            return Err(SlotError::Poisoned { action: a });
-        }
-        Ok(slot)
-    }
-
-    /// Copy-in: load `value` into the (free) slot of `a`.
-    pub fn load(&mut self, a: ChunkAction, value: u64) -> Result<(), SlotError> {
-        let slot = self.entry(a)?;
-        match *slot {
-            SlotState::Free => {
-                *slot = SlotState::Loaded(a.chunk, value);
-                Ok(())
-            }
-            state => Err(SlotError::Clash {
-                action: a,
-                state: state.describe(),
-            }),
-        }
-    }
-
-    /// Compute: transform the loaded value of `a`'s chunk with `kernel`.
-    pub fn compute(
-        &mut self,
-        a: ChunkAction,
-        kernel: impl FnOnce(u64) -> u64,
-    ) -> Result<(), SlotError> {
-        let slot = self.entry(a)?;
-        match *slot {
-            SlotState::Loaded(c, v) if c == a.chunk => {
-                *slot = SlotState::Computed(c, kernel(v));
-                Ok(())
-            }
-            state => Err(SlotError::Clash {
-                action: a,
-                state: state.describe(),
-            }),
-        }
-    }
-
-    /// A kernel panic where the compute of `a` would run: poison the slot.
-    pub fn poison(&mut self, a: ChunkAction) -> Result<(), SlotError> {
-        let slot = self.entry(a)?;
-        match *slot {
-            SlotState::Loaded(c, _) if c == a.chunk => {
-                *slot = SlotState::Poisoned(c);
-                Ok(())
-            }
-            state => Err(SlotError::Clash {
-                action: a,
-                state: state.describe(),
-            }),
-        }
-    }
-
-    /// Copy-out: drain the computed value of `a`'s chunk, freeing the slot.
-    pub fn drain(&mut self, a: ChunkAction) -> Result<u64, SlotError> {
-        let slot = self.entry(a)?;
-        match *slot {
-            SlotState::Computed(c, v) if c == a.chunk => {
-                *slot = SlotState::Free;
-                Ok(v)
-            }
-            state => Err(SlotError::Clash {
-                action: a,
-                state: state.describe(),
-            }),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Analysis configuration
 // ---------------------------------------------------------------------------
+
+/// How an executor honours the plan's dependency edges. `Correct` is the
+/// shipped semantics; the other five are the deliberately broken
+/// executors of mlm-verify's must-fail catalogue, one per bug class, each
+/// of which [`analyze`] must refute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Construction {
+    /// Honour every dependency edge; poison cancels dependents.
+    Correct,
+    /// Ignore the buffer-recycling edges (copy-out → copy-in for maps):
+    /// a later chunk's copy-in lands on a slot that still holds live
+    /// data.
+    DropRecycleDep,
+    /// After a kernel panic, keep scheduling the panicked chunk's
+    /// dependents as if the compute had completed — the `PoisonSkipLock`
+    /// condvar regression: work touches the poisoned slot.
+    PoisonSkipLock,
+    /// A completion wakes only its *first* dependent; later waiters lose
+    /// the wakeup — the `NotifyOne` condvar regression: the schedule
+    /// deadlocks.
+    NotifyOne,
+    /// A node becomes runnable on its *first* dependency's completion
+    /// without rechecking the rest — the `NoRecheck` condvar regression:
+    /// premature execution breaks the ring.
+    NoRecheck,
+    /// Ignore the inter-chunk halo edges (neighbour copy-in → compute) a
+    /// stencil plan emits: the kernel runs before its neighbour's
+    /// boundary bytes landed. A no-op for the map family, whose plans
+    /// carry no halo edges.
+    DropHaloDep,
+}
+
+impl Construction {
+    /// Stable name for diagnostics and suite case names.
+    pub fn name(self) -> &'static str {
+        match self {
+            Construction::Correct => "correct",
+            Construction::DropRecycleDep => "drop-recycle-dep",
+            Construction::PoisonSkipLock => "poison-skip-lock",
+            Construction::NotifyOne => "notify-one",
+            Construction::NoRecheck => "no-recheck",
+            Construction::DropHaloDep => "drop-halo-dep",
+        }
+    }
+}
 
 /// What [`analyze`] checks a plan against. The ring depth is the plan's
 /// own [`WorkloadPlan::ring_slots`].
@@ -244,9 +144,9 @@ pub struct AnalysisConfig {
     /// The executor to analyse the plan under: [`Construction::Correct`]
     /// for the shipped one, a buggy construction to prove its bug.
     pub construction: Construction,
-    /// Model a kernel panic while computing this chunk (the static form
-    /// of the fuzzer's `kernel_panic` fault): prove that nothing outside
-    /// the guaranteed-cancelled dependents touches the poisoned slot.
+    /// Model a kernel panic while computing this chunk: prove that
+    /// nothing outside the guaranteed-cancelled dependents touches the
+    /// poisoned slot. A chunk the plan never computes is a G006 finding.
     pub kernel_panic: Option<usize>,
 }
 
@@ -283,7 +183,8 @@ pub enum GraphCheck {
     /// G005 — a completion no later node consumes (advisory).
     DeadToken,
     /// G006 — a dangling or self dependency; the op (and everything
-    /// downstream of it) can never become runnable.
+    /// downstream of it) can never become runnable. Also a modeled
+    /// kernel panic on a chunk the plan never computes.
     Unreachable,
 }
 
@@ -623,7 +524,8 @@ impl BufferKey {
 ///
 /// The map family models every stage as a *write* of its slot's single
 /// buffer — all same-slot action pairs conflict, which is exactly the
-/// phase-machine discipline [`SlotModel`] enforces dynamically. The
+/// phase-machine discipline the host ring ([`crate::ring`]) enforces at
+/// run time. The
 /// stencil family splits each slot into an in- and an out-buffer and
 /// lets computes read the neighbouring in-buffers, so e.g. two computes
 /// reading the same in-buffer do *not* conflict but a copy-in
@@ -663,8 +565,7 @@ pub fn action_footprint(spec: &PipelineSpec, a: ChunkAction) -> Vec<(BufferKey, 
 ///
 /// The proofs are exhaustive for the schedule level the plan models: a
 /// clean report means *no* interleaving a dependency-honouring executor
-/// can produce violates the checked property — the static counterpart of
-/// one fuzz seed per linearization.
+/// can produce violates the checked property.
 pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -> GraphReport {
     let n = plan.nodes.len();
     let edges = plan.nodes.iter().map(|node| node.deps.len()).sum();
@@ -856,39 +757,53 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
         }
     }
 
+    // G006 (poison) — a modeled kernel panic on a chunk the plan never
+    // computes proves nothing; say so instead of passing vacuously.
+    let panicked = cfg
+        .kernel_panic
+        .map(|k| (k, plan.find(PlanKind::Kernel, k)));
+    if let Some((k, None)) = panicked {
+        findings.push(GraphFinding {
+            check: GraphCheck::Unreachable,
+            message: format!(
+                "kernel panic on chunk {k}: the plan computes no chunk {k} ({n_chunks} chunks)",
+                n_chunks = plan.chunks
+            ),
+            trace: vec![format!(
+                "no compute node of chunk {k} exists, so the poison proof has nothing to check"
+            )],
+        });
+    }
+
     // G001 (poison) — with a modeled kernel panic, everything that is not
     // a guaranteed-cancelled dependent of the panicked compute and runs
     // concurrently with or after it must not touch the poisoned slot.
-    if explicit {
-        if let Some(k) = cfg.kernel_panic {
-            if let Some(p) = plan.find(PlanKind::Kernel, k) {
-                let slot = plan.nodes[p].slot;
-                for &(i, a) in &actions {
-                    if i == p || a.slot != slot {
-                        continue;
-                    }
-                    let cancelled = construction != Construction::PoisonSkipLock && anc[i].get(p);
-                    let before_panic = anc[p].get(i);
-                    if !cancelled && !before_panic {
-                        findings.push(GraphFinding {
-                            check: GraphCheck::Race,
-                            message: format!(
-                                "poison leak: {} can touch the slot poisoned by the kernel panic on chunk {k}",
-                                describe(plan, i)
-                            ),
-                            trace: vec![
-                                format!(
-                                    "kernel panic poisons slot {slot} at {}",
-                                    describe(plan, p)
-                                ),
-                                format!(
-                                    "{} is not a guaranteed-cancelled dependent and is not ordered before the panic",
-                                    describe(plan, i)
-                                ),
-                            ],
-                        });
-                    }
-                }
+    if let Some((k, Some(p))) = panicked.filter(|_| explicit) {
+        let slot = plan.nodes[p].slot;
+        for &(i, a) in &actions {
+            if i == p || a.slot != slot {
+                continue;
+            }
+            let cancelled = construction != Construction::PoisonSkipLock && anc[i].get(p);
+            let before_panic = anc[p].get(i);
+            if !cancelled && !before_panic {
+                findings.push(GraphFinding {
+                    check: GraphCheck::Race,
+                    message: format!(
+                        "poison leak: {} can touch the slot poisoned by the kernel panic on chunk {k}",
+                        describe(plan, i)
+                    ),
+                    trace: vec![
+                        format!(
+                            "kernel panic poisons slot {slot} at {}",
+                            describe(plan, p)
+                        ),
+                        format!(
+                            "{} is not a guaranteed-cancelled dependent and is not ordered before the panic",
+                            describe(plan, i)
+                        ),
+                    ],
+                });
             }
         }
     }
@@ -1237,6 +1152,22 @@ mod tests {
     }
 
     #[test]
+    fn kernel_panic_on_an_absent_chunk_is_unreachable() {
+        // A panic on a chunk the plan never computes leaves the poison
+        // proof nothing to check; it must not read as safe.
+        let s = spec(4, false, Placement::Hbw);
+        let cfg = AnalysisConfig {
+            kernel_panic: Some(99),
+            ..AnalysisConfig::default()
+        };
+        let r = analyze(&plan_pipeline(&s), &s, &cfg);
+        assert!(!r.is_safe(), "{r}");
+        assert_eq!(r.codes(), vec!["G006"], "{r}");
+        assert!(r.findings[0].message.contains("chunk 99"), "{r}");
+        assert!(!r.findings[0].trace.is_empty(), "{r}");
+    }
+
+    #[test]
     fn hand_built_cycle_is_a_deadlock() {
         let p = hand_built(vec![
             node(PlanKind::Kernel, &[1]),
@@ -1290,31 +1221,6 @@ mod tests {
         // Peak is 3 chunks x 64 bytes = 192 > 128.
         assert_eq!(r.codes(), vec!["G003"], "{r}");
         assert_eq!(r.peak_hbw_bytes, 192);
-    }
-
-    #[test]
-    fn slot_model_enforces_the_phase_machine() {
-        let mut ring = SlotModel::new(RING_SLOTS);
-        let act = |stage, chunk: usize| ChunkAction {
-            stage,
-            chunk,
-            slot: chunk % RING_SLOTS,
-        };
-        ring.load(act(Stage::CopyIn, 0), 11).unwrap();
-        // Compute on the wrong chunk clashes.
-        assert!(matches!(
-            ring.compute(act(Stage::Compute, 3), |v| v),
-            Err(SlotError::Clash { .. })
-        ));
-        ring.compute(act(Stage::Compute, 0), |v| v + 1).unwrap();
-        assert_eq!(ring.drain(act(Stage::CopyOut, 0)).unwrap(), 12);
-        // Poison refuses everything afterwards.
-        ring.load(act(Stage::CopyIn, 0), 5).unwrap();
-        ring.poison(act(Stage::Compute, 0)).unwrap();
-        assert!(matches!(
-            ring.load(act(Stage::CopyIn, 3), 9),
-            Err(SlotError::Poisoned { .. })
-        ));
     }
 
     fn stencil_spec(n_chunks: u64, lockstep: bool) -> PipelineSpec {

@@ -24,9 +24,9 @@
 //!   workload (map or halo-exchanging stencil; lockstep, dataflow, and
 //!   implicit cache mode) and interprets it over the backend;
 //! * [`graph`] — the static schedule verifier ([`graph::analyze`],
-//!   diagnostics G001–G006), which reads the same [`WorkloadPlan`] the
-//!   fuzzer executes and [`drive`] interprets, plus [`drive_verified`],
-//!   the preflight-gated orchestrator entry point;
+//!   diagnostics G001–G006), which reads the same [`WorkloadPlan`]
+//!   [`drive`] interprets, plus [`drive_verified`], the preflight-gated
+//!   orchestrator entry point;
 //! * [`RunReport`]/[`StageReport`] — the unified stats every backend
 //!   returns;
 //! * [`RecordingBackend`] — a composable wrapper that turns any backend
@@ -51,7 +51,6 @@
 pub mod backend;
 pub mod drive;
 pub mod error;
-pub mod fuzz;
 pub mod graph;
 pub mod placement;
 pub mod plan;

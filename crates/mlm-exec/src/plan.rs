@@ -58,8 +58,8 @@ impl PlanKind {
 }
 
 /// Why a dependency edge exists. Interpreters that only need ordering may
-/// ignore the kind; the graph analyzer, the fuzzer's discipline
-/// weakenings, and the sim lowering dispatch on it.
+/// ignore the kind; the graph analyzer (and its buggy-construction
+/// weakenings) and the sim lowering dispatch on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeKind {
     /// Phase sequencing: the node runs after the previous phase's join or
@@ -198,8 +198,8 @@ impl WorkloadPlan {
 /// each step, which slot it occupies, and which dependencies order the
 /// work — for every workload family and all three schedule modes
 /// (lockstep, dataflow, implicit). [`crate::drive`] is "build this plan,
-/// [`interpret`] it"; the graph verifier and the fuzzer analyse the exact
-/// DAG written here.
+/// [`interpret`] it"; the graph verifier analyses the exact DAG written
+/// here.
 pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
     let n = spec.n_chunks();
     let ring = spec.ring_slots();

@@ -5,21 +5,14 @@
 //!
 //! * the `graph` battery ([`crate::graph`]) analyses the row's spec as
 //!   the construction would execute it and must fire the row's G-codes,
-//!   each with a counterexample trace — no fuzz seeds involved;
-//! * the `fuzz` battery ([`crate::fuzzsuite`]) replays the row's shrunk
-//!   decision trace, which must reproduce the row's violation kind on the
-//!   buggy construction and run clean on [`Construction::Correct`];
+//!   each with a counterexample trace;
 //! * the `models` battery ([`crate::suite`]) checks the condvar model the
 //!   row mirrors, if it has one, and that check must fail.
-//!
-//! Seeds and traces are data, not code: if a schedule change invalidates
-//! one, re-run `mlm-verify fuzz --construction <name>` and commit the
-//! first finding it prints.
 
-use mlm_exec::fuzz::{corpus_spec, corpus_stencil_spec, Construction, FaultPlan, FuzzCase};
-use mlm_exec::graph::{analyze, AnalysisConfig, GraphReport};
+use mlm_exec::graph::{analyze, AnalysisConfig, Construction, GraphReport};
 use mlm_exec::{plan_pipeline, DriveError, PipelineSpec, Placement, Stage};
 
+use crate::graph::{corpus_spec, corpus_stencil_spec};
 use crate::models::condvar::{CondvarModel, CvVariant};
 
 /// One buggy construction and what each layer must report about it.
@@ -27,7 +20,7 @@ use crate::models::condvar::{CondvarModel, CvVariant};
 pub struct BugRow {
     /// The buggy executor.
     pub construction: Construction,
-    /// What goes wrong, in one line (the fuzz regression's name).
+    /// What goes wrong, in one line.
     pub what: &'static str,
     /// Lockstep schedule (`false`: dataflow).
     pub lockstep: bool,
@@ -37,13 +30,6 @@ pub struct BugRow {
     pub kernel_panic: Option<usize>,
     /// G-codes the static analyzer must fire.
     pub g_codes: &'static [&'static str],
-    /// The violation kind ([`mlm_exec::fuzz::Violation::kind`]) the
-    /// committed trace reproduces.
-    pub fuzz_kind: &'static str,
-    /// Seed whose adversarial schedule first exposed the violation.
-    pub seed: u64,
-    /// Shrunk decision trace (at most 20 decisions) that replays it.
-    pub shrunk: &'static [u32],
     /// The condvar regression model this row mirrors at mutex/condvar
     /// granularity, if any; it must fail the model check.
     pub condvar: Option<CondvarModel>,
@@ -56,20 +42,6 @@ impl BugRow {
             corpus_stencil_spec(256, self.lockstep)
         } else {
             corpus_spec(256, Placement::Hbw, self.lockstep)
-        }
-    }
-
-    /// The row's fuzz case, executed by `construction` — the row's own to
-    /// catch the bug, [`Construction::Correct`] to show the trace is clean.
-    pub fn fuzz_case(&self, construction: Construction) -> FuzzCase {
-        FuzzCase {
-            name: self.construction.name().into(),
-            spec: self.spec(),
-            construction,
-            faults: FaultPlan {
-                kernel_panic: self.kernel_panic,
-                ..FaultPlan::NONE
-            },
         }
     }
 
@@ -93,14 +65,11 @@ pub const CATALOGUE: [BugRow; 5] = [
     // chunk's copy-in lands on a slot still holding live data.
     BugRow {
         construction: Construction::DropRecycleDep,
-        what: "fuzz-regression: dropped recycling edge clobbers a live slot",
+        what: "dropped recycling edge clobbers a live slot",
         lockstep: false,
         stencil: false,
         kernel_panic: None,
         g_codes: &["G001", "G004"],
-        fuzz_kind: "slot-clash",
-        seed: 0,
-        shrunk: &[3],
         condvar: None,
     },
     // After a kernel panic the executor keeps scheduling the panicked
@@ -108,14 +77,11 @@ pub const CATALOGUE: [BugRow; 5] = [
     // of being cancelled.
     BugRow {
         construction: Construction::PoisonSkipLock,
-        what: "fuzz-regression: poison ignored, dependent touches poisoned slot",
+        what: "poison ignored, dependent touches poisoned slot",
         lockstep: false,
         stencil: false,
         kernel_panic: Some(1),
         g_codes: &["G001"],
-        fuzz_kind: "poison-touched",
-        seed: 0,
-        shrunk: &[],
         condvar: Some(CondvarModel {
             slots: 3,
             chunks: 3,
@@ -128,14 +94,11 @@ pub const CATALOGUE: [BugRow; 5] = [
     // step starves.
     BugRow {
         construction: Construction::NotifyOne,
-        what: "fuzz-regression: notify-one wakeup starves later waiters",
+        what: "notify-one wakeup starves later waiters",
         lockstep: true,
         stencil: false,
         kernel_panic: None,
         g_codes: &["G002"],
-        fuzz_kind: "deadlock",
-        seed: 0,
-        shrunk: &[],
         condvar: Some(CondvarModel {
             slots: 3,
             chunks: 4,
@@ -149,14 +112,11 @@ pub const CATALOGUE: [BugRow; 5] = [
     // one is still in flight.
     BugRow {
         construction: Construction::NoRecheck,
-        what: "fuzz-regression: missing predicate recheck opens the step early",
+        what: "missing predicate recheck opens the step early",
         lockstep: true,
         stencil: false,
         kernel_panic: None,
         g_codes: &["G001"],
-        fuzz_kind: "slot-clash",
-        seed: 0,
-        shrunk: &[0, 0, 1, 1, 1, 2],
         condvar: Some(CondvarModel {
             slots: 3,
             chunks: 4,
@@ -171,14 +131,37 @@ pub const CATALOGUE: [BugRow; 5] = [
     // dataflow.
     BugRow {
         construction: Construction::DropHaloDep,
-        what: "fuzz-regression: dropped halo edge folds stale neighbour data",
+        what: "dropped halo edge folds stale neighbour data",
         lockstep: false,
         stencil: true,
         kernel_panic: None,
         g_codes: &["G001"],
-        fuzz_kind: "wrong-output",
-        seed: 0,
-        shrunk: &[0, 0, 3],
         condvar: None,
     },
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every non-`Correct` construction has exactly one catalogue row,
+    /// and the rows together cover lockstep and dataflow, map and stencil,
+    /// and a fault.
+    #[test]
+    fn catalogue_covers_all_five_classes() {
+        for (i, row) in CATALOGUE.iter().enumerate() {
+            assert_ne!(row.construction, Construction::Correct, "{}", row.what);
+            assert!(
+                CATALOGUE[..i]
+                    .iter()
+                    .all(|r| r.construction != row.construction),
+                "{} has two rows",
+                row.construction.name()
+            );
+        }
+        let any = |p: fn(&BugRow) -> bool| CATALOGUE.iter().any(p);
+        assert!(any(|r| r.lockstep) && any(|r| !r.lockstep));
+        assert!(any(|r| r.stencil) && any(|r| !r.stencil));
+        assert!(any(|r| r.kernel_panic.is_some()));
+    }
+}

@@ -2,27 +2,24 @@
 //! the plans `drive()` interprets.
 //!
 //! The analysis itself lives in [`mlm_exec::graph`] (it reads the same
-//! `WorkloadPlan` the fuzzer executes); this module wraps its
-//! findings as [`Diagnostic`]s alongside the V-series lints, defines the
-//! committed experiment-spec catalog every CI run re-proves, and packages
-//! the whole thing as a suite (`mlm-verify graph`):
+//! `WorkloadPlan` `drive()` interprets); this module wraps its findings
+//! as [`Diagnostic`]s alongside the V-series lints, defines the corpus
+//! and the committed experiment-spec catalog every CI run re-proves, and
+//! packages the whole thing as a suite (`mlm-verify graph`):
 //!
-//! * every case of the fuzz corpus (all placements and schedule modes of
-//!   both workload families, five geometries) must prove race-free,
-//!   deadlock-free, and within the slot/MCDRAM bounds **statically** —
-//!   over every linearization, not a seed sample;
+//! * every case of the [`default_corpus`] (all placements and schedule
+//!   modes of both workload families, five geometries) must prove
+//!   race-free, deadlock-free, and within the slot/MCDRAM bounds
+//!   **statically** — over every linearization;
 //! * every committed experiment spec (the paper pipelines, the host
 //!   ablation shape, the largest serve-trace batch, the out-of-core
 //!   stencil) must prove the same against the paper machine's
 //!   addressable MCDRAM;
-//! * the five buggy constructions of the must-fail [`CATALOGUE`], which
-//!   the fuzzer finds dynamically, must each be flagged by a G-diagnostic
-//!   with a counterexample trace, *no fuzz seeds involved* — the analyzer
-//!   subsumes the sampled findings.
+//! * the five buggy constructions of the must-fail [`CATALOGUE`] must
+//!   each be flagged by a G-diagnostic with a counterexample trace.
 
 use knl_sim::machine::MachineConfig;
 use mlm_core::pipeline::{PipelineSpec, Placement, Workload};
-use mlm_exec::fuzz::default_corpus;
 use mlm_exec::graph::{GraphCheck, GraphFinding, GraphReport};
 use mlm_exec::DriveError;
 
@@ -69,7 +66,10 @@ pub fn finding_diagnostic(finding: &GraphFinding) -> Diagnostic {
             "restore the buffer-recycling edges so at most RING_SLOTS chunks are in flight"
         }
         GraphCheck::DeadToken => "make a later node depend on this completion, or stop issuing it",
-        GraphCheck::Unreachable => "fix the dependency indices the schedule emits for this node",
+        GraphCheck::Unreachable => {
+            "fix the dependency indices the schedule emits for this node, \
+             or model the panic on a chunk the plan computes"
+        }
     };
     d.with_suggestion(suggestion)
 }
@@ -147,6 +147,75 @@ pub fn largest_committed_spec() -> (&'static str, PipelineSpec) {
         .expect("catalog is non-empty")
 }
 
+/// The corpus: every placement/schedule mode the orchestrator emits, at
+/// several chunk counts including single-chunk and ragged tails — for
+/// both workload families (the stencil rows exercise the halo-edge
+/// geometries on the four-slot ring, including the ragged tail, whose
+/// last chunk still spans a full halo). Each case must prove safe.
+pub fn default_corpus() -> Vec<(String, PipelineSpec)> {
+    let geometries: &[(u64, &str)] = &[
+        (64, "1"),
+        (128, "2"),
+        (256, "4"),
+        (240, "4-ragged"),
+        (448, "7"),
+    ];
+    let modes: &[(Placement, bool, &str)] = &[
+        (Placement::Hbw, true, "hbw-lockstep"),
+        (Placement::Hbw, false, "hbw-dataflow"),
+        (Placement::Ddr, true, "ddr-lockstep"),
+        (Placement::Ddr, false, "ddr-dataflow"),
+        (Placement::Implicit, true, "implicit"),
+    ];
+    let mut cases = Vec::new();
+    for &(placement, lockstep, mode) in modes {
+        for &(total, geom) in geometries {
+            cases.push((
+                format!("{mode}-{geom}"),
+                corpus_spec(total, placement, lockstep),
+            ));
+        }
+    }
+    for &(lockstep, mode) in &[(true, "stencil-lockstep"), (false, "stencil-dataflow")] {
+        for &(total, geom) in geometries {
+            cases.push((
+                format!("{mode}-{geom}"),
+                corpus_stencil_spec(total, lockstep),
+            ));
+        }
+    }
+    cases
+}
+
+/// A small corpus spec: 64-byte chunks, minimal pools. The proofs are
+/// about schedule structure, so byte-level scale adds nothing.
+pub fn corpus_spec(total_bytes: u64, placement: Placement, lockstep: bool) -> PipelineSpec {
+    PipelineSpec {
+        total_bytes,
+        chunk_bytes: 64,
+        p_in: 1,
+        p_out: 1,
+        p_comp: 2,
+        compute_passes: 2,
+        compute_rate: 1e9,
+        copy_rate: 1e9,
+        placement,
+        lockstep,
+        data_addr: 0,
+        workload: Workload::Map,
+    }
+}
+
+/// The stencil-family counterpart of [`corpus_spec`]: HBW placement,
+/// 64-byte chunks with a 16-byte halo on each side (so the ragged
+/// 240-byte geometry's 48-byte tail still spans a full halo).
+pub fn corpus_stencil_spec(total_bytes: u64, lockstep: bool) -> PipelineSpec {
+    PipelineSpec {
+        workload: Workload::Stencil { halo_bytes: 16 },
+        ..corpus_spec(total_bytes, Placement::Hbw, lockstep)
+    }
+}
+
 /// One case of the graph-verification suite.
 #[derive(Debug, Clone)]
 pub struct GraphCase {
@@ -183,7 +252,7 @@ impl GraphCase {
 
 /// Build and run the full graph-verification suite:
 ///
-/// 1. all 35 fuzz-corpus cases (both workload families), proven safe
+/// 1. all 35 corpus cases (both workload families), proven safe
 ///    against the paper machine;
 /// 2. every committed experiment spec, proven safe;
 /// 3. the five buggy constructions of the catalogue, each analysed as it
@@ -192,11 +261,11 @@ pub fn run_graph_suite() -> Vec<GraphCase> {
     let machine = paper_machine();
     let mut cases = Vec::new();
 
-    for fc in default_corpus() {
+    for (name, spec) in default_corpus() {
         cases.push(GraphCase {
-            name: format!("corpus/{}", fc.name),
+            name: format!("corpus/{name}"),
             expect: Vec::new(),
-            report: graph_report_for(&fc.spec, &machine),
+            report: graph_report_for(&spec, &machine),
         });
     }
 
@@ -210,8 +279,7 @@ pub fn run_graph_suite() -> Vec<GraphCase> {
 
     // The five must-fail constructions of the catalogue, proven
     // statically: the plan is analysed as the buggy construction
-    // executes it, and the analyzer must produce the finding with no
-    // schedule sampling at all.
+    // executes it, and the analyzer must produce the finding.
     for row in &CATALOGUE {
         cases.push(GraphCase {
             name: format!("construction/{}", row.construction.name()),

@@ -2,7 +2,7 @@
 //!
 //! The runtime crates (`mlm-core`, `mlm-cluster`, `knl-sim`) execute and
 //! simulate the paper's multi-level-memory pipelines; this crate checks
-//! them *before* anything runs, at five layers:
+//! them *before* anything runs, at four layers:
 //!
 //! 1. **Spec linting** ([`lint`], [`diag`]) — a registry of lints
 //!    validates a [`mlm_core::pipeline::PipelineSpec`] against the machine
@@ -33,18 +33,12 @@
 //!    structured [`diag::Diagnostic`]s as the lints, carrying
 //!    counterexample traces (`mlm-verify graph`).
 //!
-//! 4. **Schedule fuzzing** ([`fuzzsuite`], over [`mlm_exec::fuzz`]) — the
-//!    complement of the proofs: seed-controlled adversarial execution of
-//!    the *actual* schedule `drive()` issues, sweeping every placement
-//!    and schedule mode plus committed must-fail regression traces
-//!    (`mlm-verify fuzz`).
+//!    Layers 2 and 3 share one list of must-fail cases, the
+//!    [`catalogue`]: one row per buggy executor construction, holding the
+//!    G-codes the analyzer must fire and the condvar model it mirrors, so
+//!    no layer restates another's bugs.
 //!
-//!    Layers 2–4 share one list of must-fail cases, the [`catalogue`]:
-//!    one row per buggy executor construction, holding the G-codes the
-//!    analyzer must fire, the fuzz trace that must reproduce the bug, and
-//!    the condvar model it mirrors, so no layer restates another's bugs.
-//!
-//! 5. **Fleet battery** ([`fleetsuite`], over [`mlm_fleet`]) — dynamic
+//! 4. **Fleet battery** ([`fleetsuite`], over [`mlm_fleet`]) — dynamic
 //!    invariant checks on the multi-node dispatcher: job conservation,
 //!    per-node MCDRAM budget respect under work stealing, decision-log
 //!    determinism across reruns, and virtual-time/host decision
@@ -65,7 +59,6 @@ pub mod check;
 pub mod diag;
 pub mod engine;
 pub mod fleetsuite;
-pub mod fuzzsuite;
 pub mod graph;
 pub mod lint;
 pub mod models;

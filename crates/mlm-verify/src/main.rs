@@ -5,13 +5,6 @@
 //! mlm-verify lint      [--json]        # the lint battery only
 //! mlm-verify graph     [--json]        # static schedule verification (G-series)
 //! mlm-verify models    [--json]        # the model-checking battery only
-//! mlm-verify fuzz      [--json]        # adversarial-schedule fuzzing + regressions
-//!     [--seeds N]                      #   seeds per corpus case (default 1000)
-//!     [--base B]                       #   first seed (default 0)
-//!     [--case SUBSTR]                  #   only corpus cases whose name contains SUBSTR
-//!     [--construction NAME]            #   run the corpus as a buggy construction:
-//!                                      #   must-fail, first finding per case printed
-//!     [--panic-chunk K]                #   inject a kernel panic on chunk K
 //! mlm-verify fleet     [--json]        # fleet dispatcher invariant battery
 //! mlm-verify list                      # registered lints and checked models
 //! ```
@@ -20,14 +13,9 @@
 //! and fails if the paper spec stops linting clean, a known-bad spec stops
 //! being rejected, a shipped protocol stops verifying, or a regression
 //! model stops failing. Its `graph` battery statically proves every
-//! fuzz-corpus case and committed experiment spec race-free,
-//! deadlock-free, and within MCDRAM bounds, and asserts the five buggy
-//! constructions of the catalogue are each flagged with a counterexample
-//! trace. The `fuzz` battery (CI's `fuzz` job) replays the catalogue's
-//! must-fail regression traces and sweeps the default corpus with N
-//! adversarial schedules per case. With `--construction` the sweep's sense
-//! inverts: it fails if no case produces a finding, because a silent
-//! buggy construction means the fuzzer lost its teeth.
+//! corpus case and committed experiment spec race-free, deadlock-free,
+//! and within MCDRAM bounds, and asserts the five buggy constructions of
+//! the catalogue are each flagged with a counterexample trace.
 //!
 //! # Exit contract
 //!
@@ -46,9 +34,7 @@ use std::process::ExitCode;
 
 use serde::Serialize;
 
-use mlm_exec::fuzz::{Construction, FuzzCase};
 use mlm_verify::fleetsuite::run_fleet_suite;
-use mlm_verify::fuzzsuite::{fuzz_corpus, run_fuzz_corpus, run_fuzz_regressions};
 use mlm_verify::graph::run_graph_suite;
 use mlm_verify::suite::{run_lint_suite, run_model_suite};
 use mlm_verify::{Diagnostic, LintRegistry};
@@ -79,14 +65,13 @@ fn main() -> ExitCode {
         Some("lint") => finish(json, lint_battery(json)),
         Some("graph") => finish(json, graph_battery(json)),
         Some("models") => finish(json, model_battery(json)),
-        Some("fuzz") => fuzz_command(&args[1..], json),
         Some("fleet") => finish(json, fleet_battery(json)),
         Some("list") => {
             list();
             ExitCode::SUCCESS
         }
         _ => {
-            eprintln!("usage: mlm-verify <check-all|lint|graph|models|fuzz|fleet|list> [--json]");
+            eprintln!("usage: mlm-verify <check-all|lint|graph|models|fleet|list> [--json]");
             ExitCode::from(2)
         }
     }
@@ -372,173 +357,6 @@ fn model_battery(json: bool) -> ModelBatteryOut {
         ok,
         cases,
     }
-}
-
-#[derive(Serialize)]
-struct FuzzBatteryOut {
-    battery: &'static str,
-    ok: bool,
-    seeds: u64,
-    regressions: Vec<FuzzRegressionOut>,
-    corpus_cases: Vec<String>,
-    findings: Vec<String>,
-}
-
-#[derive(Serialize)]
-struct FuzzRegressionOut {
-    name: String,
-    ok: bool,
-    caught: bool,
-    clean_on_correct: bool,
-    trace_len: usize,
-    violation: Option<String>,
-}
-
-impl Battery for FuzzBatteryOut {
-    fn passed(&self) -> bool {
-        self.ok
-    }
-}
-
-/// Parse `fuzz`'s flags (everything after the subcommand), narrow the
-/// corpus, and run the battery.
-fn fuzz_command(args: &[String], json: bool) -> ExitCode {
-    let usage = |bad: &str| {
-        let names: Vec<&str> = Construction::ALL.iter().map(|c| c.name()).collect();
-        eprintln!(
-            "bad argument: {bad}\nusage: mlm-verify fuzz [--seeds N] [--base B] [--case SUBSTR] \
-             [--construction NAME] [--panic-chunk K] [--json]\nNAME is one of {}",
-            names.join(", ")
-        );
-        ExitCode::from(2)
-    };
-    let mut seeds: u64 = 1000;
-    let mut base: u64 = 0;
-    let mut filter = None;
-    let mut construction = Construction::Correct;
-    let mut panic_chunk = None;
-    let mut rest = args.iter().map(String::as_str);
-    while let Some(flag) = rest.next() {
-        if flag == "--json" {
-            continue;
-        }
-        let Some(value) = rest.next() else {
-            return usage(flag);
-        };
-        let parsed = match flag {
-            "--seeds" => value.parse().map(|n| seeds = n).is_ok(),
-            "--base" => value.parse().map(|b| base = b).is_ok(),
-            "--case" => {
-                filter = Some(value);
-                true
-            }
-            "--construction" => Construction::from_name(value)
-                .map(|c| construction = c)
-                .is_some(),
-            "--panic-chunk" => value.parse().map(|k| panic_chunk = Some(k)).is_ok(),
-            _ => false,
-        };
-        if !parsed {
-            return usage(&format!("{flag} {value}"));
-        }
-    }
-    let corpus = fuzz_corpus(filter, construction, panic_chunk);
-    if corpus.is_empty() {
-        eprintln!("no corpus case matches --case / has more chunks than --panic-chunk");
-        return ExitCode::from(2);
-    }
-    match fuzz_battery(&corpus, base, seeds, json) {
-        Ok(out) => finish(json, out),
-        Err(e) => {
-            eprintln!("a corpus case is not driveable: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn fuzz_battery(
-    corpus: &[FuzzCase],
-    base: u64,
-    seeds: u64,
-    json: bool,
-) -> Result<FuzzBatteryOut, mlm_exec::DriveError> {
-    let mut ok = true;
-
-    if !json {
-        println!("== fuzz regression seeds ==");
-    }
-    let mut regressions = Vec::new();
-    for run in run_fuzz_regressions() {
-        if !json {
-            let verdict = if run.ok() { "ok" } else { "FAIL" };
-            println!(
-                "{verdict:>4}  {}  [must fail, trace of {} decisions]",
-                run.name, run.trace_len
-            );
-            if let Some(e) = &run.error {
-                println!("      case is not driveable: {e}");
-            } else {
-                if let Some(v) = &run.buggy_violation {
-                    println!("      caught as designed: {v}");
-                }
-                if !run.caught {
-                    println!("      regression seed no longer fails — the fuzzer lost the bug");
-                }
-                if !run.clean_on_correct {
-                    println!(
-                        "      trace violates even the CORRECT construction — orchestrator bug"
-                    );
-                }
-            }
-        }
-        ok &= run.ok();
-        regressions.push(FuzzRegressionOut {
-            name: run.name.to_string(),
-            ok: run.ok(),
-            caught: run.caught,
-            clean_on_correct: run.clean_on_correct,
-            trace_len: run.trace_len,
-            violation: run.buggy_violation,
-        });
-    }
-
-    // A buggy construction must be caught somewhere; a correct one nowhere.
-    let must_fail = corpus
-        .iter()
-        .any(|c| c.construction != Construction::Correct);
-    if !json {
-        println!(
-            "\n== adversarial-schedule corpus ({seeds} seeds/case{}) ==",
-            if must_fail { ", must fail" } else { "" }
-        );
-    }
-    let corpus_cases: Vec<String> = corpus.iter().map(|c| c.name.clone()).collect();
-    let findings: Vec<String> = run_fuzz_corpus(corpus, base, seeds)?
-        .iter()
-        .map(|f| f.to_string())
-        .collect();
-    let corpus_ok = findings.is_empty() != must_fail;
-    if !json {
-        for f in &findings {
-            println!("{f}");
-        }
-        if must_fail {
-            println!("  caught on {} of {} cases", findings.len(), corpus.len());
-        } else if findings.is_empty() {
-            println!("  ok  {} cases clean", corpus.len());
-        }
-        println!("\nfuzz: {}", verdict(ok && corpus_ok));
-    }
-    ok &= corpus_ok;
-
-    Ok(FuzzBatteryOut {
-        battery: "fuzz",
-        ok,
-        seeds,
-        regressions,
-        corpus_cases,
-        findings,
-    })
 }
 
 #[derive(Serialize)]

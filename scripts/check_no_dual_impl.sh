@@ -72,11 +72,10 @@ done
 # Second discipline, since the plan layer went workload-generic: the
 # WorkloadPlan IR has exactly one home. Workload families add a lowering
 # inside crates/mlm-exec/src (plan_pipeline for pipeline shapes,
-# SortPlan::to_workload_plan for the sort family, the fuzzer's buggy
-# constructions for regression seeds); every other crate only *consumes*
-# plans — walking nodes, matching on PlanKind — never assembles them.
-# A `PlanNode {` literal outside mlm-exec is a workload module growing a
-# private schedule the static verifier and the fuzz corpus never see:
+# SortPlan::to_workload_plan for the sort family); every other crate
+# only *consumes* plans — walking nodes, matching on PlanKind — never
+# assembles them. A `PlanNode {` literal outside mlm-exec is a workload
+# module growing a private schedule the static verifier never sees:
 # exactly the dual-impl drift this script exists to block, one layer up.
 producers=$(grep -rl 'PlanNode {' --include='*.rs' crates tests examples \
   | grep -v '^crates/mlm-exec/src/' || true)
@@ -84,7 +83,7 @@ if [ -n "$producers" ]; then
   for f in $producers; do
     echo "error: ${f} constructs WorkloadPlan nodes outside the plan layer" >&2
     echo "       add the workload's lowering in crates/mlm-exec/src (see plan_pipeline" >&2
-    echo "       and SortPlan::to_workload_plan) so the verifier and fuzzer cover it" >&2
+    echo "       and SortPlan::to_workload_plan) so the verifier covers it" >&2
   done
   fail=1
 fi
@@ -115,8 +114,8 @@ for sort_backend in crates/mlm-core/src/sort/host.rs crates/mlm-core/src/sort/si
   fi
 done
 
-# Fourth discipline: the plan is the schedule graph. The verifier and the
-# fuzzer read the WorkloadPlan plan_pipeline builds; a Backend whose job is
+# Fourth discipline: the plan is the schedule graph. The executor and the
+# verifier read the WorkloadPlan plan_pipeline builds; a Backend whose job is
 # to re-capture that plan into a graph type of its own is a second copy
 # of the schedule that can drift from it. In crates/mlm-exec/src a
 # top-level `impl … Backend for` may live only in recording.rs (the trace

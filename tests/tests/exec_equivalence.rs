@@ -146,8 +146,8 @@ fn null_trace(spec: &PipelineSpec) -> Vec<Event> {
 
 /// `plan` as the trace a faithful walk of it records: event `i` is plan
 /// node `i` (or a barrier), its deps are the node's edge `from`s in
-/// order, and `Finish` closes the run. The verifier and fuzzer read the
-/// plan instead of a recording, so every walk must equal it.
+/// order, and `Finish` closes the run. The verifier reads the plan
+/// instead of a recording, so every walk must equal it.
 fn plan_trace(plan: &WorkloadPlan) -> Vec<Event> {
     let mut events: Vec<Event> = plan
         .nodes

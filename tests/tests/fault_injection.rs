@@ -1,8 +1,9 @@
 //! Fault-injection hooks exercised against the *real* host pipeline.
 //!
-//! `mlm_exec::fuzz` injects kernel panics into its modeled executor;
-//! `mlm_core::pipeline::fault` (behind the `fuzz` feature, which this
-//! test crate enables) arms the same fault in the real host backends.
+//! `mlm_exec::graph::analyze` proves statically that a kernel panic on
+//! any chunk drains cleanly; `mlm_core::pipeline::fault` (behind the
+//! `fuzz` feature, which this test crate enables) arms that fault in the
+//! real host backends, so the drain runs on real threads.
 //! This file lives in its own integration-test binary because the hook is
 //! process-global: Rust runs each tests/*.rs file as a separate process,
 //! and the tests here serialize around the armed state themselves.

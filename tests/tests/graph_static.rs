@@ -2,40 +2,79 @@
 //!
 //! The analyzer (`mlm_exec::graph`) proves properties over *every*
 //! linearization of the plan `drive()` interprets; these tests tie
-//! it to the rest of the workspace: the fuzz corpus must prove safe, the
-//! five buggy constructions of the must-fail catalogue must be refuted
-//! with counterexample traces (no fuzz seeds involved) and caught by every
-//! other layer their row names, the simulator preflight must accept the
-//! paper spec, and the whole thing must be fast enough to sit in front of
-//! every run.
+//! it to the rest of the workspace: the corpus must prove safe, also
+//! under a kernel panic on any chunk, the five buggy constructions of the
+//! must-fail catalogue must be refuted with counterexample traces and
+//! caught by every other layer their row names, the simulator preflight
+//! must accept the paper spec, and the whole thing must be fast enough to
+//! sit in front of every run.
 
 use std::time::Instant;
 
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::Simulator;
-use mlm_exec::fuzz::{default_corpus, fuzz_case, replay, Construction};
+use mlm_exec::graph::{analyze, AnalysisConfig, Construction};
+use mlm_exec::{plan_pipeline, Placement};
 use mlm_verify::catalogue::CATALOGUE;
 use mlm_verify::check::{check, CheckOptions};
-use mlm_verify::graph::{graph_report_for, largest_committed_spec, run_graph_suite};
+use mlm_verify::graph::{
+    default_corpus, graph_report_for, largest_committed_spec, run_graph_suite,
+};
 use mlm_verify::suite::{paper_machine, paper_spec};
 
-/// Every fuzz-corpus case proves race-free, deadlock-free, and within the
-/// ring/MCDRAM bounds statically — the proof covers all linearizations,
-/// where the 100-seed sweep samples a few thousand.
+/// Every corpus case proves race-free, deadlock-free, and within the
+/// ring/MCDRAM bounds statically — the proof covers all linearizations.
 #[test]
 fn fuzz_corpus_is_statically_safe() {
     let machine = paper_machine();
-    for case in default_corpus() {
-        let report = graph_report_for(&case.spec, &machine).expect("corpus specs are driveable");
-        assert!(report.is_safe(), "{}:\n{report}", case.name);
+    for (name, spec) in default_corpus() {
+        let report = graph_report_for(&spec, &machine).expect("corpus specs are driveable");
+        assert!(report.is_safe(), "{name}:\n{report}");
         assert!(
-            report.peak_live_chunks <= case.spec.ring_slots(),
-            "{}: peak {} chunks on a {}-slot ring",
-            case.name,
+            report.peak_live_chunks <= spec.ring_slots(),
+            "{name}: peak {} chunks on a {}-slot ring",
             report.peak_live_chunks,
-            case.spec.ring_slots()
+            spec.ring_slots()
         );
     }
+}
+
+/// The poison proof over the whole corpus: for every explicit-placement
+/// case and every chunk `k`, a kernel panic on `k` drains cleanly under
+/// the correct construction (everything touching the poisoned slot is
+/// either ordered before the panic or a cancelled dependent), and leaks
+/// the poisoned slot (G001) when poison does not cancel dependents.
+#[test]
+fn kernel_panic_on_any_chunk_drains_the_whole_corpus() {
+    let mut analyses = 0;
+    for (name, spec) in default_corpus() {
+        if spec.placement == Placement::Implicit {
+            continue;
+        }
+        let plan = plan_pipeline(&spec);
+        for k in 0..spec.n_chunks() {
+            let on = |construction| {
+                let cfg = AnalysisConfig {
+                    construction,
+                    kernel_panic: Some(k),
+                    ..AnalysisConfig::default()
+                };
+                analyze(&plan, &spec, &cfg)
+            };
+            let clean = on(Construction::Correct);
+            assert!(clean.is_safe(), "{name}, panic on chunk {k}:\n{clean}");
+            let leaky = on(Construction::PoisonSkipLock);
+            assert!(
+                leaky.codes().contains(&"G001"),
+                "{name}, panic on chunk {k}: poison-skip-lock not refuted:\n{leaky}"
+            );
+            analyses += 2;
+        }
+    }
+    assert_eq!(
+        analyses, 216,
+        "6 explicit modes x 18 chunks x 2 constructions"
+    );
 }
 
 /// The full suite (corpus + committed specs + must-fail constructions)
@@ -62,17 +101,19 @@ fn graph_suite_expectations_hold() {
 }
 
 /// Every layer agrees on every bug: for each row of the must-fail
-/// catalogue the analyzer refutes the row's schedule statically, the
-/// committed fuzz trace reproduces the row's violation (and fuzzing from
-/// the committed seed re-derives that very trace), the trace runs clean
-/// on the correct construction, and the condvar model the row mirrors,
-/// if any, fails the model check.
+/// catalogue the analyzer refutes the row's schedule statically, and the
+/// condvar model the row mirrors, if any, fails the model check.
 #[test]
 fn static_findings_subsume_the_fuzzed_violations() {
     for row in &CATALOGUE {
         let name = row.construction.name();
-        // Static: every G-code fires, each finding with a trace.
+        // Static: the row is refuted, every G-code fires, each finding
+        // with a trace.
         let report = row.graph_report().expect("catalogue specs are driveable");
+        assert!(
+            !row.g_codes.is_empty() && !report.is_safe(),
+            "{name}: the analyzer does not refute the row:\n{report}"
+        );
         for code in row.g_codes {
             assert!(
                 report.codes().contains(code),
@@ -82,21 +123,6 @@ fn static_findings_subsume_the_fuzzed_violations() {
         assert!(
             report.findings.iter().all(|f| !f.trace.is_empty()),
             "{report}"
-        );
-        // Dynamic: the trace reproduces the kind, and is clean on Correct.
-        let buggy = row.fuzz_case(row.construction);
-        let run = replay(&buggy, row.shrunk).expect("catalogue cases are driveable");
-        let kind = run.outcome.violation().map(|v| v.kind());
-        assert_eq!(kind, Some(row.fuzz_kind), "{name}: fuzzer lost the bug");
-        let correct = replay(&row.fuzz_case(Construction::Correct), row.shrunk)
-            .expect("catalogue cases are driveable");
-        assert!(correct.outcome.violation().is_none(), "{name}: {correct:?}");
-        let found = fuzz_case(&buggy, row.seed, 1).expect("catalogue cases are driveable");
-        assert_eq!(
-            found.first().map(|f| f.shrunk.as_slice()),
-            Some(row.shrunk),
-            "{name}: seed {} no longer shrinks to the committed trace",
-            row.seed
         );
         // Model: the mirrored condvar discipline fails the check.
         if let Some(model) = &row.condvar {
