@@ -54,38 +54,19 @@ impl FlowSpec {
 /// Flows with an empty demand vector are limited only by their cap. A flow
 /// with cap `0` gets rate `0` (it will never complete; callers avoid this).
 ///
-/// This is [`Arbiter::allocate`] with every flow its own class of one;
-/// hot loops (the engine's rate epochs) use the [`Arbiter`] directly, to
-/// reuse its scratch state and to arbitrate whole classes of identical
-/// flows as one entry.
+/// This is [`Arbiter::allocate_flows`] on a fresh arbiter; callers that
+/// arbitrate again and again (`mlm-serve`'s re-tunes) keep one arbiter and
+/// an output vector to allocate nothing per call, and hot loops (the
+/// engine's rate epochs) use [`Arbiter::allocate`] directly, to arbitrate
+/// whole classes of identical flows as one entry.
 ///
 /// # Panics
 /// Panics if a flow references a resource index out of range or has a
 /// non-positive demand coefficient, or if a capacity is non-positive —
 /// these are programming errors in the engine, not user errors.
 pub fn allocate_rates(capacities: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
-    for (r, &c) in capacities.iter().enumerate() {
-        assert!(
-            c > 0.0 && c.is_finite(),
-            "resource {r} has non-positive capacity {c}"
-        );
-    }
-    for (i, f) in flows.iter().enumerate() {
-        assert!(f.cap >= 0.0, "flow {i} has negative cap");
-        for &(r, coeff) in &f.demand {
-            assert!(
-                r < capacities.len(),
-                "flow {i} references unknown resource {r}"
-            );
-            assert!(
-                coeff > 0.0 && coeff.is_finite(),
-                "flow {i} has bad coefficient {coeff}"
-            );
-        }
-    }
-
     let mut out = Vec::new();
-    Arbiter::new().allocate(capacities, flows.iter().map(|f| (f, 1)), &mut out);
+    Arbiter::new().allocate_flows(capacities, flows, &mut out);
     out
 }
 
@@ -118,6 +99,32 @@ impl Arbiter {
         Arbiter::default()
     }
 
+    /// [`allocate_rates`] into `out` (cleared first), reusing this
+    /// arbiter's scratch: every flow its own class of one, the inputs
+    /// validated with the hard panics documented there.
+    pub fn allocate_flows(&mut self, capacities: &[f64], flows: &[FlowSpec], out: &mut Vec<f64>) {
+        for (r, &c) in capacities.iter().enumerate() {
+            assert!(
+                c > 0.0 && c.is_finite(),
+                "resource {r} has non-positive capacity {c}"
+            );
+        }
+        for (i, f) in flows.iter().enumerate() {
+            assert!(f.cap >= 0.0, "flow {i} has negative cap");
+            for &(r, coeff) in &f.demand {
+                assert!(
+                    r < capacities.len(),
+                    "flow {i} references unknown resource {r}"
+                );
+                assert!(
+                    coeff > 0.0 && coeff.is_finite(),
+                    "flow {i} has bad coefficient {coeff}"
+                );
+            }
+        }
+        self.allocate(capacities, flows.iter().map(|f| (f, 1)), out);
+    }
+
     /// Compute the max–min-fair allocation for the flow classes yielded by
     /// `classes`, writing one rate per class — the rate of each of its
     /// members — into `out` (cleared first).
@@ -125,9 +132,9 @@ impl Arbiter {
     /// The iterator is walked once to size `out`, then twice per filling
     /// round (sum the unfrozen demand, then freeze), hence `Clone`.
     ///
-    /// Inputs are validated with debug assertions only; the public
-    /// [`allocate_rates`] wrapper performs the hard-panicking validation
-    /// documented there.
+    /// Inputs are validated with debug assertions only;
+    /// [`Self::allocate_flows`] performs the hard-panicking validation
+    /// documented on [`allocate_rates`].
     pub fn allocate<'a, I>(&mut self, capacities: &[f64], classes: I, out: &mut Vec<f64>)
     where
         I: Iterator<Item = (&'a FlowSpec, usize)> + Clone,
@@ -424,10 +431,14 @@ mod tests {
             vec![],
             (0..40).map(|_| FlowSpec::single(DDR, 1.0, 4.8e9)).collect(),
         ];
+        let mut reused = Arbiter::new();
+        let mut reused_out = Vec::new();
         for flows in &sets {
             arb.allocate(&caps(), flows.iter().map(|f| (f, 1)), &mut out);
             let fresh = allocate_rates(&caps(), flows);
             assert_eq!(out, fresh);
+            reused.allocate_flows(&caps(), flows, &mut reused_out);
+            assert_eq!(reused_out, fresh);
         }
     }
 

@@ -21,7 +21,17 @@ use crate::error::SimError;
 
 /// Identifier of an op within a [`Program`] (dense, in push order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(transparent)]
 pub struct OpId(pub usize);
+
+/// `ids` as the raw `usize`s they wrap, so that comparing two lists is
+/// one `bcmp` instead of a loop over [`OpId`]'s derived `==`.
+fn raw_ids(ids: &[OpId]) -> &[usize] {
+    // SAFETY: `OpId` is `#[repr(transparent)]` over `usize`, so a slice of
+    // `OpId`s has the layout, alignment and length of the `usize` slice
+    // returned, which borrows the same memory for the same lifetime.
+    unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<usize>(), ids.len()) }
+}
 
 /// A stored dependency list, shared by every op pushed with it.
 type Deps = Arc<[OpId]>;
@@ -255,13 +265,14 @@ impl Program {
     }
 
     /// The stored list holding `deps`: the remembered one when its
-    /// contents are equal (one slice compare, no allocation), else a new
-    /// allocation.
+    /// contents are equal (one bytewise compare, no allocation), else a
+    /// new allocation. The compare runs once per pushed op, over lists of
+    /// up to `threads` ids, so it must not be an element loop.
     fn share(&mut self, deps: &[OpId]) -> Deps {
         if deps.is_empty() {
             return Arc::default();
         }
-        if *self.shared == *deps {
+        if raw_ids(&self.shared) == raw_ids(deps) {
             return self.shared.clone();
         }
         self.dep_lists += 1;

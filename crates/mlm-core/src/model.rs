@@ -128,24 +128,66 @@ impl ModelParams {
         )))
     }
 
-    /// Scan all feasible symmetric splits and return
-    /// `(best copy-in threads, predicted seconds)` for the given number of
-    /// compute passes (the merge benchmark's `repeats`).
+    /// The best symmetric split: `(copy-in threads, predicted seconds)`
+    /// for the given number of compute passes (the merge benchmark's
+    /// `repeats`).
+    ///
+    /// The answer is the one an ascending scan over every feasible `p`
+    /// gives when it keeps a new `p` only on a strict improvement beyond
+    /// float noise (`t < best·(1 − 1e-9)`): plateaus, such as the
+    /// DDR-saturated regime where `T_copy` is analytically constant in
+    /// `p`, resolve to the smallest thread count. The search stops as soon
+    /// as no later `p` can pass that test, by this lemma. Let
+    /// `share(p) = min(2p·S_copy, DDR_max)`. For every `q ≥ p`:
+    ///
+    /// * `T_copy(q) ≥ 2B / DDR_max`, since `2q·C_copy(q) ≤ DDR_max`
+    ///   (Eq. 3);
+    /// * `T_comp(q) ≥ 2B·passes / (MCDRAM_max − share(p))` when that room
+    ///   is positive: both branches of Eq. 5 give
+    ///   `p_comp·C_comp ≤ MCDRAM_max − share(q)`, and `share` is
+    ///   non-decreasing.
+    ///
+    /// The room is widened by `1e-12·(MCDRAM_max + DDR_max)` and the
+    /// bound scaled by `1 − 1e-12`, which covers the rounding of the
+    /// evaluated times. `T_comp` alone is *not* monotone in `p` (Eq. 5
+    /// tests saturation with `S_copy` but subtracts the DDR-capped
+    /// `C_copy`), so bisecting on the `T_copy`/`T_comp` crossing would
+    /// not find this optimum; the bound needs no monotonicity.
     pub fn optimal_copy_threads(&self, passes: u32) -> (usize, f64) {
+        self.optimal_copy_threads_counted(passes).0
+    }
+
+    /// [`Self::optimal_copy_threads`] plus the number of splits it
+    /// evaluated.
+    fn optimal_copy_threads_counted(&self, passes: u32) -> ((usize, f64), usize) {
+        const SLACK: f64 = 1.0 - 1e-12;
+        let copy_floor = 2.0 * self.b_copy / self.ddr_max * SLACK;
+        let comp_bytes = 2.0 * self.b_copy * f64::from(passes);
+        let room_slack = 1e-12 * (self.mcdram_max + self.ddr_max);
         let mut best = (1, f64::INFINITY);
+        let mut evaluated = 0;
         let mut p = 1;
         while 2 * p < self.total_threads {
+            let share = ((2 * p) as f64 * self.s_copy).min(self.ddr_max);
+            let room = self.mcdram_max - share + room_slack;
+            let comp_floor = if room > 0.0 {
+                comp_bytes / room * SLACK
+            } else {
+                0.0
+            };
+            let threshold = best.1 * (1.0 - 1e-9);
+            if copy_floor.max(comp_floor) >= threshold {
+                break;
+            }
+            evaluated += 1;
             if let Some(t) = self.t_total(p, passes) {
-                // Strict improvement beyond float noise: plateaus (e.g. the
-                // DDR-saturated regime, where T_copy is analytically
-                // constant in p) resolve to the smallest thread count.
-                if t < best.1 * (1.0 - 1e-9) {
+                if t < threshold {
                     best = (p, t);
                 }
             }
             p += 1;
         }
-        best
+        (best, evaluated)
     }
 
     /// Predicted time for an *asymmetric* split `p_in != p_out` — the
@@ -196,10 +238,14 @@ impl ModelParams {
     /// current thread budget: symmetric copy pools from
     /// [`Self::optimal_copy_threads`], every remaining thread computing.
     ///
-    /// Returns `None` when the budget cannot host all three pools
-    /// (`total_threads < 3`). This is the per-job tuner a multi-tenant
-    /// scheduler calls each time the co-resident job set — and with it each
-    /// job's thread budget — changes.
+    /// This is the per-job tuner a multi-tenant scheduler calls each time
+    /// the co-resident job set — and with it each job's thread budget —
+    /// changes. Returns `None` in two cases:
+    ///
+    /// * the budget cannot host all three pools (`total_threads < 3`);
+    /// * no split has a finite predicted time. For example, when even two
+    ///   copy threads' share of MCDRAM (Eq. 5's `2·C_copy`) leaves the
+    ///   compute pool no bandwidth, `C_comp = 0` at every `p`.
     pub fn optimal_split(&self, passes: u32) -> Option<ThreadSplit> {
         if self.total_threads < 3 {
             return None;
@@ -236,9 +282,151 @@ impl ModelParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knl_sim::machine::{MachineConfig, MemMode};
+    use proptest::prelude::*;
 
     fn m() -> ModelParams {
         ModelParams::paper_table2()
+    }
+
+    /// Every feasible `p`, ascending, with the same strict-improvement
+    /// rule: what [`ModelParams::optimal_copy_threads`] did before it was
+    /// bounded, kept as the reference it must agree with bit for bit.
+    fn optimal_copy_threads_by_scan(m: &ModelParams, passes: u32) -> ((usize, f64), usize) {
+        let mut best = (1, f64::INFINITY);
+        let mut evaluated = 0;
+        let mut p = 1;
+        while 2 * p < m.total_threads {
+            evaluated += 1;
+            if let Some(t) = m.t_total(p, passes) {
+                if t < best.1 * (1.0 - 1e-9) {
+                    best = (p, t);
+                }
+            }
+            p += 1;
+        }
+        (best, evaluated)
+    }
+
+    fn assert_bounded_is_scan(m: &ModelParams, passes: u32) {
+        let ((p, t), _) = m.optimal_copy_threads_counted(passes);
+        let ((want_p, want_t), _) = optimal_copy_threads_by_scan(m, passes);
+        assert!(
+            p == want_p && t.to_bits() == want_t.to_bits(),
+            "{m:?}, passes {passes}: bounded ({p}, {t}) vs scan ({want_p}, {want_t})"
+        );
+    }
+
+    /// `10^lo ..= 10^hi`, uniform in the exponent.
+    fn log_uniform(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
+        (lo..=hi).prop_map(|e| 10f64.powf(e))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn bounded_search_is_the_scan(
+            (b_copy, ddr_max, mcdram_max) in (
+                log_uniform(3.0, 13.0),
+                log_uniform(8.0, 12.0),
+                log_uniform(8.0, 13.0),
+            ),
+            (s_copy, s_comp) in (log_uniform(7.0, 11.0), log_uniform(7.0, 11.0)),
+            total_threads in 0usize..=300,
+            passes in 1u32..=256,
+        ) {
+            let m = ModelParams {
+                b_copy,
+                ddr_max,
+                mcdram_max,
+                s_copy,
+                s_comp,
+                total_threads,
+            };
+            assert_bounded_is_scan(&m, passes);
+        }
+    }
+
+    /// The parameter sets a node actually poses: each KNL mode, with the
+    /// MCDRAM ceiling of an HBW job and of a DDR-spilled job (`mlm-serve`'s
+    /// `model_for`), every thread budget up to 300 and every pass count
+    /// up to 256.
+    #[test]
+    fn bounded_search_is_the_scan_on_knl_shaped_models() {
+        let modes = [
+            MemMode::Flat,
+            MemMode::Cache,
+            MemMode::Hybrid {
+                cache_fraction: 0.5,
+            },
+        ];
+        for mode in modes {
+            let machine = MachineConfig::knl_7250(mode);
+            let hbw = machine.effective_mcdram_bandwidth();
+            for mcdram_max in [hbw, machine.ddr_bandwidth] {
+                for b_copy in [14.9e9, 2.0 * (1u64 << 30) as f64] {
+                    for total_threads in 0..=300 {
+                        let m = ModelParams {
+                            b_copy,
+                            ddr_max: machine.ddr_bandwidth,
+                            mcdram_max,
+                            s_copy: machine.per_thread_copy_bw,
+                            s_comp: machine.per_thread_compute_bw,
+                            total_threads,
+                        };
+                        for passes in 1..=256 {
+                            assert_bounded_is_scan(&m, passes);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Eq. 5 tests saturation with `S_copy` but subtracts the DDR-capped
+    /// `C_copy`, so `T_comp` is not monotone in `p`: here it already
+    /// exceeds `T_copy` at `p = 1`, yet the optimum is `p = 18`. A search
+    /// for the `T_copy`/`T_comp` crossing would stop at 1.
+    #[test]
+    fn eq5_counterexample_defeats_a_crossing_search() {
+        let m = ModelParams {
+            b_copy: 6.73e6,
+            ddr_max: 196.2e9,
+            mcdram_max: 422.1e9,
+            s_copy: 9.91e9,
+            s_comp: 0.429e9,
+            total_threads: 208,
+        };
+        let passes = 128;
+        let t_comp = |p: usize| m.t_comp(m.total_threads - 2 * p, p, p, passes);
+        assert!(t_comp(1) >= m.t_copy(1, 1));
+        assert!(
+            (t_comp(1) - 0.0195).abs() < 5e-5,
+            "T_comp(1) = {}",
+            t_comp(1)
+        );
+        assert!(
+            (1..103).any(|p| t_comp(p + 1) < t_comp(p)),
+            "T_comp is not monotone"
+        );
+        let (p, t) = m.optimal_copy_threads(passes);
+        assert_eq!(p, 18);
+        assert!((t - 0.00763).abs() < 5e-6, "t = {t}");
+        assert_bounded_is_scan(&m, passes);
+    }
+
+    /// The bound's work on paper Table 2: the scan evaluates all 127
+    /// feasible splits per call, the bounded search this many.
+    #[test]
+    fn bounded_search_evaluation_counts_are_pinned() {
+        let m = m();
+        let mut counts = Vec::new();
+        for passes in [1u32, 2, 4, 8, 16, 32, 64, 128] {
+            assert_eq!(optimal_copy_threads_by_scan(&m, passes).1, 127);
+            counts.push(m.optimal_copy_threads_counted(passes).1);
+        }
+        assert_eq!(counts, [10, 10, 9, 5, 3, 2, 1, 1]);
     }
 
     #[test]

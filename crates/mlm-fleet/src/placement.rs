@@ -43,53 +43,45 @@ fn load<V: PlacementView>(node: &V) -> f64 {
 /// Pick a node for the job, or `None` when no node could ever fit it (the
 /// fleet-level mirror of `can_ever_fit`: such jobs are rejected at
 /// submission, never queued). Deterministic: every tie breaks toward the
-/// lower node id.
+/// lower node id. The feasible nodes are walked lazily; nothing is
+/// allocated.
 pub fn place<V: PlacementView>(
     nodes: &[V],
     policy: PlacementPolicy,
     spec: &PipelineSpec,
     strict: bool,
 ) -> Option<usize> {
-    let feasible: Vec<usize> = (0..nodes.len())
-        .filter(|&i| nodes[i].can_take(spec, strict))
-        .collect();
-    if feasible.is_empty() {
-        return None;
-    }
+    let mut feasible = (0..nodes.len()).filter(|&i| nodes[i].can_take(spec, strict));
     let footprint = ring_footprint(spec);
     match policy {
-        PlacementPolicy::FirstFit => Some(
-            feasible
-                .iter()
-                .copied()
+        PlacementPolicy::FirstFit => {
+            // The first node that fits now, else the first feasible one.
+            let first = feasible.next()?;
+            std::iter::once(first)
+                .chain(feasible)
                 .find(|&i| nodes[i].fits_now(spec, strict))
-                .unwrap_or(feasible[0]),
-        ),
+                .or(Some(first))
+        }
         PlacementPolicy::BestFitHbw => feasible
-            .iter()
-            .copied()
+            .clone()
             .filter(|&i| footprint <= nodes[i].hbw_headroom() && nodes[i].fits_now(spec, strict))
-            .min_by(|&a, &b| {
-                (nodes[a].hbw_headroom() - footprint)
-                    .cmp(&(nodes[b].hbw_headroom() - footprint))
-                    .then(a.cmp(&b))
-            })
+            .min_by_key(|&i| (nodes[i].hbw_headroom() - footprint, i))
             .or_else(|| {
                 // Nothing fits in MCDRAM right now: queue behind the node
                 // with the smallest strict backlog (biggest budget breaks
                 // ties, so giant rings wait where they can actually run).
-                feasible.iter().copied().min_by(|&a, &b| {
-                    nodes[a]
-                        .queued_strict_bytes()
-                        .cmp(&nodes[b].queued_strict_bytes())
-                        .then(nodes[b].budget().cmp(&nodes[a].budget()))
-                        .then(a.cmp(&b))
+                feasible.min_by_key(|&i| {
+                    (
+                        nodes[i].queued_strict_bytes(),
+                        std::cmp::Reverse(nodes[i].budget()),
+                        i,
+                    )
                 })
             }),
         PlacementPolicy::LeastLoaded => feasible
-            .iter()
-            .copied()
-            .min_by(|&a, &b| load(&nodes[a]).total_cmp(&load(&nodes[b])).then(a.cmp(&b))),
+            .map(|i| (load(&nodes[i]), i))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(_, i)| i),
     }
 }
 
@@ -97,6 +89,58 @@ pub fn place<V: PlacementView>(
 mod tests {
     use super::*;
     use mlm_core::{Placement, Workload};
+    use proptest::prelude::*;
+
+    /// [`place`] as it was before the walk went lazy: collect the feasible
+    /// ids, then choose among them. Kept as the reference `place` must
+    /// agree with.
+    fn place_by_vec<V: PlacementView>(
+        nodes: &[V],
+        policy: PlacementPolicy,
+        spec: &PipelineSpec,
+        strict: bool,
+    ) -> Option<usize> {
+        let feasible: Vec<usize> = (0..nodes.len())
+            .filter(|&i| nodes[i].can_take(spec, strict))
+            .collect();
+        if feasible.is_empty() {
+            return None;
+        }
+        let footprint = ring_footprint(spec);
+        match policy {
+            PlacementPolicy::FirstFit => Some(
+                feasible
+                    .iter()
+                    .copied()
+                    .find(|&i| nodes[i].fits_now(spec, strict))
+                    .unwrap_or(feasible[0]),
+            ),
+            PlacementPolicy::BestFitHbw => feasible
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    footprint <= nodes[i].hbw_headroom() && nodes[i].fits_now(spec, strict)
+                })
+                .min_by(|&a, &b| {
+                    (nodes[a].hbw_headroom() - footprint)
+                        .cmp(&(nodes[b].hbw_headroom() - footprint))
+                        .then(a.cmp(&b))
+                })
+                .or_else(|| {
+                    feasible.iter().copied().min_by(|&a, &b| {
+                        nodes[a]
+                            .queued_strict_bytes()
+                            .cmp(&nodes[b].queued_strict_bytes())
+                            .then(nodes[b].budget().cmp(&nodes[a].budget()))
+                            .then(a.cmp(&b))
+                    })
+                }),
+            PlacementPolicy::LeastLoaded => feasible
+                .iter()
+                .copied()
+                .min_by(|&a, &b| load(&nodes[a]).total_cmp(&load(&nodes[b])).then(a.cmp(&b))),
+        }
+    }
 
     struct Fake {
         headroom: u64,
@@ -224,5 +268,49 @@ mod tests {
             place(&spilly, PlacementPolicy::FirstFit, &spec(2 * GIB), false),
             Some(0)
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Small quantised sizes make ties in headroom, backlog, budget
+        /// and load common, so every tie-break is exercised.
+        #[test]
+        fn lazy_place_matches_the_vec_body(
+            fleet in proptest::collection::vec(
+                (0u64..=4, 0u64..=4, 0u64..=3, any::<bool>()),
+                0..9,
+            ),
+            chunk_quarters in 1u64..=8,
+            strict in any::<bool>(),
+        ) {
+            let nodes: Vec<Fake> = fleet
+                .iter()
+                .map(|&(budget4, used, queued, spill)| {
+                    let budget = budget4 * 4 * GIB;
+                    let reserved = (used * 4 * GIB).min(budget);
+                    Fake {
+                        headroom: budget - reserved,
+                        queued: queued * 2 * GIB,
+                        reserved,
+                        budget,
+                        spill,
+                    }
+                })
+                .collect();
+            let spec = spec(chunk_quarters * GIB / 4);
+            for policy in [
+                PlacementPolicy::FirstFit,
+                PlacementPolicy::BestFitHbw,
+                PlacementPolicy::LeastLoaded,
+            ] {
+                prop_assert_eq!(
+                    place(&nodes, policy, &spec, strict),
+                    place_by_vec(&nodes, policy, &spec, strict),
+                    "{:?}",
+                    policy
+                );
+            }
+        }
     }
 }

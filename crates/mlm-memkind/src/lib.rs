@@ -23,6 +23,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use knl_sim::alloc::{Region, RegionAllocator};
 use knl_sim::machine::MachineConfig;
@@ -147,26 +148,27 @@ struct Inner {
     /// Live reservations by serial: (level, bytes). A `BTreeMap` keeps the
     /// iteration (and thus any diagnostic output) deterministic.
     reservations: BTreeMap<u64, (MemLevel, u64)>,
-    reserved: [u64; 2],
 }
 
 impl Inner {
-    fn reserved(&self, level: MemLevel) -> u64 {
-        self.reserved[level.index()]
-    }
-
-    fn reservable(&self, level: MemLevel) -> u64 {
-        let avail = match level {
+    fn available(&self, level: MemLevel) -> u64 {
+        match level {
             MemLevel::Ddr => self.ddr.available(),
             MemLevel::Mcdram => self.mcdram.available(),
-        };
-        avail.saturating_sub(self.reserved(level))
+        }
     }
 }
 
 /// The heap manager: one per simulated machine.
 pub struct MemKind {
     inner: Mutex<Inner>,
+    /// Bytes held by live reservations, by [`MemLevel::index`]. Written
+    /// only with `inner` locked, so a check-then-claim in
+    /// [`Self::try_reserve`] stays atomic; read without the lock, so a
+    /// placement layer asking for headroom never waits. The `Release`
+    /// updates pair with the `Acquire` load in [`Self::reserved`]: a
+    /// reader that sees a claim also sees the writes made before it.
+    reserved: [AtomicU64; 2],
 }
 
 impl MemKind {
@@ -181,8 +183,8 @@ impl MemKind {
                 next_serial: 0,
                 live: 0,
                 reservations: BTreeMap::new(),
-                reserved: [0; 2],
             }),
+            reserved: [AtomicU64::new(0), AtomicU64::new(0)],
         }
     }
 
@@ -226,11 +228,7 @@ impl MemKind {
 
     /// Bytes still allocatable in the given level (`hbw_verify` analogue).
     pub fn available(&self, level: MemLevel) -> u64 {
-        let g = self.inner.lock();
-        match level {
-            MemLevel::Ddr => g.ddr.available(),
-            MemLevel::Mcdram => g.mcdram.available(),
-        }
+        self.inner.lock().available(level)
     }
 
     /// True if strict HBW allocation is possible at all
@@ -262,17 +260,17 @@ impl MemKind {
         let mut g = self.inner.lock();
         let level = match kind {
             Kind::Default => {
-                Self::claim(&g, MemLevel::Ddr, bytes)?;
+                self.claim(&g, MemLevel::Ddr, bytes)?;
                 MemLevel::Ddr
             }
             Kind::Hbw => {
-                Self::claim(&g, MemLevel::Mcdram, bytes)?;
+                self.claim(&g, MemLevel::Mcdram, bytes)?;
                 MemLevel::Mcdram
             }
-            Kind::HbwPreferred => match Self::claim(&g, MemLevel::Mcdram, bytes) {
+            Kind::HbwPreferred => match self.claim(&g, MemLevel::Mcdram, bytes) {
                 Ok(()) => MemLevel::Mcdram,
                 Err(SimError::OutOfMemory { .. }) => {
-                    Self::claim(&g, MemLevel::Ddr, bytes)?;
+                    self.claim(&g, MemLevel::Ddr, bytes)?;
                     MemLevel::Ddr
                 }
                 Err(e) => return Err(e),
@@ -280,7 +278,7 @@ impl MemKind {
         };
         let serial = g.next_serial;
         g.next_serial += 1;
-        g.reserved[level.index()] += bytes;
+        self.reserved[level.index()].fetch_add(bytes, Ordering::Release);
         g.reservations.insert(serial, (level, bytes));
         Ok(Reservation {
             level,
@@ -290,8 +288,10 @@ impl MemKind {
         })
     }
 
-    fn claim(g: &Inner, level: MemLevel, bytes: u64) -> Result<(), SimError> {
-        let free = g.reservable(level);
+    /// Check that `bytes` are still reservable in `level`; `g` is the
+    /// held lock, which keeps the check valid until the caller claims.
+    fn claim(&self, g: &Inner, level: MemLevel, bytes: u64) -> Result<(), SimError> {
+        let free = self.reservable_in(g, level);
         if bytes > free {
             return Err(SimError::OutOfMemory {
                 level,
@@ -313,7 +313,7 @@ impl MemKind {
         match g.reservations.remove(&r.serial) {
             Some((level, bytes)) => {
                 debug_assert_eq!((level, bytes), (r.level, r.bytes));
-                g.reserved[level.index()] -= bytes;
+                self.reserved[level.index()].fetch_sub(bytes, Ordering::Release);
                 Ok(())
             }
             None => Err(SimError::BadOp(format!(
@@ -323,15 +323,20 @@ impl MemKind {
         }
     }
 
-    /// Bytes currently held by live reservations in `level`.
+    /// Bytes currently held by live reservations in `level`. Takes no
+    /// lock.
     pub fn reserved(&self, level: MemLevel) -> u64 {
-        self.inner.lock().reserved(level)
+        self.reserved[level.index()].load(Ordering::Acquire)
     }
 
     /// Bytes still reservable in `level`: the allocator's availability
     /// minus live reservations.
     pub fn reservable(&self, level: MemLevel) -> u64 {
-        self.inner.lock().reservable(level)
+        self.reservable_in(&self.inner.lock(), level)
+    }
+
+    fn reservable_in(&self, g: &Inner, level: MemLevel) -> u64 {
+        g.available(level).saturating_sub(self.reserved(level))
     }
 
     /// Number of live reservations (the broker's balance; zero after a
@@ -346,6 +351,7 @@ mod tests {
     use super::*;
     use knl_sim::machine::MemMode;
     use knl_sim::GIB;
+    use proptest::prelude::*;
 
     fn flat() -> MemKind {
         MemKind::new(&MachineConfig::knl_7250(MemMode::Flat))
@@ -549,5 +555,67 @@ mod tests {
     fn zero_byte_reservation_rejected() {
         let mk = flat();
         assert!(mk.try_reserve(Kind::Hbw, 0).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random reserve / release / malloc / free sequences: the
+        /// lock-free `reserved` is the sum of the live reservations, and
+        /// `reservable` and every claim's verdict are the allocator's
+        /// availability minus that sum.
+        #[test]
+        fn lock_free_balance_is_the_sum_of_live_reservations(
+            steps in proptest::collection::vec((0u8..6, 1u64..=7, 0usize..64), 1..80),
+        ) {
+            let mk = flat();
+            let mut live: Vec<Reservation> = Vec::new();
+            let mut allocs: Vec<SimAllocation> = Vec::new();
+            let levels = [MemLevel::Ddr, MemLevel::Mcdram];
+            let sum = |live: &[Reservation], level: MemLevel| -> u64 {
+                live.iter().filter(|r| r.level() == level).map(Reservation::bytes).sum()
+            };
+            for (op, gib, pick) in steps {
+                let bytes = gib * GIB;
+                match op {
+                    0..=2 => {
+                        let kind = [Kind::Default, Kind::Hbw, Kind::HbwPreferred][op as usize];
+                        let free = |level| mk.available(level).saturating_sub(sum(&live, level));
+                        let fits_mcdram = bytes <= free(MemLevel::Mcdram);
+                        let fits_ddr = bytes <= free(MemLevel::Ddr);
+                        let want = match kind {
+                            Kind::Default => fits_ddr.then_some(MemLevel::Ddr),
+                            Kind::Hbw => fits_mcdram.then_some(MemLevel::Mcdram),
+                            Kind::HbwPreferred => {
+                                if fits_mcdram {
+                                    Some(MemLevel::Mcdram)
+                                } else {
+                                    fits_ddr.then_some(MemLevel::Ddr)
+                                }
+                            }
+                        };
+                        let got = mk.try_reserve(kind, bytes).ok();
+                        prop_assert_eq!(got.as_ref().map(Reservation::level), want);
+                        live.extend(got);
+                    }
+                    3 if !live.is_empty() => {
+                        let r = live.swap_remove(pick % live.len());
+                        mk.release(&r).unwrap();
+                    }
+                    4 => allocs.extend(mk.malloc(Kind::HbwPreferred, bytes).ok()),
+                    5 if !allocs.is_empty() => mk.free(allocs.swap_remove(pick % allocs.len())),
+                    _ => {}
+                }
+                for level in levels {
+                    let held = sum(&live, level);
+                    prop_assert_eq!(mk.reserved(level), held);
+                    prop_assert_eq!(
+                        mk.reservable(level),
+                        mk.available(level).saturating_sub(held)
+                    );
+                }
+                prop_assert_eq!(mk.live_reservations(), live.len());
+            }
+        }
     }
 }

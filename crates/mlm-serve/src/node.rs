@@ -21,7 +21,9 @@
 //! 6. pick the next event time (≥ [`NodeSim::next_completion`]),
 //! 7. [`NodeSim::advance`] to it.
 
-use knl_sim::bandwidth::{allocate_rates, FlowSpec};
+#[cfg(debug_assertions)]
+use knl_sim::bandwidth::allocate_rates;
+use knl_sim::bandwidth::{Arbiter, FlowSpec};
 use knl_sim::MemLevel;
 use mlm_core::Placement;
 use mlm_memkind::Reservation;
@@ -80,6 +82,11 @@ pub struct NodeSim {
     ready: ReadyQueue,   // placement order
     running: Vec<Running>,
     rates: Vec<f64>, // parallel to `running`, valid after retune_and_allocate
+    /// Re-tune scratch, kept so a re-tune allocates nothing once warm:
+    /// the bus arbiter and the running set's flows (a prefix of `flows`;
+    /// entries past it keep their `demand` buffers for later growth).
+    arbiter: Arbiter,
+    flows: Vec<FlowSpec>,
     /// `running` changed since profiles and `rates` were last computed.
     retune_due: bool,
     retunes: u64,
@@ -112,6 +119,8 @@ impl NodeSim {
             ready: ReadyQueue::default(),
             running: Vec::new(),
             rates: Vec::new(),
+            arbiter: Arbiter::new(),
+            flows: Vec::new(),
             retune_due: false,
             retunes: 0,
             profile_searches: 0,
@@ -359,7 +368,9 @@ impl NodeSim {
                     }
                 };
             }
-            self.rates = allocate_rates(&self.caps, &bus_flows(&self.running));
+            let flows = bus_flows(&mut self.flows, &self.running);
+            self.arbiter
+                .allocate_flows(&self.caps, flows, &mut self.rates);
             self.retune_due = false;
         }
         #[cfg(debug_assertions)]
@@ -368,9 +379,10 @@ impl NodeSim {
     }
 
     /// Redo the re-tune from scratch — every job re-profiled, the buses
-    /// re-filled — and demand the bits held match. Debug builds run it on
-    /// every call above, so each serve/fleet test is a differential test
-    /// of the skip and of the memo.
+    /// re-filled by a fresh [`allocate_rates`] — and demand the bits held
+    /// match. Debug builds run it on every call above, so each serve/fleet
+    /// test is a differential test of the skip, of the memo and of the
+    /// reused arbiter.
     #[cfg(debug_assertions)]
     fn assert_tuning_is_current(&self) -> Result<(), String> {
         let budget = self.thread_budget();
@@ -392,7 +404,7 @@ impl NodeSim {
                 self.ids[r.idx]
             );
         }
-        let fresh = allocate_rates(&self.caps, &bus_flows(&self.running));
+        let fresh = allocate_rates(&self.caps, bus_flows(&mut Vec::new(), &self.running));
         assert!(
             fresh
                 .iter()
@@ -517,21 +529,26 @@ impl NodeSim {
     }
 }
 
-/// The running set as bus flows. Each job is a flow whose unit is
+/// The running set as bus flows, written over the first `running.len()`
+/// entries of `flows` (grown if needed, so their `demand` buffers are
+/// reused) and returned as that prefix. Each job is a flow whose unit is
 /// "dedicated-seconds per second" (cap 1.0) and whose bus coefficients
 /// are bytes per dedicated-second.
-fn bus_flows(running: &[Running]) -> Vec<FlowSpec> {
-    running
-        .iter()
-        .map(|r| {
-            let mut demand = Vec::with_capacity(2);
-            if r.profile.ddr_coeff > 0.0 {
-                demand.push((DDR_BUS, r.profile.ddr_coeff));
-            }
-            if r.profile.mcd_coeff > 0.0 {
-                demand.push((MCD_BUS, r.profile.mcd_coeff));
-            }
-            FlowSpec { demand, cap: 1.0 }
-        })
-        .collect()
+fn bus_flows<'a>(flows: &'a mut Vec<FlowSpec>, running: &[Running]) -> &'a [FlowSpec] {
+    if flows.len() < running.len() {
+        flows.resize_with(running.len(), || FlowSpec {
+            demand: Vec::with_capacity(2),
+            cap: 1.0,
+        });
+    }
+    for (flow, r) in flows.iter_mut().zip(running) {
+        flow.demand.clear();
+        if r.profile.ddr_coeff > 0.0 {
+            flow.demand.push((DDR_BUS, r.profile.ddr_coeff));
+        }
+        if r.profile.mcd_coeff > 0.0 {
+            flow.demand.push((MCD_BUS, r.profile.mcd_coeff));
+        }
+    }
+    &flows[..running.len()]
 }

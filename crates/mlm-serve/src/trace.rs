@@ -106,7 +106,30 @@ fn class_shape(cfg: &TraceConfig, class: DeadlineClass, u: f64) -> (u64, u64, u3
     }
 }
 
+/// Why [`ModelParams::optimal_split`] found no split for `m`: too few
+/// threads, or no finite Eqs. 1–5 time at any split.
+fn no_split_cause(m: &ModelParams) -> String {
+    if m.total_threads < 3 {
+        return format!(
+            "machine has {} threads; a pipeline needs >= 3",
+            m.total_threads
+        );
+    }
+    // Eq. 5's copy share is smallest at one copy-in and one copy-out
+    // thread; when even that fills MCDRAM, every split has C_comp = 0.
+    format!(
+        "no thread split has a finite Eqs. 1-5 time: two copy threads take {} B/s \
+         of MCDRAM, which leaves compute none of its {} B/s",
+        2.0 * m.c_copy(1, 1),
+        m.mcdram_max
+    )
+}
+
 /// Generate the trace. Job ids are `0..jobs` in arrival order.
+///
+/// # Panics
+/// Panics when the machine admits no copy-thread split
+/// ([`ModelParams::optimal_split`] returns `None`), naming the cause.
 pub fn heavy_tailed_trace(cfg: &TraceConfig) -> Vec<JobRequest> {
     assert!(cfg.arrival_rate > 0.0, "arrival rate must be positive");
     assert!(
@@ -148,7 +171,9 @@ pub fn heavy_tailed_trace(cfg: &TraceConfig) -> Vec<JobRequest> {
             s_comp: cfg.machine.per_thread_compute_bw,
             total_threads: cfg.machine.total_threads(),
         };
-        let split = m.optimal_split(passes).expect("machine has >= 3 threads");
+        let Some(split) = m.optimal_split(passes) else {
+            panic!("{}", no_split_cause(&m));
+        };
         let spec = PipelineSpec {
             total_bytes,
             chunk_bytes: chunk,
@@ -252,5 +277,18 @@ mod tests {
                 assert!(j.spec.total_bytes <= 256 * GIB);
             }
         }
+    }
+
+    /// 272 threads pass `validate`, but two copy threads at 4.8 GB/s
+    /// already exceed a 5 GB/s MCDRAM: no split is finite, and the panic
+    /// names that, not the thread count.
+    #[test]
+    #[should_panic(expected = "leaves compute none of its 5000000000 B/s")]
+    fn machine_without_a_finite_split_panics_with_the_cause() {
+        let mut machine = MachineConfig::knl_7250(MemMode::Flat);
+        machine.mcdram_bandwidth = 5e9;
+        machine.validate().unwrap();
+        assert!(machine.total_threads() >= 3);
+        heavy_tailed_trace(&TraceConfig::new(machine, 4, 2.0, 1));
     }
 }
