@@ -30,13 +30,12 @@ impl NodeConfig {
 
     /// The single-node [`ServeConfig`] this node runs under the fleet's
     /// shared queueing policy.
-    pub fn serve_config(&self, policy: Policy, retune: bool, fair_aging: f64) -> ServeConfig {
+    pub fn serve_config(&self, policy: Policy, fair_aging: f64) -> ServeConfig {
         ServeConfig {
             machine: self.machine.clone(),
             policy,
             mcdram_budget: self.mcdram_budget,
             spill: self.spill,
-            retune,
             fair_aging,
         }
     }
@@ -89,8 +88,6 @@ pub struct FleetConfig {
     /// Interconnect model pricing stolen-job migration (ring bytes over
     /// the link plus latency). `None` makes stealing free.
     pub cluster: Option<ClusterConfig>,
-    /// Re-run the Eqs. 1–5 optimiser per job as co-residency changes.
-    pub retune: bool,
     /// Fair-share starvation bound, per node (see
     /// [`ServeConfig::fair_aging`]).
     pub fair_aging: f64,
@@ -107,7 +104,6 @@ impl FleetConfig {
             placement: PlacementPolicy::FirstFit,
             steal: false,
             cluster: None,
-            retune: true,
             fair_aging: f64::INFINITY,
         }
     }
@@ -123,19 +119,19 @@ impl FleetConfig {
         cfg
     }
 
-    /// Validate the configuration.
+    /// Validate the configuration: each node's [`ServeConfig`], then the
+    /// interconnect.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("fleet needs at least one node".into());
         }
         for (i, n) in self.nodes.iter().enumerate() {
-            n.machine.validate().map_err(|e| format!("node {i}: {e}"))?;
+            n.serve_config(self.policy, self.fair_aging)
+                .validate()
+                .map_err(|e| format!("node {i}: {e}"))?;
         }
         if let Some(c) = &self.cluster {
             c.validate().map_err(|e| format!("cluster: {e}"))?;
-        }
-        if self.fair_aging <= 0.0 || self.fair_aging.is_nan() {
-            return Err("fair_aging must be positive (INFINITY disables)".into());
         }
         Ok(())
     }

@@ -114,7 +114,7 @@ fn migration_cost(cluster: Option<&ClusterConfig>, spec: &PipelineSpec) -> f64 {
 /// Queue `job` on node `n`, which `by` (placement or a steal) already
 /// found feasible. A refusal means that check and the node's broker
 /// disagree; dropping the job quietly would hide exactly that.
-fn submit_to(
+pub(crate) fn submit_to(
     nodes: &mut [NodeSim],
     n: usize,
     job: JobRequest,
@@ -179,7 +179,7 @@ pub fn fleet_serve(cfg: &FleetConfig, jobs: &[FleetJob]) -> Result<FleetOutcome,
     let mut nodes: Vec<NodeSim> = cfg
         .nodes
         .iter()
-        .map(|n| NodeSim::new(n.serve_config(cfg.policy, cfg.retune, cfg.fair_aging)))
+        .map(|n| NodeSim::new(n.serve_config(cfg.policy, cfg.fair_aging)))
         .collect::<Result<_, _>>()?;
 
     let mut order: Vec<usize> = (0..jobs.len()).collect();

@@ -2,29 +2,34 @@
 //! per-node worker pools over the dataflow stage pools.
 //!
 //! Same placement code, same admission code, real execution: the
-//! dispatcher thread owns every node's [`CapacityBroker`] and ready
-//! queue, places the submission stream with [`place`], admits per node
-//! with the shared [`select_candidate`] pass, and hands admitted jobs to
+//! dispatcher thread holds one [`NodeSim`] per node — the state machine
+//! the virtual-time dispatcher drives — places the submission stream with
+//! [`place`], admits with [`NodeSim::admit`], and hands admitted jobs to
 //! that node's worker pool, which runs them on
 //! [`run_host_pipeline_dataflow`] with tuner-sized stage pools. Workers
-//! report completions over a channel; the dispatcher releases the broker
-//! reservation and admits the next job.
+//! report completions over a channel; the dispatcher retires the job with
+//! [`NodeSim::complete`], which returns its reservation, and admits the
+//! next.
 //!
 //! **Decision equivalence with the virtual-time mode.** Wall clocks are
 //! not virtual clocks, so the two modes can only be compared on
 //! timing-independent decisions: the whole submission batch is placed (in
 //! job order) *before* serving starts, mirroring the virtual-time
-//! dispatcher placing all due arrivals before completions, and each
-//! node's admission order is fixed by the queue discipline. Under FIFO
-//! with strict jobs, the canonical projection
-//! ([`crate::decision::decision_digest`]) is therefore identical between
-//! the two modes — the equivalence the test suite asserts on the demo
-//! trace. (Fair-share aging and stealing are virtual-time refinements the
-//! host mode does not implement; the wall clock makes their trigger
-//! points nondeterministic.)
+//! dispatcher placing all due arrivals before completions. Admission is
+//! the same [`NodeSim::admit`] in both modes, so wherever a node's
+//! admission order does not hang on completion timing — a batch whose
+//! rings fit a node one at a time, say — the canonical projection
+//! ([`crate::decision::decision_digest`]) is identical under every
+//! queueing policy, by construction; the test suite asserts it. The nodes
+//! run with fair aging off and nothing is stolen: both are virtual-time
+//! refinements whose trigger points a wall clock would make
+//! nondeterministic, and with aging off no admission reads the wall-clock
+//! `now` the dispatcher passes.
 //!
-//! [`CapacityBroker`]: mlm_serve::CapacityBroker
-//! [`select_candidate`]: mlm_serve::select_candidate
+//! The pool split is the host's own decision: each admitted job gets the
+//! Eqs. 1–5 split for `host_threads` divided among the node's running
+//! jobs, itself included, counted in admission order.
+//!
 //! [`run_host_pipeline_dataflow`]: mlm_core::pipeline::host::run_host_pipeline_dataflow
 
 use std::thread;
@@ -33,15 +38,13 @@ use std::time::{Duration, Instant};
 use crossbeam::channel;
 use knl_sim::MemLevel;
 use mlm_core::pipeline::host::{run_host_pipeline_dataflow, HostStagePools, KernelCtx};
-use mlm_core::{PipelineSpec, Placement, ThreadSplit};
-use mlm_serve::{
-    charge_credit, predicted_makespan, profile, select_candidate, AdmitOutcome, CapacityBroker,
-    DeadlineClass, JobId, Policy, N_CLASSES,
-};
+use mlm_core::{PipelineSpec, ThreadSplit};
+use mlm_serve::{profile, DeadlineClass, JobId, JobRequest, NodeSim};
 
 use crate::config::FleetConfig;
 use crate::decision::Decision;
-use crate::placement::{place, PlacementView};
+use crate::dispatch::submit_to;
+use crate::placement::place;
 
 /// One host fleet job: spec plus the data to stream through it.
 #[derive(Debug)]
@@ -61,8 +64,8 @@ pub struct FleetHostJob {
 /// Host fleet configuration.
 #[derive(Debug, Clone)]
 pub struct FleetHostConfig {
-    /// Fleet shape and policies (stealing and fair aging are ignored —
-    /// virtual-time refinements; see the module docs).
+    /// Fleet shape and policies. Stealing and fair aging are not used:
+    /// every node runs with `fair_aging = INFINITY` (see the module docs).
     pub fleet: FleetConfig,
     /// Host threads each node divides among its co-resident jobs.
     pub host_threads: usize,
@@ -98,60 +101,27 @@ pub struct FleetHostOutcome {
     pub decisions: Vec<Decision>,
 }
 
-/// The dispatcher's per-node state: broker + queue + credit, the host
-/// mirror of `NodeSim`'s admission-relevant fields.
-struct HostNode {
-    broker: CapacityBroker,
-    spill: bool,
-    machine: knl_sim::machine::MachineConfig,
-    // Parallel vectors over jobs placed on this node.
-    est: Vec<f64>,
-    ids: Vec<JobId>,
-    classes: Vec<DeadlineClass>,
-    spill_ok: Vec<bool>,
-    global: Vec<usize>,
-    ready: Vec<usize>, // node-local indices, placement order
-    credit: [f64; N_CLASSES],
-    running: usize,
-    work_tx: channel::Sender<Work>,
-}
-
-impl PlacementView for HostNode {
-    fn can_take(&self, spec: &PipelineSpec, strict: bool) -> bool {
-        self.broker.can_ever_fit_job(spec, !strict)
-    }
-    fn fits_now(&self, spec: &PipelineSpec, strict: bool) -> bool {
-        let f = crate::placement::ring_footprint(spec);
-        f == 0 || f <= self.broker.hbw_headroom() || (!strict && self.spill)
-    }
-    fn hbw_headroom(&self) -> u64 {
-        self.broker.hbw_headroom()
-    }
-    fn queued_strict_bytes(&self) -> u64 {
-        self.broker.queued_strict_bytes()
-    }
-    fn reserved_mcdram(&self) -> u64 {
-        self.broker.reserved_mcdram()
-    }
-    fn budget(&self) -> u64 {
-        self.broker.budget()
-    }
+/// An admitted job as the dispatcher hands it out and gets it back.
+#[derive(Clone, Copy)]
+struct Admitted {
+    node: usize,
+    ticket: usize,
+    id: JobId,
+    split: ThreadSplit,
+    level: MemLevel,
 }
 
 /// A job handed to a node's worker pool.
 struct Work {
-    node: usize,
-    local: usize,
+    job: Admitted,
     spec: PipelineSpec,
-    split: ThreadSplit,
     data: Vec<i64>,
     kernel: fn(&mut [i64], KernelCtx),
 }
 
 /// A completion reported back to the dispatcher.
 struct Done {
-    node: usize,
-    local: usize,
+    job: Admitted,
     wall: Duration,
     data: Vec<i64>,
 }
@@ -183,139 +153,136 @@ pub fn fleet_serve_host(
             ));
         }
     }
+    let mut nodes: Vec<NodeSim> = cfg
+        .fleet
+        .nodes
+        .iter()
+        .map(|n| NodeSim::new(n.serve_config(cfg.fleet.policy, f64::INFINITY)))
+        .collect::<Result<_, _>>()?;
 
     // Per-node worker pools, all reporting into one completion channel.
     let (done_tx, done_rx) = channel::unbounded::<Done>();
     let mut worker_handles = Vec::new();
-    let mut nodes: Vec<HostNode> = Vec::with_capacity(cfg.fleet.nodes.len());
-    for nc in &cfg.fleet.nodes {
+    let mut work_txs = Vec::with_capacity(nodes.len());
+    for _ in &nodes {
         let (work_tx, work_rx) = channel::unbounded::<Work>();
         for _ in 0..cfg.workers {
             let rx = work_rx.clone();
             let tx = done_tx.clone();
             worker_handles.push(thread::spawn(move || {
                 while let Ok(w) = rx.recv() {
-                    let pools = HostStagePools::new(w.split.p_in, w.split.p_comp, w.split.p_out);
+                    let split = w.job.split;
+                    let pools = HostStagePools::new(split.p_in, split.p_comp, split.p_out);
                     let mut out = vec![0i64; w.data.len()];
                     let t = Instant::now();
                     run_host_pipeline_dataflow(&pools, &w.spec, &w.data, &mut out, w.kernel);
                     // A hung-up dispatcher just means the run already
                     // failed; don't double-panic the worker.
                     let _ = tx.send(Done {
-                        node: w.node,
-                        local: w.local,
+                        job: w.job,
                         wall: t.elapsed(),
                         data: out,
                     });
                 }
             }));
         }
-        nodes.push(HostNode {
-            broker: CapacityBroker::new(&nc.machine, nc.mcdram_budget, nc.spill),
-            spill: nc.spill,
-            machine: nc.machine.clone(),
-            est: Vec::new(),
-            ids: Vec::new(),
-            classes: Vec::new(),
-            spill_ok: Vec::new(),
-            global: Vec::new(),
-            ready: Vec::new(),
-            credit: [0.0; N_CLASSES],
-            running: 0,
-            work_tx,
-        });
+        work_txs.push(work_tx);
     }
     drop(done_tx);
 
     // The dispatcher thread: place the whole submission stream, then
     // admit/complete until drained.
     let placement = cfg.fleet.placement;
-    let policy = cfg.fleet.policy;
     let host_threads = cfg.host_threads;
     let dispatcher = thread::spawn(move || -> Result<FleetHostOutcome, String> {
+        let clock = Instant::now();
         let mut decisions: Vec<Decision> = Vec::new();
         let mut rejected: Vec<JobId> = Vec::new();
-        let mut pending: Vec<Option<FleetHostJob>> = Vec::new();
+        // Each node's jobs by ticket, taken at admission.
+        let mut queued: Vec<Vec<Option<FleetHostJob>>> = nodes.iter().map(|_| Vec::new()).collect();
 
         // Phase 1: placement, in submission order.
-        for (g, j) in jobs.into_iter().enumerate() {
+        for j in jobs {
             match place(&nodes, placement, &j.spec, j.strict) {
                 Some(n) => {
                     decisions.push(Decision::Placed { job: j.id, node: n });
-                    let node = &mut nodes[n];
-                    let local = node.ids.len();
-                    node.est.push(predicted_makespan(&j.spec, &node.machine));
-                    node.ids.push(j.id);
-                    node.classes.push(j.class);
-                    node.spill_ok.push(!j.strict);
-                    node.global.push(g);
-                    node.ready.push(local);
-                    if j.strict {
-                        node.broker
-                            .note_strict_queued(crate::placement::ring_footprint(&j.spec));
-                    }
+                    let req = JobRequest::new(j.id, 0.0, j.class, j.spec.clone());
+                    submit_to(&mut nodes, n, req, j.strict, "placement")?;
+                    queued[n].push(Some(j));
                 }
                 None => {
                     decisions.push(Decision::Rejected { job: j.id });
                     rejected.push(j.id);
                 }
             }
-            pending.push(Some(j));
         }
 
         // Phase 2: serve. One admission pass per node, then block on a
-        // completion, release, repeat.
+        // completion, retire it, repeat.
         let mut results: Vec<FleetHostResult> = Vec::new();
-        let mut meta: std::collections::HashMap<
-            (usize, usize),
-            (Option<mlm_memkind::Reservation>, ThreadSplit, MemLevel),
-        > = std::collections::HashMap::new();
         loop {
+            let now = clock.elapsed().as_secs_f64();
             for (ni, node) in nodes.iter_mut().enumerate() {
-                admit_node(
-                    ni,
-                    node,
-                    policy,
-                    host_threads,
-                    &mut pending,
-                    &mut decisions,
-                    &mut meta,
-                    kernel,
-                )?;
+                let admitted = node.admit(now)?;
+                let already_running = node.running_len() - admitted.len();
+                for (k, adm) in admitted.into_iter().enumerate() {
+                    decisions.push(Decision::Admitted {
+                        job: adm.id,
+                        node: ni,
+                        level: adm.level,
+                    });
+                    let FleetHostJob { mut spec, data, .. } =
+                        queued[ni][adm.ticket].take().expect("job admitted twice");
+                    let budget = (host_threads / (already_running + k + 1)).max(3);
+                    let split =
+                        profile(&spec, adm.effective, &node.config().machine, budget, true)?.split;
+                    spec.p_in = split.p_in;
+                    spec.p_out = split.p_out;
+                    spec.p_comp = split.p_comp;
+                    let job = Admitted {
+                        node: ni,
+                        ticket: adm.ticket,
+                        id: adm.id,
+                        split,
+                        level: adm.level,
+                    };
+                    work_txs[ni]
+                        .send(Work {
+                            job,
+                            spec,
+                            data,
+                            kernel,
+                        })
+                        .map_err(|_| "node worker pool hung up".to_string())?;
+                }
             }
-            let queued: usize = nodes.iter().map(|n| n.ready.len()).sum();
-            let running: usize = nodes.iter().map(|n| n.running).sum();
+            let running: usize = nodes.iter().map(NodeSim::running_len).sum();
             if running == 0 {
-                if queued == 0 {
+                let waiting: usize = nodes.iter().map(NodeSim::queue_len).sum();
+                if waiting == 0 {
                     break;
                 }
                 return Err(format!(
-                    "host fleet stuck with {queued} jobs queued and none running"
+                    "host fleet stuck with {waiting} jobs queued and none running"
                 ));
             }
             let done = done_rx
                 .recv()
                 .map_err(|_| "worker channels closed unexpectedly".to_string())?;
-            let node = &mut nodes[done.node];
-            node.running -= 1;
-            let (reservation, split, level) = meta
-                .remove(&(done.node, done.local))
-                .expect("completion for unknown job");
-            if let Some(res) = &reservation {
-                node.broker.release(res).map_err(|e| e.to_string())?;
-            }
+            let job = done.job;
+            nodes[job.node].complete(job.ticket, clock.elapsed().as_secs_f64())?;
             results.push(FleetHostResult {
-                id: node.ids[done.local],
-                node: done.node,
-                split,
-                buffer_level: level,
+                id: job.id,
+                node: job.node,
+                split: job.split,
+                buffer_level: job.level,
                 wall: done.wall,
                 data: done.data,
             });
         }
 
         // Drop the work channels so the pools drain and exit.
-        drop(nodes);
+        drop(work_txs);
         results.sort_by_key(|r| r.id);
         Ok(FleetHostOutcome {
             results,
@@ -333,105 +300,12 @@ pub fn fleet_serve_host(
     outcome
 }
 
-/// One admission pass over `node`'s queue — the host-side twin of
-/// `NodeSim::admit` (same candidate selection, same broker calls, same
-/// credit charge; no backfill aging, which needs virtual time).
-#[allow(clippy::too_many_arguments)]
-fn admit_node(
-    ni: usize,
-    node: &mut HostNode,
-    policy: Policy,
-    host_threads: usize,
-    pending: &mut [Option<FleetHostJob>],
-    decisions: &mut Vec<Decision>,
-    meta: &mut std::collections::HashMap<
-        (usize, usize),
-        (Option<mlm_memkind::Reservation>, ThreadSplit, MemLevel),
-    >,
-    kernel: fn(&mut [i64], KernelCtx),
-) -> Result<(), String> {
-    let mut blocked = [false; N_CLASSES];
-    loop {
-        let pos = select_candidate(
-            policy,
-            &node.ready,
-            &node.est,
-            &node.ids,
-            &node.classes,
-            &node.credit,
-            &blocked,
-        );
-        let Some(pos) = pos else { break };
-        let local = node.ready[pos];
-        let g = node.global[local];
-        let spec = pending[g].as_ref().expect("job not yet run").spec.clone();
-        match node.broker.try_admit_job(&spec, node.spill_ok[local])? {
-            AdmitOutcome::Admitted(reservation) => {
-                node.ready.remove(pos);
-                if !node.spill_ok[local] {
-                    node.broker
-                        .note_strict_dequeued(crate::placement::ring_footprint(&spec));
-                }
-                let level = reservation
-                    .as_ref()
-                    .map(|r| r.level())
-                    .unwrap_or(MemLevel::Ddr);
-                let effective = if level == MemLevel::Ddr && spec.placement == Placement::Hbw {
-                    Placement::Ddr
-                } else {
-                    spec.placement
-                };
-                let budget = (host_threads / (node.running + 1)).max(3);
-                let split = profile(&spec, effective, &node.machine, budget, true)?.split;
-                decisions.push(Decision::Admitted {
-                    job: node.ids[local],
-                    node: ni,
-                    level,
-                });
-                charge_credit(
-                    policy,
-                    &mut node.credit,
-                    node.classes[local],
-                    node.est[local],
-                );
-                meta.insert((ni, local), (reservation, split, level));
-                node.running += 1;
-                let job = pending[g].take().expect("job taken twice");
-                let mut spec2 = job.spec;
-                spec2.p_in = split.p_in;
-                spec2.p_out = split.p_out;
-                spec2.p_comp = split.p_comp;
-                node.work_tx
-                    .send(Work {
-                        node: ni,
-                        local,
-                        spec: spec2,
-                        split,
-                        data: job.data,
-                        kernel,
-                    })
-                    .map_err(|_| "node worker pool hung up".to_string())?;
-            }
-            AdmitOutcome::Busy => match policy {
-                Policy::Fifo | Policy::Sjf => break,
-                Policy::FairShare => {
-                    blocked[node.classes[local].index()] = true;
-                    if blocked.iter().all(|&b| b) {
-                        break;
-                    }
-                }
-            },
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{FleetConfig, PlacementPolicy};
     use knl_sim::machine::{MachineConfig, MemMode};
-    use mlm_core::Workload;
+    use mlm_core::{Placement, Workload};
 
     const MIB: u64 = 1 << 20;
 

@@ -10,19 +10,22 @@
 //!   best-fit-by-HBW-headroom, or least-loaded); `HBW_PREFERRED` jobs may
 //!   ride spill-capable, DDR-rich nodes instead. A job no node could ever
 //!   fit is rejected at submission — the fleet mirror of the broker's
-//!   `can_ever_fit`.
+//!   `can_ever_fit_job`.
 //! * **Per-node serving** — every node runs the exact single-node state
-//!   machine ([`mlm_serve::NodeSim`]), so a 1-node fleet is bit-identical
-//!   to [`mlm_serve::serve`] by construction.
+//!   machine ([`mlm_serve::NodeSim`]) in both execution modes, so a
+//!   1-node fleet is bit-identical to [`mlm_serve::serve`] by
+//!   construction.
 //! * **Work stealing** ([`dispatch`]) — idle nodes lift queued jobs from
 //!   straggler queues, paying the interconnect price
 //!   ([`mlm_cluster::ClusterConfig`]) to migrate the ring.
 //! * **Two execution modes** — the virtual-time dispatcher
 //!   ([`fleet_serve`]) prices million-job traces deterministically; the
 //!   real-thread host mode ([`fleet_serve_host`]) runs the same
-//!   placement/admission code as a long-running dispatcher thread over
-//!   per-node worker pools. Their decision sequences agree on the
-//!   canonical projection ([`decision::decision_digest`]).
+//!   placement code and the same `NodeSim`s as a long-running dispatcher
+//!   thread over per-node worker pools. Wherever admission order does not
+//!   hang on completion timing, their decision sequences agree on the
+//!   canonical projection ([`decision::decision_digest`]) by
+//!   construction.
 //! * **Fleet traces** ([`trace`]) — per-node SplitMix64 streams (stable
 //!   under node-count changes) with arrival skew and a strict-HBW
 //!   fraction, merged into million-job fleet workloads.
@@ -83,6 +86,17 @@ mod tests {
         );
         for (x, y) in a.records.iter().zip(&b.records) {
             assert_eq!(x.finish.to_bits(), y.finish.to_bits());
+        }
+    }
+
+    #[test]
+    fn non_positive_or_nan_fair_aging_is_refused_per_node() {
+        let jobs = small_trace(2, 4, 3);
+        for bad in [-1.0, 0.0, f64::NAN] {
+            let mut cfg = FleetConfig::homogeneous(machine(), 2, 8 * GIB, false);
+            cfg.fair_aging = bad;
+            let err = fleet_serve(&cfg, &jobs).unwrap_err();
+            assert!(err.starts_with("node 0: fair_aging"), "{bad}: {err}");
         }
     }
 

@@ -1,12 +1,10 @@
-//! Policy candidate selection shared by every admission loop.
+//! Policy candidate selection for [`crate::node::NodeSim::admit`].
 //!
-//! Three schedulers admit jobs in policy order: the virtual-time event
-//! loop ([`crate::sched::serve`]), the real-thread host server
-//! ([`crate::host::serve_host`]), and the fleet dispatcher (`mlm-fleet`).
-//! They differ in *when* admission runs and what happens after it, but the
-//! decision itself — which queued job to try next — must be identical, or
-//! the fleet's 1-node ≡ single-node and host ≡ virtual-time equivalence
-//! guarantees fall apart. This module is that decision, extracted.
+//! Every scheduler admits through `NodeSim::admit`: the virtual-time
+//! event loop ([`crate::sched::serve`]) and both of `mlm-fleet`'s
+//! dispatchers, virtual-time and real-thread. They differ in *when*
+//! admission runs and what happens after it; the decision itself — which
+//! queued job to try next — is this module's, and it has one caller.
 
 use crate::job::{DeadlineClass, JobId, N_CLASSES};
 use crate::policy::Policy;
@@ -22,7 +20,7 @@ use crate::policy::Policy;
 ///
 /// `est`, `ids` and `classes` are indexed by job index (the values stored
 /// in `ready`), not by queue position.
-pub fn select_candidate(
+pub(crate) fn select_candidate(
     policy: Policy,
     ready: &[usize],
     est: &[f64],
@@ -71,7 +69,7 @@ pub fn select_candidate(
 /// Fair-share credit charge at admission: the job's service estimate
 /// normalised by its class weight. FIFO/SJF carry no credit state, so
 /// this is a no-op for them.
-pub fn charge_credit(
+pub(crate) fn charge_credit(
     policy: Policy,
     credit: &mut [f64; N_CLASSES],
     class: DeadlineClass,

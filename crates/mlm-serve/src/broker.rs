@@ -95,14 +95,9 @@ impl CapacityBroker {
 
     /// `false` when the job's footprint exceeds every level its kind may
     /// land in — such jobs are rejected at submission rather than queued
-    /// forever.
-    pub fn can_ever_fit(&self, spec: &PipelineSpec) -> bool {
-        self.can_ever_fit_job(spec, true)
-    }
-
-    /// Per-job variant of [`Self::can_ever_fit`]: `spill_ok = false` asks
-    /// whether a *strict-HBW* job could ever fit, even on a broker whose
-    /// policy would let preferred jobs fall back to DDR.
+    /// forever. `spill_ok = false` asks whether a *strict-HBW* job could
+    /// ever fit, even on a broker whose policy would let preferred jobs
+    /// fall back to DDR.
     pub fn can_ever_fit_job(&self, spec: &PipelineSpec, spill_ok: bool) -> bool {
         let footprint = spec.buffer_footprint(RING_SLOTS);
         if footprint == 0 {
@@ -116,17 +111,13 @@ impl CapacityBroker {
     }
 
     /// Try to admit `spec`: reserve its buffer footprint, or report `Busy`
-    /// when co-resident jobs currently hold the capacity.
+    /// when co-resident jobs currently hold the capacity. `spill_ok =
+    /// false` keeps this job strict (queue for MCDRAM) even on a
+    /// spill-capable broker.
     ///
     /// Errors are reserved for jobs that should have been filtered by
-    /// [`Self::can_ever_fit`] — asking for more than the budget is a caller
-    /// bug, not transient contention.
-    pub fn try_admit(&mut self, spec: &PipelineSpec) -> Result<AdmitOutcome, String> {
-        self.try_admit_job(spec, true)
-    }
-
-    /// Per-job variant of [`Self::try_admit`]: `spill_ok = false` keeps
-    /// this job strict (queue for MCDRAM) even on a spill-capable broker.
+    /// [`Self::can_ever_fit_job`] — asking for more than the budget is a
+    /// caller bug, not transient contention.
     pub fn try_admit_job(
         &mut self,
         spec: &PipelineSpec,
@@ -247,17 +238,20 @@ mod tests {
     fn strict_broker_blocks_then_admits_after_release() {
         let mut b = CapacityBroker::new(&machine(), 8 * GIB, false);
         let s = spec(2 * GIB, Placement::Hbw); // 6 GiB ring
-        let r1 = match b.try_admit(&s).unwrap() {
+        let r1 = match b.try_admit_job(&s, true).unwrap() {
             AdmitOutcome::Admitted(Some(r)) => r,
             other => panic!("expected admission, got {other:?}"),
         };
         assert_eq!(r1.level(), MemLevel::Mcdram);
         assert_eq!(b.reserved_mcdram(), 6 * GIB);
         // Second elephant cannot fit in the remaining 2 GiB.
-        assert!(matches!(b.try_admit(&s).unwrap(), AdmitOutcome::Busy));
+        assert!(matches!(
+            b.try_admit_job(&s, true).unwrap(),
+            AdmitOutcome::Busy
+        ));
         b.release(&r1).unwrap();
         assert!(matches!(
-            b.try_admit(&s).unwrap(),
+            b.try_admit_job(&s, true).unwrap(),
             AdmitOutcome::Admitted(Some(_))
         ));
         assert_eq!(b.high_water(), 6 * GIB);
@@ -267,11 +261,11 @@ mod tests {
     fn spill_broker_falls_back_to_ddr() {
         let mut b = CapacityBroker::new(&machine(), 8 * GIB, true);
         let s = spec(2 * GIB, Placement::Hbw);
-        let _r1 = match b.try_admit(&s).unwrap() {
+        let _r1 = match b.try_admit_job(&s, true).unwrap() {
             AdmitOutcome::Admitted(Some(r)) => r,
             other => panic!("expected admission, got {other:?}"),
         };
-        let r2 = match b.try_admit(&s).unwrap() {
+        let r2 = match b.try_admit_job(&s, true).unwrap() {
             AdmitOutcome::Admitted(Some(r)) => r,
             other => panic!("expected DDR spill, got {other:?}"),
         };
@@ -282,19 +276,19 @@ mod tests {
     fn impossible_jobs_are_detected_up_front() {
         let b = CapacityBroker::new(&machine(), 4 * GIB, false);
         // 6 GiB ring > 4 GiB budget: can never fit under strict policy.
-        assert!(!b.can_ever_fit(&spec(2 * GIB, Placement::Hbw)));
+        assert!(!b.can_ever_fit_job(&spec(2 * GIB, Placement::Hbw), true));
         // But fits with spill (lands in DDR).
         let b = CapacityBroker::new(&machine(), 4 * GIB, true);
-        assert!(b.can_ever_fit(&spec(2 * GIB, Placement::Hbw)));
+        assert!(b.can_ever_fit_job(&spec(2 * GIB, Placement::Hbw), true));
     }
 
     #[test]
     fn implicit_jobs_need_no_reservation() {
         let mut b = CapacityBroker::new(&machine(), GIB, false);
         let s = spec(2 * GIB, Placement::Implicit);
-        assert!(b.can_ever_fit(&s));
+        assert!(b.can_ever_fit_job(&s, true));
         assert!(matches!(
-            b.try_admit(&s).unwrap(),
+            b.try_admit_job(&s, true).unwrap(),
             AdmitOutcome::Admitted(None)
         ));
         assert_eq!(b.balance(), 0);
@@ -304,9 +298,9 @@ mod tests {
     fn ddr_high_water_tracks_spilled_rings() {
         let mut b = CapacityBroker::new(&machine(), 8 * GIB, true);
         let s = spec(2 * GIB, Placement::Hbw); // 6 GiB ring
-        let _r1 = b.try_admit(&s).unwrap(); // MCDRAM
+        let _r1 = b.try_admit_job(&s, true).unwrap(); // MCDRAM
         assert_eq!(b.ddr_high_water(), 0);
-        let _r2 = b.try_admit(&s).unwrap(); // spills to DDR
+        let _r2 = b.try_admit_job(&s, true).unwrap(); // spills to DDR
         assert_eq!(b.ddr_high_water(), 6 * GIB);
         assert_eq!(b.high_water(), 6 * GIB); // MCDRAM hwm unchanged by spill
     }
@@ -316,7 +310,7 @@ mod tests {
         let mut b = CapacityBroker::new(&machine(), 8 * GIB, false);
         assert_eq!(b.hbw_headroom(), 8 * GIB);
         let s = spec(2 * GIB, Placement::Hbw);
-        let r = match b.try_admit(&s).unwrap() {
+        let r = match b.try_admit_job(&s, true).unwrap() {
             AdmitOutcome::Admitted(Some(r)) => r,
             other => panic!("expected admission, got {other:?}"),
         };
@@ -354,7 +348,7 @@ mod tests {
             b.try_admit_job(&s, true).unwrap(),
             AdmitOutcome::Admitted(Some(_))
         ));
-        // can_ever_fit agrees: a 6 GiB strict ring can never fit a 4 GiB
+        // can_ever_fit_job agrees: a 6 GiB strict ring can never fit a 4 GiB
         // budget even when the broker spills.
         let b4 = CapacityBroker::new(&machine(), 4 * GIB, true);
         assert!(!b4.can_ever_fit_job(&s, false));

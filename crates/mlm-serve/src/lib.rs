@@ -17,17 +17,21 @@
 //!   water-filling the op-level simulator uses. Policies: FIFO, SJF
 //!   (model-predicted makespan), and weighted fair-share across deadline
 //!   classes.
-//! * **Backends** — [`simx`] replays a realized schedule op-by-op in
+//! * **Node state machine** ([`node`]) — [`NodeSim`] is the only code
+//!   that admits jobs: `serve` drives one in virtual time, and
+//!   `mlm-fleet` drives one per node, in virtual time and on real host
+//!   threads alike.
+//! * **Replay** — [`simx`] replays a realized schedule op-by-op in
 //!   [`knl_sim`] (delay-gated, spliced programs; a single-job replay is
-//!   bit-identical to running the pipeline directly), and [`host`] runs
-//!   jobs concurrently for real on the dataflow pipeline's stage pools.
+//!   bit-identical to running the pipeline directly). Running jobs for
+//!   real on the dataflow pipeline's stage pools is `mlm-fleet`'s host
+//!   mode; a 1-node fleet is the single-node case.
 //!
 //! Trace generation ([`trace`]) and fleet statistics ([`stats`]) round out
 //! the loop that mlm-bench's `study serve` sweeps.
 
 pub mod admission;
 pub mod broker;
-pub mod host;
 pub mod job;
 pub mod node;
 pub mod policy;
@@ -37,9 +41,7 @@ pub mod simx;
 pub mod stats;
 pub mod trace;
 
-pub use admission::{charge_credit, select_candidate};
 pub use broker::{ring_footprint, AdmitOutcome, CapacityBroker, RING_SLOTS};
-pub use host::{serve_host, HostJob, HostJobResult, HostServeConfig};
 pub use job::{DeadlineClass, JobId, JobRecord, JobRequest, Rejection, N_CLASSES};
 pub use node::{Admission, NodeSim, DONE_EPS};
 pub use policy::{bus_demand, predicted_makespan, profile, JobProfile, Policy};

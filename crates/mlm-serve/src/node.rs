@@ -6,7 +6,11 @@
 //! dispatcher drives per node. Extracting it means the fleet's "a 1-node
 //! fleet is bit-identical to `serve`" guarantee holds by construction:
 //! both paths execute the same floating-point operations in the same
-//! order on the same state.
+//! order on the same state. `mlm-fleet`'s real-thread host dispatcher
+//! holds one per node too, so it admits with the same code: it passes
+//! wall-clock seconds as `now` (which no decision reads while fair aging
+//! is off) and reports each finished job with [`NodeSim::complete`]
+//! instead of advancing a clock.
 //!
 //! The driver contract, per event time `now` (in this order):
 //!
@@ -61,9 +65,15 @@ struct Running {
 pub struct Admission {
     /// Admitted job.
     pub id: JobId,
+    /// The job's ticket on this node (see [`NodeSim::submit`]): what
+    /// [`NodeSim::complete`] takes, since ids need not be unique.
+    pub ticket: usize,
     /// Memory level of the buffer reservation (`Ddr` for footprint-free
     /// jobs, which reserve nothing).
     pub level: MemLevel,
+    /// The placement the job runs with: its own, or `Ddr` when its ring
+    /// spilled there.
+    pub effective: Placement,
 }
 
 /// The serving state of one node.
@@ -96,9 +106,10 @@ pub struct NodeSim {
 }
 
 impl NodeSim {
-    /// A node with an empty queue. `cfg.machine` must be valid.
+    /// A node with an empty queue. `cfg` must pass
+    /// [`ServeConfig::validate`].
     pub fn new(cfg: ServeConfig) -> Result<Self, String> {
-        cfg.machine.validate().map_err(|e| e.to_string())?;
+        cfg.validate()?;
         let broker = CapacityBroker::new(&cfg.machine, cfg.mcdram_budget, cfg.spill);
         let caps = [
             cfg.machine.ddr_bandwidth,
@@ -135,7 +146,8 @@ impl NodeSim {
     /// `false` so the node's own spill policy governs).
     ///
     /// Returns `false` — without queueing — when the job's ring can never
-    /// fit this node, so the caller can reject or try another node.
+    /// fit this node, so the caller can reject or try another node. A
+    /// queued job's ticket is the number of jobs queued here before it.
     pub fn submit(&mut self, job: JobRequest, strict: bool) -> bool {
         let spill_ok = !strict;
         if !self.broker.can_ever_fit_job(&job.spec, spill_ok) {
@@ -170,28 +182,46 @@ impl NodeSim {
         let mut i = 0;
         while i < self.running.len() {
             if self.running[i].frac_left <= DONE_EPS {
-                let r = self.running.swap_remove(i);
-                self.retune_due = true;
-                if let Some(res) = &r.reservation {
-                    self.broker.release(res).map_err(|e| e.to_string())?;
-                }
-                let job = &self.jobs[r.idx];
-                self.records.push(JobRecord {
-                    id: job.id,
-                    class: job.class,
-                    arrival: job.arrival,
-                    start: r.start,
-                    finish: now,
-                    buffer_level: match &r.reservation {
-                        Some(res) => res.level(),
-                        None => MemLevel::Ddr,
-                    },
-                    split: r.profile.split,
-                });
+                self.finish(i, now)?;
             } else {
                 i += 1;
             }
         }
+        Ok(())
+    }
+
+    /// Complete the running job `ticket` names at `now`, whatever its
+    /// remaining fraction: for a driver that learns of completions
+    /// (a worker thread reporting back) instead of predicting them.
+    pub fn complete(&mut self, ticket: usize, now: f64) -> Result<(), String> {
+        let i = self
+            .running
+            .iter()
+            .position(|r| r.idx == ticket)
+            .ok_or_else(|| format!("ticket {ticket} is not running"))?;
+        self.finish(i, now)
+    }
+
+    /// Retire `running[i]`: return its reservation and record it.
+    fn finish(&mut self, i: usize, now: f64) -> Result<(), String> {
+        let r = self.running.swap_remove(i);
+        self.retune_due = true;
+        if let Some(res) = &r.reservation {
+            self.broker.release(res).map_err(|e| e.to_string())?;
+        }
+        let job = &self.jobs[r.idx];
+        self.records.push(JobRecord {
+            id: job.id,
+            class: job.class,
+            arrival: job.arrival,
+            start: r.start,
+            finish: now,
+            buffer_level: match &r.reservation {
+                Some(res) => res.level(),
+                None => MemLevel::Ddr,
+            },
+            split: r.profile.split,
+        });
         Ok(())
     }
 
@@ -257,15 +287,17 @@ impl NodeSim {
                         effective,
                         &self.cfg.machine,
                         self.total_threads,
-                        self.cfg.retune,
+                        true,
                     )?;
                     self.profile_searches += 1;
                     admitted.push(Admission {
                         id: job.id,
+                        ticket: idx,
                         level: match &reservation {
                             Some(res) => res.level(),
                             None => MemLevel::Ddr,
                         },
+                        effective,
                     });
                     self.running.push(Running {
                         idx,
@@ -360,7 +392,7 @@ impl NodeSim {
                             r.effective,
                             &self.cfg.machine,
                             budget,
-                            self.cfg.retune,
+                            true,
                         )?;
                         self.profile_searches += 1;
                         r.memo.push((budget, fresh));
@@ -392,7 +424,7 @@ impl NodeSim {
                 r.effective,
                 &self.cfg.machine,
                 budget,
-                self.cfg.retune,
+                true,
             )?;
             let held = &r.profile;
             assert!(

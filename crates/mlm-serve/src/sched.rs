@@ -40,9 +40,6 @@ pub struct ServeConfig {
     pub mcdram_budget: u64,
     /// `HBW_PREFERRED` semantics: spill to DDR instead of queueing.
     pub spill: bool,
-    /// Re-run the Eqs. 1–5 optimiser per job as co-residency changes.
-    /// When off, jobs keep their submitted pool sizes.
-    pub retune: bool,
     /// Fair-share starvation bound (seconds). A capacity-blocked job
     /// bypassed for longer than this gets an EASY-backfill reservation:
     /// the scheduler projects when completions will have freed enough
@@ -57,7 +54,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: FIFO, full addressable MCDRAM, strict (no spill), retuned.
+    /// Defaults: FIFO, full addressable MCDRAM, strict (no spill), no
+    /// aging.
     pub fn new(machine: MachineConfig) -> Self {
         let budget = machine.addressable_mcdram();
         ServeConfig {
@@ -65,9 +63,19 @@ impl ServeConfig {
             policy: Policy::Fifo,
             mcdram_budget: budget,
             spill: false,
-            retune: true,
             fair_aging: f64::INFINITY,
         }
+    }
+
+    /// Check the machine and the aging bound: `fair_aging` must be
+    /// positive (`INFINITY` disables aging; `NaN` is refused, not read as
+    /// "off").
+    pub fn validate(&self) -> Result<(), String> {
+        self.machine.validate().map_err(|e| e.to_string())?;
+        if self.fair_aging <= 0.0 || self.fair_aging.is_nan() {
+            return Err("fair_aging must be positive (INFINITY disables)".into());
+        }
+        Ok(())
     }
 }
 
@@ -390,6 +398,22 @@ mod tests {
             .any(|r| r.buffer_level == MemLevel::Ddr));
         // Strict serialises: second job waits.
         assert!(strict.records.iter().any(|r| r.queue_wait() > 0.0));
+    }
+
+    #[test]
+    fn non_positive_or_nan_fair_aging_is_refused() {
+        let jobs = [JobRequest::new(
+            0,
+            0.0,
+            DeadlineClass::Standard,
+            spec(4 * GIB, GIB, 1),
+        )];
+        for bad in [-1.0, 0.0, f64::NAN] {
+            let mut c = cfg(Policy::FairShare, 8 * GIB);
+            c.fair_aging = bad;
+            let err = serve(&c, &jobs).unwrap_err();
+            assert!(err.contains("fair_aging"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -839,7 +839,7 @@ impl Lint for BackendCapability {
 ///
 /// A fleet dispatcher (`mlm-fleet`) rejects at submission any job whose
 /// buffer ring no node could *ever* fit — the fleet-level mirror of the
-/// single-node broker's `can_ever_fit`. This lint raises the same verdict
+/// single-node broker's `can_ever_fit_job`. This lint raises the same verdict
 /// at plan time: a strict-HBW ring larger than every node's MCDRAM budget
 /// (with no spill escape hatch) will never run, so the plan should fail
 /// before the trace is generated. The check delegates to the same

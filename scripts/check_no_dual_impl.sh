@@ -26,14 +26,11 @@ cd "$(dirname "$0")/.."
 # Pairs allowed to omit direct mlm_exec references, with the reason:
 #   mlm-stream  — legacy streaming benchmark, pre-dates the layer (its
 #                 host/sim split is frozen; port tracked in ROADMAP.md)
-#   mlm-serve   — rides the layer transitively: host jobs call
-#                 mlm_core::pipeline::host, replay calls sim::build_program
 #   mlm-cluster — rides the layer transitively: both sides call
 #                 mlm_core::sort, whose host and sim backends
 #                 mlm_exec::interpret drives over one sort plan
 allow_dirs=(
   "crates/mlm-stream/src"
-  "crates/mlm-serve/src"
   "crates/mlm-cluster/src"
 )
 

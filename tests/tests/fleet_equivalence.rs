@@ -1,7 +1,8 @@
 //! Property tests for the fleet dispatcher: a fleet of one is the
 //! single-node scheduler bit-for-bit, work stealing never lets any node
 //! exceed its MCDRAM budget, and the virtual-time and real-thread host
-//! dispatchers make identical canonical decisions on the demo batch.
+//! dispatchers make identical canonical decisions on the demo batch under
+//! every queueing policy.
 
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::{MemLevel, GIB};
@@ -176,63 +177,115 @@ fn demo_kernel(slice: &mut [i64], _ctx: KernelCtx) {
     }
 }
 
-/// The acceptance demo: virtual-time and real-thread host modes produce
-/// the identical canonical decision sequence — not just equal digests,
-/// the actual placement sequence and per-node admission sequences match
-/// element for element.
+/// The acceptance demo: under every queueing policy the virtual-time and
+/// real-thread host modes produce the identical canonical decision
+/// sequence — not just equal digests, the actual placement sequence and
+/// per-node admission sequences match element for element. Jobs differ in
+/// size and class so the three policies admit in three different orders,
+/// and each node's budget holds one ring at a time, so a node admits only
+/// when its running job finishes and the order cannot hang on which
+/// completion the wall clock delivers first.
 #[test]
 fn host_and_vt_modes_make_identical_decisions_on_the_demo_trace() {
+    const KIB: u64 = 1 << 10;
     const MIB: u64 = 1 << 20;
-    let n = (MIB / 8) as usize;
-    let mut fleet = FleetConfig::homogeneous(machine(), 2, 2 * MIB, false);
-    fleet.placement = PlacementPolicy::LeastLoaded;
-    fleet.policy = Policy::Fifo;
-
-    let vt_jobs: Vec<FleetJob> = (0..6)
-        .map(|i| FleetJob {
-            req: JobRequest::new(i, 0.0, DeadlineClass::Standard, demo_spec(MIB, MIB / 4)),
-            strict: true,
-            origin: 0,
-        })
+    const BUDGET: u64 = MIB;
+    // (total, chunk): 0.75 MiB and 0.94 MiB rings, two never fit BUDGET.
+    let shapes = [
+        (2 * MIB, 320 * KIB),
+        (MIB, 256 * KIB),
+        (512 * KIB, 256 * KIB),
+        (1536 * KIB, 320 * KIB),
+        (256 * KIB, 256 * KIB),
+        (MIB, 320 * KIB),
+        (768 * KIB, 256 * KIB),
+        (2 * MIB, 256 * KIB),
+    ];
+    let classes = [
+        DeadlineClass::Batch,
+        DeadlineClass::Batch,
+        DeadlineClass::Batch,
+        DeadlineClass::Interactive,
+        DeadlineClass::Standard,
+        DeadlineClass::Interactive,
+        DeadlineClass::Batch,
+        DeadlineClass::Standard,
+    ];
+    let spec_of = |i: usize| demo_spec(shapes[i].0, shapes[i].1);
+    let rings: Vec<u64> = (0..shapes.len())
+        .map(|i| mlm_fleet::ring_footprint(&spec_of(i)))
         .collect();
-    let host_jobs: Vec<FleetHostJob> = (0..6)
-        .map(|i| FleetHostJob {
-            id: i,
-            class: DeadlineClass::Standard,
-            strict: true,
-            spec: demo_spec(MIB, MIB / 4),
-            data: (0..n as i64).map(|x| x * 7 + i as i64).collect(),
-        })
-        .collect();
-
-    let vt = fleet_serve(&fleet, &vt_jobs).unwrap();
-    let host_cfg = FleetHostConfig {
-        fleet: fleet.clone(),
-        host_threads: 8,
-        workers: 2,
+    assert!(rings.iter().all(|&r| r <= BUDGET && 2 * r > BUDGET));
+    let input = |i: usize| -> Vec<i64> {
+        (0..(shapes[i].0 / 8) as i64)
+            .map(|x| x * 7 + i as i64)
+            .collect()
     };
-    let host = fleet_serve_host(&host_cfg, host_jobs, demo_kernel).unwrap();
 
-    assert_eq!(host.results.len(), 6);
-    assert!(host.rejected.is_empty());
-    for r in &host.results {
-        let expect: Vec<i64> = (0..n as i64).map(|x| (x * 7 + r.id as i64) * 3).collect();
-        assert_eq!(r.data, expect, "job {} output wrong", r.id);
-    }
+    let mut orders = Vec::new();
+    for policy in Policy::ALL {
+        let mut fleet = FleetConfig::homogeneous(machine(), 2, BUDGET, false);
+        fleet.placement = PlacementPolicy::LeastLoaded;
+        fleet.policy = policy;
 
-    assert_eq!(
-        placement_sequence(&vt.decisions),
-        placement_sequence(&host.decisions)
-    );
-    for node in 0..2 {
+        let vt_jobs: Vec<FleetJob> = (0..shapes.len())
+            .map(|i| FleetJob {
+                req: JobRequest::new(i as u64, 0.0, classes[i], spec_of(i)),
+                strict: true,
+                origin: 0,
+            })
+            .collect();
+        let host_jobs: Vec<FleetHostJob> = (0..shapes.len())
+            .map(|i| FleetHostJob {
+                id: i as u64,
+                class: classes[i],
+                strict: true,
+                spec: spec_of(i),
+                data: input(i),
+            })
+            .collect();
+
+        let vt = fleet_serve(&fleet, &vt_jobs).unwrap();
+        let host_cfg = FleetHostConfig {
+            fleet: fleet.clone(),
+            host_threads: 8,
+            workers: 2,
+        };
+        let host = fleet_serve_host(&host_cfg, host_jobs, demo_kernel).unwrap();
+
+        let label = policy.label();
+        assert_eq!(host.results.len(), shapes.len(), "{label}");
+        assert!(host.rejected.is_empty(), "{label}");
+        for r in &host.results {
+            let expect: Vec<i64> = input(r.id as usize).iter().map(|x| x * 3).collect();
+            assert_eq!(r.data, expect, "{label}: job {} output wrong", r.id);
+        }
+
         assert_eq!(
-            admission_sequence(&vt.decisions, node),
-            admission_sequence(&host.decisions, node),
-            "node {node} admission sequence diverges"
+            placement_sequence(&vt.decisions),
+            placement_sequence(&host.decisions),
+            "{label}"
         );
+        let per_node: Vec<_> = (0..2)
+            .map(|node| admission_sequence(&vt.decisions, node))
+            .collect();
+        for (node, vt_seq) in per_node.iter().enumerate() {
+            assert_eq!(
+                *vt_seq,
+                admission_sequence(&host.decisions, node),
+                "{label}: node {node} admission sequence diverges"
+            );
+        }
+        assert_eq!(
+            decision_digest(&vt.decisions, 2),
+            decision_digest(&host.decisions, 2),
+            "{label}"
+        );
+        orders.push(per_node);
     }
-    assert_eq!(
-        decision_digest(&vt.decisions, 2),
-        decision_digest(&host.decisions, 2)
-    );
+    // The batch tells the policies apart: SJF and fair-share each admit
+    // in an order FIFO does not.
+    assert_ne!(orders[0], orders[1], "SJF admitted in FIFO order");
+    assert_ne!(orders[0], orders[2], "fair-share admitted in FIFO order");
+    assert_ne!(orders[1], orders[2], "fair-share admitted in SJF order");
 }

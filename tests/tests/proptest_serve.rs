@@ -94,10 +94,10 @@ proptest! {
         let mut held = Vec::new();
         for (chunk_gib, passes, placement) in requests {
             let s = spec(32 * GIB, chunk_gib * GIB, passes, placement);
-            if !broker.can_ever_fit(&s) {
+            if !broker.can_ever_fit_job(&s, true) {
                 continue;
             }
-            match broker.try_admit(&s).unwrap() {
+            match broker.try_admit_job(&s, true).unwrap() {
                 AdmitOutcome::Admitted(Some(r)) => held.push(r),
                 AdmitOutcome::Admitted(None) | AdmitOutcome::Busy => {}
             }
