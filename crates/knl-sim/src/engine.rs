@@ -278,35 +278,6 @@ impl Simulator {
         self.run(prog)
     }
 
-    /// Statically verify the chunk schedule `spec` would emit, against
-    /// this machine, without lowering or executing anything.
-    ///
-    /// The pipeline-level companion of [`Self::preflight`]: where
-    /// `preflight` checks a lowered [`Program`] structurally, this proves
-    /// the *schedule* race- and deadlock-free over every linearization
-    /// and (for HBW placement) bounds its peak MCDRAM occupancy against
-    /// the machine's addressable capacity — the static form of the V009
-    /// oversubscription lint. A fatal finding is reported as
-    /// [`SimError::InvalidConfig`] carrying the counterexample trace; a
-    /// clean verdict returns the proven
-    /// [`GraphReport`](mlm_exec::graph::GraphReport) (peak live chunks,
-    /// peak HBW bytes).
-    pub fn preflight_spec(
-        &self,
-        spec: &mlm_exec::PipelineSpec,
-    ) -> Result<mlm_exec::graph::GraphReport, SimError> {
-        let budget =
-            (spec.placement == mlm_exec::Placement::Hbw).then(|| self.cfg.addressable_mcdram());
-        let report = mlm_exec::graph::verify_spec(spec, budget)
-            .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
-        if !report.is_safe() {
-            return Err(SimError::InvalidConfig(format!(
-                "schedule rejected by static verification: {report}"
-            )));
-        }
-        Ok(report)
-    }
-
     fn run_inner(
         &self,
         prog: &Program,
@@ -1753,36 +1724,5 @@ mod tests {
             e.process(drain),
             Err(SimError::Livelock { op: 0, time: 0.5 })
         );
-    }
-
-    #[test]
-    fn preflight_spec_proves_schedules_and_enforces_mcdram() {
-        let sim = Simulator::new(flat());
-        let spec = |chunk_bytes: u64| mlm_exec::PipelineSpec {
-            total_bytes: chunk_bytes * 5,
-            chunk_bytes,
-            p_in: 1,
-            p_out: 1,
-            p_comp: 2,
-            compute_passes: 1,
-            compute_rate: 1e9,
-            copy_rate: 1e9,
-            placement: mlm_exec::Placement::Hbw,
-            lockstep: true,
-            data_addr: 0,
-            workload: mlm_exec::Workload::Map,
-        };
-        // Small chunks: proven safe, peak = full 3-slot ring.
-        let report = sim.preflight_spec(&spec(64)).unwrap();
-        assert_eq!(report.peak_live_chunks, 3);
-        assert_eq!(report.peak_hbw_bytes, 192);
-        // 32 MiB chunks: peak 96 MiB > tiny's 64 MiB MCDRAM -> G003.
-        let err = sim.preflight_spec(&spec(32 << 20)).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("G003"), "{msg}");
-        // An undriveable spec surfaces as InvalidConfig, not a panic.
-        let mut bad = spec(64);
-        bad.p_comp = 0;
-        assert!(sim.preflight_spec(&bad).is_err());
     }
 }

@@ -28,26 +28,6 @@ impl MemLevel {
     }
 }
 
-// Transitional shims (kept one release): `MemLevel` predates the unified
-// tier vocabulary in `mlm_exec`; the two enums name the same hardware.
-impl From<mlm_exec::MemTier> for MemLevel {
-    fn from(tier: mlm_exec::MemTier) -> Self {
-        match tier {
-            mlm_exec::MemTier::Ddr => MemLevel::Ddr,
-            mlm_exec::MemTier::Mcdram => MemLevel::Mcdram,
-        }
-    }
-}
-
-impl From<MemLevel> for mlm_exec::MemTier {
-    fn from(level: MemLevel) -> Self {
-        match level {
-            MemLevel::Ddr => mlm_exec::MemTier::Ddr,
-            MemLevel::Mcdram => mlm_exec::MemTier::Mcdram,
-        }
-    }
-}
-
 /// BIOS-selectable MCDRAM usage mode (paper §1.1).
 ///
 /// The paper's fourth mode, *implicit cache mode*, is not a hardware mode: it

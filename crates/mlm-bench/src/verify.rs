@@ -17,21 +17,15 @@ pub fn reference_machine(host_threads: usize) -> MachineConfig {
     m
 }
 
-/// Lint `spec` against `machine` and statically verify the schedule it
-/// emits (G-series: race/deadlock/occupancy proofs); panic with the full
-/// diagnostic listing on any error-level finding and return the report
-/// (warnings included) otherwise.
+/// Lint `spec` against `machine`, which also proves the schedule it emits
+/// (G-series: race/deadlock/occupancy); panic with the full diagnostic
+/// listing on any error-level finding and return the report (warnings
+/// included) otherwise.
 pub fn lint_spec(spec: &PipelineSpec, machine: &MachineConfig) -> LintReport {
     let report = lint_target(&VerifyTarget::new(spec, machine));
     assert!(
         !report.has_errors(),
         "experiment spec rejected by mlm-verify:\n{report}"
-    );
-    let graph = mlm_verify::graph::graph_report_for(spec, machine)
-        .expect("experiment spec must be driveable");
-    assert!(
-        graph.is_safe(),
-        "experiment schedule refuted by the static verifier:\n{graph}"
     );
     report
 }

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mlm_exec::ring::{coordinate, is_poison_payload, BufSlot, Phase};
-use mlm_exec::{drive, Backend, Capabilities, ChunkAction, PlanNode, Stage};
+use mlm_exec::{drive, Backend, ChunkAction, PlanNode, Stage};
 use parsort::pool::{copy_split, split_mut, StagePool, WorkPool};
 
 use super::{PipelineSpec, Placement, Workload};
@@ -692,13 +692,6 @@ where
     // tokens carry no information.
     type Ctx = PipelineSpec;
     type Token = ();
-
-    fn capabilities(&self) -> Capabilities {
-        // Host memory has a single level, so every placement is *emulated*
-        // identically; capability checking against a machine's mode is the
-        // spec linter's job (mlm-verify V003/V010), not the host's.
-        Capabilities::all()
-    }
 
     fn issue(&mut self, _spec: &PipelineSpec, node: &PlanNode, _deps: &[()]) {
         let action = node

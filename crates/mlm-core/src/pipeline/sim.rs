@@ -18,7 +18,7 @@
 //! of chunk `c` waits for copy-out of chunk `c-3`).
 
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
-use mlm_exec::{drive_verified, Backend, Capabilities, PlanNode, Stage};
+use mlm_exec::{drive_verified, Backend, PlanNode, Stage};
 
 use super::{PipelineSpec, Placement, Workload};
 
@@ -238,13 +238,6 @@ impl Backend for SimBackend {
     type Ctx = PipelineSpec;
     type Token = Vec<OpId>;
 
-    fn capabilities(&self) -> Capabilities {
-        // The simulator lowers every placement; whether a given *machine*
-        // can execute it (e.g. Hbw buffers on a cache-mode KNL) is the
-        // op validator's and mlm-verify's concern (lints V003/V010).
-        Capabilities::all()
-    }
-
     fn issue(&mut self, spec: &PipelineSpec, node: &PlanNode, deps: &[Vec<OpId>]) -> Vec<OpId> {
         let action = node
             .action()
@@ -282,9 +275,9 @@ fn buf_place(spec: &PipelineSpec) -> Place {
 /// The orchestrator runs behind the static schedule verifier
 /// ([`mlm_exec::graph`]): the plan it interprets is proven race- and
 /// deadlock-free before any ops are pushed. The MCDRAM capacity
-/// bound is machine-dependent and is checked by the callers that know
-/// the machine ([`knl_sim::Simulator::preflight_spec`], the mlm-verify
-/// engine); here only the machine-independent properties gate.
+/// bound is machine-dependent and is checked at plan time by mlm-verify's
+/// `lint_target`, which knows the machine; here only the
+/// machine-independent properties gate.
 pub fn build_program(spec: &PipelineSpec) -> Result<Program, String> {
     let mut backend = SimBackend::new(spec)?;
     drive_verified(&mut backend, spec, None).map_err(String::from)?;

@@ -12,8 +12,8 @@
 //! lowering's schedules and feeds the native benchmarks.
 
 use mlm_exec::{
-    interpret, plan_sort, Backend, Capabilities, ChunkSortStyle, PlanKind, PlanNode, SortPlan,
-    SortStructure, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    interpret, plan_sort, Backend, ChunkSortStyle, PlanKind, PlanNode, SortPlan, SortStructure,
+    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
     SORT_KERNEL_THREAD_SORT,
 };
 use parsort::multiway::{multiway_merge_into, parallel_multiway_merge_into};
@@ -260,11 +260,6 @@ impl<'a, T: Ord + Copy + Send + Sync> HostSortBackend<'a, T> {
 impl<T: Ord + Copy + Send + Sync> Backend for HostSortBackend<'_, T> {
     type Ctx = SortPlan;
     type Token = usize;
-
-    fn capabilities(&self) -> Capabilities {
-        // One memory level: every placement is emulated identically.
-        Capabilities::all()
-    }
 
     fn issue(&mut self, plan: &SortPlan, node: &PlanNode, deps: &[usize]) -> usize {
         if deps.iter().any(|&d| d >= self.batch_start) {

@@ -31,9 +31,9 @@
 use knl_sim::machine::MachineConfig;
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
 use mlm_exec::{
-    interpret, plan_sort, Backend, Capabilities, PlanKind, PlanNode, SortPlan,
-    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
-    SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
+    interpret, plan_sort, Backend, PlanKind, PlanNode, SortPlan, SORT_KERNEL_CHUNK_SORT,
+    SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS, SORT_KERNEL_THREAD_MERGE,
+    SORT_KERNEL_THREAD_SORT,
 };
 
 use super::SortAlgorithm;
@@ -751,11 +751,6 @@ impl<'a> SimSortBackend<'a> {
 impl Backend for SimSortBackend<'_> {
     type Ctx = SortPlan;
     type Token = Vec<OpId>;
-
-    fn capabilities(&self) -> Capabilities {
-        // Which variants a machine can run is checked in `new`.
-        Capabilities::all()
-    }
 
     fn issue(&mut self, plan: &SortPlan, node: &PlanNode, deps: &[Vec<OpId>]) -> Vec<OpId> {
         let deps = deps.concat();

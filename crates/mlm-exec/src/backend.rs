@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use crate::placement::Capabilities;
 use crate::plan::PlanNode;
 
 /// One of the three pipeline stages of the §3 framework.
@@ -77,10 +76,6 @@ pub trait Backend {
     /// pipeline, which realises dependencies through barriers or the
     /// buffer ring, uses `()`.
     type Token: Clone;
-
-    /// The placements this backend can execute. [`crate::drive`] refuses
-    /// specs outside this set before issuing any work.
-    fn capabilities(&self) -> Capabilities;
 
     /// Issue one plan node that must run after every token in `deps`.
     /// Chunk-scoped nodes name their [`ChunkAction`] through

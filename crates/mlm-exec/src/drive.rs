@@ -50,17 +50,16 @@ pub const STENCIL_RING_SLOTS: usize = 4;
 ///   (all threads advance chunk by chunk through the cache).
 ///
 /// Returns an error without issuing any work if the spec fails
-/// validation ([`DriveError::Spec`]) or asks for a placement outside the
-/// backend's [`Capabilities`](crate::placement::Capabilities)
-/// ([`DriveError::Capability`]); mid-walk dependency bookkeeping failures
-/// surface as [`DriveError::Protocol`] and a failing backend `finish` as
-/// [`DriveError::Backend`].
+/// validation ([`DriveError::Spec`]); mid-walk dependency bookkeeping
+/// failures surface as [`DriveError::Protocol`] and a failing backend
+/// `finish` as [`DriveError::Backend`]. Whether the machine can hold the
+/// placement at all is a plan-time question (mlm-verify's lints), not a
+/// backend property.
 pub fn drive<B: Backend<Ctx = PipelineSpec>>(
     backend: &mut B,
     spec: &PipelineSpec,
 ) -> Result<(), DriveError> {
     spec.validate().map_err(DriveError::Spec)?;
-    check_capabilities(backend, spec)?;
     interpret(backend, spec, &plan_pipeline(spec))
 }
 
@@ -76,8 +75,7 @@ pub fn drive<B: Backend<Ctx = PipelineSpec>>(
 ///
 /// The preflight analyses the plan the backend is about to receive, so a
 /// clean verdict covers the actual execution, not a model of it. Errors
-/// come in the order [`DriveError::Spec`], [`DriveError::Verification`],
-/// [`DriveError::Capability`].
+/// come in the order [`DriveError::Spec`], [`DriveError::Verification`].
 pub fn drive_verified<B: Backend<Ctx = PipelineSpec>>(
     backend: &mut B,
     spec: &PipelineSpec,
@@ -87,58 +85,30 @@ pub fn drive_verified<B: Backend<Ctx = PipelineSpec>>(
     if !report.is_safe() {
         return Err(DriveError::Verification(report.to_string()));
     }
-    check_capabilities(backend, spec)?;
     interpret(backend, spec, &plan)?;
     Ok(report)
-}
-
-/// Refuse a spec whose placement `backend` cannot execute.
-fn check_capabilities<B: Backend>(backend: &B, spec: &PipelineSpec) -> Result<(), DriveError> {
-    if backend.capabilities().supports(spec.placement) {
-        return Ok(());
-    }
-    Err(DriveError::Capability {
-        placement: spec.placement,
-        capabilities: backend.capabilities(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{ChunkAction, Stage};
-    use crate::placement::{Capabilities, Placement};
+    use crate::placement::Placement;
     use crate::plan::PlanNode;
     use crate::spec::Workload;
 
     /// A backend that records issue order and checks dependency sanity.
+    #[derive(Default)]
     struct Probe {
-        caps: Capabilities,
         issued: Vec<ChunkAction>,
         barriers: usize,
         finished: bool,
         fail_finish: bool,
     }
 
-    impl Probe {
-        fn new(caps: Capabilities) -> Self {
-            Probe {
-                caps,
-                issued: Vec::new(),
-                barriers: 0,
-                finished: false,
-                fail_finish: false,
-            }
-        }
-    }
-
     impl Backend for Probe {
         type Ctx = PipelineSpec;
         type Token = usize;
-
-        fn capabilities(&self) -> Capabilities {
-            self.caps
-        }
 
         fn issue(&mut self, _spec: &PipelineSpec, node: &PlanNode, deps: &[usize]) -> usize {
             for &d in deps {
@@ -191,7 +161,7 @@ mod tests {
     fn explicit_schedule_covers_every_chunk_once_per_stage() {
         for lockstep in [true, false] {
             let s = spec(5, lockstep, Placement::Hbw);
-            let mut b = Probe::new(Capabilities::all());
+            let mut b = Probe::default();
             drive(&mut b, &s).unwrap();
             assert!(b.finished);
             for stage in [Stage::CopyIn, Stage::Compute, Stage::CopyOut] {
@@ -215,7 +185,7 @@ mod tests {
     #[test]
     fn slots_follow_the_three_slot_ring() {
         let s = spec(7, false, Placement::Hbw);
-        let mut b = Probe::new(Capabilities::all());
+        let mut b = Probe::default();
         drive(&mut b, &s).unwrap();
         assert!(b.issued.iter().all(|a| a.slot == a.chunk % RING_SLOTS));
     }
@@ -224,7 +194,7 @@ mod tests {
     fn stencil_schedule_covers_every_chunk_on_a_four_slot_ring() {
         for lockstep in [true, false] {
             let s = stencil_spec(6, lockstep);
-            let mut b = Probe::new(Capabilities::all());
+            let mut b = Probe::default();
             drive(&mut b, &s).unwrap();
             assert!(b.finished);
             for stage in [Stage::CopyIn, Stage::Compute, Stage::CopyOut] {
@@ -248,7 +218,7 @@ mod tests {
     #[test]
     fn stencil_compute_trails_the_stage_in_front_by_two() {
         let s = stencil_spec(5, false);
-        let mut b = Probe::new(Capabilities::all());
+        let mut b = Probe::default();
         drive(&mut b, &s).unwrap();
         // Compute on chunk c must come after copy-in of chunk c + 1 (its
         // right halo) in issue order.
@@ -270,7 +240,7 @@ mod tests {
     #[test]
     fn implicit_schedule_is_compute_only() {
         let s = spec(4, true, Placement::Implicit);
-        let mut b = Probe::new(Capabilities::all());
+        let mut b = Probe::default();
         drive(&mut b, &s).unwrap();
         assert!(b.issued.iter().all(|a| a.stage == Stage::Compute));
         assert_eq!(b.issued.len(), 4);
@@ -278,28 +248,15 @@ mod tests {
     }
 
     #[test]
-    fn capability_mismatch_is_refused_before_any_work() {
-        let s = spec(4, true, Placement::Hbw);
-        let mut b = Probe::new(Capabilities::cache_mode());
-        let err = drive(&mut b, &s).unwrap_err();
-        assert!(
-            matches!(err, DriveError::Capability { placement, .. } if placement == Placement::Hbw),
-            "{err}"
-        );
-        assert!(b.issued.is_empty());
-        assert!(!b.finished);
-    }
-
-    #[test]
     fn drive_verified_gates_before_any_work() {
         let s = spec(5, false, Placement::Hbw);
-        let mut b = Probe::new(Capabilities::all());
+        let mut b = Probe::default();
         let report = drive_verified(&mut b, &s, Some(1 << 20)).unwrap();
         assert!(b.finished);
         assert_eq!(report.peak_live_chunks, RING_SLOTS);
         // A budget below the proven peak (3 x 64 bytes) refuses the run
         // before the backend sees anything.
-        let mut b = Probe::new(Capabilities::all());
+        let mut b = Probe::default();
         let err = drive_verified(&mut b, &s, Some(100)).unwrap_err();
         assert!(
             matches!(&err, DriveError::Verification(msg) if msg.contains("G003")),
@@ -312,8 +269,10 @@ mod tests {
     #[test]
     fn failing_finish_surfaces_as_a_backend_error() {
         let s = spec(4, false, Placement::Hbw);
-        let mut b = Probe::new(Capabilities::all());
-        b.fail_finish = true;
+        let mut b = Probe {
+            fail_finish: true,
+            ..Probe::default()
+        };
         let err = drive(&mut b, &s).unwrap_err();
         assert!(
             matches!(&err, DriveError::Backend(msg) if msg == "probe refused to finish"),
@@ -324,20 +283,17 @@ mod tests {
     }
 
     #[test]
-    fn drive_verified_reports_errors_in_spec_verification_capability_order() {
-        // An invalid spec is a Spec error even on an incapable backend
-        // with a budget nothing fits.
+    fn drive_verified_reports_errors_in_spec_verification_order() {
+        // An invalid spec is a Spec error even with a budget nothing fits.
         let mut bad = spec(4, true, Placement::Hbw);
         bad.p_comp = 0;
-        let mut b = Probe::new(Capabilities::cache_mode());
+        let mut b = Probe::default();
         let err = drive_verified(&mut b, &bad, Some(0)).unwrap_err();
         assert!(matches!(err, DriveError::Spec(_)), "{err}");
-        // A valid spec over budget fails verification before capability.
+        // A valid spec over budget fails verification.
         let s = spec(4, true, Placement::Hbw);
         let err = drive_verified(&mut b, &s, Some(0)).unwrap_err();
         assert!(matches!(err, DriveError::Verification(_)), "{err}");
-        let err = drive_verified(&mut b, &s, None).unwrap_err();
-        assert!(matches!(err, DriveError::Capability { .. }), "{err}");
         assert!(b.issued.is_empty());
     }
 
@@ -345,7 +301,7 @@ mod tests {
     fn invalid_spec_is_refused() {
         let mut s = spec(4, true, Placement::Hbw);
         s.p_comp = 0;
-        let mut b = Probe::new(Capabilities::all());
+        let mut b = Probe::default();
         assert!(drive(&mut b, &s).is_err());
         assert!(b.issued.is_empty());
     }

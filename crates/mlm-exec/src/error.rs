@@ -16,7 +16,6 @@
 use std::fmt;
 
 use crate::backend::Stage;
-use crate::placement::{Capabilities, Placement};
 
 /// A failure while driving the chunk schedule over a backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,13 +23,6 @@ pub enum DriveError {
     /// The spec failed [`validate`](crate::PipelineSpec::validate); no work
     /// was issued.
     Spec(String),
-    /// The backend cannot execute the spec's placement; no work was issued.
-    Capability {
-        /// The placement the spec asked for.
-        placement: Placement,
-        /// What the backend offers.
-        capabilities: Capabilities,
-    },
     /// The orchestrator's dependency bookkeeping was violated mid-walk: an
     /// action needed a token that was never produced. With a conforming
     /// backend this is unreachable; a misbehaving backend surfaces here
@@ -56,13 +48,6 @@ impl fmt::Display for DriveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DriveError::Spec(msg) => write!(f, "invalid spec: {msg}"),
-            DriveError::Capability {
-                placement,
-                capabilities,
-            } => write!(
-                f,
-                "backend cannot execute {placement:?} placement (capabilities {capabilities:?})"
-            ),
             DriveError::Protocol { op, chunk, detail } => write!(
                 f,
                 "schedule protocol violation at {op:?} of chunk {chunk}: {detail}"
@@ -106,16 +91,6 @@ mod tests {
         assert!(as_string.contains("protocol violation"));
     }
 
-    #[test]
-    fn capability_error_names_both_sides() {
-        let e = DriveError::Capability {
-            placement: Placement::Hbw,
-            capabilities: Capabilities::cache_mode(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("Hbw"), "{s}");
-    }
-
     /// Every variant must render its payload and survive the
     /// `From<DriveError> for String` round-trip unchanged — the adapter
     /// path callers still speaking `Result<_, String>` depend on.
@@ -123,10 +98,6 @@ mod tests {
     fn every_variant_displays_and_round_trips() {
         let variants = [
             DriveError::Spec("chunk_bytes must be positive".into()),
-            DriveError::Capability {
-                placement: Placement::Implicit,
-                capabilities: Capabilities::cache_mode(),
-            },
             DriveError::Protocol {
                 op: Stage::CopyOut,
                 chunk: 3,
@@ -137,14 +108,12 @@ mod tests {
         ];
         let prefixes = [
             "invalid spec:",
-            "backend cannot execute",
             "schedule protocol violation at",
             "backend failed:",
             "schedule rejected by static verification:",
         ];
         let payloads = [
             "chunk_bytes",
-            "Implicit",
             "compute never produced",
             "pool refused",
             "G001",

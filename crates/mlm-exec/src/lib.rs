@@ -63,7 +63,7 @@ pub mod spec;
 pub use backend::{Backend, ChunkAction, KernelCtx, Stage};
 pub use drive::{drive, drive_verified, RING_SLOTS, STENCIL_RING_SLOTS};
 pub use error::DriveError;
-pub use placement::{Capabilities, MemTier, Placement};
+pub use placement::Placement;
 pub use plan::{
     interpret, plan_pipeline, EdgeKind, KernelDesc, PlanEdge, PlanKind, PlanNode, WorkloadPlan,
 };

@@ -1,9 +1,8 @@
 //! The unified memory-placement vocabulary.
 //!
-//! Three crates used to carry their own spelling of "where do the bytes
-//! live": `mlm_core::pipeline::Placement`, `mlm_memkind::Kind`, and
-//! knl-sim's `MemLevel`. They converge here; the old spellings keep
-//! `From` shims for one release.
+//! The pipeline spec, the plan builders, the lints and the schedule
+//! verifier all name "where do the chunk buffers live" with this one
+//! type (`mlm_core::pipeline::Placement` re-exports it).
 
 use serde::{Deserialize, Serialize};
 
@@ -19,110 +18,9 @@ pub enum Placement {
     Implicit,
 }
 
-impl Placement {
-    /// The physical tier explicit chunk buffers occupy, or `None` for
-    /// [`Placement::Implicit`], which owns no buffers.
-    pub fn buffer_tier(self) -> Option<MemTier> {
-        match self {
-            Placement::Hbw => Some(MemTier::Mcdram),
-            Placement::Ddr => Some(MemTier::Ddr),
-            Placement::Implicit => None,
-        }
-    }
-}
-
-/// A physical memory tier of the two-level KNL memory system.
-///
-/// This is the serde-enabled successor of knl-sim's `MemLevel` (which now
-/// converts `From`/`Into` this type).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MemTier {
-    /// Capacity tier: ~90 GB/s DDR4.
-    Ddr,
-    /// Bandwidth tier: ~480 GB/s on-package MCDRAM.
-    Mcdram,
-}
-
-/// The set of placements a backend can execute.
-///
-/// A backend adapter reports what its memory system offers; [`drive`]
-/// refuses a spec the backend cannot honour, and mlm-verify's V010 lint
-/// raises the same mismatch statically (flat-MCDRAM buffers on a
-/// cache-mode machine is the canonical hard error).
-///
-/// [`drive`]: crate::drive
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Capabilities {
-    /// Can place chunk buffers in flat-addressable MCDRAM
-    /// ([`Placement::Hbw`]).
-    pub flat_mcdram: bool,
-    /// Can place chunk buffers in DDR ([`Placement::Ddr`]).
-    pub ddr_buffers: bool,
-    /// Has an MCDRAM cache in front of DDR ([`Placement::Implicit`]).
-    pub mcdram_cache: bool,
-}
-
-impl Capabilities {
-    /// A backend that executes every placement — the host adapters (plain
-    /// RAM stands in for every tier) and the op-level simulator (which
-    /// models all three modes).
-    pub const fn all() -> Self {
-        Capabilities {
-            flat_mcdram: true,
-            ddr_buffers: true,
-            mcdram_cache: true,
-        }
-    }
-
-    /// A flat-mode KNL: MCDRAM is addressable, nothing is cached.
-    pub const fn flat_mode() -> Self {
-        Capabilities {
-            flat_mcdram: true,
-            ddr_buffers: true,
-            mcdram_cache: false,
-        }
-    }
-
-    /// A cache-mode KNL: MCDRAM fronts DDR and is not addressable.
-    pub const fn cache_mode() -> Self {
-        Capabilities {
-            flat_mcdram: false,
-            ddr_buffers: true,
-            mcdram_cache: true,
-        }
-    }
-
-    /// Whether a spec with buffer placement `p` is executable here.
-    pub fn supports(&self, p: Placement) -> bool {
-        match p {
-            Placement::Hbw => self.flat_mcdram,
-            Placement::Ddr => self.ddr_buffers,
-            Placement::Implicit => self.mcdram_cache,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buffer_tier_by_placement() {
-        assert_eq!(Placement::Hbw.buffer_tier(), Some(MemTier::Mcdram));
-        assert_eq!(Placement::Ddr.buffer_tier(), Some(MemTier::Ddr));
-        assert_eq!(Placement::Implicit.buffer_tier(), None);
-    }
-
-    #[test]
-    fn capability_support_matrix() {
-        assert!(Capabilities::all().supports(Placement::Hbw));
-        assert!(Capabilities::all().supports(Placement::Implicit));
-        assert!(!Capabilities::flat_mode().supports(Placement::Implicit));
-        assert!(Capabilities::flat_mode().supports(Placement::Hbw));
-        assert!(!Capabilities::cache_mode().supports(Placement::Hbw));
-        assert!(Capabilities::cache_mode().supports(Placement::Implicit));
-        assert!(Capabilities::cache_mode().supports(Placement::Ddr));
-    }
 
     #[test]
     fn placement_serde_round_trip() {
@@ -131,7 +29,5 @@ mod tests {
             let back: Placement = serde_json::from_str(&json).unwrap();
             assert_eq!(back, p);
         }
-        let tier: MemTier = serde_json::from_str("\"Mcdram\"").unwrap();
-        assert_eq!(tier, MemTier::Mcdram);
     }
 }

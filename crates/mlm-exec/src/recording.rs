@@ -12,7 +12,6 @@ use std::marker::PhantomData;
 use std::time::Duration;
 
 use crate::backend::Backend;
-use crate::placement::Capabilities;
 use crate::plan::PlanNode;
 use crate::report::RunReport;
 use crate::spec::PipelineSpec;
@@ -84,10 +83,6 @@ impl<B> RecordingBackend<B> {
 impl<B: Backend> Backend for RecordingBackend<B> {
     type Ctx = B::Ctx;
     type Token = Traced<B::Token>;
-
-    fn capabilities(&self) -> Capabilities {
-        self.inner.capabilities()
-    }
 
     fn issue(&mut self, ctx: &B::Ctx, node: &PlanNode, deps: &[Self::Token]) -> Self::Token {
         let dep_events: Vec<usize> = deps.iter().map(|t| t.event).collect();
@@ -173,10 +168,6 @@ impl<C> NullBackend<C> {
 impl<C> Backend for NullBackend<C> {
     type Ctx = C;
     type Token = ();
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
 
     fn issue(&mut self, _ctx: &C, _node: &PlanNode, _deps: &[()]) {
         self.issued += 1;

@@ -45,33 +45,6 @@ pub enum Kind {
     HbwPreferred,
 }
 
-// Transitional shims (kept one release): the unified placement vocabulary
-// lives in `mlm_exec`; `Kind` remains the memkind-facing spelling.
-impl From<mlm_exec::Placement> for Kind {
-    /// The allocation kind a pipeline's chunk buffers need. Strict `Hbw`
-    /// matches the paper's setup (a spilled buffer ring would defeat the
-    /// chunking); implicit cache mode owns no buffers, so its spelling —
-    /// like plain DDR — is an ordinary default allocation.
-    fn from(p: mlm_exec::Placement) -> Self {
-        match p {
-            mlm_exec::Placement::Hbw => Kind::Hbw,
-            mlm_exec::Placement::Ddr | mlm_exec::Placement::Implicit => Kind::Default,
-        }
-    }
-}
-
-impl From<Kind> for mlm_exec::Placement {
-    /// The buffer placement an allocation kind implies. Both HBW flavours
-    /// *ask* for MCDRAM ([`Kind::HbwPreferred`] may land elsewhere, but
-    /// that is a runtime outcome, not a placement request).
-    fn from(k: Kind) -> Self {
-        match k {
-            Kind::Hbw | Kind::HbwPreferred => mlm_exec::Placement::Hbw,
-            Kind::Default => mlm_exec::Placement::Ddr,
-        }
-    }
-}
-
 /// A live simulated allocation. Free it with [`MemKind::free`]; dropping it
 /// without freeing leaks simulated capacity (tracked, like a real leak).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -12,8 +12,8 @@ use serde::Serialize;
 
 /// How bad a diagnostic is.
 ///
-/// `Error` means the spec is rejected by [`crate::engine::checked_program`]
-/// and by any runner that honours the linter; `Warning` means the spec will
+/// `Error` means the spec is rejected by any runner that honours
+/// [`crate::lint_target`]; `Warning` means the spec will
 /// run but the paper's model (§3.2) or the protocol analysis says the
 /// configuration is wasteful or degenerate; `Info` is advisory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]

@@ -80,13 +80,16 @@ pub fn report_diagnostics(report: &GraphReport) -> Vec<Diagnostic> {
 }
 
 /// Statically verify the plan `spec` builds, bounding HBW
-/// occupancy against `machine`'s addressable MCDRAM. `Err` only when the
-/// spec fails validation.
+/// occupancy against `machine`'s addressable MCDRAM. A machine with no
+/// addressable MCDRAM gets no budget: HBW buffers there are V003's
+/// finding, not a capacity overflow. `Err` only when the spec fails
+/// validation.
 pub fn graph_report_for(
     spec: &PipelineSpec,
     machine: &MachineConfig,
 ) -> Result<GraphReport, DriveError> {
-    let budget = (spec.placement == Placement::Hbw).then(|| machine.addressable_mcdram());
+    let addressable = machine.addressable_mcdram();
+    let budget = (spec.placement == Placement::Hbw && addressable > 0).then_some(addressable);
     mlm_exec::graph::verify_spec(spec, budget)
 }
 

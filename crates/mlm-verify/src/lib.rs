@@ -10,9 +10,10 @@
 //!    MCDRAM capacity, placement vs memory mode, pool sizes vs hardware
 //!    threads, and rate sanity against the paper's §3.2 performance model.
 //!    Findings are structured [`diag::Diagnostic`]s (stable id, severity,
-//!    field-level context, suggested fix). [`engine::checked_program`]
-//!    turns error-level findings into hard rejections in front of the
-//!    simulator.
+//!    field-level context, suggested fix). [`lint_target`] is the one
+//!    plan-time gate: it runs the registry and then appends layer 3's
+//!    proof of the schedule the spec emits, so a single report answers
+//!    "can this spec run on this machine?".
 //!
 //! 2. **Schedule model checking** ([`check`], [`models`]) — the host
 //!    buffer ring's condvar protocol and the cluster's PSRS message
@@ -57,7 +58,6 @@
 pub mod catalogue;
 pub mod check;
 pub mod diag;
-pub mod engine;
 pub mod fleetsuite;
 pub mod graph;
 pub mod lint;
@@ -66,6 +66,5 @@ pub mod suite;
 
 pub use check::{check, CheckOptions, CheckReport, Model, Violation};
 pub use diag::{Context, Diagnostic, LintReport, Severity};
-pub use engine::{checked_program, run_checked, VerifyError};
 pub use fleetsuite::{run_fleet_suite, FleetCase};
 pub use lint::{lint_target, FleetTarget, Lint, LintRegistry, VerifyTarget, RING_SLOTS};

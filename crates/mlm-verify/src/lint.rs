@@ -4,8 +4,8 @@
 //! Lints validate a [`VerifyTarget`] — a [`PipelineSpec`] paired with the
 //! [`MachineConfig`] it is meant to run on, plus the facts the spec alone
 //! does not carry (host element size, an optional [`ClusterConfig`],
-//! co-scheduled jobs, the backend and the fleet) — *before* anything
-//! executes. The buffer-ring depth is the spec's own
+//! co-scheduled jobs and the fleet) — *before* anything executes. The
+//! buffer-ring depth is the spec's own
 //! [`ring_slots`](PipelineSpec::ring_slots): every executor builds exactly
 //! that ring. This is the static
 //! counterpart of the paper's analytic model (§3.2, Eqs. 1–5): the model
@@ -13,15 +13,18 @@
 //! the configurations for which that prediction is a panic, a deadlock, or
 //! silently destroyed throughput.
 //!
-//! Every lint has a stable id (`V0xx`); error-level findings are what
-//! [`crate::engine::checked_program`] rejects. To add a lint, implement
-//! [`Lint`] and register it in [`LintRegistry::with_builtin_lints`] (and
-//! add a case to the CLI's known-bad battery so CI proves it fires).
+//! Every lint has a stable id (`V0xx`). [`lint_target`] is the one
+//! plan-time gate: after the registry it proves the schedule the spec
+//! emits (G-series, [`crate::graph`]) against the machine, so whether the
+//! buffers that actually exist fit MCDRAM is answered once, by G003.
+//! Error-level findings are what every runner that honours the linter
+//! rejects. To add a lint, implement [`Lint`], list it in
+//! [`LintRegistry::with_builtin_lints`] and add a case to the CLI's
+//! known-bad battery so CI proves it fires.
 
 use knl_sim::machine::MachineConfig;
 use mlm_cluster::ClusterConfig;
 use mlm_core::{ModelParams, PipelineSpec, Placement, Workload};
-use mlm_exec::Capabilities;
 use mlm_fleet::NodeConfig;
 use mlm_serve::CapacityBroker;
 
@@ -48,12 +51,6 @@ pub struct VerifyTarget<'a> {
     /// Specs of jobs planned to run *concurrently* with `spec` on the same
     /// node (a serving-mode co-resident set). Empty for single-job runs.
     pub co_scheduled: &'a [PipelineSpec],
-    /// Placement capabilities of the backend selected to execute the spec.
-    /// Defaults to [`Capabilities::all`] (the host adapters and the full
-    /// simulator emulate every placement); narrow it with
-    /// [`VerifyTarget::with_backend`] when targeting a mode-restricted
-    /// backend so V010 can reject unexecutable placements statically.
-    pub backend: Capabilities,
     /// The fleet the spec is planned to be dispatched onto, when the run
     /// is fleet-serving mode (`mlm-fleet`). `None` for single-node runs.
     pub fleet: Option<FleetTarget<'a>>,
@@ -81,7 +78,6 @@ impl<'a> VerifyTarget<'a> {
             elem_bytes: 8,
             cluster: None,
             co_scheduled: &[],
-            backend: Capabilities::all(),
             fleet: None,
         }
     }
@@ -90,13 +86,6 @@ impl<'a> VerifyTarget<'a> {
     /// its placement feasibility at plan time).
     pub fn with_fleet(mut self, nodes: &'a [NodeConfig], strict: bool) -> Self {
         self.fleet = Some(FleetTarget { nodes, strict });
-        self
-    }
-
-    /// Declare the capability set of the backend that will execute this
-    /// spec (e.g. [`Capabilities::cache_mode`] for a cache-mode adapter).
-    pub fn with_backend(mut self, backend: Capabilities) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -144,32 +133,23 @@ pub struct LintRegistry {
 }
 
 impl LintRegistry {
-    /// An empty registry (for tools that assemble their own set).
-    pub fn new() -> Self {
-        LintRegistry { lints: Vec::new() }
-    }
-
     /// The full built-in set, in id order.
     pub fn with_builtin_lints() -> Self {
-        let mut r = LintRegistry::new();
-        r.register(Box::new(SpecValidity));
-        r.register(Box::new(ChunkGeometry));
-        r.register(Box::new(McdramFit));
-        r.register(Box::new(ModePlacement));
-        r.register(Box::new(ThreadOversubscription));
-        r.register(Box::new(BandwidthSanity));
-        r.register(Box::new(ChunkCount));
-        r.register(Box::new(ClusterSanity));
-        r.register(Box::new(ConcurrentMcdramFit));
-        r.register(Box::new(BackendCapability));
-        r.register(Box::new(FleetPlacementFeasibility));
-        r.register(Box::new(StencilHaloFeasibility));
-        r
-    }
-
-    /// Add a lint at the end of the run order.
-    pub fn register(&mut self, lint: Box<dyn Lint>) {
-        self.lints.push(lint);
+        LintRegistry {
+            lints: vec![
+                Box::new(SpecValidity),
+                Box::new(ChunkGeometry),
+                Box::new(McdramFit),
+                Box::new(ModePlacement),
+                Box::new(ThreadOversubscription),
+                Box::new(BandwidthSanity),
+                Box::new(ChunkCount),
+                Box::new(ClusterSanity),
+                Box::new(ConcurrentMcdramFit),
+                Box::new(FleetPlacementFeasibility),
+                Box::new(StencilHaloFeasibility),
+            ],
+        }
     }
 
     /// The registered lints.
@@ -187,15 +167,27 @@ impl LintRegistry {
     }
 }
 
-impl Default for LintRegistry {
-    fn default() -> Self {
-        LintRegistry::with_builtin_lints()
-    }
-}
-
-/// Lint a target with the built-in registry.
+/// Lint a target with the built-in registry, then prove the schedule its
+/// spec emits (G001–G006) against the machine's addressable MCDRAM and
+/// append those findings.
+///
+/// The proof runs only when the registry found no error: a rejected spec
+/// needs no proof to stay rejected, and the proof's cost grows with the
+/// square of the chunk count — a misaligned 1-byte chunk over 32 KiB is
+/// 32,768 chunks. Fix the lint errors and the next run proves the rest.
 pub fn lint_target(target: &VerifyTarget<'_>) -> LintReport {
-    LintRegistry::with_builtin_lints().run(target)
+    let mut report = LintRegistry::with_builtin_lints().run(target);
+    if report.has_errors() {
+        return report;
+    }
+    // `graph_report_for` fails only on `PipelineSpec::validate`, which V000
+    // has already reported as an error.
+    if let Ok(graph) = crate::graph::graph_report_for(target.spec, target.machine) {
+        report
+            .diagnostics
+            .extend(crate::graph::report_diagnostics(&graph));
+    }
+    report
 }
 
 // ---------------------------------------------------------------------------
@@ -278,13 +270,14 @@ impl Lint for ChunkGeometry {
     }
 }
 
-/// V002: the resident buffers must fit MCDRAM.
+/// V002: an implicit-mode chunk must fit the MCDRAM cache.
 ///
 /// Peng et al.'s hybrid-memory study (PAPERS.md) shows misconfigured
-/// placement/geometry silently destroys throughput; here it is worse — a
-/// flat-mode allocation that exceeds MCDRAM fails outright on real
-/// memkind, and in cache mode a chunk larger than the cache thrashes
-/// every pass (the paper's Fig. 5 cliff).
+/// placement/geometry silently destroys throughput: in cache mode a chunk
+/// larger than the cache thrashes every pass (the paper's Fig. 5 cliff).
+/// Whether flat-mode buffers fit addressable MCDRAM — where real memkind
+/// fails outright — is the schedule proof's G003, which prices the chunk
+/// buffers the plan actually holds live rather than the full ring.
 struct McdramFit;
 
 impl Lint for McdramFit {
@@ -295,63 +288,30 @@ impl Lint for McdramFit {
         "mcdram-fit"
     }
     fn description(&self) -> &'static str {
-        "ring buffers (slots x chunk_bytes) must fit addressable MCDRAM; cache-mode chunks must fit the cache"
+        "implicit cache-mode chunks must fit the MCDRAM cache"
     }
     fn check(&self, t: &VerifyTarget<'_>, out: &mut Vec<Diagnostic>) {
-        match t.spec.placement {
-            Placement::Hbw => {
-                let addressable = t.machine.addressable_mcdram();
-                if addressable == 0 {
-                    return; // V003's finding; don't double-report.
-                }
-                let slots = t.spec.ring_slots();
-                let resident = t.spec.buffer_footprint(slots);
-                if resident > addressable {
-                    let bufs = (slots as u64).saturating_mul(t.spec.buffers_per_slot());
-                    let max_chunk = addressable / bufs.max(1);
-                    out.push(
-                        Diagnostic::new(
-                            self.id(),
-                            self.name(),
-                            Severity::Error,
-                            format!(
-                                "{bufs} chunk buffers ({} slots x {} per slot) of {} bytes \
-                                 need {resident} bytes of MCDRAM but only {addressable} are \
-                                 addressable",
-                                slots,
-                                t.spec.buffers_per_slot(),
-                                t.spec.chunk_bytes
-                            ),
-                        )
-                        .with_context("spec.chunk_bytes", t.spec.chunk_bytes)
-                        .with_context("spec.ring_slots", slots)
-                        .with_context("machine.addressable_mcdram", addressable)
-                        .with_suggestion(format!("shrink chunk_bytes to at most {max_chunk}")),
-                    );
-                }
-            }
-            Placement::Implicit => {
-                let cache = t.machine.effective_cache_capacity();
-                if cache > 0 && t.spec.chunk_bytes > cache {
-                    out.push(
-                        Diagnostic::new(
-                            self.id(),
-                            self.name(),
-                            Severity::Warning,
-                            format!(
-                                "implicit-mode chunk of {} bytes exceeds the {cache}-byte \
-                                 MCDRAM cache; every compute pass re-streams from DDR \
-                                 (paper Fig. 5 cliff)",
-                                t.spec.chunk_bytes
-                            ),
-                        )
-                        .with_context("spec.chunk_bytes", t.spec.chunk_bytes)
-                        .with_context("machine.effective_cache_capacity", cache)
-                        .with_suggestion(format!("shrink chunk_bytes to at most {cache}")),
-                    );
-                }
-            }
-            Placement::Ddr => {}
+        if t.spec.placement != Placement::Implicit {
+            return;
+        }
+        let cache = t.machine.effective_cache_capacity();
+        if cache > 0 && t.spec.chunk_bytes > cache {
+            out.push(
+                Diagnostic::new(
+                    self.id(),
+                    self.name(),
+                    Severity::Warning,
+                    format!(
+                        "implicit-mode chunk of {} bytes exceeds the {cache}-byte \
+                         MCDRAM cache; every compute pass re-streams from DDR \
+                         (paper Fig. 5 cliff)",
+                        t.spec.chunk_bytes
+                    ),
+                )
+                .with_context("spec.chunk_bytes", t.spec.chunk_bytes)
+                .with_context("machine.effective_cache_capacity", cache)
+                .with_suggestion(format!("shrink chunk_bytes to at most {cache}")),
+            );
         }
     }
 }
@@ -705,7 +665,7 @@ impl Lint for ClusterSanity {
 
 /// V009: aggregate MCDRAM footprint of a co-scheduled job set.
 ///
-/// Each job individually may pass V002, yet a serving-mode co-resident set
+/// Each job individually may pass G003, yet a serving-mode co-resident set
 /// can still oversubscribe MCDRAM: every flat-placement job pins its own
 /// ring of `ring_slots` chunk buffers, and real memkind fails the
 /// `hbw_malloc` of whichever tenant loses the race. A capacity broker
@@ -725,7 +685,7 @@ impl Lint for ConcurrentMcdramFit {
     }
     fn check(&self, t: &VerifyTarget<'_>, out: &mut Vec<Diagnostic>) {
         if t.co_scheduled.is_empty() {
-            return; // single-job runs are V002's territory
+            return; // single-job runs are G003's territory
         }
         let addressable = t.machine.addressable_mcdram();
         if addressable == 0 {
@@ -769,69 +729,6 @@ impl Lint for ConcurrentMcdramFit {
                 )),
             );
         }
-    }
-}
-
-/// V010: spec placement vs the selected backend's capability set.
-///
-/// V003 asks whether the *machine* can satisfy the placement; this lint
-/// asks whether the *backend adapter* chosen to execute the spec can.
-/// `mlm_exec::drive` refuses such a spec at run time; V010 raises the
-/// same mismatch statically, so a plan (e.g. a serving schedule pinned to
-/// a cache-mode replay backend) fails before anything executes.
-/// Flat-MCDRAM placement on a cache-mode backend is the canonical hard
-/// diagnostic.
-struct BackendCapability;
-
-impl Lint for BackendCapability {
-    fn id(&self) -> &'static str {
-        "V010"
-    }
-    fn name(&self) -> &'static str {
-        "backend-capability"
-    }
-    fn description(&self) -> &'static str {
-        "spec placement must be executable on the selected backend's capability set"
-    }
-    fn check(&self, t: &VerifyTarget<'_>, out: &mut Vec<Diagnostic>) {
-        if t.backend.supports(t.spec.placement) {
-            return;
-        }
-        let (missing, suggestion) = match t.spec.placement {
-            Placement::Hbw => (
-                "flat-addressable MCDRAM",
-                "select a flat-mode backend, or use Placement::Implicit on this one",
-            ),
-            Placement::Ddr => (
-                "DDR-resident chunk buffers",
-                "select a backend that can place buffers in DDR",
-            ),
-            Placement::Implicit => (
-                "an MCDRAM cache in front of DDR",
-                "select a cache-mode backend, or place buffers explicitly",
-            ),
-        };
-        out.push(
-            Diagnostic::new(
-                self.id(),
-                self.name(),
-                Severity::Error,
-                format!(
-                    "spec placement {:?} needs {missing}, which the selected backend \
-                     does not offer (drive() would refuse the spec at run time)",
-                    t.spec.placement
-                ),
-            )
-            .with_context("spec.placement", format!("{:?}", t.spec.placement))
-            .with_context(
-                "backend.capabilities",
-                format!(
-                    "flat_mcdram={} ddr_buffers={} mcdram_cache={}",
-                    t.backend.flat_mcdram, t.backend.ddr_buffers, t.backend.mcdram_cache
-                ),
-            )
-            .with_suggestion(suggestion),
-        );
     }
 }
 
@@ -1048,10 +945,51 @@ mod tests {
     fn v002_buffers_exceed_mcdram() {
         let machine = knl();
         let mut spec = good_spec();
-        spec.chunk_bytes = 8 << 30; // 3 slots x 8 GiB > 16 GiB
+        spec.chunk_bytes = 8 << 30; // 3 live chunks x 8 GiB > 16 GiB
         spec.total_bytes = 64 << 30;
+        // The fit is proven on the schedule (G003); V002 prices only the
+        // implicit-mode cache.
         let report = lint_target(&VerifyTarget::new(&spec, &machine));
-        assert!(report.error_ids().contains(&"V002"));
+        assert_eq!(report.error_ids(), vec!["G003"], "{report}");
+    }
+
+    /// MCDRAM fit is priced on the chunk buffers the plan holds live
+    /// (G003), not on a full ring the spec may never fill.
+    #[test]
+    fn mcdram_fit_is_priced_on_the_chunks_that_exist() {
+        let flat = knl();
+        let cache = MachineConfig::knl_7250(MemMode::Cache);
+        let with_chunks = |chunk_bytes: u64, total_bytes: u64| PipelineSpec {
+            chunk_bytes,
+            total_bytes,
+            ..good_spec()
+        };
+        // (spec, machine, error ids, ids that must stay silent)
+        let cases: Vec<(PipelineSpec, &MachineConfig, Vec<&str>, [&str; 2])> = vec![
+            // One 8 GiB chunk: a single live buffer fits 16 GiB.
+            (
+                with_chunks(8 << 30, 8 << 30),
+                &flat,
+                vec![],
+                ["V002", "G003"],
+            ),
+            // Three of them cannot.
+            (
+                with_chunks(8 << 30, 24 << 30),
+                &flat,
+                vec!["G003"],
+                ["V002", "V003"],
+            ),
+            // No addressable MCDRAM is a placement error, not an overflow.
+            (good_spec(), &cache, vec!["V003"], ["V002", "G003"]),
+        ];
+        for (spec, machine, errors, silent) in cases {
+            let report = lint_target(&VerifyTarget::new(&spec, machine));
+            assert_eq!(report.error_ids(), errors, "{report}");
+            for id in silent {
+                assert!(!ids(&report).contains(&id), "{id} fired:\n{report}");
+            }
+        }
     }
 
     #[test]
@@ -1074,8 +1012,11 @@ mod tests {
         let spec = good_spec();
         let report = lint_target(&VerifyTarget::new(&spec, &machine));
         assert!(report.error_ids().contains(&"V003"));
-        // V002 must stay quiet: no addressable MCDRAM is V003's finding.
-        assert!(!ids(&report).contains(&"V002"));
+        // G003 must stay quiet: no addressable MCDRAM is V003's finding,
+        // so the proof gets no budget to overflow.
+        assert!(!ids(&report).contains(&"G003"));
+        let graph = crate::graph::graph_report_for(&spec, &machine).unwrap();
+        assert!(graph.is_safe(), "{graph}");
     }
 
     #[test]
@@ -1162,8 +1103,9 @@ mod tests {
             .find(|d| d.id == "V009")
             .expect("V009 diagnostic");
         assert!(d.suggestion.is_some());
-        // V002 stays quiet: each job alone fits.
-        assert!(!ids(&report).contains(&"V002"));
+        // Each job alone fits.
+        let alone = lint_target(&VerifyTarget::new(&spec, &machine));
+        assert!(alone.is_clean(), "{alone}");
     }
 
     #[test]
@@ -1189,41 +1131,6 @@ mod tests {
         let others = vec![ddr, implicit.clone(), implicit];
         let report = lint_target(&VerifyTarget::new(&spec, &machine).with_co_scheduled(&others));
         assert!(!ids(&report).contains(&"V009"), "{report}");
-    }
-
-    #[test]
-    fn v010_hbw_on_cache_mode_backend() {
-        // Flat machine, so V003 stays quiet: the *backend*, not the
-        // machine, is what cannot execute the placement.
-        let machine = knl();
-        let spec = good_spec();
-        let report = lint_target(
-            &VerifyTarget::new(&spec, &machine).with_backend(Capabilities::cache_mode()),
-        );
-        assert!(report.error_ids().contains(&"V010"));
-        assert!(!ids(&report).contains(&"V003"));
-    }
-
-    #[test]
-    fn v010_implicit_on_flat_mode_backend() {
-        let machine = MachineConfig::knl_7250(MemMode::Cache);
-        let mut spec = good_spec();
-        spec.placement = Placement::Implicit;
-        spec.p_in = 0;
-        spec.p_out = 0;
-        let report = lint_target(
-            &VerifyTarget::new(&spec, &machine).with_backend(Capabilities::flat_mode()),
-        );
-        assert!(report.error_ids().contains(&"V010"));
-    }
-
-    #[test]
-    fn v010_quiet_on_fully_capable_backend() {
-        let machine = knl();
-        let spec = good_spec();
-        let report =
-            lint_target(&VerifyTarget::new(&spec, &machine).with_backend(Capabilities::all()));
-        assert!(!ids(&report).contains(&"V010"), "{report}");
     }
 
     fn stencil_spec(halo_bytes: u64) -> PipelineSpec {
@@ -1277,12 +1184,12 @@ mod tests {
         spec.chunk_bytes = 3 << 30;
         spec.total_bytes = 24 << 30;
         let report = lint_target(&VerifyTarget::new(&spec, &machine));
-        assert!(report.error_ids().contains(&"V002"), "{report}");
+        assert!(report.error_ids().contains(&"G003"), "{report}");
         let mut map = good_spec();
         map.chunk_bytes = 3 << 30;
         map.total_bytes = 24 << 30;
         let report = lint_target(&VerifyTarget::new(&map, &machine));
-        assert!(!ids(&report).contains(&"V002"), "{report}");
+        assert!(!ids(&report).contains(&"G003"), "{report}");
     }
 
     #[test]
@@ -1292,8 +1199,8 @@ mod tests {
         assert_eq!(
             ids,
             vec![
-                "V000", "V001", "V002", "V003", "V005", "V006", "V007", "V008", "V009", "V010",
-                "V011", "V012"
+                "V000", "V001", "V002", "V003", "V005", "V006", "V007", "V008", "V009", "V011",
+                "V012"
             ]
         );
         // Ids are unique and every lint has a description.
@@ -1325,7 +1232,7 @@ mod tests {
         let cases: Vec<(&PipelineSpec, &MachineConfig, &str)> = vec![
             (&degenerate, &machine, "V000"),
             (&misaligned, &machine, "V001"),
-            (&oversized, &machine, "V002"),
+            (&oversized, &machine, "G003"),
             (good_spec_static(), &cache_machine, "V003"),
             (&oversubscribed, &machine, "V005"),
             (&nan_rate, &machine, "V006"),
@@ -1353,7 +1260,7 @@ mod tests {
     fn v011_fires_only_when_no_fleet_node_fits() {
         const GIB: u64 = 1 << 30;
         // 12 GiB ring (4 GiB chunks × 3 slots): fine on one machine's
-        // 16 GiB MCDRAM (no V002), infeasible on 8 GiB fleet budgets.
+        // 16 GiB MCDRAM (no G003), infeasible on 8 GiB fleet budgets.
         let mut s = good_spec();
         s.chunk_bytes = 4 * GIB;
         s.total_bytes = 32 * GIB;

@@ -100,11 +100,13 @@ pub fn run_lint_suite() -> Vec<LintCase> {
         report: lint_target(&VerifyTarget::new(&s, &machine)),
     });
 
+    // Three live 8 GiB chunks want 24 GiB of a 16 GiB MCDRAM.
     let mut s = paper_spec();
     s.chunk_bytes = 8 << 30;
+    s.total_bytes = 24 << 30;
     out.push(LintCase {
         name: "ring of chunks overflows MCDRAM",
-        expect_error: Some("V002"),
+        expect_error: Some("G003"),
         report: lint_target(&VerifyTarget::new(&s, &machine)),
     });
 
@@ -141,18 +143,6 @@ pub fn run_lint_suite() -> Vec<LintCase> {
         name: "concurrent job set oversubscribes MCDRAM",
         expect_error: Some("V009"),
         report: lint_target(&VerifyTarget::new(&s, &machine).with_co_scheduled(&others)),
-    });
-
-    // The paper spec is fine on the flat *machine*, but the selected
-    // *backend* only offers cache-mode capabilities: the execution layer
-    // would refuse it, so the linter must too.
-    let s = paper_spec();
-    out.push(LintCase {
-        name: "Hbw placement on a cache-mode backend",
-        expect_error: Some("V010"),
-        report: lint_target(
-            &VerifyTarget::new(&s, &machine).with_backend(mlm_exec::Capabilities::cache_mode()),
-        ),
     });
 
     // A 12 GiB strict ring clears every single-node lint on a 16 GiB

@@ -128,6 +128,20 @@ if [ -n "$recorders" ]; then
   fail=1
 fi
 
+# Fifth discipline: the simulator engine sits below the plan layer. It
+# prices op programs; lowering a spec or a plan into ops is an adapter's
+# job (crates/mlm-core/src/pipeline/sim.rs, sort/sim.rs), and proving a
+# schedule against a machine is mlm-verify's (lint_target). An engine
+# that reads mlm_exec grows a second copy of one of those.
+engine_uses=$(grep -rl 'mlm_exec' --include='*.rs' crates/knl-sim/src || true)
+if [ -n "$engine_uses" ]; then
+  for f in $engine_uses; do
+    echo "error: ${f} references mlm_exec; the simulator engine sits below the plan layer" >&2
+    echo "       lower plans in a Backend adapter and prove specs in mlm-verify instead" >&2
+  done
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo >&2
   echo "New host/sim pairs must adapt the shared execution layer, not re-implement the schedule." >&2
@@ -138,3 +152,4 @@ echo "check_no_dual_impl: every host/sim pair rides the mlm-exec execution layer
 echo "check_no_dual_impl: every WorkloadPlan producer lives in the plan layer"
 echo "check_no_dual_impl: the host pipeline and the host and sim sorts have exactly one Backend impl each"
 echo "check_no_dual_impl: mlm-exec implements Backend only in recording.rs"
+echo "check_no_dual_impl: the knl-sim engine never references mlm_exec"

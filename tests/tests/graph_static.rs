@@ -5,14 +5,13 @@
 //! it to the rest of the workspace: the corpus must prove safe, also
 //! under a kernel panic on any chunk, the five buggy constructions of the
 //! must-fail catalogue must be refuted with counterexample traces and
-//! caught by every other layer their row names, the simulator preflight
-//! must accept the paper spec, and the whole thing must be fast enough to
-//! sit in front of every run.
+//! caught by every other layer their row names, the plan-time gate
+//! (`lint_target`) must accept the paper spec, and the whole thing must be
+//! fast enough to sit in front of every run.
 
 use std::time::Instant;
 
 use knl_sim::machine::{MachineConfig, MemMode};
-use knl_sim::Simulator;
 use mlm_exec::graph::{analyze, AnalysisConfig, Construction};
 use mlm_exec::{plan_pipeline, Placement};
 use mlm_verify::catalogue::CATALOGUE;
@@ -20,6 +19,7 @@ use mlm_verify::check::{check, CheckOptions};
 use mlm_verify::graph::{
     default_corpus, graph_report_for, largest_committed_spec, run_graph_suite,
 };
+use mlm_verify::lint::{lint_target, VerifyTarget};
 use mlm_verify::suite::{paper_machine, paper_spec};
 
 /// Every corpus case proves race-free, deadlock-free, and within the
@@ -132,15 +132,16 @@ fn static_findings_subsume_the_fuzzed_violations() {
     }
 }
 
-/// The simulator's preflight accepts the paper spec and reports the
-/// §3 ring bound: exactly 3 chunks (slots) live at peak, regardless of
-/// how many chunks stream through.
+/// The plan-time gate accepts the paper spec and reports the §3 ring
+/// bound: exactly 3 chunks (slots) live at peak, regardless of how many
+/// chunks stream through.
 #[test]
-fn simulator_preflight_proves_the_paper_spec() {
-    let sim = Simulator::try_new(paper_machine()).expect("paper machine is valid");
-    let report = sim
-        .preflight_spec(&paper_spec())
-        .expect("paper spec must verify");
+fn spec_gate_proves_the_paper_spec() {
+    let machine = paper_machine();
+    let lints = lint_target(&VerifyTarget::new(&paper_spec(), &machine));
+    assert!(lints.is_clean(), "{lints}");
+    let report = graph_report_for(&paper_spec(), &machine).expect("paper spec must verify");
+    assert!(report.is_safe(), "{report}");
     assert_eq!(report.peak_live_chunks, 3);
     assert_eq!(
         report.peak_hbw_bytes,
@@ -148,16 +149,17 @@ fn simulator_preflight_proves_the_paper_spec() {
         "peak occupancy is ring slots x chunk size"
     );
 
-    // And the same machine refuses a spec whose ring cannot fit: tiny
-    // machine (64 MiB MCDRAM), 32 MiB chunks -> 96 MiB ring.
-    let tiny = Simulator::try_new(MachineConfig::tiny(MemMode::Flat)).expect("tiny is valid");
+    // And the proof refuses a spec whose ring cannot fit: tiny machine
+    // (64 MiB MCDRAM), 32 MiB chunks -> 96 MiB ring.
+    let tiny = MachineConfig::tiny(MemMode::Flat);
     let mut fat = paper_spec();
     fat.total_bytes = 128 << 20;
     fat.chunk_bytes = 32 << 20;
-    let err = tiny
-        .preflight_spec(&fat)
-        .expect_err("96 MiB ring in 64 MiB MCDRAM");
-    assert!(err.to_string().contains("G003"), "{err}");
+    let report = graph_report_for(&fat, &tiny).expect("fat spec is driveable");
+    assert!(
+        report.findings.iter().any(|f| f.check.code() == "G003"),
+        "96 MiB ring in 64 MiB MCDRAM:\n{report}"
+    );
 }
 
 /// Lenient wall-clock smoke for the acceptance budget: the release-mode
