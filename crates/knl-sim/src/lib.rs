@@ -56,7 +56,6 @@ pub mod ops;
 #[cfg(feature = "reference-engine")]
 mod reference;
 pub mod report;
-pub mod slab;
 pub mod trace;
 
 pub use engine::{EngineStats, Simulator};

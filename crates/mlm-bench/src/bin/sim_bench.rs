@@ -16,7 +16,10 @@
 //!   engine must never be slower than the naive loop it replaced (this
 //!   locks in the barrier-storm fix) — or when the static schedule
 //!   verifier fails to prove the largest committed spec safe in under
-//!   100 ms (the `drive()` preflight budget);
+//!   100 ms (the `drive()` preflight budget), or when a scale's engine
+//!   counters drift from the committed ones: `timeline_events` or
+//!   `rate_recomputes` differs, or `stale_events` or `heap_peak` rises.
+//!   The counters are exact, so this part of the gate has no noise;
 //! * **warning** (`::warning::`, exit 0) when a scale's optimized
 //!   events/sec drifts more than 20% below the committed baseline — perf
 //!   drift on shared CI runners is a signal, not a gate.
@@ -25,7 +28,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::process::ExitCode;
 
-use mlm_bench::sim_bench::{run_all, BenchReport};
+use mlm_bench::sim_bench::{run_all, BenchReport, Measurement};
 
 const OUT: &str = "BENCH_sim_engine.json";
 /// Warn when a scale's optimized events/sec falls below this fraction of
@@ -125,27 +128,58 @@ fn main() -> ExitCode {
     }
 
     if let Some(base) = baseline {
-        let old: HashMap<&str, f64> = base
-            .scales
-            .iter()
-            .map(|m| (m.name.as_str(), m.optimized_events_per_sec))
-            .collect();
+        let old: HashMap<&str, &Measurement> =
+            base.scales.iter().map(|m| (m.name.as_str(), m)).collect();
+        let mut drifted = false;
         for m in &report.scales {
-            if let Some(&prev) = old.get(m.name.as_str()) {
-                if prev > 0.0 && m.optimized_events_per_sec < REGRESSION_FLOOR * prev {
+            let Some(prev) = old.get(m.name.as_str()) else {
+                continue;
+            };
+            // Exact counters: the first two must not move at all, the
+            // last two may only fall.
+            for (counter, now, was, may_fall) in [
+                (
+                    "timeline_events",
+                    m.timeline_events,
+                    prev.timeline_events,
+                    false,
+                ),
+                (
+                    "rate_recomputes",
+                    m.rate_recomputes,
+                    prev.rate_recomputes,
+                    false,
+                ),
+                ("stale_events", m.stale_events, prev.stale_events, true),
+                ("heap_peak", m.heap_peak as u64, prev.heap_peak as u64, true),
+            ] {
+                if now > was || (now < was && !may_fall) {
+                    drifted = true;
                     println!(
-                        "::warning::sim_engine throughput regression at {}: \
-                         {:.0} events/sec vs baseline {:.0} ({:+.1}%)",
-                        m.name,
-                        m.optimized_events_per_sec,
-                        prev,
-                        100.0 * (m.optimized_events_per_sec / prev - 1.0)
+                        "::error::{} {counter} is {now}, committed {was}: the engine's \
+                         work changed; re-bless {OUT} only if that is intended",
+                        m.name
                     );
                 }
             }
+            let prev = prev.optimized_events_per_sec;
+            if prev > 0.0 && m.optimized_events_per_sec < REGRESSION_FLOOR * prev {
+                println!(
+                    "::warning::sim_engine throughput regression at {}: \
+                     {:.0} events/sec vs baseline {:.0} ({:+.1}%)",
+                    m.name,
+                    m.optimized_events_per_sec,
+                    prev,
+                    100.0 * (m.optimized_events_per_sec / prev - 1.0)
+                );
+            }
         }
         // Check mode never rewrites the committed baseline.
-        return ExitCode::SUCCESS;
+        return if drifted {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        };
     }
 
     let json = serde_json::to_string(&report).expect("report serializes");

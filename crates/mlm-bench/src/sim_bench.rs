@@ -5,7 +5,8 @@
 //! and the preserved naive reference loop
 //! ([`Simulator::run_reference`]), and reports events/sec. The `sim_bench`
 //! binary serializes the results to `BENCH_sim_engine.json`, the repo's
-//! tracked perf trajectory for the DES core; the CI `sim-bench` job warns
+//! tracked perf trajectory for the DES core; the CI `sim-bench` job fails
+//! when a scale's exact engine counters drift from that file and warns
 //! (without failing) when throughput regresses by more than 20%.
 //!
 //! The *event* unit is engine-independent so the two engines' events/sec
@@ -412,6 +413,29 @@ mod tests {
         // reference loop, so the halo fan-in prices identically on both.
         let m = measure(Family::Stencil, 12, 10);
         assert!(m.speedup > 0.0);
+    }
+
+    #[test]
+    fn stencil_engine_counters_are_pinned() {
+        // Exact counters, no stopwatch. Copy-ins and copy-outs share one
+        // flow class and computes form the other; with no delays, the
+        // heap holds two live drain predictions at most, and the other
+        // four entries at its peak are predictions a rate rise superseded
+        // before they came due.
+        let p = build_program(Family::Stencil, 48, 60);
+        let (_, s) = Simulator::new(knl()).run_stats(&p).expect("must execute");
+        assert_eq!(
+            (
+                s.events,
+                s.rate_recomputes,
+                s.full_recomputes,
+                s.arbitrated,
+                s.join_groups
+            ),
+            (2880, 2875, 2530, 5060, 2816),
+            "{s:?}"
+        );
+        assert_eq!((s.stale_events, s.heap_peak), (625, 6), "{s:?}");
     }
 
     #[test]

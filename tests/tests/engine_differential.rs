@@ -259,6 +259,51 @@ fn merged_classes_with_non_dyadic_coefficients_match_reference() {
     );
 }
 
+/// 64 threads of back-to-back copies behind a 1e5 s delay: the copies
+/// saturate DDR and keep one flow class busy for the whole run, so its
+/// virtual clock grows to about 40 copies' worth of bytes while each
+/// flow's own length stays one copy, and at `now` ≈ 1e5 s the
+/// same-timestamp window (1e-7 s) is far wider than `EPS_BYTES`. Both
+/// engines land about 2e-11 apart on served bytes. Bus integrals are not
+/// compared: summing thousands of segment widths taken at 1e5 s costs the
+/// reference loop ~3e-9 relative by itself.
+#[test]
+fn late_saturated_fanout_with_a_large_class_clock_matches_reference() {
+    let threads = 64;
+    let mut p = Program::new(threads);
+    for t in 0..threads {
+        p.push(t, OpKind::Delay { seconds: 1e5 }, &[]);
+        for k in 0..40 {
+            let bytes = 50_000_000 + 1_000_000 * ((t * 7 + k * 13) % 97) as u64;
+            p.push(
+                t,
+                OpKind::copy(Place::Ddr, Place::Mcdram, bytes, 4.8 * GB),
+                &[],
+            );
+        }
+    }
+    let sim = Simulator::new(knl_flat());
+    let (fast, stats) = sim.run_stats(&p).expect("optimized engine");
+    let slow = sim.run_reference(&p).expect("reference engine");
+    assert!(slow.makespan > 1e5, "{}", slow.makespan);
+    assert!(
+        (fast.makespan - slow.makespan).abs() <= 1e-9 * slow.makespan,
+        "makespan: fast={} slow={}",
+        fast.makespan,
+        slow.makespan
+    );
+    for lvl in 0..2 {
+        let s = slow.served_bytes[lvl];
+        assert!(
+            (fast.served_bytes[lvl] - s).abs() <= 1e-9 * s,
+            "served_bytes[{lvl}]: fast={} slow={s}",
+            fast.served_bytes[lvl]
+        );
+    }
+    assert!(stats.full_recomputes > 0, "DDR is saturated: {stats:?}");
+    assert_eq!(stats.events, 64 * 41, "{stats:?}");
+}
+
 /// The smallest schedule found to hang `Simulator::run` (benchmark/README
 /// "Findings"): one 272-thread job alone, gated behind its FIFO start
 /// time. A reintroduced hang surfaces as `SimError::Livelock`, so the
