@@ -1090,6 +1090,7 @@ impl<'p> Engine<'p> {
         let seg = BusSegment {
             start: self.now,
             end,
+            width: end - self.now,
             ddr: (used[DDR] / self.capacities[DDR]).min(1.0),
             mcdram: (used[MCD] / self.capacities[MCD]).min(1.0),
         };

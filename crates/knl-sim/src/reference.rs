@@ -188,7 +188,7 @@ impl Simulator {
             let dt = dt.max(0.0);
 
             // Record the exact (piecewise-constant) bus utilization of this
-            // inter-event span.
+            // inter-event span, `dt` wide: `now + dt - now` would round it.
             if dt > 0.0 {
                 if let Some(tr) = trace.as_mut() {
                     let mut used = [0.0f64; 2];
@@ -200,6 +200,7 @@ impl Simulator {
                     tr.bus.push(crate::trace::BusSegment {
                         start: now,
                         end: now + dt,
+                        width: dt,
                         ddr: (used[DDR] / capacities[DDR]).min(1.0),
                         mcdram: (used[MCD] / capacities[MCD]).min(1.0),
                     });

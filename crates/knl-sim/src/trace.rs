@@ -39,6 +39,11 @@ pub struct BusSegment {
     pub start: f64,
     /// Segment end, virtual seconds.
     pub end: f64,
+    /// Seconds the segment lasts: the sum of the engine's own step
+    /// lengths. `end - start` rounds a short step when both sit at large
+    /// times (at 1e5 s an ulp is 1.5e-11 s); the width does not, so bus
+    /// integrals should weigh by it.
+    pub width: f64,
     /// DDR bus utilization in `[0, 1]`.
     pub ddr: f64,
     /// MCDRAM bus utilization in `[0, 1]`.
@@ -79,6 +84,7 @@ impl Trace {
         if let Some(last) = self.bus.last_mut() {
             if last.end == seg.start && last.ddr == seg.ddr && last.mcdram == seg.mcdram {
                 last.end = seg.end;
+                last.width += seg.width;
                 return;
             }
         }
@@ -205,12 +211,14 @@ mod tests {
                 BusSegment {
                     start: 0.0,
                     end: 1.0,
+                    width: 1.0,
                     ddr: 1.0,
                     mcdram: 0.25,
                 },
                 BusSegment {
                     start: 1.0,
                     end: 2.0,
+                    width: 1.0,
                     ddr: 0.0,
                     mcdram: 0.75,
                 },
@@ -285,13 +293,14 @@ mod tests {
         let seg = |start: f64, end: f64, ddr: f64, mcdram: f64| BusSegment {
             start,
             end,
+            width: end - start,
             ddr,
             mcdram,
         };
         t.record_bus(seg(0.0, 1.0, 0.5, 0.25));
         t.record_bus(seg(1.0, 2.0, 0.5, 0.25)); // identical + contiguous: merged
         assert_eq!(t.bus.len(), 1);
-        assert_eq!(t.bus[0].end, 2.0);
+        assert_eq!((t.bus[0].end, t.bus[0].width), (2.0, 2.0));
         t.record_bus(seg(2.0, 3.0, 0.5, 0.75)); // different mcdram: kept
         t.record_bus(seg(4.0, 5.0, 0.5, 0.75)); // gap (idle span): kept
         assert_eq!(t.bus.len(), 3);

@@ -193,6 +193,9 @@ pub struct FleetWork {
     pub node_retunes: u64,
     /// Eqs. 1–5 profile evaluations.
     pub profile_searches: u64,
+    /// Admission passes that ran (the rest were skipped: nothing touched
+    /// the node since its last pass).
+    pub admission_passes: u64,
     /// Idle nodes that had a donor queue to look into.
     pub steal_attempts: u64,
     /// Fit checks made by steal lookups.
@@ -201,11 +204,12 @@ pub struct FleetWork {
 
 impl FleetWork {
     /// The counters by name, for tables and the `--check` gate.
-    pub fn named(&self) -> [(&'static str, u64); 5] {
+    pub fn named(&self) -> [(&'static str, u64); 6] {
         [
             ("events", self.events),
             ("node_retunes", self.node_retunes),
             ("profile_searches", self.profile_searches),
+            ("admission_passes", self.admission_passes),
             ("steal_attempts", self.steal_attempts),
             ("steal_probes", self.steal_probes),
         ]
@@ -254,6 +258,7 @@ pub fn run_fleet_bench(jobs_per_node: usize) -> Result<FleetBenchReport, String>
                 events: out.events,
                 node_retunes: out.node_retunes,
                 profile_searches: out.profile_searches,
+                admission_passes: out.admission_passes,
                 steal_attempts: out.steal_attempts,
                 steal_probes: out.steal_probes,
             }),
@@ -372,6 +377,7 @@ mod tests {
                     events: 5,
                     node_retunes: 4,
                     profile_searches: 3,
+                    admission_passes: 3,
                     steal_attempts: 2,
                     steal_probes: 1,
                 }),
@@ -428,6 +434,23 @@ mod tests {
                 out.node_retunes <= changes && out.node_retunes < out.events * nodes as u64 / 4,
                 "{placement:?}: {} retunes, {changes} changes, {} events",
                 out.node_retunes,
+                out.events
+            );
+            // A FIFO node runs an admission pass only after a submit (a
+            // placement or a steal's delivery), a finish or a steal from
+            // it touched the node (the parent: 16 per event).
+            let placed = out
+                .decisions
+                .iter()
+                .filter(|d| matches!(d, mlm_fleet::Decision::Placed { .. }))
+                .count();
+            let submits = placed + out.steals;
+            let touches = (submits + out.records.len() + out.steals + nodes) as u64;
+            assert!(
+                out.admission_passes <= touches
+                    && out.admission_passes < out.events * nodes as u64 / 4,
+                "{placement:?}: {} passes, {touches} touches, {} events",
+                out.admission_passes,
                 out.events
             );
             // A job is profiled once at admission and once per thread

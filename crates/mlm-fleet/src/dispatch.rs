@@ -9,13 +9,23 @@
 //!    it when no node could ever fit its ring,
 //! 2. **migration deliveries** — stolen jobs whose transfer finished join
 //!    their thief's queue,
-//! 3. **completions** — per node, release reservations and record jobs,
+//! 3. **completions** — per node, release reservations and record jobs;
+//!    a node whose last advance finished nothing returns at once,
 //! 4. **stealing** — idle nodes lift a queued job from the most
 //!    backlogged queue (never its head) if it fits right now; the move
 //!    pays the interconnect price when a [`ClusterConfig`] is set,
-//! 5. **admission** — per node, the shared policy pass,
-//! 6. **advance** — re-tune and re-arbitrate the buses of the nodes whose
-//!    running set steps 3 and 5 changed, jump to the next event.
+//! 5. **admission** — per node, the shared policy pass; under FIFO and
+//!    SJF a node that steps 1–4 did not submit to, finish on or steal
+//!    from returns at once,
+//! 6. **termination** — nothing left to arrive, migrate, queue or run,
+//! 7. **advance** — one sweep over the nodes re-tunes and re-arbitrates
+//!    the buses of those whose running set steps 3 and 5 changed and
+//!    reads each node's next completion (predicted by its last advance
+//!    unless it re-tuned); then every node advances to the earliest one.
+//!
+//! So an event walks each node's running jobs once (the advance) and
+//! does the rest of its work only where something changed.
+//! [`NodeSim`]'s module docs state which calls are no-ops, and when.
 //!
 //! Everything is pure arithmetic over the trace: same fleet, same trace,
 //! bit-identical outcome — which is what lets CI hard-fail on placement
@@ -53,7 +63,7 @@ pub struct FleetOutcome {
     pub strict_p99: f64,
     /// Work-steal moves performed.
     pub steals: usize,
-    /// Event times the loop visited. This and the four counters below
+    /// Event times the loop visited. This and the five counters below
     /// count the dispatcher's *work*, not its behaviour: deterministic
     /// for a given fleet and trace, free to fall when the dispatcher gets
     /// cheaper while every decision stays put.
@@ -65,6 +75,10 @@ pub struct FleetOutcome {
     /// Eqs. 1–5 profile evaluations, summed over nodes: one per admission
     /// plus one per (job, thread budget) pair first met at a re-tune.
     pub profile_searches: u64,
+    /// Admission passes that ran, summed over nodes. Under FIFO and SJF
+    /// at most one per node per event that submitted to, finished on or
+    /// stole from it; fair-share runs one per node per event.
+    pub admission_passes: u64,
     /// Idle nodes that had at least one donor queue to look into.
     pub steal_attempts: u64,
     /// Fit checks the steal lookups made: at most one per attempt, donor
@@ -197,6 +211,7 @@ pub fn fleet_serve(cfg: &FleetConfig, jobs: &[FleetJob]) -> Result<FleetOutcome,
     let mut rejections: Vec<Rejection> = Vec::new();
     let mut steals = 0usize;
     let mut donors: Vec<usize> = Vec::with_capacity(nodes.len());
+    let mut admitted = Vec::new();
     let (mut events, mut steal_attempts, mut steal_probes) = (0u64, 0u64, 0u64);
     let mut now = 0.0f64;
 
@@ -248,16 +263,22 @@ pub fn fleet_serve(cfg: &FleetConfig, jobs: &[FleetJob]) -> Result<FleetOutcome,
         // event, from the most backlogged donor queue, skipping the
         // donor's head (it is next in line there). The stolen job must
         // both be feasible on the thief and fit its capacity *right now*
-        // — stealing into a wait would only reorder queues. A fleet with
-        // no queue of two or more has no donor and skips the step.
+        // — stealing into a wait would only reorder queues. The donors are
+        // ranked at the first idle node, so a fleet with none ranks
+        // nothing; one with no queue of two or more has no donor and
+        // skips the rest of the step.
         if cfg.steal {
-            donor_order(&nodes, &mut donors);
+            let mut ranked = false;
             for t in 0..nodes.len() {
-                if donors.is_empty() {
-                    break;
-                }
                 if nodes[t].queue_len() != 0 {
                     continue;
+                }
+                if !ranked {
+                    donor_order(&nodes, &mut donors);
+                    ranked = true;
+                }
+                if donors.is_empty() {
+                    break;
                 }
                 steal_attempts += 1;
                 let Some((d, ticket)) = pick_steal(&nodes, &donors, t, &mut steal_probes) else {
@@ -286,15 +307,15 @@ pub fn fleet_serve(cfg: &FleetConfig, jobs: &[FleetJob]) -> Result<FleetOutcome,
             }
         }
 
-        // 5. Admission per node, in node order.
+        // 5. Admission per node, in node order (a FIFO/SJF node nothing
+        // touched since its last pass returns at once).
         for (ni, node) in nodes.iter_mut().enumerate() {
-            for adm in node.admit(now)? {
-                decisions.push(Decision::Admitted {
-                    job: adm.id,
-                    node: ni,
-                    level: adm.level,
-                });
-            }
+            node.admit(now, &mut admitted)?;
+            decisions.extend(admitted.drain(..).map(|adm| Decision::Admitted {
+                job: adm.id,
+                node: ni,
+                level: adm.level,
+            }));
         }
 
         // 6. Termination.
@@ -306,13 +327,12 @@ pub fn fleet_serve(cfg: &FleetConfig, jobs: &[FleetJob]) -> Result<FleetOutcome,
         }
 
         // 7. Re-tune and re-arbitrate the nodes whose running set changed
-        // (the rest return at once), then advance to the earliest event
-        // anywhere in the fleet.
+        // (the rest return at once and read the completion their last
+        // advance predicted), then advance to the earliest event anywhere
+        // in the fleet.
+        let mut t_next = f64::INFINITY;
         for node in &mut nodes {
             node.retune_and_allocate()?;
-        }
-        let mut t_next = f64::INFINITY;
-        for node in &nodes {
             t_next = t_next.min(node.next_completion(now));
         }
         if next_arrival < order.len() {
@@ -340,6 +360,7 @@ pub fn fleet_serve(cfg: &FleetConfig, jobs: &[FleetJob]) -> Result<FleetOutcome,
     let mut hwm_max = 0u64;
     let node_retunes = nodes.iter().map(NodeSim::retunes).sum();
     let profile_searches = nodes.iter().map(NodeSim::profile_searches).sum();
+    let admission_passes = nodes.iter().map(NodeSim::admission_passes).sum();
     for node in nodes {
         let hwm = node.broker().high_water();
         hwm_max = hwm_max.max(hwm);
@@ -381,6 +402,7 @@ pub fn fleet_serve(cfg: &FleetConfig, jobs: &[FleetJob]) -> Result<FleetOutcome,
         events,
         node_retunes,
         profile_searches,
+        admission_passes,
         steal_attempts,
         steal_probes,
     })
@@ -456,7 +478,7 @@ mod tests {
             let j = job(next(), kind);
             if node.can_ever_fit(&j.spec, false) && node.fits_now(&j.spec, false) {
                 assert!(node.submit(j, false));
-                node.admit(0.0).unwrap();
+                node.admit(0.0, &mut Vec::new()).unwrap();
             }
         }
         assert_eq!(node.queue_len(), 0);
@@ -514,7 +536,7 @@ mod tests {
                 // Admission everywhere: the thief's headroom moves, and a
                 // donor's pass reads its queue through the hole just made.
                 for node in &mut nodes {
-                    node.admit(0.0).unwrap();
+                    node.admit(0.0, &mut Vec::new()).unwrap();
                 }
             }
         }

@@ -220,12 +220,13 @@ pub fn fleet_serve_host(
         // Phase 2: serve. One admission pass per node, then block on a
         // completion, retire it, repeat.
         let mut results: Vec<FleetHostResult> = Vec::new();
+        let mut admitted = Vec::new();
         loop {
             let now = clock.elapsed().as_secs_f64();
             for (ni, node) in nodes.iter_mut().enumerate() {
-                let admitted = node.admit(now)?;
+                node.admit(now, &mut admitted)?;
                 let already_running = node.running_len() - admitted.len();
-                for (k, adm) in admitted.into_iter().enumerate() {
+                for (k, adm) in admitted.drain(..).enumerate() {
                     decisions.push(Decision::Admitted {
                         job: adm.id,
                         node: ni,

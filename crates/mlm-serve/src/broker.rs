@@ -148,6 +148,21 @@ impl CapacityBroker {
         }
     }
 
+    /// Whether [`Self::try_admit_job`] would admit `spec` now, reserving
+    /// nothing. For a preferred ring on a spill broker this reads DDR's
+    /// room too, which `NodeSim::fits_now` assumes is always there.
+    #[cfg(debug_assertions)]
+    pub(crate) fn would_admit(&self, spec: &PipelineSpec, spill_ok: bool) -> bool {
+        let footprint = spec.buffer_footprint(RING_SLOTS);
+        let room = |level| footprint <= self.mk.reservable(level);
+        footprint == 0
+            || match self.kind_for(spec, spill_ok) {
+                Kind::Hbw => room(MemLevel::Mcdram),
+                Kind::HbwPreferred => room(MemLevel::Mcdram) || room(MemLevel::Ddr),
+                Kind::Default => room(MemLevel::Ddr),
+            }
+    }
+
     /// Return a reservation at job completion.
     pub fn release(&mut self, r: &Reservation) -> Result<(), String> {
         self.mk.release(r).map_err(|e| e.to_string())
@@ -270,6 +285,31 @@ mod tests {
             other => panic!("expected DDR spill, got {other:?}"),
         };
         assert_eq!(r2.level(), MemLevel::Ddr);
+    }
+
+    /// `would_admit` predicts `try_admit_job` on every step of filling a
+    /// spill broker: MCDRAM first, then DDR with spilled rings until DDR
+    /// is full too and the preferred ring waits.
+    #[test]
+    fn would_admit_predicts_admission_until_ddr_is_full() {
+        let mut b = CapacityBroker::new(&machine(), 8 * GIB, true);
+        let s = spec(2 * GIB, Placement::Hbw);
+        let mut held = Vec::new();
+        loop {
+            let predicted = b.would_admit(&s, true);
+            match b.try_admit_job(&s, true).unwrap() {
+                AdmitOutcome::Admitted(r) => {
+                    assert!(predicted);
+                    held.push(r);
+                }
+                AdmitOutcome::Busy => {
+                    assert!(!predicted);
+                    break;
+                }
+            }
+        }
+        // One 6 GiB ring in MCDRAM, sixteen spilled into 96 GiB of DDR.
+        assert_eq!(held.len(), 17);
     }
 
     #[test]

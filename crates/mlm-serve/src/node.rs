@@ -12,18 +12,28 @@
 //! is off) and reports each finished job with [`NodeSim::complete`]
 //! instead of advancing a clock.
 //!
-//! The driver contract, per event time `now` (in this order):
+//! The driver contract, per event time `now` (in this order). Every call
+//! is made on every node at every event; the ones marked *no-op* return
+//! at once when nothing they read changed, so an event costs a node one
+//! walk over its running jobs (step 7) plus work in what changed there:
 //!
 //! 1. [`NodeSim::submit`] every due arrival (the driver owns arrival
 //!    ordering and rejection records),
-//! 2. [`NodeSim::complete_due`] finished jobs,
-//! 3. [`NodeSim::admit`] under the node's policy,
+//! 2. [`NodeSim::complete_due`] finished jobs — a no-op unless the last
+//!    [`NodeSim::advance`] brought a job to [`DONE_EPS`],
+//! 3. [`NodeSim::admit`] under the node's policy — for FIFO and SJF a
+//!    no-op unless a submit, a finish or a steal touched the node since
+//!    its last pass (fair-share always runs its pass: aging reads `now`),
 //! 4. decide termination ([`NodeSim::is_drained`]),
 //! 5. [`NodeSim::retune_and_allocate`] for the new co-residency degree —
 //!    a no-op unless steps 2–3 changed the running set: profiles and bus
 //!    rates are pure functions of that set in its current order,
-//! 6. pick the next event time (≥ [`NodeSim::next_completion`]),
-//! 7. [`NodeSim::advance`] to it.
+//! 6. pick the next event time (≥ [`NodeSim::next_completion`], which
+//!    reads the prediction step 7 left unless step 5 re-tuned),
+//! 7. [`NodeSim::advance`] to it: the one eager pass, which also predicts
+//!    the next completion and notes whether a job is done.
+//!
+//! Debug builds check every skip against a fresh computation.
 
 #[cfg(debug_assertions)]
 use knl_sim::bandwidth::allocate_rates;
@@ -99,7 +109,17 @@ pub struct NodeSim {
     flows: Vec<FlowSpec>,
     /// `running` changed since profiles and `rates` were last computed.
     retune_due: bool,
+    /// A submit, a finish or a steal since the last admission pass: the
+    /// queue or the broker may now let a FIFO/SJF candidate in.
+    admit_due: bool,
+    /// The last [`Self::advance`]'s target time and the earliest
+    /// completion it predicted from there; `None` once the running set
+    /// (and so the rates) changed.
+    next_done: Option<(f64, f64)>,
+    /// The last [`Self::advance`] brought a running job to [`DONE_EPS`].
+    any_done: bool,
     retunes: u64,
+    admission_passes: u64,
     profile_searches: u64,
     credit: [f64; N_CLASSES],
     records: Vec<JobRecord>,
@@ -133,7 +153,11 @@ impl NodeSim {
             arbiter: Arbiter::new(),
             flows: Vec::new(),
             retune_due: false,
+            admit_due: false,
+            next_done: None,
+            any_done: false,
             retunes: 0,
+            admission_passes: 0,
             profile_searches: 0,
             credit: [0.0; N_CLASSES],
             records: Vec::new(),
@@ -173,12 +197,30 @@ impl NodeSim {
             },
         );
         self.jobs.push(job);
+        self.admit_due = true;
         true
     }
 
     /// Sweep completions: jobs whose remaining fraction reached zero
     /// return their reservation and produce a [`JobRecord`] at `now`.
+    /// Returns at once when the last [`Self::advance`] found none done:
+    /// only it lowers a fraction, and an admitted job starts at 1.
+    #[inline]
     pub fn complete_due(&mut self, now: f64) -> Result<(), String> {
+        if !self.any_done {
+            debug_assert!(
+                self.running.iter().all(|r| r.frac_left > DONE_EPS),
+                "a job is done but the last advance noted none"
+            );
+            return Ok(());
+        }
+        self.sweep_done(now)
+    }
+
+    /// The sweep [`Self::complete_due`] skips; out of line so the check
+    /// in front of it inlines into every driver's per-node loop.
+    fn sweep_done(&mut self, now: f64) -> Result<(), String> {
+        self.any_done = false;
         let mut i = 0;
         while i < self.running.len() {
             if self.running[i].frac_left <= DONE_EPS {
@@ -205,7 +247,8 @@ impl NodeSim {
     /// Retire `running[i]`: return its reservation and record it.
     fn finish(&mut self, i: usize, now: f64) -> Result<(), String> {
         let r = self.running.swap_remove(i);
-        self.retune_due = true;
+        self.running_changed();
+        self.admit_due = true;
         if let Some(res) = &r.reservation {
             self.broker.release(res).map_err(|e| e.to_string())?;
         }
@@ -225,12 +268,41 @@ impl NodeSim {
         Ok(())
     }
 
+    /// The running set changed: profiles, rates and the completion
+    /// prediction are stale.
+    fn running_changed(&mut self) {
+        self.retune_due = true;
+        self.next_done = None;
+    }
+
     /// One admission pass: admit ready jobs in policy order until the
     /// broker reports `Busy` (FIFO/SJF stop at their head; fair-share
-    /// skips the blocked class and keeps trying the others). Returns the
-    /// admissions made, in order.
-    pub fn admit(&mut self, now: f64) -> Result<Vec<Admission>, String> {
-        let mut admitted = Vec::new();
+    /// skips the blocked class and keeps trying the others). Appends the
+    /// admissions made to `admitted`, in order.
+    ///
+    /// FIFO and SJF return at once unless a submit, a finish or a steal
+    /// touched the node since their last pass. That pass ended on an
+    /// empty queue or on a candidate the broker refused, and their choice
+    /// reads only the queue and the broker, so a rerun would pick the same
+    /// candidate and be refused again. Fair-share always runs: its aging
+    /// reads `now`, and a job that ages since the last pass can set the
+    /// backfill horizon from earlier in the pass, which moves it and lets
+    /// in a candidate that pass never offered the broker (see the test
+    /// `fair_share_admits_with_nothing_touched_once_an_earlier_job_ages`).
+    #[inline]
+    pub fn admit(&mut self, now: f64, admitted: &mut Vec<Admission>) -> Result<(), String> {
+        if !self.admit_due && self.cfg.policy != Policy::FairShare {
+            #[cfg(debug_assertions)]
+            self.assert_pass_would_stall();
+            return Ok(());
+        }
+        self.admission_pass(now, admitted)
+    }
+
+    /// The pass [`Self::admit`] skips, out of line like [`Self::sweep_done`].
+    fn admission_pass(&mut self, now: f64, admitted: &mut Vec<Admission>) -> Result<(), String> {
+        self.admit_due = false;
+        self.admission_passes += 1;
         let mut blocked = [false; N_CLASSES];
         // EASY-backfill reservation for the first aged (long-bypassed) job
         // found this pass: the projected time its ring fits. Jobs admitted
@@ -308,7 +380,7 @@ impl NodeSim {
                         profile: prof,
                         memo: vec![(self.total_threads, prof)],
                     });
-                    self.retune_due = true;
+                    self.running_changed();
                     charge_credit(
                         self.cfg.policy,
                         &mut self.credit,
@@ -334,7 +406,36 @@ impl NodeSim {
                 },
             }
         }
-        Ok(admitted)
+        Ok(())
+    }
+
+    /// A skipped FIFO/SJF pass must have had nothing to admit: its
+    /// candidate, if any, does not fit now. "Fit" is the broker's own
+    /// test, not [`Self::fits_now`]: that one takes a preferred ring on a
+    /// spill node to fit always, but the broker refuses it once the
+    /// node's DDR is full of spilled rings too.
+    #[cfg(debug_assertions)]
+    fn assert_pass_would_stall(&self) {
+        let ready: Vec<usize> = self.ready.iter().collect();
+        let Some(pos) = select_candidate(
+            self.cfg.policy,
+            &ready,
+            &self.est,
+            &self.ids,
+            &self.classes,
+            &self.credit,
+            &[false; N_CLASSES],
+        ) else {
+            return;
+        };
+        let idx = ready[pos];
+        assert!(
+            !self
+                .broker
+                .would_admit(&self.jobs[idx].spec, self.spill_ok[idx]),
+            "job {} fits now, but nothing touched the node and its pass was skipped",
+            self.ids[idx]
+        );
     }
 
     /// Optimistically project when `need` bytes of MCDRAM will be free,
@@ -379,34 +480,42 @@ impl NodeSim {
     /// the running set and before [`Self::next_completion`] /
     /// [`Self::advance`]; returns at once when the set has not changed
     /// since the last call, because both results are pure functions of it.
+    #[inline]
     pub fn retune_and_allocate(&mut self) -> Result<(), String> {
         if self.retune_due {
-            self.retunes += 1;
-            let budget = self.thread_budget();
-            for r in &mut self.running {
-                r.profile = match r.memo.iter().find(|(b, _)| *b == budget) {
-                    Some(&(_, known)) => known,
-                    None => {
-                        let fresh = profile(
-                            &self.jobs[r.idx].spec,
-                            r.effective,
-                            &self.cfg.machine,
-                            budget,
-                            true,
-                        )?;
-                        self.profile_searches += 1;
-                        r.memo.push((budget, fresh));
-                        fresh
-                    }
-                };
-            }
-            let flows = bus_flows(&mut self.flows, &self.running);
-            self.arbiter
-                .allocate_flows(&self.caps, flows, &mut self.rates);
-            self.retune_due = false;
+            self.retune()?;
         }
         #[cfg(debug_assertions)]
         self.assert_tuning_is_current()?;
+        Ok(())
+    }
+
+    /// The re-tune [`Self::retune_and_allocate`] skips, out of line like
+    /// [`Self::sweep_done`].
+    fn retune(&mut self) -> Result<(), String> {
+        self.retunes += 1;
+        let budget = self.thread_budget();
+        for r in &mut self.running {
+            r.profile = match r.memo.iter().find(|(b, _)| *b == budget) {
+                Some(&(_, known)) => known,
+                None => {
+                    let fresh = profile(
+                        &self.jobs[r.idx].spec,
+                        r.effective,
+                        &self.cfg.machine,
+                        budget,
+                        true,
+                    )?;
+                    self.profile_searches += 1;
+                    r.memo.push((budget, fresh));
+                    fresh
+                }
+            };
+        }
+        let flows = bus_flows(&mut self.flows, &self.running);
+        self.arbiter
+            .allocate_flows(&self.caps, flows, &mut self.rates);
+        self.retune_due = false;
         Ok(())
     }
 
@@ -454,8 +563,26 @@ impl NodeSim {
     }
 
     /// Absolute time of this node's earliest completion (`INFINITY` when
-    /// nothing is running or nothing can progress).
+    /// nothing is running or nothing can progress). Reads the prediction
+    /// the last [`Self::advance`] made when `now` is its target and the
+    /// running set has not changed since; walks the running jobs
+    /// otherwise.
+    #[inline]
     pub fn next_completion(&self, now: f64) -> f64 {
+        match self.next_done {
+            Some((at, t_next)) if at.to_bits() == now.to_bits() => {
+                debug_assert_eq!(
+                    t_next.to_bits(),
+                    self.scan_next_completion(now).to_bits(),
+                    "the completion prediction is stale"
+                );
+                t_next
+            }
+            _ => self.scan_next_completion(now),
+        }
+    }
+
+    fn scan_next_completion(&self, now: f64) -> f64 {
         let mut t_next = f64::INFINITY;
         for (r, &rate) in self.running.iter().zip(&self.rates) {
             if rate > 0.0 {
@@ -466,12 +593,22 @@ impl NodeSim {
     }
 
     /// Progress every running job from `now` to `t_next` at its allocated
-    /// rate.
+    /// rate. The same walk predicts the earliest completion from `t_next`
+    /// (what [`Self::next_completion`] would compute there) and notes
+    /// whether a job is done, so neither needs a walk of its own.
     pub fn advance(&mut self, now: f64, t_next: f64) {
         let dt = (t_next - now).max(0.0);
+        let mut next_done = f64::INFINITY;
+        let mut any_done = false;
         for (r, &rate) in self.running.iter_mut().zip(&self.rates) {
             r.frac_left = (r.frac_left - rate * dt / r.profile.t0).max(0.0);
+            any_done |= r.frac_left <= DONE_EPS;
+            if rate > 0.0 {
+                next_done = next_done.min(t_next + r.frac_left * r.profile.t0 / rate);
+            }
         }
+        self.next_done = Some((t_next, next_done));
+        self.any_done = any_done;
     }
 
     /// Number of jobs currently running.
@@ -512,6 +649,7 @@ impl NodeSim {
     /// returned so the thief can [`Self::submit`] it.
     pub fn steal(&mut self, ticket: usize) -> (JobRequest, bool) {
         self.ready.take(ticket);
+        self.admit_due = true;
         let strict = !self.spill_ok[ticket];
         if strict {
             self.broker.note_strict_dequeued(self.footprint[ticket]);
@@ -555,6 +693,12 @@ impl NodeSim {
         self.profile_searches
     }
 
+    /// Admission passes [`Self::admit`] ran rather than skipped (a
+    /// deterministic count, not a timing).
+    pub fn admission_passes(&self) -> u64 {
+        self.admission_passes
+    }
+
     /// Consume the node, yielding its completion records (unsorted).
     pub fn into_records(self) -> Vec<JobRecord> {
         self.records
@@ -583,4 +727,125 @@ fn bus_flows<'a>(flows: &'a mut Vec<FlowSpec>, running: &[Running]) -> &'a [Flow
         }
     }
     &flows[..running.len()]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::DeadlineClass::{Batch, Interactive, Standard};
+    use knl_sim::machine::{MachineConfig, MemMode};
+    use knl_sim::GIB;
+    use mlm_core::{PipelineSpec, Workload};
+
+    /// A strict HBW job whose ring is three `chunk`s.
+    fn job(id: JobId, arrival: f64, class: DeadlineClass, total: u64, chunk: u64) -> JobRequest {
+        let spec = PipelineSpec {
+            total_bytes: total,
+            chunk_bytes: chunk,
+            p_in: 8,
+            p_out: 8,
+            p_comp: 64,
+            compute_passes: 2,
+            compute_rate: 6.78e9,
+            copy_rate: 4.8e9,
+            placement: Placement::Hbw,
+            lockstep: false,
+            data_addr: 0,
+            workload: Workload::Map,
+        };
+        JobRequest::new(id, arrival, class, spec)
+    }
+
+    /// Why [`NodeSim::admit`] never skips a fair-share pass. Between the
+    /// two passes below nothing is submitted, finished or stolen, yet the
+    /// second admits a job the first never offered the broker: job A
+    /// ages in between, so the backfill horizon comes from A (which needs
+    /// both running rings back) instead of from C behind it (which needs
+    /// only the short one's), and B now ends before the horizon.
+    #[test]
+    fn fair_share_admits_with_nothing_touched_once_an_earlier_job_ages() {
+        let mut cfg = ServeConfig::new(MachineConfig::knl_7250(MemMode::Flat));
+        cfg.policy = Policy::FairShare;
+        cfg.mcdram_budget = 16 * GIB;
+        cfg.fair_aging = 1.0;
+        let mut node = NodeSim::new(cfg).unwrap();
+        let mut admitted = Vec::new();
+        // Two batch jobs with 3 GiB rings run, a short and a long one,
+        // leaving 10 GiB free; batch now has credit, the others none.
+        assert!(node.submit(job(0, 0.0, Batch, 64 * GIB, GIB), true));
+        assert!(node.submit(job(1, 0.0, Batch, 4096 * GIB, GIB), true));
+        node.admit(0.0, &mut admitted).unwrap();
+        assert_eq!(admitted.len(), 2);
+        // Offered in this order (credit ties go to queue order): A needs
+        // 15 GiB and ages at t = 2.5, C needs 12 GiB and has aged, B
+        // needs 3 GiB, which is free.
+        assert!(node.submit(job(2, 1.5, Interactive, 20 * GIB, 5 * GIB), true));
+        assert!(node.submit(job(3, 0.0, Standard, 16 * GIB, 4 * GIB), true));
+        assert!(node.submit(job(4, 0.0, Batch, 512 * GIB, GIB), true));
+        node.retune_and_allocate().unwrap();
+        node.advance(0.0, 2.0);
+
+        admitted.clear();
+        node.admit(2.0, &mut admitted).unwrap();
+        assert!(
+            admitted.is_empty(),
+            "C's horizon holds B back: {admitted:?}"
+        );
+        node.complete_due(2.0).unwrap();
+        node.retune_and_allocate().unwrap();
+        node.advance(2.0, 3.0);
+
+        node.admit(3.0, &mut admitted).unwrap();
+        let ids: Vec<JobId> = admitted.iter().map(|a| a.id).collect();
+        assert_eq!(ids, [4], "A's later horizon lets B in");
+        assert_eq!(node.admission_passes(), 3);
+    }
+
+    /// The FIFO skip: a pass nothing touched is not run, and the next
+    /// submit brings passes back.
+    #[test]
+    fn fifo_skips_passes_until_something_touches_the_node() {
+        let mut cfg = ServeConfig::new(MachineConfig::knl_7250(MemMode::Flat));
+        cfg.mcdram_budget = 16 * GIB;
+        let mut node = NodeSim::new(cfg).unwrap();
+        let mut admitted = Vec::new();
+        assert!(node.submit(job(0, 0.0, Standard, 64 * GIB, 4 * GIB), true));
+        assert!(node.submit(job(1, 0.0, Standard, 64 * GIB, 4 * GIB), true));
+        for now in [0.0, 1.0, 2.0] {
+            node.admit(now, &mut admitted).unwrap();
+        }
+        assert_eq!(admitted.len(), 1, "the second 12 GiB ring waits");
+        assert_eq!(node.admission_passes(), 1);
+        assert!(node.submit(job(2, 2.0, Standard, 8 * GIB, GIB), true));
+        node.admit(2.0, &mut admitted).unwrap();
+        assert_eq!(node.admission_passes(), 2);
+        assert_eq!(admitted.len(), 1, "FIFO: job 2 waits behind the head");
+    }
+
+    /// A steal touches the donor: under SJF the stolen job can be the
+    /// candidate the last pass stopped at, and the next one may fit.
+    #[test]
+    fn sjf_pass_reruns_after_its_candidate_is_stolen() {
+        let mut cfg = ServeConfig::new(MachineConfig::knl_7250(MemMode::Flat));
+        cfg.policy = Policy::Sjf;
+        cfg.mcdram_budget = 16 * GIB;
+        let mut node = NodeSim::new(cfg).unwrap();
+        let mut admitted = Vec::new();
+        assert!(node.submit(job(0, 0.0, Standard, 64 * GIB, 2 * GIB), true));
+        node.admit(0.0, &mut admitted).unwrap();
+        // 10 GiB free. The head needs 12 GiB and runs longest; the
+        // shortest job needs 12 GiB too, so the pass stops there, before
+        // the 3 GiB job it never tries.
+        assert!(node.submit(job(1, 0.0, Standard, 1024 * GIB, 4 * GIB), true));
+        assert!(node.submit(job(2, 0.0, Standard, 16 * GIB, 4 * GIB), true));
+        assert!(node.submit(job(3, 0.0, Standard, 64 * GIB, GIB), true));
+        node.admit(0.0, &mut admitted).unwrap();
+        node.admit(0.0, &mut admitted).unwrap();
+        assert_eq!((admitted.len(), node.admission_passes()), (1, 2));
+        let (stolen, _) = node.steal(2);
+        assert_eq!(stolen.id, 2);
+        node.admit(0.0, &mut admitted).unwrap();
+        let ids: Vec<JobId> = admitted.iter().map(|a| a.id).collect();
+        assert_eq!(ids, [0, 3]);
+    }
 }

@@ -12,12 +12,16 @@
 //! The loop advances from event to event (arrival or completion). At each
 //! event it:
 //!
-//! 1. completes finished jobs and releases their broker reservations,
-//! 2. runs the admission policy over the ready queue,
+//! 1. completes finished jobs and releases their broker reservations
+//!    (only when the last advance brought one to zero),
+//! 2. runs the admission policy over the ready queue (FIFO and SJF only
+//!    when an arrival or a completion gave it something new to try),
 //! 3. if steps 1–2 changed the running set, re-tunes every running job
 //!    with the Eqs. 1–5 model (the per-job thread budget changes with the
 //!    co-resident set), and
 //! 4. recomputes the fair bus rates — likewise only then.
+//!
+//! [`NodeSim`]'s module docs state the contract in full.
 //!
 //! Everything is pure arithmetic over the trace — no wall clock, no RNG —
 //! so a fixed trace always produces bit-identical results.
@@ -117,6 +121,7 @@ pub fn serve(cfg: &ServeConfig, jobs: &[JobRequest]) -> Result<ServeOutcome, Str
 
     let mut next_arrival = 0usize;
     let mut rejections: Vec<Rejection> = Vec::new();
+    let mut admitted = Vec::new();
     let mut now = 0.0f64;
 
     loop {
@@ -142,7 +147,8 @@ pub fn serve(cfg: &ServeConfig, jobs: &[JobRequest]) -> Result<ServeOutcome, Str
         node.complete_due(now)?;
 
         // 3. Admission under the configured policy.
-        node.admit(now)?;
+        admitted.clear();
+        node.admit(now, &mut admitted)?;
 
         // 4. Termination.
         if node.is_drained() && next_arrival >= order.len() {
