@@ -18,8 +18,9 @@
 //!   verifier fails to prove the largest committed spec safe in under
 //!   100 ms (the `drive()` preflight budget), or when a scale's engine
 //!   counters drift from the committed ones: `timeline_events` or
-//!   `rate_recomputes` differs, or `stale_events` or `heap_peak` rises.
-//!   The counters are exact, so this part of the gate has no noise;
+//!   `rate_recomputes` differs, or `stale_events` or `heap_peak` rises,
+//!   or when the proof's `visited` edge count rises. The counters are
+//!   exact, so this part of the gate has no noise;
 //! * **warning** (`::warning::`, exit 0) when a scale's optimized
 //!   events/sec drifts more than 20% below the committed baseline — perf
 //!   drift on shared CI runners is a signal, not a gate.
@@ -74,13 +75,14 @@ fn main() -> ExitCode {
     );
     let gv = &report.graph_verify;
     println!(
-        "graph-verify: {} ({} chunks, {} nodes, {} edges) proved {} in {:.2} ms (budget: 100 ms)",
+        "graph-verify: {} ({} chunks, {} nodes, {} edges) proved {} in {:.2} ms (budget: 100 ms), {} edges visited",
         gv.spec,
         gv.chunks,
         gv.nodes,
         gv.edges,
         if gv.safe { "safe" } else { "UNSAFE" },
-        gv.best_millis
+        gv.best_millis,
+        gv.visited
     );
 
     if check {
@@ -131,6 +133,14 @@ fn main() -> ExitCode {
         let old: HashMap<&str, &Measurement> =
             base.scales.iter().map(|m| (m.name.as_str(), m)).collect();
         let mut drifted = false;
+        if gv.visited > base.graph_verify.visited {
+            drifted = true;
+            println!(
+                "::error::graph-verify visited {} edges, committed {}: the proof's work \
+                 grew; re-bless {OUT} only if that is intended",
+                gv.visited, base.graph_verify.visited
+            );
+        }
         for m in &report.scales {
             let Some(prev) = old.get(m.name.as_str()) else {
                 continue;
@@ -174,12 +184,16 @@ fn main() -> ExitCode {
                 );
             }
         }
-        // Check mode never rewrites the committed baseline.
         return if drifted {
             ExitCode::FAILURE
         } else {
             ExitCode::SUCCESS
         };
+    }
+    // Check mode never rewrites the committed baseline, not even one it
+    // could not read.
+    if check {
+        return ExitCode::SUCCESS;
     }
 
     let json = serde_json::to_string(&report).expect("report serializes");

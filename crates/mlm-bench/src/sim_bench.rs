@@ -241,6 +241,9 @@ pub struct GraphVerifyMeasurement {
     pub edges: usize,
     /// Best-of-N wall milliseconds for record + full analysis.
     pub best_millis: f64,
+    /// Dependency edges the proof's happens-before searches walked: its
+    /// work, exact, so `sim_bench --check` gates on it.
+    pub visited: u64,
     /// The verifier must also *prove* the spec safe, not just terminate.
     pub safe: bool,
 }
@@ -361,6 +364,7 @@ pub fn measure_graph_verify() -> GraphVerifyMeasurement {
         nodes: report.nodes,
         edges: report.edges,
         best_millis: best * 1e3,
+        visited: report.visited,
         safe: report.is_safe(),
     }
 }
@@ -460,6 +464,7 @@ mod tests {
                 nodes: 514,
                 edges: 767,
                 best_millis: 1.5,
+                visited: 1024,
                 safe: true,
             },
         };
@@ -468,6 +473,7 @@ mod tests {
         assert_eq!(back.bench, "sim_engine");
         assert_eq!(back.largest_scale_speedup, 7.25);
         assert_eq!(back.graph_verify.chunks, 128);
+        assert_eq!(back.graph_verify.visited, 1024);
         assert!(back.graph_verify.safe);
     }
 

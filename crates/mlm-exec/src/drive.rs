@@ -253,7 +253,7 @@ mod tests {
         let mut b = Probe::default();
         let report = drive_verified(&mut b, &s, Some(1 << 20)).unwrap();
         assert!(b.finished);
-        assert_eq!(report.peak_live_chunks, RING_SLOTS);
+        assert_eq!(report.peak_hbw_bytes, RING_SLOTS as u64 * 64);
         // A budget below the proven peak (3 x 64 bytes) refuses the run
         // before the backend sees anything.
         let mut b = Probe::default();

@@ -2,31 +2,35 @@
 //!
 //! [`plan_pipeline`] writes one dependency DAG per spec: a
 //! [`WorkloadPlan`] of chunk-stage nodes and barriers whose edges say why
-//! they exist ([`EdgeKind`]). Two consumers read that plan directly
-//! (DESIGN.md S22):
+//! they exist ([`EdgeKind`]), plus the buffers the plan keeps resident and
+//! the buffers each node reads or writes. Two consumers read that plan
+//! directly (DESIGN.md S22):
 //!
 //! * the **executor** ([`interpret`](crate::plan::interpret)) walks one
 //!   linearization of it over a backend;
 //! * the **static analyzer** ([`analyze`]) proves properties over *every*
-//!   linearization without enumerating them, via reachability on the
-//!   transitive closure:
+//!   linearization without enumerating them, from happens-before queries
+//!   on the DAG:
 //!
 //!   | check | code | property |
 //!   |-------|------|----------|
-//!   | [`GraphCheck::Race`]        | G001 | same-slot actions are dependency-ordered (incl. poison-drain) |
+//!   | [`GraphCheck::Race`]        | G001 | conflicting touches of a buffer are dependency-ordered (incl. poison-drain) |
 //!   | [`GraphCheck::Deadlock`]    | G002 | no cycles, no starved waiters |
-//!   | [`GraphCheck::Capacity`]    | G003 | peak HBW-resident bytes fit the MCDRAM budget |
-//!   | [`GraphCheck::RingWidth`]   | G004 | no antichain of live chunks exceeds the buffer ring |
+//!   | [`GraphCheck::Capacity`]    | G003 | the declared HBW buffers fit the MCDRAM budget |
+//!   | [`GraphCheck::RingWidth`]   | G004 | no chunk claims a slot's buffer while an earlier chunk of that slot still uses it |
 //!   | [`GraphCheck::DeadToken`]   | G005 | every completion is consumed (advisory) |
 //!   | [`GraphCheck::Unreachable`] | G006 | no dangling/self dependencies, no unrunnable ops, no panic on an absent chunk |
 //!
-//! The capacity and ring-width bounds come from a weighted-antichain
-//! (Dilworth / minimum chain cover) analysis of the chunk liveness order:
-//! chunk `c` precedes chunk `d` when `c`'s copy-out happens-before `d`'s
-//! copy-in, so the maximum antichain is exactly the largest set of chunks
-//! the dependency edges allow to be resident at once. The bound is tight
-//! for the plans `plan_pipeline` builds and conservative in general (it
-//! ignores slot identities, so it never under-reports occupancy).
+//! The analyzer knows no workload family: which buffers exist and who
+//! touches them is read from the plan ([`WorkloadPlan::buffers`],
+//! [`WorkloadPlan::footprint`]). A happens-before query `a → b` is a
+//! backward search from `b` that never steps below `a`'s position in one
+//! topological order. G001 queries only the touches of a buffer that are
+//! adjacent in that order, and G004 only each chunk against the nearest
+//! writing chunk before it on the same slot; transitivity covers every
+//! other pair, so both checks are exact. On the plans `plan_pipeline`
+//! builds, each query walks a bounded number of edges, and
+//! [`GraphReport::visited`] counts them.
 //!
 //! [`AnalysisConfig::construction`] analyses the plan as one of the
 //! deliberately broken executors ([`Construction`]) would execute it
@@ -34,14 +38,12 @@
 //! rechecks, poison without cancellation), which is how the analyzer
 //! flags each of the five catalogued bugs statically.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::backend::{ChunkAction, Stage};
 use crate::error::DriveError;
 use crate::placement::Placement;
-use crate::plan::{plan_pipeline, EdgeKind, PlanKind, WorkloadPlan};
-use crate::spec::{PipelineSpec, Workload};
+use crate::plan::{plan_pipeline, Access, EdgeKind, PlanKind, WorkloadPlan};
+use crate::spec::PipelineSpec;
 
 // ---------------------------------------------------------------------------
 // Reading the plan
@@ -168,17 +170,17 @@ impl Default for AnalysisConfig {
 /// and live alongside `mlm-verify`'s V-series lint ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphCheck {
-    /// G001 — two actions touch the same ring slot with no dependency
-    /// path ordering them (happens-before race), or uncancelled work
-    /// touches a poisoned slot.
+    /// G001 — two touches of one buffer, at least one a write, with no
+    /// dependency path ordering them (happens-before race), or uncancelled
+    /// work touches a poisoned buffer.
     Race,
     /// G002 — a dependency cycle, or a waiter whose notification can
     /// never be delivered (starvation): some work can never run.
     Deadlock,
-    /// G003 — the peak antichain of live HBW chunks exceeds the MCDRAM
-    /// budget.
+    /// G003 — the plan's declared HBW buffers exceed the MCDRAM budget.
     Capacity,
-    /// G004 — an antichain of in-flight chunks exceeds the buffer ring.
+    /// G004 — a later chunk can claim a ring slot's buffer while an
+    /// earlier chunk of that slot still uses it.
     RingWidth,
     /// G005 — a completion no later node consumes (advisory).
     DeadToken,
@@ -256,12 +258,12 @@ pub struct GraphReport {
     pub nodes: usize,
     /// Dependency edges analysed.
     pub edges: usize,
-    /// Size of the maximum antichain of concurrently-live chunks — the
-    /// worst-case number of resident buffers any legal linearization can
-    /// reach.
-    pub peak_live_chunks: usize,
-    /// `peak_live_chunks × chunk_bytes` for HBW placement, `0` otherwise.
+    /// Bytes of the plan's declared HBW buffers: what stays resident in
+    /// MCDRAM for the whole run.
     pub peak_hbw_bytes: u64,
+    /// Dependency edges walked by the happens-before searches: the proof's
+    /// work, exact and independent of the machine.
+    pub visited: u64,
     /// Property violations found; empty means every check passed.
     pub findings: Vec<GraphFinding>,
 }
@@ -286,8 +288,8 @@ impl fmt::Display for GraphReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "schedule graph: {} nodes, {} edges, peak {} live chunks ({} HBW bytes)",
-            self.nodes, self.edges, self.peak_live_chunks, self.peak_hbw_bytes
+            "schedule graph: {} nodes, {} edges, {} HBW bytes, {} edges visited",
+            self.nodes, self.edges, self.peak_hbw_bytes, self.visited
         )?;
         for finding in &self.findings {
             write!(f, "\n[{}] {}", finding.check.code(), finding.message)?;
@@ -300,54 +302,11 @@ impl fmt::Display for GraphReport {
 }
 
 // ---------------------------------------------------------------------------
-// Bitset transitive closure
+// Happens-before queries
 // ---------------------------------------------------------------------------
 
-/// Fixed-width bitset over node indices.
-#[derive(Clone)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn new(bits: usize) -> Self {
-        BitSet {
-            words: vec![0; bits.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    fn get(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    fn union_with(&mut self, other: &BitSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-}
-
-/// Ancestor sets (`anc[i]` = nodes that happen-before `i`) over the edge
-/// lists `deps`, processed in `topo` order.
-fn closure(n: usize, deps: &[Vec<usize>], topo: &[usize]) -> Vec<BitSet> {
-    let mut anc = vec![BitSet::new(n); n];
-    for &i in topo {
-        // Move the set out to appease the borrow checker, then put it back.
-        let mut mine = std::mem::replace(&mut anc[i], BitSet::new(0));
-        for &d in &deps[i] {
-            mine.set(d);
-            mine.union_with(&anc[d]);
-        }
-        anc[i] = mine;
-    }
-    anc
-}
-
-/// Kahn topological order over `deps`; `None` when a cycle exists.
+/// Kahn topological order over `deps`, first-in first-out so a plan built
+/// in issue order keeps roughly that order; `None` when a cycle exists.
 fn topo_order(n: usize, deps: &[Vec<usize>]) -> Option<Vec<usize>> {
     let mut dependents = vec![Vec::new(); n];
     let mut remaining = vec![0usize; n];
@@ -357,14 +316,15 @@ fn topo_order(n: usize, deps: &[Vec<usize>]) -> Option<Vec<usize>> {
             remaining[i] += 1;
         }
     }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(i) = queue.pop() {
-        order.push(i);
+    // `order` doubles as the queue: everything past `head` is ready.
+    let mut order: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
+    let mut head = 0;
+    while let Some(&i) = order.get(head) {
+        head += 1;
         for &d in &dependents[i] {
             remaining[d] -= 1;
             if remaining[d] == 0 {
-                queue.push(d);
+                order.push(d);
             }
         }
     }
@@ -416,143 +376,55 @@ fn find_cycle(n: usize, deps: &[Vec<usize>]) -> Vec<usize> {
     unreachable!("find_cycle called on an acyclic graph")
 }
 
-// ---------------------------------------------------------------------------
-// Antichain analysis (Dilworth via bipartite matching + König witness)
-// ---------------------------------------------------------------------------
-
-fn kuhn_augment(
-    u: usize,
-    adj: &[Vec<usize>],
-    seen: &mut [bool],
-    match_l: &mut [Option<usize>],
-    match_r: &mut [Option<usize>],
-) -> bool {
-    for &v in &adj[u] {
-        if seen[v] {
-            continue;
-        }
-        seen[v] = true;
-        let free = match match_r[v] {
-            None => true,
-            Some(u2) => kuhn_augment(u2, adj, seen, match_l, match_r),
-        };
-        if free {
-            match_r[v] = Some(u);
-            match_l[u] = Some(v);
-            return true;
-        }
-    }
-    false
+/// Happens-before queries over one edge set. [`Reach::before`] is a
+/// backward search from the later node that never steps below the earlier
+/// node's topological position, since nothing there lies on a path
+/// between them. Its visited set is stamped per query, so a query costs
+/// the edges it walks, never O(nodes).
+struct Reach<'a> {
+    deps: &'a [Vec<usize>],
+    pos: &'a [usize],
+    stamp: Vec<usize>,
+    query: usize,
+    stack: Vec<usize>,
+    /// Edges walked by all queries so far.
+    visited: u64,
 }
 
-/// Maximum antichain of the strict partial order `adj` (edges `c -> d`
-/// meaning `c` precedes `d`) over `n` elements, by Dilworth's theorem:
-/// max antichain = n − max bipartite matching of the precedence relation,
-/// with the witness antichain extracted from the König vertex cover.
-fn max_antichain(n: usize, adj: &[Vec<usize>]) -> Vec<usize> {
-    let mut match_l: Vec<Option<usize>> = vec![None; n];
-    let mut match_r: Vec<Option<usize>> = vec![None; n];
-    let mut matched = 0usize;
-    for u in 0..n {
-        let mut seen = vec![false; n];
-        if kuhn_augment(u, adj, &mut seen, &mut match_l, &mut match_r) {
-            matched += 1;
+impl<'a> Reach<'a> {
+    fn new(deps: &'a [Vec<usize>], pos: &'a [usize]) -> Self {
+        Reach {
+            deps,
+            pos,
+            stamp: vec![0; pos.len()],
+            query: 0,
+            stack: Vec::new(),
+            visited: 0,
         }
     }
-    // König: Z = unmatched left vertices plus everything reachable by
-    // alternating (non-matching left→right, matching right→left) paths.
-    // The antichain is {c : c_L ∈ Z and c_R ∉ Z} — both copies of c
-    // avoid the minimum vertex cover.
-    let mut vis_l = vec![false; n];
-    let mut vis_r = vec![false; n];
-    let mut queue: Vec<usize> = (0..n).filter(|&u| match_l[u].is_none()).collect();
-    for &u in &queue {
-        vis_l[u] = true;
-    }
-    while let Some(u) = queue.pop() {
-        for &v in &adj[u] {
-            if match_l[u] == Some(v) || vis_r[v] {
-                continue;
-            }
-            vis_r[v] = true;
-            if let Some(u2) = match_r[v] {
-                if !vis_l[u2] {
-                    vis_l[u2] = true;
-                    queue.push(u2);
+
+    /// Does a dependency path lead from `a` to `b`?
+    fn before(&mut self, a: usize, b: usize) -> bool {
+        let floor = self.pos[a];
+        if floor >= self.pos[b] {
+            return false;
+        }
+        self.query += 1;
+        self.stack.clear();
+        self.stack.push(b);
+        while let Some(x) = self.stack.pop() {
+            for &d in &self.deps[x] {
+                self.visited += 1;
+                if d == a {
+                    return true;
+                }
+                if self.pos[d] > floor && self.stamp[d] != self.query {
+                    self.stamp[d] = self.query;
+                    self.stack.push(d);
                 }
             }
         }
-    }
-    let antichain: Vec<usize> = (0..n).filter(|&c| vis_l[c] && !vis_r[c]).collect();
-    debug_assert_eq!(antichain.len(), n - matched, "Dilworth/König mismatch");
-    antichain
-}
-
-// ---------------------------------------------------------------------------
-// Buffer footprints (the workload-generic race model)
-// ---------------------------------------------------------------------------
-
-/// One modeled staging buffer an action can touch. The race check (G001)
-/// is defined over footprints on these: two actions conflict when they
-/// touch the same buffer and at least one writes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BufferKey {
-    /// The single staging buffer of a map-family ring slot (every stage
-    /// of a chunk reads and writes it in place).
-    Main(usize),
-    /// The input buffer of a stencil ring slot: written by copy-in, read
-    /// by the owning compute *and* both neighbour computes (halo).
-    In(usize),
-    /// The output buffer of a stencil ring slot: written by the compute,
-    /// read by copy-out.
-    Out(usize),
-}
-
-impl BufferKey {
-    /// Buffer name as used in G001 messages.
-    pub fn describe(self) -> String {
-        match self {
-            BufferKey::Main(s) => format!("ring slot {s}"),
-            BufferKey::In(s) => format!("in-buffer slot {s}"),
-            BufferKey::Out(s) => format!("out-buffer slot {s}"),
-        }
-    }
-}
-
-/// The buffers `a` touches under `spec`'s workload, each with a
-/// `write` flag.
-///
-/// The map family models every stage as a *write* of its slot's single
-/// buffer — all same-slot action pairs conflict, which is exactly the
-/// phase-machine discipline the host ring ([`crate::ring`]) enforces at
-/// run time. The
-/// stencil family splits each slot into an in- and an out-buffer and
-/// lets computes read the neighbouring in-buffers, so e.g. two computes
-/// reading the same in-buffer do *not* conflict but a copy-in
-/// overwriting it while a neighbour compute still reads it does.
-pub fn action_footprint(spec: &PipelineSpec, a: ChunkAction) -> Vec<(BufferKey, bool)> {
-    match spec.workload {
-        Workload::Map => vec![(BufferKey::Main(a.slot), true)],
-        Workload::Stencil { .. } => {
-            let ring = spec.ring_slots();
-            let n = spec.n_chunks();
-            match a.stage {
-                Stage::CopyIn => vec![(BufferKey::In(a.slot), true)],
-                Stage::Compute => {
-                    let mut fp = Vec::new();
-                    if a.chunk > 0 {
-                        fp.push((BufferKey::In((a.chunk - 1) % ring), false));
-                    }
-                    fp.push((BufferKey::In(a.slot), false));
-                    if a.chunk + 1 < n {
-                        fp.push((BufferKey::In((a.chunk + 1) % ring), false));
-                    }
-                    fp.push((BufferKey::Out(a.slot), true));
-                    fp
-                }
-                Stage::CopyOut => vec![(BufferKey::Out(a.slot), false)],
-            }
-        }
+        false
     }
 }
 
@@ -566,9 +438,15 @@ pub fn action_footprint(spec: &PipelineSpec, a: ChunkAction) -> Vec<(BufferKey, 
 /// The proofs are exhaustive for the schedule level the plan models: a
 /// clean report means *no* interleaving a dependency-honouring executor
 /// can produce violates the checked property.
-pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -> GraphReport {
+pub fn analyze(plan: &WorkloadPlan, cfg: &AnalysisConfig) -> GraphReport {
     let n = plan.nodes.len();
     let edges = plan.nodes.iter().map(|node| node.deps.len()).sum();
+    let hbw: Vec<_> = plan
+        .buffers
+        .iter()
+        .filter(|b| b.tier == Placement::Hbw)
+        .collect();
+    let peak_hbw_bytes = hbw.iter().map(|b| b.bytes).fold(0, u64::saturating_add);
     let mut findings = Vec::new();
 
     // G006 — structural validity: dangling and self dependencies, plus
@@ -598,7 +476,7 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
     let valid_deps = effective_deps(plan, Construction::Correct);
 
     // G002 — cycle detection. A cyclic graph has no linearizations at
-    // all; report the cycle and stop (closure analyses assume a DAG).
+    // all; report the cycle and stop (the queries below assume a DAG).
     let Some(topo) = topo_order(n, &valid_deps) else {
         let cycle = find_cycle(n, &valid_deps);
         let trace: Vec<String> = cycle.iter().map(|&i| describe(plan, i)).collect();
@@ -613,42 +491,39 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
         return GraphReport {
             nodes: n,
             edges,
-            peak_live_chunks: 0,
-            peak_hbw_bytes: 0,
+            peak_hbw_bytes,
+            visited: 0,
             findings,
         };
     };
+    let mut pos = vec![0; n];
+    for (k, &i) in topo.iter().enumerate() {
+        pos[i] = k;
+    }
 
+    // The effective edges: those the construction waits on at all, and
+    // under NoRecheck only an edge `d -> i` whose completion the executor's
+    // run-on-first-notification shortcut cannot overtake — `d`
+    // happens-before every other dependency of `i`, so whichever
+    // notification arrives first, `d` is already done. Every subset of the
+    // valid edges keeps `topo` a topological order.
     let construction = cfg.construction;
-    let no_recheck = construction == Construction::NoRecheck;
-
-    // Effective edges, step 1: the edges the construction waits on at all.
-    let kept = effective_deps(plan, construction);
-    let anc_kept = closure(n, &kept, &topo);
-
-    // Effective edges, step 2: NoRecheck keeps an edge `d -> i` only when
-    // the executor's run-on-first-notification shortcut cannot fire before
-    // `d` completes — i.e. `d` happens-before every other dependency of
-    // `i`, so whichever notification arrives first, `d` is already done.
-    let eff: Vec<Vec<usize>> = if no_recheck {
-        (0..n)
-            .map(|i| {
-                let dl = &kept[i];
+    let mut visited = 0;
+    let mut eff = effective_deps(plan, construction);
+    if construction == Construction::NoRecheck {
+        let mut reach = Reach::new(&eff, &pos);
+        let filtered = eff
+            .iter()
+            .map(|dl| {
                 dl.iter()
                     .copied()
-                    .filter(|&d| dl.iter().all(|&o| o == d || anc_kept[o].get(d)))
+                    .filter(|&d| dl.iter().all(|&o| o == d || reach.before(d, o)))
                     .collect()
             })
-            .collect()
-    } else {
-        kept.clone()
-    };
-    let anc = if no_recheck {
-        closure(n, &eff, &topo)
-    } else {
-        anc_kept
-    };
-    let ordered = |a: usize, b: usize| anc[b].get(a) || anc[a].get(b);
+            .collect();
+        visited += reach.visited;
+        eff = filtered;
+    }
 
     // G002 — notify-one starvation: a waiter that is not the statically
     // first dependent of one of its dependencies never hears that
@@ -656,7 +531,7 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
     if construction == Construction::NotifyOne {
         let dependents = {
             let mut out = vec![Vec::new(); n];
-            for (i, dl) in kept.iter().enumerate() {
+            for (i, dl) in eff.iter().enumerate() {
                 for &d in dl {
                     out[d].push(i);
                 }
@@ -664,7 +539,7 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
             out
         };
         let mut starved_by: Vec<Option<usize>> = vec![None; n];
-        for (i, dl) in kept.iter().enumerate() {
+        for (i, dl) in eff.iter().enumerate() {
             for &d in dl {
                 if dependents[d].first() != Some(&i) {
                     starved_by[i] = Some(d);
@@ -673,7 +548,7 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
         }
         let mut stuck = vec![false; n];
         for &i in &topo {
-            stuck[i] = starved_by[i].is_some() || kept[i].iter().any(|&d| stuck[d]);
+            stuck[i] = starved_by[i].is_some() || eff[i].iter().any(|&d| stuck[d]);
         }
         let stuck_count = stuck.iter().filter(|&&s| s).count();
         if stuck_count > 0 {
@@ -700,61 +575,140 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
         }
     }
 
-    let actions: Vec<(usize, ChunkAction)> = (0..n)
-        .filter_map(|i| plan.nodes[i].action().map(|a| (i, a)))
-        .collect();
-    let explicit = spec.placement != Placement::Implicit;
+    let mut reach = Reach::new(&eff, &pos);
+    // Each buffer's touches, in topological order.
+    let mut touches: Vec<Vec<(usize, Access)>> = vec![Vec::new(); plan.buffers.len()];
+    for &i in &topo {
+        for &(b, access) in plan.footprint(i) {
+            if let Some(list) = touches.get_mut(b) {
+                list.push((i, access));
+            }
+        }
+    }
 
-    // G001 — happens-before races: any two actions whose buffer
-    // footprints conflict (same buffer, at least one write) must be
-    // connected by a dependency path, else some linearization runs them
-    // concurrently. For the map family every action writes its slot's
-    // single buffer, so this degenerates to "same-slot actions must be
-    // ordered" — the slot phase machine's static counterpart; the stencil
-    // family's split in/out buffers and halo reads refine the model.
-    if explicit {
-        let footprints: Vec<Vec<(BufferKey, bool)>> = actions
-            .iter()
-            .map(|&(_, a)| action_footprint(spec, a))
-            .collect();
-        let mut by_buffer: BTreeMap<BufferKey, Vec<(usize, usize)>> = BTreeMap::new();
-        for (k, &(i, _)) in actions.iter().enumerate() {
-            for (m, &(j, _)) in actions.iter().enumerate().skip(k + 1) {
-                if ordered(i, j) {
-                    continue;
+    // G001 — happens-before races: two touches of one buffer conflict
+    // unless both read, and every conflicting pair must be connected by a
+    // dependency path, else some linearization runs them concurrently.
+    // Along the topological order it is enough to ask each read about the
+    // nearest write before and after it and each write about the previous
+    // write: if those hold, the writes form a chain with every read
+    // between its neighbours, which orders every other conflicting pair.
+    let mut raced = vec![false; plan.buffers.len()];
+    for (b, list) in touches.iter().enumerate() {
+        let mut unordered = Vec::new();
+        let mut last_write = None;
+        let mut reads = Vec::new();
+        for &(x, access) in list {
+            let mut check = |p: usize| {
+                if p != x && !reach.before(p, x) {
+                    unordered.push((p, x));
                 }
-                for &(key_a, write_a) in &footprints[k] {
-                    for &(key_b, write_b) in &footprints[m] {
-                        if key_a == key_b && (write_a || write_b) {
-                            let pairs = by_buffer.entry(key_a).or_default();
-                            if pairs.last() != Some(&(i, j)) {
-                                pairs.push((i, j));
-                            }
-                        }
-                    }
+            };
+            if let Some(w) = last_write {
+                check(w);
+            }
+            match access {
+                Access::Read => reads.push(x),
+                Access::Write => {
+                    reads.drain(..).for_each(&mut check);
+                    last_write = Some(x);
                 }
             }
         }
-        for (key, pairs) in &by_buffer {
-            let &(i, j) = pairs.first().expect("entry implies a pair");
-            findings.push(GraphFinding {
-                check: GraphCheck::Race,
-                message: format!(
-                    "{}: {} action pair(s) with no dependency path between them",
-                    key.describe(),
-                    pairs.len()
+        let Some(&(i, j)) = unordered.first() else {
+            continue;
+        };
+        raced[b] = true;
+        let buffer = plan.buffers[b].describe();
+        findings.push(GraphFinding {
+            check: GraphCheck::Race,
+            message: format!(
+                "{buffer}: {} action pair(s) with no dependency path between them",
+                unordered.len()
+            ),
+            trace: vec![
+                format!(
+                    "{} and {} both touch {buffer}",
+                    describe(plan, i),
+                    describe(plan, j)
                 ),
-                trace: vec![
-                    format!(
-                        "{} and {} both touch {}",
-                        describe(plan, i),
-                        describe(plan, j),
-                        key.describe()
-                    ),
-                    "no dependency path orders them under the analysed discipline".into(),
-                ],
-            });
+                "no dependency path orders them under the analysed discipline".into(),
+            ],
+        });
+    }
+
+    // G004 — ring order: the chunks that own a buffer's slot take turns in
+    // it, so every conflicting pair of touches from two of them must run
+    // the earlier chunk first. Each chunk is compared with the nearest
+    // writing chunk before it, and a writing chunk also with the read-only
+    // chunks since that one; conflicts chain through the writing chunks,
+    // which covers every other pair. On a buffer G001 found race-free,
+    // conflicting touches are ordered exactly as the topological order
+    // lists them, so no search is needed there.
+    // A touch by a node that owns the buffer's slot: (chunk, node, access).
+    type Owned = (usize, usize, Access);
+    for (b, list) in touches.iter().enumerate() {
+        let slot = plan.buffers[b].slot;
+        let mut owners: Vec<Owned> = list
+            .iter()
+            .filter(|&&(i, _)| plan.nodes[i].slot == slot)
+            .filter_map(|&(i, access)| Some((plan.nodes[i].chunk?, i, access)))
+            .collect();
+        owners.sort_by_key(|&(chunk, i, _)| (chunk, pos[i]));
+        let chunks: Vec<&[Owned]> = owners.chunk_by(|x, y| x.0 == y.0).collect();
+        let mut late = Vec::new();
+        let mut runs_first = |x: usize, y: usize| {
+            if raced[b] {
+                reach.before(x, y)
+            } else {
+                pos[x] < pos[y]
+            }
+        };
+        let mut check = |earlier: &[Owned], later: &[Owned]| {
+            for &(_, x, ax) in earlier {
+                for &(_, y, ay) in later {
+                    if (ax == Access::Write || ay == Access::Write) && !runs_first(x, y) {
+                        late.push((x, y));
+                    }
+                }
+            }
+        };
+        let mut writer = None;
+        let mut readers = Vec::new();
+        for &later in &chunks {
+            if let Some(w) = writer {
+                check(w, later);
+            }
+            if later.iter().any(|&(_, _, a)| a == Access::Write) {
+                readers.drain(..).for_each(|r| check(r, later));
+                writer = Some(later);
+            } else {
+                readers.push(later);
+            }
         }
+        let Some(&(x, y)) = late.first() else {
+            continue;
+        };
+        let buffer = plan.buffers[b].describe();
+        let chunk = |i: usize| plan.nodes[i].chunk.expect("slot owners carry a chunk");
+        findings.push(GraphFinding {
+            check: GraphCheck::RingWidth,
+            message: format!(
+                "{buffer}: chunk {} can claim it while chunk {} still uses it ({} touch pair(s) out of ring order, {} slots)",
+                chunk(y),
+                chunk(x),
+                late.len(),
+                plan.ring_slots
+            ),
+            trace: vec![
+                format!(
+                    "{} does not wait for {}",
+                    describe(plan, y),
+                    describe(plan, x)
+                ),
+                format!("both touch {buffer}, which a ring slot holds for one chunk at a time"),
+            ],
+        });
     }
 
     // G006 (poison) — a modeled kernel panic on a chunk the plan never
@@ -775,183 +729,69 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
         });
     }
 
-    // G001 (poison) — with a modeled kernel panic, everything that is not
-    // a guaranteed-cancelled dependent of the panicked compute and runs
-    // concurrently with or after it must not touch the poisoned slot.
-    if let Some((k, Some(p))) = panicked.filter(|_| explicit) {
+    // G001 (poison) — with a modeled kernel panic, the buffers the
+    // panicked compute writes hold garbage: everything else that touches
+    // one must be a guaranteed-cancelled dependent of the panic or run
+    // before it.
+    if let Some((k, Some(p))) = panicked {
+        let poisoned: Vec<usize> = plan
+            .footprint(p)
+            .iter()
+            .filter(|&&(_, access)| access == Access::Write)
+            .map(|&(b, _)| b)
+            .collect();
         let slot = plan.nodes[p].slot;
-        for &(i, a) in &actions {
-            if i == p || a.slot != slot {
+        for i in (0..n).filter(|&i| i != p) {
+            if !plan.footprint(i).iter().any(|(b, _)| poisoned.contains(b)) {
                 continue;
             }
-            let cancelled = construction != Construction::PoisonSkipLock && anc[i].get(p);
-            let before_panic = anc[p].get(i);
-            if !cancelled && !before_panic {
-                findings.push(GraphFinding {
-                    check: GraphCheck::Race,
-                    message: format!(
-                        "poison leak: {} can touch the slot poisoned by the kernel panic on chunk {k}",
+            let cancelled = construction != Construction::PoisonSkipLock && reach.before(p, i);
+            if cancelled || reach.before(i, p) {
+                continue;
+            }
+            findings.push(GraphFinding {
+                check: GraphCheck::Race,
+                message: format!(
+                    "poison leak: {} can touch the slot poisoned by the kernel panic on chunk {k}",
+                    describe(plan, i)
+                ),
+                trace: vec![
+                    format!(
+                        "kernel panic poisons slot {slot} at {}",
+                        describe(plan, p)
+                    ),
+                    format!(
+                        "{} is not a guaranteed-cancelled dependent and is not ordered before the panic",
                         describe(plan, i)
                     ),
-                    trace: vec![
-                        format!(
-                            "kernel panic poisons slot {slot} at {}",
-                            describe(plan, p)
-                        ),
-                        format!(
-                            "{} is not a guaranteed-cancelled dependent and is not ordered before the panic",
-                            describe(plan, i)
-                        ),
-                    ],
-                });
-            }
-        }
-    }
-
-    // G003/G004 — buffer liveness antichains. A buffer is live from the
-    // action that fills it until the last action that reads it; buffer
-    // `c` strictly precedes buffer `d` when `c`'s end happens-before
-    // `d`'s start, so by Dilworth the maximum antichain of the precedence
-    // order is exactly the worst-case number of simultaneously-live
-    // buffers any linearization can reach.
-    //
-    // The map family has one buffer per chunk, spanning copy-in to
-    // copy-out (the compute itself in implicit mode). The stencil family
-    // has two: the in-buffer of chunk `c` spans its copy-in to the last
-    // halo reader (compute of `c + 1`), the out-buffer its compute to its
-    // copy-out — each ring of `ring_slots` buffers is bounded separately,
-    // and the HBW peak sums both.
-    let n_chunks = spec.n_chunks();
-    let antichain_of = |spans: &[(Option<usize>, Option<usize>)]| -> Vec<usize> {
-        let mut precedes: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-        for (c, &(_, end_c)) in spans.iter().enumerate() {
-            for (d, &(start_d, _)) in spans.iter().enumerate() {
-                if let (Some(out_c), Some(in_d)) = (end_c, start_d) {
-                    if c != d && anc[in_d].get(out_c) {
-                        precedes[c].push(d);
-                    }
-                }
-            }
-        }
-        max_antichain(spans.len(), &precedes)
-    };
-    let witness = |antichain: &[usize], what: &str| -> Vec<String> {
-        let mut lines: Vec<String> = antichain
-            .iter()
-            .take(8)
-            .map(|&c| format!("chunk {c}{what} live (slot {})", c % plan.ring_slots))
-            .collect();
-        if antichain.len() > 8 {
-            lines.push(format!("... and {} more", antichain.len() - 8));
-        }
-        lines
-    };
-
-    let stencil = explicit && matches!(spec.workload, Workload::Stencil { .. });
-    let (peak_live_chunks, peak_hbw_buffers, ring_findings, budget_head, budget_witness) =
-        if stencil {
-            let in_spans: Vec<(Option<usize>, Option<usize>)> = (0..n_chunks)
-                .map(|c| {
-                    let last_reader = (c + 1).min(n_chunks - 1);
-                    (
-                        plan.find(PlanKind::StageIn, c),
-                        plan.find(PlanKind::Kernel, last_reader),
-                    )
-                })
-                .collect();
-            let out_spans: Vec<(Option<usize>, Option<usize>)> = (0..n_chunks)
-                .map(|c| {
-                    (
-                        plan.find(PlanKind::Kernel, c),
-                        plan.find(PlanKind::StageOut, c),
-                    )
-                })
-                .collect();
-            let in_chain = antichain_of(&in_spans);
-            let out_chain = antichain_of(&out_spans);
-            let (peak_in, peak_out) = (in_chain.len(), out_chain.len());
-            let mut ring_findings = Vec::new();
-            for (peak, chain, what) in [
-                (peak_in, &in_chain, " in-buffer"),
-                (peak_out, &out_chain, " out-buffer"),
-            ] {
-                if peak > plan.ring_slots {
-                    ring_findings.push(GraphFinding {
-                        check: GraphCheck::RingWidth,
-                        message: format!(
-                            "{peak} stencil{what}s can be in flight concurrently but the ring has {} slots",
-                            plan.ring_slots
-                        ),
-                        trace: witness(chain, what),
-                    });
-                }
-            }
-            let head = format!(
-                "peak = ({peak_in} in-buffers + {peak_out} out-buffers) x {} bytes each",
-                spec.chunk_bytes
-            );
-            let mut wit = witness(&in_chain, " in-buffer");
-            wit.extend(witness(&out_chain, " out-buffer"));
-            (
-                peak_in.max(peak_out),
-                (peak_in + peak_out) as u64,
-                ring_findings,
-                head,
-                wit,
-            )
-        } else {
-            let spans: Vec<(Option<usize>, Option<usize>)> = (0..n_chunks)
-                .map(|c| {
-                    if explicit {
-                        (
-                            plan.find(PlanKind::StageIn, c),
-                            plan.find(PlanKind::StageOut, c),
-                        )
-                    } else {
-                        let comp = plan.find(PlanKind::Kernel, c);
-                        (comp, comp)
-                    }
-                })
-                .collect();
-            let antichain = antichain_of(&spans);
-            let peak = antichain.len();
-            let mut ring_findings = Vec::new();
-            if explicit && peak > plan.ring_slots {
-                ring_findings.push(GraphFinding {
-                    check: GraphCheck::RingWidth,
-                    message: format!(
-                        "{peak} chunks can be in flight concurrently but the ring has {} slots",
-                        plan.ring_slots
-                    ),
-                    trace: witness(&antichain, ""),
-                });
-            }
-            let head = format!(
-                "peak = {peak} live chunks x {} bytes/chunk = {} bytes",
-                spec.chunk_bytes,
-                peak as u64 * spec.chunk_bytes
-            );
-            let wit = witness(&antichain, "");
-            (peak, peak as u64, ring_findings, head, wit)
-        };
-    findings.extend(ring_findings);
-    let peak_hbw_bytes = if explicit && spec.placement == Placement::Hbw {
-        peak_hbw_buffers * spec.chunk_bytes
-    } else {
-        0
-    };
-    if let Some(budget) = cfg.hbw_budget {
-        if peak_hbw_bytes > budget {
-            let mut trace = vec![budget_head];
-            trace.extend(budget_witness);
-            findings.push(GraphFinding {
-                check: GraphCheck::Capacity,
-                message: format!(
-                    "peak HBW occupancy {peak_hbw_bytes} bytes exceeds the MCDRAM budget of {budget} bytes"
-                ),
-                trace,
+                ],
             });
         }
+    }
+    visited += reach.visited;
+
+    // G003 — capacity: every declared HBW buffer stays resident for the
+    // whole run.
+    if let Some(budget) = cfg.hbw_budget.filter(|&b| peak_hbw_bytes > b) {
+        let mut trace = vec![format!(
+            "peak = {} declared HBW buffers, {peak_hbw_bytes} bytes in all",
+            hbw.len()
+        )];
+        trace.extend(
+            hbw.iter()
+                .take(8)
+                .map(|b| format!("{}: {} bytes", b.describe(), b.bytes)),
+        );
+        if hbw.len() > 8 {
+            trace.push(format!("... and {} more", hbw.len() - 8));
+        }
+        findings.push(GraphFinding {
+            check: GraphCheck::Capacity,
+            message: format!(
+                "peak HBW occupancy {peak_hbw_bytes} bytes exceeds the MCDRAM budget of {budget} bytes"
+            ),
+            trace,
+        });
     }
 
     // G005 — dead tokens: a completion nobody consumes. Copy-outs retire
@@ -977,8 +817,8 @@ pub fn analyze(plan: &WorkloadPlan, spec: &PipelineSpec, cfg: &AnalysisConfig) -
     GraphReport {
         nodes: n,
         edges,
-        peak_live_chunks,
         peak_hbw_bytes,
+        visited,
         findings,
     }
 }
@@ -996,7 +836,7 @@ pub(crate) fn prove(
         hbw_budget,
         ..AnalysisConfig::default()
     };
-    let report = analyze(&plan, spec, &cfg);
+    let report = analyze(&plan, &cfg);
     Ok((plan, report))
 }
 
@@ -1019,6 +859,7 @@ mod tests {
     use crate::drive::{drive, RING_SLOTS};
     use crate::plan::{PlanEdge, PlanNode};
     use crate::recording::{Event, NullBackend, RecordingBackend};
+    use crate::spec::Workload;
 
     fn spec(n_chunks: u64, lockstep: bool, placement: Placement) -> PipelineSpec {
         PipelineSpec {
@@ -1050,6 +891,7 @@ mod tests {
                 .iter()
                 .map(|&d| PlanEdge::new(d, EdgeKind::Seq))
                 .collect(),
+            footprint: 0..0,
         }
     }
 
@@ -1062,8 +904,13 @@ mod tests {
             chunks: 1,
             kernels: Vec::new(),
             nodes,
+            buffers: Vec::new(),
+            touches: Vec::new(),
         }
     }
+
+    /// The pinned bound on happens-before work per plan edge.
+    const VISITED_PER_EDGE: u64 = 4;
 
     #[test]
     fn emitted_graphs_verify_clean() {
@@ -1073,13 +920,17 @@ mod tests {
                 let r = verify_spec(&s, Some(1 << 30)).unwrap();
                 assert!(r.is_safe(), "{lockstep}/{placement:?}: {r}");
                 assert!(r.findings.is_empty(), "{r}");
-                assert_eq!(r.peak_live_chunks, 3, "{r}");
+                let ring = if placement == Placement::Hbw {
+                    3 * 64
+                } else {
+                    0
+                };
+                assert_eq!(r.peak_hbw_bytes, ring, "{r}");
             }
         }
         let s = spec(4, true, Placement::Implicit);
         let r = verify_spec(&s, None).unwrap();
         assert!(r.findings.is_empty(), "{r}");
-        assert_eq!(r.peak_live_chunks, 1);
         assert_eq!(r.peak_hbw_bytes, 0);
     }
 
@@ -1087,7 +938,7 @@ mod tests {
     fn single_chunk_peaks_at_one() {
         let r = verify_spec(&spec(1, false, Placement::Hbw), None).unwrap();
         assert!(r.findings.is_empty(), "{r}");
-        assert_eq!(r.peak_live_chunks, 1);
+        // Only the one slot a chunk lands in is declared.
         assert_eq!(r.peak_hbw_bytes, 64);
     }
 
@@ -1098,7 +949,7 @@ mod tests {
             construction: Construction::DropRecycleDep,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&plan_pipeline(&s), &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &cfg);
         let codes = r.codes();
         assert!(codes.contains(&"G001"), "{r}");
         assert!(codes.contains(&"G004"), "{r}");
@@ -1112,11 +963,11 @@ mod tests {
             construction: Construction::NotifyOne,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&plan_pipeline(&s), &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &cfg);
         assert_eq!(r.codes(), vec!["G002"], "{r}");
         // Dataflow chains have single dependents everywhere: immune.
         let s = spec(4, false, Placement::Hbw);
-        let r = analyze(&plan_pipeline(&s), &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &cfg);
         assert!(r.is_safe(), "{r}");
     }
 
@@ -1127,7 +978,7 @@ mod tests {
             construction: Construction::NoRecheck,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&plan_pipeline(&s), &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
     }
 
@@ -1140,14 +991,14 @@ mod tests {
             kernel_panic: Some(1),
             ..AnalysisConfig::default()
         };
-        let r = analyze(&p, &s, &cfg);
+        let r = analyze(&p, &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
         // The correct construction cancels the dependents: no leak.
         let cfg = AnalysisConfig {
             kernel_panic: Some(1),
             ..AnalysisConfig::default()
         };
-        let r = analyze(&p, &s, &cfg);
+        let r = analyze(&p, &cfg);
         assert!(r.is_safe(), "{r}");
     }
 
@@ -1160,7 +1011,7 @@ mod tests {
             kernel_panic: Some(99),
             ..AnalysisConfig::default()
         };
-        let r = analyze(&plan_pipeline(&s), &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &cfg);
         assert!(!r.is_safe(), "{r}");
         assert_eq!(r.codes(), vec!["G006"], "{r}");
         assert!(r.findings[0].message.contains("chunk 99"), "{r}");
@@ -1173,11 +1024,7 @@ mod tests {
             node(PlanKind::Kernel, &[1]),
             node(PlanKind::Barrier, &[0]),
         ]);
-        let r = analyze(
-            &p,
-            &spec(1, true, Placement::Hbw),
-            &AnalysisConfig::default(),
-        );
+        let r = analyze(&p, &AnalysisConfig::default());
         assert_eq!(r.codes(), vec!["G002"], "{r}");
         assert!(r.findings[0].trace.len() >= 2, "{r}");
     }
@@ -1188,11 +1035,7 @@ mod tests {
             node(PlanKind::Kernel, &[7]),
             node(PlanKind::Barrier, &[1]),
         ]);
-        let r = analyze(
-            &p,
-            &spec(1, true, Placement::Hbw),
-            &AnalysisConfig::default(),
-        );
+        let r = analyze(&p, &AnalysisConfig::default());
         assert!(r.codes().contains(&"G006"), "{r}");
     }
 
@@ -1205,11 +1048,7 @@ mod tests {
             node(PlanKind::Kernel, &[0]),
             node(PlanKind::Barrier, &[0]),
         ]);
-        let r = analyze(
-            &p,
-            &spec(1, true, Placement::Hbw),
-            &AnalysisConfig::default(),
-        );
+        let r = analyze(&p, &AnalysisConfig::default());
         assert!(r.codes().contains(&"G005"), "{r}");
         assert!(r.is_safe(), "advisory findings keep the schedule safe: {r}");
     }
@@ -1240,49 +1079,40 @@ mod tests {
                 assert!(r.findings.is_empty(), "{r}");
             }
         }
-        // A long dataflow run saturates both 4-deep buffer rings: peak
-        // HBW = (4 in + 4 out) x 64 bytes.
-        let r = verify_spec(&stencil_spec(9, false), Some(1 << 30)).unwrap();
-        assert_eq!(r.peak_live_chunks, 4, "{r}");
-        assert_eq!(r.peak_hbw_bytes, 8 * 64, "{r}");
+        // Both schedules allocate both 4-deep buffer rings: peak HBW =
+        // (4 in + 4 out) x 64 bytes.
+        for lockstep in [true, false] {
+            let r = verify_spec(&stencil_spec(9, lockstep), Some(1 << 30)).unwrap();
+            assert_eq!(r.peak_hbw_bytes, 8 * 64, "{r}");
+        }
     }
 
     #[test]
     fn default_config_takes_the_ring_depth_from_the_plan() {
-        // With a ring depth of its own, the default config judged this
-        // correct stencil against 3 slots: two false G004s, and chunk 6
-        // labelled slot 0 when it sits in slot 2.
+        // With a ring depth of its own, the default config once judged
+        // this correct stencil against 3 slots: two false G004s, and chunk
+        // 6 labelled slot 0 when it sits in slot 2.
         let s = stencil_spec(9, false);
         let p = plan_pipeline(&s);
-        let r = analyze(&p, &s, &AnalysisConfig::default());
+        let r = analyze(&p, &AnalysisConfig::default());
         assert!(r.findings.is_empty(), "{r}");
-        assert_eq!(r.peak_live_chunks, 4, "{r}");
-        // A zero budget makes G003 print the live-chunk witness.
+        // A zero budget makes G003 list the declared buffers: both roles
+        // of each of the 4 slots.
         let cfg = AnalysisConfig {
             hbw_budget: Some(0),
             ..AnalysisConfig::default()
         };
-        let r = analyze(&p, &s, &cfg);
+        let r = analyze(&p, &cfg);
         assert_eq!(r.codes(), vec!["G003"], "{r}");
-        let witness: Vec<&String> = r.findings[0]
-            .trace
+        let witness: Vec<&str> = r.findings[0].trace[1..]
             .iter()
-            .filter(|line| line.starts_with("chunk "))
+            .map(String::as_str)
             .collect();
-        assert_eq!(witness.len(), 8, "{r}");
-        for line in witness {
-            let chunk: usize = line["chunk ".len()..]
-                .split(' ')
-                .next()
-                .and_then(|c| c.parse().ok())
-                .expect("chunk number");
-            let slot: usize = line
-                .rsplit("(slot ")
-                .next()
-                .and_then(|s| s.trim_end_matches(')').parse().ok())
-                .expect("slot number");
-            assert_eq!(slot, chunk % 4, "{line}");
-        }
+        let expected: Vec<String> = ["in-buffer", "out-buffer"]
+            .iter()
+            .flat_map(|role| (0..4).map(move |slot| format!("{role} slot {slot}: 64 bytes")))
+            .collect();
+        assert_eq!(witness, expected, "{r}");
     }
 
     #[test]
@@ -1292,7 +1122,7 @@ mod tests {
             construction: Construction::DropHaloDep,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&plan_pipeline(&s), &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
         assert!(
             r.findings
@@ -1300,9 +1130,13 @@ mod tests {
                 .any(|f| f.check == GraphCheck::Race && f.message.contains("in-buffer")),
             "{r}"
         );
+        // The race stays within one chunk's data: a compute reads its
+        // neighbour's in-buffer before that chunk landed there, but no
+        // chunk claims a slot another chunk still uses.
+        assert!(!r.codes().contains(&"G004"), "{r}");
         // Map plans carry no halo edges, so the weakening is a no-op.
         let s = spec(6, false, Placement::Hbw);
-        let r = analyze(&plan_pipeline(&s), &s, &cfg);
+        let r = analyze(&plan_pipeline(&s), &cfg);
         assert!(r.is_safe(), "{r}");
     }
 
@@ -1325,58 +1159,75 @@ mod tests {
             construction: Construction::DropRecycleDep,
             ..AnalysisConfig::default()
         };
-        let r = analyze(&p, &s, &cfg);
+        let r = analyze(&p, &cfg);
         assert!(r.codes().contains(&"G001"), "{r}");
         assert!(r.codes().contains(&"G004"), "{r}");
     }
 
     #[test]
     fn stencil_footprints_model_split_buffers_and_halo_reads() {
-        let s = stencil_spec(6, false);
-        let fp = |stage, chunk: usize| {
-            action_footprint(
-                &s,
-                ChunkAction {
-                    stage,
-                    chunk,
-                    slot: chunk % s.ring_slots(),
-                },
-            )
-        };
-        assert_eq!(fp(Stage::CopyIn, 2), vec![(BufferKey::In(2), true)]);
-        assert_eq!(fp(Stage::CopyOut, 2), vec![(BufferKey::Out(2), false)]);
+        use Access::{Read, Write};
+        let p = plan_pipeline(&stencil_spec(6, false));
+        // Buffers 0..4 are the in-buffers of slots 0..4, 4..8 the
+        // out-buffers.
+        assert_eq!(p.buffers.len(), 8);
+        assert_eq!(p.buffers[5].describe(), "out-buffer slot 1");
+        let fp = |kind, chunk| p.footprint(p.find(kind, chunk).unwrap()).to_vec();
+        assert_eq!(fp(PlanKind::StageIn, 2), vec![(2, Write)]);
+        assert_eq!(fp(PlanKind::StageOut, 2), vec![(6, Read)]);
         // Interior compute: reads in-slots 1, 2, 3; writes out-slot 2.
         assert_eq!(
-            fp(Stage::Compute, 2),
-            vec![
-                (BufferKey::In(1), false),
-                (BufferKey::In(2), false),
-                (BufferKey::In(3), false),
-                (BufferKey::Out(2), true),
-            ]
+            fp(PlanKind::Kernel, 2),
+            vec![(1, Read), (2, Read), (3, Read), (6, Write)]
         );
-        // Boundary computes drop the missing halo read.
+        // Boundary computes drop the missing halo read; chunk 5 sits in
+        // slot 1.
         assert_eq!(
-            fp(Stage::Compute, 0),
-            vec![
-                (BufferKey::In(0), false),
-                (BufferKey::In(1), false),
-                (BufferKey::Out(0), true),
-            ]
+            fp(PlanKind::Kernel, 0),
+            vec![(0, Read), (1, Read), (4, Write)]
         );
-        // Map keeps the single-buffer model.
-        let m = spec(6, false, Placement::Hbw);
         assert_eq!(
-            action_footprint(
-                &m,
-                ChunkAction {
-                    stage: Stage::Compute,
-                    chunk: 4,
-                    slot: 1,
-                }
-            ),
-            vec![(BufferKey::Main(1), true)]
+            fp(PlanKind::Kernel, 5),
+            vec![(0, Read), (1, Read), (5, Write)]
         );
+        // Map keeps the single-buffer model: every stage updates its
+        // slot's one buffer in place.
+        let m = plan_pipeline(&spec(6, false, Placement::Hbw));
+        assert_eq!(m.buffers.len(), 3);
+        assert_eq!(
+            m.footprint(m.find(PlanKind::Kernel, 4).unwrap()),
+            [(1, Write)]
+        );
+        // Cache mode owns and touches no buffers.
+        let implicit = plan_pipeline(&spec(6, true, Placement::Implicit));
+        assert!(implicit.buffers.is_empty() && implicit.touches.is_empty());
+    }
+
+    #[test]
+    fn proof_work_is_linear_in_plan_edges() {
+        // Exact counters, no stopwatch: on fine-chunked specs every
+        // happens-before search walks a bounded number of edges, so the
+        // proof's work grows with the plan, not with its square. The last
+        // spec is 32 KiB in 1-byte chunks: 32,768 chunks.
+        let fine = PipelineSpec {
+            total_bytes: 32 << 10,
+            chunk_bytes: 1,
+            ..spec(1, true, Placement::Hbw)
+        };
+        for s in [
+            spec(8192, true, Placement::Hbw),
+            spec(8192, false, Placement::Hbw),
+            stencil_spec(8192, false),
+            fine,
+        ] {
+            let r = verify_spec(&s, None).unwrap();
+            assert!(r.findings.is_empty(), "{r}");
+            assert!(
+                r.visited <= VISITED_PER_EDGE * r.edges as u64,
+                "{} chunks: {r}",
+                s.n_chunks()
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`plan`] — the workload-generic plan IR ([`WorkloadPlan`]): a DAG of
 //!   stage-in / compute-kernel / stage-out nodes with tagged dependency
 //!   edges (sequencing, dataflow, buffer recycling, inter-chunk halo)
-//!   that every workload family lowers into and every executor
-//!   interprets;
+//!   and declared buffer footprints, that every workload family lowers
+//!   into and every executor interprets;
 //! * [`drive`] — the orchestrator that builds the plan for the spec's
 //!   workload (map or halo-exchanging stencil; lockstep, dataflow, and
 //!   implicit cache mode) and interprets it over the backend;
@@ -65,7 +65,8 @@ pub use drive::{drive, drive_verified, RING_SLOTS, STENCIL_RING_SLOTS};
 pub use error::DriveError;
 pub use placement::Placement;
 pub use plan::{
-    interpret, plan_pipeline, EdgeKind, KernelDesc, PlanEdge, PlanKind, PlanNode, WorkloadPlan,
+    interpret, plan_pipeline, Access, BufferId, EdgeKind, KernelDesc, PlanBuffer, PlanEdge,
+    PlanKind, PlanNode, WorkloadPlan,
 };
 pub use recording::{Event, NullBackend, RecordingBackend};
 pub use report::{RunReport, StageReport};

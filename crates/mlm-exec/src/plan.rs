@@ -17,6 +17,12 @@
 //!   boundary bytes from a neighbouring chunk's staged buffer (the
 //!   stencil family's genuinely new token shape).
 //!
+//! A plan also declares the staging buffers it keeps resident
+//! ([`WorkloadPlan::buffers`]: tier, bytes, ring slot) and, per node, which
+//! of them the node reads or overwrites ([`WorkloadPlan::footprint`]). That
+//! is the one statement of "which buffers exist and who touches them": the
+//! schedule prover ([`crate::graph`]) reads it and nothing else.
+//!
 //! Two producers lower into the IR: [`plan_pipeline`] builds the §3 chunk
 //! schedule for any [`Workload`] (the drive orchestrator is now "build the
 //! plan, interpret it over a [`Backend`]"), and
@@ -24,6 +30,8 @@
 //! lowers the megachunk-level sort phases. One executor consumes both:
 //! [`interpret`] walks any plan over any backend (host pools, the
 //! simulator, the host and simulated sorts, recorders).
+
+use std::ops::Range;
 
 use crate::backend::{Backend, ChunkAction, Stage};
 use crate::error::DriveError;
@@ -108,6 +116,10 @@ pub struct PlanNode {
     pub len: u64,
     /// Dependency edges, in issue order.
     pub deps: Vec<PlanEdge>,
+    /// The node's entries of [`WorkloadPlan::touches`]: the buffers it
+    /// reads or writes (empty for barriers and for plans that declare no
+    /// buffers).
+    pub footprint: Range<usize>,
 }
 
 impl PlanNode {
@@ -119,6 +131,41 @@ impl PlanNode {
             chunk: self.chunk?,
             slot: self.slot,
         })
+    }
+}
+
+/// Index into [`WorkloadPlan::buffers`].
+pub type BufferId = usize;
+
+/// How a node touches a buffer. Two touches of one buffer conflict unless
+/// both are reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The node reads the buffer's contents.
+    Read,
+    /// The node overwrites the buffer (or updates it in place).
+    Write,
+}
+
+/// One staging buffer a plan keeps resident for its whole run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanBuffer {
+    /// What the buffer holds, for diagnostics (`"ring"`, `"in-buffer"`,
+    /// `"out-buffer"`).
+    pub role: &'static str,
+    /// The ring slot the buffer belongs to: the chunks `c` with
+    /// `c % ring_slots == slot` take turns in it.
+    pub slot: usize,
+    /// Where it is allocated: [`Placement::Hbw`] or [`Placement::Ddr`].
+    pub tier: Placement,
+    /// Capacity in bytes.
+    pub bytes: u64,
+}
+
+impl PlanBuffer {
+    /// Buffer name as diagnostics print it, e.g. `in-buffer slot 2`.
+    pub fn describe(&self) -> String {
+        format!("{} slot {}", self.role, self.slot)
     }
 }
 
@@ -152,6 +199,11 @@ pub struct WorkloadPlan {
     pub kernels: Vec<KernelDesc>,
     /// The nodes, in issue order.
     pub nodes: Vec<PlanNode>,
+    /// The staging buffers the plan keeps resident.
+    pub buffers: Vec<PlanBuffer>,
+    /// Every node's buffer touches, back to back; [`PlanNode::footprint`]
+    /// indexes into it.
+    pub touches: Vec<(BufferId, Access)>,
 }
 
 impl WorkloadPlan {
@@ -172,6 +224,10 @@ impl WorkloadPlan {
                     return Err(format!("node {i} references undefined kernel {k}"));
                 }
             }
+            let footprint = self.touches.get(node.footprint.clone());
+            if footprint.is_none_or(|f| f.iter().any(|&(b, _)| b >= self.buffers.len())) {
+                return Err(format!("node {i} touches an undeclared buffer"));
+            }
             if let Some(c) = node.chunk {
                 if self.ring_slots > 0 && node.slot != c % self.ring_slots {
                     return Err(format!(
@@ -182,6 +238,15 @@ impl WorkloadPlan {
             }
         }
         Ok(())
+    }
+
+    /// The buffers node `i` touches, each with how (nothing when the
+    /// node's range is out of bounds, which [`WorkloadPlan::validate`]
+    /// reports).
+    pub fn footprint(&self, i: usize) -> &[(BufferId, Access)] {
+        self.touches
+            .get(self.nodes[i].footprint.clone())
+            .unwrap_or_default()
     }
 
     /// The node index of `(kind, chunk)`, if the plan contains it.
@@ -195,11 +260,11 @@ impl WorkloadPlan {
 /// Lower the §3 chunk schedule of `spec` into a [`WorkloadPlan`].
 ///
 /// This is the single place that knows which chunk each stage touches at
-/// each step, which slot it occupies, and which dependencies order the
-/// work — for every workload family and all three schedule modes
-/// (lockstep, dataflow, implicit). [`crate::drive`] is "build this plan,
-/// [`interpret`] it"; the graph verifier analyses the exact DAG written
-/// here.
+/// each step, which slot and buffers it occupies, and which dependencies
+/// order the work — for every workload family and all three schedule
+/// modes (lockstep, dataflow, implicit). [`crate::drive()`] is "build this
+/// plan, [`interpret`] it"; the graph verifier analyses the exact DAG and
+/// footprints written here.
 pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
     let n = spec.n_chunks();
     let ring = spec.ring_slots();
@@ -215,16 +280,64 @@ pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
             extra_read_bytes: 2 * halo_bytes,
         },
     }];
+    // Explicit staging declares `spec.buffers_per_slot()` chunk buffers per
+    // ring slot, and only the `min(ring, n)` slots a chunk ever lands in;
+    // cache mode owns no buffers. Buffer `role * slots + slot` is role
+    // `role` of slot `slot`.
+    let slots = match spec.placement {
+        Placement::Implicit => 0,
+        Placement::Hbw | Placement::Ddr => ring.min(n),
+    };
+    let buffers = (0..spec.buffers_per_slot() as usize)
+        .flat_map(|role| {
+            (0..slots).map(move |slot| PlanBuffer {
+                role: match (spec.workload, role) {
+                    (Workload::Map, _) => "ring",
+                    (Workload::Stencil { .. }, 0) => "in-buffer",
+                    (Workload::Stencil { .. }, _) => "out-buffer",
+                },
+                slot,
+                tier: spec.placement,
+                bytes: spec.chunk_bytes,
+            })
+        })
+        .collect();
     let mut plan = WorkloadPlan {
         family: spec.workload.family(),
         ring_slots: ring,
         chunks: n,
         kernels,
         nodes: Vec::new(),
+        buffers,
+        touches: Vec::new(),
     };
 
+    // What a stage of chunk `c` touches. A map stage updates its slot's one
+    // buffer in place. A stencil copy-in fills the slot's in-buffer; the
+    // compute reads its own and both neighbours' in-buffers (the halos) and
+    // writes its out-buffer, which the copy-out reads.
+    let footprint = |kind: PlanKind, c: usize, out: &mut Vec<(BufferId, Access)>| {
+        if slots == 0 {
+            return;
+        }
+        let (input, output) = (|c: usize| c % ring, |c: usize| slots + c % ring);
+        match (spec.workload, kind) {
+            (Workload::Map, _) => out.push((input(c), Access::Write)),
+            (Workload::Stencil { .. }, PlanKind::StageIn) => out.push((input(c), Access::Write)),
+            (Workload::Stencil { .. }, PlanKind::Kernel) => {
+                out.extend(
+                    (c.saturating_sub(1)..=(c + 1).min(n - 1)).map(|h| (input(h), Access::Read)),
+                );
+                out.push((output(c), Access::Write));
+            }
+            (Workload::Stencil { .. }, PlanKind::StageOut) => out.push((output(c), Access::Read)),
+            (Workload::Stencil { .. }, PlanKind::Barrier) => {}
+        }
+    };
     let push = |plan: &mut WorkloadPlan, kind: PlanKind, chunk: usize, deps: Vec<PlanEdge>| {
         let kernel = (kind == PlanKind::Kernel).then_some(0);
+        let start = plan.touches.len();
+        footprint(kind, chunk, &mut plan.touches);
         plan.nodes.push(PlanNode {
             kind,
             chunk: Some(chunk),
@@ -232,6 +345,7 @@ pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
             kernel,
             len: spec.chunk_size(chunk),
             deps,
+            footprint: start..plan.touches.len(),
         });
         plan.nodes.len() - 1
     };
@@ -254,6 +368,7 @@ pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
                 kernel: None,
                 len: 0,
                 deps: vec![PlanEdge::new(comp, EdgeKind::Seq)],
+                footprint: 0..0,
             });
             barrier = Some(plan.nodes.len() - 1);
         }
@@ -374,6 +489,7 @@ pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
                     .iter()
                     .map(|&i| PlanEdge::new(i, EdgeKind::Seq))
                     .collect(),
+                footprint: 0..0,
             });
             barrier = Some(plan.nodes.len() - 1);
         }
@@ -456,6 +572,10 @@ mod tests {
         let mut s = spec(4, true, Workload::Map);
         s.placement = Placement::Implicit;
         plan_pipeline(&s).validate().unwrap();
+        // A footprint naming an undeclared buffer is refused.
+        let mut p = plan_pipeline(&spec(4, false, Workload::Map));
+        p.touches[0].0 = p.buffers.len();
+        assert!(p.validate().unwrap_err().contains("undeclared buffer"));
     }
 
     #[test]

@@ -180,6 +180,8 @@ impl SortPlan {
             chunks: self.megachunks,
             kernels,
             nodes: Vec::new(),
+            buffers: Vec::new(),
+            touches: Vec::new(),
         };
 
         if self.overlapped {
@@ -237,6 +239,7 @@ impl SortPlan {
                 kernel,
                 len,
                 deps,
+                footprint: 0..0,
             });
         }
     }
@@ -259,6 +262,7 @@ impl SortPlan {
                 kernel,
                 len: mega_size(self.n_elems, self.mega_elems, mega),
                 deps,
+                footprint: 0..0,
             });
             plan.nodes.len() - 1
         };
@@ -321,6 +325,7 @@ impl SortPlan {
                 kernel: Some(SORT_KERNEL_FINAL_MERGE),
                 len: self.n_elems,
                 deps,
+                footprint: 0..0,
             });
             plan.nodes.push(PlanNode {
                 kind: PlanKind::StageOut,
@@ -329,6 +334,7 @@ impl SortPlan {
                 kernel: None,
                 len: self.n_elems,
                 deps: vec![PlanEdge::new(plan.nodes.len() - 1, EdgeKind::Data)],
+                footprint: 0..0,
             });
         }
     }

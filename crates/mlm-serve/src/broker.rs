@@ -18,18 +18,15 @@ use knl_sim::{MemLevel, SimError};
 use mlm_core::{PipelineSpec, Placement};
 use mlm_memkind::{Kind, MemKind, Reservation};
 
-/// Buffer slots a pipeline keeps resident (triple buffering, paper Fig. 2).
-/// This is the ring depth [`mlm_exec::drive`] schedules, so the broker's
-/// footprint accounting agrees with every backend by construction.
-pub use mlm_exec::RING_SLOTS;
-
 /// MCDRAM bytes a job's buffer ring asks for: the whole ring for an HBW
-/// job, nothing for DDR and implicit jobs, which never wait on MCDRAM.
+/// job ([`PipelineSpec::buffer_footprint`], every slot of the ring the
+/// plan schedules), nothing for DDR and implicit jobs, which never wait on
+/// MCDRAM.
 /// The one statement of that rule — admission, `fits_now`, strict-backlog
 /// accounting and fleet placement all read it.
 pub fn ring_footprint(spec: &PipelineSpec) -> u64 {
     match spec.placement {
-        Placement::Hbw => spec.buffer_footprint(RING_SLOTS),
+        Placement::Hbw => spec.buffer_footprint(),
         Placement::Ddr | Placement::Implicit => 0,
     }
 }
@@ -99,7 +96,7 @@ impl CapacityBroker {
     /// ever fit, even on a broker whose policy would let preferred jobs
     /// fall back to DDR.
     pub fn can_ever_fit_job(&self, spec: &PipelineSpec, spill_ok: bool) -> bool {
-        let footprint = spec.buffer_footprint(RING_SLOTS);
+        let footprint = spec.buffer_footprint();
         if footprint == 0 {
             return true;
         }
@@ -123,7 +120,7 @@ impl CapacityBroker {
         spec: &PipelineSpec,
         spill_ok: bool,
     ) -> Result<AdmitOutcome, String> {
-        let footprint = spec.buffer_footprint(RING_SLOTS);
+        let footprint = spec.buffer_footprint();
         if footprint == 0 {
             return Ok(AdmitOutcome::Admitted(None));
         }
@@ -153,7 +150,7 @@ impl CapacityBroker {
     /// room too, which `NodeSim::fits_now` assumes is always there.
     #[cfg(debug_assertions)]
     pub(crate) fn would_admit(&self, spec: &PipelineSpec, spill_ok: bool) -> bool {
-        let footprint = spec.buffer_footprint(RING_SLOTS);
+        let footprint = spec.buffer_footprint();
         let room = |level| footprint <= self.mk.reservable(level);
         footprint == 0
             || match self.kind_for(spec, spill_ok) {

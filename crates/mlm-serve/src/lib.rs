@@ -41,7 +41,7 @@ pub mod simx;
 pub mod stats;
 pub mod trace;
 
-pub use broker::{ring_footprint, AdmitOutcome, CapacityBroker, RING_SLOTS};
+pub use broker::{ring_footprint, AdmitOutcome, CapacityBroker};
 pub use job::{DeadlineClass, JobId, JobRecord, JobRequest, Rejection, N_CLASSES};
 pub use node::{Admission, NodeSim, DONE_EPS};
 pub use policy::{bus_demand, predicted_makespan, profile, JobProfile, Policy};

@@ -135,7 +135,7 @@ pub fn serve(cfg: &ServeConfig, jobs: &[JobRequest]) -> Result<ServeOutcome, Str
                     id: jobs[idx].id,
                     reason: format!(
                         "buffer ring of {} B exceeds the {} B MCDRAM budget",
-                        jobs[idx].spec.buffer_footprint(crate::broker::RING_SLOTS),
+                        jobs[idx].spec.buffer_footprint(),
                         node.broker().budget()
                     ),
                 });

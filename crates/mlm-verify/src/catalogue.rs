@@ -55,7 +55,7 @@ impl BugRow {
             kernel_panic: self.kernel_panic,
             ..AnalysisConfig::default()
         };
-        Ok(analyze(&plan_pipeline(&spec), &spec, &cfg))
+        Ok(analyze(&plan_pipeline(&spec), &cfg))
     }
 }
 

@@ -9,7 +9,7 @@
 //!
 //! * every case of the [`default_corpus`] (all placements and schedule
 //!   modes of both workload families, five geometries) must prove
-//!   race-free, deadlock-free, and within the slot/MCDRAM bounds
+//!   race-free, deadlock-free, in ring order and within MCDRAM
 //!   **statically** — over every linearization;
 //! * every committed experiment spec (the paper pipelines, the host
 //!   ablation shape, the largest serve-trace batch, the out-of-core
@@ -373,7 +373,6 @@ mod tests {
         assert_eq!(spec.n_chunks(), 128);
         let report = graph_report_for(&spec, &paper_machine()).unwrap();
         assert!(report.is_safe(), "{report}");
-        assert_eq!(report.peak_live_chunks, 3);
         assert_eq!(report.peak_hbw_bytes, 6 << 30);
     }
 }

@@ -694,7 +694,7 @@ impl Lint for ConcurrentMcdramFit {
         // Only flat-MCDRAM placements pin MCDRAM; DDR and cache-mode jobs
         // contribute nothing to the budget.
         let footprint = |s: &PipelineSpec| match s.placement {
-            Placement::Hbw => s.buffer_footprint(s.ring_slots()),
+            Placement::Hbw => s.buffer_footprint(),
             Placement::Ddr | Placement::Implicit => 0,
         };
         let mine = footprint(t.spec);
@@ -707,7 +707,7 @@ impl Lint for ConcurrentMcdramFit {
             let jobs = 1 + t.co_scheduled.len();
             let fair = addressable / jobs as u64;
             let slots = t.spec.ring_slots();
-            let max_chunk = fair / slots as u64;
+            let max_chunk = fair / (slots as u64 * t.spec.buffers_per_slot());
             out.push(
                 Diagnostic::new(
                     self.id(),
@@ -763,7 +763,7 @@ impl Lint for FleetPlacementFeasibility {
             return; // only MCDRAM rings compete for node budgets
         }
         let slots = t.spec.ring_slots();
-        let footprint = t.spec.buffer_footprint(slots);
+        let footprint = t.spec.buffer_footprint();
         if footprint == 0 {
             return;
         }
@@ -780,7 +780,7 @@ impl Lint for FleetPlacementFeasibility {
             .map(|n| n.mcdram_budget.min(n.machine.addressable_mcdram()))
             .max()
             .unwrap_or(0);
-        let max_chunk = max_budget / slots as u64;
+        let max_chunk = max_budget / (slots as u64 * t.spec.buffers_per_slot());
         let semantics = if fleet.strict { "strict-HBW" } else { "HBW" };
         out.push(
             Diagnostic::new(

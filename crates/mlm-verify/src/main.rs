@@ -208,7 +208,6 @@ struct GraphCaseOut {
     fired: Vec<String>,
     nodes: usize,
     edges: usize,
-    peak_live_chunks: usize,
     peak_hbw_bytes: u64,
     diagnostics: Vec<Diagnostic>,
     /// Set when the spec could not be driven at all.
@@ -239,7 +238,6 @@ fn graph_battery(json: bool) -> GraphBatteryOut {
                     fired: case.fired().iter().map(|s| s.to_string()).collect(),
                     nodes: report.nodes,
                     edges: report.edges,
-                    peak_live_chunks: report.peak_live_chunks,
                     peak_hbw_bytes: report.peak_hbw_bytes,
                     diagnostics: mlm_verify::graph::report_diagnostics(report),
                     error: None,
@@ -254,7 +252,6 @@ fn graph_battery(json: bool) -> GraphBatteryOut {
                     fired: Vec::new(),
                     nodes: 0,
                     edges: 0,
-                    peak_live_chunks: 0,
                     peak_hbw_bytes: 0,
                     diagnostics: Vec::new(),
                     error: Some(e.to_string()),
@@ -270,8 +267,8 @@ fn graph_battery(json: bool) -> GraphBatteryOut {
                 format!("must fire {}", case.expect.join("+"))
             };
             println!(
-                "{verdict:>4}  {}  [{expect}] — {} nodes, {} edges, peak {} chunks",
-                case.name, out.nodes, out.edges, out.peak_live_chunks
+                "{verdict:>4}  {}  [{expect}] — {} nodes, {} edges, {} HBW bytes",
+                case.name, out.nodes, out.edges, out.peak_hbw_bytes
             );
             if !case.expect.is_empty() && case_ok {
                 println!("      caught as designed: fired {}", out.fired.join(", "));
