@@ -1,7 +1,7 @@
 //! Drivers that regenerate every table and figure of the evaluation.
 
 use knl_sim::machine::{MachineConfig, MemMode};
-use knl_sim::{MemLevel, Simulator};
+use knl_sim::{MemLevel, Program, SimReport, Simulator};
 use mlm_core::merge_bench::{
     empirical_optimal_copy_threads, merge_kernel, simulate_merge_bench, MergeBenchParams,
 };
@@ -9,9 +9,10 @@ use mlm_core::model::ModelParams;
 use mlm_core::pipeline::host::{run_host_pipeline, HostRunStats};
 use mlm_core::pipeline::Workload;
 use mlm_core::pipeline::{PipelineSpec, Placement};
-use mlm_core::sort::sim::build_sort_program;
+use mlm_core::sort::sim::{build_sort_program, SimSortBackend};
 use mlm_core::workload::generate_keys;
 use mlm_core::{Calibration, InputOrder, SortAlgorithm, SortWorkload};
+use mlm_exec::{interpret, plan_sort, ChunkSortStyle};
 use parsort::pool::WorkPool;
 
 use crate::paper::{self, paper_megachunk};
@@ -55,6 +56,26 @@ pub fn megachunk_for(algorithm: SortAlgorithm, n: u64) -> u64 {
     }
 }
 
+/// Simulate `alg` over `w` on `machine` with `mega`-element megachunks,
+/// at the paper's thread count.
+fn run_sort(
+    machine: &MachineConfig,
+    cal: &Calibration,
+    w: SortWorkload,
+    alg: SortAlgorithm,
+    mega: u64,
+) -> Result<SimReport, String> {
+    let prog = build_sort_program(machine, cal, w, alg, mega, PAPER_THREADS)?;
+    run(machine, &prog)
+}
+
+/// Simulate a lowered program on `machine`.
+fn run(machine: &MachineConfig, prog: &Program) -> Result<SimReport, String> {
+    Simulator::new(machine.clone())
+        .run(prog)
+        .map_err(|e| e.to_string())
+}
+
 /// Simulate one Table-1 cell.
 pub fn simulate_sort(
     cal: &Calibration,
@@ -62,20 +83,9 @@ pub fn simulate_sort(
     order: InputOrder,
     algorithm: SortAlgorithm,
 ) -> Result<f64, String> {
-    let machine = machine_for(algorithm);
     let w = SortWorkload::int64(n, order);
-    let prog = build_sort_program(
-        &machine,
-        cal,
-        w,
-        algorithm,
-        megachunk_for(algorithm, n),
-        PAPER_THREADS,
-    )?;
-    let report = Simulator::new(machine)
-        .run(&prog)
-        .map_err(|e| e.to_string())?;
-    Ok(report.makespan)
+    let mega = megachunk_for(algorithm, n);
+    Ok(run_sort(&machine_for(algorithm), cal, w, algorithm, mega)?.makespan)
 }
 
 /// Regenerate Table 1: all 30 (size, order, algorithm) cells.
@@ -173,9 +183,8 @@ pub fn fig7(cal: &Calibration) -> Vec<Fig7Point> {
         for &mega in &sweep {
             let machine = machine_for(alg);
             let w = SortWorkload::int64(n, InputOrder::Random);
-            let seconds = build_sort_program(&machine, cal, w, alg, mega, PAPER_THREADS)
+            let seconds = run_sort(&machine, cal, w, alg, mega)
                 .ok()
-                .and_then(|prog| Simulator::new(machine).run(&prog).ok())
                 .map(|r| r.makespan);
             points.push(Fig7Point {
                 algorithm: alg,
@@ -304,42 +313,10 @@ pub fn bender_check(cal: &Calibration) -> Result<BenderCheck, String> {
     let n = 2 * BILLION;
     let w = SortWorkload::int64(n, InputOrder::Random);
 
-    let flat_machine = MachineConfig::knl_7250(MemMode::Flat);
-    let gnu = build_sort_program(
-        &flat_machine,
-        cal,
-        w,
-        SortAlgorithm::GnuFlat,
-        n,
-        PAPER_THREADS,
-    )?;
-    let gnu_report = Simulator::new(flat_machine.clone())
-        .run(&gnu)
-        .map_err(|e| e.to_string())?;
-
-    let basic = build_sort_program(
-        &flat_machine,
-        cal,
-        w,
-        SortAlgorithm::BasicChunked,
-        BILLION,
-        PAPER_THREADS,
-    )?;
-    let basic_report = Simulator::new(flat_machine.clone())
-        .run(&basic)
-        .map_err(|e| e.to_string())?;
-
-    let mlm = build_sort_program(
-        &flat_machine,
-        cal,
-        w,
-        SortAlgorithm::MlmSort,
-        BILLION,
-        PAPER_THREADS,
-    )?;
-    let mlm_report = Simulator::new(flat_machine)
-        .run(&mlm)
-        .map_err(|e| e.to_string())?;
+    let flat = MachineConfig::knl_7250(MemMode::Flat);
+    let gnu_report = run_sort(&flat, cal, w, SortAlgorithm::GnuFlat, n)?;
+    let basic_report = run_sort(&flat, cal, w, SortAlgorithm::BasicChunked, BILLION)?;
+    let mlm_report = run_sort(&flat, cal, w, SortAlgorithm::MlmSort, BILLION)?;
 
     Ok(BenderCheck {
         basic_speedup: gnu_report.makespan / basic_report.makespan,
@@ -446,30 +423,9 @@ pub fn hybrid_study(cal: &Calibration) -> Result<Vec<HybridPoint>, String> {
         };
         let machine = MachineConfig::knl_7250(mode);
         let max_megachunk = (machine.addressable_mcdram() / 8).min(n).max(1);
-        let prog = build_sort_program(
-            &machine,
-            cal,
-            w,
-            SortAlgorithm::MlmSort,
-            max_megachunk,
-            PAPER_THREADS,
-        )?;
-        let seconds = Simulator::new(machine)
-            .run(&prog)
-            .map_err(|e| e.to_string())?
-            .makespan;
-        let flat_prog = build_sort_program(
-            &flat_machine,
-            cal,
-            w,
-            SortAlgorithm::MlmSort,
-            max_megachunk,
-            PAPER_THREADS,
-        )?;
-        let flat_same_chunk = Simulator::new(flat_machine.clone())
-            .run(&flat_prog)
-            .map_err(|e| e.to_string())?
-            .makespan;
+        let alg = SortAlgorithm::MlmSort;
+        let seconds = run_sort(&machine, cal, w, alg, max_megachunk)?.makespan;
+        let flat_same_chunk = run_sort(&flat_machine, cal, w, alg, max_megachunk)?.makespan;
         out.push(HybridPoint {
             cache_fraction: frac,
             max_megachunk,
@@ -503,107 +459,22 @@ pub struct RadixStudyRow {
 /// for many bandwidth-bound algorithms", strengthened: *the more
 /// bandwidth-bound, the more it holds*.
 pub fn radix_study(cal: &Calibration) -> Result<Vec<RadixStudyRow>, String> {
-    use knl_sim::ops::{Access, OpKind, Place, Program};
     let n = 2 * BILLION;
-    let elem = 8u64;
-    let mega = BILLION; // 8 GB megachunks, as in Table 1
-    let threads = PAPER_THREADS;
-    let machine = MachineConfig::knl_7250(MemMode::Flat);
-    let digits = 8u64; // 64-bit uniform keys exercise all eight passes
-
-    // Radix under the MLM structure: per megachunk, copy in, run the
-    // radix passes in the given level, merge out; final multiway merge.
-    let radix_time = |in_mcdram: bool| -> Result<f64, String> {
-        let mut prog = Program::new(threads);
-        let k = n.div_ceil(mega);
-        let place = if in_mcdram { Place::Mcdram } else { Place::Ddr };
-        let mut barrier: Vec<knl_sim::OpId> = Vec::new();
-        for _ in 0..k {
-            let bytes = mega * elem;
-            let mut phase = Vec::new();
-            if in_mcdram {
-                // Copy in/out around the passes (out happens via the merge).
-                for t in 0..threads {
-                    let share =
-                        bytes / threads as u64 + u64::from((t as u64) < bytes % threads as u64);
-                    if share > 0 {
-                        phase.push(prog.push(
-                            t,
-                            OpKind::copy(
-                                Place::Ddr,
-                                Place::Mcdram,
-                                share,
-                                machine.per_thread_copy_bw,
-                            ),
-                            &barrier,
-                        ));
-                    }
-                }
-                barrier = prog.barrier(0..threads, &phase);
-                phase = Vec::new();
-            }
-            // The eight radix passes over each thread's block.
-            let block = bytes / threads as u64;
-            for t in 0..threads {
-                let traffic = block * digits;
-                phase.push(prog.push(
-                    t,
-                    OpKind::Stream {
-                        accesses: vec![Access::read(place, traffic), Access::write(place, traffic)],
-                        rate_cap: cal.s_radix,
-                    },
-                    &barrier,
-                ));
-            }
-            barrier = prog.barrier(0..threads, &phase);
-            // Merge the per-thread runs out to DDR.
-            let rate = cal.multiway_rate(threads);
-            let mut merge = Vec::new();
-            for t in 0..threads {
-                let share = bytes / threads as u64 + u64::from((t as u64) < bytes % threads as u64);
-                if share > 0 {
-                    merge.push(prog.push(
-                        t,
-                        OpKind::Stream {
-                            accesses: vec![
-                                Access::read(place, share),
-                                Access::write(Place::Ddr, share),
-                            ],
-                            rate_cap: rate,
-                        },
-                        &barrier,
-                    ));
-                }
-            }
-            barrier = prog.barrier(0..threads, &merge);
-        }
-        if k > 1 {
-            let rate = cal.multiway_rate(k as usize);
-            let mut fin = Vec::new();
-            for t in 0..threads {
-                let share =
-                    n * elem / threads as u64 + u64::from((t as u64) < (n * elem) % threads as u64);
-                fin.push(prog.push(
-                    t,
-                    OpKind::Stream {
-                        accesses: vec![
-                            Access::read(Place::Ddr, share),
-                            Access::write(Place::Ddr, share),
-                        ],
-                        rate_cap: rate,
-                    },
-                    &barrier,
-                ));
-            }
-        }
-        Ok(Simulator::new(machine.clone())
-            .run(&prog)
-            .map_err(|e| e.to_string())?
-            .makespan)
+    // Radix under the MLM-ddr and MLM-sort structures: each variant's own
+    // plan, with the megachunks' chunks radix-sorted instead of
+    // introsorted (64-bit uniform keys exercise all eight digit passes).
+    let radix_time = |alg: SortAlgorithm| -> Result<f64, String> {
+        let machine = machine_for(alg);
+        let mega = megachunk_for(alg, n);
+        let w = SortWorkload::int64(n, InputOrder::Random);
+        let mut backend = SimSortBackend::new(&machine, cal, w, alg, mega, PAPER_THREADS)?;
+        let plan = plan_sort(alg.structure(), ChunkSortStyle::Radix, n, mega);
+        interpret(&mut backend, &plan, &plan.to_workload_plan()).map_err(String::from)?;
+        Ok(run(&machine, &backend.into_program())?.makespan)
     };
 
-    let radix_ddr = radix_time(false)?;
-    let radix_mlm = radix_time(true)?;
+    let radix_ddr = radix_time(SortAlgorithm::MlmDdr)?;
+    let radix_mlm = radix_time(SortAlgorithm::MlmSort)?;
     let intro_ddr = simulate_sort(cal, n, InputOrder::Random, SortAlgorithm::MlmDdr)?;
     let intro_mlm = simulate_sort(cal, n, InputOrder::Random, SortAlgorithm::MlmSort)?;
 
@@ -663,24 +534,9 @@ pub fn design_space(cal: &Calibration) -> Result<Vec<DesignPoint>, String> {
             let max_elems = machine.addressable_mcdram() / elem;
             let megachunk = max_elems.min(n).max(1);
 
-            let gnu =
-                build_sort_program(&machine, cal, w, SortAlgorithm::GnuFlat, n, PAPER_THREADS)?;
-            let gnu_seconds = Simulator::new(machine.clone())
-                .run(&gnu)
-                .map_err(|e| e.to_string())?
-                .makespan;
-            let mlm = build_sort_program(
-                &machine,
-                cal,
-                w,
-                SortAlgorithm::MlmSort,
-                megachunk,
-                PAPER_THREADS,
-            )?;
-            let mlm_seconds = Simulator::new(machine.clone())
-                .run(&mlm)
-                .map_err(|e| e.to_string())?
-                .makespan;
+            let gnu_seconds = run_sort(&machine, cal, w, SortAlgorithm::GnuFlat, n)?.makespan;
+            let mlm_seconds =
+                run_sort(&machine, cal, w, SortAlgorithm::MlmSort, megachunk)?.makespan;
             points.push(DesignPoint {
                 bw_ratio,
                 capacity_gib,

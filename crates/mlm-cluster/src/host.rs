@@ -21,6 +21,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use mlm_core::sort::host::mlm_sort;
 use parsort::multiway::multiway_merge_into;
 use parsort::pool::WorkPool;
+use parsort::radix::RadixKey;
 
 use crate::ClusterConfig;
 
@@ -51,7 +52,7 @@ enum NodeMsg<T> {
 ///
 /// `threads_per_node` sizes each node's local [`WorkPool`] (its "hardware
 /// threads"); `megachunk_elems` is MLM-sort's megachunk within a node.
-pub fn cluster_sort<T: Ord + Copy + Send + Sync>(
+pub fn cluster_sort<T: Ord + RadixKey + Send + Sync>(
     cfg: &ClusterConfig,
     data: &[T],
     threads_per_node: usize,
@@ -125,7 +126,7 @@ pub fn cluster_sort<T: Ord + Copy + Send + Sync>(
     (out, stats)
 }
 
-fn run_node<T: Ord + Copy + Send + Sync>(
+fn run_node<T: Ord + RadixKey + Send + Sync>(
     node: usize,
     n: usize,
     shard: &[T],

@@ -29,7 +29,7 @@ use crate::pipeline::{sim, PipelineSpec, Placement, Workload};
 pub struct MergeBenchParams {
     /// Total data size in bytes (the paper's `B_copy` = 14.9 GB).
     pub total_bytes: u64,
-    /// Chunk/buffer size in bytes (three buffers must fit MCDRAM).
+    /// Chunk/buffer size in bytes (the buffer ring must fit MCDRAM).
     pub chunk_bytes: u64,
     /// Copy-in pool size (copy-out is equal, per the paper's model).
     pub copy_threads: usize,
@@ -73,10 +73,7 @@ impl MergeBenchParams {
                 self.copy_threads, self.total_threads
             ));
         }
-        if 3 * self.chunk_bytes > machine.addressable_mcdram() {
-            return Err("three buffers must fit the addressable MCDRAM".into());
-        }
-        Ok(PipelineSpec {
+        let spec = PipelineSpec {
             total_bytes: self.total_bytes,
             chunk_bytes: self.chunk_bytes,
             p_in: self.copy_threads,
@@ -89,7 +86,11 @@ impl MergeBenchParams {
             lockstep: true,
             data_addr: 0,
             workload: Workload::Map,
-        })
+        };
+        if spec.buffer_footprint() > machine.addressable_mcdram() {
+            return Err("the buffer ring must fit the addressable MCDRAM".into());
+        }
+        Ok(spec)
     }
 }
 

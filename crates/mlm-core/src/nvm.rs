@@ -23,7 +23,6 @@
 //! level down.
 
 use knl_sim::machine::{MachineConfig, MemMode};
-use knl_sim::ops::{Access, OpKind, Place, Program};
 use knl_sim::{MemLevel, Simulator};
 use serde::{Deserialize, Serialize};
 
@@ -137,6 +136,30 @@ fn outer_machine(knl: &MachineConfig, nvm: &NvmConfig) -> MachineConfig {
     m
 }
 
+/// The outer pipeline: outer chunks staged NVM -> DDR and back by the
+/// outer copy pools on the synthetic [`outer_machine`] (whose "DDR" is the
+/// NVM tier and whose "MCDRAM" is the real DDR). The inner pipeline is its
+/// one-thread, one-pass compute stage: at `compute_rate` a full outer
+/// chunk's read+write stream (2 x `outer_chunk` on the shared bus, exactly
+/// the inner run's DDR traffic) lasts one inner makespan, and a ragged last
+/// chunk lasts in proportion.
+fn outer_spec(spec: &DoubleChunkSpec, nvm: &NvmConfig, compute_rate: f64) -> PipelineSpec {
+    PipelineSpec {
+        total_bytes: spec.total_bytes,
+        chunk_bytes: spec.outer_chunk,
+        p_in: spec.outer_copy_threads,
+        p_out: spec.outer_copy_threads,
+        p_comp: 1,
+        compute_passes: 1,
+        compute_rate,
+        copy_rate: nvm.per_thread_copy_bw,
+        placement: Placement::Hbw,
+        lockstep: false,
+        data_addr: 0,
+        workload: Workload::Map,
+    }
+}
+
 /// Validate and simulate a double-chunking run, with both baselines.
 pub fn simulate_double_chunking(
     knl: &MachineConfig,
@@ -149,105 +172,39 @@ pub fn simulate_double_chunking(
     if spec.inner_chunk > spec.outer_chunk || spec.outer_chunk > spec.total_bytes {
         return Err("need inner_chunk <= outer_chunk <= total_bytes".into());
     }
-    if 3 * spec.inner_chunk > knl.addressable_mcdram() {
-        return Err("three inner buffers must fit MCDRAM".into());
-    }
-    if 3 * spec.outer_chunk > knl.ddr_capacity {
-        return Err("three outer buffers must fit DDR".into());
+    let inner = inner_spec(spec, knl);
+    if inner.buffer_footprint() > knl.addressable_mcdram() {
+        return Err("the inner buffer ring must fit MCDRAM".into());
     }
     if spec.total_bytes > nvm.capacity {
         return Err("data set exceeds NVM capacity".into());
     }
 
+    // Every level is a pipeline spec, lowered and simulated alike.
+    let run = |machine: MachineConfig, spec: &PipelineSpec| {
+        let prog = sim::build_program(spec)?;
+        Simulator::new(machine)
+            .run(&prog)
+            .map_err(|e| e.to_string())
+    };
+
     // Step 1: inner pipeline on the real KNL.
-    let inner = inner_spec(spec, knl);
-    let inner_prog = sim::build_program(&inner)?;
-    let inner_report = Simulator::new(knl.clone())
-        .run(&inner_prog)
-        .map_err(|e| e.to_string())?;
+    let inner_report = run(knl.clone(), &inner)?;
     let inner_seconds = inner_report.makespan;
-    // DDR traffic of one inner run, charged to the outer shared bus.
     let inner_ddr_traffic = inner_report.traffic_on(MemLevel::Ddr).total();
 
-    // Step 2: outer pipeline on the synthetic machine. The compute stage
-    // of outer chunk `c` is one Stream op per compute thread whose
-    // duration (unsaturated) equals the inner makespan and whose traffic
-    // on the shared bus equals the inner run's DDR traffic.
-    let om = outer_machine(knl, nvm);
-    let p_out_copy = spec.outer_copy_threads;
-    let p_comp = 1usize; // the inner pipeline is represented as one macro-op
-    let n_outer = spec.total_bytes.div_ceil(spec.outer_chunk) as usize;
-    let mut prog = Program::new(2 * p_out_copy + p_comp);
-    let comp_thread = 2 * p_out_copy;
-    let mut prev_step: Vec<knl_sim::OpId> = Vec::new();
-    let mut comp_ops: Vec<knl_sim::OpId> = Vec::new();
-    let mut copyin: Vec<Vec<knl_sim::OpId>> = vec![Vec::new(); n_outer];
-    #[allow(clippy::needless_range_loop)] // c indexes both sizes and copyin
-    for c in 0..n_outer {
-        let bytes = spec
-            .outer_chunk
-            .min(spec.total_bytes - c as u64 * spec.outer_chunk);
-        // Outer copy-in of chunk c (NVM -> DDR).
-        for t in 0..p_out_copy {
-            let share =
-                bytes / p_out_copy as u64 + u64::from((t as u64) < bytes % p_out_copy as u64);
-            if share == 0 {
-                continue;
-            }
-            let deps = if c >= 3 {
-                prev_step.clone()
-            } else {
-                Vec::new()
-            };
-            copyin[c].push(prog.push(
-                t,
-                OpKind::Copy {
-                    src: Place::Ddr,    // = NVM on the outer machine
-                    dst: Place::Mcdram, // = DDR on the outer machine
-                    bytes: share,
-                    rate_cap: nvm.per_thread_copy_bw,
-                },
-                &deps,
-            ));
-        }
-        // Inner pipeline as the compute macro-op.
-        if inner_ddr_traffic > 0 {
-            let rate = inner_ddr_traffic as f64 / inner_seconds.max(1e-12);
-            let id = prog.push(
-                comp_thread,
-                OpKind::Stream {
-                    accesses: vec![Access::read(Place::Mcdram, inner_ddr_traffic)],
-                    rate_cap: rate,
-                },
-                &copyin[c],
-            );
-            comp_ops.push(id);
-            prev_step = copyin[c].clone();
-        }
-        // Outer copy-out of chunk c (DDR -> NVM), after its compute.
-        let comp_dep = vec![*comp_ops.last().unwrap()];
-        for t in 0..p_out_copy {
-            let share =
-                bytes / p_out_copy as u64 + u64::from((t as u64) < bytes % p_out_copy as u64);
-            if share == 0 {
-                continue;
-            }
-            prog.push(
-                p_out_copy + t,
-                OpKind::Copy {
-                    src: Place::Mcdram,
-                    dst: Place::Ddr,
-                    bytes: share,
-                    rate_cap: nvm.per_thread_copy_bw,
-                },
-                &comp_dep,
-            );
-        }
+    // Step 2: the outer pipeline, with the inner run as its compute stage
+    // and that stage's traffic on the shared (real DDR) bus, so outer
+    // staging and inner processing contend.
+    let outer = outer_spec(
+        spec,
+        nvm,
+        inner_ddr_traffic as f64 / inner_seconds.max(1e-12),
+    );
+    if outer.buffer_footprint() > knl.ddr_capacity {
+        return Err("the outer buffer ring must fit DDR".into());
     }
-    let outer_report = Simulator::new(om.clone())
-        .run(&prog)
-        .map_err(|e| e.to_string())?;
-    let double_chunked = outer_report.makespan;
+    let double_chunked = run(outer_machine(knl, nvm), &outer)?.makespan;
 
     // Baseline A: single-level chunking NVM -> MCDRAM, inner-sized chunks.
     // Same pipeline shape, but the staging bus is NVM.
@@ -258,11 +215,7 @@ pub fn simulate_double_chunking(
     let mut single = inner_spec(spec, &single_machine);
     single.total_bytes = spec.total_bytes;
     single.copy_rate = nvm.per_thread_copy_bw;
-    let single_prog = sim::build_program(&single)?;
-    let single_level = Simulator::new(single_machine)
-        .run(&single_prog)
-        .map_err(|e| e.to_string())?
-        .makespan;
+    let single_level = run(single_machine, &single)?.makespan;
 
     // Baseline B: unchunked — the kernel streams straight from NVM.
     let traffic = 2 * spec.total_bytes * u64::from(spec.compute_passes);
@@ -353,6 +306,49 @@ mod tests {
         )
         .unwrap();
         assert!(fast.double_chunked < slow.double_chunked);
+    }
+
+    /// A ragged last outer chunk computes for its share of an inner run:
+    /// 100 GB in 8 GB chunks ends with a 4 GB chunk, so against 104 GB
+    /// (thirteen full chunks) the compute-bound run saves half an inner run
+    /// of compute and half a chunk of copy-out.
+    #[test]
+    fn ragged_last_outer_chunk_is_charged_in_proportion() {
+        let nvm = NvmConfig::default();
+        let run = |total_bytes: u64| {
+            let spec = DoubleChunkSpec {
+                total_bytes,
+                ..DoubleChunkSpec::example(64)
+            };
+            simulate_double_chunking(&knl(), &nvm, &spec).unwrap()
+        };
+        let (ragged, full) = (run(100_000_000_000), run(104_000_000_000));
+        assert_eq!(ragged.inner_seconds, full.inner_seconds);
+        let copy_out_rate = (8.0 * nvm.per_thread_copy_bw).min(nvm.bandwidth);
+        let saved = 0.5 * full.inner_seconds + 4e9 / copy_out_rate;
+        let got = full.double_chunked - ragged.double_chunked;
+        assert!(
+            (got - saved).abs() < 1e-9 * full.double_chunked,
+            "saved {got} s, expected {saved} s"
+        );
+    }
+
+    /// The outer pipeline is a plan like every other: its schedule proves
+    /// clean with the real DDR as the buffer tier's budget, and a ring of
+    /// 40 GB outer chunks (3 x 40 GB > 96 GiB) is refused both by the
+    /// proof and by the simulation.
+    #[test]
+    fn outer_spec_proves_clean_against_ddr() {
+        let (knl, nvm) = (knl(), NvmConfig::default());
+        let prove = |spec: &DoubleChunkSpec| {
+            let outer = outer_spec(spec, &nvm, 1e9);
+            mlm_exec::graph::verify_spec(&outer, Some(knl.ddr_capacity)).unwrap()
+        };
+        let mut spec = DoubleChunkSpec::example(8);
+        assert!(prove(&spec).findings.is_empty(), "{}", prove(&spec));
+        spec.outer_chunk = 40_000_000_000;
+        assert_eq!(prove(&spec).codes(), ["G003"], "{}", prove(&spec));
+        assert!(simulate_double_chunking(&knl, &nvm, &spec).is_err());
     }
 
     #[test]

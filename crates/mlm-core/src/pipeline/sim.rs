@@ -2,7 +2,7 @@
 //!
 //! This file is the *simulator adapter* of the execution layer: the
 //! schedule itself — which chunk each stage touches at each step, the
-//! three-slot buffer-ring discipline, lockstep barriers vs dataflow
+//! buffer-ring discipline, lockstep barriers vs dataflow
 //! edges — lives in [`mlm_exec::drive`]. [`SimBackend`] only expands
 //! each issued node's [`mlm_exec::ChunkAction`] into per-thread ops:
 //! copies at `S_copy`, compute streams at `S_comp`, and (for implicit
@@ -14,8 +14,10 @@
 //! the schedule matches the paper's Fig. 2 exactly: step `s` performs
 //! copy-in of chunk `s`, compute on `s-1`, copy-out of `s-2`, and a
 //! barrier closes the step. Without lockstep, only dataflow and
-//! buffer-recycling dependencies order the ops (three buffers: copy-in
-//! of chunk `c` waits for copy-out of chunk `c-3`).
+//! buffer-recycling dependencies order the ops: copy-in of chunk `c`
+//! waits for copy-out of chunk `c - R`, where `R` is the spec's
+//! [`PipelineSpec::ring_slots`] (three slots for maps, four for
+//! stencils).
 
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
 use mlm_exec::{drive_verified, Backend, PlanNode, Stage};

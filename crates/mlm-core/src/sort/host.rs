@@ -17,8 +17,9 @@ use mlm_exec::{
     SORT_KERNEL_THREAD_SORT,
 };
 use parsort::multiway::{multiway_merge_into, parallel_multiway_merge_into};
-use parsort::parallel::{parallel_mergesort, sort_chunks_serial, split_borrows};
+use parsort::parallel::{parallel_mergesort, split_borrows};
 use parsort::pool::{parallel_copy, split_mut, WorkPool};
+use parsort::radix::{radix_sort, RadixKey};
 
 use super::SortAlgorithm;
 
@@ -35,7 +36,7 @@ pub struct HostSortStats {
 
 /// Execute a [`SortPlan`] on the host: [`interpret`] its
 /// [`WorkloadPlan`](mlm_exec::WorkloadPlan) over a [`HostSortBackend`].
-pub fn run_sort_plan<T: Ord + Copy + Send + Sync>(
+pub fn run_sort_plan<T: Ord + RadixKey + Send + Sync>(
     pool: &WorkPool,
     plan: &SortPlan,
     data: &mut [T],
@@ -92,7 +93,7 @@ pub struct HostSortBackend<'a, T> {
     batch_sizes: Vec<usize>,
 }
 
-impl<'a, T: Ord + Copy + Send + Sync> HostSortBackend<'a, T> {
+impl<'a, T: Ord + RadixKey + Send + Sync> HostSortBackend<'a, T> {
     /// A backend sorting `data` on `pool`; `data` must hold at least two
     /// elements and match the plan it is driven with.
     pub fn new(pool: &'a WorkPool, data: &'a mut [T]) -> Self {
@@ -148,12 +149,12 @@ impl<'a, T: Ord + Copy + Send + Sync> HostSortBackend<'a, T> {
                     &mut scratch[lo..hi]
                 };
                 match plan.chunk_style {
-                    ChunkSortStyle::Serial => {
-                        let parts = p.min(hi - lo);
-                        self.chunk_sorts += parts;
-                        sort_chunks_serial(pool, split_mut(block, parts));
-                    }
                     ChunkSortStyle::Gnu => parallel_mergesort(pool, block),
+                    style => {
+                        let chunks = split_mut(block, p.min(hi - lo));
+                        self.chunk_sorts += chunks.len();
+                        pool.scoped(chunks.into_iter().map(|c| move || sort_chunk(style, c)));
+                    }
                 }
             }
             // The run merge: multiway-merge the sorted runs out of the
@@ -161,7 +162,7 @@ impl<'a, T: Ord + Copy + Send + Sync> HostSortBackend<'a, T> {
             // scratch).
             (PlanKind::StageOut, Some(_), Some(SORT_KERNEL_MERGE_RUNS)) => {
                 let parts = match plan.chunk_style {
-                    ChunkSortStyle::Serial => p.min(hi - lo),
+                    ChunkSortStyle::Serial | ChunkSortStyle::Radix => p.min(hi - lo),
                     // The GNU-style chunk sort left one fully sorted run,
                     // so the merge-out degenerates to moving it.
                     ChunkSortStyle::Gnu => 1,
@@ -234,12 +235,13 @@ impl<'a, T: Ord + Copy + Send + Sync> HostSortBackend<'a, T> {
                         tasks.push(Box::new(move || dst.copy_from_slice(head)));
                     }
                 }
-                // One introsort task per chunk of the sorting megachunk.
+                // One sort task per chunk of the sorting megachunk.
                 (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => {
                     let parts = p.min(s.len());
                     self.chunk_sorts += parts;
+                    let style = plan.chunk_style;
                     for chunk in split_mut(s, parts) {
-                        tasks.push(Box::new(move || parsort::serial::introsort(chunk)));
+                        tasks.push(Box::new(move || sort_chunk(style, chunk)));
                     }
                 }
                 // The merge-out runs as one dedicated task: serial against
@@ -257,7 +259,7 @@ impl<'a, T: Ord + Copy + Send + Sync> HostSortBackend<'a, T> {
     }
 }
 
-impl<T: Ord + Copy + Send + Sync> Backend for HostSortBackend<'_, T> {
+impl<T: Ord + RadixKey + Send + Sync> Backend for HostSortBackend<'_, T> {
     type Ctx = SortPlan;
     type Token = usize;
 
@@ -286,6 +288,15 @@ fn bounds(plan: &SortPlan, m: usize) -> (usize, usize) {
     (m * mega, ((m + 1) * mega).min(n))
 }
 
+/// One worker's chunk sort: LSD radix sort for [`ChunkSortStyle::Radix`],
+/// a serial introsort otherwise.
+fn sort_chunk<T: Ord + RadixKey>(style: ChunkSortStyle, chunk: &mut [T]) {
+    match style {
+        ChunkSortStyle::Radix => radix_sort(chunk),
+        _ => parsort::serial::introsort(chunk),
+    }
+}
+
 /// The `data`-sized scratch, allocated on first use.
 fn full<'b, T: Copy>(scratch: &'b mut Vec<T>, data: &[T]) -> &'b mut [T] {
     if scratch.is_empty() {
@@ -302,7 +313,7 @@ fn full<'b, T: Copy>(scratch: &'b mut Vec<T>, data: &[T]) -> &'b mut [T] {
 /// `explicit_copy = true` mirrors MLM-sort (the megachunk is staged through
 /// a separate buffer, as flat-mode MCDRAM requires); `false` mirrors
 /// MLM-implicit (sort in place, merge through scratch).
-pub fn mlm_sort<T: Ord + Copy + Send + Sync>(
+pub fn mlm_sort<T: Ord + RadixKey + Send + Sync>(
     pool: &WorkPool,
     data: &mut [T],
     megachunk_elems: usize,
@@ -324,7 +335,7 @@ pub fn mlm_sort<T: Ord + Copy + Send + Sync>(
 
 /// The "basic algorithm" of §4: megachunks sorted with the *parallel*
 /// mergesort (Bender et al.'s scheme), then a final multiway merge.
-pub fn basic_chunked_sort<T: Ord + Copy + Send + Sync>(
+pub fn basic_chunked_sort<T: Ord + RadixKey + Send + Sync>(
     pool: &WorkPool,
     data: &mut [T],
     megachunk_elems: usize,
@@ -342,7 +353,7 @@ pub fn basic_chunked_sort<T: Ord + Copy + Send + Sync>(
 /// while the pool sorts the chunks of megachunk `m` (staged in buffer
 /// `m % 2`), it concurrently copies megachunk `m + 1` into the other
 /// buffer, hiding the copy-in latency behind the sort phase.
-pub fn mlm_sort_buffered<T: Ord + Copy + Send + Sync>(
+pub fn mlm_sort_buffered<T: Ord + RadixKey + Send + Sync>(
     pool: &WorkPool,
     data: &mut [T],
     megachunk_elems: usize,
@@ -360,7 +371,7 @@ pub fn mlm_sort_buffered<T: Ord + Copy + Send + Sync>(
 /// The MCDRAM *placement* differences vanish on the host (one memory
 /// level); the *algorithmic* differences — GNU vs MLM structure, explicit
 /// staging vs in-place, double buffering — are preserved.
-pub fn run_host_sort<T: Ord + Copy + Send + Sync>(
+pub fn run_host_sort<T: Ord + RadixKey + Send + Sync>(
     pool: &WorkPool,
     alg: SortAlgorithm,
     data: &mut [T],
@@ -378,7 +389,7 @@ pub fn run_host_sort<T: Ord + Copy + Send + Sync>(
 /// The shared front of every public sort entry point: check the
 /// megachunk, answer trivially sorted inputs without planning, else plan
 /// the variant and execute it.
-fn plan_and_run<T: Ord + Copy + Send + Sync>(
+fn plan_and_run<T: Ord + RadixKey + Send + Sync>(
     pool: &WorkPool,
     structure: SortStructure,
     style: ChunkSortStyle,
@@ -551,8 +562,10 @@ mod tests {
             (SortStructure::Whole, ChunkSortStyle::Gnu),
             (SortStructure::Staged, ChunkSortStyle::Serial),
             (SortStructure::Staged, ChunkSortStyle::Gnu),
+            (SortStructure::Staged, ChunkSortStyle::Radix),
             (SortStructure::InPlace, ChunkSortStyle::Serial),
             (SortStructure::Buffered, ChunkSortStyle::Serial),
+            (SortStructure::Buffered, ChunkSortStyle::Radix),
         ] {
             let mut v = generate_keys(10_007, InputOrder::Random, 31);
             let mut expect = v.clone();

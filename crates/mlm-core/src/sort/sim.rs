@@ -31,9 +31,9 @@
 use knl_sim::machine::MachineConfig;
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
 use mlm_exec::{
-    interpret, plan_sort, Backend, PlanKind, PlanNode, SortPlan, SORT_KERNEL_CHUNK_SORT,
-    SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS, SORT_KERNEL_THREAD_MERGE,
-    SORT_KERNEL_THREAD_SORT,
+    interpret, plan_sort, Backend, ChunkSortStyle, PlanKind, PlanNode, SortPlan,
+    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
 };
 
 use super::SortAlgorithm;
@@ -349,6 +349,38 @@ impl<'a> SimSortBackend<'a> {
         self.join_phase(&ops)
     }
 
+    /// Emit one radix chunk-sort phase after `deps`: every thread runs one
+    /// LSD digit pass per key byte over its `block_elems` block at `place`,
+    /// each pass reading and writing the whole block at `s_radix`. The
+    /// passes are pure streams — no cache-resident recursion levels, so no
+    /// in-cache term and no MCDRAM boost — and each one touches exactly the
+    /// block's bytes, so a cached block goes through the cache model once
+    /// per pass.
+    fn radix_sort_phase(&mut self, deps: &[OpId], block_elems: u64, place: DataPlace) -> Vec<OpId> {
+        let block_bytes = block_elems * self.elem;
+        let mut ops = Vec::with_capacity(self.threads);
+        for t in 0..self.threads {
+            let at = place.place_at(t as u64 * block_bytes);
+            let accesses = (0..self.elem)
+                .flat_map(|_| {
+                    [
+                        Access::read(at, block_bytes),
+                        Access::write(at, block_bytes),
+                    ]
+                })
+                .collect();
+            ops.push(self.prog.push(
+                t,
+                OpKind::Stream {
+                    accesses,
+                    rate_cap: self.cal.s_radix,
+                },
+                deps,
+            ));
+        }
+        self.join_phase(&ops)
+    }
+
     /// Emit one parallel multiway-merge phase after `deps` over
     /// `total_bytes` of data in `k` runs: each thread streams its share
     /// from `src` to `dst`.
@@ -436,6 +468,9 @@ impl<'a> SimSortBackend<'a> {
         let gnu = self.cal.gnu_efficiency;
         let (alg, n_bytes, scratch) = (self.alg, self.n_bytes, self.n_bytes);
         let elems = node.len;
+        // GNU-style plans pay the GNU efficiency in their chunk sorts and
+        // run merges, and their merges get no ordered-input boost.
+        let gnu_style = plan.chunk_style == ChunkSortStyle::Gnu;
         match (node.kind, node.chunk, node.kernel) {
             // Whole-array plans (the GNU baselines): per-thread block sorts...
             (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT)) => {
@@ -474,49 +509,42 @@ impl<'a> SimSortBackend<'a> {
             // Sort megachunk `m`'s chunks in the working buffer.
             (PlanKind::Kernel, Some(mega), Some(SORT_KERNEL_CHUNK_SORT)) => {
                 let chunk = elems.div_ceil(p);
-                let (place, rate_mult) = match alg {
-                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, 1.0),
-                    SortAlgorithm::MlmSort => (DataPlace::Mcdram, 1.0),
-                    SortAlgorithm::MlmImplicit => (DataPlace::Cached(self.mega_base(mega)), 1.0),
+                let place = match alg {
+                    SortAlgorithm::MlmDdr => DataPlace::Ddr,
+                    SortAlgorithm::MlmSort | SortAlgorithm::BasicChunked => DataPlace::Mcdram,
+                    SortAlgorithm::MlmImplicit => DataPlace::Cached(self.mega_base(mega)),
+                    _ => unreachable!("ChunkSort lowered per-variant"),
+                };
+                match plan.chunk_style {
+                    ChunkSortStyle::Serial => self.serial_sort_phase(deps, chunk, place, 1.0),
                     // Bender et al.'s scheme sorts the megachunk with the
                     // *parallel* mergesort: the same block sorts, but at GNU
                     // efficiency (its merge is the MergeRuns phase below).
-                    SortAlgorithm::BasicChunked => (DataPlace::Mcdram, gnu),
-                    _ => unreachable!("ChunkSort lowered per-variant"),
-                };
-                self.serial_sort_phase(deps, chunk, place, rate_mult)
+                    ChunkSortStyle::Gnu => self.serial_sort_phase(deps, chunk, place, gnu),
+                    ChunkSortStyle::Radix => self.radix_sort_phase(deps, chunk, place),
+                }
             }
             // Multiway-merge megachunk `m`'s sorted runs out of the buffer.
+            // For the GNU style this is the parallel sort's own multiway
+            // merge, writing straight back out to DDR (it needs a distinct
+            // output buffer anyway, which is why basic-chunked's megachunk
+            // is capped at MCDRAM/2).
             (PlanKind::StageOut, Some(mega), Some(SORT_KERNEL_MERGE_RUNS)) => {
                 let bytes = elems * self.elem;
-                let (src, dst, rate_mult, order_boost) = match alg {
-                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr, 1.0, true),
-                    SortAlgorithm::MlmSort => (
-                        DataPlace::Mcdram,
-                        DataPlace::Cached(self.mega_base(mega)),
-                        1.0,
-                        true,
-                    ),
+                let (src, dst) = match alg {
+                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr),
+                    SortAlgorithm::MlmSort | SortAlgorithm::BasicChunked => {
+                        (DataPlace::Mcdram, DataPlace::Cached(self.mega_base(mega)))
+                    }
                     SortAlgorithm::MlmImplicit => (
                         DataPlace::Cached(self.mega_base(mega)),
                         DataPlace::Cached(self.scratch_base(mega)),
-                        1.0,
-                        true,
-                    ),
-                    // The parallel sort's own multiway merge writes straight
-                    // back out to DDR (it needs a distinct output buffer
-                    // anyway, which is why the megachunk is capped at
-                    // MCDRAM/2).
-                    SortAlgorithm::BasicChunked => (
-                        DataPlace::Mcdram,
-                        DataPlace::Cached(self.mega_base(mega)),
-                        gnu,
-                        false,
                     ),
                     _ => unreachable!("MergeRuns lowered per-variant"),
                 };
+                let rate_mult = if gnu_style { gnu } else { 1.0 };
                 let k = self.threads;
-                self.multiway_merge_phase(deps, bytes, k, src, dst, rate_mult, order_boost)
+                self.multiway_merge_phase(deps, bytes, k, src, dst, rate_mult, !gnu_style)
             }
             // Copy megachunk `m` back from scratch (in-place plans only).
             (PlanKind::StageOut, Some(mega), None) => {
@@ -530,20 +558,18 @@ impl<'a> SimSortBackend<'a> {
             }
             // Final k-way merge across sorted megachunks into scratch.
             (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => {
-                let (src, dst, order_boost) = match alg {
-                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr, true),
-                    SortAlgorithm::BasicChunked => {
-                        (DataPlace::Cached(0), DataPlace::Cached(scratch), false)
-                    }
+                let (src, dst) = match alg {
+                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr),
                     SortAlgorithm::MlmSort
+                    | SortAlgorithm::BasicChunked
                     | SortAlgorithm::MlmImplicit
                     | SortAlgorithm::MlmSortBuffered => {
-                        (DataPlace::Cached(0), DataPlace::Cached(scratch), true)
+                        (DataPlace::Cached(0), DataPlace::Cached(scratch))
                     }
                     _ => unreachable!("Whole plans have no FinalMerge"),
                 };
                 let k = plan.megachunks;
-                self.multiway_merge_phase(deps, n_bytes, k, src, dst, 1.0, order_boost)
+                self.multiway_merge_phase(deps, n_bytes, k, src, dst, 1.0, !gnu_style)
             }
             // Copy the whole array back from scratch into the caller's array,
             // as the out-of-place merges require.
@@ -797,7 +823,7 @@ mod tests {
     use crate::workload::InputOrder;
     use knl_sim::machine::MemMode;
     use knl_sim::Simulator;
-    use mlm_exec::mega_size;
+    use mlm_exec::{mega_size, SortStructure};
 
     const BILLION: u64 = 1_000_000_000;
 
@@ -1151,6 +1177,44 @@ mod tests {
             mlm_gain > numactl_gain * 1.1,
             "chunking must beat numactl out of capacity: {mlm_gain} vs {numactl_gain}"
         );
+    }
+
+    /// A `Radix` chunk sort lowers to one stream per thread of
+    /// `elem_bytes` read+write passes over the thread's block at `s_radix`,
+    /// in the variant's working buffer — and a `Serial` plan has none.
+    #[test]
+    fn radix_chunk_sort_is_elem_bytes_passes_at_s_radix() {
+        let machine = MachineConfig::knl_7250(MemMode::Flat);
+        let cal = Calibration::default();
+        let (n, threads) = (1u64 << 20, 4);
+        let w = SortWorkload::int64(n, InputOrder::Random);
+        let radix_streams = |style| {
+            let mut backend =
+                SimSortBackend::new(&machine, &cal, w, SortAlgorithm::MlmSort, n, threads).unwrap();
+            let plan = plan_sort(SortStructure::Staged, style, n, n);
+            interpret(&mut backend, &plan, &plan.to_workload_plan()).unwrap();
+            let prog = backend.into_program();
+            let streams = prog.ops().iter().filter_map(|op| match &op.kind {
+                OpKind::Stream { accesses, rate_cap } if *rate_cap == cal.s_radix => {
+                    Some(accesses.clone())
+                }
+                _ => None,
+            });
+            streams.collect::<Vec<_>>()
+        };
+        let streams = radix_streams(ChunkSortStyle::Radix);
+        assert_eq!(streams.len(), threads);
+        let block = n / threads as u64 * 8;
+        for accesses in streams {
+            assert_eq!(accesses.len(), 2 * 8, "one read and one write per key byte");
+            for (i, a) in accesses.iter().enumerate() {
+                assert_eq!(
+                    (a.place, a.bytes, a.write),
+                    (Place::Mcdram, block, i % 2 == 1)
+                );
+            }
+        }
+        assert!(radix_streams(ChunkSortStyle::Serial).is_empty());
     }
 
     #[test]

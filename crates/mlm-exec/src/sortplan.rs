@@ -43,6 +43,10 @@ pub enum ChunkSortStyle {
     /// modeled with the calibrated GNU efficiency penalty and no
     /// ordered-input merge boost.
     Gnu,
+    /// LSD radix sort per worker thread (§6 "more benchmarks"): one
+    /// read+write streaming pass per key byte, no comparisons — the
+    /// bandwidth-bound counterpart of `Serial`, with the same run merge.
+    Radix,
 }
 
 /// One phase of a sort plan. Element counts are concrete; per-thread

@@ -286,7 +286,9 @@ mod tests {
 
     /// `would_admit` predicts `try_admit_job` on every step of filling a
     /// spill broker: MCDRAM first, then DDR with spilled rings until DDR
-    /// is full too and the preferred ring waits.
+    /// is full too and the preferred ring waits. `would_admit` exists only
+    /// in debug builds, so the test does too.
+    #[cfg(debug_assertions)]
     #[test]
     fn would_admit_predicts_admission_until_ddr_is_full() {
         let mut b = CapacityBroker::new(&machine(), 8 * GIB, true);

@@ -52,8 +52,8 @@ pub fn finding_diagnostic(finding: &GraphFinding) -> Diagnostic {
     }
     let suggestion = match check {
         GraphCheck::Race => {
-            "add a dependency edge ordering the conflicting actions \
-             (the buffer-recycling edge copy-out[c] -> copy-in[c+3] orders ring reuse)"
+            "add a dependency edge between the two touches named in trace[0], \
+             so one always completes before the other starts"
         }
         GraphCheck::Deadlock => {
             "break the dependency cycle, or deliver completions to every waiter \
@@ -63,7 +63,8 @@ pub fn finding_diagnostic(finding: &GraphFinding) -> Diagnostic {
             "shrink chunk_bytes, reduce concurrently-live chunks, or place buffers in Ddr"
         }
         GraphCheck::RingWidth => {
-            "restore the buffer-recycling edges so at most RING_SLOTS chunks are in flight"
+            "make the node named first in trace[0] wait for the slot's previous occupant, \
+             the node named second, so chunks take the slot in turn"
         }
         GraphCheck::DeadToken => "make a later node depend on this completion, or stop issuing it",
         GraphCheck::Unreachable => {

@@ -172,8 +172,9 @@ impl LintRegistry {
 /// append those findings.
 ///
 /// The proof runs only when the registry found no error: a rejected spec
-/// needs no proof to stay rejected, and the proof's cost grows with the
-/// square of the chunk count — a misaligned 1-byte chunk over 32 KiB is
+/// needs no proof to stay rejected, and although the proof's work is
+/// linear in the plan (at most four edge visits per plan edge), the plan
+/// grows with the chunk count — a misaligned 1-byte chunk over 32 KiB is
 /// 32,768 chunks. Fix the lint errors and the next run proves the rest.
 pub fn lint_target(target: &VerifyTarget<'_>) -> LintReport {
     let mut report = LintRegistry::with_builtin_lints().run(target);

@@ -142,6 +142,39 @@ if [ -n "$engine_uses" ]; then
   fail=1
 fi
 
+# Sixth discipline: every simulated schedule is lowered from a plan. A
+# study that pushes knl_sim ops by hand runs a schedule the static
+# verifier never sees, with its own copy of the chunk arithmetic — the
+# drift this script exists to block, one layer down. Under crates/*/src,
+# `Program::new(` may appear only in the files below; knl-sim (the
+# engine itself), test directories and examples are exempt.
+#   mlm-core pipeline/sim.rs, sort/sim.rs — the two plan-lowering backends
+#   mlm-serve simx.rs                     — splices lowered programs
+#   mlm-bench sim_bench.rs                — the engine's synthetic families
+#   mlm-stream sim.rs                     — the bus probe, a frozen
+#                                           pre-layer pair (port in ROADMAP.md)
+program_allow=(
+  "crates/mlm-core/src/pipeline/sim.rs"
+  "crates/mlm-core/src/sort/sim.rs"
+  "crates/mlm-serve/src/simx.rs"
+  "crates/mlm-bench/src/sim_bench.rs"
+  "crates/mlm-stream/src/sim.rs"
+)
+builders=$(grep -rl 'Program::new(' --include='*.rs' crates/*/src \
+  | grep -v '^crates/knl-sim/' | sort || true)
+for f in $builders; do
+  allowed=0
+  for a in "${program_allow[@]}"; do
+    [ "$f" = "$a" ] && allowed=1
+  done
+  if [ "$allowed" -eq 0 ]; then
+    echo "error: ${f} builds a knl_sim Program by hand" >&2
+    echo "       express the schedule as a PipelineSpec or SortPlan and lower it through" >&2
+    echo "       pipeline::sim::build_program or SimSortBackend, so the verifier covers it" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo >&2
   echo "New host/sim pairs must adapt the shared execution layer, not re-implement the schedule." >&2
@@ -153,3 +186,4 @@ echo "check_no_dual_impl: every WorkloadPlan producer lives in the plan layer"
 echo "check_no_dual_impl: the host pipeline and the host and sim sorts have exactly one Backend impl each"
 echo "check_no_dual_impl: mlm-exec implements Backend only in recording.rs"
 echo "check_no_dual_impl: the knl-sim engine never references mlm_exec"
+echo "check_no_dual_impl: every simulated Program is built by an allowlisted lowering"

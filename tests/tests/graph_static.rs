@@ -363,7 +363,10 @@ fn stencil_ring_is_priced_alike_by_broker_lint_and_proof() {
     // Its fix-it divides each job's share among all 8 buffers.
     let fair = machine.addressable_mcdram() / 3;
     let suggestion = v009.suggestion.as_deref().unwrap_or_default();
-    assert!(suggestion.ends_with(&format!(" {}", fair / 8)), "{suggestion}");
+    assert!(
+        suggestion.ends_with(&format!(" {}", fair / 8)),
+        "{suggestion}"
+    );
 
     let report = graph_report_for(&spec, &machine).expect("driveable");
     assert!(report.is_safe(), "{report}");
