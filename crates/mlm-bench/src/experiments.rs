@@ -6,7 +6,9 @@ use mlm_core::merge_bench::{
     empirical_optimal_copy_threads, merge_kernel, simulate_merge_bench, MergeBenchParams,
 };
 use mlm_core::model::ModelParams;
-use mlm_core::pipeline::host::{run_host_pipeline, HostRunStats};
+use mlm_core::pipeline::host::{
+    run_host_pipeline, run_host_pipeline_dataflow, HostRunStats, HostStagePools,
+};
 use mlm_core::pipeline::Workload;
 use mlm_core::pipeline::{PipelineSpec, Placement};
 use mlm_core::sort::sim::{build_sort_program, SimSortBackend};
@@ -583,10 +585,13 @@ pub struct HostAblationRow {
 /// occupancy approaches 1 while the others idle on the ring.
 ///
 /// `n_elems` int64 keys are streamed through 8 chunks; `reps` runs per
-/// cell, best wall-clock kept (host timing, so noise is real).
+/// cell, best wall-clock kept (host timing, so noise is real). Both
+/// schedules' threads are spawned once per study, so neither column
+/// times thread creation.
 pub fn host_pipeline_ablation(n_elems: usize, reps: usize) -> Vec<HostAblationRow> {
     let (p_in, p_out, p_comp) = (2usize, 2usize, 4usize);
     let shared = WorkPool::new(p_in + p_out + p_comp);
+    let stage_pools = HostStagePools::new(p_in, p_comp, p_out);
     let data = generate_keys(n_elems, InputOrder::Random, 7);
     let chunk_elems = (n_elems / 8).max(1);
     let spec_for = |lockstep: bool| PipelineSpec {
@@ -624,13 +629,11 @@ pub fn host_pipeline_ablation(n_elems: usize, reps: usize) -> Vec<HostAblationRo
             }
         }
 
-        // Same entry point as lockstep: the spec's `lockstep: false` is
-        // what selects the dataflow backend (dedicated stage pools are
-        // sized from the spec inside the adapter).
         let mut dataflow_best: Option<HostRunStats> = None;
         let flow_spec = spec_for(false);
         for _ in 0..reps.max(1) {
-            let stats = run_host_pipeline(&shared, &flow_spec, &data, &mut out, kernel);
+            let stats =
+                run_host_pipeline_dataflow(&stage_pools, &flow_spec, &data, &mut out, kernel);
             if dataflow_best.is_none_or(|b| stats.elapsed < b.elapsed) {
                 dataflow_best = Some(stats);
             }

@@ -144,31 +144,43 @@ pub fn empirical_optimal_copy_threads(
 }
 
 /// The host-side merge kernel: `repeats` times, split the slice in half and
-/// two-way merge the halves (through a scratch buffer) back into the slice.
+/// two-way merge the halves back into the slice, ties going to the first.
 ///
 /// Matches the paper's description ("each thread chops its portion in half
 /// and performs a merge on each of the two halves") and preserves the
 /// slice's multiset of values, which the tests verify.
+///
+/// Each repeat copies the first half (`mid = len / 2` elements) into a
+/// scratch of `mid` elements, allocated once per call, and merges it with
+/// the second half front to back into the slice itself: `mid` elements
+/// copied plus at most `len` written per repeat. The write index
+/// `k = i + (j - mid)` never passes the next unread second-half element
+/// `j`, and when the first half runs out the second half's tail is
+/// already in place.
 pub fn merge_kernel<T: Ord + Copy>(slice: &mut [T], repeats: u32) {
-    if slice.len() < 2 {
+    let n = slice.len();
+    if n < 2 {
         return;
     }
-    let mid = slice.len() / 2;
-    let mut scratch = slice.to_vec();
+    let mid = n / 2;
+    let mut a = Vec::with_capacity(mid);
     for _ in 0..repeats {
-        // Two-pointer merge of the halves by their existing order.
-        let (a, b) = slice.split_at(mid);
-        let (mut i, mut j) = (0, 0);
-        for slot in scratch.iter_mut() {
-            if i < a.len() && (j >= b.len() || a[i] <= b[j]) {
-                *slot = a[i];
+        a.clear();
+        a.extend_from_slice(&slice[..mid]);
+        let (mut i, mut j, mut k) = (0, mid, 0);
+        while i < mid && j < n {
+            if a[i] <= slice[j] {
+                slice[k] = a[i];
                 i += 1;
             } else {
-                *slot = b[j];
+                slice[k] = slice[j];
                 j += 1;
             }
+            k += 1;
         }
-        slice.copy_from_slice(&scratch);
+        // If the second half ran out, the first half's tail fills the end;
+        // if the first did, this copies nothing.
+        slice[k..k + (mid - i)].copy_from_slice(&a[i..]);
     }
 }
 
@@ -301,5 +313,111 @@ mod tests {
         let mut v = vec![3i64, 1, 2];
         merge_kernel(&mut v, 0);
         assert_eq!(v, [3, 1, 2]);
+    }
+
+    /// The full-buffer kernel [`merge_kernel`] replaced, kept verbatim as
+    /// its oracle: merge the halves into a whole-slice clone, copy back.
+    fn full_buffer_merge<T: Ord + Copy>(slice: &mut [T], repeats: u32) {
+        if slice.len() < 2 {
+            return;
+        }
+        let mid = slice.len() / 2;
+        let mut scratch = slice.to_vec();
+        for _ in 0..repeats {
+            // Two-pointer merge of the halves by their existing order.
+            let (a, b) = slice.split_at(mid);
+            let (mut i, mut j) = (0, 0);
+            for slot in scratch.iter_mut() {
+                if i < a.len() && (j >= b.len() || a[i] <= b[j]) {
+                    *slot = a[i];
+                    i += 1;
+                } else {
+                    *slot = b[j];
+                    j += 1;
+                }
+            }
+            slice.copy_from_slice(&scratch);
+        }
+    }
+
+    #[test]
+    fn merge_kernel_matches_the_full_buffer_oracle() {
+        let lengths = (0..10).chain((1..=12).flat_map(|k| [(1 << k) - 1, (1 << k) + 1]));
+        for n in lengths {
+            let random = crate::workload::generate_keys(n, crate::InputOrder::Random, n as u64);
+            let inputs: [(&str, Vec<i64>); 4] = [
+                (
+                    "few-distinct",
+                    random.iter().map(|x| x.rem_euclid(3)).collect(),
+                ),
+                ("random", random),
+                ("sorted", (0..n as i64).collect()),
+                ("reverse", (0..n as i64).rev().collect()),
+            ];
+            for (name, input) in &inputs {
+                for repeats in 0..=4 {
+                    let mut got = input.clone();
+                    merge_kernel(&mut got, repeats);
+                    let mut want = input.clone();
+                    full_buffer_merge(&mut want, repeats);
+                    assert_eq!(got, want, "{name} n={n} repeats={repeats}");
+                }
+            }
+        }
+    }
+
+    /// A key that orders by `.0` alone; `.1` records which half it came from.
+    #[derive(Debug, Clone, Copy)]
+    struct Tagged(i32, char);
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+    }
+    impl Eq for Tagged {}
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.cmp(&other.0)
+        }
+    }
+
+    /// Ties go to the first half: equal keys keep their half's order.
+    #[test]
+    fn merge_kernel_is_stable() {
+        let mut v = [1, 2, 1, 2, 0].map(|k| Tagged(k, 'b'));
+        v[0].1 = 'a';
+        v[1].1 = 'a';
+        let mut want = v;
+        full_buffer_merge(&mut want, 1);
+        merge_kernel(&mut v, 1);
+        let tags = |v: &[Tagged]| v.iter().map(|t| (t.0, t.1)).collect::<Vec<_>>();
+        assert_eq!(tags(&v), tags(&want));
+        assert_eq!(tags(&v), [(1, 'a'), (1, 'b'), (2, 'a'), (2, 'b'), (0, 'b')]);
+    }
+
+    /// FNV-1a over the little-endian bytes: moving any element changes it.
+    fn fnv1a(v: &[i64]) -> u64 {
+        v.iter()
+            .flat_map(|x| x.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The kernel's output on a fixed input, pinned across rewrites.
+    #[test]
+    fn merge_kernel_output_is_pinned() {
+        let keys = crate::workload::generate_keys(1 << 16, crate::InputOrder::Random, 7);
+        for (repeats, want) in [(1u32, 0xa38e_47ec_9d96_2699u64), (3, 0x2470_0b1f_4cf1_056d)] {
+            let mut v = keys.clone();
+            merge_kernel(&mut v, repeats);
+            assert_eq!(fnv1a(&v), want, "repeats={repeats}: {:#018x}", fnv1a(&v));
+        }
     }
 }

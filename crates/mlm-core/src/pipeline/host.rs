@@ -49,14 +49,14 @@ use std::time::{Duration, Instant};
 
 use mlm_exec::ring::{coordinate, is_poison_payload, BufSlot, Phase};
 use mlm_exec::{drive, Backend, ChunkAction, PlanNode, Stage};
-use parsort::pool::{copy_split, split_mut, StagePool, WorkPool};
+use parsort::pool::{copy_split, parallel_copy, split_mut, StagePool, WorkPool};
 
 use super::{PipelineSpec, Placement, Workload};
 
 pub use mlm_exec::KernelCtx;
 
-/// Per-stage timing of one host pipeline run (the execution layer's
-/// [`mlm_exec::StageReport`]).
+/// Per-stage timing and copied bytes of one host pipeline run (the
+/// execution layer's [`mlm_exec::StageReport`]).
 pub type StageStats = mlm_exec::StageReport;
 
 /// Result of a host pipeline run (the execution layer's
@@ -360,8 +360,12 @@ where
     let implicit = spec.placement == Placement::Implicit;
     if implicit {
         // The data already lives where it is computed on: one memcpy of
-        // the whole input, then the kernel runs in place on `out`.
-        out.copy_from_slice(data);
+        // the whole input, split across the shared pool, then the kernel
+        // runs in place on `out`.
+        let Pools::Shared(pool) = pools else {
+            unreachable!("implicit placement runs on the shared pool");
+        };
+        parallel_copy(pool, data, out);
     }
     if let Pools::Stages(stage_pools) = pools {
         stage_pools.reset();
@@ -395,6 +399,7 @@ where
         computed: buffers(if split { ring } else { 0 }),
         pending: Vec::new(),
         busy: Default::default(),
+        bytes: Default::default(),
         waits: [Duration::ZERO; 3],
     };
     drive(&mut backend, &espec).expect("host backend refused the schedule");
@@ -426,6 +431,9 @@ struct HostBackend<'a, T, K> {
     pending: Vec<ChunkAction>,
     /// Self-timed task nanoseconds per stage (shared pool only).
     busy: [AtomicU64; 3],
+    /// Bytes copied per stage, added once per chunk where its copy is
+    /// issued (both drains; compute copies nothing).
+    bytes: [AtomicU64; 3],
     /// Per-coordinator blocked time, filled in by the ring replay.
     waits: [Duration; 3],
 }
@@ -474,7 +482,9 @@ where
                 Stage::CopyIn => {
                     let dst = claim(&mut staged, a.slot);
                     dst.resize(range.len(), fill);
-                    tasks.extend(copy_tasks(busy, spec.p_in, &self.data[range], dst));
+                    let src = &self.data[range];
+                    count_bytes(&self.bytes[0], src);
+                    tasks.extend(copy_tasks(busy, spec.p_in, src, dst));
                 }
                 Stage::Compute => {
                     let c = a.chunk;
@@ -520,6 +530,7 @@ where
                     };
                     let src = claim(from, a.slot);
                     let dst = out_window.take().expect("one copy-out per step");
+                    count_bytes(&self.bytes[2], src);
                     tasks.extend(copy_tasks(busy, spec.p_out, src, dst));
                 }
             }
@@ -538,7 +549,7 @@ where
     /// after its chunk's copy-in, copy-out after its compute, copy-in of
     /// chunk `c` after copy-out of `c - ring` recycles the slot).
     fn replay(&mut self, spec: &PipelineSpec, pools: &HostStagePools, actions: &[ChunkAction]) {
-        let (data, chunks, kernel) = (self.data, self.chunks, &self.kernel);
+        let (data, chunks, kernel, bytes) = (self.data, self.chunks, &self.kernel, &self.bytes);
         let ring = spec.ring_slots();
         let fill = data[0];
         let of = move |stage: Stage| actions.iter().filter(move |a| a.stage == stage);
@@ -567,6 +578,7 @@ where
                 // ownership of the slot's buffer until it publishes `Filled`.
                 let buf = unsafe { slot.data_mut() };
                 buf.resize(src.len(), fill);
+                count_bytes(&bytes[0], src);
                 copy_split(&pools.copy_in, spec.p_in, src, buf);
                 slot.publish(Phase::Filled, a.chunk);
             }
@@ -604,6 +616,7 @@ where
                 // `out`, owned by this coordinator.
                 let buf = unsafe { slot.data_ref() };
                 debug_assert_eq!(buf.len(), dst.len());
+                count_bytes(&bytes[2], buf);
                 copy_split(&pools.copy_out, spec.p_out, buf, dst);
                 // Recycle the slot for copy-in of chunk c + ring.
                 slot.publish(Phase::Empty, a.chunk + ring);
@@ -652,11 +665,13 @@ where
         };
         let stage = |stage: Stage, threads: usize| {
             let i = stage_index(stage);
+            let bytes = self.bytes[i].load(Ordering::Relaxed);
             match self.pools {
                 Pools::Shared(_) => StageStats {
                     threads,
                     busy: Duration::from_nanos(self.busy[i].load(Ordering::Relaxed)),
                     wait: Duration::ZERO,
+                    bytes,
                 },
                 Pools::Stages(p) => {
                     let pool = [&p.copy_in, &p.compute, &p.copy_out][i];
@@ -664,6 +679,7 @@ where
                         threads: pool.threads(),
                         busy: pool.busy(),
                         wait: self.waits[i],
+                        bytes,
                     }
                 }
             }
@@ -760,6 +776,11 @@ where
         }));
     }
     tasks
+}
+
+/// Credit one chunk's copy of `src` to a stage's byte counter.
+fn count_bytes<T>(counter: &AtomicU64, src: &[T]) {
+    counter.fetch_add(std::mem::size_of_val(src) as u64, Ordering::Relaxed);
 }
 
 /// The `src → dst` copy tasks of one chunk (split across up to
@@ -1043,6 +1064,55 @@ mod tests {
         // Copy-out of chunk 0 cannot start before chunk 0 is filled and
         // computed, so its coordinator must have measurably waited.
         assert!(stats.copy_out.wait > Duration::ZERO);
+    }
+
+    /// Each explicit schedule copies the whole input in once and out once,
+    /// ragged tail included; implicit placement has no copy stages.
+    #[test]
+    fn copy_bytes_are_exact_per_schedule() {
+        let pool = WorkPool::new(4);
+        let n = 1003usize;
+        let total = (8 * n) as u64;
+        let data: Vec<i64> = (0..n as i64).collect();
+        let mut out = vec![0i64; n];
+        let mut s = spec(8 * 64, Placement::Hbw);
+        s.total_bytes = total;
+
+        let lockstep = run_host_pipeline(&pool, &s, &data, &mut out, negate_kernel);
+        s.lockstep = false;
+        let dataflow = run_host_pipeline(&pool, &s, &data, &mut out, negate_kernel);
+        let stencil_lockstep = run_host_stencil(
+            &pool,
+            &stencil_spec(64, 8, n, true),
+            &data,
+            &mut out,
+            stencil_kernel(64, 8),
+        );
+        let stencil_flow = run_host_stencil(
+            &pool,
+            &stencil_spec(64, 8, n, false),
+            &data,
+            &mut out,
+            stencil_kernel(64, 8),
+        );
+        for (name, r) in [
+            ("lockstep", lockstep),
+            ("dataflow", dataflow),
+            ("stencil lockstep", stencil_lockstep),
+            ("stencil issue order", stencil_flow),
+        ] {
+            assert_eq!(r.copy_in.bytes, total, "{name}");
+            assert_eq!(r.copy_out.bytes, total, "{name}");
+            assert_eq!(r.compute.bytes, 0, "{name}");
+        }
+
+        let mut si = spec(8 * 64, Placement::Implicit);
+        si.total_bytes = total;
+        let implicit = run_host_pipeline(&pool, &si, &data, &mut out, negate_kernel);
+        assert!(out.iter().zip(&data).all(|(o, d)| *o == -d));
+        assert_eq!(implicit.copy_in.bytes, 0);
+        assert_eq!(implicit.copy_out.bytes, 0);
+        assert_eq!(implicit.compute.bytes, 0);
     }
 
     #[test]

@@ -159,7 +159,8 @@ impl<C> NullBackend<C> {
         self.barriers
     }
 
-    /// A zero report (the null backend does no work and keeps no clock).
+    /// A zero report (the null backend does no work, copies no bytes and
+    /// keeps no clock).
     pub fn report(&self) -> RunReport {
         RunReport::empty()
     }
@@ -255,6 +256,8 @@ mod tests {
         // 4 chunks x 3 stages, plus one barrier per step (n + 2).
         assert_eq!(b.issued(), 12);
         assert_eq!(b.barriers(), 6);
-        assert_eq!(b.report().chunks, 0);
+        let report = b.report();
+        assert_eq!(report.chunks, 0);
+        assert_eq!(report.copy_in.bytes + report.copy_out.bytes, 0);
     }
 }

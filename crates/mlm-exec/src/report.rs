@@ -1,13 +1,14 @@
 //! The unified run-statistics vocabulary.
 //!
 //! Every backend reports the same shape: per-stage thread/busy/wait
-//! accounting plus whole-run chunk and step counts. `mlm-core`'s old
-//! `HostRunStats`/`StageStats` are now aliases of these types, so existing
-//! callers (benches, experiments, serve) keep compiling unchanged.
+//! accounting and copied bytes plus whole-run chunk and step counts.
+//! `mlm-core`'s old `HostRunStats`/`StageStats` are now aliases of these
+//! types, so existing callers (benches, experiments, serve) keep compiling
+//! unchanged.
 
 use std::time::Duration;
 
-/// Per-stage timing of one pipeline run.
+/// Per-stage timing and traffic of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageReport {
     /// Worker threads dedicated to (or sharing) this stage.
@@ -18,6 +19,11 @@ pub struct StageReport {
     /// dependency (dataflow runs only; zero under lockstep, where waiting
     /// happens inside the shared pool's step barrier).
     pub wait: Duration,
+    /// Bytes this stage copied, counted once per chunk where the copy is
+    /// issued: the whole input for copy-in and copy-out of an explicit
+    /// run; zero for compute, for implicit placement (no copy stages) and
+    /// on backends that move no data.
+    pub bytes: u64,
 }
 
 impl StageReport {
@@ -74,6 +80,7 @@ mod tests {
             threads: 4,
             busy: Duration::from_secs(2),
             wait: Duration::ZERO,
+            bytes: 0,
         };
         let occ = s.occupancy(Duration::from_secs(1));
         assert!((occ - 0.5).abs() < 1e-12);
@@ -90,5 +97,6 @@ mod tests {
         assert_eq!(r.chunks, 0);
         assert_eq!(r.steps, 0);
         assert!(r.elapsed.is_zero());
+        assert_eq!(r.copy_in.bytes + r.compute.bytes + r.copy_out.bytes, 0);
     }
 }

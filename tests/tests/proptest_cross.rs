@@ -23,6 +23,31 @@ fn mix_kernel(slice: &mut [i64], ctx: KernelCtx) {
     }
 }
 
+/// The full-buffer merge `merge_kernel` must equal bit for bit: each
+/// repeat merges the halves into a whole-slice clone and copies it back.
+fn full_buffer_merge<T: Ord + Copy>(slice: &mut [T], repeats: u32) {
+    if slice.len() < 2 {
+        return;
+    }
+    let mid = slice.len() / 2;
+    let mut scratch = slice.to_vec();
+    for _ in 0..repeats {
+        // Two-pointer merge of the halves by their existing order.
+        let (a, b) = slice.split_at(mid);
+        let (mut i, mut j) = (0, 0);
+        for slot in scratch.iter_mut() {
+            if i < a.len() && (j >= b.len() || a[i] <= b[j]) {
+                *slot = a[i];
+                i += 1;
+            } else {
+                *slot = b[j];
+                j += 1;
+            }
+        }
+        slice.copy_from_slice(&scratch);
+    }
+}
+
 fn host_spec(n_elems: usize, chunk_elems: usize, p: (usize, usize, usize)) -> PipelineSpec {
     PipelineSpec {
         total_bytes: (n_elems * 8) as u64,
@@ -61,9 +86,15 @@ proptest! {
     fn merge_kernel_preserves_multiset(
         data in proptest::collection::vec(any::<i32>(), 0..2000),
         repeats in 0u32..6,
+        distinct in prop_oneof![Just(i32::MAX), 1i32..5],
     ) {
+        // A small `distinct` makes ties common, so their order is checked.
+        let data: Vec<i32> = data.iter().map(|x| x % distinct).collect();
         let mut v: Vec<i32> = data.clone();
         merge_kernel(&mut v, repeats);
+        let mut want = data.clone();
+        full_buffer_merge(&mut want, repeats);
+        prop_assert_eq!(&v, &want);
         let mut a = data;
         let mut b = v;
         a.sort_unstable();
