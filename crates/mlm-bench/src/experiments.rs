@@ -14,7 +14,7 @@ use mlm_core::pipeline::{PipelineSpec, Placement};
 use mlm_core::sort::sim::{build_sort_program, SimSortBackend};
 use mlm_core::workload::generate_keys;
 use mlm_core::{Calibration, InputOrder, SortAlgorithm, SortWorkload};
-use mlm_exec::{interpret, plan_sort, ChunkSortStyle};
+use mlm_exec::{ChunkSortStyle, SortPlan};
 use parsort::pool::WorkPool;
 
 use crate::paper::{self, paper_megachunk};
@@ -469,10 +469,12 @@ pub fn radix_study(cal: &Calibration) -> Result<Vec<RadixStudyRow>, String> {
         let machine = machine_for(alg);
         let mega = megachunk_for(alg, n);
         let w = SortWorkload::int64(n, InputOrder::Random);
-        let mut backend = SimSortBackend::new(&machine, cal, w, alg, mega, PAPER_THREADS)?;
-        let plan = plan_sort(alg.structure(), ChunkSortStyle::Radix, n, mega);
-        interpret(&mut backend, &plan, &plan.to_workload_plan()).map_err(String::from)?;
-        Ok(run(&machine, &backend.into_program())?.makespan)
+        let backend = SimSortBackend::new(&machine, cal, w, alg, mega, PAPER_THREADS)?;
+        let plan = SortPlan {
+            chunk_style: ChunkSortStyle::Radix,
+            ..backend.plan()
+        };
+        Ok(run(&machine, &backend.lower(&plan)?)?.makespan)
     };
 
     let radix_ddr = radix_time(SortAlgorithm::MlmDdr)?;

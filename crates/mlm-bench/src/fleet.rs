@@ -413,7 +413,7 @@ mod tests {
         // Distinct (strictness, placement, ring size) among the jobs.
         let mut classes = Vec::new();
         for j in &trace {
-            let ring = j.req.spec.buffer_footprint();
+            let ring = mlm_exec::declared_bytes(&j.req.spec, j.req.spec.placement);
             let class = (j.strict, j.req.spec.placement, ring);
             if !classes.contains(&class) {
                 classes.push(class);

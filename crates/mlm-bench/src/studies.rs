@@ -599,7 +599,7 @@ fn stencil() -> Result<Vec<Table>, String> {
     let mut cells = Vec::new();
     for gib in [4u64, 8, 16, 32, 64] {
         let staged = stencil_spec(gib * GIB, Placement::Hbw);
-        let ring_gib = staged.buffer_footprint() / GIB;
+        let ring_gib = mlm_exec::declared_bytes(&staged, Placement::Hbw) / GIB;
         let staged_s = run(&staged, "staged")?;
         let ddr_s = run(&stencil_spec(gib * GIB, Placement::Ddr), "DDR-only")?;
         let fits = gib * GIB <= machine.addressable_mcdram();

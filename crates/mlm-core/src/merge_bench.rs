@@ -19,6 +19,7 @@
 
 use knl_sim::machine::MachineConfig;
 use knl_sim::ops::Program;
+use mlm_exec::declared_bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::calibration::Calibration;
@@ -87,7 +88,7 @@ impl MergeBenchParams {
             data_addr: 0,
             workload: Workload::Map,
         };
-        if spec.buffer_footprint() > machine.addressable_mcdram() {
+        if declared_bytes(&spec, Placement::Hbw) > machine.addressable_mcdram() {
             return Err("the buffer ring must fit the addressable MCDRAM".into());
         }
         Ok(spec)
@@ -210,11 +211,14 @@ mod tests {
         assert_eq!(p.compute_threads(), 0);
         assert!(p.to_spec(&knl(), &cal()).is_err());
 
+        // 14.9 GB in 8 GiB chunks lands in two slots: 16 GiB fits.
         let mut p = MergeBenchParams::paper(8, 1);
         p.chunk_bytes = 8 * knl_sim::GIB;
+        assert!(p.to_spec(&knl(), &cal()).is_ok());
+        p.chunk_bytes = 6 * knl_sim::GIB;
         assert!(
             p.to_spec(&knl(), &cal()).is_err(),
-            "3 x 8 GiB > 16 GiB MCDRAM"
+            "3 x 6 GiB > 16 GiB MCDRAM"
         );
     }
 

@@ -24,6 +24,7 @@
 
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::{MemLevel, Simulator};
+use mlm_exec::declared_bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::pipeline::{sim, PipelineSpec, Placement, Workload};
@@ -173,7 +174,7 @@ pub fn simulate_double_chunking(
         return Err("need inner_chunk <= outer_chunk <= total_bytes".into());
     }
     let inner = inner_spec(spec, knl);
-    if inner.buffer_footprint() > knl.addressable_mcdram() {
+    if declared_bytes(&inner, Placement::Hbw) > knl.addressable_mcdram() {
         return Err("the inner buffer ring must fit MCDRAM".into());
     }
     if spec.total_bytes > nvm.capacity {
@@ -201,7 +202,7 @@ pub fn simulate_double_chunking(
         nvm,
         inner_ddr_traffic as f64 / inner_seconds.max(1e-12),
     );
-    if outer.buffer_footprint() > knl.ddr_capacity {
+    if declared_bytes(&outer, Placement::Hbw) > knl.ddr_capacity {
         return Err("the outer buffer ring must fit DDR".into());
     }
     let double_chunked = run(outer_machine(knl, nvm), &outer)?.makespan;
@@ -349,6 +350,9 @@ mod tests {
         spec.outer_chunk = 40_000_000_000;
         assert_eq!(prove(&spec).codes(), ["G003"], "{}", prove(&spec));
         assert!(simulate_double_chunking(&knl, &nvm, &spec).is_err());
+        // 100 GB in two 50 GB chunks: two buffers, 100 GB of 96 GiB.
+        spec.outer_chunk = 50_000_000_000;
+        assert!(prove(&spec).findings.is_empty(), "{}", prove(&spec));
     }
 
     #[test]
@@ -359,11 +363,16 @@ mod tests {
         assert!(simulate_double_chunking(&knl(), &nvm, &s).is_err());
 
         let mut s = DoubleChunkSpec::example(1);
-        s.inner_chunk = 8_000_000_000; // 3 x 8 GB > MCDRAM
+        s.inner_chunk = 8_000_000_000; // one 8 GB chunk: one buffer
+        assert_eq!(
+            declared_bytes(&inner_spec(&s, &knl()), Placement::Hbw),
+            s.inner_chunk
+        );
+        s.outer_chunk = 24_000_000_000; // 3 x 8 GB > MCDRAM
         assert!(simulate_double_chunking(&knl(), &nvm, &s).is_err());
 
         let mut s = DoubleChunkSpec::example(1);
-        s.outer_chunk = 50_000_000_000; // 3 x 50 GB > 96 GiB DDR
+        s.outer_chunk = 40_000_000_000; // 3 x 40 GB > 96 GiB DDR
         s.inner_chunk = 250_000_000;
         assert!(simulate_double_chunking(&knl(), &nvm, &s).is_err());
 

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mlm_exec::ring::{coordinate, is_poison_payload, BufSlot, Phase};
-use mlm_exec::{drive, Backend, ChunkAction, PlanNode, Stage};
+use mlm_exec::{drive, Backend, ChunkAction, PlanNode, Stage, WorkloadPlan};
 use parsort::pool::{copy_split, parallel_copy, split_mut, StagePool, WorkPool};
 
 use super::{PipelineSpec, Placement, Workload};
@@ -709,7 +709,7 @@ where
     type Ctx = PipelineSpec;
     type Token = ();
 
-    fn issue(&mut self, _spec: &PipelineSpec, node: &PlanNode, _deps: &[()]) {
+    fn issue(&mut self, _spec: &PipelineSpec, _plan: &WorkloadPlan, node: &PlanNode, _deps: &[()]) {
         let action = node
             .action()
             .expect("pipeline plans issue chunk-scoped nodes");

@@ -20,7 +20,7 @@
 //! stencils).
 
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
-use mlm_exec::{drive_verified, Backend, PlanNode, Stage};
+use mlm_exec::{drive_verified, Backend, PlanNode, Stage, WorkloadPlan};
 
 use super::{PipelineSpec, Placement, Workload};
 
@@ -240,7 +240,13 @@ impl Backend for SimBackend {
     type Ctx = PipelineSpec;
     type Token = Vec<OpId>;
 
-    fn issue(&mut self, spec: &PipelineSpec, node: &PlanNode, deps: &[Vec<OpId>]) -> Vec<OpId> {
+    fn issue(
+        &mut self,
+        spec: &PipelineSpec,
+        _plan: &WorkloadPlan,
+        node: &PlanNode,
+        deps: &[Vec<OpId>],
+    ) -> Vec<OpId> {
         let action = node
             .action()
             .expect("pipeline plans issue chunk-scoped nodes");

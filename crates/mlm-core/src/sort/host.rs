@@ -13,7 +13,7 @@
 
 use mlm_exec::{
     interpret, plan_sort, Backend, ChunkSortStyle, PlanKind, PlanNode, SortPlan, SortStructure,
-    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    WorkloadPlan, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
     SORT_KERNEL_THREAD_SORT,
 };
 use parsort::multiway::{multiway_merge_into, parallel_multiway_merge_into};
@@ -263,7 +263,13 @@ impl<T: Ord + RadixKey + Send + Sync> Backend for HostSortBackend<'_, T> {
     type Ctx = SortPlan;
     type Token = usize;
 
-    fn issue(&mut self, plan: &SortPlan, node: &PlanNode, deps: &[usize]) -> usize {
+    fn issue(
+        &mut self,
+        plan: &SortPlan,
+        _lowered: &WorkloadPlan,
+        node: &PlanNode,
+        deps: &[usize],
+    ) -> usize {
         if deps.iter().any(|&d| d >= self.batch_start) {
             self.flush(plan);
         }

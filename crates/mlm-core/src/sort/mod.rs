@@ -18,8 +18,11 @@
 pub mod host;
 pub mod sim;
 
-use mlm_exec::{ChunkSortStyle, SortStructure};
+use knl_sim::machine::MachineConfig;
+use mlm_exec::{plan_sort, ChunkSortStyle, Placement, SortPlan, SortStructure, SortTiers};
 use serde::{Deserialize, Serialize};
+
+use crate::workload::SortWorkload;
 
 /// The algorithm variants of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -60,6 +63,18 @@ impl SortAlgorithm {
         SortAlgorithm::MlmImplicit,
     ];
 
+    /// Every variant, Table 1's five first.
+    pub const ALL: [SortAlgorithm; 8] = [
+        SortAlgorithm::GnuFlat,
+        SortAlgorithm::GnuCache,
+        SortAlgorithm::MlmDdr,
+        SortAlgorithm::MlmSort,
+        SortAlgorithm::MlmImplicit,
+        SortAlgorithm::BasicChunked,
+        SortAlgorithm::GnuNumactl,
+        SortAlgorithm::MlmSortBuffered,
+    ];
+
     /// Label used in tables (matches the paper's).
     pub fn label(&self) -> &'static str {
         match self {
@@ -94,7 +109,7 @@ impl SortAlgorithm {
     /// [`mlm_exec::plan_sort`]. [`mlm_exec::interpret`] drives the same
     /// plan over both backends — the host one in [`host`] and the
     /// op-graph lowering in [`sim`]; where the bytes live during each
-    /// phase is the per-variant lowering's concern.
+    /// phase is the plan's declaration ([`Self::tiers`]).
     pub fn structure(&self) -> SortStructure {
         match self {
             // The GNU baselines and numactl-preferred placement are
@@ -111,6 +126,39 @@ impl SortAlgorithm {
             // stages them implicitly).
             SortAlgorithm::MlmImplicit => SortStructure::InPlace,
             SortAlgorithm::MlmSortBuffered => SortStructure::Buffered,
+        }
+    }
+
+    /// Where this variant keeps its arrays on `machine`: the tiers its
+    /// plan declares. GNU-flat, MLM-ddr and GNU-numactl use plain DDR
+    /// (numactl's preferred policy puts the key array's front in
+    /// addressable MCDRAM); the rest address their arrays through the
+    /// MCDRAM cache, which a flat machine serves from DDR, and the flat
+    /// MCDRAM variants stage megachunks into HBW buffers.
+    pub fn tiers(&self, machine: &MachineConfig) -> SortTiers {
+        use Placement::{Ddr, Hbw, Implicit};
+        let (keys, work, preferred_hbw) = match self {
+            Self::GnuFlat | Self::MlmDdr => (Ddr, Ddr, 0),
+            Self::GnuNumactl => (Ddr, Ddr, machine.addressable_mcdram()),
+            Self::GnuCache | Self::MlmImplicit => (Implicit, Implicit, 0),
+            Self::MlmSort | Self::BasicChunked | Self::MlmSortBuffered => (Implicit, Hbw, 0),
+        };
+        SortTiers {
+            keys,
+            preferred_hbw,
+            scratch: keys,
+            work,
+        }
+    }
+
+    /// The plan of one run of this variant over `w` on `machine`, with
+    /// `megachunk_elems`-element megachunks: [`plan_sort`]'s phases over
+    /// `w`'s keys, with the arrays in [`Self::tiers`].
+    pub fn plan(&self, machine: &MachineConfig, w: SortWorkload, megachunk_elems: u64) -> SortPlan {
+        SortPlan {
+            elem_bytes: u64::from(w.elem_bytes),
+            tiers: self.tiers(machine),
+            ..plan_sort(self.structure(), self.chunk_style(), w.n, megachunk_elems)
         }
     }
 

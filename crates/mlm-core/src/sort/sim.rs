@@ -4,15 +4,30 @@
 //! chunks, merge the runs out, final k-way merge — is planned once by
 //! [`mlm_exec::plan_sort`], lowered onto the generic IR and executed by
 //! [`mlm_exec::interpret`], exactly as on the host
-//! ([`super::host::HostSortBackend`]). This module owns only
-//! [`SimSortBackend`], the per-variant lowering of each plan node: where
-//! the bytes live ([`DataPlace`]), which calibrated rate applies, and
-//! which threads run it. A node's token is the ops realising it — for a
-//! phase of a sequential plan, the phase's join — so the plan's edges
-//! become op dependencies, and the buffered variant's cross-megachunk
-//! overlap is the plan's, not this module's. Compute rates come from
-//! [`Calibration`]; bandwidth contention, DDR saturation, and
-//! MCDRAM-cache behaviour then emerge from the [`knl_sim`] engine.
+//! ([`super::host::HostSortBackend`]). Where the bytes live is declared
+//! in the plan too ([`SortAlgorithm::tiers`]), and [`build_sort_program`]
+//! proves the plan's buffers against the machine's addressable MCDRAM
+//! before lowering it. This module owns only [`SimSortBackend`]: it reads
+//! each node's source and destination off the buffers the node touches,
+//! and picks the calibrated rate (GNU efficiency, ordered-input boost,
+//! radix) from the plan's chunk style and the node's tier. A node's token
+//! is the ops realising it — for a phase of a sequential plan, the
+//! phase's join — so the plan's edges become op dependencies, and the
+//! buffered variant's cross-megachunk overlap is the plan's. Bandwidth
+//! contention, DDR saturation, and MCDRAM-cache behaviour then emerge
+//! from the [`knl_sim`] engine.
+//!
+//! ## Tiers and addresses
+//!
+//! An HBW buffer is [`Place::Mcdram`], a DDR one [`Place::Ddr`], a
+//! cache-addressed ([`Placement::Implicit`]) one [`Place::CachedDdr`];
+//! non-HBW buffers sit back to back in DDR in declaration order (keys at
+//! `[0, n)`, scratch at `[n, 2n)`, megachunk `m`'s windows
+//! `m × mega_bytes` into each). A flat machine serves a cached access
+//! from DDR, so the variants that stage through MCDRAM address their
+//! arrays through the cache model, and the MLM-ddr control does not.
+//! numactl's preferred array is two buffers, HBW first; each thread's
+//! contiguous block takes the tier it falls in.
 //!
 //! ## Cache-mode sort residency
 //!
@@ -28,11 +43,14 @@
 //! sequential streams, where address-exact cache modeling is accurate —
 //! they go through [`Place::CachedDdr`].
 
+use std::ops::Range;
+
 use knl_sim::machine::MachineConfig;
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
+use mlm_exec::graph::{verify_sort, AnalysisConfig};
 use mlm_exec::{
-    interpret, plan_sort, Backend, ChunkSortStyle, PlanKind, PlanNode, SortPlan,
-    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    interpret, Backend, BufferId, ChunkSortStyle, Placement, PlanKind, PlanNode, SortPlan,
+    WorkloadPlan, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
     SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
 };
 
@@ -45,35 +63,32 @@ use crate::workload::SortWorkload;
 /// thread forgone (the §5 tradeoff).
 pub const BUFFERED_COPY_THREADS: usize = 4;
 
-/// Where a sort/merge phase's data is served from.
+/// Where one side of a phase lives, read off the buffers the node
+/// touches on that side: `place` (a cached side starts at its address),
+/// except that under numactl's preferred policy the blocks of the first
+/// `mcdram_threads` threads sit in the array's MCDRAM part.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum DataPlace {
-    /// Uncached DDR (flat mode).
-    Ddr,
-    /// Flat-mode MCDRAM.
-    Mcdram,
-    /// DDR range at the given base address, through the MCDRAM cache.
-    Cached(u64),
+struct Side {
+    place: Place,
+    mcdram_threads: usize,
 }
 
-impl DataPlace {
-    fn place_at(&self, offset: u64) -> Place {
-        match *self {
-            DataPlace::Ddr => Place::Ddr,
-            DataPlace::Mcdram => Place::Mcdram,
-            DataPlace::Cached(base) => Place::CachedDdr {
-                addr: base + offset,
+impl Side {
+    /// Where thread `t`'s bytes at `offset` into the side live.
+    fn at(self, t: usize, offset: u64) -> Place {
+        match self.place {
+            _ if t < self.mcdram_threads => Place::Mcdram,
+            Place::CachedDdr { addr } => Place::CachedDdr {
+                addr: addr + offset,
             },
+            place => place,
         }
     }
 }
 
 /// The simulated sort [`Backend`], with the [`SortPlan`] as its context:
 /// lowers each issued node of one Table-1 sort run to ops on a
-/// [`Program`].
-///
-/// Address layout: the key array occupies DDR `[0, n_bytes)`; the merge
-/// scratch occupies `[n_bytes, 2 n_bytes)`.
+/// [`Program`], in the tiers the node's footprint names.
 pub struct SimSortBackend<'a> {
     prog: Program,
     threads: usize,
@@ -84,10 +99,6 @@ pub struct SimSortBackend<'a> {
     megachunk_elems: u64,
     /// Bytes per key.
     elem: u64,
-    /// Bytes of the key array (and the scratch's base address).
-    n_bytes: u64,
-    /// Bytes of a full megachunk.
-    mega_bytes: u64,
 }
 
 impl<'a> SimSortBackend<'a> {
@@ -95,10 +106,10 @@ impl<'a> SimSortBackend<'a> {
     /// megachunks on `threads` threads (the paper's 256).
     ///
     /// Returns an error if the variant is incompatible with the machine's
-    /// memory mode (e.g. `MLM-sort` on a cache-mode machine), if the
-    /// megachunk cannot fit the addressable MCDRAM where it must, or if
-    /// the buffered variant has fewer than its one copy and one compute
-    /// thread.
+    /// memory mode (e.g. `MLM-sort` on a cache-mode machine), or if the
+    /// buffered variant has fewer than its one copy and one compute
+    /// thread. Whether the variant's buffers fit the machine's MCDRAM is
+    /// the plan's proof ([`Self::lower`]).
     pub fn new(
         machine: &'a MachineConfig,
         cal: &'a Calibration,
@@ -124,35 +135,9 @@ impl<'a> SimSortBackend<'a> {
         if alg.needs_cache_mode() && !machine.mode.has_cache() {
             return Err(format!("{} requires a cache-mode machine", alg.label()));
         }
-        if alg.needs_flat_mcdram() && machine.addressable_mcdram() == 0 {
+        if alg.needs_flat_mcdram() && !machine.mode.has_flat() {
             return Err(format!("{} requires flat-addressable MCDRAM", alg.label()));
         }
-
-        let elem = u64::from(w.elem_bytes);
-        let mega_bytes = megachunk_elems.min(w.n) * elem;
-
-        // GNU-numactl is unchunked: its data spills past MCDRAM by design, so
-        // the megachunk feasibility check does not apply to it.
-        if alg.needs_flat_mcdram()
-            && alg != SortAlgorithm::GnuNumactl
-            && mega_bytes > machine.addressable_mcdram()
-        {
-            return Err(format!(
-                "megachunk of {mega_bytes} bytes exceeds addressable MCDRAM ({})",
-                machine.addressable_mcdram()
-            ));
-        }
-        // Double-buffered variants keep two megachunks resident (the §6
-        // prefetch buffer, or basic-chunked's in-MCDRAM merge temp), so each
-        // may only use half the scratchpad.
-        let double_buffered = matches!(
-            alg,
-            SortAlgorithm::MlmSortBuffered | SortAlgorithm::BasicChunked
-        );
-        if double_buffered && 2 * mega_bytes > machine.addressable_mcdram() {
-            return Err(format!("{} needs megachunk <= MCDRAM/2", alg.label()));
-        }
-
         Ok(SimSortBackend {
             prog: Program::new(threads),
             threads,
@@ -161,65 +146,85 @@ impl<'a> SimSortBackend<'a> {
             alg,
             w,
             megachunk_elems,
-            elem,
-            n_bytes: w.bytes(),
-            mega_bytes,
+            elem: u64::from(w.elem_bytes),
         })
     }
 
-    /// The phase plan of this run, to [`interpret`] over this backend.
+    /// The phase plan of this run, with the variant's arrays in the tiers
+    /// it keeps them in on this machine, to [`interpret`] over this
+    /// backend.
     pub fn plan(&self) -> SortPlan {
-        plan_sort(
-            self.alg.structure(),
-            self.alg.chunk_style(),
-            self.w.n,
-            self.megachunk_elems,
-        )
+        self.alg.plan(self.machine, self.w, self.megachunk_elems)
     }
 
-    /// The lowered program.
-    pub fn into_program(self) -> Program {
-        self.prog
+    /// Prove `plan` against the machine's addressable MCDRAM and lower it
+    /// onto this backend's program. A plan whose declared HBW buffers do
+    /// not fit (a megachunk larger than MCDRAM, or two of them for the
+    /// double-buffered variants) comes back as the proof's report.
+    pub fn lower(mut self, plan: &SortPlan) -> Result<Program, String> {
+        let cfg = AnalysisConfig {
+            hbw_budget: Some(self.machine.addressable_mcdram()),
+            ..AnalysisConfig::default()
+        };
+        let (lowered, report) = verify_sort(plan, &cfg).map_err(String::from)?;
+        if !report.is_safe() {
+            return Err(report.to_string());
+        }
+        interpret(&mut self, plan, &lowered).map_err(String::from)?;
+        Ok(self.prog)
     }
 
-    /// DDR base address of megachunk `m` in the key array.
-    fn mega_base(&self, m: usize) -> u64 {
-        m as u64 * self.mega_bytes
+    /// The source and destination of `node`: the buffers it reads and the
+    /// buffers it writes. An in-place sort reads what it writes.
+    fn sides(&self, plan: &WorkloadPlan, node: &PlanNode) -> (Side, Side) {
+        let touches = plan.touches_of(node);
+        let side = |access| {
+            let mut ids = touches.iter().filter(|t| t.1 == access).map(|t| t.0);
+            let first = ids.next()?;
+            Some(self.side(plan, first, ids.next_back().unwrap_or(first)))
+        };
+        let dst = side(mlm_exec::Access::Write).expect("every sort phase writes");
+        (side(mlm_exec::Access::Read).unwrap_or(dst), dst)
     }
 
-    /// DDR base address of megachunk `m`'s window of the scratch array.
-    fn scratch_base(&self, m: usize) -> u64 {
-        self.n_bytes + m as u64 * self.mega_bytes
+    /// The side spanning buffers `first..=last`: one place when they share
+    /// a tier (windows of one array, contiguous in DDR), else numactl's
+    /// preferred array, HBW part first: its threads split by the share of
+    /// the array that part holds, the rest working the spill.
+    fn side(&self, plan: &WorkloadPlan, first: BufferId, last: BufferId) -> Side {
+        let place = |b: BufferId| match plan.buffers[b].tier {
+            Placement::Hbw => Place::Mcdram,
+            Placement::Ddr => Place::Ddr,
+            Placement::Implicit => Place::CachedDdr {
+                addr: plan.buffers[..b]
+                    .iter()
+                    .filter(|x| x.tier != Placement::Hbw)
+                    .map(|x| x.bytes)
+                    .sum(),
+            },
+        };
+        let (hbw, spill) = (&plan.buffers[first], &plan.buffers[last]);
+        let split = hbw.tier != spill.tier;
+        let fit = hbw.bytes as f64 / (hbw.bytes + spill.bytes) as f64;
+        let mcdram_threads = (self.threads as f64 * fit).round() as usize;
+        Side {
+            place: place(if split { last } else { first }),
+            mcdram_threads: if split { mcdram_threads } else { 0 },
+        }
     }
 
-    /// Close a phase: every thread joins (paying the fork/join overhead);
-    /// the join is the phase's token.
-    fn join_phase(&mut self, phase_ops: &[OpId]) -> Vec<OpId> {
-        let overhead = self.cal.phase_overhead;
-        (0..self.threads)
-            .map(|t| {
-                self.prog
-                    .push(t, OpKind::Delay { seconds: overhead }, phase_ops)
-            })
-            .collect()
-    }
-
-    /// Emit one serial-sort phase after `deps`: every thread introsorts a
-    /// `block_elems` chunk residing at `place` (for [`DataPlace::Cached`],
-    /// thread `t`'s block starts at `base + t * block_bytes`).
-    ///
+    /// Serial-sort ops after `deps`: thread `pool[i]` introsorts the
+    /// `block_elems` block of `side` that starts `i * block_bytes` in.
     /// `rate_mult` applies the GNU efficiency penalty when modeling the
     /// baseline.
-    fn serial_sort_phase(
+    fn sort_ops(
         &mut self,
-        deps: &[OpId],
+        pool: Range<usize>,
         block_elems: u64,
-        place: DataPlace,
+        side: Side,
         rate_mult: f64,
+        deps: &[OpId],
     ) -> Vec<OpId> {
-        if block_elems == 0 {
-            return deps.to_vec();
-        }
         let order = self.w.order;
         let block_bytes = block_elems * self.elem;
         let passes = self.cal.sort_passes(block_elems as usize);
@@ -228,42 +233,28 @@ impl<'a> SimSortBackend<'a> {
         // identical whichever memory level holds the block.
         let incache_seconds = block_elems as f64 * self.cal.incache_time(order) / rate_mult;
         let boost = self.cal.mcdram_boost;
-        let mut ops = Vec::with_capacity(self.threads * 2);
+        let mut ops = Vec::with_capacity(pool.len() * 2);
 
-        for t in 0..self.threads {
+        for (i, t) in pool.enumerate() {
+            let traffic = block_bytes * u64::from(passes);
+            let place = side.at(i, i as u64 * block_bytes);
+            // numactl's MCDRAM blocks take the boost before the GNU
+            // penalty; a staged block after it.
+            let rate_cap = match place {
+                Place::Mcdram if side.mcdram_threads > 0 => {
+                    self.cal.sort_rate(order) * boost * rate_mult
+                }
+                Place::Mcdram => s_sort * boost,
+                _ => s_sort,
+            };
             match place {
-                DataPlace::Ddr => {
-                    let traffic = block_bytes * u64::from(passes);
-                    let id = self.prog.push(
-                        t,
-                        OpKind::Stream {
-                            accesses: vec![
-                                Access::read(Place::Ddr, traffic),
-                                Access::write(Place::Ddr, traffic),
-                            ],
-                            rate_cap: s_sort,
-                        },
-                        deps,
-                    );
-                    ops.push(id);
+                Place::Ddr | Place::Mcdram => {
+                    let accesses =
+                        vec![Access::read(place, traffic), Access::write(place, traffic)];
+                    let stream = OpKind::Stream { accesses, rate_cap };
+                    ops.push(self.prog.push(t, stream, deps));
                 }
-                DataPlace::Mcdram => {
-                    let traffic = block_bytes * u64::from(passes);
-                    let id = self.prog.push(
-                        t,
-                        OpKind::Stream {
-                            accesses: vec![
-                                Access::read(Place::Mcdram, traffic),
-                                Access::write(Place::Mcdram, traffic),
-                            ],
-                            rate_cap: s_sort * boost,
-                        },
-                        deps,
-                    );
-                    ops.push(id);
-                }
-                DataPlace::Cached(base) => {
-                    let addr = base + t as u64 * block_bytes;
+                Place::CachedDdr { addr } => {
                     // Pass 0: cold, through the real cache model.
                     let cold = self.prog.push(
                         t,
@@ -346,21 +337,20 @@ impl<'a> SimSortBackend<'a> {
                 ops.push(id);
             }
         }
-        self.join_phase(&ops)
+        ops
     }
 
-    /// Emit one radix chunk-sort phase after `deps`: every thread runs one
-    /// LSD digit pass per key byte over its `block_elems` block at `place`,
-    /// each pass reading and writing the whole block at `s_radix`. The
-    /// passes are pure streams — no cache-resident recursion levels, so no
-    /// in-cache term and no MCDRAM boost — and each one touches exactly the
-    /// block's bytes, so a cached block goes through the cache model once
-    /// per pass.
-    fn radix_sort_phase(&mut self, deps: &[OpId], block_elems: u64, place: DataPlace) -> Vec<OpId> {
+    /// Radix chunk-sort ops after `deps`: every thread runs one LSD digit
+    /// pass per key byte over its `block_elems` block of `side`, each pass
+    /// reading and writing the whole block at `s_radix`. The passes are
+    /// pure streams — no cache-resident recursion levels, so no in-cache
+    /// term and no MCDRAM boost — and each one touches exactly the block's
+    /// bytes, so a cached block goes through the cache model once per pass.
+    fn radix_ops(&mut self, block_elems: u64, side: Side, deps: &[OpId]) -> Vec<OpId> {
         let block_bytes = block_elems * self.elem;
         let mut ops = Vec::with_capacity(self.threads);
         for t in 0..self.threads {
-            let at = place.place_at(t as u64 * block_bytes);
+            let at = side.at(t, t as u64 * block_bytes);
             let accesses = (0..self.elem)
                 .flat_map(|_| {
                     [
@@ -378,27 +368,24 @@ impl<'a> SimSortBackend<'a> {
                 deps,
             ));
         }
-        self.join_phase(&ops)
+        ops
     }
 
-    /// Emit one parallel multiway-merge phase after `deps` over
-    /// `total_bytes` of data in `k` runs: each thread streams its share
-    /// from `src` to `dst`.
+    /// Parallel multiway-merge ops after `deps` over `total_bytes` of data
+    /// in `k` runs: each thread streams its share from `src` to `dst`.
     /// `order_boost` controls whether the merge rate benefits from
     /// structured input: MLM's plain loser-tree merges do (disjoint runs
     /// from reverse-sorted input keep the tournament winner stable), but
     /// the paper's GNU-baseline timings show no such benefit in its merge
     /// phase, so the GNU variants pass `false` (see EXPERIMENTS.md).
-    #[allow(clippy::too_many_arguments)]
-    fn multiway_merge_phase(
+    fn merge_ops(
         &mut self,
-        deps: &[OpId],
         total_bytes: u64,
         k: usize,
-        src: DataPlace,
-        dst: DataPlace,
+        (src, dst): (Side, Side),
         rate_mult: f64,
         order_boost: bool,
+        deps: &[OpId],
     ) -> Vec<OpId> {
         let rate = if order_boost {
             self.cal.multiway_rate_ordered(k, self.w.order)
@@ -415,8 +402,8 @@ impl<'a> SimSortBackend<'a> {
                 t,
                 OpKind::Stream {
                     accesses: vec![
-                        Access::read(src.place_at(offset), len),
-                        Access::write(dst.place_at(offset), len),
+                        Access::read(src.at(t, offset), len),
+                        Access::write(dst.at(t, offset), len),
                     ],
                     rate_cap: rate,
                 },
@@ -424,246 +411,104 @@ impl<'a> SimSortBackend<'a> {
             );
             ops.push(id);
         }
-        self.join_phase(&ops)
+        ops
     }
 
-    /// Emit one bulk-copy phase after `deps`: all threads cooperatively
+    /// Bulk-copy ops after `deps`: the threads of `0..pool` cooperatively
     /// move `total_bytes` from `src` to `dst` at the machine's `S_copy`.
-    fn copy_phase(
+    /// A copy streams numactl's preferred array at its spill tier.
+    fn copy_ops(
         &mut self,
-        deps: &[OpId],
+        pool: usize,
         total_bytes: u64,
-        src: DataPlace,
-        dst: DataPlace,
+        (src, dst): (Side, Side),
+        deps: &[OpId],
     ) -> Vec<OpId> {
-        let rate = self.machine.per_thread_copy_bw;
-        let mut ops = Vec::with_capacity(self.threads);
-        for t in 0..self.threads {
-            let (offset, len) = share(total_bytes, self.threads, t);
+        let streamed = |side: Side| Side {
+            mcdram_threads: 0,
+            ..side
+        };
+        let (src, dst) = (streamed(src), streamed(dst));
+        let mut ops = Vec::with_capacity(pool);
+        for t in 0..pool {
+            let (offset, len) = share(total_bytes, pool, t);
             if len == 0 {
                 continue;
             }
             let id = self.prog.push(
                 t,
                 OpKind::Copy {
-                    src: src.place_at(offset),
-                    dst: dst.place_at(offset),
+                    src: src.at(t, offset),
+                    dst: dst.at(t, offset),
                     bytes: len,
-                    rate_cap: rate,
+                    rate_cap: self.machine.per_thread_copy_bw,
                 },
                 deps,
             );
             ops.push(id);
         }
-        self.join_phase(&ops)
+        ops
     }
 
-    /// Lower one phase of the plan after `deps`, returning its join. *What*
-    /// the node is comes from its `(kind, chunk, kernel)` triple as
-    /// [`SortPlan::to_workload_plan`] emits it — the same DAG the host
-    /// backend and the graph verifier consume; where its bytes live and
-    /// which calibrated rate applies is decided here per variant.
-    fn lower_phase(&mut self, plan: &SortPlan, node: &PlanNode, deps: &[OpId]) -> Vec<OpId> {
-        let p = self.threads as u64;
+    /// Lower one phase of a sequential plan after `deps`: its ops, then
+    /// every thread joins (paying the fork/join overhead), and the join is
+    /// the phase's token. *What* the node is comes from its `(kind,
+    /// kernel)` pair as [`SortPlan::to_workload_plan`] emits it — the same
+    /// DAG the host backend and the graph verifier consume — and where its
+    /// bytes live from the buffers it touches (`sides`); only the
+    /// calibrated rate is chosen here, from the plan's chunk style.
+    fn lower_phase(
+        &mut self,
+        plan: &SortPlan,
+        node: &PlanNode,
+        sides: (Side, Side),
+        deps: &[OpId],
+    ) -> Vec<OpId> {
+        let (threads, dst) = (self.threads, sides.1);
         let gnu = self.cal.gnu_efficiency;
-        let (alg, n_bytes, scratch) = (self.alg, self.n_bytes, self.n_bytes);
-        let elems = node.len;
+        let bytes = node.len * self.elem;
+        let block = node.len.div_ceil(threads as u64);
         // GNU-style plans pay the GNU efficiency in their chunk sorts and
         // run merges, and their merges get no ordered-input boost.
         let gnu_style = plan.chunk_style == ChunkSortStyle::Gnu;
-        match (node.kind, node.chunk, node.kernel) {
-            // Whole-array plans (the GNU baselines): per-thread block sorts...
-            (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_SORT)) => {
-                let block = elems.div_ceil(p);
-                let place = match alg {
-                    SortAlgorithm::GnuFlat => DataPlace::Ddr,
-                    SortAlgorithm::GnuCache => DataPlace::Cached(0),
-                    SortAlgorithm::GnuNumactl => return self.numactl_sort_phase(deps, block),
-                    _ => unreachable!("ThreadSort only appears in Whole plans"),
-                };
-                self.serial_sort_phase(deps, block, place, gnu)
+        let merge_mult = if gnu_style { gnu } else { 1.0 };
+        let ops = match (node.kind, node.kernel) {
+            // Whole-array plans (the GNU baselines): per-thread block
+            // sorts, then one thread-count-way merge into scratch.
+            (PlanKind::Kernel, Some(SORT_KERNEL_THREAD_SORT)) => {
+                self.sort_ops(0..threads, block, dst, gnu, deps)
             }
-            // ...then one thread-count-way merge into scratch.
-            (PlanKind::Kernel, None, Some(SORT_KERNEL_THREAD_MERGE)) => {
-                let (src, dst) = match alg {
-                    SortAlgorithm::GnuFlat => (DataPlace::Ddr, DataPlace::Ddr),
-                    SortAlgorithm::GnuCache => (DataPlace::Cached(0), DataPlace::Cached(scratch)),
-                    SortAlgorithm::GnuNumactl => return self.numactl_merge_phase(deps),
-                    _ => unreachable!("ThreadMerge only appears in Whole plans"),
-                };
-                let k = self.threads;
-                self.multiway_merge_phase(deps, n_bytes, k, src, dst, gnu, false)
+            (PlanKind::Kernel, Some(SORT_KERNEL_THREAD_MERGE)) => {
+                self.merge_ops(bytes, threads, sides, gnu, false, deps)
             }
-            // Stage megachunk `m` into the working buffer (the MLM structure's
-            // copy-in: MCDRAM in flat mode, or the DDR buffer for MLM-ddr).
-            (PlanKind::StageIn, Some(mega), None) => {
-                let (src, dst) = match alg {
-                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr),
-                    SortAlgorithm::MlmSort | SortAlgorithm::BasicChunked => {
-                        (DataPlace::Cached(self.mega_base(mega)), DataPlace::Mcdram)
-                    }
-                    _ => unreachable!("StageIn appears in Staged plans only"),
-                };
-                self.copy_phase(deps, elems * self.elem, src, dst)
+            // Sort a megachunk's chunks where the plan holds them. Bender
+            // et al.'s scheme sorts the megachunk with the *parallel*
+            // mergesort: the same block sorts, at GNU efficiency (its merge
+            // is the run merge below).
+            (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => match plan.chunk_style {
+                ChunkSortStyle::Serial => self.sort_ops(0..threads, block, dst, 1.0, deps),
+                ChunkSortStyle::Gnu => self.sort_ops(0..threads, block, dst, gnu, deps),
+                ChunkSortStyle::Radix => self.radix_ops(block, dst, deps),
+            },
+            // Multiway-merge a megachunk's sorted runs out, and the final
+            // k-way merge across sorted megachunks into scratch.
+            (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) => {
+                self.merge_ops(bytes, threads, sides, merge_mult, !gnu_style, deps)
             }
-            // Sort megachunk `m`'s chunks in the working buffer.
-            (PlanKind::Kernel, Some(mega), Some(SORT_KERNEL_CHUNK_SORT)) => {
-                let chunk = elems.div_ceil(p);
-                let place = match alg {
-                    SortAlgorithm::MlmDdr => DataPlace::Ddr,
-                    SortAlgorithm::MlmSort | SortAlgorithm::BasicChunked => DataPlace::Mcdram,
-                    SortAlgorithm::MlmImplicit => DataPlace::Cached(self.mega_base(mega)),
-                    _ => unreachable!("ChunkSort lowered per-variant"),
-                };
-                match plan.chunk_style {
-                    ChunkSortStyle::Serial => self.serial_sort_phase(deps, chunk, place, 1.0),
-                    // Bender et al.'s scheme sorts the megachunk with the
-                    // *parallel* mergesort: the same block sorts, but at GNU
-                    // efficiency (its merge is the MergeRuns phase below).
-                    ChunkSortStyle::Gnu => self.serial_sort_phase(deps, chunk, place, gnu),
-                    ChunkSortStyle::Radix => self.radix_sort_phase(deps, chunk, place),
-                }
+            (PlanKind::Kernel, Some(SORT_KERNEL_FINAL_MERGE)) => {
+                self.merge_ops(bytes, plan.megachunks, sides, 1.0, !gnu_style, deps)
             }
-            // Multiway-merge megachunk `m`'s sorted runs out of the buffer.
-            // For the GNU style this is the parallel sort's own multiway
-            // merge, writing straight back out to DDR (it needs a distinct
-            // output buffer anyway, which is why basic-chunked's megachunk
-            // is capped at MCDRAM/2).
-            (PlanKind::StageOut, Some(mega), Some(SORT_KERNEL_MERGE_RUNS)) => {
-                let bytes = elems * self.elem;
-                let (src, dst) = match alg {
-                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr),
-                    SortAlgorithm::MlmSort | SortAlgorithm::BasicChunked => {
-                        (DataPlace::Mcdram, DataPlace::Cached(self.mega_base(mega)))
-                    }
-                    SortAlgorithm::MlmImplicit => (
-                        DataPlace::Cached(self.mega_base(mega)),
-                        DataPlace::Cached(self.scratch_base(mega)),
-                    ),
-                    _ => unreachable!("MergeRuns lowered per-variant"),
-                };
-                let rate_mult = if gnu_style { gnu } else { 1.0 };
-                let k = self.threads;
-                self.multiway_merge_phase(deps, bytes, k, src, dst, rate_mult, !gnu_style)
+            // Stage a megachunk in, copy one back from scratch, or copy
+            // the whole array back as the out-of-place merges require.
+            (PlanKind::StageIn | PlanKind::StageOut, None) => {
+                self.copy_ops(threads, bytes, sides, deps)
             }
-            // Copy megachunk `m` back from scratch (in-place plans only).
-            (PlanKind::StageOut, Some(mega), None) => {
-                debug_assert_eq!(alg, SortAlgorithm::MlmImplicit);
-                self.copy_phase(
-                    deps,
-                    elems * self.elem,
-                    DataPlace::Cached(self.scratch_base(mega)),
-                    DataPlace::Cached(self.mega_base(mega)),
-                )
-            }
-            // Final k-way merge across sorted megachunks into scratch.
-            (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => {
-                let (src, dst) = match alg {
-                    SortAlgorithm::MlmDdr => (DataPlace::Ddr, DataPlace::Ddr),
-                    SortAlgorithm::MlmSort
-                    | SortAlgorithm::BasicChunked
-                    | SortAlgorithm::MlmImplicit
-                    | SortAlgorithm::MlmSortBuffered => {
-                        (DataPlace::Cached(0), DataPlace::Cached(scratch))
-                    }
-                    _ => unreachable!("Whole plans have no FinalMerge"),
-                };
-                let k = plan.megachunks;
-                self.multiway_merge_phase(deps, n_bytes, k, src, dst, 1.0, !gnu_style)
-            }
-            // Copy the whole array back from scratch into the caller's array,
-            // as the out-of-place merges require.
-            (PlanKind::StageOut, None, None) => {
-                let (src, dst) = match alg {
-                    SortAlgorithm::GnuFlat | SortAlgorithm::GnuNumactl | SortAlgorithm::MlmDdr => {
-                        (DataPlace::Ddr, DataPlace::Ddr)
-                    }
-                    _ => (DataPlace::Cached(scratch), DataPlace::Cached(0)),
-                };
-                self.copy_phase(deps, n_bytes, src, dst)
-            }
-            (kind, chunk, kernel) => {
-                unreachable!("sort plans never emit {kind:?}/{chunk:?}/{kernel:?}")
-            }
-        }
-    }
-
-    /// §2.4 (Li et al.): flat mode with `numactl --preferred` — the first
-    /// `addressable_mcdram` bytes of the array live in MCDRAM, the spill in
-    /// DDR; the unchunked GNU sort runs over the mix. Per-thread blocks are
-    /// contiguous, so a `fit` fraction of the threads work MCDRAM-resident
-    /// blocks and the rest DDR blocks.
-    fn numactl_sort_phase(&mut self, deps: &[OpId], block: u64) -> Vec<OpId> {
-        let gnu = self.cal.gnu_efficiency;
-        let order = self.w.order;
-        let mcdram_threads = self.numactl_mcdram_threads();
-        let passes = self.cal.sort_passes(block as usize);
-        let incache = block as f64 * self.cal.incache_time(order) / gnu;
-        let mut phase_ops = Vec::with_capacity(2 * self.threads);
-        for t in 0..self.threads {
-            let place = if t < mcdram_threads {
-                Place::Mcdram
-            } else {
-                Place::Ddr
-            };
-            let traffic = block * self.elem * u64::from(passes);
-            let rate = if t < mcdram_threads {
-                self.cal.sort_rate(order) * self.cal.mcdram_boost * gnu
-            } else {
-                self.cal.sort_rate(order) * gnu
-            };
-            let id = self.prog.push(
-                t,
-                OpKind::Stream {
-                    accesses: vec![Access::read(place, traffic), Access::write(place, traffic)],
-                    rate_cap: rate,
-                },
-                deps,
-            );
-            phase_ops.push(id);
-            phase_ops.push(self.prog.push(t, OpKind::Delay { seconds: incache }, &[]));
-        }
-        self.join_phase(&phase_ops)
-    }
-
-    /// GNU-numactl's unchunked multiway merge: reads the mixed-placement
-    /// array, writes the scratch (DDR — the spill means scratch cannot be
-    /// MCDRAM-resident). The read side is modeled by the same fit fraction.
-    fn numactl_merge_phase(&mut self, deps: &[OpId]) -> Vec<OpId> {
-        let mcdram_threads = self.numactl_mcdram_threads();
-        let rate = self.cal.multiway_rate(self.threads) * self.cal.gnu_efficiency;
-        let mut merge_ops = Vec::with_capacity(self.threads);
-        for t in 0..self.threads {
-            let (_, len) = share(self.n_bytes, self.threads, t);
-            if len == 0 {
-                continue;
-            }
-            let read_place = if t < mcdram_threads {
-                Place::Mcdram
-            } else {
-                Place::Ddr
-            };
-            let id = self.prog.push(
-                t,
-                OpKind::Stream {
-                    accesses: vec![
-                        Access::read(read_place, len),
-                        Access::write(Place::Ddr, len),
-                    ],
-                    rate_cap: rate,
-                },
-                deps,
-            );
-            merge_ops.push(id);
-        }
-        self.join_phase(&merge_ops)
-    }
-
-    /// How many threads' contiguous blocks are MCDRAM-resident under
-    /// numactl-preferred placement.
-    fn numactl_mcdram_threads(&self) -> usize {
-        let fit = (self.machine.addressable_mcdram() as f64 / self.n_bytes as f64).min(1.0);
-        (self.threads as f64 * fit).round() as usize
+            (kind, kernel) => unreachable!("sort plans never emit {kind:?}/{kernel:?}"),
+        };
+        let overhead = self.cal.phase_overhead;
+        (0..threads)
+            .map(|t| self.prog.push(t, OpKind::Delay { seconds: overhead }, &ops))
+            .collect()
     }
 
     /// Lower one megachunk node of the buffered plan (the §6 future-work
@@ -672,105 +517,57 @@ impl<'a> SimSortBackend<'a> {
     /// merges megachunk `m` (the §5 lesson: copy threads are compute
     /// threads forgone, so keep the pool small); the plan's Recycle and
     /// Data edges, arriving as `deps`, order the two pools.
-    fn lower_buffered(&mut self, node: &PlanNode, m: usize, deps: &[OpId]) -> Vec<OpId> {
-        let threads = self.threads;
-        let p_copy = BUFFERED_COPY_THREADS.min(threads - 1);
-        let p_comp = threads - p_copy;
-        let comp0 = p_copy;
-        let order = self.w.order;
-        let mut ops: Vec<OpId> = Vec::new();
+    fn lower_buffered(
+        &mut self,
+        node: &PlanNode,
+        m: usize,
+        (src, dst): (Side, Side),
+        deps: &[OpId],
+    ) -> Vec<OpId> {
+        let p_copy = BUFFERED_COPY_THREADS.min(self.threads - 1);
+        let compute = p_copy..self.threads;
+        let bytes = node.len * self.elem;
         match (node.kind, node.kernel) {
             // Prefetch megachunk m. The *prime* copy of megachunk 0 has
             // nothing to overlap with, so, as the paper's §3.2 notes about
             // unoccupied pools, every thread helps with it.
             (PlanKind::StageIn, None) => {
-                let bytes = node.len * self.elem;
-                let base = self.mega_base(m);
-                let pool = if m == 0 { threads } else { p_copy };
-                for t in 0..pool {
-                    let (offset, len) = share(bytes, pool, t);
+                let pool = if m == 0 { self.threads } else { p_copy };
+                self.copy_ops(pool, bytes, (src, dst), deps)
+            }
+            // Serial chunk sorts on the compute pool, in the working buffer.
+            (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => {
+                let chunk = node.len.div_ceil(compute.len() as u64);
+                self.sort_ops(compute, chunk, dst, 1.0, deps)
+            }
+            // Multiway merge out of the working buffer on the compute pool;
+            // compute thread `i`'s share lands `i` shares into the window.
+            (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) => {
+                let rate = self.cal.multiway_rate_ordered(compute.len(), self.w.order);
+                let mut ops = Vec::with_capacity(compute.len());
+                for (i, t) in compute.clone().enumerate() {
+                    let (_, len) = share(bytes, compute.len(), i);
                     if len == 0 {
                         continue;
                     }
+                    let accesses = vec![
+                        Access::read(src.at(i, 0), len),
+                        Access::write(dst.at(i, i as u64 * len), len),
+                    ];
                     let id = self.prog.push(
                         t,
-                        OpKind::Copy {
-                            src: Place::CachedDdr {
-                                addr: base + offset,
-                            },
-                            dst: Place::Mcdram,
-                            bytes: len,
-                            rate_cap: self.machine.per_thread_copy_bw,
-                        },
-                        deps,
-                    );
-                    ops.push(id);
-                }
-            }
-
-            // Serial chunk sorts on the compute pool (in MCDRAM).
-            (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => {
-                let chunk = node.len.div_ceil(p_comp as u64);
-                let block_bytes = chunk * self.elem;
-                let passes = self.cal.sort_passes(chunk as usize);
-                let incache = chunk as f64 * self.cal.incache_time(order);
-                for t in 0..p_comp {
-                    let traffic = block_bytes * u64::from(passes);
-                    let mem = self.prog.push(
-                        comp0 + t,
                         OpKind::Stream {
-                            accesses: vec![
-                                Access::read(Place::Mcdram, traffic),
-                                Access::write(Place::Mcdram, traffic),
-                            ],
-                            rate_cap: self.cal.sort_rate(order) * self.cal.mcdram_boost,
-                        },
-                        deps,
-                    );
-                    ops.push(mem);
-                    if incache > 0.0 {
-                        ops.push(self.prog.push(
-                            comp0 + t,
-                            OpKind::Delay { seconds: incache },
-                            &[],
-                        ));
-                    }
-                }
-            }
-
-            // Multiway merge out to DDR on the compute pool.
-            (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) => {
-                let bytes = node.len * self.elem;
-                let base = self.mega_base(m);
-                let rate = self.cal.multiway_rate_ordered(p_comp, order);
-                for t in 0..p_comp {
-                    let (_, share) = share(bytes, p_comp, t);
-                    if share == 0 {
-                        continue;
-                    }
-                    let id = self.prog.push(
-                        comp0 + t,
-                        OpKind::Stream {
-                            accesses: vec![
-                                Access::read(Place::Mcdram, share),
-                                Access::write(
-                                    Place::CachedDdr {
-                                        addr: base + t as u64 * share,
-                                    },
-                                    share,
-                                ),
-                            ],
+                            accesses,
                             rate_cap: rate,
                         },
                         deps,
                     );
                     ops.push(id);
                 }
+                ops
             }
-
             (kind, kernel) => unreachable!("Buffered plans are staged, not {kind:?}/{kernel:?}"),
         }
-        ops
     }
 }
 
@@ -778,11 +575,18 @@ impl Backend for SimSortBackend<'_> {
     type Ctx = SortPlan;
     type Token = Vec<OpId>;
 
-    fn issue(&mut self, plan: &SortPlan, node: &PlanNode, deps: &[Vec<OpId>]) -> Vec<OpId> {
+    fn issue(
+        &mut self,
+        plan: &SortPlan,
+        lowered: &WorkloadPlan,
+        node: &PlanNode,
+        deps: &[Vec<OpId>],
+    ) -> Vec<OpId> {
         let deps = deps.concat();
+        let sides = self.sides(lowered, node);
         match node.chunk {
-            Some(m) if plan.overlapped => self.lower_buffered(node, m, &deps),
-            _ => self.lower_phase(plan, node, &deps),
+            Some(m) if plan.overlapped => self.lower_buffered(node, m, sides, &deps),
+            _ => self.lower_phase(plan, node, sides, &deps),
         }
     }
 
@@ -799,10 +603,12 @@ fn share(total: u64, parts: usize, t: usize) -> (u64, u64) {
     (t * base + t.min(extra), base + u64::from(t < extra))
 }
 
-/// Build the simulated program for one Table-1 sort run: validate the
-/// (machine, variant, megachunk) combination ([`SimSortBackend::new`]),
-/// plan the run with [`mlm_exec::plan_sort`] (shared with the host), and
-/// [`interpret`] the plan over the backend. `threads` is the paper's 256.
+/// Build the simulated program for one Table-1 sort run: check the
+/// (machine, variant) combination ([`SimSortBackend::new`]), plan the run
+/// with [`mlm_exec::plan_sort`] (shared with the host) in the variant's
+/// tiers, prove the plan against the machine's addressable MCDRAM, and
+/// [`interpret`] it over the backend ([`SimSortBackend::lower`]).
+/// `threads` is the paper's 256.
 pub fn build_sort_program(
     machine: &MachineConfig,
     cal: &Calibration,
@@ -811,10 +617,9 @@ pub fn build_sort_program(
     megachunk_elems: u64,
     threads: usize,
 ) -> Result<Program, String> {
-    let mut backend = SimSortBackend::new(machine, cal, w, alg, megachunk_elems, threads)?;
+    let backend = SimSortBackend::new(machine, cal, w, alg, megachunk_elems, threads)?;
     let plan = backend.plan();
-    interpret(&mut backend, &plan, &plan.to_workload_plan()).map_err(String::from)?;
-    Ok(backend.into_program())
+    backend.lower(&plan)
 }
 
 #[cfg(test)]
@@ -823,7 +628,6 @@ mod tests {
     use crate::workload::InputOrder;
     use knl_sim::machine::MemMode;
     use knl_sim::Simulator;
-    use mlm_exec::{mega_size, SortStructure};
 
     const BILLION: u64 = 1_000_000_000;
 
@@ -1012,18 +816,6 @@ mod tests {
         assert!(mlm_sort < basic, "MLM-sort {mlm_sort} !< basic {basic}");
     }
 
-    #[test]
-    fn deterministic_program_construction() {
-        let machine = MachineConfig::knl_7250(MemMode::Flat);
-        let cal = Calibration::default();
-        let w = SortWorkload::int64(BILLION, InputOrder::Random);
-        let a =
-            build_sort_program(&machine, &cal, w, SortAlgorithm::MlmSort, BILLION / 2, 64).unwrap();
-        let b =
-            build_sort_program(&machine, &cal, w, SortAlgorithm::MlmSort, BILLION / 2, 64).unwrap();
-        assert_eq!(a.ops().len(), b.ops().len());
-    }
-
     /// The §6 future-work variant: hiding megachunk copy-in latency with a
     /// small dedicated copy pool. The gain is the hidden copy time minus
     /// the compute threads forgone, so it shows where copies are a larger
@@ -1189,11 +981,13 @@ mod tests {
         let (n, threads) = (1u64 << 20, 4);
         let w = SortWorkload::int64(n, InputOrder::Random);
         let radix_streams = |style| {
-            let mut backend =
+            let backend =
                 SimSortBackend::new(&machine, &cal, w, SortAlgorithm::MlmSort, n, threads).unwrap();
-            let plan = plan_sort(SortStructure::Staged, style, n, n);
-            interpret(&mut backend, &plan, &plan.to_workload_plan()).unwrap();
-            let prog = backend.into_program();
+            let plan = SortPlan {
+                chunk_style: style,
+                ..backend.plan()
+            };
+            let prog = backend.lower(&plan).unwrap();
             let streams = prog.ops().iter().filter_map(|op| match &op.kind {
                 OpKind::Stream { accesses, rate_cap } if *rate_cap == cal.s_radix => {
                     Some(accesses.clone())
@@ -1219,6 +1013,7 @@ mod tests {
 
     #[test]
     fn mega_size_covers_input() {
+        use mlm_exec::mega_size;
         assert_eq!(mega_size(10, 4, 0), 4);
         assert_eq!(mega_size(10, 4, 1), 4);
         assert_eq!(mega_size(10, 4, 2), 2);

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use crate::plan::PlanNode;
+use crate::plan::{PlanNode, WorkloadPlan};
 
 /// One of the three pipeline stages of the §3 framework.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,11 +77,18 @@ pub trait Backend {
     /// buffer ring, uses `()`.
     type Token: Clone;
 
-    /// Issue one plan node that must run after every token in `deps`.
-    /// Chunk-scoped nodes name their [`ChunkAction`] through
+    /// Issue one node of `plan` that must run after every token in
+    /// `deps`. Chunk-scoped nodes name their [`ChunkAction`] through
     /// [`PlanNode::action`]; global nodes and the node's kernel index
-    /// reach the backend as they stand in the plan.
-    fn issue(&mut self, ctx: &Self::Ctx, node: &PlanNode, deps: &[Self::Token]) -> Self::Token;
+    /// reach the backend as they stand in the plan, and the buffers the
+    /// node touches are [`WorkloadPlan::touches_of`] it.
+    fn issue(
+        &mut self,
+        ctx: &Self::Ctx,
+        plan: &WorkloadPlan,
+        node: &PlanNode,
+        deps: &[Self::Token],
+    ) -> Self::Token;
 
     /// Close a lockstep step: everything issued later and depending on the
     /// returned token runs after every token in `after`.

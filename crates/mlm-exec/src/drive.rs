@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use crate::backend::{ChunkAction, Stage};
     use crate::placement::Placement;
-    use crate::plan::PlanNode;
+    use crate::plan::{PlanNode, WorkloadPlan};
     use crate::spec::Workload;
 
     /// A backend that records issue order and checks dependency sanity.
@@ -110,7 +110,13 @@ mod tests {
         type Ctx = PipelineSpec;
         type Token = usize;
 
-        fn issue(&mut self, _spec: &PipelineSpec, node: &PlanNode, deps: &[usize]) -> usize {
+        fn issue(
+            &mut self,
+            _spec: &PipelineSpec,
+            _plan: &WorkloadPlan,
+            node: &PlanNode,
+            deps: &[usize],
+        ) -> usize {
             for &d in deps {
                 assert!(d < self.issued.len() + self.barriers, "dep from the future");
             }

@@ -1,9 +1,10 @@
 //! The static schedule verifier, over the plan the schedule is built as.
 //!
-//! [`plan_pipeline`] writes one dependency DAG per spec: a
-//! [`WorkloadPlan`] of chunk-stage nodes and barriers whose edges say why
-//! they exist ([`EdgeKind`]), plus the buffers the plan keeps resident and
-//! the buffers each node reads or writes. Two consumers read that plan
+//! [`plan_pipeline`] writes one dependency DAG per spec, and
+//! [`SortPlan::to_workload_plan`] one per sort run: a [`WorkloadPlan`] of
+//! stage nodes and barriers whose edges say why they exist
+//! ([`EdgeKind`]), plus the buffers the plan keeps resident and the
+//! buffers each node reads or writes. Two consumers read that plan
 //! directly (DESIGN.md S22):
 //!
 //! * the **executor** ([`interpret`](crate::plan::interpret)) walks one
@@ -43,6 +44,7 @@ use std::fmt;
 use crate::error::DriveError;
 use crate::placement::Placement;
 use crate::plan::{plan_pipeline, Access, EdgeKind, PlanKind, WorkloadPlan};
+use crate::sortplan::SortPlan;
 use crate::spec::PipelineSpec;
 
 // ---------------------------------------------------------------------------
@@ -838,6 +840,23 @@ pub(crate) fn prove(
     };
     let report = analyze(&plan, &cfg);
     Ok((plan, report))
+}
+
+/// Lower a sort plan, check its structure ([`WorkloadPlan::validate`])
+/// and [`analyze`] it under `cfg` (whose `hbw_budget` is the MCDRAM the
+/// declared HBW buffers must fit). The sort counterpart of
+/// [`verify_spec`]: the simulated sort interprets the plan returned here,
+/// so the proof covers the plan it runs.
+///
+/// `Err` only when the lowered plan is malformed ([`DriveError::Spec`]).
+pub fn verify_sort(
+    plan: &SortPlan,
+    cfg: &AnalysisConfig,
+) -> Result<(WorkloadPlan, GraphReport), DriveError> {
+    let lowered = plan.to_workload_plan();
+    lowered.validate().map_err(DriveError::Spec)?;
+    let report = analyze(&lowered, cfg);
+    Ok((lowered, report))
 }
 
 /// Build the plan of `spec` and [`analyze`] it under the shipped

@@ -18,8 +18,10 @@
 //! * [`plan`] — the workload-generic plan IR ([`WorkloadPlan`]): a DAG of
 //!   stage-in / compute-kernel / stage-out nodes with tagged dependency
 //!   edges (sequencing, dataflow, buffer recycling, inter-chunk halo)
-//!   and declared buffer footprints, that every workload family lowers
-//!   into and every executor interprets;
+//!   and declared buffers and footprints, that every workload family
+//!   lowers into and every executor interprets — the one statement of
+//!   where each buffer lives ([`pipeline_buffers`] for a pipeline,
+//!   [`SortTiers`] for a sort);
 //! * [`drive`] — the orchestrator that builds the plan for the spec's
 //!   workload (map or halo-exchanging stencil; lockstep, dataflow, and
 //!   implicit cache mode) and interprets it over the backend;
@@ -65,13 +67,13 @@ pub use drive::{drive, drive_verified, RING_SLOTS, STENCIL_RING_SLOTS};
 pub use error::DriveError;
 pub use placement::Placement;
 pub use plan::{
-    interpret, plan_pipeline, Access, BufferId, EdgeKind, KernelDesc, PlanBuffer, PlanEdge,
-    PlanKind, PlanNode, WorkloadPlan,
+    declared_bytes, interpret, pipeline_buffers, plan_pipeline, Access, BufferId, EdgeKind,
+    KernelDesc, PlanBuffer, PlanEdge, PlanKind, PlanNode, WorkloadPlan,
 };
 pub use recording::{Event, NullBackend, RecordingBackend};
 pub use report::{RunReport, StageReport};
 pub use sortplan::{
-    mega_size, plan_sort, ChunkSortStyle, SortPhase, SortPlan, SortStructure,
+    mega_size, plan_sort, ChunkSortStyle, SortPhase, SortPlan, SortStructure, SortTiers,
     SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
     SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
 };

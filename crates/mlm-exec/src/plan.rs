@@ -17,11 +17,14 @@
 //!   boundary bytes from a neighbouring chunk's staged buffer (the
 //!   stencil family's genuinely new token shape).
 //!
-//! A plan also declares the staging buffers it keeps resident
+//! A plan also declares the buffers it keeps resident
 //! ([`WorkloadPlan::buffers`]: tier, bytes, ring slot) and, per node, which
 //! of them the node reads or overwrites ([`WorkloadPlan::footprint`]). That
-//! is the one statement of "which buffers exist and who touches them": the
-//! schedule prover ([`crate::graph`]) reads it and nothing else.
+//! is the one statement of "which buffers exist, where they live, and who
+//! touches them": the schedule prover ([`crate::graph`]) reads it and
+//! nothing else, the simulated sort lowers each node's bytes to the tiers
+//! its footprint names, and every capacity question about a pipeline sums
+//! [`pipeline_buffers`], the declaration [`plan_pipeline`] makes.
 //!
 //! Two producers lower into the IR: [`plan_pipeline`] builds the §3 chunk
 //! schedule for any [`Workload`] (the drive orchestrator is now "build the
@@ -147,16 +150,21 @@ pub enum Access {
     Write,
 }
 
-/// One staging buffer a plan keeps resident for its whole run.
+/// One buffer a plan keeps resident for its whole run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanBuffer {
     /// What the buffer holds, for diagnostics (`"ring"`, `"in-buffer"`,
-    /// `"out-buffer"`).
+    /// `"out-buffer"`, or a sort's `"keys"`, `"scratch"`, `"megachunk"`).
     pub role: &'static str,
     /// The ring slot the buffer belongs to: the chunks `c` with
-    /// `c % ring_slots == slot` take turns in it.
+    /// `c % ring_slots == slot` take turns in it. A sort's key and scratch
+    /// arrays are declared window by window, and a window's slot is the
+    /// megachunk it holds.
     pub slot: usize,
-    /// Where it is allocated: [`Placement::Hbw`] or [`Placement::Ddr`].
+    /// Where it is allocated: [`Placement::Hbw`] (flat MCDRAM),
+    /// [`Placement::Ddr`], or [`Placement::Implicit`] — a DDR array
+    /// addressed through the MCDRAM cache (a machine without one serves
+    /// it from DDR). Only HBW buffers count against the MCDRAM budget.
     pub tier: Placement,
     /// Capacity in bytes.
     pub bytes: u64,
@@ -244,9 +252,13 @@ impl WorkloadPlan {
     /// node's range is out of bounds, which [`WorkloadPlan::validate`]
     /// reports).
     pub fn footprint(&self, i: usize) -> &[(BufferId, Access)] {
-        self.touches
-            .get(self.nodes[i].footprint.clone())
-            .unwrap_or_default()
+        self.touches_of(&self.nodes[i])
+    }
+
+    /// The buffers `node` touches, each with how: its
+    /// [`PlanNode::footprint`] range of [`WorkloadPlan::touches`].
+    pub fn touches_of(&self, node: &PlanNode) -> &[(BufferId, Access)] {
+        self.touches.get(node.footprint.clone()).unwrap_or_default()
     }
 
     /// The node index of `(kind, chunk)`, if the plan contains it.
@@ -255,6 +267,59 @@ impl WorkloadPlan {
             .iter()
             .position(|n| n.kind == kind && n.chunk == Some(chunk))
     }
+}
+
+/// The buffers the plan of `spec` keeps resident, in declaration order:
+/// [`PipelineSpec::buffers_per_slot`] buffers for each ring slot a chunk
+/// ever lands in (`min(ring, n_chunks)` of them), each one chunk
+/// (`min(chunk_bytes, total_bytes)`) in `spec.placement`; none in cache
+/// mode, which owns no buffers (nor for a spec without chunks). Buffer
+/// `role * slots + slot` is role `role` of slot `slot`.
+///
+/// The one statement of a pipeline's buffers: [`plan_pipeline`] declares
+/// them, G003 proves their HBW bytes, and admission, the lints and the
+/// studies size a job by [`declared_bytes`], their sum.
+pub fn pipeline_buffers(spec: &PipelineSpec) -> impl Iterator<Item = PlanBuffer> + '_ {
+    let (slots, bytes) = ring_of(spec);
+    (0..spec.buffers_per_slot() as usize).flat_map(move |role| {
+        (0..slots).map(move |slot| PlanBuffer {
+            role: match (spec.workload, role) {
+                (Workload::Map, _) => "ring",
+                (Workload::Stencil { .. }, 0) => "in-buffer",
+                (Workload::Stencil { .. }, _) => "out-buffer",
+            },
+            slot,
+            tier: spec.placement,
+            bytes,
+        })
+    })
+}
+
+/// Bytes of the buffers `spec` declares in `tier` ([`pipeline_buffers`]):
+/// for [`Placement::Hbw`], the MCDRAM its plan holds resident — what G003
+/// proves and an admission controller reserves. Every buffer is one chunk
+/// in `spec.placement`, so the sum is a product; placement and stealing
+/// ask it for every candidate node.
+pub fn declared_bytes(spec: &PipelineSpec, tier: Placement) -> u64 {
+    let (slots, bytes) = ring_of(spec);
+    let buffers = slots as u64 * spec.buffers_per_slot();
+    if tier == spec.placement {
+        buffers.saturating_mul(bytes)
+    } else {
+        0
+    }
+}
+
+/// The ring slots `spec`'s plan declares buffers for, and each buffer's
+/// bytes (see [`pipeline_buffers`]).
+fn ring_of(spec: &PipelineSpec) -> (usize, u64) {
+    let slots = match spec.placement {
+        Placement::Hbw | Placement::Ddr if spec.chunk_bytes > 0 => {
+            spec.ring_slots().min(spec.n_chunks())
+        }
+        _ => 0,
+    };
+    (slots, spec.chunk_bytes.min(spec.total_bytes))
 }
 
 /// Lower the §3 chunk schedule of `spec` into a [`WorkloadPlan`].
@@ -280,28 +345,8 @@ pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
             extra_read_bytes: 2 * halo_bytes,
         },
     }];
-    // Explicit staging declares `spec.buffers_per_slot()` chunk buffers per
-    // ring slot, and only the `min(ring, n)` slots a chunk ever lands in;
-    // cache mode owns no buffers. Buffer `role * slots + slot` is role
-    // `role` of slot `slot`.
-    let slots = match spec.placement {
-        Placement::Implicit => 0,
-        Placement::Hbw | Placement::Ddr => ring.min(n),
-    };
-    let buffers = (0..spec.buffers_per_slot() as usize)
-        .flat_map(|role| {
-            (0..slots).map(move |slot| PlanBuffer {
-                role: match (spec.workload, role) {
-                    (Workload::Map, _) => "ring",
-                    (Workload::Stencil { .. }, 0) => "in-buffer",
-                    (Workload::Stencil { .. }, _) => "out-buffer",
-                },
-                slot,
-                tier: spec.placement,
-                bytes: spec.chunk_bytes,
-            })
-        })
-        .collect();
+    let buffers: Vec<PlanBuffer> = pipeline_buffers(spec).collect();
+    let slots = buffers.len() / spec.buffers_per_slot() as usize;
     let mut plan = WorkloadPlan {
         family: spec.workload.family(),
         ring_slots: ring,
@@ -524,7 +569,7 @@ pub fn interpret<B: Backend>(
         }
         let token = match node.kind {
             PlanKind::Barrier => backend.step_barrier(ctx, &deps),
-            _ => backend.issue(ctx, node, &deps),
+            _ => backend.issue(ctx, plan, node, &deps),
         };
         tokens.push(token);
     }
@@ -667,6 +712,31 @@ mod tests {
                     .all(|e| p.nodes[e.from].kind == PlanKind::Barrier),
                 "node {i} must only depend on barriers under lockstep"
             );
+        }
+    }
+
+    #[test]
+    fn declared_bytes_by_placement() {
+        let mut s = spec(4, false, Workload::Map);
+        assert_eq!(declared_bytes(&s, Placement::Hbw), 3 * 64);
+        assert_eq!(declared_bytes(&s, Placement::Ddr), 0);
+        s.placement = Placement::Ddr;
+        assert_eq!(declared_bytes(&s, Placement::Ddr), 3 * 64);
+        s.placement = Placement::Implicit;
+        assert_eq!(pipeline_buffers(&s).count(), 0);
+
+        // Two chunks of a four-slot stencil ring hold two slots' in- and
+        // out-buffers; a chunk larger than the data holds the data.
+        let t = spec(2, false, stencil());
+        assert_eq!(declared_bytes(&t, Placement::Hbw), 2 * 2 * 64);
+        let mut u = spec(1, false, Workload::Map);
+        u.chunk_bytes = 1000;
+        assert_eq!(declared_bytes(&u, Placement::Hbw), 64);
+        for s in [t, u] {
+            let declared: Vec<PlanBuffer> = pipeline_buffers(&s).collect();
+            let sum = declared.iter().map(|b| b.bytes).sum();
+            assert_eq!(declared_bytes(&s, Placement::Hbw), sum);
+            assert_eq!(plan_pipeline(&s).buffers, declared);
         }
     }
 

@@ -12,7 +12,7 @@ use std::marker::PhantomData;
 use std::time::Duration;
 
 use crate::backend::Backend;
-use crate::plan::PlanNode;
+use crate::plan::{PlanNode, WorkloadPlan};
 use crate::report::RunReport;
 use crate::spec::PipelineSpec;
 
@@ -84,10 +84,16 @@ impl<B: Backend> Backend for RecordingBackend<B> {
     type Ctx = B::Ctx;
     type Token = Traced<B::Token>;
 
-    fn issue(&mut self, ctx: &B::Ctx, node: &PlanNode, deps: &[Self::Token]) -> Self::Token {
+    fn issue(
+        &mut self,
+        ctx: &B::Ctx,
+        plan: &WorkloadPlan,
+        node: &PlanNode,
+        deps: &[Self::Token],
+    ) -> Self::Token {
         let dep_events: Vec<usize> = deps.iter().map(|t| t.event).collect();
         let dep_tokens: Vec<B::Token> = deps.iter().map(|t| t.inner.clone()).collect();
-        let inner = self.inner.issue(ctx, node, &dep_tokens);
+        let inner = self.inner.issue(ctx, plan, node, &dep_tokens);
         self.events.push(Event::Action {
             node: node.clone(),
             deps: dep_events,
@@ -170,7 +176,7 @@ impl<C> Backend for NullBackend<C> {
     type Ctx = C;
     type Token = ();
 
-    fn issue(&mut self, _ctx: &C, _node: &PlanNode, _deps: &[()]) {
+    fn issue(&mut self, _ctx: &C, _plan: &WorkloadPlan, _node: &PlanNode, _deps: &[()]) {
         self.issued += 1;
     }
 

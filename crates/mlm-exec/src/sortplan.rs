@@ -4,15 +4,22 @@
 //! megachunk in, sort its chunks, merge the sorted runs out, and finally
 //! merge across megachunks — differing only in where the bytes live and
 //! which phases a variant needs. That sequence is planned here once and
-//! lowered onto the generic IR ([`SortPlan::to_workload_plan`]);
-//! [`interpret`](crate::plan::interpret) then drives it over a sort
-//! backend with the [`SortPlan`] as the run's context: the host backend
-//! runs each node on real threads and buffers, the sim backend lowers
-//! each node to `knl-sim` ops with per-tier rates.
+//! lowered onto the generic IR ([`SortPlan::to_workload_plan`]), which
+//! declares the arrays and buffers the phases touch in the tiers the plan
+//! names ([`SortTiers`]); [`interpret`](crate::plan::interpret) then
+//! drives it over a sort backend with the [`SortPlan`] as the run's
+//! context: the host backend runs each node on real threads and buffers,
+//! the sim backend lowers each node to `knl-sim` ops in the tiers its
+//! footprint names.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::plan::{EdgeKind, KernelDesc, PlanEdge, PlanKind, PlanNode, WorkloadPlan};
+use crate::placement::Placement;
+use crate::plan::{
+    Access, BufferId, EdgeKind, KernelDesc, PlanBuffer, PlanEdge, PlanKind, PlanNode, WorkloadPlan,
+};
 
 /// The megachunk-level shape of a sort variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,6 +116,32 @@ pub enum SortPhase {
     },
 }
 
+/// Where a sort plan's arrays live: the tiers of the buffers
+/// [`SortPlan::to_workload_plan`] declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SortTiers {
+    /// The key array, sorted in place.
+    pub keys: Placement,
+    /// MCDRAM bytes `numactl --preferred` gives the front of a whole-array
+    /// plan's key array (0: none), declared as a buffer of
+    /// `min(n_bytes, preferred_hbw)` HBW bytes before the rest.
+    pub preferred_hbw: u64,
+    /// The merge scratch array, as large as the key array.
+    pub scratch: Placement,
+    /// A staging plan's megachunk working buffers.
+    pub work: Placement,
+}
+
+impl SortTiers {
+    /// Every array in DDR, the tiers [`plan_sort`] declares.
+    pub const DDR: SortTiers = SortTiers {
+        keys: Placement::Ddr,
+        preferred_hbw: 0,
+        scratch: Placement::Ddr,
+        work: Placement::Ddr,
+    };
+}
+
 /// The full phase sequence of one sort run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SortPlan {
@@ -128,6 +161,20 @@ pub struct SortPlan {
     pub overlapped: bool,
     /// The phases, in execution (and issue) order.
     pub phases: Vec<SortPhase>,
+    /// Bytes per element.
+    pub elem_bytes: u64,
+    /// Where the arrays live.
+    pub tiers: SortTiers,
+}
+
+/// Where [`SortPlan::to_workload_plan`] declared each array: the key and
+/// scratch arrays' buffers, and ring slot `s`'s `per_slot` working
+/// buffers from `work + s * per_slot`.
+struct Layout {
+    keys: Range<BufferId>,
+    scratch: Range<BufferId>,
+    work: BufferId,
+    per_slot: usize,
 }
 
 /// Kernel-table index of the chunk-sort kernel in a lowered sort plan.
@@ -154,6 +201,15 @@ impl SortPlan {
     /// ([`SortPhase::ThreadSort`], [`SortPhase::ThreadMerge`],
     /// [`SortPhase::FinalMerge`], [`SortPhase::FinalCopyBack`]) global
     /// nodes with `chunk: None`. Node `len` is in *elements*.
+    ///
+    /// The plan declares the arrays every phase touches, each in its
+    /// [`SortTiers`] tier: the key array and the equally large scratch
+    /// array (window by window for a megachunk plan, so a megachunk's
+    /// phases touch only their own window), and, for a staging plan,
+    /// each ring slot's megachunk working buffer — plus a merge-temp
+    /// beside it for the GNU chunk style, whose parallel mergesort merges
+    /// into a second buffer. A node lists the buffers it reads, then the
+    /// ones it writes.
     ///
     /// Sequential structures chain every node to its predecessor with
     /// [`EdgeKind::Seq`], so every phase runs alone behind the previous
@@ -187,19 +243,124 @@ impl SortPlan {
             buffers: Vec::new(),
             touches: Vec::new(),
         };
+        let layout = self.declare_buffers(&mut plan);
 
         if self.overlapped {
-            self.lower_overlapped(&mut plan);
+            self.lower_overlapped(&mut plan, &layout);
         } else {
-            self.lower_sequential(&mut plan);
+            self.lower_sequential(&mut plan, &layout);
         }
-        debug_assert_eq!(plan.validate(), Ok(()));
         plan
+    }
+
+    /// Does the plan stage megachunks into working buffers?
+    fn stages(&self) -> bool {
+        matches!(
+            self.structure,
+            SortStructure::Staged | SortStructure::Buffered
+        )
+    }
+
+    /// Declare the plan's arrays and working buffers (see
+    /// [`Self::to_workload_plan`]) and say where each landed.
+    fn declare_buffers(&self, plan: &mut WorkloadPlan) -> Layout {
+        let n_bytes = self.n_elems * self.elem_bytes;
+        let windows = match self.structure {
+            SortStructure::Whole => 1,
+            _ => self.megachunks,
+        };
+        let window_bytes = |m: usize| match self.structure {
+            SortStructure::Whole => n_bytes,
+            _ => mega_size(self.n_elems, self.mega_elems, m) * self.elem_bytes,
+        };
+        let tiers = self.tiers;
+        let buffer = |role, slot, tier, bytes| PlanBuffer {
+            role,
+            slot,
+            tier,
+            bytes,
+        };
+        let buffers = &mut plan.buffers;
+        if tiers.preferred_hbw > 0 && self.structure == SortStructure::Whole {
+            let hbw = n_bytes.min(tiers.preferred_hbw);
+            buffers.push(buffer("keys", 0, Placement::Hbw, hbw));
+            buffers.push(buffer("keys", 0, tiers.keys, n_bytes - hbw));
+        } else {
+            buffers.extend((0..windows).map(|m| buffer("keys", m, tiers.keys, window_bytes(m))));
+        }
+        let keys = 0..buffers.len();
+        buffers.extend((0..windows).map(|m| buffer("scratch", m, tiers.scratch, window_bytes(m))));
+        let scratch = keys.end..buffers.len();
+
+        let slots = plan.ring_slots.min(self.megachunks) * usize::from(self.stages());
+        let mega_bytes = self.mega_elems * self.elem_bytes;
+        let gnu = self.chunk_style == ChunkSortStyle::Gnu;
+        for slot in 0..slots {
+            buffers.push(buffer("megachunk", slot, tiers.work, mega_bytes));
+            if gnu {
+                buffers.push(buffer("merge-temp", slot, tiers.work, mega_bytes));
+            }
+        }
+        Layout {
+            keys,
+            work: scratch.end,
+            scratch,
+            per_slot: 1 + usize::from(gnu),
+        }
+    }
+
+    /// Push the node `(kind, chunk, kernel)` of `len` elements after
+    /// `deps`, with the buffers it touches: what it reads, then what it
+    /// writes. A megachunk's phases touch its own window of the key and
+    /// scratch arrays; global phases touch the whole arrays.
+    fn push_node(
+        &self,
+        plan: &mut WorkloadPlan,
+        layout: &Layout,
+        (kind, chunk, kernel): (PlanKind, Option<usize>, Option<usize>),
+        len: u64,
+        deps: Vec<PlanEdge>,
+    ) -> usize {
+        let window = |array: &Range<BufferId>| match chunk {
+            Some(m) => array.start + m..array.start + m + 1,
+            None => array.clone(),
+        };
+        let (keys, scratch) = (window(&layout.keys), window(&layout.scratch));
+        let slot = chunk.map_or(0, |m| m % plan.ring_slots);
+        let work = layout.work + slot * layout.per_slot;
+        let (reads, writes) = match (kind, kernel) {
+            (PlanKind::StageIn, _) => (keys, work..work + 1),
+            (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) if self.stages() => {
+                (0..0, work..work + layout.per_slot)
+            }
+            (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT | SORT_KERNEL_THREAD_SORT)) => {
+                (0..0, keys)
+            }
+            (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) if self.stages() => {
+                (work..work + 1, keys)
+            }
+            (PlanKind::Kernel, _) | (PlanKind::StageOut, Some(_)) => (keys, scratch),
+            (PlanKind::StageOut, None) => (scratch, keys),
+            (PlanKind::Barrier, _) => (0..0, 0..0),
+        };
+        let start = plan.touches.len();
+        plan.touches.extend(reads.map(|b| (b, Access::Read)));
+        plan.touches.extend(writes.map(|b| (b, Access::Write)));
+        plan.nodes.push(PlanNode {
+            kind,
+            chunk,
+            slot,
+            kernel,
+            len,
+            deps,
+            footprint: start..plan.touches.len(),
+        });
+        plan.nodes.len() - 1
     }
 
     /// Sequential lowering: phases in order, each [`EdgeKind::Seq`]-chained
     /// to its predecessor.
-    fn lower_sequential(&self, plan: &mut WorkloadPlan) {
+    fn lower_sequential(&self, plan: &mut WorkloadPlan, layout: &Layout) {
         for phase in &self.phases {
             let (kind, chunk, kernel, len) = match *phase {
                 SortPhase::ThreadSort { elems } => {
@@ -236,15 +397,7 @@ impl SortPlan {
                 0 => Vec::new(),
                 n => vec![PlanEdge::new(n - 1, EdgeKind::Seq)],
             };
-            plan.nodes.push(PlanNode {
-                kind,
-                chunk,
-                slot: chunk.map_or(0, |m| m % plan.ring_slots),
-                kernel,
-                len,
-                deps,
-                footprint: 0..0,
-            });
+            self.push_node(plan, layout, (kind, chunk, kernel), len, deps);
         }
     }
 
@@ -252,23 +405,15 @@ impl SortPlan {
     /// pipeline-step order, so the nodes a backend may overlap — one
     /// step's merge-out, chunk-sort and prefetch — are issued next to
     /// each other.
-    fn lower_overlapped(&self, plan: &mut WorkloadPlan) {
+    fn lower_overlapped(&self, plan: &mut WorkloadPlan, layout: &Layout) {
         let n = self.megachunks;
         let push = |plan: &mut WorkloadPlan,
                     kind: PlanKind,
                     mega: usize,
                     kernel: Option<usize>,
                     deps: Vec<PlanEdge>| {
-            plan.nodes.push(PlanNode {
-                kind,
-                chunk: Some(mega),
-                slot: mega % plan.ring_slots,
-                kernel,
-                len: mega_size(self.n_elems, self.mega_elems, mega),
-                deps,
-                footprint: 0..0,
-            });
-            plan.nodes.len() - 1
+            let len = mega_size(self.n_elems, self.mega_elems, mega);
+            self.push_node(plan, layout, (kind, Some(mega), kernel), len, deps)
         };
         let mut stage_in: Vec<Option<usize>> = vec![None; n];
         let mut chunk_sort: Vec<Option<usize>> = vec![None; n];
@@ -322,24 +467,11 @@ impl SortPlan {
                 .iter()
                 .map(|i| PlanEdge::new(i.expect("every megachunk merged out"), EdgeKind::Data))
                 .collect();
-            plan.nodes.push(PlanNode {
-                kind: PlanKind::Kernel,
-                chunk: None,
-                slot: 0,
-                kernel: Some(SORT_KERNEL_FINAL_MERGE),
-                len: self.n_elems,
-                deps,
-                footprint: 0..0,
-            });
-            plan.nodes.push(PlanNode {
-                kind: PlanKind::StageOut,
-                chunk: None,
-                slot: 0,
-                kernel: None,
-                len: self.n_elems,
-                deps: vec![PlanEdge::new(plan.nodes.len() - 1, EdgeKind::Data)],
-                footprint: 0..0,
-            });
+            let merge = (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE));
+            let merged = self.push_node(plan, layout, merge, self.n_elems, deps);
+            let copy_back = (PlanKind::StageOut, None, None);
+            let deps = vec![PlanEdge::new(merged, EdgeKind::Data)];
+            self.push_node(plan, layout, copy_back, self.n_elems, deps);
         }
     }
 }
@@ -351,7 +483,9 @@ pub fn mega_size(n: u64, mega_elems: u64, m: usize) -> u64 {
     mega_elems.min(n - lo.min(n))
 }
 
-/// Plan the phase sequence for one sort run.
+/// Plan the phase sequence for one sort run, over 8-byte keys with every
+/// array in DDR ([`SortTiers::DDR`]); a caller that places the arrays
+/// elsewhere sets [`SortPlan::elem_bytes`] and [`SortPlan::tiers`].
 ///
 /// `n_elems` and `mega_elems` must be positive; `mega_elems` is clamped
 /// to `n_elems` (a megachunk larger than the data is the
@@ -414,6 +548,8 @@ pub fn plan_sort(
         megachunks,
         overlapped: structure == SortStructure::Buffered,
         phases,
+        elem_bytes: 8,
+        tiers: SortTiers::DDR,
     }
 }
 

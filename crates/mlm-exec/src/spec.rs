@@ -124,24 +124,6 @@ impl PipelineSpec {
         }
     }
 
-    /// Bytes of chunk-buffer capacity the pipeline keeps resident: the
-    /// rotating ring of [`PipelineSpec::ring_slots`] chunk buffers
-    /// (doubled for workloads with separate input/output buffers), or
-    /// nothing for [`Placement::Implicit`] (which owns no buffers at all).
-    ///
-    /// For [`Placement::Hbw`] this is the MCDRAM capacity an admission
-    /// controller must reserve before letting the job run; the same number
-    /// feeds the aggregate-oversubscription lint.
-    pub fn buffer_footprint(&self) -> u64 {
-        match self.placement {
-            Placement::Implicit => 0,
-            Placement::Hbw | Placement::Ddr => self
-                .chunk_bytes
-                .saturating_mul(self.ring_slots() as u64)
-                .saturating_mul(self.buffers_per_slot()),
-        }
-    }
-
     /// Total simulated threads the schedule occupies.
     pub fn threads(&self) -> usize {
         match self.placement {
@@ -295,16 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn buffer_footprint_by_placement() {
-        let mut s = spec();
-        assert_eq!(s.buffer_footprint(), 90);
-        s.placement = Placement::Ddr;
-        assert_eq!(s.buffer_footprint(), 90);
-        s.placement = Placement::Implicit;
-        assert_eq!(s.buffer_footprint(), 0);
-    }
-
-    #[test]
     fn thread_accounting_by_placement() {
         let mut s = spec();
         assert_eq!(s.threads(), 8);
@@ -383,8 +355,6 @@ mod tests {
         let t = stencil_spec(8);
         assert_eq!(t.ring_slots(), 4);
         assert_eq!(t.buffers_per_slot(), 2);
-        // 4 slots x 2 buffers x 30-byte chunks.
-        assert_eq!(t.buffer_footprint(), 240);
         t.validate().unwrap();
     }
 

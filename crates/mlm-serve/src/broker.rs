@@ -5,8 +5,11 @@
 //! have somewhere to live. The broker holds a [`MemKind`] heap whose MCDRAM
 //! capacity is the operator-configured *budget* (usually the machine's
 //! addressable MCDRAM, possibly less to keep headroom), and admits a job by
-//! taking a [`Reservation`] for the job's buffer footprint. Release happens
-//! at job completion, so `reserved ≤ budget` holds at every instant by
+//! taking a [`Reservation`] for the bytes of the buffers the job's plan
+//! declares ([`mlm_exec::pipeline_buffers`]) — for an HBW job exactly the
+//! bytes the plan's G003 proof holds resident, so a job is admitted on a
+//! budget exactly when its plan proves within it. Release happens at job
+//! completion, so `reserved ≤ budget` holds at every instant by
 //! construction.
 //!
 //! Spill policy mirrors memkind's two flavours: strict ([`Kind::Hbw`])
@@ -16,19 +19,21 @@
 use knl_sim::machine::MachineConfig;
 use knl_sim::{MemLevel, SimError};
 use mlm_core::{PipelineSpec, Placement};
+use mlm_exec::declared_bytes;
 use mlm_memkind::{Kind, MemKind, Reservation};
 
-/// MCDRAM bytes a job's buffer ring asks for: the whole ring for an HBW
-/// job ([`PipelineSpec::buffer_footprint`], every slot of the ring the
-/// plan schedules), nothing for DDR and implicit jobs, which never wait on
-/// MCDRAM.
-/// The one statement of that rule — admission, `fits_now`, strict-backlog
-/// accounting and fleet placement all read it.
+/// MCDRAM bytes a job's buffer ring asks for: its declared HBW buffers
+/// ([`declared_bytes`]), the sum G003 proves — nothing for DDR and
+/// implicit jobs, which never wait on MCDRAM. Admission, `fits_now`,
+/// strict-backlog accounting and fleet placement all read it.
 pub fn ring_footprint(spec: &PipelineSpec) -> u64 {
-    match spec.placement {
-        Placement::Hbw => spec.buffer_footprint(),
-        Placement::Ddr | Placement::Implicit => 0,
-    }
+    declared_bytes(spec, Placement::Hbw)
+}
+
+/// Bytes of a job's buffers in its own tier, whichever level its
+/// reservation lands in.
+pub(crate) fn buffer_bytes(spec: &PipelineSpec) -> u64 {
+    declared_bytes(spec, spec.placement)
 }
 
 /// Result of one admission attempt.
@@ -96,7 +101,7 @@ impl CapacityBroker {
     /// ever fit, even on a broker whose policy would let preferred jobs
     /// fall back to DDR.
     pub fn can_ever_fit_job(&self, spec: &PipelineSpec, spill_ok: bool) -> bool {
-        let footprint = spec.buffer_footprint();
+        let footprint = buffer_bytes(spec);
         if footprint == 0 {
             return true;
         }
@@ -120,7 +125,7 @@ impl CapacityBroker {
         spec: &PipelineSpec,
         spill_ok: bool,
     ) -> Result<AdmitOutcome, String> {
-        let footprint = spec.buffer_footprint();
+        let footprint = buffer_bytes(spec);
         if footprint == 0 {
             return Ok(AdmitOutcome::Admitted(None));
         }
@@ -150,7 +155,7 @@ impl CapacityBroker {
     /// room too, which `NodeSim::fits_now` assumes is always there.
     #[cfg(debug_assertions)]
     pub(crate) fn would_admit(&self, spec: &PipelineSpec, spill_ok: bool) -> bool {
-        let footprint = spec.buffer_footprint();
+        let footprint = buffer_bytes(spec);
         let room = |level| footprint <= self.mk.reservable(level);
         footprint == 0
             || match self.kind_for(spec, spill_ok) {

@@ -43,7 +43,7 @@ use mlm_core::Placement;
 use mlm_memkind::Reservation;
 
 use crate::admission::{charge_credit, select_candidate};
-use crate::broker::{ring_footprint, AdmitOutcome, CapacityBroker};
+use crate::broker::{buffer_bytes, ring_footprint, AdmitOutcome, CapacityBroker};
 use crate::job::{DeadlineClass, JobId, JobRecord, JobRequest, N_CLASSES};
 use crate::policy::{predicted_makespan, profile, JobProfile, Policy};
 use crate::queue::{FitClass, ReadyQueue};
@@ -193,7 +193,7 @@ impl NodeSim {
             FitClass {
                 strict,
                 placement: job.spec.placement,
-                buffer_bytes: job.spec.buffer_footprint(),
+                buffer_bytes: buffer_bytes(&job.spec),
             },
         );
         self.jobs.push(job);

@@ -28,6 +28,7 @@
 
 use knl_sim::machine::MachineConfig;
 
+use crate::broker::buffer_bytes;
 use crate::job::{JobRecord, JobRequest, Rejection};
 use crate::node::{NodeSim, DONE_EPS};
 use crate::policy::Policy;
@@ -135,7 +136,7 @@ pub fn serve(cfg: &ServeConfig, jobs: &[JobRequest]) -> Result<ServeOutcome, Str
                     id: jobs[idx].id,
                     reason: format!(
                         "buffer ring of {} B exceeds the {} B MCDRAM budget",
-                        jobs[idx].spec.buffer_footprint(),
+                        buffer_bytes(&jobs[idx].spec),
                         node.broker().budget()
                     ),
                 });

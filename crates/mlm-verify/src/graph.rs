@@ -15,13 +15,19 @@
 //!   ablation shape, the largest serve-trace batch, the out-of-core
 //!   stencil) must prove the same against the paper machine's
 //!   addressable MCDRAM;
+//! * every sort variant's plan ([`sort_report`]) must prove the same on
+//!   the paper machine in the memory mode the variant needs;
 //! * the five buggy constructions of the must-fail [`CATALOGUE`] must
-//!   each be flagged by a G-diagnostic with a counterexample trace.
+//!   each be flagged by a G-diagnostic with a counterexample trace, and
+//!   the buffered sort without its recycle edges must race.
 
-use knl_sim::machine::MachineConfig;
+use knl_sim::machine::{MachineConfig, MemMode};
 use mlm_core::pipeline::{PipelineSpec, Placement, Workload};
-use mlm_exec::graph::{GraphCheck, GraphFinding, GraphReport};
-use mlm_exec::DriveError;
+use mlm_core::{InputOrder, SortAlgorithm, SortWorkload};
+use mlm_exec::graph::{
+    verify_sort, AnalysisConfig, Construction, GraphCheck, GraphFinding, GraphReport,
+};
+use mlm_exec::{DriveError, SortStructure};
 
 use crate::catalogue::CATALOGUE;
 use crate::diag::{Diagnostic, Severity};
@@ -220,6 +226,34 @@ pub fn corpus_stencil_spec(total_bytes: u64, lockstep: bool) -> PipelineSpec {
     }
 }
 
+/// Keys every sort row sorts: Table 1's 2 B int64 cell.
+pub const SORT_ELEMS: u64 = 2_000_000_000;
+
+/// The plan of `alg` over [`SORT_ELEMS`] random keys on the paper
+/// machine in the memory mode it needs — four megachunks where it stages
+/// them (so the buffered ring recycles its two buffers), the whole array
+/// otherwise — proved under `construction` against that machine's
+/// addressable MCDRAM.
+pub fn sort_report(
+    alg: SortAlgorithm,
+    construction: Construction,
+) -> Result<GraphReport, DriveError> {
+    let mode = [MemMode::Flat, MemMode::Cache][usize::from(alg.needs_cache_mode())];
+    let machine = MachineConfig::knl_7250(mode);
+    let staged = matches!(
+        alg.structure(),
+        SortStructure::Staged | SortStructure::Buffered
+    );
+    let mega = if staged { SORT_ELEMS / 4 } else { SORT_ELEMS };
+    let w = SortWorkload::int64(SORT_ELEMS, InputOrder::Random);
+    let cfg = AnalysisConfig {
+        hbw_budget: Some(machine.addressable_mcdram()),
+        construction,
+        ..AnalysisConfig::default()
+    };
+    verify_sort(&alg.plan(&machine, w, mega), &cfg).map(|(_, report)| report)
+}
+
 /// One case of the graph-verification suite.
 #[derive(Debug, Clone)]
 pub struct GraphCase {
@@ -259,8 +293,10 @@ impl GraphCase {
 /// 1. all 35 corpus cases (both workload families), proven safe
 ///    against the paper machine;
 /// 2. every committed experiment spec, proven safe;
-/// 3. the five buggy constructions of the catalogue, each analysed as it
-///    would execute — each must be flagged statically with a trace.
+/// 3. every sort variant's plan, proven safe;
+/// 4. the five buggy constructions of the catalogue, each analysed as it
+///    would execute — each must be flagged statically with a trace — and
+///    the buffered sort under the dropped-recycle-edge construction.
 pub fn run_graph_suite() -> Vec<GraphCase> {
     let machine = paper_machine();
     let mut cases = Vec::new();
@@ -281,6 +317,14 @@ pub fn run_graph_suite() -> Vec<GraphCase> {
         });
     }
 
+    for alg in SortAlgorithm::ALL {
+        cases.push(GraphCase {
+            name: format!("sort/{}", alg.label()),
+            expect: Vec::new(),
+            report: sort_report(alg, Construction::Correct),
+        });
+    }
+
     // The five must-fail constructions of the catalogue, proven
     // statically: the plan is analysed as the buggy construction
     // executes it, and the analyzer must produce the finding.
@@ -291,6 +335,15 @@ pub fn run_graph_suite() -> Vec<GraphCase> {
             report: row.graph_report(),
         });
     }
+    // The buffered sort's prefetch must wait for the merge-out of the
+    // megachunk whose buffer it refills.
+    let buffered = SortAlgorithm::MlmSortBuffered;
+    let dropped = Construction::DropRecycleDep;
+    cases.push(GraphCase {
+        name: format!("sort/{}/{}", buffered.label(), dropped.name()),
+        expect: vec!["G001"],
+        report: sort_report(buffered, dropped),
+    });
 
     cases
 }
@@ -324,6 +377,7 @@ mod tests {
             .filter(|c| c.name.starts_with("corpus/"))
             .count();
         let specs = cases.iter().filter(|c| c.name.starts_with("spec/")).count();
+        let sorts = cases.iter().filter(|c| c.name.starts_with("sort/")).count();
         let constructions = cases
             .iter()
             .filter(|c| c.name.starts_with("construction/"))
@@ -333,6 +387,11 @@ mod tests {
             "hbw/ddr x lockstep/dataflow + implicit + stencil modes, 5 geometries"
         );
         assert_eq!(specs, committed_specs().len());
+        assert_eq!(
+            sorts,
+            SortAlgorithm::ALL.len() + 1,
+            "one per variant, one must-fail"
+        );
         assert_eq!(constructions, 5);
     }
 

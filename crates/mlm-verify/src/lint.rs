@@ -25,6 +25,7 @@
 use knl_sim::machine::MachineConfig;
 use mlm_cluster::ClusterConfig;
 use mlm_core::{ModelParams, PipelineSpec, Placement, Workload};
+use mlm_exec::declared_bytes;
 use mlm_fleet::NodeConfig;
 use mlm_serve::CapacityBroker;
 
@@ -692,12 +693,9 @@ impl Lint for ConcurrentMcdramFit {
         if addressable == 0 {
             return; // V003's finding
         }
-        // Only flat-MCDRAM placements pin MCDRAM; DDR and cache-mode jobs
+        // Only declared HBW buffers pin MCDRAM; DDR and cache-mode jobs
         // contribute nothing to the budget.
-        let footprint = |s: &PipelineSpec| match s.placement {
-            Placement::Hbw => s.buffer_footprint(),
-            Placement::Ddr | Placement::Implicit => 0,
-        };
+        let footprint = |s: &PipelineSpec| declared_bytes(s, Placement::Hbw);
         let mine = footprint(t.spec);
         let total: u64 = t
             .co_scheduled
@@ -764,7 +762,7 @@ impl Lint for FleetPlacementFeasibility {
             return; // only MCDRAM rings compete for node budgets
         }
         let slots = t.spec.ring_slots();
-        let footprint = t.spec.buffer_footprint();
+        let footprint = declared_bytes(t.spec, Placement::Hbw);
         if footprint == 0 {
             return;
         }

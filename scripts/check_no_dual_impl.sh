@@ -175,6 +175,30 @@ for f in $builders; do
   fi
 done
 
+# Seventh discipline: where a buffer lives is declared once, in the plan.
+# plan_pipeline declares a pipeline's buffers (pipeline_buffers, which
+# every capacity question sums) and SortPlan::to_workload_plan a sort's;
+# the sim sort lowers each node to the tiers its footprint names. A
+# `PlanBuffer {` literal anywhere else is a second declaration the proof
+# never sees (test directories are exempt), and the identifiers of the
+# two statements this replaced — a spec's own ring-size arithmetic
+# (buffer_footprint) and the sort lowering's per-variant place tables
+# (DataPlace) — must not come back under crates/.
+declarers=$(grep -rl 'PlanBuffer {' --include='*.rs' crates examples \
+  | grep -v '/tests/' \
+  | grep -vE '^crates/mlm-exec/src/(plan|sortplan)\.rs$' || true)
+for f in $declarers; do
+  echo "error: ${f} declares a PlanBuffer outside the plan layer" >&2
+  echo "       declare the buffer in plan_pipeline (pipeline_buffers) or SortPlan::to_workload_plan" >&2
+  fail=1
+done
+restated=$(grep -rlwE 'buffer_footprint|DataPlace' --include='*.rs' crates || true)
+for f in $restated; do
+  echo "error: ${f} restates where buffers live (buffer_footprint / DataPlace)" >&2
+  echo "       size a pipeline with mlm_exec::declared_bytes and read a sort node's tiers off its footprint" >&2
+  fail=1
+done
+
 if [ "$fail" -ne 0 ]; then
   echo >&2
   echo "New host/sim pairs must adapt the shared execution layer, not re-implement the schedule." >&2
@@ -187,3 +211,4 @@ echo "check_no_dual_impl: the host pipeline and the host and sim sorts have exac
 echo "check_no_dual_impl: mlm-exec implements Backend only in recording.rs"
 echo "check_no_dual_impl: the knl-sim engine never references mlm_exec"
 echo "check_no_dual_impl: every simulated Program is built by an allowlisted lowering"
+echo "check_no_dual_impl: every buffer is declared in the plan layer, and nowhere restated"

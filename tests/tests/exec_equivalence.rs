@@ -175,18 +175,6 @@ fn record<B: Backend>(backend: B, ctx: &B::Ctx, plan: &WorkloadPlan) -> Vec<Even
     rec.into_parts().1
 }
 
-/// Every sort variant of the evaluation.
-const SORTS: [SortAlgorithm; 8] = [
-    SortAlgorithm::GnuFlat,
-    SortAlgorithm::GnuCache,
-    SortAlgorithm::MlmDdr,
-    SortAlgorithm::MlmSort,
-    SortAlgorithm::MlmImplicit,
-    SortAlgorithm::BasicChunked,
-    SortAlgorithm::GnuNumactl,
-    SortAlgorithm::MlmSortBuffered,
-];
-
 /// The drive walk of `spec`, recorded while the sim lowering runs
 /// underneath — the exact schedule `build_program` lowers to ops.
 fn sim_trace(spec: &PipelineSpec) -> Vec<Event> {
@@ -284,8 +272,14 @@ proptest! {
         let cal = Calibration::default();
         let w = SortWorkload::int64(n as u64, InputOrder::Random);
 
-        for alg in SORTS {
-            let plan = plan_sort(alg.structure(), alg.chunk_style(), n as u64, mega as u64);
+        for alg in SortAlgorithm::ALL {
+            let mode = if alg.needs_cache_mode() { MemMode::Cache } else { MemMode::Flat };
+            let machine = MachineConfig::knl_7250(mode);
+            let sim = SimSortBackend::new(&machine, &cal, w, alg, mega as u64, 8).unwrap();
+            // The sim plans the shared phase sequence, in its own tiers.
+            let plan = sim.plan();
+            let shared = plan_sort(alg.structure(), alg.chunk_style(), n as u64, mega as u64);
+            prop_assert_eq!(&plan.phases, &shared.phases);
             let wplan = plan.to_workload_plan();
             let null = record(NullBackend::new(), &plan, &wplan);
 
@@ -293,10 +287,6 @@ proptest! {
             let host = record(HostSortBackend::new(&pool, &mut sorted), &plan, &wplan);
             prop_assert_eq!(&sorted, &expect, "{:?} sorts", alg);
 
-            let mode = if alg.needs_cache_mode() { MemMode::Cache } else { MemMode::Flat };
-            let machine = MachineConfig::knl_7250(mode);
-            let sim = SimSortBackend::new(&machine, &cal, w, alg, mega as u64, 8).unwrap();
-            prop_assert_eq!(&sim.plan(), &plan);
             let sim = record(sim, &plan, &wplan);
 
             prop_assert_eq!(&null, &host, "{:?}: host sort", alg);

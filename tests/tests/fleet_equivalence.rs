@@ -190,13 +190,14 @@ fn host_and_vt_modes_make_identical_decisions_on_the_demo_trace() {
     const KIB: u64 = 1 << 10;
     const MIB: u64 = 1 << 20;
     const BUDGET: u64 = MIB;
-    // (total, chunk): 0.75 MiB and 0.94 MiB rings, two never fit BUDGET.
+    // (total, chunk): at least three chunks each, so 0.75 MiB and
+    // 0.94 MiB rings, two never fit BUDGET.
     let shapes = [
         (2 * MIB, 320 * KIB),
         (MIB, 256 * KIB),
-        (512 * KIB, 256 * KIB),
+        (640 * KIB, 256 * KIB),
         (1536 * KIB, 320 * KIB),
-        (256 * KIB, 256 * KIB),
+        (896 * KIB, 256 * KIB),
         (MIB, 320 * KIB),
         (768 * KIB, 256 * KIB),
         (2 * MIB, 256 * KIB),

@@ -13,9 +13,13 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use knl_sim::machine::{MachineConfig, MemMode};
-use mlm_exec::graph::{analyze, AnalysisConfig, Construction, GraphReport};
-use mlm_exec::{plan_pipeline, Access, EdgeKind, Placement, WorkloadPlan};
-use mlm_serve::{AdmitOutcome, CapacityBroker};
+use mlm_exec::graph::{analyze, verify_spec, AnalysisConfig, Construction, GraphReport};
+use mlm_exec::{
+    declared_bytes, plan_pipeline, plan_sort, Access, ChunkSortStyle, EdgeKind, PipelineSpec,
+    Placement, PlanKind, SortPlan, SortStructure, SortTiers, Workload, WorkloadPlan,
+};
+use mlm_fleet::NodeConfig;
+use mlm_serve::{AdmitOutcome, CapacityBroker, DeadlineClass, JobRequest, NodeSim, ServeConfig};
 use mlm_verify::catalogue::CATALOGUE;
 use mlm_verify::check::{check, CheckOptions};
 use mlm_verify::graph::{
@@ -24,6 +28,7 @@ use mlm_verify::graph::{
 };
 use mlm_verify::lint::{lint_target, VerifyTarget};
 use mlm_verify::suite::{paper_machine, paper_spec};
+use proptest::prelude::*;
 
 /// Every corpus case proves race-free, deadlock-free, and within the
 /// ring/MCDRAM bounds statically — the proof covers all linearizations.
@@ -33,11 +38,10 @@ fn fuzz_corpus_is_statically_safe() {
     for (name, spec) in default_corpus() {
         let report = graph_report_for(&spec, &machine).expect("corpus specs are driveable");
         assert!(report.is_safe(), "{name}:\n{report}");
-        assert!(
-            report.peak_hbw_bytes <= spec.buffer_footprint(),
-            "{name}: {} HBW bytes for a ring of {}",
+        assert_eq!(
             report.peak_hbw_bytes,
-            spec.buffer_footprint()
+            declared_bytes(&spec, Placement::Hbw),
+            "{name}: the proof prices the declared HBW buffers"
         );
     }
 }
@@ -80,8 +84,9 @@ fn kernel_panic_on_any_chunk_drains_the_whole_corpus() {
     );
 }
 
-/// The full suite (corpus + committed specs + must-fail constructions)
-/// holds, and each must-fail case is caught with a counterexample trace.
+/// The full suite (corpus + committed specs + sort plans + must-fail
+/// constructions) holds, and each must-fail case is caught with a
+/// counterexample trace.
 #[test]
 fn graph_suite_expectations_hold() {
     let cases = run_graph_suite();
@@ -98,8 +103,8 @@ fn graph_suite_expectations_hold() {
     let must_fail = cases.iter().filter(|c| !c.expect.is_empty()).count();
     assert_eq!(
         must_fail,
-        CATALOGUE.len(),
-        "one static refutation per catalogue row"
+        CATALOGUE.len() + 1,
+        "one static refutation per catalogue row, and the buffered sort's"
     );
 }
 
@@ -335,7 +340,7 @@ fn stencil_ring_is_priced_alike_by_broker_lint_and_proof() {
         halo_bytes: 16 << 20,
     };
     let ring = 4 * 2 * spec.chunk_bytes;
-    assert_eq!(spec.buffer_footprint(), ring);
+    assert_eq!(declared_bytes(&spec, Placement::Hbw), ring);
 
     let mut broker = CapacityBroker::new(&machine, machine.addressable_mcdram(), false);
     match broker
@@ -371,4 +376,211 @@ fn stencil_ring_is_priced_alike_by_broker_lint_and_proof() {
     let report = graph_report_for(&spec, &machine).expect("driveable");
     assert!(report.is_safe(), "{report}");
     assert_eq!(report.peak_hbw_bytes, ring);
+}
+
+/// Does every capacity gate agree with the proof on `spec`, on a node of
+/// `machine` with an MCDRAM `budget` and a `spill` policy, for a job that
+/// may (`spill_ok`) or may not spill? The strict broker admits exactly
+/// what G003 proves within the budget; the node reserves exactly the
+/// proved HBW bytes; V011 fires exactly when the node could never admit
+/// the job.
+fn assert_admitted_exactly_when_proved(
+    machine: &MachineConfig,
+    spec: &PipelineSpec,
+    budget: u64,
+    spill: bool,
+    spill_ok: bool,
+) {
+    let what = format!("{spec:?} on a {budget}-byte budget (spill {spill}, spill_ok {spill_ok})");
+    let hbw = declared_bytes(spec, Placement::Hbw);
+    let usable = budget.min(machine.addressable_mcdram());
+    let report = verify_spec(spec, Some(usable)).expect("valid spec");
+    assert_eq!(report.peak_hbw_bytes, hbw, "{what}");
+    let proved = report.is_safe();
+    assert_eq!(
+        proved,
+        !report.codes().contains(&"G003"),
+        "{what}: {report}"
+    );
+
+    let broker = CapacityBroker::new(machine, budget, spill);
+    if spec.placement == Placement::Hbw {
+        assert_eq!(broker.can_ever_fit_job(spec, false), proved, "{what}");
+    }
+    let admissible = broker.can_ever_fit_job(spec, spill_ok);
+
+    let cfg = ServeConfig {
+        mcdram_budget: budget,
+        spill,
+        ..ServeConfig::new(machine.clone())
+    };
+    let mut node = NodeSim::new(cfg).expect("valid node");
+    let job = JobRequest::new(0, 0.0, DeadlineClass::Standard, spec.clone());
+    assert_eq!(node.submit(job, !spill_ok), admissible, "{what}");
+    if admissible {
+        let mut admitted = Vec::new();
+        node.admit(0.0, &mut admitted).expect("an idle node admits");
+        assert_eq!(admitted.len(), 1, "{what}");
+        let in_mcdram = if hbw <= usable { hbw } else { 0 };
+        assert_eq!(node.broker().reserved_mcdram(), in_mcdram, "{what}");
+    }
+
+    let nodes = [NodeConfig::new(machine.clone(), budget, spill)];
+    let lints = lint_target(&VerifyTarget::new(spec, machine).with_fleet(&nodes, !spill_ok));
+    let v011 = lints.error_ids().contains(&"V011");
+    assert_eq!(
+        v011,
+        spec.placement == Placement::Hbw && !admissible,
+        "{what}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Admission, the node's reservation and V011 agree with the proof
+    /// over map and stencil rings in every placement, including specs
+    /// with fewer chunks than ring slots and chunks larger than the data.
+    #[test]
+    fn admitted_exactly_when_proved(
+        total_q in 1u64..=256,
+        chunk_q in 1u64..=128,
+        stencil in any::<bool>(),
+        placement_ix in 0usize..3,
+        budget_gib in 1u64..=20,
+        spill in any::<bool>(),
+        spill_ok in any::<bool>(),
+    ) {
+        const QUANTUM: u64 = 256 << 20;
+        let mut spec = paper_spec();
+        spec.total_bytes = total_q * QUANTUM;
+        spec.chunk_bytes = chunk_q * QUANTUM;
+        spec.placement = [Placement::Hbw, Placement::Ddr, Placement::Implicit][placement_ix];
+        if stencil && spec.placement != Placement::Implicit {
+            spec.workload = Workload::Stencil { halo_bytes: 16 << 20 };
+        }
+        let machine = paper_machine();
+        assert_admitted_exactly_when_proved(&machine, &spec, budget_gib << 30, spill, spill_ok);
+    }
+}
+
+/// 100 GB in two 50 GB HBW chunks on a node with 96 GiB of MCDRAM: the
+/// ring holds the two chunks there are, not three slots' worth, so it is
+/// admitted and proved clean.
+#[test]
+fn two_chunks_of_a_three_slot_ring_are_admitted_and_proved() {
+    let mut machine = paper_machine();
+    machine.mcdram_capacity = 96 << 30;
+    let mut spec = paper_spec();
+    spec.total_bytes = 100_000_000_000;
+    spec.chunk_bytes = 50_000_000_000;
+    assert_eq!(declared_bytes(&spec, Placement::Hbw), spec.total_bytes);
+    let report = verify_spec(&spec, Some(96 << 30)).unwrap();
+    assert!(report.findings.is_empty(), "{report}");
+    let broker = CapacityBroker::new(&machine, 96 << 30, false);
+    assert!(broker.can_ever_fit_job(&spec, false));
+    assert_admitted_exactly_when_proved(&machine, &spec, 96 << 30, false, false);
+}
+
+/// A chunk larger than the data stages only the data: a 1 GiB spec in
+/// 8 GiB chunks reserves 1 GiB and proves clean against a 2 GiB budget.
+#[test]
+fn a_chunk_larger_than_the_data_reserves_only_the_data() {
+    let machine = paper_machine();
+    let mut spec = paper_spec();
+    spec.total_bytes = 1 << 30;
+    spec.chunk_bytes = 8 << 30;
+    let report = verify_spec(&spec, Some(2 << 30)).unwrap();
+    assert!(report.findings.is_empty(), "{report}");
+    assert_eq!(report.peak_hbw_bytes, 1 << 30);
+    let mut broker = CapacityBroker::new(&machine, 2 << 30, false);
+    match broker.try_admit_job(&spec, false) {
+        Ok(AdmitOutcome::Admitted(Some(r))) => assert_eq!(r.bytes(), 1 << 30),
+        other => panic!("expected a 1 GiB reservation, got {other:?}"),
+    }
+}
+
+/// A plan declares its arrays window by window in their tiers, and a
+/// staging plan one megachunk buffer per slot it uses (two for the
+/// GNU style, whose merge needs a temp); numactl's preferred key array
+/// is two buffers, HBW first.
+#[test]
+fn plans_declare_their_arrays_and_buffers() {
+    use Access::{Read, Write};
+    use Placement::{Ddr, Hbw, Implicit};
+    let placed = |structure, style, n, mega, tiers| {
+        let plan = plan_sort(structure, style, n, mega);
+        let w = SortPlan { tiers, ..plan }.to_workload_plan();
+        w.validate().unwrap();
+        w
+    };
+    let shape = |w: &WorkloadPlan| -> Vec<_> {
+        let b = w.buffers.iter();
+        b.map(|b| (b.role, b.slot, b.tier, b.bytes)).collect()
+    };
+    let (work, keys, scratch) = (Hbw, Implicit, Implicit);
+    let staged = SortTiers {
+        preferred_hbw: 0,
+        keys,
+        scratch,
+        work,
+    };
+    let w = placed(SortStructure::Staged, ChunkSortStyle::Serial, 10, 4, staged);
+    let windows = [(0, 32), (1, 32), (2, 16)];
+    let mut expect = windows.map(|(m, b)| ("keys", m, Implicit, b)).to_vec();
+    expect.extend(windows.map(|(m, b)| ("scratch", m, Implicit, b)));
+    expect.push(("megachunk", 0, Hbw, 32));
+    assert_eq!(shape(&w), expect);
+    // Megachunk 1 is staged from its window, sorted in the buffer and
+    // merged back out; the final merge reads every key window into
+    // every scratch window.
+    let touches = |kind| w.footprint(w.find(kind, 1).unwrap()).to_vec();
+    assert_eq!(touches(PlanKind::StageIn), [(1, Read), (6, Write)]);
+    assert_eq!(touches(PlanKind::Kernel), [(6, Write)]);
+    assert_eq!(touches(PlanKind::StageOut), [(6, Read), (1, Write)]);
+    let merge = [
+        (0, Read),
+        (1, Read),
+        (2, Read),
+        (3, Write),
+        (4, Write),
+        (5, Write),
+    ];
+    assert_eq!(w.footprint(w.nodes.len() - 2), merge);
+
+    let hbw = |structure, style, n| {
+        let w = placed(structure, style, n, 4, staged);
+        w.buffers.iter().filter(|b| b.tier == Hbw).count()
+    };
+    assert_eq!(hbw(SortStructure::Staged, ChunkSortStyle::Gnu, 10), 2);
+    assert_eq!(hbw(SortStructure::Buffered, ChunkSortStyle::Serial, 10), 2);
+    assert_eq!(hbw(SortStructure::Buffered, ChunkSortStyle::Serial, 4), 1);
+    assert_eq!(hbw(SortStructure::InPlace, ChunkSortStyle::Serial, 10), 0);
+
+    let numactl = |preferred_hbw| SortTiers {
+        preferred_hbw,
+        ..SortTiers::DDR
+    };
+    let w = placed(
+        SortStructure::Whole,
+        ChunkSortStyle::Gnu,
+        10,
+        10,
+        numactl(48),
+    );
+    let expect = [
+        ("keys", 0, Hbw, 48),
+        ("keys", 0, Ddr, 32),
+        ("scratch", 0, Ddr, 80),
+    ];
+    assert_eq!(shape(&w), expect);
+    assert_eq!(w.footprint(0), [(0, Write), (1, Write)]);
+    let w = placed(
+        SortStructure::Whole,
+        ChunkSortStyle::Gnu,
+        10,
+        10,
+        numactl(1000),
+    );
+    assert_eq!((w.buffers[0].bytes, w.buffers[1].bytes), (80, 0));
 }
