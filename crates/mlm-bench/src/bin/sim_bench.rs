@@ -16,7 +16,7 @@
 //!   engine must never be slower than the naive loop it replaced (this
 //!   locks in the barrier-storm fix) — or when the static schedule
 //!   verifier fails to prove the largest committed spec safe in under
-//!   100 ms (the `drive()` preflight budget), or when a scale's engine
+//!   100 ms (the `drive_verified()` preflight budget), or when a scale's engine
 //!   counters drift from the committed ones: `timeline_events` or
 //!   `rate_recomputes` differs, or `stale_events` or `heap_peak` rises,
 //!   or when the proof's `visited` edge count rises. The counters are
@@ -86,7 +86,7 @@ fn main() -> ExitCode {
     );
 
     if check {
-        // The static verifier is a drive() preflight: it must prove the
+        // The static verifier is a drive_verified() preflight: it must prove the
         // largest committed spec safe, and fast enough to sit in front of
         // every run.
         if !gv.safe {

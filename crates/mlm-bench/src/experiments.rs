@@ -586,7 +586,7 @@ pub struct HostAblationRow {
 /// identify the bottleneck: under dataflow the bottleneck stage's
 /// occupancy approaches 1 while the others idle on the ring.
 ///
-/// `n_elems` int64 keys are streamed through 8 chunks; `reps` runs per
+/// `n_elems` int64 keys pass through 8 chunks; `reps` runs per
 /// cell, best wall-clock kept (host timing, so noise is real). Both
 /// schedules' threads are spawned once per study, so neither column
 /// times thread creation.

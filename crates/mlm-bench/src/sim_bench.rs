@@ -228,7 +228,7 @@ pub struct Measurement {
 
 /// Latency of the static schedule verifier (`mlm_exec::graph`) on the
 /// largest committed experiment spec — the preflight gate in front of
-/// `drive()` must stay well under its 100 ms budget.
+/// `drive_verified()` must stay well under its 100 ms budget.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GraphVerifyMeasurement {
     /// Name of the spec measured (from the committed catalog).

@@ -8,7 +8,7 @@
 //! native benchmarking are.
 //!
 //! The schedule itself — which chunk each stage touches when, and which
-//! buffer slot it occupies — is owned by [`mlm_exec::drive`]. This module
+//! buffer slot it occupies — is owned by [`mlm_exec::drive_verified`]. This module
 //! holds the one [`Backend`] that executes it on the host: a ring of
 //! [`PipelineSpec::ring_slots`] chunk buffers (with a second, output
 //! buffer per slot when [`PipelineSpec::buffers_per_slot`] says so — a
@@ -35,7 +35,7 @@
 //!   (`Empty → Filled → Computed → Empty`). A stage advances as soon as
 //!   *its* buffer dependency is satisfied, so a slow chunk in one stage
 //!   no longer stalls unrelated work in the others — realising exactly
-//!   the dependency edges [`mlm_exec::drive`] issues (and
+//!   the dependency edges [`mlm_exec::drive_verified`] issues (and
 //!   [`super::sim::SimBackend`] lowers) for non-lockstep runs.
 //!
 //! A new workload family therefore costs a plan lowering in `mlm-exec`
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mlm_exec::ring::{coordinate, is_poison_payload, BufSlot, Phase};
-use mlm_exec::{drive, Backend, ChunkAction, PlanNode, Stage, WorkloadPlan};
+use mlm_exec::{drive_verified, Backend, ChunkAction, PlanNode, Stage, WorkloadPlan};
 use parsort::pool::{copy_split, parallel_copy, split_mut, StagePool, WorkPool};
 
 use super::{PipelineSpec, Placement, Workload};
@@ -402,7 +402,7 @@ where
         bytes: Default::default(),
         waits: [Duration::ZERO; 3],
     };
-    drive(&mut backend, &espec).expect("host backend refused the schedule");
+    drive_verified(&mut backend, &espec, None).expect("host backend refused the schedule");
     backend.stats(spec, start)
 }
 

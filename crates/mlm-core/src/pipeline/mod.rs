@@ -5,7 +5,7 @@
 //! rotating buffers so that step `s` overlaps the copy-in of chunk `s`, the
 //! compute on chunk `s-1`, and the copy-out of chunk `s-2` (paper Fig. 2).
 //!
-//! The schedule itself is owned by the execution layer: [`mlm_exec::drive`]
+//! The schedule itself is owned by the execution layer: [`mlm_exec::drive_verified`]
 //! walks the chunk schedule once, and the backends here adapt it to their
 //! machinery:
 //!

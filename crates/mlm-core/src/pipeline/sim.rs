@@ -1,12 +1,20 @@
-//! Lowering a [`PipelineSpec`] to a [`knl_sim`] op graph.
+//! Lowering a pipeline plan to a [`knl_sim`] op graph.
 //!
 //! This file is the *simulator adapter* of the execution layer: the
 //! schedule itself — which chunk each stage touches at each step, the
-//! buffer-ring discipline, lockstep barriers vs dataflow
-//! edges — lives in [`mlm_exec::drive`]. [`SimBackend`] only expands
-//! each issued node's [`mlm_exec::ChunkAction`] into per-thread ops:
-//! copies at `S_copy`, compute streams at `S_comp`, and (for implicit
-//! cache mode) cold passes through the address-exact cache model plus
+//! buffer-ring discipline, lockstep barriers vs dataflow edges — is the
+//! plan [`mlm_exec::plan_pipeline`] builds and [`mlm_exec::drive_verified`]
+//! proves and interprets. [`SimBackend`] expands each issued node into
+//! per-thread ops, reading everything the plan states from the plan: the
+//! tier of the buffers it touches from its footprint, its bytes from
+//! `node.len`, and its kernel's traffic from [`mlm_exec::KernelDesc`] —
+//! `passes` read+write sweeps, plus half the kernel's `extra_read_bytes`
+//! (one halo) per staged neighbour the compute reads. The spec supplies
+//! only what the plan does not state: the thread pools, the copy and
+//! compute rates, and the DDR address of the data (chunk `c` at
+//! `data_addr + c × chunk_bytes`). Copies run at `S_copy`, computes at
+//! `S_comp`; a compute that touches no declared buffer (implicit cache
+//! mode) runs in place through the address-exact cache model, plus
 //! analytic warm re-touches.
 //!
 //! Thread layout: copy-in threads first, then copy-out, then compute
@@ -19,10 +27,13 @@
 //! [`PipelineSpec::ring_slots`] (three slots for maps, four for
 //! stencils).
 
-use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
-use mlm_exec::{drive_verified, Backend, PlanNode, Stage, WorkloadPlan};
+use std::ops::Range;
 
-use super::{PipelineSpec, Placement, Workload};
+use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
+use mlm_exec::{drive_verified, Backend, PlanKind, PlanNode, WorkloadPlan};
+
+use super::PipelineSpec;
+use crate::lower::{copy, share, sides, Side};
 
 /// The op-level simulator as an execution backend.
 ///
@@ -49,64 +60,39 @@ impl SimBackend {
         self.prog
     }
 
-    fn issue_copy_in(&mut self, spec: &PipelineSpec, chunk: usize, deps: &[OpId]) -> Vec<OpId> {
-        let buf_place = buf_place(spec);
-        let bytes = spec.chunk_size(chunk);
-        let in0 = 0usize;
-        let mut ops = Vec::new();
-        let mut offset = 0u64;
-        for t in 0..spec.p_in {
-            let share = thread_share(bytes, spec.p_in, t);
-            if share == 0 {
+    /// A kernel over its staged buffers: each thread of `pool` streams
+    /// its share of the chunk `passes` times from `src` to `dst`, and
+    /// reads its share of one halo per staged neighbour on top (the
+    /// stencil retuning of the model's compute term; the halos live in
+    /// the same tier as the chunk buffers, so they ride the same bus).
+    fn issue_compute(
+        &mut self,
+        spec: &PipelineSpec,
+        plan: &WorkloadPlan,
+        node: &PlanNode,
+        pool: Range<usize>,
+        (src, dst): (Side, Side),
+        deps: &[OpId],
+    ) -> Vec<OpId> {
+        let kernel = &plan.kernels[node.kernel.expect("a compute node names its kernel")];
+        let touches = plan.touches_of(node).iter();
+        let staged = touches.filter(|t| t.1 == mlm_exec::Access::Read).count();
+        let halo_extra = staged.saturating_sub(1) as u64 * (kernel.extra_read_bytes / 2);
+        let parts = pool.len();
+        let mut ops = Vec::with_capacity(parts);
+        for (i, t) in pool.enumerate() {
+            let (offset, len) = share(node.len, parts, i);
+            if len == 0 {
                 continue;
             }
-            let addr = spec.data_addr + chunk as u64 * spec.chunk_bytes + offset;
-            offset += share;
+            let traffic = len * u64::from(kernel.passes);
+            let halo_share = share(halo_extra, parts, i).1;
             let id = self.prog.push(
-                in0 + t,
-                OpKind::Copy {
-                    src: Place::CachedDdr { addr },
-                    dst: buf_place,
-                    bytes: share,
-                    rate_cap: spec.copy_rate,
-                },
-                deps,
-            );
-            ops.push(id);
-        }
-        ops
-    }
-
-    fn issue_compute(&mut self, spec: &PipelineSpec, chunk: usize, deps: &[OpId]) -> Vec<OpId> {
-        let buf_place = buf_place(spec);
-        let bytes = spec.chunk_size(chunk);
-        let comp0 = spec.p_in + spec.p_out;
-        // The stencil retuning of the model's compute term: each chunk's
-        // kernel additionally reads `halo_bytes` of boundary rows from
-        // every staged neighbour (the plan's `KernelDesc::extra_read_bytes`,
-        // halved per absent neighbour at the grid edges). The halo lives in
-        // the same tier as the chunk buffers, so it rides the same bus.
-        let halo_extra = match spec.workload {
-            Workload::Map => 0,
-            Workload::Stencil { halo_bytes } => {
-                let neighbours = u64::from(chunk > 0) + u64::from(chunk + 1 < spec.n_chunks());
-                neighbours * halo_bytes
-            }
-        };
-        let mut ops = Vec::new();
-        for t in 0..spec.p_comp {
-            let share = thread_share(bytes, spec.p_comp, t);
-            if share == 0 {
-                continue;
-            }
-            let traffic = share * u64::from(spec.compute_passes);
-            let halo_share = thread_share(halo_extra, spec.p_comp, t);
-            let id = self.prog.push(
-                comp0 + t,
+                t,
                 OpKind::Stream {
                     accesses: vec![
-                        Access::read(buf_place, traffic + halo_share),
-                        Access::write(buf_place, traffic),
+                        Access::read(src.at(i, offset), traffic + halo_share),
+                        Access::write(dst.at(i, offset), traffic),
                     ],
                     rate_cap: spec.compute_rate,
                 },
@@ -117,82 +103,52 @@ impl SimBackend {
         ops
     }
 
-    fn issue_copy_out(&mut self, spec: &PipelineSpec, chunk: usize, deps: &[OpId]) -> Vec<OpId> {
-        let buf_place = buf_place(spec);
-        let bytes = spec.chunk_size(chunk);
-        let out0 = spec.p_in;
-        let mut ops = Vec::new();
-        let mut offset = 0u64;
-        for t in 0..spec.p_out {
-            let share = thread_share(bytes, spec.p_out, t);
-            if share == 0 {
-                continue;
-            }
-            let addr = spec.data_addr + chunk as u64 * spec.chunk_bytes + offset;
-            offset += share;
-            let id = self.prog.push(
-                out0 + t,
-                OpKind::Copy {
-                    src: buf_place,
-                    dst: Place::CachedDdr { addr },
-                    bytes: share,
-                    rate_cap: spec.copy_rate,
-                },
-                deps,
-            );
-            ops.push(id);
-        }
-        ops
-    }
-
-    /// Implicit cache mode (paper Fig. 5): no copies; all threads compute
-    /// on the chunk in place, pulling data through the MCDRAM cache. The
-    /// first pass over a chunk goes through the address-exact cache model
-    /// (cold misses); the remaining `compute_passes - 1` passes re-touch
-    /// the same range, which stays resident iff the chunk fits the cache —
-    /// modeled as pure MCDRAM traffic when it fits, or a DDR re-stream
-    /// (plus fill traffic) when it does not. Re-issuing the range through
-    /// the cache model once per pass would be exact too, but at high
-    /// repeat counts it inflates the op count by orders of magnitude for
-    /// identical results.
-    fn issue_implicit_compute(
+    /// Implicit cache mode (paper Fig. 5): no copies; the compute pool
+    /// works on the chunk in place at `data`, pulling it through the
+    /// MCDRAM cache. The first pass over a chunk goes through the
+    /// address-exact cache model (cold misses); the remaining `passes - 1`
+    /// passes re-touch the same range, which stays resident iff the chunk
+    /// fits the cache — modeled as pure MCDRAM traffic when it fits, or a
+    /// DDR re-stream (plus fill traffic) when it does not. Re-issuing the
+    /// range through the cache model once per pass would be exact too,
+    /// but at high repeat counts it inflates the op count by orders of
+    /// magnitude for identical results.
+    fn issue_cached_compute(
         &mut self,
         spec: &PipelineSpec,
-        chunk: usize,
+        plan: &WorkloadPlan,
+        node: &PlanNode,
+        pool: Range<usize>,
+        data: Side,
         deps: &[OpId],
     ) -> Vec<OpId> {
-        let bytes = spec.chunk_size(chunk);
+        let kernel = &plan.kernels[node.kernel.expect("a compute node names its kernel")];
+        let parts = pool.len();
         let mut ops = Vec::new();
-        let mut offset = 0u64;
-        for t in 0..spec.p_comp {
-            let share = thread_share(bytes, spec.p_comp, t);
-            if share == 0 {
+        for (i, t) in pool.enumerate() {
+            let (offset, len) = share(node.len, parts, i);
+            if len == 0 {
                 continue;
             }
-            let addr = spec.data_addr + chunk as u64 * spec.chunk_bytes + offset;
-            offset += share;
+            let at = data.at(i, offset);
             // Pass 0: cold, through the real cache.
             let cold = self.prog.push(
                 t,
                 OpKind::Stream {
-                    accesses: vec![
-                        Access::read(Place::CachedDdr { addr }, share),
-                        Access::write(Place::CachedDdr { addr }, share),
-                    ],
+                    accesses: vec![Access::read(at, len), Access::write(at, len)],
                     rate_cap: spec.compute_rate,
                 },
                 deps,
             );
             ops.push(cold);
-            if let Some(warm) = self.implicit_warm_op(t, spec, share, cold) {
+            if let Some(warm) = self.implicit_warm_op(t, spec, kernel.passes, len, cold) {
                 ops.push(warm);
             }
         }
         ops
     }
 
-    /// Emit the `compute_passes - 1` re-touch passes of the implicit
-    /// kernel.
+    /// Emit the `passes - 1` re-touch passes of the implicit kernel.
     ///
     /// A re-touched chunk stays resident iff it fits the cache; the
     /// builder has no machine config, so pass 0 uses the engine's
@@ -204,10 +160,11 @@ impl SimBackend {
         &mut self,
         thread: usize,
         spec: &PipelineSpec,
+        passes: u32,
         share: u64,
         cold: OpId,
     ) -> Option<OpId> {
-        let extra = u64::from(spec.compute_passes.saturating_sub(1));
+        let extra = u64::from(passes.saturating_sub(1));
         if extra == 0 {
             return None;
         }
@@ -243,37 +200,40 @@ impl Backend for SimBackend {
     fn issue(
         &mut self,
         spec: &PipelineSpec,
-        _plan: &WorkloadPlan,
+        plan: &WorkloadPlan,
         node: &PlanNode,
         deps: &[Vec<OpId>],
     ) -> Vec<OpId> {
-        let action = node
-            .action()
-            .expect("pipeline plans issue chunk-scoped nodes");
+        let chunk = node.chunk.expect("pipeline plans issue chunk-scoped nodes");
         let deps: Vec<OpId> = deps.iter().flatten().copied().collect();
-        match (spec.placement, action.stage) {
-            (Placement::Implicit, Stage::Compute) => {
-                self.issue_implicit_compute(spec, action.chunk, &deps)
+        let data = Side::new(Place::CachedDdr {
+            addr: spec.data_addr + chunk as u64 * spec.chunk_bytes,
+        });
+        let (copy_in, copy_out) = (0..spec.p_in, spec.p_in..spec.p_in + spec.p_out);
+        let compute = self.threads - spec.p_comp..self.threads;
+        let (prog, rate) = (&mut self.prog, spec.copy_rate);
+        match (node.kind, sides(plan, node, self.threads)) {
+            (PlanKind::StageIn, Some((_, buf))) => {
+                copy(prog, copy_in, node.len, (data, buf), rate, &deps)
             }
-            (Placement::Implicit, _) => unreachable!("implicit schedules have no copy stages"),
-            (_, Stage::CopyIn) => self.issue_copy_in(spec, action.chunk, &deps),
-            (_, Stage::Compute) => self.issue_compute(spec, action.chunk, &deps),
-            (_, Stage::CopyOut) => self.issue_copy_out(spec, action.chunk, &deps),
+            (PlanKind::StageOut, Some((buf, _))) => {
+                copy(prog, copy_out, node.len, (buf, data), rate, &deps)
+            }
+            (PlanKind::Kernel, Some(bufs)) => {
+                self.issue_compute(spec, plan, node, compute, bufs, &deps)
+            }
+            (PlanKind::Kernel, None) => {
+                self.issue_cached_compute(spec, plan, node, compute, data, &deps)
+            }
+            (kind, _) => {
+                unreachable!("pipeline plans stage only through declared buffers: {kind:?}")
+            }
         }
     }
 
     fn step_barrier(&mut self, _spec: &PipelineSpec, after: &[Vec<OpId>]) -> Vec<OpId> {
         let after: Vec<OpId> = after.iter().flatten().copied().collect();
         self.prog.barrier(0..self.threads, &after)
-    }
-}
-
-/// Where explicit chunk buffers live in the simulated machine.
-fn buf_place(spec: &PipelineSpec) -> Place {
-    match spec.placement {
-        Placement::Hbw => Place::Mcdram,
-        Placement::Ddr => Place::Ddr,
-        Placement::Implicit => unreachable!("implicit placement owns no buffers"),
     }
 }
 
@@ -292,17 +252,10 @@ pub fn build_program(spec: &PipelineSpec) -> Result<Program, String> {
     Ok(backend.into_program())
 }
 
-/// Bytes of an `bytes`-byte chunk handled by thread `t` of `pool` threads.
-fn thread_share(bytes: u64, pool: usize, t: usize) -> u64 {
-    let base = bytes / pool as u64;
-    let extra = bytes % pool as u64;
-    base + u64::from((t as u64) < extra)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Workload;
+    use crate::pipeline::{Placement, Workload};
     use knl_sim::machine::{MachineConfig, MemMode};
     use knl_sim::{MemLevel, Simulator};
 
@@ -320,16 +273,6 @@ mod tests {
             lockstep: true,
             data_addr: 0,
             workload: Workload::Map,
-        }
-    }
-
-    #[test]
-    fn thread_share_sums_to_total() {
-        for bytes in [0u64, 1, 99, 100, 1 << 20] {
-            for pool in [1usize, 2, 3, 7] {
-                let sum: u64 = (0..pool).map(|t| thread_share(bytes, pool, t)).sum();
-                assert_eq!(sum, bytes);
-            }
         }
     }
 
@@ -541,7 +484,7 @@ mod tests {
         let spec = base_spec();
         let direct = build_program(&spec).unwrap();
         let mut rec = RecordingBackend::new(SimBackend::new(&spec).unwrap());
-        mlm_exec::drive(&mut rec, &spec).unwrap();
+        drive_verified(&mut rec, &spec, None).unwrap();
         let (backend, events) = rec.into_parts();
         let traced = backend.into_program();
         assert_eq!(traced.ops().len(), direct.ops().len());

@@ -7,27 +7,34 @@
 //! ([`super::host::HostSortBackend`]). Where the bytes live is declared
 //! in the plan too ([`SortAlgorithm::tiers`]), and [`build_sort_program`]
 //! proves the plan's buffers against the machine's addressable MCDRAM
-//! before lowering it. This module owns only [`SimSortBackend`]: it reads
-//! each node's source and destination off the buffers the node touches,
-//! and picks the calibrated rate (GNU efficiency, ordered-input boost,
-//! radix) from the plan's chunk style and the node's tier. A node's token
-//! is the ops realising it — for a phase of a sequential plan, the
-//! phase's join — so the plan's edges become op dependencies, and the
-//! buffered variant's cross-megachunk overlap is the plan's. Bandwidth
-//! contention, DDR saturation, and MCDRAM-cache behaviour then emerge
-//! from the [`knl_sim`] engine.
+//! before lowering it. This module owns only [`SimSortBackend`], which
+//! lowers every node the same way, from the node alone: its source and
+//! destination are the buffers it touches, read by the op emitters it
+//! shares with the pipeline lowering (`crate::lower`), its size is
+//! `node.len`, and what it does is its `(kind, kernel)` pair. Each node
+//! runs on a thread range — every thread for a phase of a sequential
+//! plan, the copy or the compute pool for the buffered plan's megachunk
+//! nodes — and only the calibrated rate (GNU efficiency, ordered-input
+//! boost, radix) is picked here, from the plan's chunk style and the
+//! node's tier. A node's token is the ops realising it — for a phase of
+//! a sequential plan, the phase's join — so the plan's edges become op
+//! dependencies, and the buffered variant's cross-megachunk overlap is
+//! the plan's. Bandwidth contention, DDR saturation, and MCDRAM-cache
+//! behaviour then emerge from the [`knl_sim`] engine.
 //!
 //! ## Tiers and addresses
 //!
 //! An HBW buffer is [`Place::Mcdram`], a DDR one [`Place::Ddr`], a
-//! cache-addressed ([`Placement::Implicit`]) one [`Place::CachedDdr`];
+//! cache-addressed ([`mlm_exec::Placement::Implicit`]) one
+//! [`Place::CachedDdr`];
 //! non-HBW buffers sit back to back in DDR in declaration order (keys at
 //! `[0, n)`, scratch at `[n, 2n)`, megachunk `m`'s windows
 //! `m × mega_bytes` into each). A flat machine serves a cached access
 //! from DDR, so the variants that stage through MCDRAM address their
 //! arrays through the cache model, and the MLM-ddr control does not.
 //! numactl's preferred array is two buffers, HBW first; each thread's
-//! contiguous block takes the tier it falls in.
+//! contiguous block takes the tier it falls in, in every phase that
+//! touches the array, copies included.
 //!
 //! ## Cache-mode sort residency
 //!
@@ -49,42 +56,20 @@ use knl_sim::machine::MachineConfig;
 use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
 use mlm_exec::graph::{verify_sort, AnalysisConfig};
 use mlm_exec::{
-    interpret, Backend, BufferId, ChunkSortStyle, Placement, PlanKind, PlanNode, SortPlan,
-    WorkloadPlan, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    interpret, Backend, ChunkSortStyle, PlanKind, PlanNode, SortPlan, WorkloadPlan,
+    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
     SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
 };
 
 use super::SortAlgorithm;
 use crate::calibration::Calibration;
+use crate::lower::{copy, share, sides, Side};
 use crate::workload::SortWorkload;
 
 /// Copy-pool size for [`SortAlgorithm::MlmSortBuffered`]: small, because
 /// prefetching a megachunk is brief and every copy thread is a compute
 /// thread forgone (the §5 tradeoff).
 pub const BUFFERED_COPY_THREADS: usize = 4;
-
-/// Where one side of a phase lives, read off the buffers the node
-/// touches on that side: `place` (a cached side starts at its address),
-/// except that under numactl's preferred policy the blocks of the first
-/// `mcdram_threads` threads sit in the array's MCDRAM part.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Side {
-    place: Place,
-    mcdram_threads: usize,
-}
-
-impl Side {
-    /// Where thread `t`'s bytes at `offset` into the side live.
-    fn at(self, t: usize, offset: u64) -> Place {
-        match self.place {
-            _ if t < self.mcdram_threads => Place::Mcdram,
-            Place::CachedDdr { addr } => Place::CachedDdr {
-                addr: addr + offset,
-            },
-            place => place,
-        }
-    }
-}
 
 /// The simulated sort [`Backend`], with the [`SortPlan`] as its context:
 /// lowers each issued node of one Table-1 sort run to ops on a
@@ -172,45 +157,6 @@ impl<'a> SimSortBackend<'a> {
         }
         interpret(&mut self, plan, &lowered).map_err(String::from)?;
         Ok(self.prog)
-    }
-
-    /// The source and destination of `node`: the buffers it reads and the
-    /// buffers it writes. An in-place sort reads what it writes.
-    fn sides(&self, plan: &WorkloadPlan, node: &PlanNode) -> (Side, Side) {
-        let touches = plan.touches_of(node);
-        let side = |access| {
-            let mut ids = touches.iter().filter(|t| t.1 == access).map(|t| t.0);
-            let first = ids.next()?;
-            Some(self.side(plan, first, ids.next_back().unwrap_or(first)))
-        };
-        let dst = side(mlm_exec::Access::Write).expect("every sort phase writes");
-        (side(mlm_exec::Access::Read).unwrap_or(dst), dst)
-    }
-
-    /// The side spanning buffers `first..=last`: one place when they share
-    /// a tier (windows of one array, contiguous in DDR), else numactl's
-    /// preferred array, HBW part first: its threads split by the share of
-    /// the array that part holds, the rest working the spill.
-    fn side(&self, plan: &WorkloadPlan, first: BufferId, last: BufferId) -> Side {
-        let place = |b: BufferId| match plan.buffers[b].tier {
-            Placement::Hbw => Place::Mcdram,
-            Placement::Ddr => Place::Ddr,
-            Placement::Implicit => Place::CachedDdr {
-                addr: plan.buffers[..b]
-                    .iter()
-                    .filter(|x| x.tier != Placement::Hbw)
-                    .map(|x| x.bytes)
-                    .sum(),
-            },
-        };
-        let (hbw, spill) = (&plan.buffers[first], &plan.buffers[last]);
-        let split = hbw.tier != spill.tier;
-        let fit = hbw.bytes as f64 / (hbw.bytes + spill.bytes) as f64;
-        let mcdram_threads = (self.threads as f64 * fit).round() as usize;
-        Side {
-            place: place(if split { last } else { first }),
-            mcdram_threads: if split { mcdram_threads } else { 0 },
-        }
     }
 
     /// Serial-sort ops after `deps`: thread `pool[i]` introsorts the
@@ -340,17 +286,24 @@ impl<'a> SimSortBackend<'a> {
         ops
     }
 
-    /// Radix chunk-sort ops after `deps`: every thread runs one LSD digit
-    /// pass per key byte over its `block_elems` block of `side`, each pass
-    /// reading and writing the whole block at `s_radix`. The passes are
-    /// pure streams — no cache-resident recursion levels, so no in-cache
-    /// term and no MCDRAM boost — and each one touches exactly the block's
-    /// bytes, so a cached block goes through the cache model once per pass.
-    fn radix_ops(&mut self, block_elems: u64, side: Side, deps: &[OpId]) -> Vec<OpId> {
+    /// Radix chunk-sort ops after `deps`: every thread of `pool` runs one
+    /// LSD digit pass per key byte over its `block_elems` block of `side`,
+    /// each pass reading and writing the whole block at `s_radix`. The
+    /// passes are pure streams — no cache-resident recursion levels, so no
+    /// in-cache term and no MCDRAM boost — and each one touches exactly the
+    /// block's bytes, so a cached block goes through the cache model once
+    /// per pass.
+    fn radix_ops(
+        &mut self,
+        pool: Range<usize>,
+        block_elems: u64,
+        side: Side,
+        deps: &[OpId],
+    ) -> Vec<OpId> {
         let block_bytes = block_elems * self.elem;
-        let mut ops = Vec::with_capacity(self.threads);
-        for t in 0..self.threads {
-            let at = side.at(t, t as u64 * block_bytes);
+        let mut ops = Vec::with_capacity(pool.len());
+        for (i, t) in pool.enumerate() {
+            let at = side.at(i, i as u64 * block_bytes);
             let accesses = (0..self.elem)
                 .flat_map(|_| {
                     [
@@ -371,30 +324,35 @@ impl<'a> SimSortBackend<'a> {
         ops
     }
 
-    /// Parallel multiway-merge ops after `deps` over `total_bytes` of data
-    /// in `k` runs: each thread streams its share from `src` to `dst`.
-    /// `order_boost` controls whether the merge rate benefits from
-    /// structured input: MLM's plain loser-tree merges do (disjoint runs
-    /// from reverse-sorted input keep the tournament winner stable), but
-    /// the paper's GNU-baseline timings show no such benefit in its merge
-    /// phase, so the GNU variants pass `false` (see EXPERIMENTS.md).
-    fn merge_ops(
-        &mut self,
-        total_bytes: u64,
-        k: usize,
-        (src, dst): (Side, Side),
-        rate_mult: f64,
-        order_boost: bool,
-        deps: &[OpId],
-    ) -> Vec<OpId> {
-        let rate = if order_boost {
+    /// The multiway-merge rate over `k` runs. `order_boost` controls
+    /// whether it benefits from structured input: MLM's plain loser-tree
+    /// merges do (disjoint runs from reverse-sorted input keep the
+    /// tournament winner stable), but the paper's GNU-baseline timings
+    /// show no such benefit in its merge phase, so the GNU variants pass
+    /// `false` (see EXPERIMENTS.md).
+    fn merge_rate(&self, k: usize, order_boost: bool) -> f64 {
+        if order_boost {
             self.cal.multiway_rate_ordered(k, self.w.order)
         } else {
             self.cal.multiway_rate(k)
-        } * rate_mult;
-        let mut ops = Vec::with_capacity(self.threads);
-        for t in 0..self.threads {
-            let (offset, len) = share(total_bytes, self.threads, t);
+        }
+    }
+
+    /// Parallel multiway-merge ops after `deps` over `total_bytes` of
+    /// data: each thread of `pool` streams its share from `src` to the
+    /// same offset of `dst` at `rate`.
+    fn merge_ops(
+        &mut self,
+        pool: Range<usize>,
+        total_bytes: u64,
+        (src, dst): (Side, Side),
+        rate: f64,
+        deps: &[OpId],
+    ) -> Vec<OpId> {
+        let parts = pool.len();
+        let mut ops = Vec::with_capacity(parts);
+        for (i, t) in pool.enumerate() {
+            let (offset, len) = share(total_bytes, parts, i);
             if len == 0 {
                 continue;
             }
@@ -402,8 +360,8 @@ impl<'a> SimSortBackend<'a> {
                 t,
                 OpKind::Stream {
                     accesses: vec![
-                        Access::read(src.at(t, offset), len),
-                        Access::write(dst.at(t, offset), len),
+                        Access::read(src.at(i, offset), len),
+                        Access::write(dst.at(i, offset), len),
                     ],
                     rate_cap: rate,
                 },
@@ -414,60 +372,45 @@ impl<'a> SimSortBackend<'a> {
         ops
     }
 
-    /// Bulk-copy ops after `deps`: the threads of `0..pool` cooperatively
-    /// move `total_bytes` from `src` to `dst` at the machine's `S_copy`.
-    /// A copy streams numactl's preferred array at its spill tier.
-    fn copy_ops(
-        &mut self,
-        pool: usize,
-        total_bytes: u64,
-        (src, dst): (Side, Side),
-        deps: &[OpId],
-    ) -> Vec<OpId> {
-        let streamed = |side: Side| Side {
-            mcdram_threads: 0,
-            ..side
-        };
-        let (src, dst) = (streamed(src), streamed(dst));
-        let mut ops = Vec::with_capacity(pool);
-        for t in 0..pool {
-            let (offset, len) = share(total_bytes, pool, t);
-            if len == 0 {
-                continue;
-            }
-            let id = self.prog.push(
-                t,
-                OpKind::Copy {
-                    src: src.at(t, offset),
-                    dst: dst.at(t, offset),
-                    bytes: len,
-                    rate_cap: self.machine.per_thread_copy_bw,
-                },
-                deps,
-            );
-            ops.push(id);
+    /// The threads `node` runs on. A sequential plan's phases each use
+    /// every thread. The buffered plan (the §6 future-work variant)
+    /// overlaps its megachunk nodes on two pools: a small dedicated copy
+    /// pool prefetches megachunk `m+1` while the compute pool sorts and
+    /// merges megachunk `m` (the §5 lesson: copy threads are compute
+    /// threads forgone, so keep the pool small). The *prime* copy of
+    /// megachunk 0 has nothing to overlap with, so, as the paper's §3.2
+    /// notes about unoccupied pools, every thread helps with it.
+    fn pool(&self, plan: &SortPlan, node: &PlanNode) -> Range<usize> {
+        let p_copy = BUFFERED_COPY_THREADS.min(self.threads - 1);
+        match (plan.overlapped, node.chunk, node.kind) {
+            (true, Some(m), PlanKind::StageIn) if m > 0 => 0..p_copy,
+            (true, Some(_), PlanKind::Kernel | PlanKind::StageOut) => p_copy..self.threads,
+            _ => 0..self.threads,
         }
-        ops
     }
 
-    /// Lower one phase of a sequential plan after `deps`: its ops, then
-    /// every thread joins (paying the fork/join overhead), and the join is
-    /// the phase's token. *What* the node is comes from its `(kind,
-    /// kernel)` pair as [`SortPlan::to_workload_plan`] emits it — the same
-    /// DAG the host backend and the graph verifier consume — and where its
-    /// bytes live from the buffers it touches (`sides`); only the
-    /// calibrated rate is chosen here, from the plan's chunk style.
-    fn lower_phase(
+    /// Lower one plan node after `deps` on its [`Self::pool`]. *What* the
+    /// node is comes from its `(kind, kernel)` pair as
+    /// [`SortPlan::to_workload_plan`] emits it — the same DAG the host
+    /// backend and the graph verifier consume — and where its bytes live
+    /// from the buffers it touches ([`sides`]); only the calibrated rate
+    /// is chosen here, from the plan's chunk style. A phase of a
+    /// sequential plan then joins every thread (paying the fork/join
+    /// overhead), and the join is its token; the buffered plan's megachunk
+    /// nodes are their own ops, so the plan's Recycle and Data edges,
+    /// arriving as `deps`, order the two pools.
+    fn lower_node(
         &mut self,
         plan: &SortPlan,
         node: &PlanNode,
         sides: (Side, Side),
         deps: &[OpId],
     ) -> Vec<OpId> {
-        let (threads, dst) = (self.threads, sides.1);
+        let pool = self.pool(plan, node);
+        let (k, dst) = (pool.len(), sides.1);
         let gnu = self.cal.gnu_efficiency;
         let bytes = node.len * self.elem;
-        let block = node.len.div_ceil(threads as u64);
+        let block = node.len.div_ceil(k as u64);
         // GNU-style plans pay the GNU efficiency in their chunk sorts and
         // run merges, and their merges get no ordered-input boost.
         let gnu_style = plan.chunk_style == ChunkSortStyle::Gnu;
@@ -476,98 +419,46 @@ impl<'a> SimSortBackend<'a> {
             // Whole-array plans (the GNU baselines): per-thread block
             // sorts, then one thread-count-way merge into scratch.
             (PlanKind::Kernel, Some(SORT_KERNEL_THREAD_SORT)) => {
-                self.sort_ops(0..threads, block, dst, gnu, deps)
+                self.sort_ops(pool, block, dst, gnu, deps)
             }
             (PlanKind::Kernel, Some(SORT_KERNEL_THREAD_MERGE)) => {
-                self.merge_ops(bytes, threads, sides, gnu, false, deps)
+                let rate = self.merge_rate(k, false) * gnu;
+                self.merge_ops(pool, bytes, sides, rate, deps)
             }
             // Sort a megachunk's chunks where the plan holds them. Bender
             // et al.'s scheme sorts the megachunk with the *parallel*
             // mergesort: the same block sorts, at GNU efficiency (its merge
             // is the run merge below).
             (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => match plan.chunk_style {
-                ChunkSortStyle::Serial => self.sort_ops(0..threads, block, dst, 1.0, deps),
-                ChunkSortStyle::Gnu => self.sort_ops(0..threads, block, dst, gnu, deps),
-                ChunkSortStyle::Radix => self.radix_ops(block, dst, deps),
+                ChunkSortStyle::Serial => self.sort_ops(pool, block, dst, 1.0, deps),
+                ChunkSortStyle::Gnu => self.sort_ops(pool, block, dst, gnu, deps),
+                ChunkSortStyle::Radix => self.radix_ops(pool, block, dst, deps),
             },
             // Multiway-merge a megachunk's sorted runs out, and the final
             // k-way merge across sorted megachunks into scratch.
             (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) => {
-                self.merge_ops(bytes, threads, sides, merge_mult, !gnu_style, deps)
+                let rate = self.merge_rate(k, !gnu_style) * merge_mult;
+                self.merge_ops(pool, bytes, sides, rate, deps)
             }
             (PlanKind::Kernel, Some(SORT_KERNEL_FINAL_MERGE)) => {
-                self.merge_ops(bytes, plan.megachunks, sides, 1.0, !gnu_style, deps)
+                let rate = self.merge_rate(plan.megachunks, !gnu_style);
+                self.merge_ops(pool, bytes, sides, rate, deps)
             }
             // Stage a megachunk in, copy one back from scratch, or copy
             // the whole array back as the out-of-place merges require.
             (PlanKind::StageIn | PlanKind::StageOut, None) => {
-                self.copy_ops(threads, bytes, sides, deps)
+                let rate = self.machine.per_thread_copy_bw;
+                copy(&mut self.prog, pool, bytes, sides, rate, deps)
             }
             (kind, kernel) => unreachable!("sort plans never emit {kind:?}/{kernel:?}"),
         };
+        if plan.overlapped && node.chunk.is_some() {
+            return ops;
+        }
         let overhead = self.cal.phase_overhead;
-        (0..threads)
+        (0..self.threads)
             .map(|t| self.prog.push(t, OpKind::Delay { seconds: overhead }, &ops))
             .collect()
-    }
-
-    /// Lower one megachunk node of the buffered plan (the §6 future-work
-    /// variant) after `deps`, returning its ops. A small dedicated copy
-    /// pool prefetches megachunk `m+1` while the compute pool sorts and
-    /// merges megachunk `m` (the §5 lesson: copy threads are compute
-    /// threads forgone, so keep the pool small); the plan's Recycle and
-    /// Data edges, arriving as `deps`, order the two pools.
-    fn lower_buffered(
-        &mut self,
-        node: &PlanNode,
-        m: usize,
-        (src, dst): (Side, Side),
-        deps: &[OpId],
-    ) -> Vec<OpId> {
-        let p_copy = BUFFERED_COPY_THREADS.min(self.threads - 1);
-        let compute = p_copy..self.threads;
-        let bytes = node.len * self.elem;
-        match (node.kind, node.kernel) {
-            // Prefetch megachunk m. The *prime* copy of megachunk 0 has
-            // nothing to overlap with, so, as the paper's §3.2 notes about
-            // unoccupied pools, every thread helps with it.
-            (PlanKind::StageIn, None) => {
-                let pool = if m == 0 { self.threads } else { p_copy };
-                self.copy_ops(pool, bytes, (src, dst), deps)
-            }
-            // Serial chunk sorts on the compute pool, in the working buffer.
-            (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => {
-                let chunk = node.len.div_ceil(compute.len() as u64);
-                self.sort_ops(compute, chunk, dst, 1.0, deps)
-            }
-            // Multiway merge out of the working buffer on the compute pool;
-            // compute thread `i`'s share lands `i` shares into the window.
-            (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) => {
-                let rate = self.cal.multiway_rate_ordered(compute.len(), self.w.order);
-                let mut ops = Vec::with_capacity(compute.len());
-                for (i, t) in compute.clone().enumerate() {
-                    let (_, len) = share(bytes, compute.len(), i);
-                    if len == 0 {
-                        continue;
-                    }
-                    let accesses = vec![
-                        Access::read(src.at(i, 0), len),
-                        Access::write(dst.at(i, i as u64 * len), len),
-                    ];
-                    let id = self.prog.push(
-                        t,
-                        OpKind::Stream {
-                            accesses,
-                            rate_cap: rate,
-                        },
-                        deps,
-                    );
-                    ops.push(id);
-                }
-                ops
-            }
-            (kind, kernel) => unreachable!("Buffered plans are staged, not {kind:?}/{kernel:?}"),
-        }
     }
 }
 
@@ -583,24 +474,13 @@ impl Backend for SimSortBackend<'_> {
         deps: &[Vec<OpId>],
     ) -> Vec<OpId> {
         let deps = deps.concat();
-        let sides = self.sides(lowered, node);
-        match node.chunk {
-            Some(m) if plan.overlapped => self.lower_buffered(node, m, sides, &deps),
-            _ => self.lower_phase(plan, node, sides, &deps),
-        }
+        let sides = sides(lowered, node, self.threads).expect("every sort phase writes");
+        self.lower_node(plan, node, sides, &deps)
     }
 
     fn step_barrier(&mut self, _plan: &SortPlan, _after: &[Vec<OpId>]) -> Vec<OpId> {
         unreachable!("sort plans carry no barriers")
     }
-}
-
-/// Contiguous byte share `(offset, len)` of part `t` when `total` bytes
-/// are split `parts` ways.
-fn share(total: u64, parts: usize, t: usize) -> (u64, u64) {
-    let (p, t) = (parts as u64, t as u64);
-    let (base, extra) = (total / p, total % p);
-    (t * base + t.min(extra), base + u64::from(t < extra))
 }
 
 /// Build the simulated program for one Table-1 sort run: check the

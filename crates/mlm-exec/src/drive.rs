@@ -1,19 +1,18 @@
 //! The chunk-schedule orchestrator.
 //!
-//! Since the [`WorkloadPlan`](crate::plan::WorkloadPlan) refactor, this
-//! module no longer hand-rolls the paper's §3 schedule: [`drive`] builds
-//! the plan for the spec's workload family with
-//! [`plan_pipeline`](crate::plan::plan_pipeline) and walks it over the
-//! backend with [`interpret`](crate::plan::interpret). Backends (host
-//! thread pools, the op-level simulator, recorders) only interpret the
-//! primitive actions; the schedule itself — which chunk each stage
-//! touches at each step, which buffer slot it occupies, and which
-//! dependencies order the work — lives in one place, the plan builder.
+//! This module does not hand-roll the paper's §3 schedule:
+//! [`drive_verified`] builds the plan for the spec's workload family with
+//! [`plan_pipeline`](crate::plan::plan_pipeline), proves it, and walks it
+//! over the backend with [`interpret`]. Backends (host thread pools, the
+//! op-level simulator, recorders) only interpret the plan's nodes; the
+//! schedule itself — which chunk each stage touches at each step, which
+//! buffer slot it occupies, and which dependencies order the work — lives
+//! in one place, the plan builder.
 
 use crate::backend::Backend;
 use crate::error::DriveError;
 use crate::graph::{prove, GraphReport};
-use crate::plan::{interpret, plan_pipeline};
+use crate::plan::interpret;
 use crate::spec::PipelineSpec;
 
 /// Number of rotating chunk buffers for chunk-local (map) workloads.
@@ -30,7 +29,8 @@ pub const RING_SLOTS: usize = 3;
 /// corrupt the halo bytes the next compute still has to read.
 pub const STENCIL_RING_SLOTS: usize = 4;
 
-/// Walk the chunk schedule of `spec` over `backend`.
+/// Prove the chunk schedule of `spec` and walk it over `backend`: the one
+/// pipeline entry point, so every run interprets a plan it proved.
 ///
 /// * **Explicit placements** ([`Placement::Hbw`](crate::placement::Placement::Hbw)/
 ///   [`Placement::Ddr`](crate::placement::Placement::Ddr)): the map family
@@ -49,33 +49,21 @@ pub const STENCIL_RING_SLOTS: usize = 4;
 ///   no copies — every chunk is one compute action followed by a barrier
 ///   (all threads advance chunk by chunk through the cache).
 ///
-/// Returns an error without issuing any work if the spec fails
-/// validation ([`DriveError::Spec`]); mid-walk dependency bookkeeping
-/// failures surface as [`DriveError::Protocol`] and a failing backend
-/// `finish` as [`DriveError::Backend`]. Whether the machine can hold the
-/// placement at all is a plan-time question (mlm-verify's lints), not a
-/// backend property.
-pub fn drive<B: Backend<Ctx = PipelineSpec>>(
-    backend: &mut B,
-    spec: &PipelineSpec,
-) -> Result<(), DriveError> {
-    spec.validate().map_err(DriveError::Spec)?;
-    interpret(backend, spec, &plan_pipeline(spec))
-}
-
-/// [`drive`] with the static schedule verifier as a preflight gate.
-///
 /// Builds the plan once, proves it race- and deadlock-free over every
 /// linearization (and within the MCDRAM budget when `hbw_budget` is
-/// given), and only then interprets that same plan over `backend`.
-/// A fatal finding comes back as [`DriveError::Verification`] carrying
-/// the rendered report with its counterexample trace; on success the
-/// [`GraphReport`] (with the proven peak-occupancy bound) is returned
-/// alongside the completed run.
+/// given), and only then interprets that same plan over `backend`, so a
+/// clean verdict covers the actual execution, not a model of it. On
+/// success the [`GraphReport`] (with the proven peak-occupancy bound) is
+/// returned alongside the completed run.
 ///
-/// The preflight analyses the plan the backend is about to receive, so a
-/// clean verdict covers the actual execution, not a model of it. Errors
-/// come in the order [`DriveError::Spec`], [`DriveError::Verification`].
+/// Errors come in the order [`DriveError::Spec`] (the spec fails
+/// validation; nothing is issued), [`DriveError::Verification`] (a fatal
+/// finding, carrying the rendered report with its counterexample trace;
+/// nothing is issued), then [`DriveError::Protocol`] for mid-walk
+/// dependency bookkeeping failures and [`DriveError::Backend`] for a
+/// failing backend `finish`. Whether the machine can hold the placement
+/// is the budget's question here and mlm-verify's lints' at plan time,
+/// not a backend property.
 pub fn drive_verified<B: Backend<Ctx = PipelineSpec>>(
     backend: &mut B,
     spec: &PipelineSpec,
@@ -168,7 +156,7 @@ mod tests {
         for lockstep in [true, false] {
             let s = spec(5, lockstep, Placement::Hbw);
             let mut b = Probe::default();
-            drive(&mut b, &s).unwrap();
+            drive_verified(&mut b, &s, None).unwrap();
             assert!(b.finished);
             for stage in [Stage::CopyIn, Stage::Compute, Stage::CopyOut] {
                 let chunks: Vec<usize> = b
@@ -192,7 +180,7 @@ mod tests {
     fn slots_follow_the_three_slot_ring() {
         let s = spec(7, false, Placement::Hbw);
         let mut b = Probe::default();
-        drive(&mut b, &s).unwrap();
+        drive_verified(&mut b, &s, None).unwrap();
         assert!(b.issued.iter().all(|a| a.slot == a.chunk % RING_SLOTS));
     }
 
@@ -201,7 +189,7 @@ mod tests {
         for lockstep in [true, false] {
             let s = stencil_spec(6, lockstep);
             let mut b = Probe::default();
-            drive(&mut b, &s).unwrap();
+            drive_verified(&mut b, &s, None).unwrap();
             assert!(b.finished);
             for stage in [Stage::CopyIn, Stage::Compute, Stage::CopyOut] {
                 let chunks: Vec<usize> = b
@@ -225,7 +213,7 @@ mod tests {
     fn stencil_compute_trails_the_stage_in_front_by_two() {
         let s = stencil_spec(5, false);
         let mut b = Probe::default();
-        drive(&mut b, &s).unwrap();
+        drive_verified(&mut b, &s, None).unwrap();
         // Compute on chunk c must come after copy-in of chunk c + 1 (its
         // right halo) in issue order.
         for c in 0..4usize {
@@ -247,7 +235,7 @@ mod tests {
     fn implicit_schedule_is_compute_only() {
         let s = spec(4, true, Placement::Implicit);
         let mut b = Probe::default();
-        drive(&mut b, &s).unwrap();
+        drive_verified(&mut b, &s, None).unwrap();
         assert!(b.issued.iter().all(|a| a.stage == Stage::Compute));
         assert_eq!(b.issued.len(), 4);
         assert_eq!(b.barriers, 4);
@@ -279,7 +267,7 @@ mod tests {
             fail_finish: true,
             ..Probe::default()
         };
-        let err = drive(&mut b, &s).unwrap_err();
+        let err = drive_verified(&mut b, &s, None).unwrap_err();
         assert!(
             matches!(&err, DriveError::Backend(msg) if msg == "probe refused to finish"),
             "{err}"
@@ -308,7 +296,7 @@ mod tests {
         let mut s = spec(4, true, Placement::Hbw);
         s.p_comp = 0;
         let mut b = Probe::default();
-        assert!(drive(&mut b, &s).is_err());
+        assert!(drive_verified(&mut b, &s, None).is_err());
         assert!(b.issued.is_empty());
     }
 }

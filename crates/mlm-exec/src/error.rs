@@ -1,15 +1,15 @@
 //! Structured errors for the orchestrator.
 //!
-//! [`drive`](crate::drive) used to signal every failure as a bare `String`
-//! and to `panic!` (via `.expect`) when its own bookkeeping looked
+//! The orchestrator used to signal every failure as a bare `String` and
+//! to `panic!` (via `.expect`) when its own bookkeeping looked
 //! inconsistent mid-walk. Panics are the wrong surface for a misbehaving
 //! backend: a protocol violation should come back as a value the caller
 //! can report, not abort the process. [`DriveError`] is that value.
 //!
 //! What stays a panic (deliberately): violations of *spec-validated*
 //! invariants inside backends — e.g. the lockstep host's "at most one
-//! action per ring slot per step", which `drive` guarantees for every spec
-//! that passes [`PipelineSpec::validate`](crate::PipelineSpec::validate).
+//! action per ring slot per step", which [`drive_verified`](crate::drive_verified)
+//! guarantees for every spec that passes [`PipelineSpec::validate`](crate::PipelineSpec::validate).
 //! Those cannot be provoked by a misbehaving backend, only by a bug in the
 //! orchestrator itself, and a loud abort is the honest report.
 

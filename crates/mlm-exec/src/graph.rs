@@ -875,7 +875,7 @@ pub fn verify_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drive::{drive, RING_SLOTS};
+    use crate::drive::{drive_verified, RING_SLOTS};
     use crate::plan::{PlanEdge, PlanNode};
     use crate::recording::{Event, NullBackend, RecordingBackend};
     use crate::spec::Workload;
@@ -1257,7 +1257,7 @@ mod tests {
         // the same nodes plus its Finish.
         assert_eq!(p.nodes.len(), 22);
         let mut rec = RecordingBackend::new(NullBackend::new());
-        drive(&mut rec, &s).unwrap();
+        drive_verified(&mut rec, &s, None).unwrap();
         assert_eq!(rec.events().len(), p.nodes.len() + 1);
         assert_eq!(rec.events().last(), Some(&Event::Finish));
         assert!(p.find(PlanKind::StageOut, 4).is_some());

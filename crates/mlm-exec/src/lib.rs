@@ -22,13 +22,13 @@
 //!   lowers into and every executor interprets — the one statement of
 //!   where each buffer lives ([`pipeline_buffers`] for a pipeline,
 //!   [`SortTiers`] for a sort);
-//! * [`drive`] — the orchestrator that builds the plan for the spec's
-//!   workload (map or halo-exchanging stencil; lockstep, dataflow, and
-//!   implicit cache mode) and interprets it over the backend;
+//! * [`drive_verified`] — the one pipeline entry point: it builds the
+//!   plan for the spec's workload (map or halo-exchanging stencil;
+//!   lockstep, dataflow, and implicit cache mode), proves it, and
+//!   interprets it over the backend;
 //! * [`graph`] — the static schedule verifier ([`graph::analyze`],
 //!   diagnostics G001–G006), which reads the same [`WorkloadPlan`]
-//!   [`drive`] interprets, plus [`drive_verified`], the preflight-gated
-//!   orchestrator entry point;
+//!   [`drive_verified`] interprets;
 //! * [`RunReport`]/[`StageReport`] — the unified stats every backend
 //!   returns;
 //! * [`RecordingBackend`] — a composable wrapper that turns any backend
@@ -63,7 +63,7 @@ pub mod sortplan;
 pub mod spec;
 
 pub use backend::{Backend, ChunkAction, KernelCtx, Stage};
-pub use drive::{drive, drive_verified, RING_SLOTS, STENCIL_RING_SLOTS};
+pub use drive::{drive_verified, RING_SLOTS, STENCIL_RING_SLOTS};
 pub use error::DriveError;
 pub use placement::Placement;
 pub use plan::{

@@ -3,7 +3,7 @@
 //! Before this module, the repo's plan vocabulary was *sort-shaped*:
 //! [`SortPlan`](crate::sortplan::SortPlan) enumerated megachunk phases and
 //! every executor pattern-matched on them, while the chunk pipeline's
-//! schedule lived as hand-rolled loops inside [`crate::drive`]. A
+//! schedule lived as hand-rolled loops inside the drive module. A
 //! [`WorkloadPlan`] factors the common structure out: a DAG of
 //! stage-in / compute-kernel / stage-out nodes (plus lockstep barriers),
 //! each dependency edge tagged with *why* it exists —
@@ -327,9 +327,9 @@ fn ring_of(spec: &PipelineSpec) -> (usize, u64) {
 /// This is the single place that knows which chunk each stage touches at
 /// each step, which slot and buffers it occupies, and which dependencies
 /// order the work — for every workload family and all three schedule
-/// modes (lockstep, dataflow, implicit). [`crate::drive()`] is "build this
-/// plan, [`interpret`] it"; the graph verifier analyses the exact DAG and
-/// footprints written here.
+/// modes (lockstep, dataflow, implicit). [`crate::drive_verified()`] is
+/// "build this plan, prove it, [`interpret`] it": the graph verifier
+/// analyses the exact DAG and footprints written here.
 pub fn plan_pipeline(spec: &PipelineSpec) -> WorkloadPlan {
     let n = spec.n_chunks();
     let ring = spec.ring_slots();

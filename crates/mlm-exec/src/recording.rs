@@ -188,7 +188,7 @@ impl<C> Backend for NullBackend<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drive::drive;
+    use crate::drive::drive_verified;
     use crate::placement::Placement;
     use crate::plan::PlanKind;
     use crate::spec::Workload;
@@ -217,10 +217,10 @@ mod tests {
         // the schedule.
         let s = spec(true);
         let mut a = RecordingBackend::new(NullBackend::new());
-        drive(&mut a, &s).unwrap();
+        drive_verified(&mut a, &s, None).unwrap();
 
         let mut b = RecordingBackend::new(RecordingBackend::new(NullBackend::new()));
-        drive(&mut b, &s).unwrap();
+        drive_verified(&mut b, &s, None).unwrap();
 
         assert_eq!(a.events(), b.events());
     }
@@ -229,7 +229,7 @@ mod tests {
     fn dataflow_trace_records_ring_recycling_deps() {
         let s = spec(false);
         let mut r = RecordingBackend::new(NullBackend::new());
-        drive(&mut r, &s).unwrap();
+        drive_verified(&mut r, &s, None).unwrap();
         // Find copy-in of chunk 3: it must depend on exactly one event,
         // the copy-out of chunk 0 (slot recycling).
         let events = r.events();
@@ -258,7 +258,7 @@ mod tests {
     fn null_backend_counts_schedule_size() {
         let s = spec(true);
         let mut b = NullBackend::new();
-        drive(&mut b, &s).unwrap();
+        drive_verified(&mut b, &s, None).unwrap();
         // 4 chunks x 3 stages, plus one barrier per step (n + 2).
         assert_eq!(b.issued(), 12);
         assert_eq!(b.barriers(), 6);

@@ -1,7 +1,7 @@
 //! The host-side buffer ring: the blocking realisation of the dataflow
-//! dependency edges [`drive`](crate::drive) issues.
+//! dependency edges [`drive_verified`](crate::drive_verified) issues.
 //!
-//! [`drive`](crate::drive) expresses the non-lockstep schedule as token
+//! [`drive_verified`](crate::drive_verified) expresses the non-lockstep schedule as token
 //! dependencies: compute on chunk `c` after its copy-in, copy-out after
 //! its compute, and copy-in of chunk `c` after copy-out of chunk
 //! `c - RING_SLOTS` frees the slot. A host backend running real

@@ -1,8 +1,8 @@
 //! The static schedule-verification battery: G-series diagnostics over
-//! the plans `drive()` interprets.
+//! the plans `drive_verified()` interprets.
 //!
 //! The analysis itself lives in [`mlm_exec::graph`] (it reads the same
-//! `WorkloadPlan` `drive()` interprets); this module wraps its findings
+//! `WorkloadPlan` `drive_verified()` interprets); this module wraps its findings
 //! as [`Diagnostic`]s alongside the V-series lints, defines the corpus
 //! and the committed experiment-spec catalog every CI run re-proves, and
 //! packages the whole thing as a suite (`mlm-verify graph`):

@@ -27,7 +27,7 @@
 //!
 //! 3. **Static graph verification** ([`graph`], over
 //!    [`mlm_exec::graph`]) — the analyzer consumes the exact plan
-//!    `drive()` interprets and *proves*, over every linearization at once,
+//!    `drive_verified()` interprets and *proves*, over every linearization at once,
 //!    that the schedule is race-free (G001), deadlock-free (G002), and
 //!    within MCDRAM/ring occupancy bounds (G003/G004), plus dead-token
 //!    and unreachable-node hygiene (G005/G006). Findings are the same

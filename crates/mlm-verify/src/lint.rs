@@ -32,7 +32,7 @@ use mlm_serve::CapacityBroker;
 use crate::diag::{Diagnostic, LintReport, Severity};
 
 /// Number of buffer slots the chunk schedule rotates over — re-exported
-/// from the execution layer ([`mlm_exec::drive`] owns the constant every
+/// from the execution layer ([`mlm_exec::drive_verified`] owns the constant every
 /// backend executes).
 pub use mlm_exec::RING_SLOTS;
 

@@ -10,7 +10,7 @@
 //!   instead of `notify_all`, wait without re-checking the predicate)
 //!   fail, proving the checker can see the whole bug class. The ring's
 //!   in-flight bound is not modelled here: G004 proves it over the graph
-//!   `drive()` really emits.
+//!   `drive_verified()` really emits.
 //! * [`psrs`] — the `mlm-cluster` PSRS message protocol (splitter
 //!   broadcast / partition exchange / deferred-message drain). The
 //!   deferring protocol verifies; the pre-PR-2 strict variant (treat early

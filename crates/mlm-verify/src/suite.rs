@@ -253,7 +253,7 @@ fn model_suite(run: bool) -> Vec<ModelRun> {
         ),
         one(run, &PsrsModel::shipped(3), false),
         // Regression models: each must still fail. The PSRS race is not a
-        // `drive()` bug, so it is listed here; the condvar ones come from
+        // `drive_verified()` bug, so it is listed here; the condvar ones come from
         // the must-fail catalogue.
         one(
             run,

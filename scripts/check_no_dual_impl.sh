@@ -60,7 +60,7 @@ for dir in $dirs; do
   for f in $hosts $sims; do
     if ! grep -q 'mlm_exec' "$f"; then
       echo "error: ${f} is half of a host/sim pair in ${dir} but never references mlm_exec" >&2
-      echo "       write it as a Backend adapter over mlm_exec::drive (see crates/mlm-core/src/pipeline/)" >&2
+      echo "       write it as a Backend adapter over mlm_exec::drive_verified (see crates/mlm-core/src/pipeline/)" >&2
       fail=1
     fi
   done
@@ -199,6 +199,33 @@ for f in $restated; do
   fail=1
 done
 
+# Eighth discipline: a simulated op is lowered from the plan node alone.
+# The pipeline lowering reads a node's tier off its footprint, its bytes
+# off node.len and its traffic off the plan's KernelDesc; the spec
+# supplies only thread pools, rates and the DDR address. Reading the
+# spec's placement, workload, passes or chunk geometry instead restates
+# the plan, and the two drift. Both sim backends share one set of op
+# emitters (crates/mlm-core/src/lower.rs), and the identifiers of the
+# restatements this replaced — the buffered sort's second lowering
+# (lower_buffered), numactl's copy override (streamed), the pipeline's
+# own split and tier (thread_share, buf_place) — must not come back.
+pipe_sim=crates/mlm-core/src/pipeline/sim.rs
+spec_reads=$(sed '/^#\[cfg(test)\]/q' "$pipe_sim" \
+  | grep -nE 'spec\.(placement|workload|compute_passes)\b|chunk_size\(' || true)
+if [ -n "$spec_reads" ]; then
+  echo "error: ${pipe_sim} reads what the plan states off the spec:" >&2
+  echo "$spec_reads" | sed 's/^/       /' >&2
+  echo "       read the node's footprint, node.len and plan.kernels instead" >&2
+  fail=1
+fi
+forks=$(grep -rnwE 'lower_buffered|streamed|thread_share|buf_place' --include='*.rs' crates || true)
+if [ -n "$forks" ]; then
+  echo "error: a second op lowering is back under crates/:" >&2
+  echo "$forks" | sed 's/^/       /' >&2
+  echo "       lower every node through the shared emitters in crates/mlm-core/src/lower.rs" >&2
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo >&2
   echo "New host/sim pairs must adapt the shared execution layer, not re-implement the schedule." >&2
@@ -212,3 +239,4 @@ echo "check_no_dual_impl: mlm-exec implements Backend only in recording.rs"
 echo "check_no_dual_impl: the knl-sim engine never references mlm_exec"
 echo "check_no_dual_impl: every simulated Program is built by an allowlisted lowering"
 echo "check_no_dual_impl: every buffer is declared in the plan layer, and nowhere restated"
+echo "check_no_dual_impl: every simulated op is lowered from its plan node, through one set of emitters"

@@ -1,6 +1,6 @@
 //! Cross-backend execution equivalence for the unified `mlm-exec` layer.
 //!
-//! Property under test: the orchestrator in [`mlm_exec::drive`] owns the
+//! Property under test: the orchestrator in [`mlm_exec::drive_verified`] owns the
 //! chunk schedule, and every backend — host thread pools, the op-level
 //! simulator, the recorder — merely interprets it. Concretely:
 //!
@@ -25,7 +25,7 @@ use mlm_core::sort::sim::SimSortBackend;
 use mlm_core::sort::SortAlgorithm;
 use mlm_core::workload::{InputOrder, SortWorkload};
 use mlm_exec::{
-    drive, interpret, plan_pipeline, plan_sort, Backend, Event, NullBackend, PipelineSpec,
+    drive_verified, interpret, plan_pipeline, plan_sort, Backend, Event, NullBackend, PipelineSpec,
     Placement, PlanKind, RecordingBackend, Stage, Workload, WorkloadPlan, RING_SLOTS,
 };
 use parsort::pool::WorkPool;
@@ -139,7 +139,7 @@ fn stage_order(events: &[Event], stage: Stage) -> Vec<usize> {
 /// The drive walk of `spec`, recorded over the null backend.
 fn null_trace(spec: &PipelineSpec) -> Vec<Event> {
     let mut rec = RecordingBackend::new(NullBackend::new());
-    drive(&mut rec, spec).expect("null backend executes every placement");
+    drive_verified(&mut rec, spec, None).expect("null backend executes every placement");
     let (_, events) = rec.into_parts();
     events
 }
@@ -179,7 +179,7 @@ fn record<B: Backend>(backend: B, ctx: &B::Ctx, plan: &WorkloadPlan) -> Vec<Even
 /// underneath — the exact schedule `build_program` lowers to ops.
 fn sim_trace(spec: &PipelineSpec) -> Vec<Event> {
     let mut rec = RecordingBackend::new(SimBackend::new(spec).expect("sim accepts the spec"));
-    drive(&mut rec, spec).expect("sim backend executes the spec");
+    drive_verified(&mut rec, spec, None).expect("sim backend executes the spec");
     let (_, events) = rec.into_parts();
     events
 }

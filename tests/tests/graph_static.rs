@@ -1,7 +1,7 @@
 //! Cross-crate assertions for the static schedule verifier.
 //!
 //! The analyzer (`mlm_exec::graph`) proves properties over *every*
-//! linearization of the plan `drive()` interprets; these tests tie
+//! linearization of the plan `drive_verified()` interprets; these tests tie
 //! it to the rest of the workspace: the corpus must prove safe, also
 //! under a kernel panic on any chunk, the five buggy constructions of the
 //! must-fail catalogue must be refuted with counterexample traces and

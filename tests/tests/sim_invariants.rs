@@ -256,13 +256,13 @@ fn lowered_programs_are_pinned() {
     let cases = [
         (GnuFlat, flat, 2, None, [0xabd0300fce14c9e3, 0x0a12f6f8fb305be3]),
         (GnuCache, cache, 2, None, [0x98a2ce7c44b7c2e3, 0x8c0110ed516c9417]),
-        (GnuNumactl, flat, 2, None, [0x63a62fb1fa8dcde3, 0xdd3625a0c1e733e3]),
-        (GnuNumactl, flat, 4, None, [0x2e1661c7aed1e812, 0x5877a3c050cc9432]),
+        (GnuNumactl, flat, 2, None, [0x09def590d5cef1e3, 0x836eeb7f9d2857e3]),
+        (GnuNumactl, flat, 4, None, [0x64a42d39c67f00f1, 0xa82663662b345411]),
         (MlmDdr, flat, 2, None, [0x16a4ff2f1d17ff8a, 0x315d2185bdcd718a]),
         (MlmSort, flat, 2, None, [0x96bac2aa56fa41e6, 0xec2a0805eb729de6]),
         (MlmImplicit, cache, 2, None, [0x4860d256f8111cc6, 0x20e853afb7477b46]),
         (BasicChunked, flat, 2, None, [0x36c01e2483428452, 0x9aff39eee7884652]),
-        (MlmSortBuffered, flat, 2, None, [0xca74f74083441df0, 0x9f574e5ce58b0790]),
+        (MlmSortBuffered, flat, 2, None, [0xdf1a6e58dc412e80, 0xa0b3b1dff411bcc0]),
         (MlmDdr, flat, 2, radix, [0x23010fafb6c1a636, 0xb038d6238c77ac36]),
         (MlmSort, flat, 2, radix, [0x2593b403c258b5a2, 0xc56442d583217022]),
         (MlmImplicit, cache, 2, radix, [0xd5b5c1df5d881bae, 0x9f131114e3eefd4e]),
@@ -287,5 +287,72 @@ fn lowered_programs_are_pinned() {
                 "{alg:?} on {mode:?}, {billions} B {order:?}, {style:?}: {digest:#018x}"
             );
         }
+    }
+}
+
+/// Every pipeline shape's lowered program, pinned op for op: map and
+/// stencil, lockstep and dataflow, in HBW and DDR buffers; implicit cache
+/// mode; ragged tails; the paper's merge benchmark; and the NVM study's
+/// outer pipeline. Pool sizes, chunk bytes and halos divide unevenly, so
+/// every per-thread share and offset is pinned too.
+#[test]
+fn lowered_pipeline_programs_are_pinned() {
+    use mlm_core::pipeline::sim::build_program;
+    use mlm_core::{MergeBenchParams, PipelineSpec, Placement, Workload};
+    let spec = |workload, placement, lockstep| PipelineSpec {
+        total_bytes: 30_000_010,
+        chunk_bytes: 3_000_001,
+        p_in: 3,
+        p_out: 2,
+        p_comp: 5,
+        compute_passes: 3,
+        compute_rate: 2e9,
+        copy_rate: 1e9,
+        placement,
+        lockstep,
+        data_addr: 1 << 30,
+        workload,
+    };
+    let (map, stencil) = (Workload::Map, Workload::Stencil { halo_bytes: 4097 });
+    let ragged = |s: PipelineSpec| PipelineSpec {
+        total_bytes: s.total_bytes + 12_345,
+        ..s
+    };
+    #[rustfmt::skip]
+    let mut cases = vec![
+        ("map lockstep hbw", spec(map, Placement::Hbw, true), 0xf78f_0922_4ea5_4e26),
+        ("map dataflow hbw", spec(map, Placement::Hbw, false), 0xcef1_ff69_b54e_d7db),
+        ("map lockstep ddr", spec(map, Placement::Ddr, true), 0xdeed_5a56_d9f7_607a),
+        ("map dataflow ddr", spec(map, Placement::Ddr, false), 0xf29f_3a21_638c_ec17),
+        ("stencil lockstep hbw", spec(stencil, Placement::Hbw, true), 0x7ea3_dd94_1ea9_2947),
+        ("stencil dataflow hbw", spec(stencil, Placement::Hbw, false), 0xd063_42fc_6d31_fa20),
+        ("stencil lockstep ddr", spec(stencil, Placement::Ddr, true), 0x2af0_67c6_7662_0343),
+        ("stencil dataflow ddr", spec(stencil, Placement::Ddr, false), 0x1046_df53_0fb7_5ea4),
+        ("implicit", spec(map, Placement::Implicit, true), 0x578e_ecd9_fcac_0548),
+        ("map ragged", ragged(spec(map, Placement::Hbw, true)), 0xecc8_39ec_d35a_4672),
+        ("stencil ragged", ragged(spec(stencil, Placement::Ddr, false)), 0x39cf_59a8_620d_c47c),
+        ("nvm outer", PipelineSpec {
+            total_bytes: 100_000_000_000,
+            chunk_bytes: 8_000_000_000,
+            p_in: 8,
+            p_out: 8,
+            p_comp: 1,
+            compute_passes: 1,
+            compute_rate: 3.5e9,
+            copy_rate: 2e9,
+            placement: Placement::Hbw,
+            lockstep: false,
+            data_addr: 0,
+            workload: map,
+        }, 0x709a_0f37_5328_0731),
+    ];
+    let knl = MachineConfig::knl_7250(MemMode::Flat);
+    let merge = MergeBenchParams::paper(8, 4)
+        .to_spec(&knl, &Calibration::default())
+        .unwrap();
+    cases.push(("merge bench", merge, 0x6964_1921_2640_4cfc));
+    for (name, spec, want) in cases {
+        let digest = program_digest(&build_program(&spec).unwrap());
+        assert_eq!(digest, want, "{name}: {digest:#018x}");
     }
 }
