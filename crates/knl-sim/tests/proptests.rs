@@ -1,7 +1,7 @@
 //! Property-based tests for the simulator substrate.
 
 use knl_sim::bandwidth::{allocate_rates, Arbiter, FlowSpec};
-use knl_sim::cache::DirectMappedCache;
+use knl_sim::cache::{CacheTraffic, DirectMappedCache};
 use knl_sim::machine::{MachineConfig, MemMode};
 use knl_sim::ops::{OpKind, Place, Program};
 use knl_sim::Simulator;
@@ -184,8 +184,10 @@ proptest! {
         prop_assert!((agg - expect).abs() < 1e-6 * expect.max(1.0));
     }
 
-    /// Cache conservation: hit + miss bytes equal accessed bytes, and the
-    /// hit rate is a valid fraction.
+    /// Cache conservation, per access and in total: a read's bytes are
+    /// hits or misses and every missed byte is filled; a write lands in
+    /// MCDRAM whole, with no DDR read or fill; writebacks are whole
+    /// segments; the stats' hits and misses add up to the bytes accessed.
     #[test]
     fn cache_byte_conservation(
         accesses in proptest::collection::vec(
@@ -196,15 +198,81 @@ proptest! {
         let mut c = DirectMappedCache::new(sets * seg, seg);
         for (addr, bytes, write) in accesses {
             let t = c.access(addr, bytes, write);
-            // Per-access conservation: every accessed byte is a hit or miss.
-            // (Write misses are counted as MCDRAM "hit_bytes" traffic but
-            // stats record them as misses.)
-            let _ = t;
+            if write {
+                prop_assert_eq!(t.hit_bytes, bytes);
+                prop_assert_eq!((t.miss_bytes, t.fill_bytes), (0, 0));
+            } else {
+                prop_assert_eq!(t.hit_bytes + t.miss_bytes, bytes);
+                prop_assert_eq!(t.fill_bytes, t.miss_bytes);
+            }
+            prop_assert_eq!(t.writeback_bytes % seg, 0);
         }
         let s = c.stats();
         prop_assert_eq!(s.hit_bytes + s.miss_bytes, s.accessed_bytes);
         let hr = s.hit_rate();
         prop_assert!((0.0..=1.0).contains(&hr));
+    }
+
+    /// Direct mapping only sees an address modulo the cache size: shifting
+    /// every access and every query by a multiple of `sets x segment`
+    /// changes no access's traffic and no residency answer.
+    #[test]
+    fn cache_is_invariant_under_whole_cache_shifts(
+        accesses in proptest::collection::vec(
+            (0u64..1 << 12, 0u64..1 << 11, any::<bool>()), 1..40),
+        probes in proptest::collection::vec((0u64..1 << 12, 0u64..1 << 10), 1..8),
+        sets in 1u64..12,
+        seg in 1u64..100,
+        laps in 1u64..1000,
+    ) {
+        let shift = laps * sets * seg;
+        let mut base = DirectMappedCache::new(sets * seg, seg);
+        let mut moved = DirectMappedCache::new(sets * seg, seg);
+        for (addr, bytes, write) in accesses {
+            let t = base.access(addr, bytes, write);
+            prop_assert_eq!(moved.access(addr + shift, bytes, write), t);
+            for &(a, b) in probes.iter().chain([(addr, bytes)].iter()) {
+                prop_assert_eq!(moved.is_resident(a + shift, b), base.is_resident(a, b));
+            }
+        }
+        prop_assert_eq!(moved.stats(), base.stats());
+    }
+
+    /// Cutting an access at a segment boundary into two back-to-back
+    /// accesses moves the same bytes, counts the same stats and leaves
+    /// the same segments resident: the cut splits a run that the whole
+    /// access would have kept in one piece.
+    #[test]
+    fn cache_access_split_at_a_segment_boundary_is_unchanged(
+        accesses in proptest::collection::vec(
+            (0u64..1 << 12, 1u64..1 << 11, any::<bool>(), any::<u64>()), 1..40),
+        probes in proptest::collection::vec((0u64..1 << 12, 0u64..1 << 10), 1..8),
+        sets in 1u64..12,
+        seg in 1u64..100,
+    ) {
+        let mut whole = DirectMappedCache::new(sets * seg, seg);
+        let mut split = DirectMappedCache::new(sets * seg, seg);
+        for (addr, bytes, write, pick) in accesses {
+            let t = whole.access(addr, bytes, write);
+            // Segment boundaries strictly inside the access: `seg * m` for
+            // `m` in `lo..=hi`. With none, the second access is empty.
+            let (lo, hi) = (addr / seg + 1, (addr + bytes - 1) / seg);
+            let cut = if lo <= hi { (lo + pick % (hi - lo + 1)) * seg } else { addr + bytes };
+            let a = split.access(addr, cut - addr, write);
+            let b = split.access(cut, addr + bytes - cut, write);
+            let sum = CacheTraffic {
+                hit_bytes: a.hit_bytes + b.hit_bytes,
+                miss_bytes: a.miss_bytes + b.miss_bytes,
+                fill_bytes: a.fill_bytes + b.fill_bytes,
+                writeback_bytes: a.writeback_bytes + b.writeback_bytes,
+                miss_count: a.miss_count + b.miss_count,
+            };
+            prop_assert_eq!(sum, t);
+            prop_assert_eq!(split.stats(), whole.stats());
+            for &(a, b) in probes.iter().chain([(addr, bytes)].iter()) {
+                prop_assert_eq!(split.is_resident(a, b), whole.is_resident(a, b));
+            }
+        }
     }
 
     /// Residency: any range just accessed is resident afterwards if it fits

@@ -356,3 +356,83 @@ fn lowered_pipeline_programs_are_pinned() {
         assert_eq!(digest, want, "{name}: {digest:#018x}");
     }
 }
+
+/// Cache-mode programs' simulated outputs, pinned bit for bit: makespan,
+/// every `SimReport::cache` counter and the per-level traffic. Table 1's
+/// GNU-cache and MLM-implicit cells at 2 B keys, Fig. 7's MLM-implicit at
+/// 0.5 B megachunks over 6 B keys, and the implicit pipeline spec. The
+/// program pins above fix only the inputs and `table1.csv` rounds to two
+/// decimals; a change in how the cache model charges an access shows here.
+#[test]
+fn cache_mode_outputs_are_pinned() {
+    use mlm_core::pipeline::sim::build_program;
+    use mlm_core::{PipelineSpec, Placement, Workload};
+    use SortAlgorithm::*;
+    let cal = Calibration::default();
+    let machine = MachineConfig::knl_7250(MemMode::Cache);
+    let sort = |alg, n, order, mega| {
+        let w = SortWorkload::int64(n, order);
+        build_sort_program(&machine, &cal, w, alg, mega, 256).unwrap()
+    };
+    let implicit = PipelineSpec {
+        total_bytes: 30_000_010,
+        chunk_bytes: 3_000_001,
+        p_in: 3,
+        p_out: 2,
+        p_comp: 5,
+        compute_passes: 3,
+        compute_rate: 2e9,
+        copy_rate: 1e9,
+        placement: Placement::Implicit,
+        lockstep: true,
+        data_addr: 1 << 30,
+        workload: Workload::Map,
+    };
+    let (random, reverse) = (InputOrder::Random, InputOrder::Reverse);
+    // The four 2 B cells push the same accesses through the cache; only
+    // their compute differs. Cache counters are [accessed, hit, miss,
+    // writeback bytes, misses, hits], traffic is [DDR read, DDR written,
+    // MCDRAM read, MCDRAM written].
+    #[rustfmt::skip]
+    let two_b = (
+        [96_000_000_000, 33_843_552_256, 62_156_447_744, 46_009_417_728, 59_770, 33_316],
+        [31_078_369_696, 46_009_417_728, 174_931_048_032, 191_078_369_696],
+    );
+    #[rustfmt::skip]
+    let fig7 = (
+        [480_000_000_000, 149_165_350_912, 330_834_649_088, 214_130_753_536, 320_646, 156_570],
+        [165_414_963_200, 214_130_753_536, 528_715_790_336, 645_414_963_200],
+    );
+    #[rustfmt::skip]
+    let pipe = (
+        [60_000_020, 49_817_987, 10_182_033, 0, 29, 127],
+        [10_182_033, 0, 79_817_997, 100_182_063],
+    );
+    #[rustfmt::skip]
+    let cases = [
+        ("GNU-cache 2 B random", sort(GnuCache, N, random, N), 0x4024_2c28_ee21_267a, two_b),
+        ("GNU-cache 2 B reverse", sort(GnuCache, N, reverse, N), 0x4014_c1af_84d8_277d, two_b),
+        ("MLM-implicit 2 B random", sort(MlmImplicit, N, random, N), 0x4021_071d_5599_9184, two_b),
+        ("MLM-implicit 2 B reverse", sort(MlmImplicit, N, reverse, N), 0x400e_4599_e8af_6aa2, two_b),
+        ("fig7 MLM-implicit 0.5 B", sort(MlmImplicit, 3 * N, random, N / 4), 0x403b_9ae2_7cab_f252, fig7),
+        ("implicit pipeline", build_program(&implicit).unwrap(), 0x3f92_6e99_90b5_446f, pipe),
+    ];
+    for (name, prog, bits, (cache, traffic)) in cases {
+        let r = Simulator::new(machine.clone()).run(&prog).unwrap();
+        let c = r.cache;
+        let [ddr, mcd] = r.traffic;
+        let got = (
+            r.makespan.to_bits(),
+            [
+                c.accessed_bytes,
+                c.hit_bytes,
+                c.miss_bytes,
+                c.writeback_bytes,
+                c.misses,
+                c.hits,
+            ],
+            [ddr.read, ddr.written, mcd.read, mcd.written],
+        );
+        assert_eq!(got, (bits, cache, traffic), "{name}: {got:?}");
+    }
+}
