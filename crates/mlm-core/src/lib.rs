@@ -35,6 +35,7 @@
 //! ```
 
 pub mod calibration;
+mod host;
 mod lower;
 pub mod merge_bench;
 pub mod model;

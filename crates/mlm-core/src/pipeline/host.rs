@@ -8,27 +8,26 @@
 //! native benchmarking are.
 //!
 //! The schedule itself — which chunk each stage touches when, and which
-//! buffer slot it occupies — is owned by [`mlm_exec::drive_verified`]. This module
-//! holds the one [`Backend`] that executes it on the host: a ring of
-//! [`PipelineSpec::ring_slots`] chunk buffers (with a second, output
-//! buffer per slot when [`PipelineSpec::buffers_per_slot`] says so — a
-//! stencil computing in place would corrupt the halo bytes neighbouring
-//! computes still read), one kernel shape, and one record of the issued
-//! [`ChunkAction`]s. How that record is drained is read off the spec and
-//! the pools the entry point was handed, never off an option:
+//! buffers it occupies — is owned by [`mlm_exec::drive_verified`]. This
+//! module holds the one [`Backend`] that executes it on the host: one host
+//! buffer per buffer the plan declares, each node borrowing the buffers
+//! its footprint names ([`WorkloadPlan::touches_of`]; a write exclusively,
+//! a read shared), and one kernel shape. Which drain runs the issued nodes
+//! is read off the pools the entry point was handed, never off an option:
 //!
-//! * **Step batches** (`lockstep: true`, and [`Placement::Implicit`]):
-//!   at each step barrier the pending actions run as one task batch on
-//!   the shared [`WorkPool`] — copy-in of chunk `s`, compute on `s-1` and
-//!   copy-out of `s-2` genuinely overlap, and the pool's join is the
-//!   barrier. This is the paper's schedule, whose makespan the model's
-//!   `max(T_copy, T_comp)` term describes. Implicit mode is the same
-//!   batch with no ring: its one compute per step runs in place on `out`.
-//! * **Issue order** (stencil, `lockstep: false`): the actions run one at
-//!   a time at `finish`. Issue order is a topological order of the plan's
-//!   halo/data/recycle edges, so outputs are bit-identical across
-//!   schedules by construction (overlap timing is the simulator's
-//!   experiment, not the host's).
+//! * **Shared-pool batches** ([`WorkPool`]): the drain the host sort uses
+//!   too (`crate::host`). Mutually independent nodes run as one task
+//!   batch; a node that depends on a pending node first runs the batch,
+//!   and so do step barriers and `finish`. A lockstep step's nodes depend
+//!   only on the previous barrier, so its batch is the step: copy-in of
+//!   chunk `s`, compute on `s-1` and copy-out of `s-2` genuinely overlap,
+//!   and the pool's join is the barrier — the paper's schedule, whose
+//!   makespan the model's `max(T_copy, T_comp)` term describes. Implicit
+//!   mode is the same batch with no buffers: its one compute per step runs
+//!   in place on `out`. The stencil's dataflow schedule batches by its
+//!   halo, data and recycle edges, so computes that share halo inputs run
+//!   together; the plan's proof makes every batch's loans disjoint, so
+//!   outputs are bit-identical across schedules.
 //! * **Ring replay** (map, `lockstep: false`, [`HostStagePools`]): three
 //!   coordinator threads, one per stage, walk their actions decoupled,
 //!   synchronizing only through the [`mlm_exec::ring`] phase machine
@@ -41,17 +40,18 @@
 //! A new workload family therefore costs a plan lowering in `mlm-exec`
 //! and an adapter onto the kernel shape, not another backend.
 
-use std::any::Any;
-use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mlm_exec::ring::{coordinate, is_poison_payload, BufSlot, Phase};
-use mlm_exec::{drive_verified, Backend, ChunkAction, PlanNode, Stage, WorkloadPlan};
-use parsort::pool::{copy_split, parallel_copy, split_mut, StagePool, WorkPool};
+use mlm_exec::{
+    drive_verified, Access, Backend, BufferId, ChunkAction, PlanNode, Stage, WorkloadPlan,
+};
+use parsort::pool::{copy_parts, parallel_copy, split_mut, StagePool, Task, WorkPool};
 
 use super::{PipelineSpec, Placement, Workload};
+use crate::host::{Drain, Leases};
 
 pub use mlm_exec::KernelCtx;
 
@@ -228,8 +228,10 @@ where
 /// the position. Outputs land in separate buffers, so the staged inputs a
 /// neighbouring compute still reads are never overwritten.
 ///
-/// `spec.lockstep` selects the schedule exactly as in
-/// [`run_host_pipeline`]; both schedules produce bit-identical output.
+/// `spec.lockstep` selects the schedule: the paper's lockstep steps, or
+/// the dataflow schedule, whose mutually independent nodes (computes that
+/// share halo inputs among them) run together. Both run on `pool` and
+/// produce bit-identical output.
 ///
 /// # Panics
 /// Panics if `out.len() != data.len()`, the spec fails validation, the
@@ -274,55 +276,18 @@ where
 }
 
 /// The threads a run executes on: besides the spec, the only thing that
-/// selects how [`HostBackend`] drains its actions.
+/// selects how [`HostBackend`] drains its nodes.
 #[derive(Clone, Copy)]
 enum Pools<'a> {
-    /// One shared pool: actions run as task batches that time themselves.
+    /// One shared pool: nodes run as batches of tasks that time themselves.
     Shared(&'a WorkPool),
     /// Three dedicated stage pools (which account busy time themselves)
     /// under decoupled coordinators: the ring replay.
     Stages(&'a HostStagePools),
 }
 
-/// One pool task of a batch.
-type Task<'t> = Box<dyn FnOnce() + Send + 't>;
-
-/// Chunk geometry of one host run, in elements. `elems` is exact by
-/// construction: [`PipelineSpec::validate_elem_size`] has already
-/// rejected specs whose `chunk_bytes` is not a multiple of the element
-/// size, so host chunk boundaries coincide with the spec's (and the
-/// simulator's) byte boundaries. `total` is the slice actually being
-/// processed, not the spec's modeled `total_bytes`.
-#[derive(Clone, Copy)]
-struct Chunks {
-    elems: usize,
-    total: usize,
-}
-
-impl Chunks {
-    fn count(&self) -> usize {
-        self.total.div_ceil(self.elems)
-    }
-
-    /// Global element range of chunk `c` (short for a ragged tail).
-    fn range(&self, c: usize) -> Range<usize> {
-        let lo = c * self.elems;
-        lo..(lo + self.elems).min(self.total)
-    }
-}
-
-/// Index of `stage` in the per-stage arrays ([`HostBackend::busy`],
-/// [`HostBackend::waits`]).
-fn stage_index(stage: Stage) -> usize {
-    match stage {
-        Stage::CopyIn => 0,
-        Stage::Compute => 1,
-        Stage::CopyOut => 2,
-    }
-}
-
-/// The one driver behind the three entry points: validate, build the
-/// backend for the spec's ring layout, walk the schedule, report.
+/// The one function behind the three entry points: set the run up, walk the
+/// schedule, report.
 fn run_host<T, K>(
     pools: Pools<'_>,
     spec: &PipelineSpec,
@@ -342,94 +307,43 @@ where
             ..HostRunStats::empty()
         };
     }
-    spec.validate().expect("invalid pipeline spec");
-    let elem = std::mem::size_of::<T>().max(1);
-    spec.validate_elem_size(elem)
-        .expect("invalid chunk geometry");
-    let halo = match spec.workload {
-        Workload::Map => 0,
-        Workload::Stencil { halo_bytes } => {
-            assert!(
-                halo_bytes.is_multiple_of(elem as u64),
-                "halo_bytes = {halo_bytes} is not a whole number of {elem}-byte elements"
-            );
-            halo_bytes as usize / elem
-        }
-    };
-
-    let implicit = spec.placement == Placement::Implicit;
-    if implicit {
-        // The data already lives where it is computed on: one memcpy of
-        // the whole input, split across the shared pool, then the kernel
-        // runs in place on `out`.
-        let Pools::Shared(pool) = pools else {
-            unreachable!("implicit placement runs on the shared pool");
-        };
-        parallel_copy(pool, data, out);
-    }
-    if let Pools::Stages(stage_pools) = pools {
-        stage_pools.reset();
-    }
-
-    // The spec the orchestrator is driven with: `total_bytes` pinned to
-    // the slice actually being processed, so `PipelineSpec::n_chunks`
-    // agrees with the host-side element geometry (`spec.total_bytes` is
-    // the *modeled* problem size and may legitimately differ), and no
-    // step barriers for stage pools, which only run the dataflow schedule.
-    let espec = PipelineSpec {
-        total_bytes: (data.len() * elem) as u64,
-        lockstep: spec.lockstep && matches!(pools, Pools::Shared(_)),
-        ..spec.clone()
-    };
-    // Implicit mode owns no buffers; single-buffer slots own no outputs.
-    let ring = if implicit { 0 } else { spec.ring_slots() };
-    let split = spec.buffers_per_slot() == 2;
-    let buffers = |n: usize| -> Vec<Vec<T>> { (0..n).map(|_| Vec::new()).collect() };
-    let mut backend = HostBackend {
-        pools,
-        data,
-        out,
-        kernel,
-        chunks: Chunks {
-            elems: spec.chunk_bytes as usize / elem,
-            total: data.len(),
-        },
-        halo,
-        staged: buffers(ring),
-        computed: buffers(if split { ring } else { 0 }),
-        pending: Vec::new(),
-        busy: Default::default(),
-        bytes: Default::default(),
-        waits: [Duration::ZERO; 3],
-    };
+    let (mut backend, espec) = HostBackend::new(pools, spec, data, out, kernel);
     drive_verified(&mut backend, &espec, None).expect("host backend refused the schedule");
     backend.stats(spec, start)
 }
 
-/// The host [`Backend`]: `issue` only records; the recorded actions are
-/// drained as step batches, in issue order, or by the ring replay (see
-/// the module docs for which, and why each is correct).
+/// The host [`Backend`]: each issued node goes to the shared [`Drain`] and
+/// runs in a batch of mutually independent nodes on the shared pool, or is
+/// recorded for the ring replay at `finish` (see the module docs).
 struct HostBackend<'a, T, K> {
     pools: Pools<'a>,
-    data: &'a [T],
-    out: &'a mut [T],
+    /// Elements per chunk. It is exact: [`PipelineSpec::validate_elem_size`]
+    /// has rejected specs whose `chunk_bytes` is not a multiple of the
+    /// element size, so host chunk boundaries coincide with the spec's
+    /// (and the simulator's) byte boundaries.
+    elems: usize,
+    /// The input cut into chunks (the last may be ragged): the slice
+    /// actually being processed, not the spec's modeled `total_bytes`.
+    inputs: Vec<&'a [T]>,
+    /// `out` cut the same way: chunk `c`'s window, until the one node that
+    /// writes it (its copy-out, or its compute in implicit mode) takes it.
+    out: Vec<Option<&'a mut [T]>>,
     /// `kernel(view, target, ctx)` fills its thread's part of a chunk.
-    /// Split slots hand it the staged neighbourhood and a separate output
-    /// buffer; single-buffer slots (and implicit mode) hand it an empty
-    /// view and the buffer that already holds the input.
+    /// A stencil compute is handed the staged neighbourhood and its
+    /// out-buffer; an in-place compute an empty view and the buffer (or,
+    /// in implicit mode, the window of `out`) that holds its input.
     kernel: K,
-    chunks: Chunks,
     /// Halo width in elements (0 for chunk-local kernels).
     halo: usize,
-    /// Staged input chunks, indexed by [`ChunkAction::slot`]. Unused by
-    /// the ring replay, whose [`BufSlot`]s own their buffers.
-    staged: Vec<Vec<T>>,
-    /// Computed output chunks, same indexing; empty unless the spec asks
-    /// for two buffers per slot.
-    computed: Vec<Vec<T>>,
-    /// Actions issued and not yet drained.
-    pending: Vec<ChunkAction>,
-    /// Self-timed task nanoseconds per stage (shared pool only).
+    /// One host buffer per buffer the plan declares
+    /// ([`WorkloadPlan::buffers`]), sized by the node that fills it.
+    /// Unused by the ring replay, whose [`BufSlot`]s own their buffers.
+    buffers: Vec<Vec<T>>,
+    /// Nodes issued and not yet run: each one's chunk action and the
+    /// declared buffers it touches ([`WorkloadPlan::touches_of`]).
+    drain: Drain<(ChunkAction, Vec<(BufferId, Access)>)>,
+    /// Self-timed task nanoseconds per stage, indexed by `Stage as usize`
+    /// (shared pool only).
     busy: [AtomicU64; 3],
     /// Bytes copied per stage, added once per chunk where its copy is
     /// issued (both drains; compute copies nothing).
@@ -438,102 +352,151 @@ struct HostBackend<'a, T, K> {
     waits: [Duration; 3],
 }
 
-/// Hand ring buffer `slot` to the one action that uses it this batch.
-/// The plan keeps a batch's slots disjoint — on the stencil's four-slot
-/// ring, step `s` fills slot `s % 4` while compute on `s - 2` reads slots
-/// `(s - 3) % 4`, `(s - 2) % 4` and `(s - 1) % 4` — so a second claim
-/// means the schedule broke the ring discipline.
-fn claim<'r, T>(ring: &mut [Option<&'r mut Vec<T>>], slot: usize) -> &'r mut Vec<T> {
-    ring[slot].take().expect("slot reused within a step")
-}
-
-impl<T, K> HostBackend<'_, T, K>
+impl<'a, T, K> HostBackend<'a, T, K>
 where
     T: Copy + Send + Sync,
     K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
 {
-    /// Run one batch of actions (a lockstep or implicit step, or a single
-    /// issue-order action) as one `scoped` call on the shared pool; the
-    /// pool's join is the step barrier.
-    fn run_batch(&mut self, spec: &PipelineSpec, actions: &[ChunkAction]) {
-        let Pools::Shared(pool) = self.pools else {
-            unreachable!("the orchestrator issues no step barriers without lockstep");
+    /// Validate the run, stage implicit mode's input, and build the
+    /// backend with the spec the orchestrator is driven with:
+    /// `total_bytes` pinned to the slice actually being processed, so
+    /// `PipelineSpec::n_chunks` agrees with the host-side element geometry
+    /// (`spec.total_bytes` is the *modeled* problem size and may
+    /// legitimately differ), and no step barriers for stage pools, which
+    /// only run the dataflow schedule.
+    fn new(
+        pools: Pools<'a>,
+        spec: &PipelineSpec,
+        data: &'a [T],
+        out: &'a mut [T],
+        kernel: K,
+    ) -> (Self, PipelineSpec) {
+        spec.validate().expect("invalid pipeline spec");
+        let elem = std::mem::size_of::<T>().max(1);
+        spec.validate_elem_size(elem)
+            .expect("invalid chunk geometry");
+        let halo = match spec.workload {
+            Workload::Map => 0,
+            Workload::Stencil { halo_bytes } => {
+                assert!(
+                    halo_bytes.is_multiple_of(elem as u64),
+                    "halo_bytes = {halo_bytes} is not a whole number of {elem}-byte elements"
+                );
+                halo_bytes as usize / elem
+            }
         };
-        let implicit = spec.placement == Placement::Implicit;
-        let (chunks, halo, fill) = (self.chunks, self.halo, self.data[0]);
+        match pools {
+            // The data already lives where it is computed on: one memcpy
+            // of the whole input, split across the shared pool, then the
+            // kernel runs in place on `out`.
+            Pools::Shared(pool) if spec.placement == Placement::Implicit => {
+                parallel_copy(pool, data, out)
+            }
+            Pools::Stages(stage_pools) => stage_pools.reset(),
+            Pools::Shared(_) => {}
+        }
+        let espec = PipelineSpec {
+            total_bytes: (data.len() * elem) as u64,
+            lockstep: spec.lockstep && matches!(pools, Pools::Shared(_)),
+            ..spec.clone()
+        };
+        let elems = spec.chunk_bytes as usize / elem;
+        let backend = HostBackend {
+            pools,
+            elems,
+            inputs: data.chunks(elems).collect(),
+            out: out.chunks_mut(elems).map(Some).collect(),
+            kernel,
+            halo,
+            buffers: Vec::new(),
+            drain: Drain::new(),
+            busy: Default::default(),
+            bytes: Default::default(),
+            waits: [Duration::ZERO; 3],
+        };
+        (backend, espec)
+    }
 
-        // The one window of `out` a batch writes — the copy-out's
-        // destination or, in implicit mode, the chunk computed in place —
-        // carved out up front so the loop below borrows `out` once.
-        let mut out_window = actions
-            .iter()
-            .find(|a| implicit || a.stage == Stage::CopyOut)
-            .map(|a| &mut self.out[chunks.range(a.chunk)]);
-        let mut staged: Vec<_> = self.staged.iter_mut().map(Some).collect();
-        let mut computed: Vec<_> = self.computed.iter_mut().map(Some).collect();
-        let ring = staged.len();
-
+    /// Run one batch of mutually independent nodes as one `scoped` call
+    /// on the shared pool; the pool's join realises every edge out of it.
+    /// Each node borrows the buffers its footprint names through
+    /// [`Leases`].
+    fn run_batch(
+        &mut self,
+        spec: &PipelineSpec,
+        nodes: Vec<(ChunkAction, Vec<(BufferId, Access)>)>,
+    ) {
+        if nodes.is_empty() {
+            return;
+        }
+        let Pools::Shared(pool) = self.pools else {
+            unreachable!("stage pools replay the whole record at finish");
+        };
+        let (halo, fill) = (self.halo, self.inputs[0][0]);
+        let mut leases = Leases::new(&mut self.buffers);
         let mut tasks: Vec<Task<'_>> = Vec::new();
-        for a in actions {
-            let range = chunks.range(a.chunk);
-            let busy = &self.busy[stage_index(a.stage)];
-            match a.stage {
-                Stage::CopyIn | Stage::CopyOut if implicit => panic!("implicit mode has no copies"),
+        for (action, touches) in &nodes {
+            let (stage, c) = (action.stage, action.chunk);
+            let src = self.inputs[c];
+            let reads: Vec<&[T]> = touches
+                .iter()
+                .filter(|t| t.1 == Access::Read)
+                .map(|t| leases.read(t.0))
+                .collect();
+            let write = touches
+                .iter()
+                .find(|t| t.1 == Access::Write)
+                .map(|t| leases.write(t.0));
+            let stage_tasks = match stage {
                 Stage::CopyIn => {
-                    let dst = claim(&mut staged, a.slot);
-                    dst.resize(range.len(), fill);
-                    let src = &self.data[range];
+                    let dst = write.expect("a copy-in fills a declared buffer");
+                    dst.resize(src.len(), fill);
                     count_bytes(&self.bytes[0], src);
-                    tasks.extend(copy_tasks(busy, spec.p_in, src, dst));
+                    copy_parts(src, dst, spec.p_in)
                 }
                 Stage::Compute => {
-                    let c = a.chunk;
                     let mut view = StencilView::NONE;
-                    let dst: &mut [T] = if implicit {
-                        out_window.take().expect("one compute per implicit step")
-                    } else if computed.is_empty() {
-                        claim(&mut staged, a.slot)
-                    } else {
-                        view.mid = claim(&mut staged, c % ring);
-                        assert_eq!(
-                            view.mid.len(),
-                            range.len(),
-                            "stale staged input for chunk {c}"
-                        );
-                        if c > 0 {
-                            let prev: &[T] = claim(&mut staged, (c - 1) % ring);
-                            view.left = &prev[prev.len() - halo.min(prev.len())..];
+                    let dst: &mut [T] = match (write, &reads[..]) {
+                        // Implicit mode declares no buffers: the chunk
+                        // computes in place on its window of `out`.
+                        (None, _) => self.out[c].take().expect("one compute per chunk"),
+                        // A node that only writes updates its buffer in
+                        // place: the map kernel on its staged chunk.
+                        (Some(buf), []) => buf,
+                        // A stencil compute reads the staged chunks
+                        // c - 1, c and c + 1 that exist, in chunk order,
+                        // and fills its own out-buffer.
+                        (Some(buf), staged) => {
+                            let (left, rest) = staged.split_at(usize::from(c > 0));
+                            let (&mid, right) = rest
+                                .split_first()
+                                .expect("a stencil compute reads its chunk");
+                            assert_eq!(mid.len(), src.len(), "stale staged input for chunk {c}");
+                            view = StencilView {
+                                left: left
+                                    .first()
+                                    .map_or(&[], |l| &l[l.len() - halo.min(l.len())..]),
+                                mid,
+                                right: right.first().map_or(&[], |r| &r[..halo.min(r.len())]),
+                            };
+                            buf.resize(src.len(), fill);
+                            buf
                         }
-                        if c + 1 < chunks.count() {
-                            let next: &[T] = claim(&mut staged, (c + 1) % ring);
-                            view.right = &next[..halo.min(next.len())];
-                        }
-                        let dst = claim(&mut computed, a.slot);
-                        dst.resize(range.len(), fill);
-                        dst
                     };
-                    tasks.extend(compute_tasks(
-                        &self.kernel,
-                        Some(busy),
-                        spec.p_comp,
-                        c,
-                        range.start,
-                        view,
-                        dst,
-                    ));
+                    compute_tasks(&self.kernel, spec.p_comp, c, c * self.elems, view, dst)
                 }
                 Stage::CopyOut => {
-                    let from = if computed.is_empty() {
-                        &mut staged
-                    } else {
-                        &mut computed
+                    let src: &[T] = match write {
+                        Some(buf) => buf,
+                        None => reads.first().expect("a copy-out drains a declared buffer"),
                     };
-                    let src = claim(from, a.slot);
-                    let dst = out_window.take().expect("one copy-out per step");
+                    let dst = self.out[c].take().expect("one copy-out per chunk");
                     count_bytes(&self.bytes[2], src);
-                    tasks.extend(copy_tasks(busy, spec.p_out, src, dst));
+                    copy_parts(src, dst, spec.p_out)
                 }
-            }
+            };
+            let busy = &self.busy[stage as usize];
+            tasks.extend(stage_tasks.into_iter().map(|task| timed(busy, task)));
         }
         pool.scoped(tasks);
     }
@@ -549,9 +512,9 @@ where
     /// after its chunk's copy-in, copy-out after its compute, copy-in of
     /// chunk `c` after copy-out of `c - ring` recycles the slot).
     fn replay(&mut self, spec: &PipelineSpec, pools: &HostStagePools, actions: &[ChunkAction]) {
-        let (data, chunks, kernel, bytes) = (self.data, self.chunks, &self.kernel, &self.bytes);
+        let (inputs, elems, kernel, bytes) = (&self.inputs, self.elems, &self.kernel, &self.bytes);
         let ring = spec.ring_slots();
-        let fill = data[0];
+        let fill = inputs[0][0];
         let of = move |stage: Stage| actions.iter().filter(move |a| a.stage == stage);
         let (in_actions, comp_actions, out_actions) =
             (of(Stage::CopyIn), of(Stage::Compute), of(Stage::CopyOut));
@@ -559,27 +522,20 @@ where
         let slots: Vec<BufSlot<T>> = (0..ring).map(BufSlot::new).collect();
         let poisoned = AtomicBool::new(false);
         let (slots, poisoned) = (&slots, &poisoned);
-        let out_chunks: Vec<&mut [T]> = self.out.chunks_mut(chunks.elems).collect();
-        // The copy-out coordinator zips the two: a mismatch would
-        // silently never write the tail chunks of `out`.
-        assert_eq!(
-            out_chunks.len(),
-            of(Stage::CopyOut).count(),
-            "every chunk of `out` needs exactly one copy-out"
-        );
+        let out = &mut self.out;
 
         let copy_in_body = move || {
             let mut waited = Duration::ZERO;
             for a in in_actions {
                 let slot = &slots[a.slot];
                 waited += slot.await_phase(Phase::Empty, a.chunk, poisoned);
-                let src = &data[chunks.range(a.chunk)];
+                let src = inputs[a.chunk];
                 // SAFETY: `Empty(c)` grants this coordinator exclusive
                 // ownership of the slot's buffer until it publishes `Filled`.
                 let buf = unsafe { slot.data_mut() };
                 buf.resize(src.len(), fill);
                 count_bytes(&bytes[0], src);
-                copy_split(&pools.copy_in, spec.p_in, src, buf);
+                pools.copy_in.scoped(copy_parts(src, buf, spec.p_in));
                 slot.publish(Phase::Filled, a.chunk);
             }
             waited
@@ -594,10 +550,9 @@ where
                 let buf = unsafe { slot.data_mut() };
                 pools.compute.scoped(compute_tasks(
                     kernel,
-                    None,
                     spec.p_comp,
                     a.chunk,
-                    chunks.range(a.chunk).start,
+                    a.chunk * elems,
                     StencilView::NONE,
                     buf,
                 ));
@@ -608,16 +563,15 @@ where
 
         let copy_out_body = move || {
             let mut waited = Duration::ZERO;
-            for (a, dst) in out_actions.zip(out_chunks) {
+            for a in out_actions {
                 let slot = &slots[a.slot];
                 waited += slot.await_phase(Phase::Computed, a.chunk, poisoned);
                 // SAFETY: `Computed(c)` hands the buffer to the copy-out
-                // stage; `dst` is this chunk's pre-split disjoint window of
-                // `out`, owned by this coordinator.
+                // stage.
                 let buf = unsafe { slot.data_ref() };
-                debug_assert_eq!(buf.len(), dst.len());
+                let dst = out[a.chunk].take().expect("one copy-out per chunk");
                 count_bytes(&bytes[2], buf);
-                copy_split(&pools.copy_out, spec.p_out, buf, dst);
+                pools.copy_out.scoped(copy_parts(buf, dst, spec.p_out));
                 // Recycle the slot for copy-in of chunk c + ring.
                 slot.publish(Phase::Empty, a.chunk + ring);
             }
@@ -631,22 +585,16 @@ where
             [h_in, h_comp, h_out].map(|h| h.join().expect("coordinator wrapper does not panic"))
         });
 
-        let mut first_payload: Option<Box<dyn Any + Send>> = None;
-        let mut poison_payload: Option<Box<dyn Any + Send>> = None;
+        let mut payloads = Vec::new();
         for (i, r) in results.into_iter().enumerate() {
             match r {
                 Ok(w) => self.waits[i] = w,
-                Err(p) => {
-                    // Prefer the original panic over secondary abort panics.
-                    if is_poison_payload(&*p) {
-                        poison_payload.get_or_insert(p);
-                    } else {
-                        first_payload.get_or_insert(p);
-                    }
-                }
+                Err(p) => payloads.push(p),
             }
         }
-        if let Some(payload) = first_payload.or(poison_payload) {
+        // Prefer the original panic over secondary abort panics.
+        payloads.sort_by_key(|p| is_poison_payload(&**p));
+        if let Some(payload) = payloads.into_iter().next() {
             resume_unwind(payload);
         }
     }
@@ -656,7 +604,7 @@ where
     /// no coordinator waits; stage pools account busy time in the pool
     /// and the ring replay measures each coordinator's blocked time.
     fn stats(&self, spec: &PipelineSpec, start: Instant) -> HostRunStats {
-        let n = self.chunks.count();
+        let n = self.inputs.len();
         // Implicit mode has no ring to fill and drain and no copy stages,
         // whatever `p_in`/`p_out` say.
         let (ramp, p_in, p_out) = match spec.placement {
@@ -664,7 +612,7 @@ where
             _ => (spec.ring_slots() - 1, spec.p_in, spec.p_out),
         };
         let stage = |stage: Stage, threads: usize| {
-            let i = stage_index(stage);
+            let i = stage as usize;
             let bytes = self.bytes[i].load(Ordering::Relaxed);
             match self.pools {
                 Pools::Shared(_) => StageStats {
@@ -702,49 +650,63 @@ where
     T: Copy + Send + Sync,
     K: Fn(StencilView<'_, T>, &mut [T], KernelCtx) + Send + Sync,
 {
-    // Dependencies are realised structurally — by the step batching
-    // (everything in a batch starts after the previous pool join), by
-    // running in issue order, or by the buffer ring at replay time — so
-    // tokens carry no information.
     type Ctx = PipelineSpec;
-    type Token = ();
+    type Token = usize;
 
-    fn issue(&mut self, _spec: &PipelineSpec, _plan: &WorkloadPlan, node: &PlanNode, _deps: &[()]) {
+    fn issue(
+        &mut self,
+        spec: &PipelineSpec,
+        plan: &WorkloadPlan,
+        node: &PlanNode,
+        deps: &[usize],
+    ) -> usize {
+        if self.buffers.len() < plan.buffers.len() {
+            self.buffers.resize_with(plan.buffers.len(), Vec::new);
+        }
         let action = node
             .action()
             .expect("pipeline plans issue chunk-scoped nodes");
-        self.pending.push(action);
+        // The ring replay runs the whole record at `finish`: its buffer
+        // ring, not a batch join, realises the edges.
+        let deps = match self.pools {
+            Pools::Shared(_) => deps,
+            Pools::Stages(_) => &[],
+        };
+        let (token, ready) = self
+            .drain
+            .issue((action, plan.touches_of(node).to_vec()), deps);
+        self.run_batch(spec, ready);
+        token
     }
 
-    fn step_barrier(&mut self, spec: &PipelineSpec, _after: &[()]) {
-        let actions = std::mem::take(&mut self.pending);
-        self.run_batch(spec, &actions);
+    fn step_barrier(&mut self, spec: &PipelineSpec, _after: &[usize]) -> usize {
+        let (token, ready) = self.drain.barrier();
+        self.run_batch(spec, ready);
+        token
     }
 
-    /// Whatever is still pending was issued without step barriers: the
-    /// dataflow schedule, drained by whichever pools the run was handed.
     fn finish(&mut self, spec: &PipelineSpec) -> Result<(), String> {
-        let actions = std::mem::take(&mut self.pending);
+        let nodes = self.drain.take();
         match self.pools {
-            Pools::Shared(_) => {
-                for a in &actions {
-                    self.run_batch(spec, std::slice::from_ref(a));
-                }
+            Pools::Shared(_) => self.run_batch(spec, nodes),
+            Pools::Stages(pools) => {
+                let actions: Vec<ChunkAction> = nodes.iter().map(|n| n.0).collect();
+                self.replay(spec, pools, &actions)
             }
-            Pools::Stages(pools) => self.replay(spec, pools, &actions),
         }
+        assert!(
+            self.out.iter().all(Option::is_none),
+            "every chunk of `out` needs exactly one writer"
+        );
         Ok(())
     }
 }
 
 /// The compute tasks of one chunk: `dst` (whose first element is global
 /// element `at`) split across up to `p_comp` workers, each running the
-/// kernel on its part with the [`KernelCtx`] that locates it. Tasks on
-/// the untimed shared pool credit their wall time to `busy`; stage pools
-/// time their tasks themselves and pass `None`.
+/// kernel on its part with the [`KernelCtx`] that locates it.
 fn compute_tasks<'t, T, K>(
     kernel: &'t K,
-    busy: Option<&'t AtomicU64>,
     p_comp: usize,
     chunk: usize,
     at: usize,
@@ -767,12 +729,8 @@ where
         };
         global_offset += part.len();
         tasks.push(Box::new(move || {
-            let t0 = Instant::now();
             super::fault::maybe_panic_compute(chunk);
             kernel(StencilView { left, mid, right }, part, ctx);
-            if let Some(busy) = busy {
-                busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
         }));
     }
     tasks
@@ -783,35 +741,19 @@ fn count_bytes<T>(counter: &AtomicU64, src: &[T]) {
     counter.fetch_add(std::mem::size_of_val(src) as u64, Ordering::Relaxed);
 }
 
-/// The `src → dst` copy tasks of one chunk (split across up to
-/// `parts_max` workers) for a shared-pool batch, crediting wall time to
-/// `busy`. The shared `WorkPool` is untimed, so the tasks time themselves
-/// — unlike the ring replay, whose `StagePool`s account busy time in the
-/// pool.
-fn copy_tasks<'t, T: Copy + Send + Sync>(
-    busy: &'t AtomicU64,
-    parts_max: usize,
-    src: &'t [T],
-    dst: &'t mut [T],
-) -> Vec<Task<'t>> {
-    assert_eq!(src.len(), dst.len(), "staged chunk and its window differ");
-    let parts = parts_max.min(src.len()).max(1);
-    let mut tasks: Vec<Task<'t>> = Vec::with_capacity(parts);
-    let mut rest = src;
-    for head in split_mut(dst, parts) {
-        let (s_slice, tail) = rest.split_at(head.len());
-        rest = tail;
-        tasks.push(Box::new(move || {
-            let t0 = Instant::now();
-            head.copy_from_slice(s_slice);
-            busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }));
-    }
-    tasks
+/// `task`, crediting its wall time to a stage's `busy` counter: the shared
+/// `WorkPool` is untimed, unlike the ring replay's `StagePool`s.
+fn timed<'t>(busy: &'t AtomicU64, task: Task<'t>) -> Task<'t> {
+    Box::new(move || {
+        let t0 = Instant::now();
+        task();
+        busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use super::*;
@@ -1099,7 +1041,7 @@ mod tests {
             ("lockstep", lockstep),
             ("dataflow", dataflow),
             ("stencil lockstep", stencil_lockstep),
-            ("stencil issue order", stencil_flow),
+            ("stencil dataflow", stencil_flow),
         ] {
             assert_eq!(r.copy_in.bytes, total, "{name}");
             assert_eq!(r.copy_out.bytes, total, "{name}");
@@ -1248,6 +1190,124 @@ mod tests {
             assert_eq!(out_lock, out_flow, "n={n}");
             assert_eq!(out_lock, stencil_reference(&data, h), "n={n}");
         }
+    }
+
+    /// Drive `spec` over a shared-pool backend: the plan it ran, and the
+    /// plan nodes of every batch (tokens are plan indices).
+    fn batches_of<K>(
+        pool: &WorkPool,
+        spec: &PipelineSpec,
+        data: &[i64],
+        out: &mut [i64],
+        kernel: K,
+    ) -> (WorkloadPlan, Vec<Range<usize>>)
+    where
+        K: Fn(StencilView<'_, i64>, &mut [i64], KernelCtx) + Send + Sync,
+    {
+        let (mut backend, espec) = HostBackend::new(Pools::Shared(pool), spec, data, out, kernel);
+        drive_verified(&mut backend, &espec, None).unwrap();
+        (mlm_exec::plan_pipeline(&espec), backend.drain.ran)
+    }
+
+    /// The plan's steps: the nodes before each barrier.
+    fn steps(plan: &WorkloadPlan) -> Vec<Range<usize>> {
+        let barriers = plan
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, nd)| nd.kind == mlm_exec::PlanKind::Barrier)
+            .map(|(i, _)| i);
+        std::iter::once(0)
+            .chain(barriers.clone().map(|b| b + 1))
+            .zip(barriers)
+            .map(|(start, barrier)| start..barrier)
+            .collect()
+    }
+
+    #[test]
+    fn lockstep_map_batches_are_the_plan_steps() {
+        let pool = WorkPool::new(4);
+        let mut s = spec(8 * 64, Placement::Hbw);
+        s.total_bytes = 8 * 1003;
+        let data: Vec<i64> = (0..1003).collect();
+        let mut out = vec![0i64; 1003];
+        let kernel = in_place(&s, negate_kernel);
+        let (plan, batches) = batches_of(&pool, &s, &data, &mut out, kernel);
+        assert_eq!(steps(&plan).len(), 1003usize.div_ceil(64) + 2);
+        assert_eq!(batches, steps(&plan));
+        assert!(out.iter().zip(&data).all(|(o, d)| *o == -d));
+    }
+
+    /// Implicit mode (one compute per step, whatever `lockstep` says) and
+    /// the lockstep stencil batch by step too.
+    #[test]
+    fn implicit_and_lockstep_stencil_batches_are_the_plan_steps() {
+        let pool = WorkPool::new(4);
+        let n = 1003;
+        let data: Vec<i64> = (0..n as i64).collect();
+        for lockstep in [true, false] {
+            let mut si = spec(8 * 64, Placement::Implicit);
+            si.total_bytes = (8 * n) as u64;
+            si.lockstep = lockstep;
+            // Implicit runs copy `data` into `out` first: start from zeros.
+            let mut out = vec![0i64; n];
+            let kernel = in_place(&si, negate_kernel);
+            let (plan, batches) = batches_of(&pool, &si, &data, &mut out, kernel);
+            assert_eq!(batches.len(), n.div_ceil(64));
+            assert_eq!(batches, steps(&plan));
+            assert!(out.iter().zip(&data).all(|(o, d)| *o == -d));
+        }
+        let s = stencil_spec(64, 8, n, true);
+        let mut out = vec![0i64; n];
+        let (plan, batches) = batches_of(&pool, &s, &data, &mut out, stencil_kernel(64, 8));
+        assert_eq!(batches.len(), n.div_ceil(64) + 3);
+        assert_eq!(batches, steps(&plan));
+        assert_eq!(out, stencil_reference(&data, 8));
+    }
+
+    #[test]
+    fn stencil_dataflow_batches_computes_that_share_halo_reads() {
+        let pool = WorkPool::new(7);
+        let (chunk_elems, h, n) = (64, 8, 1003);
+        let data: Vec<i64> = (0..n as i64).map(|x| x.wrapping_mul(-77)).collect();
+        let s = stencil_spec(chunk_elems, h, n, false);
+        let mut out_flow = vec![0i64; n];
+        let kernel = stencil_kernel(chunk_elems, h);
+        let (plan, batches) = batches_of(&pool, &s, &data, &mut out_flow, kernel);
+        let reads = |i: usize| {
+            plan.footprint(i)
+                .iter()
+                .filter(|t| t.1 == Access::Read)
+                .map(|t| t.0)
+                .collect::<Vec<_>>()
+        };
+        let shares_halo = |batch: &Range<usize>| {
+            let computes: Vec<usize> = batch
+                .clone()
+                .filter(|&i| plan.nodes[i].kind == mlm_exec::PlanKind::Kernel)
+                .collect();
+            computes.iter().enumerate().any(|(k, &a)| {
+                computes[k + 1..]
+                    .iter()
+                    .any(|&b| reads(a).iter().any(|r| reads(b).contains(r)))
+            })
+        };
+        assert!(batches.iter().any(shares_halo), "batches: {batches:?}");
+        // Fewer batches than nodes: the dataflow no longer runs one node
+        // at a time.
+        assert!(batches.len() < plan.nodes.len() / 2, "batches: {batches:?}");
+
+        let mut out_lock = vec![0i64; n];
+        let s = stencil_spec(chunk_elems, h, n, true);
+        run_host_stencil(
+            &pool,
+            &s,
+            &data,
+            &mut out_lock,
+            stencil_kernel(chunk_elems, h),
+        );
+        assert_eq!(out_flow, out_lock);
+        assert_eq!(out_flow, stencil_reference(&data, h));
     }
 
     #[test]

@@ -9,19 +9,24 @@
 //! explicit "copy to MCDRAM" steps degenerate to buffer copies — but every
 //! algorithmic step (megachunk split, per-thread serial sorts, multiway
 //! merges, final merge) runs for real, which is what validates the sim
-//! lowering's schedules and feeds the native benchmarks.
+//! lowering's schedules and feeds the native benchmarks. Nodes run in
+//! batches of mutually independent nodes on one pool, through the drain
+//! the host pipeline uses too (`crate::host`), and each node kind has one
+//! realisation: its tasks split over a part count that depends only on
+//! whether the node runs alone or shares its batch.
 
 use mlm_exec::{
     interpret, plan_sort, Backend, ChunkSortStyle, PlanKind, PlanNode, SortPlan, SortStructure,
-    WorkloadPlan, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
-    SORT_KERNEL_THREAD_SORT,
+    WorkloadPlan, BUFFERED_COPY_THREADS, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE,
+    SORT_KERNEL_MERGE_RUNS, SORT_KERNEL_THREAD_SORT,
 };
-use parsort::multiway::{multiway_merge_into, parallel_multiway_merge_into};
+use parsort::multiway::merge_parts;
 use parsort::parallel::{parallel_mergesort, split_borrows};
-use parsort::pool::{parallel_copy, split_mut, WorkPool};
+use parsort::pool::{copy_parts, split_mut, Task, WorkPool};
 use parsort::radix::{radix_sort, RadixKey};
 
 use super::SortAlgorithm;
+use crate::host::Drain;
 
 /// Execution statistics of a host sort run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,12 +68,11 @@ pub fn run_sort_plan<T: Ord + RadixKey + Send + Sync>(
 
 /// The host sort [`Backend`], with the [`SortPlan`] as its context.
 ///
-/// `issue` batches mutually independent nodes; a node that depends on a
-/// pending one first runs the pending batch, whose pool join realises
-/// every edge into it. A sequential plan (each node Seq-chained to its
-/// predecessor) therefore runs one node at a time, with the pool-wide
-/// primitives; the buffered plan's prefetch of megachunk `m + 1` shares a
-/// batch with the sort of `m`. Tokens are issue indices.
+/// Every node goes to the shared [`Drain`], which batches mutually
+/// independent nodes: a sequential plan (each node Seq-chained to its
+/// predecessor) runs one node at a time, and the buffered plan's prefetch
+/// of megachunk `m + 1` shares a batch with the sort of `m`. Tokens are
+/// issue indices.
 ///
 /// Host memory has one level, so the working buffer and the merge scratch
 /// are the same `data`-sized allocation, made at first use: megachunk
@@ -81,16 +85,12 @@ pub struct HostSortBackend<'a, T> {
     data: &'a mut [T],
     /// Working buffer and merge scratch, `data`-sized once allocated.
     scratch: Vec<T>,
-    /// Issued nodes not yet run, mutually independent.
-    batch: Vec<PlanNode>,
-    /// Token of `batch[0]`.
-    batch_start: usize,
-    /// Nodes issued so far (the next node's token).
-    issued: usize,
+    /// Issued nodes not yet run.
+    drain: Drain<PlanNode>,
     /// Serial chunk sorts performed.
     chunk_sorts: usize,
-    /// The size of every batch run, in order.
-    batch_sizes: Vec<usize>,
+    /// Every batch run, in order: the part count of each of its nodes.
+    batches: Vec<Vec<usize>>,
 }
 
 impl<'a, T: Ord + RadixKey + Send + Sync> HostSortBackend<'a, T> {
@@ -102,160 +102,137 @@ impl<'a, T: Ord + RadixKey + Send + Sync> HostSortBackend<'a, T> {
             pool,
             data,
             scratch: Vec::new(),
-            batch: Vec::new(),
-            batch_start: 0,
-            issued: 0,
+            drain: Drain::new(),
             chunk_sorts: 0,
-            batch_sizes: Vec::new(),
+            batches: Vec::new(),
         }
     }
 
-    /// Run the pending batch.
-    fn flush(&mut self, plan: &SortPlan) {
-        let batch = std::mem::take(&mut self.batch);
-        self.batch_start = self.issued;
-        match &batch[..] {
-            [] => return,
-            [node] => self.run_node(plan, node),
-            nodes => self.run_overlapped(plan, nodes),
+    /// Run one batch of mutually independent nodes as one `scoped` call.
+    /// A node alone gets every pool thread. In a buffered batch — at most
+    /// one prefetch, one chunk sort and one merge-out, each on its own
+    /// megachunk — the prefetch gets the copy pool, the chunk sort every
+    /// thread, and the merge-out one: serial against its batch-mates,
+    /// overlapped with them on the pool.
+    fn run_batch(&mut self, plan: &SortPlan, mut nodes: Vec<PlanNode>) {
+        if nodes.is_empty() {
+            return;
         }
-        self.batch_sizes.push(batch.len());
-    }
-
-    /// Run one node alone, with every pool thread.
-    fn run_node(&mut self, plan: &SortPlan, node: &PlanNode) {
         let (pool, p) = (self.pool, self.pool.threads());
-        let data = &mut *self.data;
+        let alone = nodes.len() == 1;
+        let parts = |nd: &PlanNode| match nd.kind {
+            PlanKind::StageIn if !alone => BUFFERED_COPY_THREADS,
+            PlanKind::StageOut if !alone => 1,
+            _ => p,
+        };
+        self.batches.push(nodes.iter().map(parts).collect());
         if plan.structure == SortStructure::Whole {
-            if node.kernel == Some(SORT_KERNEL_THREAD_SORT) {
-                parallel_mergesort(pool, data);
+            if nodes[0].kernel == Some(SORT_KERNEL_THREAD_SORT) {
+                parallel_mergesort(pool, self.data);
             }
             return;
         }
-        let scratch = full(&mut self.scratch, data);
-        let (lo, hi) = node.chunk.map_or((0, data.len()), |m| bounds(plan, m));
-        let in_place = plan.structure == SortStructure::InPlace;
-        match (node.kind, node.chunk, node.kernel) {
-            // "Copy-in": stage the megachunk in its working window.
-            (PlanKind::StageIn, Some(_), None) => {
-                parallel_copy(pool, &data[lo..hi], &mut scratch[lo..hi])
-            }
-            // Sort the megachunk's chunks where the plan staged them: the
-            // working window for staged plans, in place otherwise.
-            (PlanKind::Kernel, Some(_), Some(SORT_KERNEL_CHUNK_SORT)) => {
-                let block = if in_place {
-                    &mut data[lo..hi]
-                } else {
-                    &mut scratch[lo..hi]
-                };
-                match plan.chunk_style {
-                    ChunkSortStyle::Gnu => parallel_mergesort(pool, block),
-                    style => {
-                        let chunks = split_mut(block, p.min(hi - lo));
-                        self.chunk_sorts += chunks.len();
-                        pool.scoped(chunks.into_iter().map(|c| move || sort_chunk(style, c)));
-                    }
-                }
-            }
-            // The run merge: multiway-merge the sorted runs out of the
-            // working window (staged: back to `data`; in-place: out to
-            // scratch).
-            (PlanKind::StageOut, Some(_), Some(SORT_KERNEL_MERGE_RUNS)) => {
-                let parts = match plan.chunk_style {
-                    ChunkSortStyle::Serial | ChunkSortStyle::Radix => p.min(hi - lo),
-                    // The GNU-style chunk sort left one fully sorted run,
-                    // so the merge-out degenerates to moving it.
-                    ChunkSortStyle::Gnu => 1,
-                };
-                let (src, dst): (&[T], &mut [T]) = if in_place {
-                    (&data[lo..hi], &mut scratch[lo..hi])
-                } else {
-                    (&scratch[lo..hi], &mut data[lo..hi])
-                };
-                parallel_multiway_merge_into(pool, &split_borrows(src, parts), dst);
-            }
-            // Final multiway merge of the sorted megachunk runs.
-            (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => {
-                let runs: Vec<&[T]> = (0..plan.megachunks)
-                    .map(|m| {
-                        let (lo, hi) = bounds(plan, m);
-                        &data[lo..hi]
-                    })
-                    .collect();
-                parallel_multiway_merge_into(pool, &runs, scratch);
-            }
-            // Copy back from scratch: one megachunk (the in-place
-            // structure's) or the whole array.
-            (PlanKind::StageOut, _, None) => {
-                parallel_copy(pool, &scratch[lo..hi], &mut data[lo..hi])
-            }
-            (kind, chunk, kernel) => {
-                unreachable!("no host realisation for {kind:?}/{chunk:?}/{kernel:?}")
-            }
-        }
-    }
 
-    /// Run a batch of mutually independent nodes — in the buffered plan,
-    /// at most one stage-in, one chunk-sort and one merge-out, each on its
-    /// own megachunk — as one scoped task batch.
-    fn run_overlapped(&mut self, plan: &SortPlan, nodes: &[PlanNode]) {
-        let p = self.pool.threads();
+        // Carve each node's window out of `data` and `scratch` (a global
+        // node's is the whole array); the windows of a batch never overlap.
         let data = &mut *self.data;
         let scratch = full(&mut self.scratch, data);
-
-        // Carve each node's megachunk window out of `data` and `scratch`;
-        // the windows of a batch never overlap.
-        let mut nodes: Vec<&PlanNode> = nodes.iter().collect();
-        nodes.sort_by_key(|nd| nd.chunk);
         let (mut data, mut scratch, mut at) = (data, &mut scratch[..], 0);
-        let mut work = Vec::with_capacity(nodes.len());
-        for nd in nodes {
-            let (lo, hi) = bounds(plan, nd.chunk.expect("batched nodes are megachunk-scoped"));
+        let mut windows = Vec::with_capacity(nodes.len());
+        nodes.sort_by_key(|nd| nd.chunk);
+        for nd in &nodes {
+            let (lo, hi) = nd
+                .chunk
+                .map_or((0, plan.n_elems as usize), |m| bounds(plan, m));
             assert!(lo >= at, "batched nodes share a megachunk");
             let (d, d_rest) = data.split_at_mut(hi - at);
             let (s, s_rest) = scratch.split_at_mut(hi - at);
-            work.push((nd, &mut d[lo - at..], &mut s[lo - at..]));
+            windows.push((nd, &mut d[lo - at..], &mut s[lo - at..]));
             (data, scratch, at) = (d_rest, s_rest, hi);
+        }
+
+        // The GNU chunk style sorts a megachunk with the library's
+        // two-phase parallel mergesort, always as a lone node.
+        let staged = plan.structure != SortStructure::InPlace;
+        if let [(nd, d, s)] = &mut windows[..] {
+            if nd.kernel == Some(SORT_KERNEL_CHUNK_SORT) && plan.chunk_style == ChunkSortStyle::Gnu
+            {
+                parallel_mergesort(pool, if staged { s } else { d });
+                return;
+            }
         }
 
         // Tasks in stage order: the short prefetch copies first, the one
         // long merge-out last.
-        work.sort_by_key(|(nd, ..)| nd.kind as usize);
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for (nd, d, s) in work {
-            match (nd.kind, nd.kernel) {
-                // Prefetch: split the staging copy a few ways so it shares
-                // the pool with the sorts without monopolising it.
-                (PlanKind::StageIn, None) => {
-                    let copy_parts = 4.min(d.len());
-                    let mut src: &[T] = d;
-                    for dst in split_mut(s, copy_parts) {
-                        let (head, tail) = src.split_at(dst.len());
-                        src = tail;
-                        tasks.push(Box::new(move || dst.copy_from_slice(head)));
-                    }
-                }
-                // One sort task per chunk of the sorting megachunk.
-                (PlanKind::Kernel, Some(SORT_KERNEL_CHUNK_SORT)) => {
-                    let parts = p.min(s.len());
-                    self.chunk_sorts += parts;
-                    let style = plan.chunk_style;
-                    for chunk in split_mut(s, parts) {
-                        tasks.push(Box::new(move || sort_chunk(style, chunk)));
-                    }
-                }
-                // The merge-out runs as one dedicated task: serial against
-                // its batch-mates, overlapped with them on the pool.
-                (PlanKind::StageOut, Some(SORT_KERNEL_MERGE_RUNS)) => {
-                    let runs = split_borrows(s, p.min(s.len()));
-                    tasks.push(Box::new(move || multiway_merge_into(&runs, d)));
-                }
-                (kind, kernel) => {
-                    unreachable!("no overlapped host realisation for {kind:?}/{kernel:?}")
-                }
+        windows.sort_by_key(|(nd, ..)| nd.kind as usize);
+        let mut tasks = Vec::new();
+        for (nd, d, s) in windows {
+            let node_tasks = node_tasks(plan, nd, parts(nd), p, staged, d, s);
+            if nd.kernel == Some(SORT_KERNEL_CHUNK_SORT) {
+                self.chunk_sorts += node_tasks.len();
             }
+            tasks.extend(node_tasks);
         }
-        self.pool.scoped(tasks);
+        pool.scoped(tasks);
+    }
+}
+
+/// The tasks of one megachunk-plan node split over `parts` workers, on its
+/// window `d` of the data and `s` of the scratch: the one host
+/// realisation of each node kind. A chunk sort leaves `p` sorted runs
+/// (one per pool thread) for its merge-out; `staged` plans sort in the
+/// scratch window, in-place plans in the data window.
+fn node_tasks<'t, T: Ord + RadixKey + Send + Sync>(
+    plan: &SortPlan,
+    node: &PlanNode,
+    parts: usize,
+    p: usize,
+    staged: bool,
+    d: &'t mut [T],
+    s: &'t mut [T],
+) -> Vec<Task<'t>> {
+    match (node.kind, node.chunk, node.kernel) {
+        // "Copy-in": stage the megachunk in its working window.
+        (PlanKind::StageIn, Some(_), None) => copy_parts(d, s, parts),
+        // Sort the megachunk's chunks where the plan staged them.
+        (PlanKind::Kernel, Some(_), Some(SORT_KERNEL_CHUNK_SORT)) => {
+            let block = if staged { s } else { d };
+            let style = plan.chunk_style;
+            split_mut(block, parts.clamp(1, block.len()))
+                .into_iter()
+                .map(|chunk| Box::new(move || sort_chunk(style, chunk)) as Task<'t>)
+                .collect()
+        }
+        // The run merge: multiway-merge the sorted runs out of the
+        // working window (staged: back to `data`; in-place: out to
+        // scratch).
+        (PlanKind::StageOut, Some(_), Some(SORT_KERNEL_MERGE_RUNS)) => {
+            let runs = match plan.chunk_style {
+                ChunkSortStyle::Serial | ChunkSortStyle::Radix => p.min(d.len()),
+                // The GNU-style chunk sort left one fully sorted run,
+                // so the merge-out degenerates to moving it.
+                ChunkSortStyle::Gnu => 1,
+            };
+            let (src, dst): (&[T], &mut [T]) = if staged { (s, d) } else { (d, s) };
+            merge_parts(&split_borrows(src, runs), dst, parts)
+        }
+        // Final multiway merge of the sorted megachunk runs.
+        (PlanKind::Kernel, None, Some(SORT_KERNEL_FINAL_MERGE)) => {
+            let d: &[T] = d;
+            let runs: Vec<&[T]> = (0..plan.megachunks)
+                .map(|m| {
+                    let (lo, hi) = bounds(plan, m);
+                    &d[lo..hi]
+                })
+                .collect();
+            merge_parts(&runs, s, parts)
+        }
+        // Copy back from scratch: one megachunk (the in-place
+        // structure's) or the whole array.
+        (PlanKind::StageOut, _, None) => copy_parts(s, d, parts),
+        (kind, chunk, kernel) => {
+            unreachable!("no host realisation for {kind:?}/{chunk:?}/{kernel:?}")
+        }
     }
 }
 
@@ -270,12 +247,9 @@ impl<T: Ord + RadixKey + Send + Sync> Backend for HostSortBackend<'_, T> {
         node: &PlanNode,
         deps: &[usize],
     ) -> usize {
-        if deps.iter().any(|&d| d >= self.batch_start) {
-            self.flush(plan);
-        }
-        self.batch.push(node.clone());
-        self.issued += 1;
-        self.issued - 1
+        let (token, ready) = self.drain.issue(node.clone(), deps);
+        self.run_batch(plan, ready);
+        token
     }
 
     fn step_barrier(&mut self, _plan: &SortPlan, _after: &[usize]) -> usize {
@@ -283,7 +257,8 @@ impl<T: Ord + RadixKey + Send + Sync> Backend for HostSortBackend<'_, T> {
     }
 
     fn finish(&mut self, plan: &SortPlan) -> Result<(), String> {
-        self.flush(plan);
+        let nodes = self.drain.take();
+        self.run_batch(plan, nodes);
         Ok(())
     }
 }
@@ -583,14 +558,33 @@ mod tests {
         }
     }
 
+    /// A sequential plan chains every node to its predecessor, so each
+    /// batch is one node with every pool thread.
+    #[test]
+    fn sequential_plans_run_one_node_per_batch() {
+        let pool = WorkPool::new(3);
+        for structure in [SortStructure::Staged, SortStructure::InPlace] {
+            let mut v = generate_keys(10_007, InputOrder::Random, 13);
+            let plan = plan_sort(structure, ChunkSortStyle::Serial, v.len() as u64, 3_000);
+            let nodes = plan.to_workload_plan().nodes.len();
+            let mut backend = HostSortBackend::new(&pool, &mut v);
+            interpret(&mut backend, &plan, &plan.to_workload_plan()).unwrap();
+            assert_eq!(backend.batches, vec![vec![3]; nodes], "{structure:?}");
+            assert_eq!(backend.chunk_sorts, 4 * 3);
+            assert!(is_sorted(&v));
+        }
+    }
+
     /// The buffered plan's batches, pinned to the runs of mutually
     /// independent nodes its dependency edges allow: after the prime
     /// stage-in, every batch pairs two megachunks' phases — megachunk
     /// `m + 1`'s prefetch runs next to `m`'s chunk sort — until the tail
-    /// merge-out and the final pair.
+    /// merge-out and the final pair. A lone node is split over all six
+    /// pool threads; in a pair the prefetch gets the copy pool (4), the
+    /// chunk sort all six, the merge-out one.
     #[test]
     fn buffered_batches_overlap_prefetch_with_sort() {
-        let pool = WorkPool::new(4);
+        let pool = WorkPool::new(6);
         for n in [5_000, 4_993] {
             let mut v = generate_keys(n, InputOrder::Random, 5);
             let mut expect = v.clone();
@@ -604,7 +598,25 @@ mod tests {
             assert_eq!(plan.megachunks, 5);
             let mut backend = HostSortBackend::new(&pool, &mut v);
             interpret(&mut backend, &plan, &plan.to_workload_plan()).unwrap();
-            assert_eq!(backend.batch_sizes, [1, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1]);
+            let sizes: Vec<usize> = backend.batches.iter().map(Vec::len).collect();
+            assert_eq!(sizes, [1, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1]);
+            assert_eq!(
+                backend.batches,
+                [
+                    vec![6],
+                    vec![6, 4],
+                    vec![1, 6],
+                    vec![4, 1],
+                    vec![6, 4],
+                    vec![1, 6],
+                    vec![4, 1],
+                    vec![6],
+                    vec![6],
+                    vec![6],
+                    vec![6],
+                ]
+            );
+            assert_eq!(backend.chunk_sorts, 5 * 6);
             assert_eq!(v, expect);
         }
     }

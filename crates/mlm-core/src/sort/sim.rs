@@ -57,7 +57,7 @@ use knl_sim::ops::{Access, OpId, OpKind, Place, Program};
 use mlm_exec::graph::{verify_sort, AnalysisConfig};
 use mlm_exec::{
     interpret, Backend, ChunkSortStyle, PlanKind, PlanNode, SortPlan, WorkloadPlan,
-    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    BUFFERED_COPY_THREADS, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
     SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
 };
 
@@ -65,11 +65,6 @@ use super::SortAlgorithm;
 use crate::calibration::Calibration;
 use crate::lower::{copy, share, sides, Side};
 use crate::workload::SortWorkload;
-
-/// Copy-pool size for [`SortAlgorithm::MlmSortBuffered`]: small, because
-/// prefetching a megachunk is brief and every copy thread is a compute
-/// thread forgone (the §5 tradeoff).
-pub const BUFFERED_COPY_THREADS: usize = 4;
 
 /// The simulated sort [`Backend`], with the [`SortPlan`] as its context:
 /// lowers each issued node of one Table-1 sort run to ops on a

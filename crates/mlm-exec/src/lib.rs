@@ -74,7 +74,7 @@ pub use recording::{Event, NullBackend, RecordingBackend};
 pub use report::{RunReport, StageReport};
 pub use sortplan::{
     mega_size, plan_sort, ChunkSortStyle, SortPhase, SortPlan, SortStructure, SortTiers,
-    SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
+    BUFFERED_COPY_THREADS, SORT_KERNEL_CHUNK_SORT, SORT_KERNEL_FINAL_MERGE, SORT_KERNEL_MERGE_RUNS,
     SORT_KERNEL_THREAD_MERGE, SORT_KERNEL_THREAD_SORT,
 };
 pub use spec::{PipelineSpec, Workload};

@@ -177,6 +177,12 @@ struct Layout {
     per_slot: usize,
 }
 
+/// Copy-pool size of an `overlapped` plan's prefetch: small, because
+/// prefetching a megachunk is brief and every copy thread is a compute
+/// thread forgone (the §5 tradeoff). The simulated sort prices the
+/// prefetch on this many threads; the host sort splits it this many ways.
+pub const BUFFERED_COPY_THREADS: usize = 4;
+
 /// Kernel-table index of the chunk-sort kernel in a lowered sort plan.
 pub const SORT_KERNEL_CHUNK_SORT: usize = 0;
 /// Kernel-table index of the run-merge (merge-out) kernel.

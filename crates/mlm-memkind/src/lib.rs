@@ -233,17 +233,17 @@ impl MemKind {
         let mut g = self.inner.lock();
         let level = match kind {
             Kind::Default => {
-                self.claim(&g, MemLevel::Ddr, bytes)?;
+                self.check_reservable(&g, MemLevel::Ddr, bytes)?;
                 MemLevel::Ddr
             }
             Kind::Hbw => {
-                self.claim(&g, MemLevel::Mcdram, bytes)?;
+                self.check_reservable(&g, MemLevel::Mcdram, bytes)?;
                 MemLevel::Mcdram
             }
-            Kind::HbwPreferred => match self.claim(&g, MemLevel::Mcdram, bytes) {
+            Kind::HbwPreferred => match self.check_reservable(&g, MemLevel::Mcdram, bytes) {
                 Ok(()) => MemLevel::Mcdram,
                 Err(SimError::OutOfMemory { .. }) => {
-                    self.claim(&g, MemLevel::Ddr, bytes)?;
+                    self.check_reservable(&g, MemLevel::Ddr, bytes)?;
                     MemLevel::Ddr
                 }
                 Err(e) => return Err(e),
@@ -263,7 +263,7 @@ impl MemKind {
 
     /// Check that `bytes` are still reservable in `level`; `g` is the
     /// held lock, which keeps the check valid until the caller claims.
-    fn claim(&self, g: &Inner, level: MemLevel, bytes: u64) -> Result<(), SimError> {
+    fn check_reservable(&self, g: &Inner, level: MemLevel, bytes: u64) -> Result<(), SimError> {
         let free = self.reservable_in(g, level);
         if bytes > free {
             return Err(SimError::OutOfMemory {

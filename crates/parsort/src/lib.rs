@@ -13,15 +13,17 @@
 //! scratch the way MCSTL builds it:
 //!
 //! * [`serial::introsort`] — `<[T]>::sort_unstable`, Rust's `std::sort`;
-//! * [`merge`] — branch-free serial and co-rank parallel two-way merges;
+//! * [`merge`] — the branch-free serial two-way merge;
 //! * [`multiway`] — loser-tree k-way merge, multisequence selection, and
-//!   the parallel multiway merge built from them;
+//!   the rank-split parallel multiway merge built from them;
 //! * [`parallel::parallel_mergesort`] — block sort + parallel multiway
 //!   merge, the GNU parallel sort stand-in;
 //! * [`pool::WorkPool`] — a fixed-size thread pool with scoped execution,
 //!   matching the paper's dedicated copy/compute thread-pool structure;
-//! * [`funnel::funnelsort`] — a simplified cache-oblivious funnelsort, the
-//!   §2.1 alternative the paper contrasts its cache-aware design against;
+//! * the task emitters [`pool::copy_parts`] and [`multiway::merge_parts`]
+//!   — one copy or k-way merge split over a given number of workers, so
+//!   the pool-wide primitives and the host executors that share a pool
+//!   between several operations split work the same way;
 //! * [`radix::radix_sort`] — LSD radix sort, the purely bandwidth-bound
 //!   kernel the paper's §6 "more benchmarks" future work points toward.
 //!
@@ -36,7 +38,6 @@
 
 #[cfg(test)]
 mod counted;
-pub mod funnel;
 pub mod merge;
 pub mod multiway;
 pub mod parallel;
@@ -44,10 +45,9 @@ pub mod pool;
 pub mod radix;
 pub mod serial;
 
-pub use funnel::funnelsort;
-pub use merge::{merge_into, parallel_merge_into};
+pub use merge::merge_into;
 pub use multiway::{multiway_merge_into, parallel_multiway_merge_into};
 pub use parallel::parallel_mergesort;
 pub use pool::WorkPool;
-pub use radix::{parallel_radix_sort, radix_sort};
+pub use radix::radix_sort;
 pub use serial::{introsort, is_sorted};

@@ -1,11 +1,6 @@
-//! Two-way merges: serial and parallel (rank-splitting).
-//!
-//! The parallel merge divides the *output* into near-equal parts and finds
-//! the matching split point in each input with a dual binary search — the
-//! same co-ranking technique MCSTL (the GNU parallel mode) uses. Each part
-//! is then merged serially and independently.
-
-use crate::pool::{split_range, WorkPool};
+//! The serial two-way merge: the k-way merge's last step (see
+//! [`crate::multiway`], whose rank-split parallel merge covers two runs
+//! too).
 
 /// Merge sorted `a` and `b` into `out`, taking from `a` on ties.
 ///
@@ -31,80 +26,11 @@ pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
     b_tail.copy_from_slice(&b[j..]);
 }
 
-/// Find the *co-rank*: the pair `(i, j)` with `i + j == k`, `i <= a.len()`,
-/// `j <= b.len()` such that merging the first `i` elements of `a` with the
-/// first `j` of `b` yields the first `k` elements of `merge(a, b)`.
-///
-/// Standard dual binary search; O(log(min(k, |a|, |b|))).
-pub fn co_rank<T: Ord>(k: usize, a: &[T], b: &[T]) -> (usize, usize) {
-    debug_assert!(k <= a.len() + b.len());
-    let mut lo = k.saturating_sub(b.len());
-    let mut hi = k.min(a.len());
-    while lo < hi {
-        let i = lo + (hi - lo) / 2;
-        let j = k - i;
-        // Invariants: i < hi <= a.len(), j >= 1 when we inspect b[j - 1].
-        if j > 0 && a[i] < b[j - 1] {
-            // Too few from `a`.
-            lo = i + 1;
-        } else {
-            hi = i;
-        }
-    }
-    (lo, k - lo)
-}
-
-/// Merge sorted `a` and `b` into `out` using every thread of `pool`.
-///
-/// # Panics
-/// Panics if `out.len() != a.len() + b.len()`.
-pub fn parallel_merge_into<T: Ord + Copy + Send + Sync>(
-    pool: &WorkPool,
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-) {
-    assert_eq!(out.len(), a.len() + b.len(), "output size mismatch");
-    let total = out.len();
-    if total == 0 {
-        return;
-    }
-    let parts = pool.threads().min(total);
-    if parts == 1 {
-        merge_into(a, b, out);
-        return;
-    }
-
-    // Pre-compute the co-rank at each output split point.
-    let mut splits = Vec::with_capacity(parts + 1);
-    for p in 0..parts {
-        let (start, _) = split_range(total, parts, p);
-        splits.push(co_rank(start, a, b));
-    }
-    splits.push((a.len(), b.len()));
-
-    let mut out_parts: Vec<&mut [T]> = Vec::with_capacity(parts);
-    let mut rest = out;
-    for p in 0..parts {
-        let (start, end) = split_range(total, parts, p);
-        let (head, tail) = rest.split_at_mut(end - start);
-        out_parts.push(head);
-        rest = tail;
-    }
-
-    pool.scoped(out_parts.into_iter().enumerate().map(|(p, out_part)| {
-        let (ai, bi) = splits[p];
-        let (aj, bj) = splits[p + 1];
-        let a_part = &a[ai..aj];
-        let b_part = &b[bi..bj];
-        move || merge_into(a_part, b_part, out_part)
-    }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counted::{comparisons, keyed, payload, runs_of, seeded_runs, Keyed};
+    use crate::pool::WorkPool;
     use crate::serial::is_sorted;
 
     #[test]
@@ -162,42 +88,10 @@ mod tests {
         merge_into(&[1], &[2, 3], &mut out);
     }
 
-    #[test]
-    fn co_rank_properties() {
-        let a = [1i64, 3, 5, 7, 9];
-        let b = [2i64, 4, 6, 8];
-        let mut merged = vec![0i64; 9];
-        merge_into(&a, &b, &mut merged);
-        for k in 0..=merged.len() {
-            let (i, j) = co_rank(k, &a, &b);
-            assert_eq!(i + j, k);
-            // Elements before the split are all <= elements after it.
-            let max_before = a[..i].iter().chain(b[..j].iter()).max();
-            let min_after = a[i..].iter().chain(b[j..].iter()).min();
-            if let (Some(mb), Some(ma)) = (max_before, min_after) {
-                assert!(mb <= ma, "k={k}: {mb} > {ma}");
-            }
-        }
-    }
-
-    #[test]
-    fn co_rank_with_duplicates() {
-        let a = [2i64, 2, 2, 2];
-        let b = [2i64, 2, 2];
-        for k in 0..=7 {
-            let (i, j) = co_rank(k, &a, &b);
-            assert_eq!(i + j, k);
-            assert!(i <= 4 && j <= 3);
-        }
-    }
-
-    #[test]
-    fn co_rank_extremes() {
-        let a = [1i64, 2];
-        let b = [3i64, 4];
-        assert_eq!(co_rank(0, &a, &b), (0, 0));
-        assert_eq!(co_rank(4, &a, &b), (2, 2));
-        assert_eq!(co_rank(2, &a, &b), (2, 0));
+    /// Two runs through the pool's rank-split k-way merge: the parallel
+    /// two-way merge.
+    fn parallel_merge_into(pool: &WorkPool, a: &[i64], b: &[i64], out: &mut [i64]) {
+        crate::multiway::parallel_multiway_merge_into(pool, &[a, b], out);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! merges its slice of every run with a tournament (loser) tree.
 
 use crate::merge::merge_into;
-use crate::pool::{split_range, WorkPool};
+use crate::pool::{split_mut, split_range, Task, WorkPool};
 
 /// A run's current head, and which run it heads.
 #[derive(Clone, Copy)]
@@ -199,9 +199,8 @@ pub fn multiseq_select<T: Ord + Copy>(seqs: &[&[T]], r: usize) -> Vec<usize> {
     }
 }
 
-/// Merge `runs` into `out` using every thread of `pool`: the output is cut
-/// at exact global ranks via [`multiseq_select`]; each thread loser-tree
-/// merges its share.
+/// Merge `runs` into `out` using every thread of `pool` (see
+/// [`merge_parts`]).
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the total input length.
@@ -210,42 +209,51 @@ pub fn parallel_multiway_merge_into<T: Ord + Copy + Send + Sync>(
     runs: &[&[T]],
     out: &mut [T],
 ) {
+    pool.scoped(merge_parts(runs, out, pool.threads()));
+}
+
+/// The tasks of one k-way merge of `runs` into `out` split over `parts`
+/// workers: the output is cut at exact global ranks via
+/// [`multiseq_select`], and each task loser-tree merges its share. One
+/// task merges everything when `parts` is 1 or there is a single run;
+/// an empty merge has no tasks.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total input length.
+pub fn merge_parts<'a, T: Ord + Copy + Send + Sync>(
+    runs: &[&'a [T]],
+    out: &'a mut [T],
+    parts: usize,
+) -> Vec<Task<'a>> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     assert_eq!(out.len(), total, "output size mismatch");
     if total == 0 {
-        return;
+        return Vec::new();
     }
-    let parts = pool.threads().min(total);
+    let parts = parts.clamp(1, total);
     if parts == 1 || runs.len() == 1 {
-        multiway_merge_into(runs, out);
-        return;
+        let runs = runs.to_vec();
+        return vec![Box::new(move || multiway_merge_into(&runs, out))];
     }
 
     // Split positions per part boundary.
-    let mut boundaries = Vec::with_capacity(parts + 1);
-    for p in 0..parts {
-        let (start, _) = split_range(total, parts, p);
-        boundaries.push(multiseq_select(runs, start));
-    }
+    let mut boundaries: Vec<Vec<usize>> = (0..parts)
+        .map(|p| multiseq_select(runs, split_range(total, parts, p).0))
+        .collect();
     boundaries.push(runs.iter().map(|r| r.len()).collect());
 
-    let mut out_parts: Vec<&mut [T]> = Vec::with_capacity(parts);
-    let mut rest = out;
-    for p in 0..parts {
-        let (start, end) = split_range(total, parts, p);
-        let (head, tail) = rest.split_at_mut(end - start);
-        out_parts.push(head);
-        rest = tail;
-    }
-
-    pool.scoped(out_parts.into_iter().enumerate().map(|(p, out_part)| {
-        let sub_runs: Vec<&[T]> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| &r[boundaries[p][i]..boundaries[p + 1][i]])
-            .collect();
-        move || multiway_merge_into(&sub_runs, out_part)
-    }));
+    split_mut(out, parts)
+        .into_iter()
+        .enumerate()
+        .map(|(p, out_part)| {
+            let sub_runs: Vec<&[T]> = runs
+                .iter()
+                .enumerate()
+                .map(|(i, r)| &r[boundaries[p][i]..boundaries[p + 1][i]])
+                .collect();
+            Box::new(move || multiway_merge_into(&sub_runs, out_part)) as Task<'a>
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -389,6 +397,21 @@ mod tests {
             assert_eq!(out, expect, "k={k} n={n}");
             assert!(is_sorted(&out));
         }
+    }
+
+    /// One worker, or one run to move, is one task that merges
+    /// everything; more parts cut the output into that many tasks.
+    #[test]
+    fn merge_parts_splits_only_real_merges() {
+        let (a, b) = (rng_vec(100, 3), rng_vec(50, 5));
+        let mut out = vec![0i64; 150];
+        assert_eq!(merge_parts(&[&a, &b], &mut out, 1).len(), 1);
+        assert_eq!(merge_parts(&[&a], &mut out[..100], 4).len(), 1);
+        assert_eq!(merge_parts(&[&a, &b], &mut out, 4).len(), 4);
+        assert!(merge_parts::<i64>(&[&[], &[]], &mut [], 4).is_empty());
+        let tasks = merge_parts(&[&a, &b], &mut out, 3);
+        tasks.into_iter().for_each(|t| t());
+        assert_eq!(out, reference_merge(&[&a, &b]));
     }
 
     #[test]

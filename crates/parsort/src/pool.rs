@@ -21,11 +21,14 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 
-type Task = Box<dyn FnOnce() + Send>;
+/// One unit of pool work that may borrow from the caller's stack: what
+/// the task emitters ([`copy_parts`],
+/// [`crate::multiway::merge_parts`]) return and [`WorkPool::scoped`] runs.
+pub type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 type PanicPayload = Box<dyn Any + Send>;
 
 enum Message {
-    Run(Task),
+    Run(Task<'static>),
     Shutdown,
 }
 
@@ -171,7 +174,7 @@ impl WorkPool {
             // been dropped; no borrow outlives the caller's frame. Panics
             // inside the task are caught before the latch decrement, so a
             // panicking task still counts down and cannot leak a borrow.
-            let erased: Task = unsafe {
+            let erased: Task<'static> = unsafe {
                 std::mem::transmute::<
                     Box<dyn FnOnce() + Send + 'scope>,
                     Box<dyn FnOnce() + Send + 'static>,
@@ -184,24 +187,6 @@ impl WorkPool {
         if let Some(payload) = latch.wait() {
             resume_unwind(payload);
         }
-    }
-
-    /// Split `0..len` into at most `self.threads()` contiguous ranges of
-    /// near-equal size and run `f(range_index, start, end)` for each in
-    /// parallel.
-    pub fn parallel_ranges<F>(&self, len: usize, f: F)
-    where
-        F: Fn(usize, usize, usize) + Send + Sync,
-    {
-        if len == 0 {
-            return;
-        }
-        let parts = self.threads.min(len);
-        let f = &f;
-        self.scoped((0..parts).map(move |i| {
-            let (start, end) = split_range(len, parts, i);
-            move || f(i, start, end)
-        }));
     }
 }
 
@@ -276,46 +261,41 @@ impl StagePool {
     }
 }
 
-/// Copy `src` into `dst` split across up to `parts_max` pool tasks.
-pub fn copy_split<T: Copy + Send + Sync>(
-    pool: &StagePool,
-    parts_max: usize,
-    src: &[T],
-    dst: &mut [T],
-) {
-    debug_assert_eq!(src.len(), dst.len());
-    let parts = parts_max.min(src.len()).max(1);
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(parts);
-    let mut rest = dst;
-    for t in 0..parts {
-        let (ss, se) = split_range(src.len(), parts, t);
-        let (head, tail) = rest.split_at_mut(se - ss);
-        rest = tail;
-        let s_slice = &src[ss..se];
-        tasks.push(Box::new(move || head.copy_from_slice(s_slice)));
-    }
-    pool.scoped(tasks);
-}
-
 /// Copy `src` to `dst` using every pool thread (the host stand-in for the
 /// copy-in / copy-out pools).
+///
+/// # Panics
+/// Panics if `src.len() != dst.len()`.
 pub fn parallel_copy<T: Copy + Send + Sync>(pool: &WorkPool, src: &[T], dst: &mut [T]) {
-    assert_eq!(src.len(), dst.len());
+    pool.scoped(copy_parts(src, dst, pool.threads()));
+}
+
+/// The tasks of one `src → dst` copy split over `parts` workers: one
+/// contiguous [`split_range`] part each, at most one per element (none
+/// for an empty copy).
+///
+/// # Panics
+/// Panics if `src.len() != dst.len()`, in release builds too: a shorter
+/// destination would otherwise take a prefix of `src` silently.
+pub fn copy_parts<'a, T: Copy + Send + Sync>(
+    src: &'a [T],
+    dst: &'a mut [T],
+    parts: usize,
+) -> Vec<Task<'a>> {
+    assert_eq!(
+        src.len(),
+        dst.len(),
+        "copy source and destination differ in length"
+    );
     if src.is_empty() {
-        return;
+        return Vec::new();
     }
-    let parts = pool.threads().min(src.len());
-    let len = src.len();
-    let mut rest = dst;
-    let mut tasks = Vec::with_capacity(parts);
-    for t in 0..parts {
-        let (s, e) = split_range(len, parts, t);
-        let (head, tail) = rest.split_at_mut(e - s);
-        rest = tail;
-        let sr = &src[s..e];
-        tasks.push(move || head.copy_from_slice(sr));
-    }
-    pool.scoped(tasks);
+    let parts = parts.clamp(1, src.len());
+    split_mut(dst, parts)
+        .into_iter()
+        .zip(crate::parallel::split_borrows(src, parts))
+        .map(|(d, s)| Box::new(move || d.copy_from_slice(s)) as Task<'a>)
+        .collect()
 }
 
 /// The bounds of part `i` of `parts` near-equal contiguous parts of `0..len`.
@@ -543,24 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ranges_visits_everything() {
-        let pool = WorkPool::new(4);
-        let flags: Vec<AtomicU64> = (0..97).map(|_| AtomicU64::new(0)).collect();
-        pool.parallel_ranges(97, |_i, s, e| {
-            for f in &flags[s..e] {
-                f.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_ranges_zero_len() {
-        let pool = WorkPool::new(4);
-        pool.parallel_ranges(0, |_, _, _| panic!("must not run"));
-    }
-
-    #[test]
     fn parallel_copy_is_exact() {
         let pool = WorkPool::new(4);
         let src: Vec<u64> = (0..10_001).collect();
@@ -571,13 +533,30 @@ mod tests {
     }
 
     #[test]
+    fn copy_parts_splits_at_most_once_per_element() {
+        let src: Vec<u64> = (0..5).collect();
+        let mut dst = vec![0u64; 5];
+        assert!(copy_parts::<u64>(&[], &mut [], 4).is_empty());
+        assert_eq!(copy_parts(&src, &mut dst, 0).len(), 1);
+        assert_eq!(copy_parts(&src, &mut dst, 3).len(), 3);
+        assert_eq!(copy_parts(&src, &mut dst, 9).len(), 5);
+    }
+
+    /// A stage pool runs the copy emitter's tasks as they come.
+    #[test]
     fn copy_split_is_exact_for_any_parts() {
         let pool = StagePool::new(3);
         let src: Vec<u64> = (0..997).collect();
         for parts in [1usize, 2, 5, 2000] {
             let mut dst = vec![0u64; src.len()];
-            copy_split(&pool, parts, &src, &mut dst);
+            pool.scoped(copy_parts(&src, &mut dst, parts));
             assert_eq!(src, dst);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn copy_of_unequal_lengths_is_refused() {
+        let _ = copy_parts(&[1u64, 2, 3], &mut [0u64; 2], 2);
     }
 }

@@ -9,8 +9,6 @@
 //! memory level it runs in — exactly the regime where the paper's chunking
 //! pays most — and the natural next kernel for an MLM treatment.
 
-use crate::pool::{split_range, WorkPool};
-
 /// Keys that radix sort can process: mapped to `u64` preserving order.
 pub trait RadixKey: Copy {
     /// Order-preserving map into `u64` (two's-complement bias for signed).
@@ -105,54 +103,16 @@ fn needed_digits<T: RadixKey>(data: &[T]) -> usize {
     top / RADIX_BITS + 1
 }
 
-/// Parallel radix sort: each pool thread radix-sorts a block, then a
-/// parallel multiway merge combines the runs — the same structure as
-/// [`crate::parallel::parallel_mergesort`] with radix locals, i.e. an
-/// MLM-sort-shaped use of a pure streaming kernel.
-pub fn parallel_radix_sort<T: RadixKey + Ord + Send + Sync>(pool: &WorkPool, data: &mut [T]) {
-    let n = data.len();
-    if n < 2 {
-        return;
-    }
-    let parts = pool.threads().min(n);
-    {
-        let mut rest: &mut [T] = data;
-        let mut blocks = Vec::with_capacity(parts);
-        for i in 0..parts {
-            let (s, e) = split_range(n, parts, i);
-            let (head, tail) = rest.split_at_mut(e - s);
-            blocks.push(head);
-            rest = tail;
-        }
-        pool.scoped(blocks.into_iter().map(|b| move || radix_sort(b)));
-    }
-    let mut buf = data.to_vec();
-    {
-        let runs: Vec<&[T]> = (0..parts)
-            .map(|i| {
-                let (s, e) = split_range(n, parts, i);
-                &data[s..e]
-            })
-            .collect();
-        crate::multiway::parallel_multiway_merge_into(pool, &runs, &mut buf);
-    }
-    data.copy_from_slice(&buf);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serial::is_sorted;
 
-    fn check<T: RadixKey + Ord + std::fmt::Debug + Send + Sync>(mut v: Vec<T>) {
+    fn check<T: RadixKey + Ord + std::fmt::Debug>(mut v: Vec<T>) {
         let mut expect = v.clone();
         expect.sort_unstable();
-        let mut par = v.clone();
         radix_sort(&mut v);
-        assert_eq!(v, expect, "serial radix");
-        let pool = WorkPool::new(4);
-        parallel_radix_sort(&pool, &mut par);
-        assert_eq!(par, expect, "parallel radix");
+        assert_eq!(v, expect);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property-based tests for the sorting substrate.
 
-use parsort::funnel::funnelsort;
-use parsort::merge::{co_rank, merge_into, parallel_merge_into};
-use parsort::multiway::{multiseq_select, multiway_merge_into, parallel_multiway_merge_into};
-use parsort::pool::{split_range, WorkPool};
-use parsort::radix::{parallel_radix_sort, radix_sort};
+use parsort::merge::merge_into;
+use parsort::multiway::{
+    merge_parts, multiseq_select, multiway_merge_into, parallel_multiway_merge_into,
+};
+use parsort::pool::{copy_parts, split_mut, split_range, WorkPool};
+use parsort::radix::radix_sort;
 use parsort::serial::{introsort, is_sorted};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -30,14 +31,6 @@ proptest! {
     }
 
     #[test]
-    fn funnelsort_equals_std(mut v in proptest::collection::vec(any::<i64>(), 0..10_000)) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        funnelsort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
     fn radix_sort_equals_std(mut v in proptest::collection::vec(any::<i64>(), 0..5000)) {
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -50,11 +43,16 @@ proptest! {
         mut v in proptest::collection::vec(any::<i64>(), 0..5000),
         threads in 1usize..6,
     ) {
+        // The radix chunk style's shape: one radix sort per pool thread,
+        // then one k-way merge of the sorted blocks.
         let pool = WorkPool::new(threads);
         let mut expect = v.clone();
         expect.sort_unstable();
-        parallel_radix_sort(&pool, &mut v);
-        prop_assert_eq!(v, expect);
+        let parts = threads.min(v.len()).max(1);
+        pool.scoped(split_mut(&mut v, parts).into_iter().map(|b| move || radix_sort(b)));
+        let mut out = v.clone();
+        parallel_multiway_merge_into(&pool, &parsort::parallel::split_borrows(&v, parts), &mut out);
+        prop_assert_eq!(out, expect);
     }
 
     #[test]
@@ -89,24 +87,6 @@ proptest! {
     }
 
     #[test]
-    fn co_rank_splits_are_consistent(
-        mut a in proptest::collection::vec(any::<i32>(), 0..300),
-        mut b in proptest::collection::vec(any::<i32>(), 0..300),
-        k_frac in 0.0f64..=1.0,
-    ) {
-        a.sort_unstable();
-        b.sort_unstable();
-        let k = ((a.len() + b.len()) as f64 * k_frac) as usize;
-        let (i, j) = co_rank(k, &a, &b);
-        prop_assert_eq!(i + j, k);
-        let max_before = a[..i].iter().chain(b[..j].iter()).max();
-        let min_after = a[i..].iter().chain(b[j..].iter()).min();
-        if let (Some(mb), Some(ma)) = (max_before, min_after) {
-            prop_assert!(mb <= ma);
-        }
-    }
-
-    #[test]
     fn parallel_merge_equals_serial(
         mut a in proptest::collection::vec(any::<i64>(), 0..800),
         mut b in proptest::collection::vec(any::<i64>(), 0..800),
@@ -117,8 +97,9 @@ proptest! {
         let pool = WorkPool::new(threads);
         let mut expect = vec![0i64; a.len() + b.len()];
         merge_into(&a, &b, &mut expect);
+        // The parallel two-way merge is the rank-split k-way merge of two runs.
         let mut got = vec![0i64; a.len() + b.len()];
-        parallel_merge_into(&pool, &a, &b, &mut got);
+        parallel_multiway_merge_into(&pool, &[&a, &b], &mut got);
         prop_assert_eq!(got, expect);
     }
 
@@ -177,6 +158,41 @@ proptest! {
             .min();
         if let (Some(mb), Some(ma)) = (max_before, min_after) {
             prop_assert!(mb <= ma);
+        }
+    }
+
+    /// Both task emitters, run serially task by task, equal the serial
+    /// copy and merge for every part count: one, a few, more than the
+    /// runs, exactly one element each, and more parts than elements.
+    #[test]
+    fn emitters_equal_the_serial_result_for_any_part_count(
+        runs_raw in proptest::collection::vec(
+            proptest::collection::vec(any::<i64>(), 0..120), 1..6),
+    ) {
+        let runs_owned: Vec<Vec<i64>> = runs_raw
+            .into_iter()
+            .map(|mut r| {
+                r.sort_unstable();
+                r
+            })
+            .collect();
+        let runs: Vec<&[i64]> = runs_owned.iter().map(Vec::as_slice).collect();
+        let src: Vec<i64> = runs_owned.concat();
+        let len = src.len();
+        let mut merged = vec![0i64; len];
+        multiway_merge_into(&runs, &mut merged);
+        for parts in [1, 2, 7, len, len + 3] {
+            let mut copy = vec![0i64; len];
+            let tasks = copy_parts(&src, &mut copy, parts);
+            prop_assert!(tasks.len() <= parts.max(1));
+            tasks.into_iter().for_each(|t| t());
+            prop_assert_eq!(&copy, &src, "copy, parts={}", parts);
+
+            let mut out = vec![0i64; len];
+            let tasks = merge_parts(&runs, &mut out, parts);
+            prop_assert!(tasks.len() <= parts.max(1));
+            tasks.into_iter().for_each(|t| t());
+            prop_assert_eq!(&out, &merged, "merge, parts={}", parts);
         }
     }
 

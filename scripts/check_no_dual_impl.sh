@@ -226,6 +226,34 @@ if [ -n "$forks" ]; then
   fail=1
 fi
 
+# Ninth discipline: the host side runs plan nodes through one drain and
+# one set of task emitters. Both host backends hand issued nodes to the
+# shared-pool drain (crates/mlm-core/src/host.rs), the pipeline borrows
+# the buffers the plan declares, and every copy or merge is split over its
+# workers by parsort's emitters (pool::copy_parts, multiway::merge_parts).
+# A hand-rolled `copy_from_slice` or `split_range` loop in either host
+# backend is a second statement of that split, and the identifiers of the
+# realisations this replaced — the sort's second per-batch realisation
+# (run_overlapped), the pipeline's ring-slot arithmetic (claim) and its
+# private copy splitter (copy_tasks) — must not come back under crates/.
+for host_file in crates/mlm-core/src/pipeline/host.rs crates/mlm-core/src/sort/host.rs; do
+  splits=$(sed '/^#\[cfg(test)\]/q' "$host_file" | grep -nE 'copy_from_slice|split_range' || true)
+  if [ -n "$splits" ]; then
+    echo "error: ${host_file} splits work by hand:" >&2
+    echo "$splits" | sed 's/^/       /' >&2
+    echo "       split copies and merges with parsort::pool::copy_parts / parsort::multiway::merge_parts" >&2
+    fail=1
+  fi
+done
+restored=$(grep -rnE '\b(run_overlapped|claim|copy_tasks)\b[[:space:]]*[(<]' --include='*.rs' crates \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$restored" ]; then
+  echo "error: a second host realisation is back under crates/:" >&2
+  echo "$restored" | sed 's/^/       /' >&2
+  echo "       run host nodes through the drain in crates/mlm-core/src/host.rs and parsort's emitters" >&2
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo >&2
   echo "New host/sim pairs must adapt the shared execution layer, not re-implement the schedule." >&2
@@ -240,3 +268,4 @@ echo "check_no_dual_impl: the knl-sim engine never references mlm_exec"
 echo "check_no_dual_impl: every simulated Program is built by an allowlisted lowering"
 echo "check_no_dual_impl: every buffer is declared in the plan layer, and nowhere restated"
 echo "check_no_dual_impl: every simulated op is lowered from its plan node, through one set of emitters"
+echo "check_no_dual_impl: both host backends run nodes through one drain and parsort's task emitters"
